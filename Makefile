@@ -7,7 +7,7 @@ DOCS = README.md DESIGN.md EXPERIMENTS.md PAPER_MAP.md \
        examples/multitenant/README.md examples/kvcache/README.md \
        examples/graphanalytics/README.md
 
-.PHONY: all build vet test bench bench-check bench-check-recorded smoke runtime-smoke concurrency-smoke shard-smoke elastic-smoke selfheal-smoke ztier-smoke ensemble-smoke figures docs-check links-check
+.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke runtime-smoke concurrency-smoke shard-smoke elastic-smoke selfheal-smoke ztier-smoke ensemble-smoke figures docs-check links-check
 
 all: vet build test docs-check links-check
 
@@ -40,6 +40,19 @@ bench-check-recorded:
 	  -bench 'BenchmarkSimulatorThroughput$$|BenchmarkPredictorFaultPath$$' . \
 	  | python3 scripts/bench2json.py > /tmp/leap_bench_fresh.json
 	python3 scripts/bench_compare.py BENCH_1.json /tmp/leap_bench_fresh.json
+
+# bench/ is a module of its own (the end-to-end benchmark, see
+# bench/README.md), so `go test ./...` never reaches its tests: the smoke
+# test runs every workload at 1/1000 and every probe once and holds the
+# output against BENCHMARK.json.
+bench-smoke:
+	$(GO) test -C bench ./...
+
+# One untraced end-to-end run of workload W, as the benchmark driver makes
+# it: make bench-e2e W=seq_read_far
+W ?= seq_read_far
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0
 
 # Quick end-to-end check: one figure at test scale.
 smoke:

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -67,7 +68,12 @@ func (a *Agent) Ops() (reads, writes int64) {
 // Handle processes one request and returns the response. This is the
 // transport-independent core used by both the in-process transport and the
 // TCP server loop.
-func (a *Agent) Handle(req *Request) *Response {
+func (a *Agent) Handle(req *Request) *Response { return a.handle(req, nil) }
+
+// handle is Handle building a page-carrying response in buf when its
+// capacity suffices. A connection's server loop passes its reusable response
+// buffer (nothing retains a response once it is written); nil allocates.
+func (a *Agent) handle(req *Request, buf []byte) *Response {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	switch req.Op {
@@ -98,9 +104,9 @@ func (a *Agent) Handle(req *Request) *Response {
 			return &Response{Status: StatusBadBound}
 		}
 		a.reads++
-		page := make([]byte, PageSize)
-		copy(page, slab[off:off+PageSize])
-		return &Response{Status: StatusOK, Payload: page}
+		frame := headroom(buf, respHeaderSize, PageSize)
+		copy(frame[respHeaderSize:], slab[off:off+PageSize])
+		return &Response{Status: StatusOK, Payload: frame[respHeaderSize:], frame: frame}
 
 	case OpWrite:
 		slab, ok := a.slabs[req.Slab]
@@ -146,9 +152,9 @@ func (a *Agent) Handle(req *Request) *Response {
 		}
 		var resp *Response
 		if ReadBatchCompressed(req) {
-			resp, err = EncodeReadBatchResponseCompressed(results, &a.comp)
+			resp, err = encodeReadBatchResponseCompressed(results, &a.comp, buf)
 		} else {
-			resp, err = EncodeReadBatchResponse(results)
+			resp, err = encodeReadBatchResponse(results, buf)
 		}
 		if err != nil {
 			return &Response{Status: StatusBadFrame}
@@ -188,8 +194,9 @@ func (a *Agent) Handle(req *Request) *Response {
 
 // Serve accepts connections on l and serves the wire protocol until l is
 // closed. Each connection gets its own goroutine; requests within a
-// connection are processed in order (the host pipelines at most one request
-// per connection).
+// connection are answered strictly in order, which is what lets the host
+// pipeline requests on it with nothing but a FIFO of outstanding ones (see
+// TCP).
 func (a *Agent) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -200,14 +207,26 @@ func (a *Agent) Serve(l net.Listener) error {
 	}
 }
 
+// serveConn serves one connection. One request is handled at a time and
+// Handle copies pages in and out of the slabs, so the request payload and
+// the response frame each live in one buffer reused across requests.
 func (a *Agent) serveConn(conn net.Conn) {
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, connBufSize)
+	var (
+		req     Request
+		in, out []byte
+		err     error
+	)
 	for {
-		req, err := DecodeRequest(conn)
-		if err != nil {
+		if in, err = readRequest(br, &req, in); err != nil {
 			return // EOF or protocol error: drop the connection
 		}
-		if err := EncodeResponse(conn, a.Handle(req)); err != nil {
+		frame := a.handle(&req, out).wire(out)
+		if cap(frame) > cap(out) {
+			out = frame
+		}
+		if _, err := conn.Write(frame); err != nil {
 			log.Printf("remote: agent response write: %v", err)
 			return
 		}

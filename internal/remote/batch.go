@@ -65,7 +65,8 @@ func EncodeReadBatch(refs []BatchRef) (*Request, error) {
 	if len(refs) == 0 || len(refs) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: read batch of %d ops (want 1..%d)", len(refs), MaxBatchOps)
 	}
-	payload := make([]byte, 4+len(refs)*batchRefSize)
+	frame := make([]byte, reqHeaderSize+4+len(refs)*batchRefSize)
+	payload := frame[reqHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs)))
 	off := 4
 	for _, r := range refs {
@@ -73,7 +74,7 @@ func EncodeReadBatch(refs []BatchRef) (*Request, error) {
 		binary.LittleEndian.PutUint32(payload[off+8:], r.PageOff)
 		off += batchRefSize
 	}
-	return &Request{Op: OpReadBatch, Payload: payload}, nil
+	return &Request{Op: OpReadBatch, Payload: payload, frame: frame}, nil
 }
 
 // EncodeReadBatchCompressed packs refs into an OpReadBatch request whose
@@ -122,6 +123,12 @@ func DecodeReadBatch(req *Request) ([]BatchRef, error) {
 // EncodeReadBatchResponse packs per-page results into an OpReadBatch
 // response. Each OK result must carry exactly PageSize bytes.
 func EncodeReadBatchResponse(results []BatchReadResult) (*Response, error) {
+	return encodeReadBatchResponse(results, nil)
+}
+
+// encodeReadBatchResponse is EncodeReadBatchResponse building the frame in
+// buf when its capacity suffices (a connection's reusable response buffer).
+func encodeReadBatchResponse(results []BatchReadResult, buf []byte) (*Response, error) {
 	if len(results) == 0 || len(results) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: read batch response of %d ops", len(results))
 	}
@@ -135,7 +142,8 @@ func EncodeReadBatchResponse(results []BatchReadResult) (*Response, error) {
 			size += PageSize
 		}
 	}
-	payload := make([]byte, size)
+	frame := headroom(buf, respHeaderSize, size)
+	payload := frame[respHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(results)))
 	off := 4
 	for _, r := range results {
@@ -146,7 +154,7 @@ func EncodeReadBatchResponse(results []BatchReadResult) (*Response, error) {
 			off += PageSize
 		}
 	}
-	return &Response{Status: StatusOK, Payload: payload}, nil
+	return &Response{Status: StatusOK, Payload: payload, frame: frame}, nil
 }
 
 // EncodeReadBatchResponseCompressed packs per-page results into an
@@ -154,10 +162,19 @@ func EncodeReadBatchResponse(results []BatchReadResult) (*Response, error) {
 // (u8 status, u16 clen, clen bytes) per entry. The codec's stored fallback
 // bounds clen, so the frame always fits maxWirePayload.
 func EncodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Compressor) (*Response, error) {
+	return encodeReadBatchResponseCompressed(results, comp, nil)
+}
+
+// encodeReadBatchResponseCompressed is EncodeReadBatchResponseCompressed
+// building the frame in buf when its capacity suffices.
+func encodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Compressor, buf []byte) (*Response, error) {
 	if len(results) == 0 || len(results) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: read batch response of %d ops", len(results))
 	}
-	payload := make([]byte, 4, 4+len(results)*(1+2+ztier.MaxEncodedLen(PageSize)))
+	// Sized for the worst case up front, so the appends below never move the
+	// payload off the frame's header room.
+	frame := headroom(buf, respHeaderSize, 4+len(results)*(1+2+ztier.MaxEncodedLen(PageSize)))
+	payload := frame[respHeaderSize : respHeaderSize+4]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(results))|batchCompressFlag)
 	for _, r := range results {
 		payload = append(payload, r.Status)
@@ -172,7 +189,7 @@ func EncodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Co
 		payload = comp.Compress(payload, r.Page)
 		binary.LittleEndian.PutUint16(payload[lenPos:], uint16(len(payload)-lenPos-2))
 	}
-	return &Response{Status: StatusOK, Payload: payload}, nil
+	return &Response{Status: StatusOK, Payload: payload, frame: frame[:respHeaderSize+len(payload)]}, nil
 }
 
 // DecodeReadBatchResponse unpacks an OpReadBatch response, raw or
@@ -227,7 +244,8 @@ func EncodeWriteBatch(refs []BatchRef, pages [][]byte) (*Request, error) {
 	if len(pages) != len(refs) {
 		return nil, fmt.Errorf("remote: write batch with %d refs but %d pages", len(refs), len(pages))
 	}
-	payload := make([]byte, 4+len(refs)*(batchRefSize+PageSize))
+	frame := make([]byte, reqHeaderSize+4+len(refs)*(batchRefSize+PageSize))
+	payload := frame[reqHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs)))
 	off := 4
 	for i, r := range refs {
@@ -239,7 +257,7 @@ func EncodeWriteBatch(refs []BatchRef, pages [][]byte) (*Request, error) {
 		copy(payload[off+batchRefSize:], pages[i])
 		off += batchRefSize + PageSize
 	}
-	return &Request{Op: OpWriteBatch, Payload: payload}, nil
+	return &Request{Op: OpWriteBatch, Payload: payload, frame: frame}, nil
 }
 
 // EncodeWriteBatchCompressed packs refs and their page images into an
@@ -252,7 +270,10 @@ func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Com
 	if len(pages) != len(refs) {
 		return nil, fmt.Errorf("remote: write batch with %d refs but %d pages", len(refs), len(pages))
 	}
-	payload := make([]byte, 4, 4+len(refs)*(batchRefSize+2+ztier.MaxEncodedLen(PageSize)))
+	// Capacity covers the worst case, so the appends below never move the
+	// payload off the frame's header room.
+	frame := make([]byte, reqHeaderSize+4, reqHeaderSize+4+len(refs)*(batchRefSize+2+ztier.MaxEncodedLen(PageSize)))
+	payload := frame[reqHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs))|batchCompressFlag)
 	for i, r := range refs {
 		if len(pages[i]) != PageSize {
@@ -267,7 +288,7 @@ func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Com
 		payload = comp.Compress(payload, pages[i])
 		binary.LittleEndian.PutUint16(payload[lenPos:], uint16(len(payload)-lenPos-2))
 	}
-	return &Request{Op: OpWriteBatch, Payload: payload}, nil
+	return &Request{Op: OpWriteBatch, Payload: payload, frame: frame[:reqHeaderSize+len(payload)]}, nil
 }
 
 // DecodeWriteBatch unpacks an OpWriteBatch request payload, raw or

@@ -156,6 +156,14 @@ type Host struct {
 	readsPending map[core.PageID]*pendingRead
 	dirty        map[core.PageID]*pendingWrite
 	bufFree      [][]byte // recycled page buffers for pending writes
+	// flights are the frames started and not yet landed, in start order;
+	// landed (on mu) wakes goroutines waiting for another's landing.
+	flights []*flight
+	landed  *sync.Cond
+	// unreported is a write failure flushed out by a caller that could only
+	// report its own operation (Ticket.Wait); the next Flush or Submit
+	// returns it.
+	unreported error
 
 	// comp is the wire codec state for HostConfig.Compress (used under mu).
 	comp ztier.Compressor
@@ -173,7 +181,7 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 	if cfg.Replicas > len(transports) {
 		cfg.Replicas = len(transports)
 	}
-	return &Host{
+	h := &Host{
 		cfg:          cfg,
 		transports:   transports,
 		slabLoad:     make([]int, len(transports)),
@@ -185,7 +193,9 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 		queues:       make([][]queueEntry, len(transports)),
 		readsPending: make(map[core.PageID]*pendingRead),
 		dirty:        make(map[core.PageID]*pendingWrite),
-	}, nil
+	}
+	h.landed = sync.NewCond(&h.mu)
+	return h, nil
 }
 
 // Stats reports a copy of the counters.
@@ -246,15 +256,13 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 	slab, off := h.locate(page)
 
 	h.mu.Lock()
-	if pw, ok := h.dirty[page]; ok {
+	if _, ok := h.dirty[page]; ok {
 		// An unflushed async write to the same page is queued: supersede its
-		// bytes and flush it now, so the synchronous write cannot be
-		// clobbered by an older image when the doorbell finally rings.
-		copy(pw.data, data)
-		t := &Ticket{host: h}
-		pw.superseded = append(pw.superseded, pw.ticket)
-		pw.ticket = t
-		h.flushLocked()
+		// bytes (or queue behind it, once it is on the wire) and flush now,
+		// so the synchronous write cannot be clobbered by an older image
+		// when the doorbell finally rings.
+		t := h.writeAsyncLocked(page, data)
+		h.keepFor(t, h.drain(true))
 		err := t.err
 		h.mu.Unlock()
 		return err
@@ -295,6 +303,7 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 		h.syncWrites[page] = n - 1
 	}
 	h.writeGen[page]++
+	h.closeReads(page)
 	if len(ackedIdx) == 0 {
 		h.mu.Unlock()
 		return fmt.Errorf("remote: write page %d failed on all replicas: %w", page, lastErr)
@@ -350,10 +359,50 @@ func (h *Host) UnderReplicated() int {
 // ReadPage fetches one page into buf (len PageSize), trying the primary
 // first and failing over to replicas.
 func (h *Host) ReadPage(page core.PageID, buf []byte) error {
+	return h.StartRead(page, buf).Wait()
+}
+
+// ReadOp is one demand read in progress — ReadPage in split-phase form, for
+// a caller with work to overlap with the round trip: StartRead puts the
+// single-page request to the preferred holder on the wire, Wait collects the
+// page, failing over to the remaining holders one round trip at a time. It
+// bypasses the ticket queues and stays its own OpRead frame. A ReadOp
+// belongs to the goroutine that started it.
+type ReadOp struct {
+	h        *Host
+	page     core.PageID
+	slab     SlabID
+	off      uint32
+	buf      []byte
+	replicas []int       // the slab's placement, for HotReads attribution
+	order    []int       // holders to try, preferred first
+	trs      []Transport // order's transports, snapshotted under h.mu
+	next     int         // order[next] is the attempt in progress
+	pend     Pending     // that attempt, once started
+	lastErr  error
+	done     bool
+	err      error
+}
+
+// StartRead begins a read of page into buf (len PageSize) and returns its
+// handle. Over a transport that cannot start without finishing, the whole
+// read — failover included — runs here and the handle is already Done.
+//
+// So it does while writes are queued. The next doorbell pushes those one
+// synchronous round trip per replica before any read frame may follow, so no
+// window can share this read's round trip; left outstanding, the read would
+// only keep a second connection busy across the pushes. Against agents
+// served by the same scheduler as the caller (loopback, bench/) that meant
+// two agents runnable at once and a second OS thread woken on such a miss:
+// bench/'s seq_write ran its median 10 ms window at 35-45 k pages/s, against
+// 49-52 k with the read collected first, and spread twice as wide from run
+// to run (DESIGN.md, "Remote datapath").
+func (h *Host) StartRead(page core.PageID, buf []byte) *ReadOp {
+	op := &ReadOp{h: h, page: page, buf: buf}
 	if len(buf) != PageSize {
-		return fmt.Errorf("remote: ReadPage with %d-byte buffer, want %d", len(buf), PageSize)
+		return op.finish(fmt.Errorf("remote: ReadPage with %d-byte buffer, want %d", len(buf), PageSize))
 	}
-	slab, off := h.locate(page)
+	op.slab, op.off = h.locate(page)
 
 	h.mu.Lock()
 	if pw, ok := h.dirty[page]; ok {
@@ -363,56 +412,95 @@ func (h *Host) ReadPage(page core.PageID, buf []byte) error {
 		h.stats.DirtyReads++
 		h.stats.Reads++
 		h.mu.Unlock()
-		return nil
+		return op.finish(nil)
 	}
-	replicas, ok := h.placements[slab]
+	replicas, ok := h.placements[op.slab]
 	if !ok {
 		h.mu.Unlock()
-		return fmt.Errorf("remote: read of never-written page %d", page)
+		return op.finish(fmt.Errorf("remote: read of never-written page %d", page))
 	}
 	// Order the attempt list so replicas that acknowledged this page's most
 	// recent write come first: a replica that missed a write (transient
 	// fault) holds stale bytes and must only be a last resort. Hot extra
 	// holders and slow-agent avoidance fold into the same ordering.
-	order := h.readCandidates(page, replicas)
-	transports := make([]Transport, len(order))
-	for i, idx := range order {
-		transports[i] = h.transports[idx]
+	op.replicas = replicas
+	op.order = h.readCandidates(page, replicas)
+	op.trs = make([]Transport, len(op.order))
+	for i, idx := range op.order {
+		op.trs[i] = h.transports[idx]
 	}
 	h.stats.Reads++
+	serial := len(h.dirty) > 0
 	h.mu.Unlock()
 
-	var lastErr error
-	for i, tr := range transports {
-		resp, err := tr.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
+	op.advance(serial)
+	return op
+}
+
+// Done reports whether the read has completed, so that Wait will not block.
+func (op *ReadOp) Done() bool { return op.done }
+
+// Wait blocks until the read has completed and returns its outcome.
+func (op *ReadOp) Wait() error {
+	op.advance(true)
+	return op.err
+}
+
+// finish completes the read with err.
+func (op *ReadOp) finish(err error) *ReadOp {
+	op.done, op.err = true, err
+	return op
+}
+
+// advance drives the attempt list: it starts the next attempt when none is
+// outstanding and collects an attempt whose response is in (block: or on its
+// way), until the read completes or, when not blocking, an attempt is left
+// on the wire. No lock is held across a transport operation.
+func (op *ReadOp) advance(block bool) {
+	h := op.h
+	for !op.done {
+		if op.pend == nil {
+			if op.next == len(op.order) {
+				op.finish(fmt.Errorf("remote: read page %d failed on all replicas: %w", op.page, op.lastErr))
+				return
+			}
+			op.pend = start(op.trs[op.next], &Request{Op: OpRead, Slab: op.slab, PageOff: op.off})
+		}
+		if _, inline := op.pend.(completed); !inline && !block {
+			return
+		}
+		resp, err := op.pend.Wait()
+		op.pend = nil
 		switch {
 		case err != nil:
-			lastErr = err
+			op.lastErr = err
 		case resp.Status != StatusOK:
-			lastErr = statusError(OpRead, resp.Status)
+			op.lastErr = statusError(OpRead, resp.Status)
 		default:
-			if i > 0 || !slices.Contains(replicas, order[i]) {
+			hot := !slices.Contains(op.replicas, op.order[op.next])
+			if op.next > 0 || hot {
 				h.mu.Lock()
-				if i > 0 {
+				if op.next > 0 {
 					h.stats.Failovers++
 				}
-				if !slices.Contains(replicas, order[i]) {
+				if hot {
 					h.stats.HotReads++
 				}
 				h.mu.Unlock()
 			}
-			copy(buf, resp.Payload)
-			return nil
+			copy(op.buf, resp.Payload)
+			op.finish(nil)
+			return
 		}
+		op.next++
 	}
-	return fmt.Errorf("remote: read page %d failed on all replicas: %w", page, lastErr)
 }
 
 // Close flushes any queued asynchronous operations (best effort) and closes
 // all transports.
 func (h *Host) Close() error {
 	h.mu.Lock()
-	h.flushLocked()
+	h.drain(true)
 	h.mu.Unlock()
 	var first error
 	for _, tr := range h.transports {

@@ -1,0 +1,854 @@
+package remote
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"leap/internal/core"
+)
+
+// wrapListener hands every accepted connection through wrap.
+type wrapListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l wrapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(c), nil
+}
+
+// serveAgent serves a on a loopback listener (connections passed through
+// wrap when it is non-nil) until the test ends and returns the address.
+func serveAgent(t testing.TB, a *Agent, wrap func(net.Conn) net.Conn) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if wrap != nil {
+		go a.Serve(wrapListener{l, wrap})
+	} else {
+		go a.Serve(l)
+	}
+	return l.Addr().String()
+}
+
+// dialAgent dials addr and closes the transport when the test ends.
+func dialAgent(t testing.TB, addr string) *TCP {
+	t.Helper()
+	tr, err := DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// stamp is a page image that names its page.
+func stamp(pg int) []byte {
+	b := make([]byte, PageSize)
+	for i := range b {
+		b[i] = byte(pg*31 + i)
+	}
+	return b
+}
+
+// mustCall makes one round trip and fails the test unless it succeeded with
+// StatusOK.
+func mustCall(t testing.TB, tr Transport, req *Request) *Response {
+	t.Helper()
+	resp, err := tr.Call(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusOK {
+		t.Fatalf("op %d: status %d", req.Op, resp.Status)
+	}
+	return resp
+}
+
+// within fails the test when f has not returned after d: the tests below
+// exist to catch hangs.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// TestTCPPipelinedCallsMatchFIFO has N goroutines make M calls each on one
+// connection, every one for a different page: with many requests outstanding
+// each caller must get its own page back, matched by nothing but order.
+func TestTCPPipelinedCallsMatchFIFO(t *testing.T) {
+	const goroutines, calls = 8, 200
+	a := NewAgent(goroutines*calls, 0)
+	tr := dialAgent(t, serveAgent(t, a, nil))
+	mustCall(t, tr, &Request{Op: OpMapSlab, Slab: 1})
+	for pg := 0; pg < goroutines*calls; pg++ {
+		mustCall(t, tr, &Request{Op: OpWrite, Slab: 1, PageOff: uint32(pg), Payload: stamp(pg)})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Half the goroutines call, half keep two requests in flight.
+			for i := 0; i < calls; i += 2 {
+				pg0, pg1 := g*calls+i, g*calls+i+1
+				p0, err0 := tr.Start(&Request{Op: OpRead, Slab: 1, PageOff: uint32(pg0)})
+				var r1 *Response
+				var err1 error
+				if g%2 == 0 {
+					r1, err1 = tr.Call(&Request{Op: OpRead, Slab: 1, PageOff: uint32(pg1)})
+				} else {
+					var p1 Pending
+					if p1, err1 = tr.Start(&Request{Op: OpRead, Slab: 1, PageOff: uint32(pg1)}); err1 == nil {
+						r1, err1 = p1.Wait()
+					}
+				}
+				if err0 != nil || err1 != nil {
+					t.Errorf("goroutine %d: %v / %v", g, err0, err1)
+					return
+				}
+				r0, err0 := p0.Wait()
+				if err0 != nil {
+					t.Errorf("goroutine %d: %v", g, err0)
+					return
+				}
+				if !bytes.Equal(r0.Payload, stamp(pg0)) || !bytes.Equal(r1.Payload, stamp(pg1)) {
+					t.Errorf("goroutine %d got another request's page", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTCPPoisonFailsOutstandingAndLater breaks the response stream under
+// three outstanding requests: the one answered before the break succeeds,
+// and every one behind it — and every later Start — fails with the framing
+// error instead of decoding whatever bytes follow.
+func TestTCPPoisonFailsOutstandingAndLater(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req Request
+		for i := 0; i < 3; i++ {
+			if _, err := readRequest(conn, &req, nil); err != nil {
+				return
+			}
+		}
+		// One good response, then a frame with a bad magic followed by bytes
+		// that would parse as a valid response if anyone kept reading.
+		EncodeResponse(conn, &Response{Status: StatusOK, Payload: stamp(1)})
+		conn.Write([]byte{0x00, 0, 0, 0, 0, 0})
+		EncodeResponse(conn, &Response{Status: StatusOK, Payload: stamp(3)})
+		io.Copy(io.Discard, conn)
+	}()
+	tr := dialAgent(t, l.Addr().String())
+	var ps [3]Pending
+	for i := range ps {
+		if ps[i], err = tr.Start(&Request{Op: OpRead, Slab: 1, PageOff: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Waiting for the youngest first makes it the reader of all three.
+	_, err2 := ps[2].Wait()
+	r0, err0 := ps[0].Wait()
+	_, err1 := ps[1].Wait()
+	if err0 != nil || !bytes.Equal(r0.Payload, stamp(1)) {
+		t.Fatalf("request answered before the break: %v", err0)
+	}
+	if err1 == nil || err2 == nil || err1 != err2 {
+		t.Fatalf("outstanding requests behind the break: %v / %v, want one shared error", err1, err2)
+	}
+	if _, err := tr.Start(&Request{Op: OpPing}); err != err1 {
+		t.Fatalf("Start after poisoning = %v, want %v", err, err1)
+	}
+	if _, err := tr.Call(&Request{Op: OpPing}); err != err1 {
+		t.Fatalf("Call after poisoning = %v, want %v", err, err1)
+	}
+}
+
+// smallBuffers returns a connection wrapper that shrinks the socket buffers
+// to size bytes.
+func smallBuffers(size int) func(net.Conn) net.Conn {
+	return func(c net.Conn) net.Conn {
+		tc := c.(*net.TCPConn)
+		tc.SetReadBuffer(size)
+		tc.SetWriteBuffer(size)
+		return c
+	}
+}
+
+// TestTCPNoDeadlockWithSmallSocketBuffers pipelines, on one goroutine and
+// with small socket buffers on both ends, a read batch whose response is a
+// multiple of the buffers (and that nobody is reaping), small reads behind it,
+// a second such read batch and then a write batch as large. Without the
+// writeStall rule the agent blocks writing the first response while the host
+// blocks writing a later request. Depth-256 batches (1 MB frames) run through
+// 32 KB buffers; the 4 KB buffers of the issue get depth-16 batches (frames of
+// sixteen times the buffer) and fewer small reads, because loopback moves a
+// megabyte through 4 KB buffers in 19.5 s (one delayed ACK per window). Both
+// cases hang with the rule switched off.
+func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
+	for _, c := range []struct{ bufSize, depth, small int }{{32 << 10, MaxBatchOps, 40}, {4 << 10, 16, 8}} {
+		t.Run(fmt.Sprintf("buf%dK_depth%d", c.bufSize>>10, c.depth), func(t *testing.T) {
+			t.Parallel()
+			pipelineThroughSmallBuffers(t, smallBuffers(c.bufSize), c.depth, c.small)
+		})
+	}
+}
+
+// pipelineThroughSmallBuffers starts, without waiting for any: a depth-page
+// read batch, small single-page reads, a second read batch, a depth-page
+// write batch and a read of a page it rewrote; then collects them in order.
+func pipelineThroughSmallBuffers(t *testing.T, shrink func(net.Conn) net.Conn, depth, small int) {
+	a := NewAgent(2*MaxBatchOps, 0)
+	addr := serveAgent(t, a, shrink)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTCP(shrink(conn))
+	tr.timeout = time.Minute // the frames trickle through these buffers; only a hang may fail the test
+	defer tr.Close()
+
+	refs := make([]BatchRef, depth)
+	pages := make([][]byte, depth)
+	for i := range refs {
+		refs[i] = BatchRef{Slab: 1, PageOff: uint32(i)}
+		pages[i] = stamp(i)
+	}
+	last := depth - 1
+	within(t, 20*time.Second, "pipelined frames over small socket buffers", func() {
+		mustCall(t, tr, &Request{Op: OpMapSlab, Slab: 1})
+		wb, _ := EncodeWriteBatch(refs, pages)
+		mustCall(t, tr, wb)
+
+		var ps []Pending
+		start := func(req *Request) {
+			p, err := tr.Start(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ps = append(ps, p)
+		}
+		rb, _ := EncodeReadBatch(refs)
+		start(rb)
+		for i := 0; i < small; i++ {
+			start(&Request{Op: OpRead, Slab: 1, PageOff: uint32(i % depth)})
+		}
+		rb2, _ := EncodeReadBatch(refs)
+		start(rb2)
+		for i := range pages {
+			pages[i] = stamp(i + 1000)
+		}
+		wb2, _ := EncodeWriteBatch(refs, pages)
+		start(wb2)
+		start(&Request{Op: OpRead, Slab: 1, PageOff: 7})
+
+		for i, p := range ps {
+			resp, err := p.Wait()
+			if err != nil || resp.Status != StatusOK {
+				t.Errorf("pending %d: %v", i, err)
+				return
+			}
+			switch {
+			case i == 0 || i == small+1:
+				res, err := DecodeReadBatchResponse(resp)
+				if err != nil || len(res) != depth || !bytes.Equal(res[last].Page, stamp(last)) {
+					t.Errorf("read batch %d: %v", i, err)
+				}
+			case i <= small:
+				if !bytes.Equal(resp.Payload, stamp((i-1)%depth)) {
+					t.Errorf("read %d returned another page", i)
+				}
+			case i == small+3:
+				if !bytes.Equal(resp.Payload, stamp(1007)) {
+					t.Error("read behind the write batch did not see it")
+				}
+			}
+		}
+	})
+}
+
+// TestTCPSilentPeerFailsOver is the silent-peer fix: an agent that accepts
+// and never answers used to hang the reader forever. Now the read deadline
+// poisons that connection, the host's failover takes the read to the other
+// replica, and later requests to the dead connection fail at once.
+func TestTCPSilentPeerFailsOver(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			go io.Copy(io.Discard, conn)
+		}
+	}()
+	// The write must land on both agents before one of them goes silent, so
+	// agent 0 starts out as a proxy to a real agent.
+	live0 := serveAgent(t, NewAgent(16, 0), nil)
+	live1 := serveAgent(t, NewAgent(16, 0), nil)
+	tr0, tr1 := dialAgent(t, live0), dialAgent(t, live1)
+	dead := dialAgent(t, silent.Addr().String())
+	dead.timeout = 100 * time.Millisecond
+	sw := &switchTransport{Transport: tr0}
+	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 2, Seed: 1}, []Transport{sw, tr1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One page per slab, so both agents are the preferred holder of some.
+	const pages = 16
+	for pg := 0; pg < pages; pg++ {
+		if err := h.WritePage(core.PageID(pg), stamp(pg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.set(dead)
+
+	buf := make([]byte, PageSize)
+	within(t, 10*time.Second, "reads with one silent replica", func() {
+		t0 := time.Now()
+		for pg := 0; pg < pages; pg++ {
+			if err := h.ReadPage(core.PageID(pg), buf); err != nil {
+				t.Errorf("ReadPage(%d) with a silent replica: %v", pg, err)
+				return
+			}
+			if !bytes.Equal(buf, stamp(pg)) {
+				t.Errorf("page %d corrupted", pg)
+			}
+		}
+		// One deadline expiry, then the dead connection fails fast.
+		if d := time.Since(t0); d > 4*dead.timeout {
+			t.Errorf("%d reads took %v: the dead connection is not failing fast", pages, d)
+		}
+	})
+	var nerr net.Error
+	if _, err := dead.Start(&Request{Op: OpPing}); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("Start on the timed-out connection = %v, want its timeout", err)
+	}
+	if st := h.Stats(); st.Failovers == 0 {
+		t.Error("no failover recorded")
+	}
+}
+
+// switchTransport forwards to a transport that can be swapped, split-phase
+// when the current one is.
+type switchTransport struct {
+	mu sync.Mutex
+	Transport
+}
+
+func (s *switchTransport) set(tr Transport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Transport = tr
+}
+
+func (s *switchTransport) cur() Transport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.Transport
+}
+
+func (s *switchTransport) Call(req *Request) (*Response, error) { return s.cur().Call(req) }
+
+func (s *switchTransport) Start(req *Request) (Pending, error) {
+	return s.cur().(Starter).Start(req)
+}
+
+// gateTransport is a split-phase transport over an in-process agent whose
+// responses are held back until the gate opens: Start hands the request to
+// the agent at once (in order) and Wait blocks on the gate.
+type gateTransport struct {
+	inner   *InProc
+	mu      sync.Mutex
+	open    chan struct{}
+	started chan uint8 // op of every request started; buffered, never blocks
+}
+
+func newGate(a *Agent) *gateTransport {
+	g := &gateTransport{inner: NewInProc(a), open: make(chan struct{}), started: make(chan uint8, 1024)}
+	return g
+}
+
+// release opens the gate for everything started so far and from now on.
+func (g *gateTransport) release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.open:
+	default:
+		close(g.open)
+	}
+}
+
+// hold closes the gate again.
+func (g *gateTransport) hold() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.open = make(chan struct{})
+}
+
+type gatePending struct {
+	open <-chan struct{}
+	resp *Response
+	err  error
+}
+
+func (p gatePending) Wait() (*Response, error) {
+	<-p.open
+	return p.resp, p.err
+}
+
+func (g *gateTransport) Start(req *Request) (Pending, error) {
+	resp, err := g.inner.Call(req)
+	g.mu.Lock()
+	open := g.open
+	g.mu.Unlock()
+	g.started <- req.Op
+	return gatePending{open, resp, err}, nil
+}
+
+func (g *gateTransport) Call(req *Request) (*Response, error) {
+	p, _ := g.Start(req)
+	return p.Wait()
+}
+
+func (g *gateTransport) Close() error { return nil }
+
+// gatedHost builds a host over n gated in-process agents, gates open.
+func gatedHost(t *testing.T, n int, cfg HostConfig) (*Host, []*gateTransport) {
+	t.Helper()
+	gates := make([]*gateTransport, n)
+	trs := make([]Transport, n)
+	for i := range trs {
+		gates[i] = newGate(NewAgent(cfg.SlabPages, 0))
+		gates[i].release()
+		trs[i] = gates[i]
+	}
+	h, err := NewHost(cfg, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, gates
+}
+
+// TestSubmitThenTicketWaitFromTwoGoroutines: Submit returns with the reads
+// on the wire and none complete; two goroutines then wait for tickets of the
+// same flight and of different flights, and everyone gets the right bytes.
+func TestSubmitThenTicketWaitFromTwoGoroutines(t *testing.T) {
+	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
+	const pages = 16
+	for pg := 0; pg < pages; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.hold()
+	}
+	bufs := make([][]byte, pages)
+	tickets := make([]*Ticket, pages)
+	for pg := range tickets {
+		bufs[pg] = make([]byte, PageSize)
+		tickets[pg] = h.ReadPageAsync(core.PageID(pg), bufs[pg])
+	}
+	within(t, 5*time.Second, "Submit", func() {
+		if err := h.Submit(); err != nil {
+			t.Error(err)
+		}
+	})
+	for pg, tk := range tickets {
+		if tk.Done() {
+			t.Fatalf("ticket %d complete before any response arrived", pg)
+		}
+	}
+	for _, g := range gates {
+		g.release()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Goroutine 0 walks up, goroutine 1 down: they meet on shared
+			// flights from both sides.
+			for i := 0; i < pages; i++ {
+				pg := i
+				if g == 1 {
+					pg = pages - 1 - i
+				}
+				if err := tickets[pg].Wait(); err != nil {
+					t.Errorf("ticket %d: %v", pg, err)
+				}
+				if !bytes.Equal(bufs[pg], stamp(pg)) {
+					t.Errorf("page %d: wrong bytes after Wait", pg)
+				}
+			}
+		}()
+	}
+	within(t, 5*time.Second, "Ticket.Wait from two goroutines", wg.Wait)
+}
+
+// TestFlushIsABarrierWithFlightsOutstanding: with submitted reads in the
+// air, Flush must not return before they have landed (and must push the
+// write queued behind them).
+func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
+	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
+	for pg := 0; pg < 8; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.hold()
+	}
+	bufs := make([][]byte, 8)
+	var tickets []*Ticket
+	for pg := range bufs {
+		bufs[pg] = make([]byte, PageSize)
+		tickets = append(tickets, h.ReadPageAsync(core.PageID(pg), bufs[pg]))
+	}
+	if err := h.Submit(); err != nil {
+		t.Fatal(err)
+	}
+	wt := h.WritePageAsync(20, stamp(20))
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- h.Flush() }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) with every response still held back", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for _, g := range gates {
+		g.release()
+	}
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush still blocked after the responses were released")
+	}
+	for pg, tk := range tickets {
+		if !tk.Done() || tk.Err() != nil || !bytes.Equal(bufs[pg], stamp(pg)) {
+			t.Fatalf("read %d not landed by the barrier", pg)
+		}
+	}
+	if !wt.Done() || wt.Err() != nil || len(h.AckedReplicas(20)) != 2 {
+		t.Fatal("write queued behind the flights not pushed by the barrier")
+	}
+}
+
+// TestStartReadIsSerialWhileWritesAreQueued: with nothing queued a demand read
+// is left on the wire for its caller to overlap work with; with a write
+// queued — which the next doorbell pushes synchronously ahead of any window —
+// it is collected before StartRead returns, the stop-and-wait order.
+func TestStartReadIsSerialWhileWritesAreQueued(t *testing.T) {
+	h, _ := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
+	for pg := 0; pg < 4; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	op := h.StartRead(1, buf)
+	if op.Done() {
+		t.Fatal("demand read with nothing queued was not left outstanding")
+	}
+	if err := op.Wait(); err != nil || !bytes.Equal(buf, stamp(1)) {
+		t.Fatalf("overlapped read: err %v, bytes ok %v", err, bytes.Equal(buf, stamp(1)))
+	}
+
+	wt := h.WritePageAsync(9, stamp(9))
+	op = h.StartRead(2, buf)
+	if !op.Done() {
+		t.Fatal("demand read left outstanding across a queued write")
+	}
+	if err := op.Wait(); err != nil || !bytes.Equal(buf, stamp(2)) {
+		t.Fatalf("serial read: err %v, bytes ok %v", err, bytes.Equal(buf, stamp(2)))
+	}
+	if wt.Done() {
+		t.Fatal("a demand read pushed the queued write")
+	}
+	if err := h.Flush(); err != nil || wt.Err() != nil {
+		t.Fatalf("flush: %v, write: %v", err, wt.Err())
+	}
+}
+
+// TestWriteBehindInFlightWriteKeepsNewestBytes: a write to a page whose
+// earlier write is already on the wire must not be folded into it (the frame
+// has left with the old bytes) — it queues behind, and the page ends up with
+// the newest bytes on every replica.
+func TestWriteBehindInFlightWriteKeepsNewestBytes(t *testing.T) {
+	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
+	if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.hold()
+		for len(g.started) > 0 {
+			<-g.started
+		}
+	}
+	first := h.WritePageAsync(3, stamp(1))
+	flushed := make(chan error, 1)
+	go func() { flushed <- h.Flush() }()
+	<-gates[0].started // the first write's frame is out, its response held back
+
+	second := h.WritePageAsync(3, stamp(2))
+	buf := make([]byte, PageSize)
+	if err := h.ReadPage(3, buf); err != nil || !bytes.Equal(buf, stamp(2)) {
+		t.Fatalf("read-your-writes across an in-flight write: %v", err)
+	}
+	for _, g := range gates {
+		g.release()
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !first.Done() || !second.Done() || first.Err() != nil || second.Err() != nil {
+		t.Fatal("write tickets incomplete after Flush")
+	}
+	for i, g := range gates {
+		resp, err := g.inner.Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
+		if err != nil || !bytes.Equal(resp.Payload, stamp(2)) {
+			t.Fatalf("replica %d does not hold the newest write", i)
+		}
+	}
+}
+
+// TestReadAfterAckedWriteDoesNotJoinOlderRead: a read whose frame left before
+// a write to its page stays in flight past the write's acknowledgement (over
+// TCP its response waits in the socket buffer). A read issued after the
+// acknowledgement must not coalesce onto it and inherit the old bytes.
+func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
+	writes := map[string]func(h *Host, data []byte) error{
+		"async": func(h *Host, data []byte) error {
+			wt := h.WritePageAsync(3, data)
+			if err := h.Submit(); err != nil {
+				return err
+			}
+			if !wt.Done() {
+				t.Error("Submit returned with the write in flight")
+			}
+			return wt.Err()
+		},
+		"sync": func(h *Host, data []byte) error { return h.WritePage(3, data) },
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			tr := dialAgent(t, serveAgent(t, NewAgent(64, 0), nil))
+			h, err := NewHost(HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5}, []Transport{tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.WritePage(3, stamp(0)); err != nil {
+				t.Fatal(err)
+			}
+			before, after := make([]byte, PageSize), make([]byte, PageSize)
+			early := h.ReadPageAsync(3, before)
+			if err := h.Submit(); err != nil {
+				t.Fatal(err)
+			}
+			if early.Done() {
+				t.Fatal("the submitted read landed with nobody waiting for it")
+			}
+			if err := write(h, stamp(1)); err != nil {
+				t.Fatal(err)
+			}
+			within(t, 5*time.Second, "reads around an acknowledged write", func() {
+				if err := h.ReadPageAsync(3, after).Wait(); err != nil {
+					t.Error(err)
+				}
+				if err := early.Wait(); err != nil {
+					t.Error(err)
+				}
+			})
+			if !bytes.Equal(after, stamp(1)) {
+				t.Error("read issued after an acknowledged write returned the bytes from before it")
+			}
+			if !bytes.Equal(before, stamp(0)) {
+				t.Error("read sent ahead of the write did not keep its own bytes")
+			}
+		})
+	}
+}
+
+// TestWriteTicketWaitWhileFlushReapsItsFlight: Flush on one goroutine is
+// waiting (Host.mu released) for the response to a write frame when another
+// goroutine waits for that write's ticket. The waiter must sleep until the
+// landing, not spin with Host.mu held and keep the landing out.
+func TestWriteTicketWaitWhileFlushReapsItsFlight(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		h, gates := gatedHost(t, replicas, HostConfig{SlabPages: 64, Replicas: replicas, QueueDepth: 4, Seed: 5})
+		if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
+			t.Fatal(err)
+		}
+		for _, g := range gates {
+			g.hold()
+			for len(g.started) > 0 {
+				<-g.started
+			}
+		}
+		wt := h.WritePageAsync(3, stamp(1))
+		flushed := make(chan error, 1)
+		go func() { flushed <- h.Flush() }()
+		<-gates[0].started // the write's frame is out, its response held back
+
+		waited := make(chan error, 1)
+		go func() { waited <- wt.Wait() }()
+		select {
+		case err := <-waited:
+			t.Fatalf("Wait returned (%v) before the write's response", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		for _, g := range gates {
+			g.release()
+		}
+		for _, c := range []chan error{waited, flushed} {
+			select {
+			case err := <-c:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("replicas=%d: write-ticket Wait and Flush still blocked after the responses were released", replicas)
+			}
+		}
+		if got := len(h.AckedReplicas(3)); got != replicas {
+			t.Fatalf("write acked by %d replicas, want %d", got, replicas)
+		}
+	}
+}
+
+// TestDetachedBufferIsNotWritten: after Detach the response of an in-flight
+// read must not touch the buffer, while a coalesced sibling still gets it.
+func TestDetachedBufferIsNotWritten(t *testing.T) {
+	h, gates := gatedHost(t, 1, HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5})
+	if err := h.WritePage(5, stamp(5)); err != nil {
+		t.Fatal(err)
+	}
+	gates[0].hold()
+	gone, kept := make([]byte, PageSize), make([]byte, PageSize)
+	t1 := h.ReadPageAsync(5, gone)
+	t2 := h.ReadPageAsync(5, kept)
+	if err := h.Submit(); err != nil {
+		t.Fatal(err)
+	}
+	t1.Detach()
+	copy(gone, stamp(99)) // the buffer's next life
+	gates[0].release()
+	if err := t2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, stamp(5)) {
+		t.Fatal("coalesced sibling lost its bytes")
+	}
+	if !t1.Done() || !bytes.Equal(gone, stamp(99)) {
+		t.Fatal("late response landed in a detached buffer")
+	}
+}
+
+// TestAgentConnectionReusesPayloadBuffer: the server loop's request decoder
+// reuses the connection's payload buffer (one 8-page write batch used to cost
+// a fresh 40 KB allocation each).
+func TestAgentConnectionReusesPayloadBuffer(t *testing.T) {
+	refs := make([]BatchRef, 8)
+	pages := make([][]byte, 8)
+	for i := range refs {
+		refs[i] = BatchRef{Slab: 1, PageOff: uint32(i)}
+		pages[i] = stamp(i)
+	}
+	wb, _ := EncodeWriteBatch(refs, pages)
+	var wire bytes.Buffer
+	var req Request
+	var buf []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		wire.Reset()
+		if err := EncodeRequest(&wire, wb); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if buf, err = readRequest(&wire, &req, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("encode + decode of a write batch on a warm connection allocates %.0f times, want 0", allocs)
+	}
+	if _, pgs, err := DecodeWriteBatch(&req); err != nil || !bytes.Equal(pgs[7], stamp(7)) {
+		t.Fatalf("reused buffer decoded wrong: %v", err)
+	}
+}
+
+// countWriter counts Write calls.
+type countWriter struct{ calls int }
+
+func (w *countWriter) Write(p []byte) (int, error) { w.calls++; return len(p), nil }
+
+// TestOneWritePerFrame: every frame kind reaches its io.Writer as a single
+// Write, whether or not its encoder left header room.
+func TestOneWritePerFrame(t *testing.T) {
+	rb, _ := EncodeReadBatch([]BatchRef{{Slab: 1}, {Slab: 1, PageOff: 1}})
+	wb, _ := EncodeWriteBatch([]BatchRef{{Slab: 1}}, [][]byte{stamp(0)})
+	for _, req := range []*Request{{Op: OpPing}, {Op: OpWrite, Slab: 1, Payload: stamp(1)}, rb, wb} {
+		var w countWriter
+		if err := EncodeRequest(&w, req); err != nil || w.calls != 1 {
+			t.Errorf("request op %d: %d writes (%v), want 1", req.Op, w.calls, err)
+		}
+	}
+	a := NewAgent(4, 0)
+	a.Handle(&Request{Op: OpMapSlab, Slab: 1})
+	for _, req := range []*Request{{Op: OpPing}, {Op: OpRead, Slab: 1}, rb, wb} {
+		var w countWriter
+		if err := EncodeResponse(&w, a.Handle(req)); err != nil || w.calls != 1 {
+			t.Errorf("response to op %d: %d writes (%v), want 1", req.Op, w.calls, err)
+		}
+	}
+}

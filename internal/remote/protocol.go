@@ -67,12 +67,19 @@ const protoMagic uint8 = 0x4C // 'L'
 
 // Request is one protocol request. Payload is used by OpWrite (exactly
 // PageSize bytes) and by the batch ops, whose payloads pack per-page
-// entries (see batch.go for the framing).
+// entries (see batch.go for the framing). A Request must not be encoded from
+// two goroutines at once: encoders that own header room write the header in
+// place.
 type Request struct {
 	Op      uint8
 	Slab    SlabID
 	PageOff uint32 // page index within the slab
 	Payload []byte
+
+	// frame, when set by an encoder, is Payload's backing buffer with
+	// reqHeaderSize bytes of room in front, so the frame goes out as one
+	// contiguous Write without copying the payload.
+	frame []byte
 }
 
 // Response is one protocol response. Payload carries page data for OpRead
@@ -80,6 +87,10 @@ type Request struct {
 type Response struct {
 	Status  uint8
 	Payload []byte
+
+	// frame is Payload's backing buffer with respHeaderSize bytes of room in
+	// front (see Request.frame).
+	frame []byte
 }
 
 // reqHeaderSize is magic+op+slab+pageoff+payloadlen.
@@ -98,70 +109,112 @@ const batchRefSize = 8 + 4
 // anything larger before allocating.
 const maxWirePayload = 4 + MaxBatchOps*(batchRefSize+2+PageSize+1)
 
-// EncodeRequest writes r to w in wire format.
-func EncodeRequest(w io.Writer, r *Request) error {
-	var hdr [reqHeaderSize]byte
-	hdr[0] = protoMagic
-	hdr[1] = r.Op
-	binary.LittleEndian.PutUint64(hdr[2:10], uint64(r.Slab))
-	binary.LittleEndian.PutUint32(hdr[10:14], r.PageOff)
-	binary.LittleEndian.PutUint32(hdr[14:18], uint32(len(r.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("remote: write request header: %w", err)
+// connBufSize sizes the bufio.Reader on each end of a TCP connection: one
+// header-sized read pulls in a whole single-page frame, and payloads beyond
+// it are read straight into their destination.
+const connBufSize = 16 << 10
+
+// headroom returns a buffer of hdr+n bytes, reusing buf's capacity when it
+// suffices, for an encoder to build a payload behind room for its header.
+func headroom(buf []byte, hdr, n int) []byte {
+	if cap(buf) >= hdr+n {
+		return buf[:hdr+n]
 	}
-	if len(r.Payload) > 0 {
-		if _, err := w.Write(r.Payload); err != nil {
-			return fmt.Errorf("remote: write request payload: %w", err)
-		}
+	return make([]byte, hdr+n)
+}
+
+// wireFrame lays header and payload out contiguously so a frame costs one
+// Write on any io.Writer: in place when frame is payload's backing buffer
+// with hdr bytes of room in front, else copied into scratch. The caller
+// fills in the first hdr bytes.
+func wireFrame(frame, payload, scratch []byte, hdr int) []byte {
+	if len(payload) > 0 && len(frame) == hdr+len(payload) && &frame[hdr] == &payload[0] {
+		return frame
+	}
+	buf := headroom(scratch, hdr, len(payload))
+	copy(buf[hdr:], payload)
+	return buf
+}
+
+// wire returns r in wire format as one contiguous slice, built in scratch
+// unless r carries its own header room.
+func (r *Request) wire(scratch []byte) []byte {
+	buf := wireFrame(r.frame, r.Payload, scratch, reqHeaderSize)
+	buf[0] = protoMagic
+	buf[1] = r.Op
+	binary.LittleEndian.PutUint64(buf[2:10], uint64(r.Slab))
+	binary.LittleEndian.PutUint32(buf[10:14], r.PageOff)
+	binary.LittleEndian.PutUint32(buf[14:18], uint32(len(r.Payload)))
+	return buf
+}
+
+// wire is Request.wire for responses.
+func (resp *Response) wire(scratch []byte) []byte {
+	buf := wireFrame(resp.frame, resp.Payload, scratch, respHeaderSize)
+	buf[0] = protoMagic
+	buf[1] = resp.Status
+	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(resp.Payload)))
+	return buf
+}
+
+// EncodeRequest writes r to w in wire format, as a single Write.
+func EncodeRequest(w io.Writer, r *Request) error {
+	if _, err := w.Write(r.wire(nil)); err != nil {
+		return fmt.Errorf("remote: write request: %w", err)
 	}
 	return nil
 }
 
-// DecodeRequest reads one request from r. The payload buffer is freshly
-// allocated per call; agents reuse requests infrequently enough that this
-// simplicity wins.
+// DecodeRequest reads one request from r into a freshly allocated payload.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	var hdr [reqHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF propagates cleanly for connection close
-	}
-	if hdr[0] != protoMagic {
-		return nil, fmt.Errorf("remote: bad magic 0x%02x", hdr[0])
-	}
-	req := &Request{
-		Op:      hdr[1],
-		Slab:    SlabID(binary.LittleEndian.Uint64(hdr[2:10])),
-		PageOff: binary.LittleEndian.Uint32(hdr[10:14]),
-	}
-	n := binary.LittleEndian.Uint32(hdr[14:18])
-	if n > maxWirePayload {
-		return nil, fmt.Errorf("remote: oversized payload %d", n)
-	}
-	if n > PageSize && req.Op != OpReadBatch && req.Op != OpWriteBatch {
-		return nil, fmt.Errorf("remote: oversized payload %d for op %d", n, req.Op)
-	}
-	if n > 0 {
-		req.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, req.Payload); err != nil {
-			return nil, fmt.Errorf("remote: read payload: %w", err)
-		}
+	req := new(Request)
+	if _, err := readRequest(r, req, nil); err != nil {
+		return nil, err
 	}
 	return req, nil
 }
 
-// EncodeResponse writes resp to w in wire format.
-func EncodeResponse(w io.Writer, resp *Response) error {
-	var hdr [respHeaderSize]byte
-	hdr[0] = protoMagic
-	hdr[1] = resp.Status
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(resp.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("remote: write response header: %w", err)
+// readRequest reads one request from r into req, placing the payload in buf
+// when its capacity suffices (a connection's reusable buffer) and in a fresh
+// allocation otherwise. It returns the buffer to pass to the next call.
+func readRequest(r io.Reader, req *Request, buf []byte) ([]byte, error) {
+	// The header passes through buf too (parsed before the payload overwrites
+	// it): a local array would escape through the io.Reader and cost an
+	// allocation per request.
+	buf = headroom(buf, 0, reqHeaderSize)
+	hdr := buf
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return buf, err // io.EOF propagates cleanly for connection close
 	}
-	if len(resp.Payload) > 0 {
-		if _, err := w.Write(resp.Payload); err != nil {
-			return fmt.Errorf("remote: write response payload: %w", err)
+	if hdr[0] != protoMagic {
+		return buf, fmt.Errorf("remote: bad magic 0x%02x", hdr[0])
+	}
+	*req = Request{
+		Op:      hdr[1],
+		Slab:    SlabID(binary.LittleEndian.Uint64(hdr[2:10])),
+		PageOff: binary.LittleEndian.Uint32(hdr[10:14]),
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[14:18]))
+	if n > maxWirePayload {
+		return buf, fmt.Errorf("remote: oversized payload %d", n)
+	}
+	if n > PageSize && req.Op != OpReadBatch && req.Op != OpWriteBatch {
+		return buf, fmt.Errorf("remote: oversized payload %d for op %d", n, req.Op)
+	}
+	if n > 0 {
+		buf = headroom(buf, 0, n)
+		req.Payload = buf
+		if _, err := io.ReadFull(r, req.Payload); err != nil {
+			return buf, fmt.Errorf("remote: read payload: %w", err)
 		}
+	}
+	return buf, nil
+}
+
+// EncodeResponse writes resp to w in wire format, as a single Write.
+func EncodeResponse(w io.Writer, resp *Response) error {
+	if _, err := w.Write(resp.wire(nil)); err != nil {
+		return fmt.Errorf("remote: write response: %w", err)
 	}
 	return nil
 }

@@ -9,15 +9,31 @@ import (
 )
 
 // The async engine: ReadPageAsync/WritePageAsync enqueue page operations
-// onto per-agent request queues and return tickets; Flush (or Ticket.Wait)
-// rings the doorbell, draining every queue with batched wire frames of up
-// to HostConfig.QueueDepth operations. The engine coalesces duplicate
-// in-flight reads (a second read of a queued page rides the same wire
-// request), serves reads of not-yet-flushed writes from the dirty buffer
+// onto per-agent request queues and return tickets; Flush, Submit or
+// Ticket.Wait ring the doorbell, cutting each queue into batched wire frames
+// of up to HostConfig.QueueDepth operations. The engine coalesces duplicate
+// pending reads (a second read of a queued or in-flight page rides the same
+// wire request, unless a write to the page has completed in between — see
+// closeReads), serves reads of not-yet-flushed writes from the dirty buffer
 // (read-your-writes), and fails reads over across replicas exactly like the
-// synchronous path. Draining is deterministic: agents are visited in index
-// order, queues are FIFO, so a single-threaded caller replays
-// bit-identically.
+// synchronous path.
+//
+// The engine is split-phase: a frame is started on its agent's transport and
+// becomes a flight; landing the flight — applying its response to the
+// tickets it carries — happens when somebody waits for it, with h.mu
+// released for the wait. Read frames are left in flight, so a read window
+// shares its round trip with the demand read started ahead of it and with
+// the read frames of other agents. A write frame is waited for as soon as it
+// is started, one agent after the other. (Starting every replica's write
+// frame first was measured and withdrawn: two agents unpacking 32 KB frames
+// next to the client cost bench/'s seq_write a quarter of its throughput on
+// the 2-core reference box; for the same reason a demand read is not left
+// outstanding across pushed writes, see StartRead.) On a transport that
+// cannot start without finishing (anything that is not a Starter) every
+// frame lands the moment it is started, under h.mu, which makes the engine
+// deterministic there: agents are visited in index order, queues are FIFO,
+// so a single-threaded caller over in-process transports replays
+// bit-identically, call for call.
 //
 // Durability semantics: a write is acknowledged — visible to AckedReplicas,
 // counted for replication invariants — only once Flush has pushed it and at
@@ -25,13 +41,27 @@ import (
 // acked, so the chaos harness's "no acked-write loss" invariant is
 // unaffected by in-flight batches.
 
+// maxFlights bounds the frames in flight across the host. Reads submitted
+// and never waited for (a prefetch window nobody touches) would otherwise
+// pile their responses up in socket buffers without limit; at the bound the
+// oldest flight is landed before another frame starts. It bounds memory
+// only: what keeps a pipelined connection from deadlocking, at any depth, is
+// the transport's writeStall rule.
+const maxFlights = 8
+
 // Ticket is the completion handle of one asynchronous page operation. A
-// ticket completes during a Flush (or Wait); Err is meaningful only once
-// Done reports true.
+// ticket completes when the flight carrying its operation lands; Err is
+// meaningful only once Done reports true.
 type Ticket struct {
 	host *Host
 	done bool
 	err  error
+	// read and slot locate a read ticket's buffer in its pendingRead; write
+	// is a write ticket's operation (both nil for tickets completed at
+	// enqueue time).
+	read  *pendingRead
+	slot  int
+	write *pendingWrite
 }
 
 // Done reports whether the operation has completed.
@@ -49,15 +79,65 @@ func (t *Ticket) Err() error {
 	return t.err
 }
 
-// Wait flushes the engine until the ticket completes and returns its
-// outcome.
+// Wait blocks until the ticket completes and returns its outcome: it lands
+// the flight carrying the operation or, while the operation is still queued
+// (never submitted, or requeued by a failover), rings the doorbell first.
+// Host.mu is not held while it waits for the wire.
 func (t *Ticket) Wait() error {
-	t.host.mu.Lock()
-	defer t.host.mu.Unlock()
-	if !t.done {
-		t.host.flushLocked()
+	h := t.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for !t.done {
+		// An operation that is not done is in a flight, in a queue, or both (a
+		// write fans out; a failed read is requeued), so one of the two makes
+		// progress: landing a flight, or starting what is queued.
+		if f := t.flight(); f != nil {
+			h.keepFor(t, h.reap(f))
+		} else {
+			h.keepFor(t, h.drain(false))
+		}
 	}
 	return t.err
+}
+
+// flight returns a frame in the air that carries t's operation, or nil when
+// there is none. Callers hold h.mu.
+func (t *Ticket) flight() *flight {
+	var carrying []*flight
+	switch {
+	case t.read != nil:
+		carrying = t.read.flights
+	case t.write != nil:
+		carrying = t.write.flights
+	}
+	for _, f := range carrying {
+		if !f.landed {
+			return f
+		}
+	}
+	return nil
+}
+
+// keepFor takes the write error of a drain or landing done on behalf of
+// ticket t, whose caller learns only t's own outcome: another write's failure
+// flushed out along the way is kept for the next Flush or Submit to report.
+// Callers hold h.mu.
+func (h *Host) keepFor(t *Ticket, err error) {
+	if err != nil && err != t.err && h.unreported == nil {
+		h.unreported = err
+	}
+}
+
+// Detach withdraws a read ticket's buffer: once Detach returns, the engine
+// will not write into the buffer passed to ReadPageAsync, whenever the read's
+// response arrives, so the caller may reuse it. The read itself still
+// completes. Detaching a completed ticket is a no-op.
+func (t *Ticket) Detach() {
+	t.host.mu.Lock()
+	defer t.host.mu.Unlock()
+	if t.read != nil && !t.done {
+		t.read.bufs[t.slot] = nil
+	}
 }
 
 // pendingRead is one queued page read, possibly serving several coalesced
@@ -70,14 +150,18 @@ type pendingRead struct {
 	bufs    [][]byte
 	tickets []*Ticket
 	tried   []int // agents already attempted (failover history)
+	// flights are the frames left in the air with this read in them (two
+	// while a hedge races), landed ones included until the read is dropped.
+	flights []*flight
 
 	// Retry/hedge state (see RetryPolicy). attempts counts transport
 	// attempts consumed; deadline (0 = none) is the absolute virtual-time
-	// budget; inflight counts queue entries currently referencing this read
-	// (2 while a hedge races); primary/twin are the hedge pair (twin is
-	// meaningful only when hedged), for hedge-win and failover attribution;
-	// done marks completion — entries still queued for a completed read are
-	// discarded unissued at drain time.
+	// budget; inflight counts entries referencing this read that are queued
+	// or in flight (2 while a hedge races); primary/twin are the hedge pair
+	// (twin is meaningful only when hedged), for hedge-win and failover
+	// attribution; done marks completion — entries still queued for a
+	// completed read are discarded unissued, and a response landing for one
+	// is dropped.
 	attempts int
 	deadline sim.Time
 	inflight int
@@ -96,7 +180,14 @@ type pendingWrite struct {
 
 	data     []byte // the host's own copy of the page image
 	replicas []int  // replica set at enqueue time (placement + hot holders)
-	resolved int    // replica sub-operations completed (ok or failed)
+	// started is set once any replica's sub-operation has been cut into a
+	// frame: the bytes are (about to be) on the wire, so a later write to
+	// the page must queue behind this one instead of superseding it in place.
+	started bool
+	// flights are the frames put in the air with a sub-operation of this
+	// write in them, landed ones included until the write is dropped.
+	flights  []*flight
+	resolved int // replica sub-operations completed (ok or failed)
 	acked    []int
 	lastErr  error
 	lastIdx  int // agent behind lastErr, for the failure's op context
@@ -113,11 +204,25 @@ type queueEntry struct {
 	write *pendingWrite
 }
 
+// flight is one wire frame started on agent idx's transport and not yet
+// landed: a run of same-kind queue entries and the pending of the request
+// that carries them.
+type flight struct {
+	idx   int
+	batch []queueEntry
+	pend  Pending
+	// reaping marks a goroutine waiting on pend with h.mu released; landed
+	// is set, and h.landed broadcast, once the response has been applied.
+	reaping bool
+	landed  bool
+}
+
 // ReadPageAsync enqueues a read of page into buf (len PageSize) and returns
 // its ticket. The data lands in buf when the ticket completes. Reads of
 // pages with a queued, unflushed write complete immediately from the dirty
-// buffer; duplicate reads of an already-queued page coalesce onto one wire
-// request.
+// buffer; duplicate reads of a page coalesce onto one wire request, queued or
+// in flight, as long as no write to the page has completed since it was
+// enqueued.
 func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 	t := &Ticket{host: h}
 	if len(buf) != PageSize {
@@ -138,6 +243,7 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 		return t
 	}
 	if pr, ok := h.readsPending[page]; ok {
+		t.read, t.slot = pr, len(pr.bufs)
 		pr.bufs = append(pr.bufs, buf)
 		pr.tickets = append(pr.tickets, t)
 		h.stats.CoalescedReads++
@@ -162,6 +268,7 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 		pr.deadline = h.now().Add(pol.Deadline)
 	}
 	pr.primary = target
+	t.read = pr
 	h.readsPending[page] = pr
 	h.queues[target] = append(h.queues[target], queueEntry{read: pr})
 	pr.inflight = 1
@@ -193,28 +300,33 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 // with the final outcome). The write is durable — acknowledged, visible to
 // reads from other hosts' perspectives — only once flushed.
 func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
-	t := &Ticket{host: h}
 	if len(data) != PageSize {
-		return h.failTicket(t, fmt.Errorf("remote: WritePageAsync with %d bytes, want %d", len(data), PageSize))
+		return h.failTicket(&Ticket{host: h}, fmt.Errorf("remote: WritePageAsync with %d bytes, want %d", len(data), PageSize))
 	}
-	slab, off := h.locate(page)
-
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncWrites++
-	if pw, ok := h.dirty[page]; ok {
+	return h.writeAsyncLocked(page, data)
+}
+
+// writeAsyncLocked enqueues a write of data (len PageSize) to page. Callers
+// hold h.mu.
+func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
+	t := &Ticket{host: h}
+	slab, off := h.locate(page)
+	if pw, ok := h.dirty[page]; ok && !pw.started {
 		// Supersede in place: the queued sub-operations will carry the new
 		// bytes (last writer wins); the earlier write's ticket completes
-		// with the same flush outcome.
+		// with the same flush outcome. A write already cut into a frame
+		// cannot take new bytes — the new write queues behind it below.
 		copy(pw.data, data)
 		pw.superseded = append(pw.superseded, pw.ticket)
 		pw.ticket = t
+		t.write = pw
 		return t
 	}
 	replicas, err := h.placement(slab)
 	if err != nil {
-		// h.mu is already held here; completing inline avoids failTicket's
-		// re-lock.
 		t.done = true
 		t.err = opError(OpWrite, -1, page, 0, err)
 		return t
@@ -229,6 +341,7 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 		ticket:   t,
 	}
 	copy(pw.data, data)
+	t.write = pw
 	h.dirty[page] = pw
 	for _, idx := range pw.replicas {
 		h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
@@ -237,15 +350,30 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 	return t
 }
 
-// Flush drains every queue: per-agent batches of up to QueueDepth
+// Flush is the engine's barrier: per-agent batches of up to QueueDepth
 // operations go out as doorbell frames (single-op frames when only one
-// operation is queued), read failures retry on the next replica, and every
-// ticket issued before the call completes. It returns the first write
-// ticket error observed, if any (read outcomes are per-ticket).
+// operation is queued), every agent's next read frame starting before any is
+// waited for; read failures retry on the next replica; and it returns once
+// the queues are empty and every flight — its own and those already in the
+// air — has landed, so every ticket issued before the call has completed. It
+// returns the first write ticket error observed, if any (read outcomes are
+// per-ticket).
 func (h *Host) Flush() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.flushLocked()
+	return h.drain(true)
+}
+
+// Submit is the non-blocking doorbell for reads: it starts every queued
+// frame like Flush but leaves read frames in flight, to be landed by the
+// Ticket.Wait (or Flush) that needs them. Writes queued ahead of the reads
+// are pushed exactly as Flush pushes them, so Submit never returns with a
+// write in flight and reports write failures like Flush. Over transports
+// that cannot start without finishing it is Flush.
+func (h *Host) Submit() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.drain(false)
 }
 
 // PendingWrites reports the queued, unflushed write count — the dirty
@@ -288,34 +416,57 @@ func (h *Host) readOrder(page core.PageID, replicas []int, tried []int) int {
 	return -1
 }
 
-// flushLocked drains the queues to completion. Callers hold h.mu. The lock
-// is held across transport calls — the engine's determinism (and the chaos
-// harness's virtual-time accounting) depends on single-file draining.
-func (h *Host) flushLocked() error {
-	var firstErr error
-	for {
-		active := false
+// drain runs the engine until it is idle: each pass starts the next frame of
+// every agent with queued work (landing write frames as it goes), a barrier
+// drain (Flush) then lands every flight, oldest first, and the passes repeat
+// until nothing is queued and, for a barrier, nothing is in flight. It
+// returns the first write error observed, starting with one an earlier
+// Ticket.Wait could not report. Callers hold h.mu, which is released
+// whenever the drain waits for the wire.
+func (h *Host) drain(barrier bool) error {
+	firstErr := h.unreported
+	h.unreported = nil
+	note := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	for active := true; active; {
+		active = false
 		for idx := range h.queues {
-			if len(h.queues[idx]) == 0 {
-				continue
-			}
-			active = true
-			if err := h.drainAgent(idx); err != nil && firstErr == nil {
-				firstErr = err
+			if len(h.queues[idx]) > 0 {
+				active = true
+				note(h.startNext(idx))
 			}
 		}
-		if !active {
-			break
+		for barrier && len(h.flights) > 0 {
+			active = true
+			note(h.reap(h.flights[0]))
 		}
 	}
 	return firstErr
 }
 
-// drainAgent issues one batch (a contiguous run of same-kind entries, up to
-// QueueDepth) from agent idx's queue. Reads that already completed
+// startNext cuts one batch (a contiguous run of same-kind entries, up to
+// QueueDepth) off agent idx's queue and starts its frame. A read frame is
+// left in flight; a write frame — and any frame on a transport that finishes
+// what it starts — is landed on the spot. Reads that already completed
 // elsewhere — the losing half of a hedge — are discarded unissued: they
-// consume no wire slot and charge no latency. Callers hold h.mu.
-func (h *Host) drainAgent(idx int) error {
+// consume no wire slot and charge no latency. It returns any write error of
+// a landing it performed. Callers hold h.mu.
+func (h *Host) startNext(idx int) (werr error) {
+	note := func(err error) {
+		if werr == nil {
+			werr = err
+		}
+	}
+	// Make room first: landing a flight releases h.mu, and the queue must not
+	// change between cutting a batch and starting it (two writes of one page
+	// would reach the agent in the wrong order).
+	for len(h.flights) >= maxFlights {
+		note(h.reap(h.flights[0]))
+	}
+
 	q := h.queues[idx]
 	var batch []queueEntry
 	isRead := false
@@ -333,8 +484,8 @@ func (h *Host) drainAgent(idx int) error {
 		} else if (e.read != nil) != isRead || len(batch) == h.cfg.QueueDepth {
 			break
 		}
-		if e.read != nil {
-			e.read.inflight--
+		if e.write != nil {
+			e.write.started = true
 		}
 		batch = append(batch, e)
 		consumed++
@@ -344,61 +495,133 @@ func (h *Host) drainAgent(idx int) error {
 		h.queues[idx] = nil // release the backing array between doorbells
 	}
 	if len(batch) == 0 {
-		return nil
+		return werr
 	}
+
+	var req *Request
+	var err error
 	if isRead {
-		return h.issueReads(idx, batch)
+		req, err = h.readFrame(idx, batch)
+	} else {
+		req, err = h.writeFrame(idx, batch)
 	}
-	return h.issueWrites(idx, batch)
+	if err != nil {
+		note(err)
+		return werr
+	}
+	f := &flight{idx: idx, batch: batch, pend: start(h.transports[idx], req)}
+	if c, ok := f.pend.(completed); ok {
+		note(h.land(f, c.resp, c.err))
+		return werr
+	}
+	h.flights = append(h.flights, f)
+	for _, e := range batch { // for Ticket.Wait to find
+		if isRead {
+			e.read.flights = append(e.read.flights, f)
+		} else {
+			e.write.flights = append(e.write.flights, f)
+		}
+	}
+	if !isRead {
+		note(h.reap(f))
+	}
+	return werr
 }
 
-// issueReads sends a read batch to agent idx and lands the results.
+// reap waits for f's response and lands it, releasing h.mu for the wait —
+// Host.mu is never held across a blocking receive. When another goroutine is
+// already waiting on f, it waits for that goroutine's landing instead. The
+// landing's write error, if any, goes to the goroutine that performed it.
 // Callers hold h.mu.
-func (h *Host) issueReads(idx int, batch []queueEntry) error {
-	tr := h.transports[idx]
-	var resp *Response
-	var err error
+func (h *Host) reap(f *flight) error {
+	for f.reaping {
+		h.landed.Wait()
+	}
+	if f.landed {
+		return nil
+	}
+	f.reaping = true
+	h.mu.Unlock()
+	resp, err := f.pend.Wait()
+	h.mu.Lock()
+	f.reaping = false
+	h.flights = slices.DeleteFunc(h.flights, func(g *flight) bool { return g == f })
+	werr := h.land(f, resp, err)
+	f.landed = true
+	h.landed.Broadcast()
+	return werr
+}
+
+// land applies the outcome of f's round trip to the operations it carried.
+// Callers hold h.mu.
+func (h *Host) land(f *flight, resp *Response, err error) error {
+	if f.batch[0].read != nil {
+		h.landReads(f.idx, f.batch, resp, err)
+		return nil
+	}
+	return h.landWrites(f.idx, f.batch, resp, err)
+}
+
+// readFrame builds the request for a read batch to agent idx: a plain
+// OpRead for a single operation, a batch frame otherwise. Callers hold h.mu.
+func (h *Host) readFrame(idx int, batch []queueEntry) (*Request, error) {
 	if len(batch) == 1 {
 		pr := batch[0].read
 		pr.attempts++
-		resp, err = tr.Call(&Request{Op: OpRead, Slab: pr.slab, PageOff: pr.off})
-		if err == nil && resp.Status == StatusOK {
-			h.completeRead(batch[0].read, idx, resp.Payload)
-			return nil
-		}
-		st := uint8(StatusOK)
-		if err == nil {
-			st = resp.Status
-		}
-		h.retryRead(pr, idx, err, st)
-		return nil
+		return &Request{Op: OpRead, Slab: pr.slab, PageOff: pr.off}, nil
 	}
-
 	refs := make([]BatchRef, len(batch))
 	for i, e := range batch {
 		e.read.attempts++
 		refs[i] = BatchRef{Slab: e.read.slab, PageOff: e.read.off}
 	}
 	var req *Request
-	var encErr error
+	var err error
 	if h.cfg.Compress {
-		req, encErr = EncodeReadBatchCompressed(refs)
+		req, err = EncodeReadBatchCompressed(refs)
 	} else {
-		req, encErr = EncodeReadBatch(refs)
+		req, err = EncodeReadBatch(refs)
 	}
-	if encErr != nil {
+	if err != nil {
 		// Wrap as a read OpError: Flush's return value is attributed by op
 		// kind (a read failure must never be mistaken for lost acked data).
-		return opError(OpRead, idx, batch[0].read.page, 0, encErr)
+		return nil, opError(OpRead, idx, batch[0].read.page, 0, err)
 	}
 	h.stats.BatchCalls++
 	h.stats.BatchedPages += int64(len(batch))
-	resp, err = tr.Call(req)
+	return req, nil
+}
+
+// landReads lands a read frame's outcome: completed pages fill their
+// buffers, failed ones go through the retry policy. A read that completed
+// through its hedge twin while this frame was in flight keeps the twin's
+// bytes. Callers hold h.mu.
+func (h *Host) landReads(idx int, batch []queueEntry, resp *Response, err error) {
+	for _, e := range batch {
+		e.read.inflight--
+	}
+	settle := func(pr *pendingRead, data []byte, err error, status uint8) {
+		switch {
+		case pr.done:
+		case err == nil && status == StatusOK:
+			h.completeRead(pr, idx, data)
+		default:
+			h.retryRead(pr, idx, err, status)
+		}
+	}
+	if len(batch) == 1 {
+		if err != nil {
+			settle(batch[0].read, nil, err, StatusOK)
+		} else {
+			settle(batch[0].read, resp.Payload, nil, resp.Status)
+		}
+		return
+	}
 	if err != nil {
 		for _, e := range batch {
-			h.retryRead(e.read, idx, err, StatusOK)
+			settle(e.read, nil, err, StatusOK)
 		}
-		return nil
+		return
 	}
 	results, decErr := DecodeReadBatchResponse(resp)
 	if decErr != nil || len(results) != len(batch) {
@@ -407,9 +630,9 @@ func (h *Host) issueReads(idx int, batch []queueEntry) error {
 				len(results), len(batch))
 		}
 		for _, e := range batch {
-			h.retryRead(e.read, idx, decErr, resp.Status)
+			settle(e.read, nil, decErr, resp.Status)
 		}
-		return nil
+		return
 	}
 	if payloadCompressed(resp.Payload) {
 		raw := 4
@@ -424,13 +647,8 @@ func (h *Host) issueReads(idx int, batch []queueEntry) error {
 		h.stats.WireCompressedBytes += int64(len(resp.Payload))
 	}
 	for i, e := range batch {
-		if results[i].Status == StatusOK {
-			h.completeRead(e.read, idx, results[i].Page)
-		} else {
-			h.retryRead(e.read, idx, nil, results[i].Status)
-		}
+		settle(e.read, results[i].Page, nil, results[i].Status)
 	}
-	return nil
 }
 
 // completeRead copies data into every coalesced buffer and completes the
@@ -451,11 +669,28 @@ func (h *Host) completeRead(pr *pendingRead, idx int, data []byte) {
 			break
 		}
 	}
-	pr.done = true
-	delete(h.readsPending, pr.page)
+	h.retireRead(pr)
 	for _, t := range pr.tickets {
 		t.done = true
 	}
+}
+
+// retireRead marks pr complete and closes it to coalescing. Callers hold
+// h.mu.
+func (h *Host) retireRead(pr *pendingRead) {
+	pr.done = true
+	if h.readsPending[pr.page] == pr { // else a write finished since, see closeReads
+		delete(h.readsPending, pr.page)
+	}
+}
+
+// closeReads closes the reads of page still pending to coalescing, at the
+// moment a write to it completes: such a read may have left for its agent
+// ahead of the write, and a read issued from now on must not share its
+// (older) bytes. The pending read itself completes as before. Callers hold
+// h.mu.
+func (h *Host) closeReads(page core.PageID) {
+	delete(h.readsPending, page)
 }
 
 // retryRead handles a failed read attempt: under the retry policy it either
@@ -477,8 +712,7 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 		return
 	}
 	fail := func(cause error) {
-		pr.done = true
-		delete(h.readsPending, pr.page)
+		h.retireRead(pr)
 		ferr := opError(OpRead, idx, pr.page, pr.attempts, cause)
 		for _, t := range pr.tickets {
 			t.done = true
@@ -509,16 +743,50 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 	fail(fmt.Errorf("%w: %v", ErrAllReplicasFailed, lastErr))
 }
 
-// issueWrites sends a write batch to agent idx and resolves the per-replica
-// sub-operations. Callers hold h.mu.
-func (h *Host) issueWrites(idx int, batch []queueEntry) error {
-	tr := h.transports[idx]
+// writeFrame builds the request for a write batch to agent idx: a plain
+// OpWrite for a single operation, a batch frame otherwise. Callers hold
+// h.mu.
+func (h *Host) writeFrame(idx int, batch []queueEntry) (*Request, error) {
+	if len(batch) == 1 {
+		pw := batch[0].write
+		return &Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data}, nil
+	}
+	refs := make([]BatchRef, len(batch))
+	pages := make([][]byte, len(batch))
+	for i, e := range batch {
+		refs[i] = BatchRef{Slab: e.write.slab, PageOff: e.write.off}
+		pages[i] = e.write.data
+	}
+	var req *Request
+	var err error
+	if h.cfg.Compress {
+		req, err = EncodeWriteBatchCompressed(refs, pages, &h.comp)
+	} else {
+		req, err = EncodeWriteBatch(refs, pages)
+	}
+	if err != nil {
+		return nil, opError(OpWrite, idx, batch[0].write.page, 0, err)
+	}
+	if h.cfg.Compress {
+		h.stats.CompressedFrames++
+		h.stats.WireRawBytes += int64(4 + len(batch)*(batchRefSize+PageSize))
+		h.stats.WireCompressedBytes += int64(len(req.Payload))
+	}
+	h.stats.BatchCalls++
+	h.stats.BatchedPages += int64(len(batch))
+	return req, nil
+}
+
+// landWrites resolves the per-replica sub-operations a write frame to agent
+// idx carried and returns the first error of a write it thereby finished on
+// every replica with no acceptance. Callers hold h.mu.
+func (h *Host) landWrites(idx int, batch []queueEntry, resp *Response, err error) error {
 	var firstErr error
-	resolve := func(pw *pendingWrite, ok bool, err error) {
+	resolve := func(pw *pendingWrite, err error) {
 		pw.resolved++
-		if ok {
+		if err == nil {
 			pw.acked = append(pw.acked, idx)
-		} else if err != nil {
+		} else {
 			pw.lastErr = err
 			pw.lastIdx = idx
 		}
@@ -528,66 +796,26 @@ func (h *Host) issueWrites(idx int, batch []queueEntry) error {
 			}
 		}
 	}
-
-	if len(batch) == 1 {
-		pw := batch[0].write
-		resp, err := tr.Call(&Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data})
+	var statuses []uint8
+	switch {
+	case err != nil:
+	case len(batch) == 1:
+		statuses = []uint8{resp.Status}
+	default:
+		statuses, err = DecodeWriteBatchResponse(resp)
+		if err == nil && len(statuses) != len(batch) {
+			err = fmt.Errorf("remote: write batch response carried %d statuses for %d ops",
+				len(statuses), len(batch))
+		}
+	}
+	for i, e := range batch {
 		switch {
 		case err != nil:
-			resolve(pw, false, err)
-		case resp.Status != StatusOK:
-			resolve(pw, false, statusError(OpWrite, resp.Status))
+			resolve(e.write, err)
+		case statuses[i] != StatusOK:
+			resolve(e.write, statusError(OpWrite, statuses[i]))
 		default:
-			resolve(pw, true, nil)
-		}
-		return firstErr
-	}
-
-	refs := make([]BatchRef, len(batch))
-	pages := make([][]byte, len(batch))
-	for i, e := range batch {
-		refs[i] = BatchRef{Slab: e.write.slab, PageOff: e.write.off}
-		pages[i] = e.write.data
-	}
-	var req *Request
-	var encErr error
-	if h.cfg.Compress {
-		req, encErr = EncodeWriteBatchCompressed(refs, pages, &h.comp)
-	} else {
-		req, encErr = EncodeWriteBatch(refs, pages)
-	}
-	if encErr != nil {
-		return opError(OpWrite, idx, batch[0].write.page, 0, encErr)
-	}
-	if h.cfg.Compress {
-		h.stats.CompressedFrames++
-		h.stats.WireRawBytes += int64(4 + len(batch)*(batchRefSize+PageSize))
-		h.stats.WireCompressedBytes += int64(len(req.Payload))
-	}
-	h.stats.BatchCalls++
-	h.stats.BatchedPages += int64(len(batch))
-	resp, err := tr.Call(req)
-	if err != nil {
-		for _, e := range batch {
-			resolve(e.write, false, err)
-		}
-		return firstErr
-	}
-	statuses, decErr := DecodeWriteBatchResponse(resp)
-	if decErr != nil || len(statuses) != len(batch) {
-		if decErr == nil {
-			decErr = statusError(OpWriteBatch, resp.Status)
-		}
-		for _, e := range batch {
-			resolve(e.write, false, decErr)
-		}
-		return firstErr
-	}
-	for i, e := range batch {
-		if statuses[i] == StatusOK {
-			resolve(e.write, true, nil)
-		} else {
-			resolve(e.write, false, statusError(OpWrite, statuses[i]))
+			resolve(e.write, nil)
 		}
 	}
 	return firstErr
@@ -597,8 +825,11 @@ func (h *Host) issueWrites(idx int, batch []queueEntry) error {
 // mirrors the synchronous WritePage exactly. Callers hold h.mu. It returns
 // the write's error, if the write failed on every replica.
 func (h *Host) finishWrite(pw *pendingWrite) error {
-	delete(h.dirty, pw.page)
+	if h.dirty[pw.page] == pw { // else a newer write queued behind this one
+		delete(h.dirty, pw.page)
+	}
 	h.writeGen[pw.page]++
+	h.closeReads(pw.page)
 	var err error
 	if len(pw.acked) == 0 {
 		err = opError(OpWrite, pw.lastIdx, pw.page, len(pw.replicas),

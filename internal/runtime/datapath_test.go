@@ -1,0 +1,381 @@
+package runtime
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"leap/internal/core"
+	"leap/internal/remote"
+	"leap/internal/sim"
+)
+
+// batchGate is a split-phase transport over an in-process agent for driving
+// the runtime's pending-fill paths: every request reaches the agent at once
+// and in order, but the response of a read batch — a prefetch window — can be
+// held back until release, or turned into a failure that only shows when the
+// response is waited for. Single reads and writes always answer at once.
+type batchGate struct {
+	inner *remote.InProc
+
+	mu   sync.Mutex
+	open chan struct{} // closed while read batches answer at once
+	fail bool
+}
+
+func newBatchGate(slabPages int) *batchGate {
+	g := &batchGate{inner: remote.NewInProc(remote.NewAgent(slabPages, 0)), open: make(chan struct{})}
+	close(g.open)
+	return g
+}
+
+// hold holds read-batch responses back from now on.
+func (g *batchGate) hold() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.open = make(chan struct{})
+}
+
+// release lets every held response through.
+func (g *batchGate) release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.open:
+	default:
+		close(g.open)
+	}
+}
+
+// failBatches makes read batches fail at Wait.
+func (g *batchGate) failBatches(on bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.fail = on
+}
+
+type gatePending struct {
+	open <-chan struct{}
+	resp *remote.Response
+	err  error
+}
+
+func (p gatePending) Wait() (*remote.Response, error) {
+	<-p.open
+	return p.resp, p.err
+}
+
+var errGate = errors.New("batch gate: injected read-batch failure")
+
+func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
+	resp, err := g.inner.Call(req)
+	p := gatePending{resp: resp, err: err}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if req.Op == remote.OpReadBatch {
+		p.open = g.open
+		if g.fail {
+			p.resp, p.err = nil, errGate
+		}
+	} else {
+		done := make(chan struct{})
+		close(done)
+		p.open = done
+	}
+	return p, nil
+}
+
+func (g *batchGate) Call(req *remote.Request) (*remote.Response, error) {
+	p, _ := g.Start(req)
+	return p.Wait()
+}
+
+func (g *batchGate) Close() error { return nil }
+
+// image is the page image the tests below store in page pg.
+func image(pg core.PageID) []byte {
+	b := make([]byte, remote.PageSize)
+	for i := range b {
+		b[i] = byte(int(pg)*13 + i)
+	}
+	return b
+}
+
+// gatedMemory opens a Memory with a 64-page budget over one gated agent and
+// stores image(pg) in pages [0, pages), so that the low pages live only on
+// the agent.
+func gatedMemory(t *testing.T, pages int, opts ...Option) (*Memory, *batchGate) {
+	t.Helper()
+	g := newBatchGate(64)
+	h, err := remote.NewHost(remote.HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 8, Seed: 3},
+		[]remote.Transport{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(append([]Option{WithRemoteHost(h), WithCacheCapacity(64), WithSeed(11)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		g.release()
+		m.Close()
+		h.Close()
+	})
+	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
+		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return m, g
+}
+
+// checkPage reads pg through the fault path and compares it with image(pg).
+func checkPage(t *testing.T, m *Memory, pg core.PageID) {
+	t.Helper()
+	got := make([]byte, remote.PageSize)
+	if err := m.getInto(0, pg, got); err != nil {
+		t.Fatalf("page %d: %v", pg, err)
+	}
+	if !bytes.Equal(got, image(pg)) {
+		t.Fatalf("page %d: wrong bytes", pg)
+	}
+}
+
+// TestRecycledFrameIsNotFilledLate is the fill invariant's sharp edge: a
+// prefetch window is on the wire, one of its pages is cancelled and another
+// evicted from the cache before the response arrives, and both frames are
+// reused. The late response must be dropped for those two, not copied into
+// the frames' new contents, and must still fill the rest of the window.
+func TestRecycledFrameIsNotFilledLate(t *testing.T) {
+	m, g := gatedMemory(t, 192)
+	g.hold()
+	if err := m.Client(0).Advise(AdviseWillNeed, 20, 8); err != nil {
+		t.Fatal(err)
+	}
+	s := m.shardFor(20)
+	s.mu.Lock()
+	var old [2]*frame
+	for i, pg := range []core.PageID{20, 21} {
+		f, ok := s.frames.Get(pg)
+		if !ok || f.fill == nil {
+			t.Fatalf("page %d: no frame with a pending fill after the window was issued", pg)
+		}
+		old[i] = f
+	}
+	// Page 20 is cancelled while the model still has it in flight; page 21
+	// is evicted after the model has landed it in the cache.
+	s.abandonPrefetch(20)
+	s.eng.FlushArrivals(m.clock.Advance(10 * sim.Millisecond))
+	if !s.eng.Cache().Contains(21) {
+		t.Fatal("page 21 did not land in the model's cache")
+	}
+	s.eng.Cache().Drop(21)
+	if s.frames.Contains(20) || s.frames.Contains(21) {
+		t.Fatal("cancelled/evicted pages kept their frames")
+	}
+	// The two frames come straight back off the free list for other pages.
+	reused := [2]*frame{s.newFrame(), s.newFrame()}
+	if !(reused[0] == old[1] && reused[1] == old[0]) {
+		t.Fatal("test premise: the freed frames were not the next ones reused")
+	}
+	for _, f := range reused {
+		for i := range f.data {
+			f.data[i] = 0xAB
+		}
+	}
+	s.mu.Unlock()
+
+	g.release()
+	if err := m.Flush(); err != nil { // barrier: the window's response has landed
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	for _, f := range reused {
+		for i, b := range f.data {
+			if b != 0xAB {
+				t.Fatalf("late response overwrote a recycled frame at byte %d", i)
+			}
+		}
+		s.freeFrame(f)
+	}
+	s.mu.Unlock()
+	for pg := core.PageID(20); pg < 28; pg++ {
+		checkPage(t, m, pg) // 20 and 21 by demand, the rest from their fills
+	}
+	if err := m.CheckShardInvariants(192); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedWindowFillFallsBackToDemand: the window's read batch fails, and
+// nobody knows until its response is reaped. Each access to a window page
+// then finds the failed fill before the engine sees the access, abandons the
+// prefetch and takes a demand miss — right bytes, nothing latched, and the
+// counters still add up.
+func TestFailedWindowFillFallsBackToDemand(t *testing.T) {
+	for _, conc := range []int{1, DefaultConcurrency} {
+		m, g := gatedMemory(t, 192, WithConcurrency(conc))
+		g.failBatches(true)
+		before := m.Stats()
+		if err := m.Client(0).Advise(AdviseWillNeed, 30, 8); err != nil {
+			t.Fatal(err)
+		}
+		// Some of the window is consumed while the model has it in flight,
+		// the rest after the model landed it in the cache.
+		for pg := core.PageID(30); pg < 34; pg++ {
+			checkPage(t, m, pg)
+		}
+		m.clock.Advance(10 * sim.Millisecond)
+		for pg := core.PageID(34); pg < 38; pg++ {
+			checkPage(t, m, pg)
+		}
+		g.failBatches(false)
+		if err := m.Flush(); err != nil {
+			t.Fatalf("conc %d: a failed prefetch read latched the Memory: %v", conc, err)
+		}
+		st := m.Stats()
+		accesses := st.Accesses - before.Accesses
+		faults := st.Faults - before.Faults
+		resident := st.ResidentHits - before.ResidentHits
+		served := (st.CacheHits - before.CacheHits) + (st.InflightHits - before.InflightHits) + (st.Misses - before.Misses)
+		if accesses != 8 || accesses != resident+faults || faults != served {
+			t.Fatalf("conc %d: counters not conserved: accesses %d = resident %d + faults %d; faults = %d served",
+				conc, accesses, resident, faults, served)
+		}
+		if misses := st.Misses - before.Misses; misses < 8 {
+			// The predictor's own windows fail too while the gate fails
+			// batches, so every one of the eight accesses ends as a miss.
+			t.Fatalf("conc %d: %d demand misses for 8 failed fills", conc, misses)
+		}
+		if err := m.CheckShardInvariants(192); err != nil {
+			t.Fatalf("conc %d: %v", conc, err)
+		}
+	}
+}
+
+// delayLine is a server-side connection whose writes arrive one delay late:
+// each Write is queued with a due time and a writer goroutine releases it
+// then, so back-to-back responses are each delayed, not serialised — a
+// link's propagation delay.
+type delayLine struct {
+	net.Conn
+	delay *atomic.Int64 // nanoseconds, switchable while connected
+	line  chan delayed
+}
+
+type delayed struct {
+	data []byte
+	due  time.Time
+}
+
+func newDelayLine(c net.Conn, d *atomic.Int64) *delayLine {
+	// Far deeper than a fault's two outstanding responses: the line never
+	// pushes back on the agent.
+	l := &delayLine{Conn: c, delay: d, line: make(chan delayed, 64)}
+	go func() {
+		for w := range l.line {
+			time.Sleep(time.Until(w.due))
+			if _, err := c.Write(w.data); err != nil {
+				return
+			}
+		}
+	}()
+	return l
+}
+
+func (l *delayLine) Write(p []byte) (int, error) {
+	l.line <- delayed{append([]byte(nil), p...), time.Now().Add(time.Duration(l.delay.Load()))}
+	return len(p), nil
+}
+
+func (l *delayLine) Close() error {
+	close(l.line)
+	return l.Conn.Close()
+}
+
+type delayListener struct {
+	net.Listener
+	delay *atomic.Int64
+}
+
+func (l delayListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return newDelayLine(c, l.delay), nil
+}
+
+// TestDemandReadAndWindowShareARoundTrip is the point of the split-phase
+// datapath, on the stopwatch: over a link that delivers every response 30 ms
+// late, a sequential scan pays one delay per miss — the demand read and the
+// window behind it are on the wire together — where the stop-and-wait
+// datapath paid two (demand read, then the window's batch).
+func TestDemandReadAndWindowShareARoundTrip(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var lineDelay atomic.Int64 // set-up runs undelayed
+	go remote.NewAgent(256, 0).Serve(delayListener{l, &lineDelay})
+	tr, err := remote.DialTCP(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := remote.NewHost(remote.HostConfig{SlabPages: 256, Replicas: 1, QueueDepth: 8, Seed: 3},
+		[]remote.Transport{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	m, err := Open(WithRemoteHost(h), WithCacheCapacity(64), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for pg := core.PageID(0); pg < 256; pg++ {
+		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Before timing, let the predictor settle on the scan and the scan push
+	// out the 64 pages populate left resident and dirty: a writeback queued
+	// ahead of a window is pushed first (writes are not asynchronous yet) and
+	// would cost the window its overlap.
+	for pg := core.PageID(0); pg < 112; pg++ {
+		checkPage(t, m, pg)
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lineDelay.Store(int64(delay))
+	before := m.Stats()
+	t0 := time.Now()
+	for pg := core.PageID(112); pg < 184; pg++ {
+		checkPage(t, m, pg)
+	}
+	elapsed := time.Since(t0)
+	st := m.Stats()
+	misses := st.Misses - before.Misses
+	windows := st.Host.BatchCalls - before.Host.BatchCalls
+	if misses < 4 || windows < misses {
+		t.Fatalf("test premise: %d misses, %d window frames over 72 sequential pages", misses, windows)
+	}
+	perMiss := elapsed.Seconds() / float64(misses) / delay.Seconds()
+	t.Logf("%d misses, %d window frames, %v: %.2f delays per miss", misses, windows, elapsed, perMiss)
+	if perMiss >= 1.6 {
+		t.Errorf("a miss and its window cost %.2f link delays, want < 1.6 (2 without overlap)", perMiss)
+	}
+}

@@ -51,7 +51,10 @@ import (
 // time. Within a shard, a full miss drops the lock for the remote fetch
 // when WithConcurrency allows, registering a single-flight entry so
 // concurrent faults on the same page wait for one fetch while faults on
-// other pages proceed in parallel. The default WithShards(1) runs one
+// other pages proceed in parallel. The fetch is split-phase: the demand read
+// is started, the prefetch window goes on the wire behind it, and only then
+// is the demand page waited for; a prefetched page's bytes are waited for by
+// the first access that needs them. The default WithShards(1) runs one
 // stripe — bit-identical to the pre-sharding serialized runtime.
 //
 // The paper's multi-process deployment (§4.1) maps onto Client handles:
@@ -119,9 +122,17 @@ type demandFetch struct {
 
 // frame is one 4KB local page frame. Frames are pooled per shard; data
 // stays at PageSize.
+//
+// The fill invariant: fill is the ticket of the prefetch read still filling
+// data, nil once the bytes are in (or the page needed none). A frame is
+// handed to an accessor, mapped resident or given to the compressed tier
+// only with fill nil — the fault path reaps the fill first — and is recycled
+// only through freeFrame, which detaches data from an unfinished fill so a
+// late response is dropped instead of landing in the frame's next page.
 type frame struct {
 	data  []byte
 	dirty bool
+	fill  *remote.Ticket
 	next  *frame // free list
 }
 

@@ -26,15 +26,18 @@ import (
 //
 // Lock order: shard.mu → plane.mu → host.mu. A fault path holds at most its
 // own shard's lock (never two shards), may observe the plane (plane.mu) and
-// flush the host (host.mu) under it; control ticks run with no shard lock
-// held, entering at plane.mu.
+// ring the host's doorbell (host.mu) under it; control ticks run with no
+// shard lock held, entering at plane.mu. host.mu is never held across a wait
+// for the wire, and neither is shard.mu unless WithConcurrency (or its
+// budget) pins the fault under the lock.
 type shard struct {
 	m   *Memory
 	idx int
 
 	// mu serializes this stripe's fault path: engine, residency, frame
-	// table. It is dropped across single-flight demand fetches (see
-	// fetchDemand) and never held across a Client-visible return.
+	// table. It is dropped across the waits of a demand fetch and of a
+	// prefetch fill (see page) and never held across a Client-visible
+	// return.
 	mu sync.Mutex
 
 	eng *paging.Engine[*shard]
@@ -76,8 +79,10 @@ type shard struct {
 	// with the lock dropped maps to the entry concurrent faulters wait on.
 	demand *pagemap.Map[*demandFetch]
 
-	tickets     []*remote.Ticket
-	ticketPages []core.PageID
+	// fills and fillPages are fetchPrefetches' scratch: the window's frames
+	// that requested a remote image, and their pages.
+	fills     []*frame
+	fillPages []core.PageID
 
 	// cacheStats0 snapshots cache counters at measurement start, so
 	// accuracy/coverage cover only the recorded phase (mirrors the
@@ -147,8 +152,14 @@ func (s *shard) newFrame() *frame {
 	return f
 }
 
-// freeFrame returns a frame to the shard's pool.
+// freeFrame returns a frame to the shard's pool. A fill still outstanding is
+// detached first: its response, whenever it arrives, no longer has a buffer
+// to land in (the fill invariant, see frame).
 func (s *shard) freeFrame(f *frame) {
+	if f.fill != nil {
+		f.fill.Detach()
+		f.fill = nil
+	}
 	f.next = s.frameFree
 	s.frameFree = f
 }
@@ -238,77 +249,120 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 }
 
 // fetchPrefetches is the engine's prefetch-issue hook: the window's pages
-// get frames and their real bytes are fetched from the host through the
-// async ticket engine — one doorbell flush for the whole window. Pages with
-// no remote image materialize as zeros without touching the wire. A page
-// whose batched fetch fails is abandoned (the in-flight entry is
-// cancelled): no synchronous retry happens here, because a wire round trip
-// with the shard lock held would head-of-line-block every client of the
-// stripe behind one slow replica. A later demand access refetches the page
-// under the overlap budget, where a slow replica delays only its own
-// faulter.
+// get frames and their real bytes are requested from the host through the
+// async ticket engine — one doorbell (Submit) for the whole window, which
+// puts the read frames on the wire and returns without waiting: each frame
+// keeps its ticket as its pending fill, reaped by the first access that
+// needs the page. Pages with no remote image materialize as zeros without
+// touching the wire. Over a transport that finishes what it starts the
+// tickets are complete on return, and a page whose fetch failed is abandoned
+// here (see abandonPrefetch); otherwise the failure surfaces when the fill
+// is reaped.
 func (s *shard) fetchPrefetches(pages []core.PageID) {
 	m := s.m
-	s.tickets = s.tickets[:0]
-	s.ticketPages = s.ticketPages[:0]
+	s.fills = s.fills[:0]
+	s.fillPages = s.fillPages[:0]
 	for _, page := range pages {
 		f := s.newFrame()
 		s.frames.Put(page, f)
 		if s.written.Contains(page) {
-			s.tickets = append(s.tickets, m.host.ReadPageAsync(page, f.data))
-			s.ticketPages = append(s.ticketPages, page)
+			f.fill = m.host.ReadPageAsync(page, f.data)
+			s.fills = append(s.fills, f)
+			s.fillPages = append(s.fillPages, page)
 		} else {
 			zeroFrame(f)
 		}
 	}
-	if len(s.tickets) == 0 {
+	if len(s.fills) == 0 {
 		return
 	}
-	// Read outcomes are per-ticket (checked below). Flush also drains queued
-	// eviction writebacks — from every shard; the host is shared — and only
-	// a write-op failure (acked application data no replica accepted) may
+	// Read outcomes are per-ticket. Submit also pushes queued eviction
+	// writebacks — from every shard; the host is shared — and only a
+	// write-op failure (acked application data no replica accepted) may
 	// poison the Memory.
-	m.latchWriteback(m.host.Flush())
-	for i, t := range s.tickets {
-		if t.Err() == nil {
+	m.latchWriteback(m.host.Submit())
+	for i, f := range s.fills {
+		t := f.fill
+		if !t.Done() {
 			continue
 		}
-		page := s.ticketPages[i]
-		if f, ok := s.frames.Get(page); ok {
-			s.frames.Delete(page)
-			s.freeFrame(f)
+		f.fill = nil
+		if t.Err() != nil {
+			s.abandonPrefetch(s.fillPages[i])
 		}
-		s.eng.CancelPrefetch(page)
 	}
 }
 
-// fetchDemand reads pg's real image from the host into f.data on a full
-// miss. When the global overlap budget (WithConcurrency) has room, the
-// shard's lock is dropped for the read: a single-flight entry is registered
-// so concurrent faults on pg wait for this fetch (and the engine's prefetch
-// dedup is told to skip pg), while faults on other pages — same shard or
-// not — proceed in parallel. At the budget — or at WithConcurrency(1) — the
-// read runs with the lock held, strictly serialized.
-func (s *shard) fetchDemand(pg core.PageID, f *frame) error {
+// abandonPrefetch gives up a prefetched page whose real fetch failed: its
+// frame is dropped and the engine forgets the prefetch, wherever the model
+// has it (still in flight, or landed in the cache). No synchronous retry
+// happens here, because a wire round trip with the shard lock held would
+// head-of-line-block every client of the stripe behind one slow replica. A
+// later demand access refetches the page under the overlap budget, where a
+// slow replica delays only its own faulter.
+func (s *shard) abandonPrefetch(page core.PageID) {
+	s.eng.CancelPrefetch(page)
+	s.eng.Cache().Drop(page) // its evict hook uncharges and frees the frame
+	if f, ok := s.frames.Get(page); ok {
+		s.frames.Delete(page)
+		s.freeFrame(f)
+	}
+}
+
+// reapFill completes the outstanding fill of f, the prefetched frame of pg,
+// before the fault path consumes the page. It reports whether it did so with
+// the stripe lock held throughout; false means the lock was dropped for the
+// wait (WithConcurrency above 1) and the caller must re-check everything —
+// the frame may have been evicted and recycled meanwhile. A failed fill
+// abandons the prefetch, so the access falls through to a demand miss on its
+// own failover budget.
+func (s *shard) reapFill(pg core.PageID, f *frame) bool {
+	t := f.fill
+	if s.m.conc > 1 && !t.Done() {
+		s.mu.Unlock()
+		t.Wait()
+		s.mu.Lock()
+		return false
+	}
+	f.fill = nil
+	if t.Wait() != nil {
+		s.abandonPrefetch(pg)
+	}
+	return true
+}
+
+// beginDemand decides how pg's demand fetch treats the stripe lock. When the
+// global overlap budget (WithConcurrency) has room it takes a slot and
+// registers a single-flight entry, so that the lock can be dropped while the
+// fetch is started and while it is waited for: concurrent faults on pg wait
+// for this fetch (and the engine's prefetch dedup is told to skip pg), while
+// faults on other pages — same shard or not — proceed in parallel. At the
+// budget — or at WithConcurrency(1) — it reports false and the fetch runs
+// with the lock held, strictly serialized. A true result is paired with
+// endDemand.
+func (s *shard) beginDemand(pg core.PageID) bool {
 	m := s.m
 	if m.conc <= 1 {
-		return m.host.ReadPage(pg, f.data)
+		return false
 	}
 	if n := m.fetching.Add(1); n > int64(m.conc) {
 		m.fetching.Add(-1)
-		return m.host.ReadPage(pg, f.data)
+		return false
 	}
-	d := &demandFetch{done: make(chan struct{})}
-	s.demand.Put(pg, d)
+	s.demand.Put(pg, &demandFetch{done: make(chan struct{})})
 	s.eng.BlockPrefetch(pg)
-	s.mu.Unlock()
-	err := m.host.ReadPage(pg, f.data)
-	s.mu.Lock()
-	m.fetching.Add(-1)
+	return true
+}
+
+// endDemand releases what beginDemand took and wakes pg's waiters, who then
+// queue on the stripe lock until the fault has mapped the page in (or
+// unwound).
+func (s *shard) endDemand(pg core.PageID) {
+	s.m.fetching.Add(-1)
 	s.eng.UnblockPrefetch(pg)
+	d, _ := s.demand.Get(pg)
 	s.demand.Delete(pg)
 	close(d.done)
-	return err
 }
 
 // page runs one access by client pid to pg through the stripe's fault path
@@ -317,6 +371,16 @@ func (s *shard) fetchDemand(pg core.PageID, f *frame) error {
 // cache/in-flight/miss, consult the client's predictor, map the page in.
 // Callers hold s.mu; the returned frame is valid only until the lock is
 // released.
+//
+// The real I/O of a miss is split-phase (§4.2: the prefetch window is issued
+// off the demand fetch's critical path): the demand read is started, the
+// predictor runs and puts its window on the wire behind it, and only then is
+// the demand page waited for, so the two share one round trip. The engine
+// calls and their virtual-time arguments are those of the serial order
+// Fault → fetch → Advance → OnAccess → MapIn; over a transport that finishes
+// what it starts, so is the order of the transport calls — and on any
+// transport while writebacks are queued, which the doorbell pushes ahead of
+// the window (see remote.Host.StartRead).
 func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	m := s.m
 	if err := m.loadErr(); err != nil {
@@ -364,25 +428,41 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// its map-in and retry from the residency check. The waited access
 		// is accounted as a hit (it pays no full miss of its own) and is
 		// not re-recorded with the predictor.
-		d, ok := s.demand.Get(pg)
-		if !ok {
-			break
+		if d, ok := s.demand.Get(pg); ok {
+			if recording {
+				*s.cDemandWaits++
+			}
+			s.mu.Unlock()
+			<-d.done
+			s.mu.Lock()
+			if err := m.loadErr(); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if recording {
-			*s.cDemandWaits++
+
+		// A prefetched frame whose bytes are still on the wire: reap the
+		// fill before the fault consumes the page (a failed fill turns the
+		// access into a demand miss, before the engine has seen it).
+		if f, ok := s.frames.Get(pg); ok && f.fill != nil && !s.reapFill(pg, f) {
+			if err := m.loadErr(); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		s.mu.Unlock()
-		<-d.done
-		s.mu.Lock()
-		if err := m.loadErr(); err != nil {
-			return nil, err
-		}
+		break
 	}
 
 	s.faulting.Put(pg, struct{}{})
 	latency, miss := s.eng.Fault(pid, 0, pg, now)
 	m.lastLatency.Store(int64(latency))
 	m.lastSerial.Store(int64(s.eng.LastFaultSerial))
+	// demand is the read of pg's real image on a full miss of a page that
+	// has one, started here and collected after the predictor has run;
+	// overlap records that beginDemand let the stripe lock go around both.
+	var demand *remote.ReadOp
+	var demandFrame *frame
+	overlap := false
 	if miss {
 		// Full miss: fetch the real bytes (zeros when the page has no
 		// remote image — memory never written reads as zero).
@@ -393,18 +473,24 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 				// feed: natural hotspots drive ReplicateHot.
 				m.plane.ObserveRead(pg)
 			}
-			if err := s.fetchDemand(pg, f); err != nil {
-				// Unwind the half-taken fault. The engine has already
-				// recorded the miss and charged the device model, so the
-				// clock must still advance by the fault's latency — device
-				// queue occupancy and the latency histogram stay truthful —
-				// but OnAccess/MapIn are skipped: there are no bytes to map,
-				// and the page stays non-resident so a retry after the
-				// outage heals faults through cleanly.
-				s.freeFrame(f)
-				s.faulting.Delete(pg)
-				m.clock.Advance(latency)
-				return nil, fmt.Errorf("leap: page %d unreachable: %w", pg, err)
+			if overlap = s.beginDemand(pg); overlap {
+				s.mu.Unlock()
+			}
+			demand, demandFrame = m.host.StartRead(pg, f.data), f
+			if overlap {
+				s.mu.Lock()
+			}
+			if demand.Done() {
+				// A transport that finishes what it starts: the serial order,
+				// in which waiters are released, and a failure unwinds, before
+				// the predictor sees the access.
+				if overlap {
+					s.endDemand(pg)
+					overlap = false
+				}
+				if err := demand.Wait(); err != nil {
+					return nil, s.unwindDemand(pg, f, latency, err)
+				}
 			}
 		} else {
 			zeroFrame(f)
@@ -438,6 +524,21 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		hint, hintEnd := s.hintFor(pid, pg)
 		s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
 	}
+	if demand != nil && !demand.Done() {
+		if overlap {
+			s.mu.Unlock()
+		}
+		err := demand.Wait()
+		if overlap {
+			s.mu.Lock()
+			s.endDemand(pg)
+		}
+		if err != nil {
+			// The clock has been advanced and the window issued; only the
+			// map-in is left to skip.
+			return nil, s.unwindDemand(pg, demandFrame, 0, err)
+		}
+	}
 	s.eng.MapIn(s, s.res, 0, pg, now)
 	s.faulting.Delete(pg)
 	f, ok := s.frames.Get(pg)
@@ -446,6 +547,20 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		return nil, fmt.Errorf("leap: page %d lost its frame", pg)
 	}
 	return f, m.loadErr()
+}
+
+// unwindDemand backs a fault out of a demand fetch that failed with err,
+// leaving pg non-resident so that a retry after the outage heals faults
+// through cleanly. The engine has already recorded the miss and charged the
+// device model, so the clock still advances by the fault's latency (passed
+// as advance unless it already has) — device queue occupancy and the latency
+// histogram stay truthful.
+func (s *shard) unwindDemand(pg core.PageID, f *frame, advance sim.Duration, err error) error {
+	s.frames.Delete(pg) // if the fault got as far as installing f
+	s.freeFrame(f)
+	s.faulting.Delete(pg)
+	s.m.clock.Advance(advance)
+	return fmt.Errorf("leap: page %d unreachable: %w", pg, err)
 }
 
 // CheckShardInvariants verifies the single-owner contract of the sharded

@@ -3,11 +3,13 @@
 # BENCH_1.json (override with BENCH_OUT), seeding the perf trajectory that
 # future PRs append to (BENCH_2.json, ...).
 #
-# Two passes with different timing budgets:
+# Three passes with different timing budgets:
 #   - hot-path microbenchmarks get a long -benchtime for stable ns/op;
 #   - figure/ablation drivers run one full iteration each (every iteration
 #     is a complete experiment, so 1x is already meaningful and keeps the
-#     suite fast).
+#     suite fast);
+#   - the per-layer benchmarks that live in their layer's package
+#     (internal/remote: one TCP round trip, eight pipelined).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +24,10 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
 go test -run '^$' -benchmem -count 1 -benchtime 1x \
   -bench 'BenchmarkFig|BenchmarkTable|BenchmarkAblation' \
   . | tee -a "$TMP"
+
+go test -run '^$' -benchmem -count 1 -benchtime 2s \
+  -bench 'BenchmarkTCP' \
+  ./internal/remote | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
 echo "wrote $OUT"

@@ -10,6 +10,7 @@ custom b.ReportMetric units. The output is what scripts/bench.sh writes to
 BENCH_<n>.json, the perf trajectory across PRs.
 """
 import json
+import os
 import subprocess
 import sys
 
@@ -39,7 +40,9 @@ def main():
     goversion = subprocess.run(
         ["go", "version"], capture_output=True, text=True
     ).stdout.strip()
-    out = {"go": goversion, "benchmarks": parse(sys.stdin)}
+    # nproc travels with the numbers: the parallel benchmarks mean nothing
+    # without the core count they ran on.
+    out = {"go": goversion, "nproc": os.cpu_count(), "benchmarks": parse(sys.stdin)}
     json.dump(out, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
 
