@@ -58,75 +58,40 @@ bench-e2e:
 smoke:
 	$(GO) run ./cmd/leapbench -scale small -fig 1
 
-# Runtime smoke: the end-to-end leap.Memory figure must be byte-identical
-# across two runs (real bytes over the in-proc cluster included), and the
-# shared fault-path engine must be race-clean.
+# Every figure is held byte-for-byte to its recorded golden by
+# TestFiguresMatchGolden (internal/experiments, part of `make test`). The
+# targets below are each subsystem's suites under the race detector.
+
+# The shared fault-path engine and the leap.Memory runtime.
 runtime-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig runtime | grep -v 'done in' > /tmp/leap_runtime_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig runtime | grep -v 'done in' > /tmp/leap_runtime_b.txt
-	diff /tmp/leap_runtime_a.txt /tmp/leap_runtime_b.txt
 	$(GO) test -race . ./internal/paging/...
 
-# Concurrency smoke: the multi-client figure must be byte-identical across
-# two runs (its goroutine scaling is modeled from one deterministic pass;
-# the wall-clock "  measured" block is stripped, as is its timing line),
-# and the concurrent runtime must survive the race-enabled stress, property
-# and chaos suites plus the 1-goroutine parity gate.
+# The concurrent runtime: stress, property and chaos suites plus the
+# 1-goroutine parity gate.
 concurrency-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig concurrency | grep -vE 'done in|^  measured' > /tmp/leap_conc_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig concurrency | grep -vE 'done in|^  measured' > /tmp/leap_conc_b.txt
-	diff /tmp/leap_conc_a.txt /tmp/leap_conc_b.txt
 	$(GO) test -race -run 'TestMemoryConcurrent|TestMemoryReadYourWrites|TestConcurrencyOne' .
 
-# Shard smoke: the sharded fault path end to end — the concurrency figure
-# (now carrying the sharded measured block) must stay byte-identical
-# outside the measured lines, and the shard suites (1-shard parity oracle,
-# cross-shard invariant property, sharded stress/chaos/self-heal, the
-# 0-alloc hit path) must pass under the race detector.
+# The sharded fault path: 1-shard parity oracle, cross-shard invariant
+# property, sharded stress/chaos/self-heal, the 0-alloc hit path.
 shard-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig concurrency | grep -vE 'done in|^  measured' > /tmp/leap_shard_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig concurrency | grep -vE 'done in|^  measured' > /tmp/leap_shard_b.txt
-	diff /tmp/leap_shard_a.txt /tmp/leap_shard_b.txt
 	$(GO) test -race -run 'TestSharded|TestMemorySharded|TestMemoryPlaneSelfHealsSharded' .
 
-# Elastic smoke: the self-healing control-plane figure must be
-# byte-identical across two runs (every detector/scaler decision replays
-# from virtual time), and the control plane must be race-clean.
+# The self-healing control plane.
 elastic-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig elastic | grep -v 'done in' > /tmp/leap_elastic_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig elastic | grep -v 'done in' > /tmp/leap_elastic_b.txt
-	diff /tmp/leap_elastic_a.txt /tmp/leap_elastic_b.txt
 	$(GO) test -race ./internal/control
 
-# Selfheal smoke: the supervised-runtime figure (control plane wired into
-# the live leap.Memory, faults injected mid-run) must be byte-identical
-# across two runs, and the runtime+plane integration must be race-clean.
+# The control plane wired into the live leap.Memory, faults injected mid-run.
 selfheal-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig selfheal | grep -v 'done in' > /tmp/leap_selfheal_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig selfheal | grep -v 'done in' > /tmp/leap_selfheal_b.txt
-	diff /tmp/leap_selfheal_a.txt /tmp/leap_selfheal_b.txt
 	$(GO) test -race -run 'TestMemoryPlaneSelfHeals|TestMemoryConcurrentSlowReplica|TestMemoryTransientOutageRecovers' .
 
-# Ztier smoke: the compressed-victim-tier figure must be byte-identical
-# across two runs (real page images travel through the codec and the
-# compressed wire frames end to end), and the tier's seal/unseal machinery
-# must survive the race-enabled stress, property and codec suites.
+# The compressed victim tier: seal/unseal stress, property and codec suites.
 ztier-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig ztier | grep -v 'done in' > /tmp/leap_ztier_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig ztier | grep -v 'done in' > /tmp/leap_ztier_b.txt
-	diff /tmp/leap_ztier_a.txt /tmp/leap_ztier_b.txt
 	$(GO) test -race -run 'TestMemoryZtier|TestMemoryWireCompression' .
 	$(GO) test -race ./internal/ztier
 
-# Ensemble smoke: the online-selector ablation figure must be byte-identical
-# across two runs (every epoch score, switch decision and shadow-set replay
-# is deterministic from the seed), and the selector must survive the
-# race-enabled stress suite, the one-arm parity oracle and the seeded
+# The online selector: stress suite, one-arm parity oracle, seeded
 # advise/read-your-writes property.
 ensemble-smoke:
-	$(GO) run ./cmd/leapbench -scale small -fig ensemble | grep -v 'done in' > /tmp/leap_ensemble_a.txt
-	$(GO) run ./cmd/leapbench -scale small -fig ensemble | grep -v 'done in' > /tmp/leap_ensemble_b.txt
-	diff /tmp/leap_ensemble_a.txt /tmp/leap_ensemble_b.txt
 	$(GO) test -race -run 'TestMemoryEnsemble|TestEnsembleOneArmMatchesFixed|TestMemoryAdvise' .
 	$(GO) test -race -run 'TestEnsemble|TestShadowSet' ./internal/prefetch
 

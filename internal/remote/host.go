@@ -20,23 +20,22 @@ type HostConfig struct {
 	// QueueDepth caps how many queued page operations the async engine
 	// packs into one doorbell-style batched frame per agent (default
 	// DefaultQueueDepth). Depth 1 degenerates to one wire frame per page,
-	// matching the synchronous path exactly.
+	// like ReadPage and WritePage.
 	QueueDepth int
 	// Seed salts the rendezvous placement hash, so distinct hosts sharing
 	// agents spread slabs independently.
 	Seed uint64
-	// Retry bounds retries, deadlines, backoff and hedging in the async
-	// ticket engine (see RetryPolicy). The zero value keeps the legacy
-	// unlimited-failover behavior.
+	// Retry bounds retries, deadlines, backoff and hedging of every read,
+	// demand reads included (see RetryPolicy). The zero value is the
+	// unlimited failover walk: each holder once.
 	Retry RetryPolicy
 	// Compress ships the async engine's batched doorbell frames with page
 	// images run through the deterministic ztier block codec: write batches
 	// go out compressed, and read batches ask the agent for compressed
-	// responses. Single-op frames and the synchronous paths stay raw. The
-	// savings show up in the WireRawBytes/WireCompressedBytes stats, not in
-	// the latency model — fabric cost models charge per page, and the codec
-	// is deterministic, so enabling compression never perturbs simulated
-	// timings.
+	// responses. Single-op frames stay raw. The savings show up in the
+	// WireRawBytes/WireCompressedBytes stats, not in the latency model —
+	// fabric cost models charge per page, and the codec is deterministic, so
+	// enabling compression never perturbs simulated timings.
 	Compress bool
 }
 
@@ -101,10 +100,10 @@ type HostStats struct {
 
 // Host is the machine-local agent of §4.4: it maps the swap address space
 // onto remote slabs, placing each slab on its rendezvous-hashed agents and
-// replicating it for fault tolerance. Pages move either synchronously
-// (ReadPage/WritePage, one round trip per page) or through the async ticket
-// engine (ReadPageAsync/WritePageAsync/Flush), which coalesces duplicate
-// reads and drains per-agent queues with doorbell-style batched frames.
+// replicating it for fault tolerance. Every page moves through the ticket
+// engine (queue.go): queued and batched into doorbell-style frames
+// (ReadPageAsync/WritePageAsync/Flush), or as a single-op frame launched at
+// once (ReadPage/StartRead/WritePage, one round trip per page and replica).
 // Safe for concurrent use.
 type Host struct {
 	cfg HostConfig
@@ -127,11 +126,6 @@ type Host struct {
 	// source read and re-check it before certifying the copy into the ack
 	// set: a bump in between means a write raced in and the copy is stale.
 	writeGen map[core.PageID]uint64
-	// syncWrites counts in-flight synchronous WritePage calls per page
-	// (their replica fan-out runs with h.mu released). DropHot consults it
-	// before copying a hot holder's bytes back onto the placement, so the
-	// copy-back can never clobber a concurrent write's fresher bytes.
-	syncWrites map[core.PageID]int
 	// retired agents are draining for graceful scale-down: excluded from
 	// rendezvous ranking (so Rebalance migrates their share away) while
 	// remaining fully live copy sources and read targets.
@@ -189,7 +183,6 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 		acked:        make(map[core.PageID][]int),
 		degraded:     make(map[core.PageID]bool),
 		writeGen:     make(map[core.PageID]uint64),
-		syncWrites:   make(map[core.PageID]int),
 		queues:       make([][]queueEntry, len(transports)),
 		readsPending: make(map[core.PageID]*pendingRead),
 		dirty:        make(map[core.PageID]*pendingWrite),
@@ -247,75 +240,31 @@ func (h *Host) placement(slab SlabID) ([]int, error) {
 	return replicas, nil
 }
 
-// WritePage stores one page (len(data) must be PageSize) on every replica.
-// It fails only when no replica accepts the write.
+// WritePage stores one page (len(data) must be PageSize) on every replica and
+// returns once each has answered. It fails only when no replica accepts the
+// write. It is WritePageAsync and a wait for the ticket: with an unflushed
+// write to the page queued it supersedes those bytes (or queues behind them,
+// once they are on the wire) and flushes; otherwise its single-op frames skip
+// the queues and go out at once, one replica after the other in placement
+// order.
 func (h *Host) WritePage(page core.PageID, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("remote: WritePage with %d bytes, want %d", len(data), PageSize)
 	}
-	slab, off := h.locate(page)
-
 	h.mu.Lock()
-	if _, ok := h.dirty[page]; ok {
-		// An unflushed async write to the same page is queued: supersede its
-		// bytes (or queue behind it, once it is on the wire) and flush now,
-		// so the synchronous write cannot be clobbered by an older image
-		// when the doorbell finally rings.
+	defer h.mu.Unlock()
+	if _, queued := h.dirty[page]; queued {
 		t := h.writeAsyncLocked(page, data)
 		h.keepFor(t, h.drain(true))
-		err := t.err
-		h.mu.Unlock()
-		return err
+		return t.err
 	}
-	replicas, err := h.placement(slab)
-	if err != nil {
-		h.mu.Unlock()
-		return err
-	}
-	// Hot extra holders receive every write too, or their copies would go
-	// stale the moment the page is written again.
-	targets := h.writeTargets(page, replicas)
-	transports := make([]Transport, len(targets))
-	for i, idx := range targets {
-		transports[i] = h.transports[idx]
-	}
-	h.stats.Writes++
-	h.syncWrites[page]++
-	h.mu.Unlock()
-
-	ackedIdx := make([]int, 0, len(targets))
-	var lastErr error
-	for i, tr := range transports {
-		resp, err := tr.Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: data})
-		switch {
-		case err != nil:
-			lastErr = err
-		case resp.Status != StatusOK:
-			lastErr = statusError(OpWrite, resp.Status)
-		default:
-			ackedIdx = append(ackedIdx, targets[i])
+	t, pw := h.newWrite(page, data)
+	if pw != nil {
+		for _, idx := range pw.replicas {
+			h.reap(h.launch(idx, queueEntry{write: pw})) // carries only this write: its error is t.err
 		}
 	}
-	h.mu.Lock()
-	if n := h.syncWrites[page]; n <= 1 {
-		delete(h.syncWrites, page)
-	} else {
-		h.syncWrites[page] = n - 1
-	}
-	h.writeGen[page]++
-	h.closeReads(page)
-	if len(ackedIdx) == 0 {
-		h.mu.Unlock()
-		return fmt.Errorf("remote: write page %d failed on all replicas: %w", page, lastErr)
-	}
-	h.acked[page] = ackedIdx
-	if len(ackedIdx) < h.cfg.Replicas {
-		h.degraded[page] = true
-	} else {
-		delete(h.degraded, page)
-	}
-	h.mu.Unlock()
-	return nil
+	return t.err
 }
 
 // AckedReplicas reports (a copy of) the agent indices that acknowledged
@@ -356,37 +305,17 @@ func (h *Host) UnderReplicated() int {
 	return n
 }
 
-// ReadPage fetches one page into buf (len PageSize), trying the primary
-// first and failing over to replicas.
+// ReadPage fetches one page into buf (len PageSize), trying the preferred
+// holder first and failing over to the others under the retry policy.
 func (h *Host) ReadPage(page core.PageID, buf []byte) error {
 	return h.StartRead(page, buf).Wait()
 }
 
-// ReadOp is one demand read in progress — ReadPage in split-phase form, for
-// a caller with work to overlap with the round trip: StartRead puts the
-// single-page request to the preferred holder on the wire, Wait collects the
-// page, failing over to the remaining holders one round trip at a time. It
-// bypasses the ticket queues and stays its own OpRead frame. A ReadOp
-// belongs to the goroutine that started it.
-type ReadOp struct {
-	h        *Host
-	page     core.PageID
-	slab     SlabID
-	off      uint32
-	buf      []byte
-	replicas []int       // the slab's placement, for HotReads attribution
-	order    []int       // holders to try, preferred first
-	trs      []Transport // order's transports, snapshotted under h.mu
-	next     int         // order[next] is the attempt in progress
-	pend     Pending     // that attempt, once started
-	lastErr  error
-	done     bool
-	err      error
-}
-
-// StartRead begins a read of page into buf (len PageSize) and returns its
-// handle. Over a transport that cannot start without finishing, the whole
-// read — failover included — runs here and the handle is already Done.
+// StartRead is ReadPage in split-phase form, for a caller with work to
+// overlap with the round trip: it is ReadPageAsync whose single-op frame goes
+// out at once, ahead of whatever is queued, and the ticket's Wait collects the
+// page. Over a transport that cannot start without finishing, the whole read
+// — failover included — runs here and the ticket is already Done.
 //
 // So it does while writes are queued. The next doorbell pushes those one
 // synchronous round trip per replica before any read frame may follow, so no
@@ -397,103 +326,19 @@ type ReadOp struct {
 // bench/'s seq_write ran its median 10 ms window at 35-45 k pages/s, against
 // 49-52 k with the read collected first, and spread twice as wide from run
 // to run (DESIGN.md, "Remote datapath").
-func (h *Host) StartRead(page core.PageID, buf []byte) *ReadOp {
-	op := &ReadOp{h: h, page: page, buf: buf}
-	if len(buf) != PageSize {
-		return op.finish(fmt.Errorf("remote: ReadPage with %d-byte buffer, want %d", len(buf), PageSize))
-	}
-	op.slab, op.off = h.locate(page)
-
+func (h *Host) StartRead(page core.PageID, buf []byte) *Ticket {
 	h.mu.Lock()
-	if pw, ok := h.dirty[page]; ok {
-		// Read-your-writes: a queued, unflushed write holds the freshest
-		// bytes for this page.
-		copy(buf, pw.data)
-		h.stats.DirtyReads++
-		h.stats.Reads++
-		h.mu.Unlock()
-		return op.finish(nil)
+	defer h.mu.Unlock()
+	t, pr := h.newRead(page, buf)
+	if pr == nil {
+		return t
 	}
-	replicas, ok := h.placements[op.slab]
-	if !ok {
-		h.mu.Unlock()
-		return op.finish(fmt.Errorf("remote: read of never-written page %d", page))
-	}
-	// Order the attempt list so replicas that acknowledged this page's most
-	// recent write come first: a replica that missed a write (transient
-	// fault) holds stale bytes and must only be a last resort. Hot extra
-	// holders and slow-agent avoidance fold into the same ordering.
-	op.replicas = replicas
-	op.order = h.readCandidates(page, replicas)
-	op.trs = make([]Transport, len(op.order))
-	for i, idx := range op.order {
-		op.trs[i] = h.transports[idx]
-	}
-	h.stats.Reads++
 	serial := len(h.dirty) > 0
-	h.mu.Unlock()
-
-	op.advance(serial)
-	return op
-}
-
-// Done reports whether the read has completed, so that Wait will not block.
-func (op *ReadOp) Done() bool { return op.done }
-
-// Wait blocks until the read has completed and returns its outcome.
-func (op *ReadOp) Wait() error {
-	op.advance(true)
-	return op.err
-}
-
-// finish completes the read with err.
-func (op *ReadOp) finish(err error) *ReadOp {
-	op.done, op.err = true, err
-	return op
-}
-
-// advance drives the attempt list: it starts the next attempt when none is
-// outstanding and collects an attempt whose response is in (block: or on its
-// way), until the read completes or, when not blocking, an attempt is left
-// on the wire. No lock is held across a transport operation.
-func (op *ReadOp) advance(block bool) {
-	h := op.h
-	for !op.done {
-		if op.pend == nil {
-			if op.next == len(op.order) {
-				op.finish(fmt.Errorf("remote: read page %d failed on all replicas: %w", op.page, op.lastErr))
-				return
-			}
-			op.pend = start(op.trs[op.next], &Request{Op: OpRead, Slab: op.slab, PageOff: op.off})
-		}
-		if _, inline := op.pend.(completed); !inline && !block {
-			return
-		}
-		resp, err := op.pend.Wait()
-		op.pend = nil
-		switch {
-		case err != nil:
-			op.lastErr = err
-		case resp.Status != StatusOK:
-			op.lastErr = statusError(OpRead, resp.Status)
-		default:
-			hot := !slices.Contains(op.replicas, op.order[op.next])
-			if op.next > 0 || hot {
-				h.mu.Lock()
-				if op.next > 0 {
-					h.stats.Failovers++
-				}
-				if hot {
-					h.stats.HotReads++
-				}
-				h.mu.Unlock()
-			}
-			copy(op.buf, resp.Payload)
-			op.finish(nil)
-			return
-		}
-		op.next++
+	f := h.launch(pr.primary, queueEntry{read: pr})
+	if _, inline := f.pend.(completed); inline || serial {
+		h.await(t)
 	}
+	return t
 }
 
 // Close flushes any queued asynchronous operations (best effort) and closes

@@ -220,7 +220,7 @@ func (h *Host) DropHot(page core.PageID) bool {
 			// With a write in flight the copy-back below could overwrite the
 			// write's fresher bytes on a placement replica that then acks it
 			// — defer; the next attempt sees the write's own ack set.
-			if h.dirty[page] != nil || h.syncWrites[page] > 0 {
+			if h.dirty[page] != nil {
 				return false
 			}
 			rest = h.restoreAckedLocked(page, acked)
@@ -245,8 +245,8 @@ func (h *Host) DropHot(page core.PageID) bool {
 // restoreAckedLocked copies page's latest bytes from a live acked holder
 // onto the live placement replicas and returns the replicas that accepted —
 // the certified set that lets DropHot demote without losing the last acked
-// write. Callers hold h.mu; like flushLocked, the lock is held across the
-// transport calls, so no new write to the page can begin mid-copy.
+// write. Callers hold h.mu, and it stays held across the transport calls, so
+// no new write to the page can begin mid-copy.
 func (h *Host) restoreAckedLocked(page core.PageID, sources []int) []int {
 	slab, off := h.locate(page)
 	var payload []byte

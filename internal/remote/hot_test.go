@@ -163,12 +163,23 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	if got := h.HotPages(); len(got) != 1 || got[0] != page {
 		t.Fatalf("HotPages = %v after refused drop, want [%d]", got, page)
 	}
+	// Sync or async, such a read counts as served by a hot holder.
 	buf := make([]byte, PageSize)
-	if err := h.ReadPage(page, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, v2) {
-		t.Fatal("read after refused drop returned stale bytes")
+	for i, read := range []func() error{
+		func() error { return h.ReadPage(page, buf) },
+		func() error { return h.ReadPageAsync(page, buf).Wait() },
+	} {
+		clear(buf)
+		hotReads := h.Stats().HotReads
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, v2) {
+			t.Fatalf("read %d after refused drop returned stale bytes", i)
+		}
+		if got := h.Stats().HotReads - hotReads; got != 1 {
+			t.Fatalf("read %d served by the hot holder: HotReads grew by %d, want 1", i, got)
+		}
 	}
 
 	// Placement heals: the drop now copies the bytes back, re-certifies the

@@ -618,6 +618,65 @@ func TestStartReadIsSerialWhileWritesAreQueued(t *testing.T) {
 	}
 }
 
+// TestDemandReadsRunOutsideHostLock pins the lock rule of a launched frame:
+// over transports that finish what they start, two goroutines' StartReads to
+// different agents are inside Call at the same time, and neither keeps a
+// third goroutine's ReadPageAsync + Submit out of the host.
+func TestDemandReadsRunOutsideHostLock(t *testing.T) {
+	// Each agent holds its first read after arming inside Call until release.
+	release := make(chan struct{})
+	var entered [2]chan struct{}
+	var armed [2]bool
+	trs := make([]Transport, len(entered))
+	for i := range trs {
+		entered[i] = make(chan struct{})
+		trs[i] = &opHookTransport{inner: NewInProc(NewAgent(1, 0)), op: OpRead, armed: &armed[i],
+			hook: func() { entered[i] <- struct{}{}; <-release }}
+	}
+	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 1, Seed: 5}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One page per slab, one holder per page: two pages on each agent.
+	var on [2][]core.PageID
+	for pg := core.PageID(0); len(on[0]) < 2 || len(on[1]) < 2; pg++ {
+		if err := h.WritePage(pg, stamp(int(pg))); err != nil {
+			t.Fatal(err)
+		}
+		holder := h.AckedReplicas(pg)[0]
+		on[holder] = append(on[holder], pg)
+	}
+	armed = [2]bool{true, true}
+
+	var wg sync.WaitGroup
+	for i := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pg, buf := on[i][0], make([]byte, PageSize)
+			if err := h.StartRead(pg, buf).Wait(); err != nil || !bytes.Equal(buf, stamp(int(pg))) {
+				t.Errorf("demand read of page %d: err %v, bytes ok %v", pg, err, bytes.Equal(buf, stamp(int(pg))))
+			}
+		}()
+	}
+	within(t, 5*time.Second, "two demand reads entering Call side by side", func() {
+		<-entered[0]
+		<-entered[1]
+	})
+	within(t, 5*time.Second, "ReadPageAsync + Submit next to two demand reads inside Call", func() {
+		pg, buf := on[0][1], make([]byte, PageSize)
+		tk := h.ReadPageAsync(pg, buf)
+		if err := h.Submit(); err != nil {
+			t.Error(err)
+		}
+		if !tk.Done() || tk.Err() != nil || !bytes.Equal(buf, stamp(int(pg))) {
+			t.Errorf("window read of page %d did not complete next to the held demand reads", pg)
+		}
+	})
+	close(release)
+	within(t, 5*time.Second, "the demand reads", wg.Wait)
+}
+
 // TestWriteBehindInFlightWriteKeepsNewestBytes: a write to a page whose
 // earlier write is already on the wire must not be folded into it (the frame
 // has left with the old bytes) — it queues behind, and the page ends up with

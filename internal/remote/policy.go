@@ -9,9 +9,10 @@ import (
 	"leap/internal/sim"
 )
 
-// RetryPolicy bounds how hard the async ticket engine fights for a page
-// operation before giving up, and whether reads targeting agents hinted slow
-// are hedged. The zero value reproduces the legacy behavior exactly: reads
+// RetryPolicy bounds how hard the ticket engine fights for a page operation
+// before giving up, and whether reads targeting agents hinted slow are
+// hedged. It covers every read — ReadPage and StartRead as much as
+// ReadPageAsync. The zero value reproduces the legacy behavior exactly: reads
 // fail over across every replica with no attempt budget, no deadline, no
 // backoff pacing and no hedging — so existing hosts replay bit-identically.
 //
@@ -97,7 +98,7 @@ var (
 	ErrNeverWritten = errors.New("page never written")
 )
 
-// OpError is the uniform failure type of the async ticket engine: every
+// OpError is the uniform failure type of the ticket engine: every
 // ticket that completes with an error carries the operation kind, the page,
 // and the last agent index involved (-1 when the failure happened before any
 // agent was contacted). Unwrap exposes the underlying cause, so

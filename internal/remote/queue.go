@@ -8,15 +8,17 @@ import (
 	"leap/internal/sim"
 )
 
-// The async engine: ReadPageAsync/WritePageAsync enqueue page operations
-// onto per-agent request queues and return tickets; Flush, Submit or
-// Ticket.Wait ring the doorbell, cutting each queue into batched wire frames
-// of up to HostConfig.QueueDepth operations. The engine coalesces duplicate
-// pending reads (a second read of a queued or in-flight page rides the same
-// wire request, unless a write to the page has completed in between — see
-// closeReads), serves reads of not-yet-flushed writes from the dirty buffer
-// (read-your-writes), and fails reads over across replicas exactly like the
-// synchronous path.
+// The ticket engine is the one way a page reaches the wire. ReadPageAsync and
+// WritePageAsync enqueue page operations onto per-agent request queues and
+// return tickets; Flush, Submit or Ticket.Wait ring the doorbell, cutting each
+// queue into batched wire frames of up to HostConfig.QueueDepth operations.
+// The synchronous calls are the same operations with their single-op frames
+// launched at once instead of queued (StartRead, ReadPage, WritePage). The
+// engine coalesces duplicate pending reads (a second read of a queued or
+// in-flight page rides the same wire request, unless a write to the page has
+// completed in between — see closeReads), serves reads of not-yet-flushed
+// writes from the dirty buffer (read-your-writes), and fails reads over
+// across replicas under the retry policy (retryRead).
 //
 // The engine is split-phase: a frame is started on its agent's transport and
 // becomes a flight; landing the flight — applying its response to the
@@ -84,9 +86,15 @@ func (t *Ticket) Err() error {
 // (never submitted, or requeued by a failover), rings the doorbell first.
 // Host.mu is not held while it waits for the wire.
 func (t *Ticket) Wait() error {
-	h := t.host
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	t.host.mu.Lock()
+	defer t.host.mu.Unlock()
+	t.host.await(t)
+	return t.err
+}
+
+// await blocks until t completes. Callers hold h.mu, which is released
+// whenever it waits for the wire.
+func (h *Host) await(t *Ticket) {
 	for !t.done {
 		// An operation that is not done is in a flight, in a queue, or both (a
 		// write fans out; a failed read is requeued), so one of the two makes
@@ -97,7 +105,6 @@ func (t *Ticket) Wait() error {
 			h.keepFor(t, h.drain(false))
 		}
 	}
-	return t.err
 }
 
 // flight returns a frame in the air that carries t's operation, or nil when
@@ -153,6 +160,13 @@ type pendingRead struct {
 	// flights are the frames left in the air with this read in them (two
 	// while a hedge races), landed ones included until the read is dropped.
 	flights []*flight
+	// The usual read has one buffer, one ticket and one flight: own is that
+	// ticket and the arrays back the three slices above, so that the read is
+	// one allocation.
+	own     Ticket
+	buf0    [1][]byte
+	ticket0 [1]*Ticket
+	flight0 [1]*flight
 
 	// Retry/hedge state (see RetryPolicy). attempts counts transport
 	// attempts consumed; deadline (0 = none) is the absolute virtual-time
@@ -211,10 +225,15 @@ type flight struct {
 	idx   int
 	batch []queueEntry
 	pend  Pending
-	// reaping marks a goroutine waiting on pend with h.mu released; landed
-	// is set, and h.landed broadcast, once the response has been applied.
+	// reaping marks a goroutine starting or waiting on pend with h.mu
+	// released; landed is set, and h.landed broadcast, once the response has
+	// been applied.
 	reaping bool
 	landed  bool
+	// one backs the batch of a launched single-op frame, and req is the
+	// request of any single-op frame: neither is allocated apart.
+	one [1]queueEntry
+	req Request
 }
 
 // ReadPageAsync enqueues a read of page into buf (len PageSize) and returns
@@ -224,54 +243,62 @@ type flight struct {
 // in flight, as long as no write to the page has completed since it was
 // enqueued.
 func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
-	t := &Ticket{host: h}
-	if len(buf) != PageSize {
-		return h.failTicket(t, opError(OpRead, -1, page, 0,
-			fmt.Errorf("buffer is %d bytes, want %d", len(buf), PageSize)))
-	}
-	slab, off := h.locate(page)
-
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncReads++
+	t, pr := h.newRead(page, buf)
+	if pr != nil {
+		h.queues[pr.primary] = append(h.queues[pr.primary], queueEntry{read: pr})
+	}
+	return t
+}
+
+// newRead opens a read of page into buf and returns its ticket: complete
+// already when the dirty buffer serves it or it cannot be attempted, riding
+// another read's wire request when one is pending for the page. Otherwise the
+// read needs a request of its own, and newRead also returns the pendingRead
+// for the caller to queue on, or launch at, agent pr.primary; a hedge twin is
+// queued here. Callers hold h.mu.
+func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
+	fail := func(cause error) (*Ticket, *pendingRead) {
+		return &Ticket{host: h, done: true, err: opError(OpRead, -1, page, 0, cause)}, nil
+	}
+	if len(buf) != PageSize {
+		return fail(fmt.Errorf("buffer is %d bytes, want %d", len(buf), PageSize))
+	}
 	if pw, ok := h.dirty[page]; ok {
 		// Read-your-writes: the freshest bytes are the queued write's.
 		copy(buf, pw.data)
 		h.stats.DirtyReads++
 		h.stats.Reads++
-		t.done = true
-		return t
+		return &Ticket{host: h, done: true}, nil
 	}
 	if pr, ok := h.readsPending[page]; ok {
-		t.read, t.slot = pr, len(pr.bufs)
+		t := &Ticket{host: h, read: pr, slot: len(pr.bufs)}
 		pr.bufs = append(pr.bufs, buf)
 		pr.tickets = append(pr.tickets, t)
 		h.stats.CoalescedReads++
 		h.stats.Reads++
-		return t
+		return t, nil
 	}
+	slab, off := h.locate(page)
 	replicas, ok := h.placements[slab]
 	if !ok {
-		t.done = true
-		t.err = opError(OpRead, -1, page, 0, ErrNeverWritten)
-		return t
+		return fail(ErrNeverWritten)
 	}
-	pr := &pendingRead{page: page, slab: slab, off: off, bufs: [][]byte{buf}, tickets: []*Ticket{t}}
 	target := h.readOrder(page, replicas, nil)
 	if target < 0 {
-		t.done = true
-		t.err = opError(OpRead, -1, page, 0, ErrNoReplica)
-		return t
+		return fail(ErrNoReplica)
 	}
+	pr := &pendingRead{page: page, slab: slab, off: off, primary: target, inflight: 1}
+	t := &pr.own
+	t.host, t.read = h, pr
+	pr.bufs, pr.tickets, pr.flights = append(pr.buf0[:0], buf), append(pr.ticket0[:0], t), pr.flight0[:0]
 	pol := h.cfg.Retry
 	if pol.Deadline > 0 && h.now != nil {
 		pr.deadline = h.now().Add(pol.Deadline)
 	}
-	pr.primary = target
-	t.read = pr
 	h.readsPending[page] = pr
-	h.queues[target] = append(h.queues[target], queueEntry{read: pr})
-	pr.inflight = 1
 	if pol.HedgeReads && h.slow[target] {
 		// The best candidate is hinted slow: duplicate the read onto the
 		// next holder so the slow agent costs one extra frame, not a stall.
@@ -290,7 +317,7 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 		}
 	}
 	h.stats.Reads++
-	return t
+	return t, pr
 }
 
 // WritePageAsync enqueues a write of data (len PageSize) to page and
@@ -301,7 +328,8 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 // reads from other hosts' perspectives — only once flushed.
 func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 	if len(data) != PageSize {
-		return h.failTicket(&Ticket{host: h}, fmt.Errorf("remote: WritePageAsync with %d bytes, want %d", len(data), PageSize))
+		return &Ticket{host: h, done: true,
+			err: fmt.Errorf("remote: WritePageAsync with %d bytes, want %d", len(data), PageSize)}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -312,8 +340,21 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 // writeAsyncLocked enqueues a write of data (len PageSize) to page. Callers
 // hold h.mu.
 func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
+	t, pw := h.newWrite(page, data)
+	if pw != nil {
+		for _, idx := range pw.replicas {
+			h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
+		}
+	}
+	return t
+}
+
+// newWrite opens a write of data (len PageSize) to page and returns its
+// ticket. A write that needs frames of its own comes back as a pendingWrite
+// too, already the page's dirty entry, for the caller to queue on, or launch
+// at, each of pw.replicas. Callers hold h.mu.
+func (h *Host) newWrite(page core.PageID, data []byte) (*Ticket, *pendingWrite) {
 	t := &Ticket{host: h}
-	slab, off := h.locate(page)
 	if pw, ok := h.dirty[page]; ok && !pw.started {
 		// Supersede in place: the queued sub-operations will carry the new
 		// bytes (last writer wins); the earlier write's ticket completes
@@ -323,13 +364,14 @@ func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
 		pw.superseded = append(pw.superseded, pw.ticket)
 		pw.ticket = t
 		t.write = pw
-		return t
+		return t, nil
 	}
+	slab, off := h.locate(page)
 	replicas, err := h.placement(slab)
 	if err != nil {
 		t.done = true
 		t.err = opError(OpWrite, -1, page, 0, err)
-		return t
+		return t, nil
 	}
 	pw := &pendingWrite{
 		page:     page,
@@ -343,11 +385,8 @@ func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
 	copy(pw.data, data)
 	t.write = pw
 	h.dirty[page] = pw
-	for _, idx := range pw.replicas {
-		h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
-	}
 	h.stats.Writes++
-	return t
+	return t, pw
 }
 
 // Flush is the engine's barrier: per-agent batches of up to QueueDepth
@@ -382,15 +421,6 @@ func (h *Host) PendingWrites() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.dirty)
-}
-
-// failTicket completes t immediately with err.
-func (h *Host) failTicket(t *Ticket, err error) *Ticket {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t.done = true
-	t.err = err
-	return t
 }
 
 // pageBuf takes a PageSize buffer off the free list.
@@ -498,34 +528,59 @@ func (h *Host) startNext(idx int) (werr error) {
 		return werr
 	}
 
-	var req *Request
-	var err error
-	if isRead {
-		req, err = h.readFrame(idx, batch)
-	} else {
-		req, err = h.writeFrame(idx, batch)
-	}
+	f := &flight{idx: idx, batch: batch}
+	req, err := h.frame(f)
 	if err != nil {
 		note(err)
 		return werr
 	}
-	f := &flight{idx: idx, batch: batch, pend: start(h.transports[idx], req)}
+	f.pend = start(h.transports[idx], req)
 	if c, ok := f.pend.(completed); ok {
 		note(h.land(f, c.resp, c.err))
 		return werr
 	}
+	h.fly(f)
+	if !isRead {
+		note(h.reap(f))
+	}
+	return werr
+}
+
+// fly records f as in the air: on the host, for barriers and the flight
+// bound, and on each operation it carries, for Ticket.Wait to find. Callers
+// hold h.mu.
+func (h *Host) fly(f *flight) {
 	h.flights = append(h.flights, f)
-	for _, e := range batch { // for Ticket.Wait to find
-		if isRead {
+	for _, e := range f.batch {
+		if e.read != nil {
 			e.read.flights = append(e.read.flights, f)
 		} else {
 			e.write.flights = append(e.write.flights, f)
 		}
 	}
-	if !isRead {
-		note(h.reap(f))
+}
+
+// launch starts e as a single-op frame to agent idx at once, ahead of whatever
+// is queued there, and returns its flight, in the air. h.mu is released for
+// the start — over a transport that finishes what it starts that is the whole
+// round trip, and concurrent demand reads must not take turns under the lock —
+// with the flight marked reaping meanwhile, so that nobody else waits on a
+// pending it does not have yet. Callers hold h.mu.
+func (h *Host) launch(idx int, e queueEntry) *flight {
+	f := &flight{idx: idx, reaping: true}
+	f.batch = append(f.one[:0], e)
+	if e.write != nil {
+		e.write.started = true
 	}
-	return werr
+	req, _ := h.frame(f) // a single-op frame has nothing to encode
+	h.fly(f)
+	tr := h.transports[idx]
+	h.mu.Unlock()
+	f.pend = start(tr, req)
+	h.mu.Lock()
+	f.reaping = false
+	h.landed.Broadcast()
+	return f
 }
 
 // reap waits for f's response and lands it, releasing h.mu for the wait —
@@ -545,7 +600,9 @@ func (h *Host) reap(f *flight) error {
 	resp, err := f.pend.Wait()
 	h.mu.Lock()
 	f.reaping = false
-	h.flights = slices.DeleteFunc(h.flights, func(g *flight) bool { return g == f })
+	if i := slices.Index(h.flights, f); i >= 0 {
+		h.flights = slices.Delete(h.flights, i, i+1)
+	}
 	werr := h.land(f, resp, err)
 	f.landed = true
 	h.landed.Broadcast()
@@ -562,13 +619,23 @@ func (h *Host) land(f *flight, resp *Response, err error) error {
 	return h.landWrites(f.idx, f.batch, resp, err)
 }
 
-// readFrame builds the request for a read batch to agent idx: a plain
-// OpRead for a single operation, a batch frame otherwise. Callers hold h.mu.
-func (h *Host) readFrame(idx int, batch []queueEntry) (*Request, error) {
+// frame builds the request that carries f's batch. Callers hold h.mu.
+func (h *Host) frame(f *flight) (*Request, error) {
+	if f.batch[0].read != nil {
+		return h.readFrame(f)
+	}
+	return h.writeFrame(f)
+}
+
+// readFrame builds the request for f's read batch: a plain OpRead for a
+// single operation, a batch frame otherwise. Callers hold h.mu.
+func (h *Host) readFrame(f *flight) (*Request, error) {
+	idx, batch := f.idx, f.batch
 	if len(batch) == 1 {
 		pr := batch[0].read
 		pr.attempts++
-		return &Request{Op: OpRead, Slab: pr.slab, PageOff: pr.off}, nil
+		f.req = Request{Op: OpRead, Slab: pr.slab, PageOff: pr.off}
+		return &f.req, nil
 	}
 	refs := make([]BatchRef, len(batch))
 	for i, e := range batch {
@@ -597,57 +664,44 @@ func (h *Host) readFrame(idx int, batch []queueEntry) (*Request, error) {
 // through its hedge twin while this frame was in flight keeps the twin's
 // bytes. Callers hold h.mu.
 func (h *Host) landReads(idx int, batch []queueEntry, resp *Response, err error) {
-	for _, e := range batch {
-		e.read.inflight--
-	}
-	settle := func(pr *pendingRead, data []byte, err error, status uint8) {
-		switch {
-		case pr.done:
-		case err == nil && status == StatusOK:
-			h.completeRead(pr, idx, data)
-		default:
-			h.retryRead(pr, idx, err, status)
-		}
-	}
-	if len(batch) == 1 {
-		if err != nil {
-			settle(batch[0].read, nil, err, StatusOK)
-		} else {
-			settle(batch[0].read, resp.Payload, nil, resp.Status)
-		}
-		return
-	}
-	if err != nil {
-		for _, e := range batch {
-			settle(e.read, nil, err, StatusOK)
-		}
-		return
-	}
-	results, decErr := DecodeReadBatchResponse(resp)
-	if decErr != nil || len(results) != len(batch) {
-		if decErr == nil {
-			decErr = fmt.Errorf("remote: read batch response carried %d results for %d ops",
+	var one [1]BatchReadResult
+	var results []BatchReadResult
+	switch {
+	case err != nil:
+	case len(batch) == 1:
+		one[0] = BatchReadResult{Status: resp.Status, Page: resp.Payload}
+		results = one[:]
+	default:
+		results, err = DecodeReadBatchResponse(resp)
+		if err == nil && len(results) != len(batch) {
+			err = fmt.Errorf("remote: read batch response carried %d results for %d ops",
 				len(results), len(batch))
 		}
-		for _, e := range batch {
-			settle(e.read, nil, decErr, resp.Status)
-		}
-		return
-	}
-	if payloadCompressed(resp.Payload) {
-		raw := 4
-		for _, r := range results {
-			raw++
-			if r.Status == StatusOK {
-				raw += PageSize
+		if err == nil && payloadCompressed(resp.Payload) {
+			raw := 4
+			for _, r := range results {
+				raw++
+				if r.Status == StatusOK {
+					raw += PageSize
+				}
 			}
+			h.stats.CompressedFrames++
+			h.stats.WireRawBytes += int64(raw)
+			h.stats.WireCompressedBytes += int64(len(resp.Payload))
 		}
-		h.stats.CompressedFrames++
-		h.stats.WireRawBytes += int64(raw)
-		h.stats.WireCompressedBytes += int64(len(resp.Payload))
 	}
 	for i, e := range batch {
-		settle(e.read, results[i].Page, nil, results[i].Status)
+		pr := e.read
+		pr.inflight--
+		switch {
+		case pr.done:
+		case err != nil:
+			h.retryRead(pr, idx, err, StatusOK)
+		case results[i].Status != StatusOK:
+			h.retryRead(pr, idx, nil, results[i].Status)
+		default:
+			h.completeRead(pr, idx, results[i].Page)
+		}
 	}
 }
 
@@ -668,6 +722,9 @@ func (h *Host) completeRead(pr *pendingRead, idx int, data []byte) {
 			h.stats.Failovers++
 			break
 		}
+	}
+	if len(h.hot) > 0 && !slices.Contains(h.placements[pr.slab], idx) {
+		h.stats.HotReads++
 	}
 	h.retireRead(pr)
 	for _, t := range pr.tickets {
@@ -722,11 +779,11 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 	pol := h.cfg.Retry
 	if pr.deadline > 0 && h.now != nil && h.now() >= pr.deadline {
 		h.stats.DeadlineFailed++
-		fail(fmt.Errorf("%w (last: %v)", ErrDeadlineExceeded, lastErr))
+		fail(fmt.Errorf("%w (last: %w)", ErrDeadlineExceeded, lastErr))
 		return
 	}
 	if pol.MaxAttempts > 0 && pr.attempts >= pol.MaxAttempts {
-		fail(fmt.Errorf("%w (last: %v)", ErrAttemptsExhausted, lastErr))
+		fail(fmt.Errorf("%w (last: %w)", ErrAttemptsExhausted, lastErr))
 		return
 	}
 	replicas := h.placements[pr.slab]
@@ -740,16 +797,17 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 		h.queues[next] = append(h.queues[next], queueEntry{read: pr})
 		return
 	}
-	fail(fmt.Errorf("%w: %v", ErrAllReplicasFailed, lastErr))
+	fail(fmt.Errorf("%w: %w", ErrAllReplicasFailed, lastErr))
 }
 
-// writeFrame builds the request for a write batch to agent idx: a plain
-// OpWrite for a single operation, a batch frame otherwise. Callers hold
-// h.mu.
-func (h *Host) writeFrame(idx int, batch []queueEntry) (*Request, error) {
+// writeFrame builds the request for f's write batch: a plain OpWrite for a
+// single operation, a batch frame otherwise. Callers hold h.mu.
+func (h *Host) writeFrame(f *flight) (*Request, error) {
+	idx, batch := f.idx, f.batch
 	if len(batch) == 1 {
 		pw := batch[0].write
-		return &Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data}, nil
+		f.req = Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data}
+		return &f.req, nil
 	}
 	refs := make([]BatchRef, len(batch))
 	pages := make([][]byte, len(batch))
@@ -821,9 +879,9 @@ func (h *Host) landWrites(idx int, batch []queueEntry, resp *Response, err error
 	return firstErr
 }
 
-// finishWrite finalizes a fully-resolved pending write: ack bookkeeping
-// mirrors the synchronous WritePage exactly. Callers hold h.mu. It returns
-// the write's error, if the write failed on every replica.
+// finishWrite finalizes a fully-resolved pending write, queued or launched:
+// it is where a write's ack and degraded bookkeeping is kept. Callers hold
+// h.mu. It returns the write's error, if the write failed on every replica.
 func (h *Host) finishWrite(pw *pendingWrite) error {
 	if h.dirty[pw.page] == pw { // else a newer write queued behind this one
 		delete(h.dirty, pw.page)
@@ -833,7 +891,7 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	var err error
 	if len(pw.acked) == 0 {
 		err = opError(OpWrite, pw.lastIdx, pw.page, len(pw.replicas),
-			fmt.Errorf("%w: %v", ErrAllReplicasFailed, pw.lastErr))
+			fmt.Errorf("%w: %w", ErrAllReplicasFailed, pw.lastErr))
 	} else {
 		h.acked[pw.page] = pw.acked
 		if len(pw.acked) < h.cfg.Replicas {

@@ -260,6 +260,19 @@ func TestTicketFailureContexts(t *testing.T) {
 			wantOp: OpRead, wantAgent: -2, wantAttempts: 1,
 		},
 		{
+			name:  "demand-read-obeys-the-policy",
+			retry: RetryPolicy{MaxAttempts: 1},
+			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+				if err := h.WritePage(page, latest); err != nil {
+					t.Fatal(err)
+				}
+				inprocs[holders(h)[0]].SetFailed(true)
+				return h.ReadPage(page, make([]byte, PageSize))
+			},
+			wantErr: true, wantCause: ErrAttemptsExhausted,
+			wantOp: OpRead, wantAgent: -2, wantAttempts: 1,
+		},
+		{
 			name: "read-requeue-after-failover",
 			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
 				if err := h.WritePage(page, latest); err != nil {
@@ -365,6 +378,40 @@ func TestTicketFailureContexts(t *testing.T) {
 				t.Fatalf("rendered error lost the page context: %v", err)
 			}
 		})
+	}
+}
+
+// TestTicketFailureKeepsTransportCause: an operation refused by every replica
+// fails with ErrAllReplicasFailed and still answers errors.Is for what the
+// transport reported, on the async and the sync calls alike.
+func TestTicketFailureKeepsTransportCause(t *testing.T) {
+	const page = core.PageID(3)
+	faults := make([]*FaultTransport, 3)
+	trs := make([]Transport, len(faults))
+	for i := range faults {
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(8, 0)), sim.NewRNG(uint64(i)+1))
+		trs[i] = faults[i]
+	}
+	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 11}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WritePage(page, pageOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range faults {
+		f.SetMode(FaultMode{Crashed: true})
+	}
+	buf := make([]byte, PageSize)
+	for name, err := range map[string]error{
+		"ReadPageAsync":  h.ReadPageAsync(page, buf).Wait(),
+		"ReadPage":       h.ReadPage(page, buf),
+		"WritePageAsync": h.WritePageAsync(page, pageOf(2)).Wait(),
+		"WritePage":      h.WritePage(page, pageOf(3)),
+	} {
+		if !errors.Is(err, ErrAllReplicasFailed) || !errors.Is(err, ErrInjected) {
+			t.Errorf("%s with every agent crashed: %v, want ErrAllReplicasFailed wrapping ErrInjected", name, err)
+		}
 	}
 }
 

@@ -562,14 +562,14 @@ func (m *Memory) latchErr(err error) {
 // (the prefetch is abandoned, a later demand access refetches): only a
 // writeback no replica accepted means acked application data is gone.
 func (m *Memory) latchWriteback(err error) {
-	if err == nil || m.err.Load() != nil || isReadOpError(err) {
+	if err == nil || m.err.Load() != nil || isReadFailure(err) {
 		return
 	}
 	m.latchErr(fmt.Errorf("leap: writeback failed: %w", err))
 }
 
-// isReadOpError reports whether err is a ticket-engine read failure.
-func isReadOpError(err error) bool {
+// isReadFailure reports whether err is a ticket-engine read failure.
+func isReadFailure(err error) bool {
 	var oe *remote.OpError
 	return errors.As(err, &oe) && oe.Op == remote.OpRead
 }
@@ -710,7 +710,7 @@ func (m *Memory) flushAll() error {
 		s.eng.FlushWriteback(0, m.clock.Now())
 		s.mu.Unlock()
 	}
-	if err := m.host.Flush(); err != nil && m.err.Load() == nil && !isReadOpError(err) {
+	if err := m.host.Flush(); err != nil && m.err.Load() == nil && !isReadFailure(err) {
 		m.latchErr(fmt.Errorf("leap: flush failed: %w", err))
 	}
 	return m.loadErr()

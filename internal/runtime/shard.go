@@ -365,6 +365,22 @@ func (s *shard) endDemand(pg core.PageID) {
 	close(d.done)
 }
 
+// collectDemand waits for pg's demand read, with the stripe lock released
+// when beginDemand let it go (overlap), and then releases the single-flight
+// entry. The ticket is always collected here, whoever landed it: the window's
+// own Submit, or another goroutine's doorbell, may have completed a read that
+// a failover had requeued.
+func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket, overlap bool) error {
+	if !overlap {
+		return demand.Wait()
+	}
+	s.mu.Unlock()
+	err := demand.Wait()
+	s.mu.Lock()
+	s.endDemand(pg)
+	return err
+}
+
 // page runs one access by client pid to pg through the stripe's fault path
 // and returns its frame. This is the runtime counterpart of the simulator's
 // step: flush landed prefetches, check residency, fault through
@@ -460,7 +476,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	// demand is the read of pg's real image on a full miss of a page that
 	// has one, started here and collected after the predictor has run;
 	// overlap records that beginDemand let the stripe lock go around both.
-	var demand *remote.ReadOp
+	var demand *remote.Ticket
 	var demandFrame *frame
 	overlap := false
 	if miss {
@@ -484,13 +500,10 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 				// A transport that finishes what it starts: the serial order,
 				// in which waiters are released, and a failure unwinds, before
 				// the predictor sees the access.
-				if overlap {
-					s.endDemand(pg)
-					overlap = false
-				}
-				if err := demand.Wait(); err != nil {
+				if err := s.collectDemand(pg, demand, overlap); err != nil {
 					return nil, s.unwindDemand(pg, f, latency, err)
 				}
+				demand = nil
 			}
 		} else {
 			zeroFrame(f)
@@ -524,18 +537,10 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		hint, hintEnd := s.hintFor(pid, pg)
 		s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
 	}
-	if demand != nil && !demand.Done() {
-		if overlap {
-			s.mu.Unlock()
-		}
-		err := demand.Wait()
-		if overlap {
-			s.mu.Lock()
-			s.endDemand(pg)
-		}
-		if err != nil {
-			// The clock has been advanced and the window issued; only the
-			// map-in is left to skip.
+	if demand != nil {
+		// The clock has been advanced and the window issued; on a failure
+		// only the map-in is left to skip.
+		if err := s.collectDemand(pg, demand, overlap); err != nil {
 			return nil, s.unwindDemand(pg, demandFrame, 0, err)
 		}
 	}

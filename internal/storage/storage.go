@@ -44,8 +44,7 @@ type Device interface {
 	// Read starts a read of page at time now whose target is distance pages
 	// away from the previous access (0 = same page, 1 = sequential next);
 	// core identifies the submitting CPU for multi-queue devices. It
-	// returns the completion time. Latency-model devices ignore page;
-	// byte-backed devices (Backed) use it to address real data.
+	// returns the completion time. Latency-model devices ignore page.
 	Read(core int, now sim.Time, page core.PageID, distance int64) sim.Time
 	// Write behaves like Read for page-out traffic.
 	Write(core int, now sim.Time, page core.PageID, distance int64) sim.Time

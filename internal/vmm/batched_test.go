@@ -8,7 +8,6 @@ import (
 	"leap/internal/pagecache"
 	"leap/internal/prefetch"
 	"leap/internal/rdma"
-	"leap/internal/remote"
 	"leap/internal/sim"
 	"leap/internal/storage"
 	"leap/internal/workload"
@@ -79,48 +78,6 @@ func TestBatchedPrefetchFaster(t *testing.T) {
 	}
 	if deep.PrefetchIssued == 0 {
 		t.Fatal("batched run issued no prefetches")
-	}
-}
-
-// TestBatchedEndToEndRealBytes drives the doorbell path against the real
-// replicated store — batched wire frames, async writeback backlog — and
-// requires zero corruption: the async pipeline must preserve
-// read-your-writes through the dirty backlog.
-func TestBatchedEndToEndRealBytes(t *testing.T) {
-	agents := []*remote.Agent{
-		remote.NewAgent(4096, 0),
-		remote.NewAgent(4096, 0),
-		remote.NewAgent(4096, 0),
-	}
-	trs := make([]remote.Transport, len(agents))
-	for i, a := range agents {
-		trs[i] = remote.NewInProc(a)
-	}
-	host, err := remote.NewHost(remote.HostConfig{SlabPages: 4096, Replicas: 2, Seed: 55}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := storage.NewBacked(storage.NewRemote(rdma.New(rdma.Config{}, sim.NewRNG(55))), host)
-	dev.WritebackBacklog = 32
-	cfg := leapCfgAtDepth(8, 55)
-	cfg.Device = dev
-	apps := []App{{PID: 1, Gen: workload.NewSequential(3000, 55), LimitPages: 1000}}
-	_, res, err := Run(cfg, apps, 4000, 12000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.FlushWriteback()
-	if res.Faults == 0 {
-		t.Fatal("no faults: the store was never exercised")
-	}
-	if got := dev.Corrupt.Load(); got != 0 {
-		t.Fatalf("%d corrupted pages through the async batched store", got)
-	}
-	if dev.Verified.Load() == 0 {
-		t.Fatal("no verified reads")
-	}
-	if st := host.Stats(); st.BatchCalls == 0 || st.AsyncWrites == 0 {
-		t.Fatalf("store never saw the async batched path: %+v", st)
 	}
 }
 

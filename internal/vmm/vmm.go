@@ -401,6 +401,6 @@ func (m *Machine) Run(accesses int64) {
 		}
 	}
 	// Drain any partially-filled writeback backlog so device accounting
-	// (and a Backed store's final image) covers every evicted page.
+	// covers every evicted page.
 	m.eng.FlushWriteback(0, m.MaxTime())
 }

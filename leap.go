@@ -251,12 +251,12 @@ func NewRemoteAgent(slabPages, maxSlabs int) *RemoteAgent {
 }
 
 // RemoteHost maps pages onto remote agents with rendezvous-hashed slab
-// placement and replication (the borrower side). Besides the synchronous
-// ReadPage/WritePage, it exposes the asynchronous ticket engine —
-// ReadPageAsync/WritePageAsync/Flush — which coalesces duplicate reads and
-// drains per-agent queues with doorbell-style batched wire frames; AddAgent
-// and Rebalance grow the pool, migrating only each newcomer's rendezvous
-// share of slabs.
+// placement and replication (the borrower side). Every page moves through
+// one ticket engine: ReadPageAsync/WritePageAsync/Flush queue operations,
+// coalesce duplicate reads and drain per-agent queues with doorbell-style
+// batched wire frames; ReadPage/WritePage are the same operations sent at
+// once, one frame per page, and waited for. AddAgent and Rebalance grow the
+// pool, migrating only each newcomer's rendezvous share of slabs.
 type RemoteHost = remote.Host
 
 // RemoteHostConfig parameterizes a RemoteHost (slab size, replication

@@ -184,8 +184,8 @@ type ControlAction = control.Action
 type MemoryControlStats = runtime.ControlStats
 
 // RemoteRetryPolicy bounds retries, deadlines, backoff and hedging for the
-// async ticket engine's page operations. The zero value reproduces the
-// legacy unlimited-failover behavior bit-for-bit.
+// remote host's reads, demand reads included. The zero value is the
+// unlimited failover walk: every holder once.
 type RemoteRetryPolicy = remote.RetryPolicy
 
 // WithControlPlane attaches a self-healing control plane to the Memory: a
@@ -205,8 +205,10 @@ func WithControlInterval(d Duration) Option { return runtime.WithControlInterval
 
 // WithRetryPolicy bounds retries, deadlines, backoff and hedging in the
 // private in-process cluster, with per-ticket deadlines read from the
-// runtime clock. Incompatible with WithRemoteHost — a supplied host
-// carries its own policy via RemoteHostConfig.Retry.
+// runtime clock. The policy covers the demand read of a fault as well as the
+// prefetch window's reads; the zero policy walks every holder once, as a
+// demand read always has. Incompatible with WithRemoteHost — a supplied
+// host carries its own policy via RemoteHostConfig.Retry.
 func WithRetryPolicy(p RemoteRetryPolicy) Option { return runtime.WithRetryPolicy(p) }
 
 // MemoryZtierStats is the Stats.Ztier block: occupancy, hit/seal/overflow
