@@ -64,12 +64,12 @@ smoke:
 
 # The shared fault-path engine and the leap.Memory runtime.
 runtime-smoke:
-	$(GO) test -race . ./internal/paging/...
+	$(GO) test -race . ./internal/runtime ./internal/paging/...
 
 # The concurrent runtime: stress, property and chaos suites plus the
 # 1-goroutine parity gate.
 concurrency-smoke:
-	$(GO) test -race -run 'TestMemoryConcurrent|TestMemoryReadYourWrites|TestConcurrencyOne' .
+	$(GO) test -race -run 'TestMemoryConcurrent|TestMemoryReadYourWrites|TestConcurrencyOne' . ./internal/runtime
 
 # The sharded fault path: 1-shard parity oracle, cross-shard invariant
 # property, sharded stress/chaos/self-heal, the 0-alloc hit path.

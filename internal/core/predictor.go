@@ -69,6 +69,9 @@ type Stats struct {
 	// WindowGrowths and WindowShrinks track PWsize transitions.
 	WindowGrowths int64
 	WindowShrinks int64
+	// AheadPages counts pages produced on prefetch hits (AheadInto) rather
+	// than on misses; they are not part of PagesPredicted.
+	AheadPages int64
 }
 
 // Predictor is the per-process Leap prefetch engine: an AccessHistory plus
@@ -91,6 +94,14 @@ type Predictor struct {
 	// since the last prefetch decision.
 	prevWindow int
 	hits       int
+
+	// Run-ahead state (AheadInto): frontier is the furthest page issued along
+	// the trend, depth how many stride steps past the stream's position issue
+	// may reach. depth 0 means Algorithm 2 alone is in control; a miss with a
+	// current trend sets both from its window, any other miss and a prefetch
+	// hit off the trend clear depth.
+	frontier PageID
+	depth    int
 
 	stats Stats
 }
@@ -171,6 +182,7 @@ func (p *Predictor) PredictInto(addr PageID, dst []PageID) []PageID {
 	}
 
 	window := p.windowSize(found)
+	p.depth = 0
 	if window == 0 {
 		p.stats.Suspended++
 		return dst
@@ -217,8 +229,59 @@ func (p *Predictor) PredictInto(addr PageID, dst []PageID) []PageID {
 			}
 			dst = append(dst, c)
 		}
+		if !speculative {
+			p.frontier, p.depth = addr+PageID(int64(window)*d), window
+		}
 	}
 	p.stats.PagesPredicted += int64(len(dst) - before)
+	return dst
+}
+
+// AheadInto is the hit-side counterpart of PredictInto, for a data path whose
+// fetches take long enough that a window issued at a miss arrives late
+// however accurate it is: called when the access at addr (already Recorded)
+// consumed a prefetched page, it keeps issue whole frames ahead of the stream.
+// While every such access since the last miss has followed its trend, each
+// call lets depth grow by a page — from the miss's window up to limit — and
+// once addr + depth strides lies a frame or more past the frontier it appends
+// the next frame pages beyond the frontier to dst (same contract as append)
+// and moves the frontier over them. The frontier thus advances two pages for
+// each one the stream consumes until the pages in flight cover the fetch
+// latency (Linux read-ahead's async marker doubles its window once per window
+// consumed, the same slope), and a stream that ends after n hits leaves at
+// most its window plus n pages unused. The paper's PWsizemax, sized for a 4 us
+// RDMA hop, still bounds what a miss issues. A limit below frame issues
+// nothing and leaves the ramp where it is, so a caller may pass 0 while it
+// cannot take a frame.
+func (p *Predictor) AheadInto(addr PageID, frame, limit int, dst []PageID) []PageID {
+	if p.depth == 0 {
+		return dst
+	}
+	gap := int64(p.frontier) - int64(addr)
+	lead := gap / p.trend
+	if !p.followsTrend() || gap%p.trend != 0 || lead < 0 {
+		// Off the stream, or past anything issued along it (another client's
+		// prefetches served the access): the next miss decides again.
+		p.depth = 0
+		return dst
+	}
+	if limit < frame {
+		return dst
+	}
+	p.depth = min(p.depth+1, limit)
+	if int64(p.depth)-lead < int64(frame) {
+		return dst
+	}
+	before := len(dst)
+	for k := 1; k <= frame; k++ {
+		c := p.frontier + PageID(int64(k)*p.trend)
+		if c < 0 {
+			break
+		}
+		dst = append(dst, c)
+	}
+	p.frontier += PageID(int64(frame) * p.trend)
+	p.stats.AheadPages += int64(len(dst) - before)
 	return dst
 }
 
@@ -271,6 +334,7 @@ func (p *Predictor) Reset() {
 	p.trend = 0
 	p.prevWindow = 0
 	p.hits = 0
+	p.depth = 0
 	p.stats = Stats{}
 }
 

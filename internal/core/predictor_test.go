@@ -364,3 +364,152 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("sequential faults should detect trends")
 	}
 }
+
+// driveAhead is drive for a data path that runs ahead: a consumed prefetch
+// also asks AheadInto for the next frame. predicted holds the pages issued so
+// far; it returns what each access issued from a hit (nil entries for accesses
+// that issued nothing there).
+func driveAhead(p *Predictor, predicted map[PageID]bool, addrs []PageID, frame, limit int) (ahead [][]PageID) {
+	for _, a := range addrs {
+		var got []PageID
+		if predicted[a] {
+			p.NoteHit()
+			p.Record(a)
+			got = p.AheadInto(a, frame, limit, nil)
+		} else {
+			for _, c := range p.OnFault(a, nil) {
+				predicted[c] = true
+			}
+		}
+		for _, c := range got {
+			predicted[c] = true
+		}
+		ahead = append(ahead, got)
+	}
+	return ahead
+}
+
+func stream(from PageID, stride int64, n int) []PageID {
+	addrs := make([]PageID, n)
+	for i := range addrs {
+		addrs[i] = from + PageID(int64(i)*stride)
+	}
+	return addrs
+}
+
+// TestAheadKeepsWholeFramesAheadOfAStream: once Algorithm 2 has a stream, the
+// misses stop; every frame issued from a hit is a whole frame continuing
+// where the last issue ended, along the stream's stride, and the lead over
+// the reader settles between limit-frame and limit.
+func TestAheadKeepsWholeFramesAheadOfAStream(t *testing.T) {
+	for _, stride := range []int64{1, 3, -2, 4} {
+		const frame, limit, n = 8, 56, 600
+		p := NewPredictor(Config{})
+		addrs := stream(100000, stride, n)
+		ahead := driveAhead(p, map[PageID]bool{}, addrs, frame, limit)
+		var next PageID
+		started, frames := false, 0
+		for i, got := range ahead {
+			if len(got) == 0 {
+				continue
+			}
+			frames++
+			if len(got) != frame {
+				t.Fatalf("stride %d: access %d issued %d pages ahead, want whole frames of %d", stride, i, len(got), frame)
+			}
+			for k, c := range got {
+				if started && c != next {
+					t.Fatalf("stride %d: access %d issued page %d, want %d (frames must continue the frontier)", stride, i, c, next)
+				}
+				if k > 0 && int64(c-got[k-1]) != stride {
+					t.Fatalf("stride %d: access %d issued %v, not along the stride", stride, i, got)
+				}
+				started, next = true, c+PageID(stride)
+			}
+			if i > 100 {
+				lead := int64(got[frame-1]-addrs[i]) / stride
+				if lead < limit-frame || lead > limit {
+					t.Fatalf("stride %d: access %d leaves the frontier %d strides ahead, want within [%d, %d]", stride, i, lead, limit-frame, limit)
+				}
+			}
+		}
+		if frames < (n-100)/frame {
+			t.Fatalf("stride %d: %d frames issued ahead over %d accesses", stride, frames, n)
+		}
+		// No miss after the ramp: Algorithm 2's pages (counted apart from
+		// those issued ahead) are a few early windows.
+		if st := p.Stats(); st.AheadPages != int64(frames*frame) || st.PagesPredicted > 64 {
+			t.Fatalf("stride %d: stats %+v after %d frames ahead", stride, st, frames)
+		}
+	}
+}
+
+// TestAheadEndsWithTheStream: an access off the trend hands control back to
+// Algorithm 2 — nothing more is issued from hits until a miss has found a
+// trend again — and what was issued beyond the reader is at most limit pages.
+func TestAheadEndsWithTheStream(t *testing.T) {
+	const frame, limit = 8, 56
+	p := NewPredictor(Config{})
+	addrs := stream(5000, 1, 300)
+	ahead := driveAhead(p, map[PageID]bool{}, addrs, frame, limit)
+	var frontier PageID
+	for _, got := range ahead {
+		if len(got) > 0 {
+			frontier = got[len(got)-1]
+		}
+	}
+	if over := frontier - addrs[len(addrs)-1]; over < 1 || over > limit {
+		t.Fatalf("the stream ended with %d pages issued beyond it, want 1..%d", over, limit)
+	}
+	// The reader jumps, then touches pages that happen to be prefetched: off
+	// the trend, so not a stream to run ahead of.
+	p.Record(90000)
+	p.NoteHit()
+	p.Record(5301)
+	if got := p.AheadInto(5301, frame, limit, nil); len(got) != 0 {
+		t.Fatalf("issued %v ahead of an access off the trend", got)
+	}
+	p.NoteHit()
+	p.Record(5302)
+	if got := p.AheadInto(5302, frame, limit, nil); len(got) != 0 {
+		t.Fatalf("issued %v ahead with no miss since the stream broke", got)
+	}
+
+	// A stride-3 stream slips a page on an access AheadInto is not asked about
+	// (a hit with nothing in flight): the next hit follows the trend again,
+	// but out of step with the frontier.
+	q := NewPredictor(Config{})
+	strided := stream(9000, 3, 200)
+	driveAhead(q, map[PageID]bool{}, strided, frame, limit)
+	last := strided[len(strided)-1]
+	q.NoteHit()
+	q.Record(last + 1)
+	for a := last + 4; a < last+4+3*2*frame; a += 3 {
+		q.NoteHit()
+		q.Record(a)
+		if got := q.AheadInto(a, frame, limit, nil); len(got) != 0 {
+			t.Fatalf("issued %v ahead of a stream out of step with its frontier", got)
+		}
+	}
+}
+
+// TestAheadWithoutRoomLeavesStateAlone: a limit below one frame issues
+// nothing and does not disturb the ramp, so a caller that skips its turn
+// resumes where it was.
+func TestAheadWithoutRoomLeavesStateAlone(t *testing.T) {
+	const frame, limit = 8, 56
+	a, b := NewPredictor(Config{}), NewPredictor(Config{})
+	addrs := stream(0, 1, 200)
+	want := driveAhead(a, map[PageID]bool{}, addrs, frame, limit)
+	predicted := map[PageID]bool{}
+	driveAhead(b, predicted, addrs[:120], frame, limit)
+	if got := b.AheadInto(addrs[119], frame, 0, nil); len(got) != 0 {
+		t.Fatalf("issued %v with no room", got)
+	}
+	got := driveAhead(b, predicted, addrs[120:], frame, limit)
+	for i := range got {
+		if len(got[i]) != len(want[120+i]) {
+			t.Fatalf("access %d: issued %v after a skipped turn, want %v", 120+i, got[i], want[120+i])
+		}
+	}
+}

@@ -28,6 +28,8 @@
 package paging
 
 import (
+	"slices"
+
 	"leap/internal/core"
 	"leap/internal/datapath"
 	"leap/internal/eventq"
@@ -92,6 +94,7 @@ type Engine[O any] struct {
 	cache *pagecache.Cache
 	dev   storage.Device
 	pf    prefetch.Prefetcher
+	ahead prefetch.RunAhead // pf's hit-side half, nil when it has none
 
 	inflight  *pagemap.Map[sim.Time]
 	inflights *eventq.Heap[arrival[O]]
@@ -213,6 +216,7 @@ func New[O any](cfg Config) *Engine[O] {
 		blocked:   pagemap.New[struct{}](0),
 		recording: true,
 	}
+	e.ahead, _ = pf.(prefetch.RunAhead)
 	if cfg.QueueDepth > 1 {
 		if bd, ok := dev.(storage.BatchDevice); ok {
 			e.batchDev = bd
@@ -395,9 +399,29 @@ func (e *Engine[O]) OnAccessHinted(o O, res *Resident, pid prefetch.PID, cpu int
 // same dedup (resident, cached, in flight, blocked, sealed, foreign-stripe)
 // and the same device model as predictor-driven windows — without
 // consulting the prefetcher. It is the engine half of an madvise(WILLNEED):
-// the owner warms pages it knows it will touch. The slice is not retained.
-func (e *Engine[O]) Prefetch(o O, res *Resident, cpu int, pages []core.PageID, now sim.Time) {
-	e.issuePrefetches(o, res, cpu, pages, now)
+// the owner warms pages it knows it will touch. The slice is not retained. It
+// returns how many pages were issued.
+func (e *Engine[O]) Prefetch(o O, res *Resident, cpu int, pages []core.PageID, now sim.Time) int {
+	return e.issuePrefetches(o, res, cpu, pages, now)
+}
+
+// Ahead is the hit-side issue point, for an owner whose fetches take long
+// enough that windows issued at misses arrive late: called after OnAccess for
+// an access by pid that consumed a prefetched page, it asks the prefetcher
+// (when it is a prefetch.RunAhead) for the next frame pages that keep up to
+// limit pages in flight ahead of pid's stream, and issues them through
+// Prefetch. Hints steer it like OnAccessHinted: HintRandom issues nothing,
+// HintSequential stops at hintEnd. It returns how many pages were issued.
+func (e *Engine[O]) Ahead(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, frame, limit int, now sim.Time, hint Hint, hintEnd core.PageID) int {
+	if e.ahead == nil || hint == HintRandom {
+		return 0
+	}
+	cands := e.ahead.Ahead(pid, page, frame, limit, e.candBuf[:0])
+	e.candBuf = cands
+	if hint == HintSequential {
+		cands = slices.DeleteFunc(cands, func(c core.PageID) bool { return c >= hintEnd })
+	}
+	return e.Prefetch(o, res, cpu, cands, now)
 }
 
 // issuePrefetches fetches candidate pages into the cache asynchronously.
@@ -406,12 +430,12 @@ func (e *Engine[O]) Prefetch(o O, res *Resident, cpu int, pages []core.PageID, n
 // pages onto the demand request's trip through the block layer, so no
 // per-page block-layer overhead is charged on either path; each page pays
 // only dispatch + device time.
-func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) {
+func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) int {
 	if e.batchDev != nil {
-		e.issuePrefetchBatches(o, res, cpu, cands, now)
-		return
+		return e.issuePrefetchBatches(o, res, cpu, cands, now)
 	}
 	e.issuedBuf = e.issuedBuf[:0]
+	issued := 0
 	for _, c := range cands {
 		if res.Contains(c) {
 			continue
@@ -439,6 +463,7 @@ func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.Pa
 		if e.OnIssue != nil {
 			e.issuedBuf = append(e.issuedBuf, c)
 		}
+		issued++
 		if e.recording {
 			*e.cPrefetchIssued++
 		}
@@ -446,13 +471,14 @@ func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.Pa
 	if e.OnIssue != nil && len(e.issuedBuf) > 0 {
 		e.OnIssue(o, e.issuedBuf)
 	}
+	return issued
 }
 
 // issuePrefetchBatches is the doorbell path: the deduplicated candidates go
 // to the device in chunks of up to qdepth pages, so a prefetch window costs
 // one submission (and one fabric round-trip draw) per chunk instead of one
 // per page — the fan-out overlap the async remote engine exists for.
-func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) {
+func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) int {
 	e.batchPages = e.batchPages[:0]
 	e.batchDists = e.batchDists[:0]
 	for _, c := range cands {
@@ -488,6 +514,7 @@ func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []co
 	if e.OnIssue != nil && len(e.batchPages) > 0 {
 		e.OnIssue(o, e.batchPages)
 	}
+	return len(e.batchPages)
 }
 
 // BlockPrefetch marks page as being demand-fetched outside the owner's

@@ -280,6 +280,20 @@ func (e *Ensemble) OnPrefetchHit(pid PID) {
 	e.insts[c.selected].OnPrefetchHit(pid)
 }
 
+// Ahead implements RunAhead: the pages issued are the selected arm's, when it
+// can run ahead at all, and count as its predictions.
+func (e *Ensemble) Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID {
+	c := e.client(pid)
+	arm, ok := e.insts[c.selected].(RunAhead)
+	if !ok {
+		return dst
+	}
+	before := len(dst)
+	dst = arm.Ahead(pid, page, frame, limit, dst)
+	c.issued[c.selected] += int64(len(dst) - before)
+	return dst
+}
+
 // score is the epoch reward for arm i: coverage minus weighted pollution.
 // Coverage is scored hits over the epoch's misses; pollution is the
 // unconsumed fraction of the arm's predictions (clamped at 0 — shadow hits

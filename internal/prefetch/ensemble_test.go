@@ -2,7 +2,10 @@ package prefetch
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"leap/internal/core"
 )
 
 func TestEnsembleArmValidation(t *testing.T) {
@@ -206,5 +209,46 @@ func TestShadowSetWindowAndConsume(t *testing.T) {
 	s.add(7)
 	if !s.consume(7) || s.consume(7) {
 		t.Fatal("duplicate parks must consume exactly once")
+	}
+}
+
+// TestEnsembleRunsAheadWithItsSelectedArm: the selector runs ahead exactly
+// when the arm routing the client's prefetches can, with that arm's pages.
+func TestEnsembleRunsAheadWithItsSelectedArm(t *testing.T) {
+	scan := func(p Prefetcher) []PageID {
+		ra := p.(RunAhead)
+		var ahead []PageID
+		issued := map[PageID]bool{}
+		for pg := PageID(1000); pg < 1200; pg++ {
+			if issued[pg] {
+				p.OnPrefetchHit(1)
+			}
+			for _, c := range p.OnAccess(1, pg, !issued[pg], nil) {
+				issued[c] = true
+			}
+			if issued[pg] {
+				got := ra.Ahead(1, pg, 8, 56, nil)
+				for _, c := range got {
+					issued[c] = true
+				}
+				ahead = append(ahead, got...)
+			}
+		}
+		return ahead
+	}
+	leapFirst, err := NewEnsemble(EnsembleConfig{Arms: []string{"leap", "stride"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scan(NewLeap(core.Config{}))
+	if got := scan(leapFirst); len(want) < 100 || !slices.Equal(got, want) {
+		t.Fatalf("ensemble over leap ran ahead with %d pages, leap alone with %d", len(got), len(want))
+	}
+	strideFirst, err := NewEnsemble(EnsembleConfig{Arms: []string{"stride", "leap"}, EpochFaults: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scan(strideFirst); len(got) != 0 {
+		t.Fatalf("ensemble over stride, which cannot run ahead, issued %v", got)
 	}
 }

@@ -61,6 +61,11 @@ func (p *Leap) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageID 
 // OnPrefetchHit implements Prefetcher.
 func (p *Leap) OnPrefetchHit(pid PID) { p.predictor(pid).NoteHit() }
 
+// Ahead implements RunAhead with pid's predictor.
+func (p *Leap) Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID {
+	return p.predictor(pid).AheadInto(page, frame, limit, dst)
+}
+
 // Reset implements Prefetcher.
 func (p *Leap) Reset() {
 	p.procs = make(map[PID]*core.Predictor)

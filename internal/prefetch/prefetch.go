@@ -56,6 +56,16 @@ type Prefetcher interface {
 	Reset()
 }
 
+// RunAhead is the optional hit-side half of a Prefetcher, for data paths whose
+// fetches outlast a window (see core.Predictor.AheadInto). Ahead is called
+// after OnAccess, when pid's access to page consumed a prefetched page, and
+// appends to dst the pages to issue now so that up to limit pages stay in
+// flight ahead of pid's stream, a whole frame of them at a time. It returns
+// dst.
+type RunAhead interface {
+	Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID
+}
+
 // Factory builds a fresh Prefetcher.
 type Factory func() Prefetcher
 

@@ -492,7 +492,7 @@ func TestSubmitThenTicketWaitFromTwoGoroutines(t *testing.T) {
 		tickets[pg] = h.ReadPageAsync(core.PageID(pg), bufs[pg])
 	}
 	within(t, 5*time.Second, "Submit", func() {
-		if err := h.Submit(); err != nil {
+		if _, err := h.Submit(); err != nil {
 			t.Error(err)
 		}
 	})
@@ -548,7 +548,7 @@ func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
 		bufs[pg] = make([]byte, PageSize)
 		tickets = append(tickets, h.ReadPageAsync(core.PageID(pg), bufs[pg]))
 	}
-	if err := h.Submit(); err != nil {
+	if _, err := h.Submit(); err != nil {
 		t.Fatal(err)
 	}
 	wt := h.WritePageAsync(20, stamp(20))
@@ -666,7 +666,7 @@ func TestDemandReadsRunOutsideHostLock(t *testing.T) {
 	within(t, 5*time.Second, "ReadPageAsync + Submit next to two demand reads inside Call", func() {
 		pg, buf := on[0][1], make([]byte, PageSize)
 		tk := h.ReadPageAsync(pg, buf)
-		if err := h.Submit(); err != nil {
+		if _, err := h.Submit(); err != nil {
 			t.Error(err)
 		}
 		if !tk.Done() || tk.Err() != nil || !bytes.Equal(buf, stamp(int(pg))) {
@@ -730,7 +730,7 @@ func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
 	writes := map[string]func(h *Host, data []byte) error{
 		"async": func(h *Host, data []byte) error {
 			wt := h.WritePageAsync(3, data)
-			if err := h.Submit(); err != nil {
+			if _, err := h.Submit(); err != nil {
 				return err
 			}
 			if !wt.Done() {
@@ -752,7 +752,7 @@ func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
 			}
 			before, after := make([]byte, PageSize), make([]byte, PageSize)
 			early := h.ReadPageAsync(3, before)
-			if err := h.Submit(); err != nil {
+			if _, err := h.Submit(); err != nil {
 				t.Fatal(err)
 			}
 			if early.Done() {
@@ -837,7 +837,7 @@ func TestDetachedBufferIsNotWritten(t *testing.T) {
 	gone, kept := make([]byte, PageSize), make([]byte, PageSize)
 	t1 := h.ReadPageAsync(5, gone)
 	t2 := h.ReadPageAsync(5, kept)
-	if err := h.Submit(); err != nil {
+	if _, err := h.Submit(); err != nil {
 		t.Fatal(err)
 	}
 	t1.Detach()

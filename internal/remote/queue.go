@@ -43,13 +43,25 @@ import (
 // acked, so the chaos harness's "no acked-write loss" invariant is
 // unaffected by in-flight batches.
 
-// maxFlights bounds the frames in flight across the host. Reads submitted
-// and never waited for (a prefetch window nobody touches) would otherwise
-// pile their responses up in socket buffers without limit; at the bound the
-// oldest flight is landed before another frame starts. It bounds memory
-// only: what keeps a pipelined connection from deadlocking, at any depth, is
-// the transport's writeStall rule.
-const maxFlights = 8
+// maxFlights is the depth of the host's pipeline: how many frames may be in
+// flight at once, across its agents. Every frame in flight is a response the
+// host has yet to read — up to QueueDepth page images in a socket buffer —
+// so the bound is both what unreaped windows may cost in memory and how far
+// issue may run ahead of a reader: Ahead derives the run-ahead depth from it.
+// A frame that must start at the bound (a miss's window) lands the oldest
+// flight first; one that need not (a frame issued ahead) is not offered in
+// the first place, because Ahead reports no room. What keeps a pipelined
+// connection from deadlocking, at any depth, is the transport's writeStall
+// rule, not this bound.
+//
+// The value trades links against each other. Pages in flight must cover round
+// trip x consumption rate or an accurate prefetch is still a late one; more
+// than that only has agents run further ahead of the reader. On bench/'s
+// 2-core box (agents on the caller's scheduler; medians of rotated 8 s runs,
+// pages/s): at 8, seq_read_far (1 ms link) 35.6 k and seq_read (loopback)
+// 205 k; at 16, 68 k and 199 k; at 32, 170 k and 184 k; with one window in
+// flight at a time, before run-ahead, 6.8 k and 172 k.
+const maxFlights = 16
 
 // Ticket is the completion handle of one asynchronous page operation. A
 // ticket completes when the flight carrying its operation lands; Err is
@@ -408,11 +420,30 @@ func (h *Host) Flush() error {
 // Ticket.Wait (or Flush) that needs them. Writes queued ahead of the reads
 // are pushed exactly as Flush pushes them, so Submit never returns with a
 // write in flight and reports write failures like Flush. Over transports
-// that cannot start without finishing it is Flush.
-func (h *Host) Submit() error {
+// that cannot start without finishing it is Flush, and flying is false:
+// every ticket issued before the call has completed. With flying true some
+// frame is still in the air and a caller has nothing to gain from polling
+// its tickets.
+func (h *Host) Submit() (flying bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.drain(false)
+	err = h.drain(false)
+	return len(h.flights) > 0, err
+}
+
+// Ahead reports what a reader's stream may keep in flight ahead of itself
+// over this host: frames of frame pages (QueueDepth, one wire frame), up to
+// room pages in all — the pipeline less the slot a demand read takes — or
+// none while the pipeline is full, when another frame could only start by
+// waiting for the oldest to land. A caller issuing ahead skips its turn then
+// and asks again at its next access.
+func (h *Host) Ahead() (frame, room int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.flights) >= maxFlights-1 {
+		return h.cfg.QueueDepth, 0
+	}
+	return h.cfg.QueueDepth, (maxFlights - 1) * h.cfg.QueueDepth
 }
 
 // PendingWrites reports the queued, unflushed write count — the dirty

@@ -104,6 +104,7 @@ func (c *Client) PredictorStats() (st core.Stats, ok bool) {
 		st.PagesPredicted += ps.PagesPredicted
 		st.WindowGrowths += ps.WindowGrowths
 		st.WindowShrinks += ps.WindowShrinks
+		st.AheadPages += ps.AheadPages
 	}
 	return st, ok
 }

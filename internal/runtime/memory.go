@@ -745,6 +745,10 @@ type Stats struct {
 	// PrefetchIssued counts pages the prefetcher requested; Swapouts counts
 	// resident evictions.
 	PrefetchIssued, Swapouts int64
+	// PrefetchAheadPages counts those of PrefetchIssued that were issued from
+	// a prefetch hit, ahead of the stream, rather than from a miss. Always 0
+	// over transports that finish what they start.
+	PrefetchAheadPages int64
 	// Evictions counts residency evictions that reached the byte-moving
 	// eviction hook; WritebackPages counts page images actually pushed to
 	// the host by eviction or compressed-tier overflow. Both are
@@ -840,6 +844,7 @@ func (m *Memory) Stats() Stats {
 		s.Swapouts += c.Get("swapouts")
 		s.Evictions += sh.nEvictions
 		s.WritebackPages += sh.nWritebacks
+		s.PrefetchAheadPages += sh.nAhead
 		s.Ztier.Hits += c.Get("ztier_hits")
 		if sh.ztier != nil {
 			zs := sh.ztier.Stats()

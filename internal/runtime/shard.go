@@ -96,9 +96,11 @@ type shard struct {
 
 	// nEvictions counts residency evictions reaching evictResident;
 	// nWritebacks counts page images actually pushed to the host (eviction
-	// or compressed-tier overflow). Recording-gated, read under mu.
+	// or compressed-tier overflow); nAhead counts prefetch pages issued from
+	// a hit (issueAhead). Recording-gated, read under mu.
 	nEvictions  int64
 	nWritebacks int64
+	nAhead      int64
 }
 
 // hintRange is one Advise declaration: advice applies to pages
@@ -254,10 +256,10 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 // puts the read frames on the wire and returns without waiting: each frame
 // keeps its ticket as its pending fill, reaped by the first access that
 // needs the page. Pages with no remote image materialize as zeros without
-// touching the wire. Over a transport that finishes what it starts the
-// tickets are complete on return, and a page whose fetch failed is abandoned
-// here (see abandonPrefetch); otherwise the failure surfaces when the fill
-// is reaped.
+// touching the wire. Over transports that finish what they start the tickets
+// are complete on return, and a page whose fetch failed is abandoned here (see
+// abandonPrefetch); with a frame still flying there is nothing to collect yet,
+// and a failure surfaces when the fill is reaped.
 func (s *shard) fetchPrefetches(pages []core.PageID) {
 	m := s.m
 	s.fills = s.fills[:0]
@@ -280,7 +282,11 @@ func (s *shard) fetchPrefetches(pages []core.PageID) {
 	// writebacks — from every shard; the host is shared — and only a
 	// write-op failure (acked application data no replica accepted) may
 	// poison the Memory.
-	m.latchWriteback(m.host.Submit())
+	flying, err := m.host.Submit()
+	m.latchWriteback(err)
+	if flying {
+		return
+	}
 	for i, f := range s.fills {
 		t := f.fill
 		if !t.Done() {
@@ -290,6 +296,28 @@ func (s *shard) fetchPrefetches(pages []core.PageID) {
 		if t.Err() != nil {
 			s.abandonPrefetch(s.fillPages[i])
 		}
+	}
+}
+
+// issueAhead keeps a stream's prefetches ahead of the wire. A predictor that
+// speaks only on misses stalls a scan once per window: the window is consumed
+// faster than the next one's round trip. So when pid's access to pg landed on
+// a prefetched page whose bytes were still in flight — fetches outlast
+// windows, which over a transport that finishes what it starts never happens,
+// and this is never reached — the engine asks the client's predictor to run
+// ahead (core.Predictor.AheadInto): whole frames beyond the stream's frontier,
+// through the same dedup and the same fetchPrefetches as a miss's window. The
+// depth is bounded by what the host may keep in flight and by a quarter of the
+// stripe's residency budget, which prefetched pages are charged to — or the
+// one frame a miss's window may take whatever the budget. With the host's
+// pipeline full Ahead reports no room and the stream skips its turn: waiting
+// for a flight to land is for accesses that need the page.
+func (s *shard) issueAhead(pid prefetch.PID, pg core.PageID, now sim.Time, hint paging.Hint, hintEnd core.PageID) {
+	frame, room := s.m.host.Ahead()
+	limit := min(room, max(int(s.res.Limit)/4, frame))
+	n := s.eng.Ahead(s, s.res, pid, 0, pg, frame, limit, now, hint, hintEnd)
+	if s.eng.Recording() {
+		s.nAhead += int64(n)
 	}
 }
 
@@ -410,6 +438,10 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		*s.cAccesses++
 	}
 	first := true
+	// late records that pg's prefetch was still filling its frame when the
+	// access arrived: fetches outlast the windows that issue them here, which
+	// is what run-ahead is for (issueAhead).
+	late := false
 	var now sim.Time
 	for {
 		now = m.clock.Now()
@@ -460,11 +492,14 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// A prefetched frame whose bytes are still on the wire: reap the
 		// fill before the fault consumes the page (a failed fill turns the
 		// access into a demand miss, before the engine has seen it).
-		if f, ok := s.frames.Get(pg); ok && f.fill != nil && !s.reapFill(pg, f) {
-			if err := m.loadErr(); err != nil {
-				return nil, err
+		if f, ok := s.frames.Get(pg); ok && f.fill != nil {
+			late = true
+			if !s.reapFill(pg, f) {
+				if err := m.loadErr(); err != nil {
+					return nil, err
+				}
+				continue
 			}
-			continue
 		}
 		break
 	}
@@ -531,11 +566,13 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	}
 	m.clock.Advance(latency)
 	now = m.clock.Now()
-	if s.hints == nil {
-		s.eng.OnAccess(s, s.res, pid, 0, pg, miss, now)
-	} else {
-		hint, hintEnd := s.hintFor(pid, pg)
-		s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
+	hint, hintEnd := paging.HintNone, core.PageID(0)
+	if s.hints != nil {
+		hint, hintEnd = s.hintFor(pid, pg)
+	}
+	s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
+	if late && !miss {
+		s.issueAhead(pid, pg, now, hint, hintEnd)
 	}
 	if demand != nil {
 		// The clock has been advanced and the window issued; on a failure

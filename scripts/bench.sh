@@ -9,7 +9,8 @@
 #     is a complete experiment, so 1x is already meaningful and keeps the
 #     suite fast);
 #   - the per-layer benchmarks that live in their layer's package
-#     (internal/remote: one TCP round trip, eight pipelined).
+#     (internal/remote: one TCP round trip, eight pipelined;
+#     internal/runtime: a scan over a link that answers 200 us late).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,10 @@ go test -run '^$' -benchmem -count 1 -benchtime 1x \
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
   -bench 'BenchmarkTCP' \
   ./internal/remote | tee -a "$TMP"
+
+go test -run '^$' -benchmem -count 1 -benchtime 2s \
+  -bench 'BenchmarkScanDelayedLink' \
+  ./internal/runtime | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
 echo "wrote $OUT"
