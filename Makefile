@@ -62,9 +62,11 @@ smoke:
 # TestFiguresMatchGolden (internal/experiments, part of `make test`). The
 # targets below are each subsystem's suites under the race detector.
 
-# The shared fault-path engine and the leap.Memory runtime.
+# The shared fault-path engine and the leap.Memory runtime; the two tests
+# of the read pipeline that run on the wall clock, three times over.
 runtime-smoke:
 	$(GO) test -race . ./internal/runtime ./internal/paging/...
+	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers' ./internal/runtime ./internal/remote
 
 # The concurrent runtime: stress, property and chaos suites plus the
 # 1-goroutine parity gate.

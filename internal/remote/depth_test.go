@@ -1,0 +1,306 @@
+package remote
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+	"time"
+
+	"leap/internal/core"
+)
+
+// fakeClock is a wall clock that only the test and its links move.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+func (c *fakeClock) advanceTo(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.After(c.now) {
+		c.now = t
+	}
+}
+
+// timedLink is a split-phase transport over an in-process agent that plays a
+// link's time on a fake clock: the agent serves one request at a time, service
+// apiece, and a response is due delay after it has been served. Waiting for a
+// response moves the clock to when it is due, and taking it costs take on top,
+// as reading and decoding one does whether or not it had to be waited for.
+type timedLink struct {
+	inner                *InProc
+	clock                *fakeClock
+	delay, service, take time.Duration
+	free                 time.Time // when the agent is done with what it has been given
+}
+
+type timedPending struct {
+	l    *timedLink
+	due  time.Time
+	resp *Response
+	err  error
+}
+
+func (p timedPending) Wait() (*Response, error) {
+	p.l.clock.advanceTo(p.due)
+	p.l.clock.advance(p.l.take)
+	return p.resp, p.err
+}
+
+func (l *timedLink) Start(req *Request) (Pending, error) {
+	resp, err := l.inner.Call(req)
+	if now := l.clock.Now(); now.After(l.free) {
+		l.free = now
+	}
+	l.free = l.free.Add(l.service)
+	return timedPending{l, l.free.Add(l.delay), resp, err}, nil
+}
+
+func (l *timedLink) Call(req *Request) (*Response, error) {
+	p, _ := l.Start(req)
+	return p.Wait()
+}
+
+func (l *timedLink) Close() error { return nil }
+
+// pipeReader reads a host's pages in frames of 8 the way a scan over the
+// runtime does: it keeps as many frames in flight as Ahead allows, collects
+// the oldest, and takes pace over every page. Frame k is the 8 pages from
+// page(k) on, 8k when page is nil.
+type pipeReader struct {
+	t      *testing.T
+	h      *Host
+	clock  *fakeClock
+	pace   time.Duration
+	page   func(k int) core.PageID
+	next   int // the first frame not issued
+	flying [][]*Ticket
+	bufs   [][][]byte
+}
+
+func (r *pipeReader) first(k int) core.PageID {
+	if r.page != nil {
+		return r.page(k)
+	}
+	return core.PageID(8 * k)
+}
+
+func (r *pipeReader) issue() {
+	ts, bs := make([]*Ticket, 8), make([][]byte, 8)
+	for i := range ts {
+		bs[i] = make([]byte, PageSize)
+		ts[i] = r.h.ReadPageAsync(r.first(r.next)+core.PageID(i), bs[i])
+	}
+	if _, err := r.h.Submit(); err != nil {
+		r.t.Fatal(err)
+	}
+	r.flying, r.bufs = append(r.flying, ts), append(r.bufs, bs)
+	r.next++
+}
+
+// frames reads the next n frames and returns how long the reader was blocked
+// on the wire and the most pages it saw in flight.
+func (r *pipeReader) frames(n int) (blocked time.Duration, peak int) {
+	r.t.Helper()
+	for k := r.next - len(r.flying); n > 0; k, n = k+1, n-1 {
+		if frame, room := r.h.Ahead(); room > 0 {
+			for 8*len(r.flying)+frame <= room {
+				r.issue()
+			}
+		}
+		if len(r.flying) == 0 {
+			r.issue() // a miss
+		}
+		_, flying, bound := r.h.Pipeline()
+		if flying > bound {
+			r.t.Fatalf("%d pages in flight, above the %d the host may leave unread", flying, bound)
+		}
+		peak = max(peak, flying)
+		ts, bs := r.flying[0], r.bufs[0]
+		r.flying, r.bufs = r.flying[1:], r.bufs[1:]
+		for i, t := range ts {
+			b, err := t.Collect()
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			blocked += b
+			if pg := int(r.first(k)) + i; !bytes.Equal(bs[i], stamp(pg)) {
+				r.t.Fatalf("page %d: wrong bytes", pg)
+			}
+			r.clock.advance(r.pace)
+		}
+	}
+	return blocked, peak
+}
+
+// timedHost returns a host on a fake clock over links (one agent each) holding
+// stamp(pg) in pages [0, pages), and a reader of it at pace a page.
+func timedHost(t *testing.T, pages int, pace time.Duration, links ...*timedLink) (*Host, *pipeReader) {
+	t.Helper()
+	clock := &fakeClock{now: time.Unix(1, 0)}
+	trs := make([]Transport, len(links))
+	for i, l := range links {
+		l.inner, l.clock = NewInProc(NewAgent(1024, 0)), clock
+		trs[i] = l
+	}
+	h, err := NewHost(HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.clock = clock.Now
+	t.Cleanup(func() { h.Close() })
+	for pg := 0; pg < pages; pg++ {
+		if err := h.WritePage(core.PageID(pg), stamp(pg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h, &pipeReader{t: t, h: h, clock: clock, pace: pace}
+}
+
+// TestDepthCoversALinkThatGotSlower: a 200 us link under a reader that takes
+// 4 us a page becomes four times slower, then (from 200 us again) three times.
+// The first makes the reader wait longer than the link was thought to take at
+// all, and within a few dozen frames the link is measured again; the second
+// hides behind the headroom — the waits it causes are shorter than a queue
+// could — and is caught when the estimate has aged staleAfter round trips.
+// Either way the pipeline ends up covering the link as it is, and the reader
+// waits no more than the leak's probing costs.
+func TestDepthCoversALinkThatGotSlower(t *testing.T) {
+	const pace, was = 4 * time.Microsecond, 200 * time.Microsecond
+	for _, c := range []struct {
+		name   string
+		slower time.Duration
+		within int // frames
+	}{
+		{"fourfold", 4 * was, 192},
+		{"threefold", 3 * was, int(staleAfter * was / (8 * pace) * 3 / 2)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := &timedLink{delay: was}
+			h, r := timedHost(t, 1<<17, pace, l)
+			r.frames(1024)
+			blocked, _ := r.frames(64)
+			if lat := h.FetchLatency()[0]; lat != was || blocked > 64*8*pace/20 {
+				t.Fatalf("at %v: link taken for %v, reader blocked %v over 64 frames", was, lat, blocked)
+			}
+			l.delay = c.slower
+			r.frames(c.within)
+			lat := h.FetchLatency()[0]
+			r.frames(256) // the pipeline deepens, and the leak finds its level
+			blocked, peak := r.frames(64)
+			depth, _, _ := h.Pipeline()
+			t.Logf("at %v: link taken for %v, depth %d, at most %d pages in flight, reader blocked %v over 64 frames",
+				c.slower, h.FetchLatency()[0], depth, peak, blocked)
+			if lat != c.slower {
+				t.Errorf("link taken for %v %d frames after it slowed to %v", lat, c.within, c.slower)
+			}
+			if need := int(c.slower / pace); peak < need {
+				t.Errorf("at most %d pages in flight, the link needs %d", peak, need)
+			}
+			if blocked > 64*8*pace/20 {
+				t.Errorf("reader blocked %v over 64 frames once the link was measured again", blocked)
+			}
+		})
+	}
+}
+
+// TestDepthIsTheSlowestLinks: frames come alternately from a 1 ms link and from
+// one with no delay whose agent, at 100 us a frame, is what holds the reader
+// up — so the fast link's reaps block all the time and sample all the time,
+// and say a few frames are enough. That must not take away what the slow link
+// needs: depth is the most any link asks for, not what the last sampler did.
+func TestDepthIsTheSlowestLinks(t *testing.T) {
+	slow, fast := &timedLink{delay: time.Millisecond}, &timedLink{service: 100 * time.Microsecond}
+	h, r := timedHost(t, 16*1024, 4*time.Microsecond, slow, fast)
+	var on [2][]core.PageID // first pages of the slabs on each link
+	for slab := 0; slab < 16; slab++ {
+		h.mu.Lock()
+		p, err := h.placement(SlabID(slab))
+		h.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		on[p[0]] = append(on[p[0]], core.PageID(slab*1024))
+	}
+	if len(on[0]) < 4 || len(on[1]) < 4 {
+		t.Fatalf("placement put %d slabs on one link and %d on the other", len(on[0]), len(on[1]))
+	}
+	r.page = func(k int) core.PageID { return on[k%2][k/2/128] + core.PageID(k/2%128*8) }
+	r.frames(256)
+	// The agent lets two frames through every 100 us, one from each link.
+	need := int(time.Millisecond / (50 * time.Microsecond) * 8)
+	least, slowBlocked := 1<<30, time.Duration(0)
+	for k := 0; k < 512; k++ {
+		blocked, _ := r.frames(1)
+		if k%2 == 0 {
+			slowBlocked += blocked
+		}
+		depth, _, _ := h.Pipeline()
+		least = min(least, depth)
+	}
+	depth, _, _ := h.Pipeline()
+	t.Logf("links taken for %v; over 512 frames depth never under %d and %d at the end, reader blocked %v on the slow link's frames",
+		h.FetchLatency(), least, depth, slowBlocked)
+	// The fast link's first flights were started with a queue ahead of them
+	// (an unmeasured host allows its bound): it is measured empty all the same.
+	if lat := h.FetchLatency()[1]; lat > 2*fast.service {
+		t.Errorf("fast link taken for %v, its agent serves a frame in %v", lat, fast.service)
+	}
+	// Its waits, which no depth shortens, must not keep the pipeline at the
+	// bound it started from either: twice what the reader could use at its
+	// own pace over the slow link, and the quanta, is the most it is worth.
+	if most := 2*int(slow.delay/r.pace) + 3*8; depth > most {
+		t.Errorf("depth %d at the end, want %d at most", depth, most)
+	}
+	// The leak's probing takes depth a little under the need now and then,
+	// and the reader waits a little for it; a depth set by the fast link's
+	// samples sits at a third of the need, and the reader waits ten times that.
+	if least < need*3/4 {
+		t.Errorf("depth fell to %d, the slow link needs %d", least, need)
+	}
+	if slowBlocked > 2*time.Millisecond {
+		t.Errorf("reader blocked %v on the slow link's frames", slowBlocked)
+	}
+}
+
+// TestDepthIsGivenBackToAFasterLink: a 1 ms link becomes a 50 us one under a
+// reader that takes 4 us a page and 10 us to take a frame's response. Nothing
+// blocks any more, so there is no sample to say so: the leak has to find it,
+// within 256 frames, telling the 10 us every reap costs from a wait.
+func TestDepthIsGivenBackToAFasterLink(t *testing.T) {
+	const pace = 4 * time.Microsecond
+	l := &timedLink{delay: time.Millisecond, take: 10 * time.Microsecond}
+	h, r := timedHost(t, 1<<16, pace, l)
+	r.frames(1024)
+	_, deep := r.frames(64)
+	l.delay = 50 * time.Microsecond
+	r.frames(256)
+	blocked, peak := r.frames(64)
+	depth, _, _ := h.Pipeline()
+	t.Logf("at most %d pages in flight at 1 ms; 256 frames after the link sped up to 50 us: depth %d, at most %d pages in flight, link taken for %v, reader blocked %v over 64 frames",
+		deep, depth, peak, h.FetchLatency()[0], blocked)
+	if need := int(time.Millisecond / pace); deep < need {
+		t.Fatalf("test premise: at most %d pages in flight at 1 ms, the link needs %d", deep, need)
+	}
+	// 50 us and the 10 us of the take, at 250 pages/ms, twice over, the quanta,
+	// and a frame of the leak's last step.
+	if most := 2*15 + 3*8 + 8; depth > most {
+		t.Errorf("depth %d 256 frames after the link sped up, want %d at most", depth, most)
+	}
+	if blocked > 64*8*pace/20 {
+		t.Errorf("reader blocked %v over 64 frames", blocked)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"leap/internal/core"
 	"leap/internal/sim"
@@ -154,6 +155,26 @@ type Host struct {
 	// landed (on mu) wakes goroutines waiting for another's landing.
 	flights []*flight
 	landed  *sync.Cond
+	// The depth estimator's books (depth.go): its state per agent link; the
+	// pages readers may keep in flight ahead of themselves; the pages of read
+	// frames in the air, the most of them since depth last moved, and those
+	// landed so far; the pages landed without a wait since depth last moved,
+	// and the pages in flight when a reader last found the pipeline short;
+	// and the time some reaper has spent waiting for a read frame. clock is
+	// time.Now (a field so tests can play the link's time themselves); it is
+	// read only for read frames left in flight, which a transport that
+	// finishes what it starts never has.
+	links       []link
+	depth       int
+	flying      int
+	peak        int
+	landedPages int64
+	unblocked   int
+	short       int
+	waiters     int
+	waitSince   time.Time
+	waited      time.Duration
+	clock       func() time.Time
 	// unreported is a write failure flushed out by a caller that could only
 	// report its own operation (Ticket.Wait); the next Flush or Submit
 	// returns it.
@@ -186,6 +207,9 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 		queues:       make([][]queueEntry, len(transports)),
 		readsPending: make(map[core.PageID]*pendingRead),
 		dirty:        make(map[core.PageID]*pendingWrite),
+		links:        make([]link, len(transports)),
+		depth:        maxUnreaped / PageSize,
+		clock:        time.Now,
 	}
 	h.landed = sync.NewCond(&h.mu)
 	return h, nil

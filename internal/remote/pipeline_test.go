@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +219,12 @@ func smallBuffers(size int) func(net.Conn) net.Conn {
 // sixteen times the buffer) and fewer small reads, because loopback moves a
 // megabyte through 4 KB buffers in 19.5 s (one delayed ACK per window). Both
 // cases hang with the rule switched off.
+//
+// The third case is the host's read pipeline at its bound: as many 8-page
+// read frames as maxUnreaped allows, started on one goroutine before any is
+// collected, through 32 KB buffers. The requests are small enough to queue up
+// behind the agent's blocked response write, so the writeStall rule, which
+// costs 5 ms each time, must have next to nothing to do there.
 func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
 	for _, c := range []struct{ bufSize, depth, small int }{{32 << 10, MaxBatchOps, 40}, {4 << 10, 16, 8}} {
 		t.Run(fmt.Sprintf("buf%dK_depth%d", c.bufSize>>10, c.depth), func(t *testing.T) {
@@ -225,6 +232,72 @@ func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
 			pipelineThroughSmallBuffers(t, smallBuffers(c.bufSize), c.depth, c.small)
 		})
 	}
+	t.Run("reads_at_the_bound", func(t *testing.T) {
+		t.Parallel()
+		const depth = DefaultQueueDepth
+		frames := maxUnreaped / (depth * PageSize)
+		shrink := smallBuffers(32 << 10)
+		conn, err := net.Dial("tcp", serveAgent(t, NewAgent(depth, 0), shrink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &stallCounter{Conn: shrink(conn)}
+		tr := newTCP(counted)
+		tr.timeout = time.Minute
+		defer tr.Close()
+		refs := make([]BatchRef, depth)
+		pages := make([][]byte, depth)
+		for i := range refs {
+			refs[i] = BatchRef{Slab: 1, PageOff: uint32(i)}
+			pages[i] = stamp(i)
+		}
+		within(t, 20*time.Second, "the read pipeline at its bound over small socket buffers", func() {
+			mustCall(t, tr, &Request{Op: OpMapSlab, Slab: 1})
+			wb, _ := EncodeWriteBatch(refs, pages)
+			mustCall(t, tr, wb)
+			ps := make([]Pending, frames)
+			for i := range ps {
+				rb, _ := EncodeReadBatch(refs)
+				if ps[i], err = tr.Start(rb); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for i, p := range ps {
+				resp, err := p.Wait()
+				if err != nil {
+					t.Errorf("frame %d: %v", i, err)
+					return
+				}
+				res, err := DecodeReadBatchResponse(resp)
+				if err != nil || len(res) != depth || !bytes.Equal(res[depth-1].Page, stamp(depth-1)) {
+					t.Errorf("frame %d: wrong pages (%v)", i, err)
+					return
+				}
+			}
+		})
+		stalls := counted.stalls.Load()
+		t.Logf("%d read frames outstanding, %d request writes unstuck by writeStall", frames, stalls)
+		if stalls > 8 {
+			t.Errorf("writeStall fired %d times for %d outstanding read frames: the bound leans on it", stalls, frames)
+		}
+	})
+}
+
+// stallCounter counts the request writes that made no progress for writeStall:
+// the times the rule had to reap a response to unstick one.
+type stallCounter struct {
+	net.Conn
+	stalls atomic.Int64
+}
+
+func (c *stallCounter) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		c.stalls.Add(1)
+	}
+	return n, err
 }
 
 // pipelineThroughSmallBuffers starts, without waiting for any: a depth-page

@@ -86,6 +86,7 @@ func (h *Host) AddAgent(tr Transport) int {
 	h.transports = append(h.transports, tr)
 	h.slabLoad = append(h.slabLoad, 0)
 	h.queues = append(h.queues, nil)
+	h.links = append(h.links, link{})
 	return len(h.transports) - 1
 }
 

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"leap/internal/core"
 	"leap/internal/sim"
@@ -43,26 +44,6 @@ import (
 // acked, so the chaos harness's "no acked-write loss" invariant is
 // unaffected by in-flight batches.
 
-// maxFlights is the depth of the host's pipeline: how many frames may be in
-// flight at once, across its agents. Every frame in flight is a response the
-// host has yet to read — up to QueueDepth page images in a socket buffer —
-// so the bound is both what unreaped windows may cost in memory and how far
-// issue may run ahead of a reader: Ahead derives the run-ahead depth from it.
-// A frame that must start at the bound (a miss's window) lands the oldest
-// flight first; one that need not (a frame issued ahead) is not offered in
-// the first place, because Ahead reports no room. What keeps a pipelined
-// connection from deadlocking, at any depth, is the transport's writeStall
-// rule, not this bound.
-//
-// The value trades links against each other. Pages in flight must cover round
-// trip x consumption rate or an accurate prefetch is still a late one; more
-// than that only has agents run further ahead of the reader. On bench/'s
-// 2-core box (agents on the caller's scheduler; medians of rotated 8 s runs,
-// pages/s): at 8, seq_read_far (1 ms link) 35.6 k and seq_read (loopback)
-// 205 k; at 16, 68 k and 199 k; at 32, 170 k and 184 k; with one window in
-// flight at a time, before run-ahead, 6.8 k and 172 k.
-const maxFlights = 16
-
 // Ticket is the completion handle of one asynchronous page operation. A
 // ticket completes when the flight carrying its operation lands; Err is
 // meaningful only once Done reports true.
@@ -98,25 +79,37 @@ func (t *Ticket) Err() error {
 // (never submitted, or requeued by a failover), rings the doorbell first.
 // Host.mu is not held while it waits for the wire.
 func (t *Ticket) Wait() error {
-	t.host.mu.Lock()
-	defer t.host.mu.Unlock()
-	t.host.await(t)
-	return t.err
+	_, err := t.Collect()
+	return err
 }
 
-// await blocks until t completes. Callers hold h.mu, which is released
-// whenever it waits for the wire.
-func (h *Host) await(t *Ticket) {
+// Collect is Wait for a caller that wants to know what the wait cost: blocked
+// is how long it was held up by read frames whose responses had yet to arrive
+// (see touchDown), 0 when every response it needed was there for the taking —
+// and over a transport that finishes what it starts, where no clock is read.
+func (t *Ticket) Collect() (blocked time.Duration, err error) {
+	t.host.mu.Lock()
+	defer t.host.mu.Unlock()
+	return t.host.await(t), t.err
+}
+
+// await blocks until t completes and returns how long read frames in flight
+// held it up. Callers hold h.mu, which is released whenever it waits for the
+// wire.
+func (h *Host) await(t *Ticket) (blocked time.Duration) {
 	for !t.done {
 		// An operation that is not done is in a flight, in a queue, or both (a
 		// write fans out; a failed read is requeued), so one of the two makes
 		// progress: landing a flight, or starting what is queued.
 		if f := t.flight(); f != nil {
-			h.keepFor(t, h.reap(f))
+			waited, err := h.reap(f)
+			blocked += waited
+			h.keepFor(t, err)
 		} else {
 			h.keepFor(t, h.drain(false))
 		}
 	}
+	return blocked
 }
 
 // flight returns a frame in the air that carries t's operation, or nil when
@@ -246,6 +239,16 @@ type flight struct {
 	// request of any single-op frame: neither is allocated apart.
 	one [1]queueEntry
 	req Request
+	// The depth estimator's record of a read frame left in the air (takeOff;
+	// pages is 0 for every other flight): its pages, when it started, the
+	// host's landedPages and waitedBy then, the pages in flight ahead of it
+	// on its link, and those in flight with it across the host.
+	pages   int
+	started time.Time
+	landed0 int64
+	waited0 time.Duration
+	ahead   int
+	level   int
 }
 
 // ReadPageAsync enqueues a read of page into buf (len PageSize) and returns
@@ -431,21 +434,6 @@ func (h *Host) Submit() (flying bool, err error) {
 	return len(h.flights) > 0, err
 }
 
-// Ahead reports what a reader's stream may keep in flight ahead of itself
-// over this host: frames of frame pages (QueueDepth, one wire frame), up to
-// room pages in all — the pipeline less the slot a demand read takes — or
-// none while the pipeline is full, when another frame could only start by
-// waiting for the oldest to land. A caller issuing ahead skips its turn then
-// and asks again at its next access.
-func (h *Host) Ahead() (frame, room int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.flights) >= maxFlights-1 {
-		return h.cfg.QueueDepth, 0
-	}
-	return h.cfg.QueueDepth, (maxFlights - 1) * h.cfg.QueueDepth
-}
-
 // PendingWrites reports the queued, unflushed write count — the dirty
 // backlog an eviction pipeline bounds before ringing the doorbell.
 func (h *Host) PendingWrites() int {
@@ -502,7 +490,8 @@ func (h *Host) drain(barrier bool) error {
 		}
 		for barrier && len(h.flights) > 0 {
 			active = true
-			note(h.reap(h.flights[0]))
+			_, err := h.reap(h.flights[0])
+			note(err)
 		}
 	}
 	return firstErr
@@ -524,8 +513,9 @@ func (h *Host) startNext(idx int) (werr error) {
 	// Make room first: landing a flight releases h.mu, and the queue must not
 	// change between cutting a batch and starting it (two writes of one page
 	// would reach the agent in the wrong order).
-	for len(h.flights) >= maxFlights {
-		note(h.reap(h.flights[0]))
+	for (h.flying+h.cfg.QueueDepth)*PageSize > maxUnreaped {
+		_, err := h.reap(h.flights[0])
+		note(err)
 	}
 
 	q := h.queues[idx]
@@ -570,9 +560,13 @@ func (h *Host) startNext(idx int) (werr error) {
 		note(h.land(f, c.resp, c.err))
 		return werr
 	}
+	if isRead {
+		h.takeOff(f)
+	}
 	h.fly(f)
 	if !isRead {
-		note(h.reap(f))
+		_, err := h.reap(f)
+		note(err)
 	}
 	return werr
 }
@@ -617,16 +611,21 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 // reap waits for f's response and lands it, releasing h.mu for the wait —
 // Host.mu is never held across a blocking receive. When another goroutine is
 // already waiting on f, it waits for that goroutine's landing instead. The
-// landing's write error, if any, goes to the goroutine that performed it.
-// Callers hold h.mu.
-func (h *Host) reap(f *flight) error {
+// landing's write error, if any, goes to the goroutine that performed it, and
+// so does blocked: how long a read frame of the pipeline kept it waiting for
+// a response that had not arrived (touchDown). Callers hold h.mu.
+func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 	for f.reaping {
 		h.landed.Wait()
 	}
 	if f.landed {
-		return nil
+		return 0, nil
 	}
 	f.reaping = true
+	var waitFrom time.Time
+	if f.pages > 0 {
+		waitFrom = h.waitFor()
+	}
 	h.mu.Unlock()
 	resp, err := f.pend.Wait()
 	h.mu.Lock()
@@ -634,10 +633,13 @@ func (h *Host) reap(f *flight) error {
 	if i := slices.Index(h.flights, f); i >= 0 {
 		h.flights = slices.Delete(h.flights, i, i+1)
 	}
-	werr := h.land(f, resp, err)
+	if f.pages > 0 {
+		blocked = h.touchDown(f, waitFrom, err == nil)
+	}
+	werr = h.land(f, resp, err)
 	f.landed = true
 	h.landed.Broadcast()
-	return werr
+	return blocked, werr
 }
 
 // land applies the outcome of f's round trip to the operations it carried.

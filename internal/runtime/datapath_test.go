@@ -187,7 +187,8 @@ func image(pg core.PageID) []byte {
 
 // gatedMemory opens a Memory with a 64-page budget over one gated agent and
 // stores image(pg) in pages [0, pages), so that the low pages live only on
-// the agent.
+// the agent. The host's clock stands still: the link is played by hand, and
+// what the host makes of it must not depend on how long that took.
 func gatedMemory(t *testing.T, pages int, opts ...Option) (*Memory, *batchGate) {
 	t.Helper()
 	g := newBatchGate(64)
@@ -196,6 +197,7 @@ func gatedMemory(t *testing.T, pages int, opts ...Option) (*Memory, *batchGate) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	setHostClock(h, newFakeClock().Now)
 	m, err := Open(append([]Option{WithRemoteHost(h), WithCacheCapacity(64), WithSeed(11)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"leap/internal/control"
 	"leap/internal/core"
@@ -749,6 +750,13 @@ type Stats struct {
 	// a prefetch hit, ahead of the stream, rather than from a miss. Always 0
 	// over transports that finish what they start.
 	PrefetchAheadPages int64
+	// PrefetchLate counts prefetch hits that had to wait for their page to
+	// arrive, and PrefetchLateWait is the wall time they waited: the prefetch
+	// was accurate and still not timely (§3.1). The host's depth estimator
+	// runs on the same measurement. Both 0 over transports that finish what
+	// they start.
+	PrefetchLate     int64
+	PrefetchLateWait time.Duration
 	// Evictions counts residency evictions that reached the byte-moving
 	// eviction hook; WritebackPages counts page images actually pushed to
 	// the host by eviction or compressed-tier overflow. Both are
@@ -845,6 +853,8 @@ func (m *Memory) Stats() Stats {
 		s.Evictions += sh.nEvictions
 		s.WritebackPages += sh.nWritebacks
 		s.PrefetchAheadPages += sh.nAhead
+		s.PrefetchLate += sh.nLate
+		s.PrefetchLateWait += sh.lateWait
 		s.Ztier.Hits += c.Get("ztier_hits")
 		if sh.ztier != nil {
 			zs := sh.ztier.Stats()

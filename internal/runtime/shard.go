@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"leap/internal/core"
 	"leap/internal/pagecache"
@@ -97,10 +98,14 @@ type shard struct {
 	// nEvictions counts residency evictions reaching evictResident;
 	// nWritebacks counts page images actually pushed to the host (eviction
 	// or compressed-tier overflow); nAhead counts prefetch pages issued from
-	// a hit (issueAhead). Recording-gated, read under mu.
+	// a hit (issueAhead); nLate counts prefetch hits that had to wait for
+	// their page's response and lateWait the time they waited (reapFill).
+	// Recording-gated, read under mu.
 	nEvictions  int64
 	nWritebacks int64
 	nAhead      int64
+	nLate       int64
+	lateWait    time.Duration
 }
 
 // hintRange is one Advise declaration: advice applies to pages
@@ -338,25 +343,27 @@ func (s *shard) abandonPrefetch(page core.PageID) {
 }
 
 // reapFill completes the outstanding fill of f, the prefetched frame of pg,
-// before the fault path consumes the page. It reports whether it did so with
-// the stripe lock held throughout; false means the lock was dropped for the
-// wait (WithConcurrency above 1) and the caller must re-check everything —
-// the frame may have been evicted and recycled meanwhile. A failed fill
-// abandons the prefetch, so the access falls through to a demand miss on its
-// own failover budget.
-func (s *shard) reapFill(pg core.PageID, f *frame) bool {
+// before the fault path consumes the page. It reports how long the access was
+// blocked on the wire for it — 0 when the response had arrived, however long
+// ago the fill was issued — and whether the stripe lock was held throughout;
+// false means the lock was dropped for the wait (WithConcurrency above 1) and
+// the caller must re-check everything — the frame may have been evicted and
+// recycled meanwhile. A failed fill abandons the prefetch, so the access falls
+// through to a demand miss on its own failover budget.
+func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, held bool) {
 	t := f.fill
 	if s.m.conc > 1 && !t.Done() {
 		s.mu.Unlock()
-		t.Wait()
+		blocked, _ = t.Collect()
 		s.mu.Lock()
-		return false
+		return blocked, false
 	}
 	f.fill = nil
-	if t.Wait() != nil {
+	blocked, err := t.Collect()
+	if err != nil {
 		s.abandonPrefetch(pg)
 	}
-	return true
+	return blocked, true
 }
 
 // beginDemand decides how pg's demand fetch treats the stripe lock. When the
@@ -438,10 +445,12 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		*s.cAccesses++
 	}
 	first := true
-	// late records that pg's prefetch was still filling its frame when the
-	// access arrived: fetches outlast the windows that issue them here, which
-	// is what run-ahead is for (issueAhead).
-	late := false
+	// unreaped records that nobody had collected pg's prefetch when the access
+	// arrived: fetches outlast the windows that issue them here, which is what
+	// run-ahead is for (issueAhead). blocked is how long the access then
+	// waited for the response — the prefetch was late only if it did.
+	unreaped := false
+	var blocked time.Duration
 	var now sim.Time
 	for {
 		now = m.clock.Now()
@@ -493,8 +502,10 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// fill before the fault consumes the page (a failed fill turns the
 		// access into a demand miss, before the engine has seen it).
 		if f, ok := s.frames.Get(pg); ok && f.fill != nil {
-			late = true
-			if !s.reapFill(pg, f) {
+			unreaped = true
+			waited, held := s.reapFill(pg, f)
+			blocked += waited
+			if !held {
 				if err := m.loadErr(); err != nil {
 					return nil, err
 				}
@@ -571,7 +582,11 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		hint, hintEnd = s.hintFor(pid, pg)
 	}
 	s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
-	if late && !miss {
+	if unreaped && !miss {
+		if blocked > 0 && recording {
+			s.nLate++
+			s.lateWait += blocked
+		}
 		s.issueAhead(pid, pg, now, hint, hintEnd)
 	}
 	if demand != nil {

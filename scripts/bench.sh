@@ -10,7 +10,8 @@
 #     suite fast);
 #   - the per-layer benchmarks that live in their layer's package
 #     (internal/remote: one TCP round trip, eight pipelined;
-#     internal/runtime: a scan over a link that answers 200 us late).
+#     internal/runtime: a scan over a link that answers 0, 50 us, 200 us and
+#     1 ms late, with the pages the host keeps in flight at each).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
