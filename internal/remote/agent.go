@@ -25,6 +25,12 @@ type Agent struct {
 	// comp is the wire codec state for compressed read responses (used
 	// under mu).
 	comp ztier.Compressor
+	// Decode scratch of the batch ops. handle holds mu from decoding a frame
+	// to encoding its response, so one set serves every connection.
+	refs     []BatchRef
+	pages    [][]byte
+	results  []BatchReadResult
+	statuses []uint8
 }
 
 // NewAgent returns an agent donating maxSlabs slabs of slabPages pages
@@ -70,9 +76,9 @@ func (a *Agent) Ops() (reads, writes int64) {
 // TCP server loop.
 func (a *Agent) Handle(req *Request) *Response { return a.handle(req, nil) }
 
-// handle is Handle building a page-carrying response in buf when its
-// capacity suffices. A connection's server loop passes its reusable response
-// buffer (nothing retains a response once it is written); nil allocates.
+// handle is Handle laying a response's payload out in buf when its capacity
+// suffices (the response then has its frame set). A connection's server loop
+// passes its reusable buffer: nothing retains a written response. nil allocates.
 func (a *Agent) handle(req *Request, buf []byte) *Response {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -131,20 +137,21 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		return &Response{Status: StatusOK, Payload: payload}
 
 	case OpReadBatch:
-		refs, err := DecodeReadBatch(req)
+		refs, err := decodeReadBatch(req, a.refs)
 		if err != nil {
 			return &Response{Status: StatusBadFrame}
 		}
-		results := make([]BatchReadResult, len(refs))
+		results := sized(a.results, len(refs))
+		a.refs, a.results = refs, results
 		for i, ref := range refs {
 			slab, ok := a.slabs[ref.Slab]
 			if !ok {
-				results[i].Status = StatusBadSlab
+				results[i] = BatchReadResult{Status: StatusBadSlab}
 				continue
 			}
 			off := int(ref.PageOff) * PageSize
 			if off+PageSize > len(slab) {
-				results[i].Status = StatusBadBound
+				results[i] = BatchReadResult{Status: StatusBadBound}
 				continue
 			}
 			a.reads++
@@ -162,11 +169,13 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		return resp
 
 	case OpWriteBatch:
-		refs, pages, err := DecodeWriteBatch(req)
+		refs, pages, err := decodeWriteBatch(req, a.refs, a.pages)
 		if err != nil {
 			return &Response{Status: StatusBadFrame}
 		}
-		statuses := make([]uint8, len(refs))
+		statuses := sized(a.statuses, len(refs))
+		a.refs, a.pages, a.statuses = refs, pages, statuses
+		clear(statuses) // StatusOK
 		for i, ref := range refs {
 			slab, ok := a.slabs[ref.Slab]
 			if !ok {
@@ -181,7 +190,7 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 			a.writes++
 			copy(slab[off:off+PageSize], pages[i])
 		}
-		resp, err := EncodeWriteBatchResponse(statuses)
+		resp, err := encodeWriteBatchResponse(statuses, buf)
 		if err != nil {
 			return &Response{Status: StatusBadFrame}
 		}

@@ -3,6 +3,7 @@ package remote
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"leap/internal/ztier"
 )
@@ -60,21 +61,35 @@ type BatchReadResult struct {
 	Page   []byte
 }
 
+// The exported encoders and decoders below allocate what they return: each is
+// its lower-case twin given nothing to reuse — no buf with capacity for the
+// frame, no Request to fill in, no slices whose arrays to decode into.
+
 // EncodeReadBatch packs refs into an OpReadBatch request.
 func EncodeReadBatch(refs []BatchRef) (*Request, error) {
+	return encodeReadBatch(new(Request), refs, false, nil)
+}
+
+// encodeReadBatch is EncodeReadBatch, or EncodeReadBatchCompressed, into req.
+func encodeReadBatch(req *Request, refs []BatchRef, compress bool, buf []byte) (*Request, error) {
 	if len(refs) == 0 || len(refs) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: read batch of %d ops (want 1..%d)", len(refs), MaxBatchOps)
 	}
-	frame := make([]byte, reqHeaderSize+4+len(refs)*batchRefSize)
+	frame := headroom(buf, reqHeaderSize, 4+len(refs)*batchRefSize)
 	payload := frame[reqHeaderSize:]
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs)))
+	word := uint32(len(refs))
+	if compress {
+		word |= batchCompressFlag
+	}
+	binary.LittleEndian.PutUint32(payload[0:4], word)
 	off := 4
 	for _, r := range refs {
 		binary.LittleEndian.PutUint64(payload[off:], uint64(r.Slab))
 		binary.LittleEndian.PutUint32(payload[off+8:], r.PageOff)
 		off += batchRefSize
 	}
-	return &Request{Op: OpReadBatch, Payload: payload, frame: frame}, nil
+	*req = Request{Op: OpReadBatch, Payload: payload, frame: frame}
+	return req, nil
 }
 
 // EncodeReadBatchCompressed packs refs into an OpReadBatch request whose
@@ -82,12 +97,7 @@ func EncodeReadBatch(refs []BatchRef) (*Request, error) {
 // request itself carries only refs — nothing in it is compressed; the flag
 // is a negotiation bit echoed on the response.
 func EncodeReadBatchCompressed(refs []BatchRef) (*Request, error) {
-	req, err := EncodeReadBatch(refs)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(req.Payload[0:4], uint32(len(refs))|batchCompressFlag)
-	return req, nil
+	return encodeReadBatch(new(Request), refs, true, nil)
 }
 
 // ReadBatchCompressed reports whether an OpReadBatch request asks for a
@@ -99,7 +109,9 @@ func ReadBatchCompressed(req *Request) bool {
 // DecodeReadBatch unpacks an OpReadBatch request payload. The compress flag
 // is legal here (it only governs the response shape); ReadBatchCompressed
 // reports it.
-func DecodeReadBatch(req *Request) ([]BatchRef, error) {
+func DecodeReadBatch(req *Request) ([]BatchRef, error) { return decodeReadBatch(req, nil) }
+
+func decodeReadBatch(req *Request, refs []BatchRef) ([]BatchRef, error) {
 	if req.Op != OpReadBatch {
 		return nil, fmt.Errorf("remote: DecodeReadBatch on op %d", req.Op)
 	}
@@ -110,7 +122,7 @@ func DecodeReadBatch(req *Request) ([]BatchRef, error) {
 	if len(req.Payload) != 4+n*batchRefSize {
 		return nil, fmt.Errorf("remote: read batch payload %dB for %d ops", len(req.Payload), n)
 	}
-	refs := make([]BatchRef, n)
+	refs = sized(refs, n)
 	off := 4
 	for i := range refs {
 		refs[i].Slab = SlabID(binary.LittleEndian.Uint64(req.Payload[off:]))
@@ -196,6 +208,10 @@ func encodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Co
 // compressed (keyed off the payload's compress flag). Raw pages alias the
 // response payload; compressed pages are freshly allocated.
 func DecodeReadBatchResponse(resp *Response) ([]BatchReadResult, error) {
+	return decodeReadBatchResponse(resp, nil)
+}
+
+func decodeReadBatchResponse(resp *Response, results []BatchReadResult) ([]BatchReadResult, error) {
 	if resp.Status != StatusOK {
 		return nil, statusError(OpReadBatch, resp.Status)
 	}
@@ -203,13 +219,13 @@ func DecodeReadBatchResponse(resp *Response) ([]BatchReadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]BatchReadResult, n)
+	results = sized(results, n)
 	off := 4
 	for i := range results {
 		if off >= len(resp.Payload) {
 			return nil, fmt.Errorf("remote: read batch response truncated at op %d", i)
 		}
-		results[i].Status = resp.Payload[off]
+		results[i] = BatchReadResult{Status: resp.Payload[off]}
 		off++
 		if results[i].Status != StatusOK {
 			continue
@@ -238,13 +254,17 @@ func DecodeReadBatchResponse(resp *Response) ([]BatchReadResult, error) {
 // EncodeWriteBatch packs refs and their page images into an OpWriteBatch
 // request. pages[i] must be exactly PageSize bytes.
 func EncodeWriteBatch(refs []BatchRef, pages [][]byte) (*Request, error) {
+	return encodeWriteBatch(new(Request), refs, pages, nil)
+}
+
+func encodeWriteBatch(req *Request, refs []BatchRef, pages [][]byte, buf []byte) (*Request, error) {
 	if len(refs) == 0 || len(refs) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: write batch of %d ops (want 1..%d)", len(refs), MaxBatchOps)
 	}
 	if len(pages) != len(refs) {
 		return nil, fmt.Errorf("remote: write batch with %d refs but %d pages", len(refs), len(pages))
 	}
-	frame := make([]byte, reqHeaderSize+4+len(refs)*(batchRefSize+PageSize))
+	frame := headroom(buf, reqHeaderSize, 4+len(refs)*(batchRefSize+PageSize))
 	payload := frame[reqHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs)))
 	off := 4
@@ -257,13 +277,18 @@ func EncodeWriteBatch(refs []BatchRef, pages [][]byte) (*Request, error) {
 		copy(payload[off+batchRefSize:], pages[i])
 		off += batchRefSize + PageSize
 	}
-	return &Request{Op: OpWriteBatch, Payload: payload, frame: frame}, nil
+	*req = Request{Op: OpWriteBatch, Payload: payload, frame: frame}
+	return req, nil
 }
 
 // EncodeWriteBatchCompressed packs refs and their page images into an
 // OpWriteBatch request with every page run through the ztier codec:
 // (u64 slab, u32 off, u16 clen, clen bytes) per entry.
 func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Compressor) (*Request, error) {
+	return encodeWriteBatchCompressed(new(Request), refs, pages, comp, nil)
+}
+
+func encodeWriteBatchCompressed(req *Request, refs []BatchRef, pages [][]byte, comp *ztier.Compressor, buf []byte) (*Request, error) {
 	if len(refs) == 0 || len(refs) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: write batch of %d ops (want 1..%d)", len(refs), MaxBatchOps)
 	}
@@ -272,8 +297,8 @@ func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Com
 	}
 	// Capacity covers the worst case, so the appends below never move the
 	// payload off the frame's header room.
-	frame := make([]byte, reqHeaderSize+4, reqHeaderSize+4+len(refs)*(batchRefSize+2+ztier.MaxEncodedLen(PageSize)))
-	payload := frame[reqHeaderSize:]
+	frame := headroom(buf, reqHeaderSize, 4+len(refs)*(batchRefSize+2+ztier.MaxEncodedLen(PageSize)))
+	payload := frame[reqHeaderSize : reqHeaderSize+4]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs))|batchCompressFlag)
 	for i, r := range refs {
 		if len(pages[i]) != PageSize {
@@ -288,13 +313,18 @@ func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Com
 		payload = comp.Compress(payload, pages[i])
 		binary.LittleEndian.PutUint16(payload[lenPos:], uint16(len(payload)-lenPos-2))
 	}
-	return &Request{Op: OpWriteBatch, Payload: payload, frame: frame[:reqHeaderSize+len(payload)]}, nil
+	*req = Request{Op: OpWriteBatch, Payload: payload, frame: frame[:reqHeaderSize+len(payload)]}
+	return req, nil
 }
 
 // DecodeWriteBatch unpacks an OpWriteBatch request payload, raw or
 // compressed (keyed off the payload's compress flag). Raw pages alias the
 // request payload; compressed pages are freshly allocated.
 func DecodeWriteBatch(req *Request) ([]BatchRef, [][]byte, error) {
+	return decodeWriteBatch(req, nil, nil)
+}
+
+func decodeWriteBatch(req *Request, refs []BatchRef, pages [][]byte) ([]BatchRef, [][]byte, error) {
 	if req.Op != OpWriteBatch {
 		return nil, nil, fmt.Errorf("remote: DecodeWriteBatch on op %d", req.Op)
 	}
@@ -305,8 +335,7 @@ func DecodeWriteBatch(req *Request) ([]BatchRef, [][]byte, error) {
 	if !compressed && len(req.Payload) != 4+n*(batchRefSize+PageSize) {
 		return nil, nil, fmt.Errorf("remote: write batch payload %dB for %d ops", len(req.Payload), n)
 	}
-	refs := make([]BatchRef, n)
-	pages := make([][]byte, n)
+	refs, pages = sized(refs, n), sized(pages, n)
 	off := 4
 	for i := range refs {
 		if off+batchRefSize > len(req.Payload) {
@@ -336,17 +365,28 @@ func DecodeWriteBatch(req *Request) ([]BatchRef, [][]byte, error) {
 // EncodeWriteBatchResponse packs per-page statuses into an OpWriteBatch
 // response.
 func EncodeWriteBatchResponse(statuses []uint8) (*Response, error) {
+	return encodeWriteBatchResponse(statuses, nil)
+}
+
+func encodeWriteBatchResponse(statuses []uint8, buf []byte) (*Response, error) {
 	if len(statuses) == 0 || len(statuses) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: write batch response of %d ops", len(statuses))
 	}
-	payload := make([]byte, 4+len(statuses))
+	frame := headroom(buf, respHeaderSize, 4+len(statuses))
+	payload := frame[respHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(statuses)))
 	copy(payload[4:], statuses)
-	return &Response{Status: StatusOK, Payload: payload}, nil
+	return &Response{Status: StatusOK, Payload: payload, frame: frame}, nil
 }
 
 // DecodeWriteBatchResponse unpacks an OpWriteBatch response.
 func DecodeWriteBatchResponse(resp *Response) ([]uint8, error) {
+	statuses, err := decodeWriteBatchResponse(resp)
+	return slices.Clone(statuses), err
+}
+
+// decodeWriteBatchResponse returns the statuses where they lie in the payload.
+func decodeWriteBatchResponse(resp *Response) ([]uint8, error) {
 	if resp.Status != StatusOK {
 		return nil, statusError(OpWriteBatch, resp.Status)
 	}
@@ -360,7 +400,7 @@ func DecodeWriteBatchResponse(resp *Response) ([]uint8, error) {
 	if len(resp.Payload) != 4+n {
 		return nil, fmt.Errorf("remote: write batch response payload %dB for %d ops", len(resp.Payload), n)
 	}
-	return append([]uint8(nil), resp.Payload[4:]...), nil
+	return resp.Payload[4:], nil
 }
 
 // batchCount validates and reads the leading op count of a batch payload,

@@ -182,6 +182,13 @@ type Host struct {
 
 	// comp is the wire codec state for HostConfig.Compress (used under mu).
 	comp ztier.Compressor
+	// Batch-frame scratch, consumed under h.mu. wire holds the encoded request:
+	// h.mu is held from frame to start, and a transport is done with a request
+	// when Start or Call returns. refs, pages: encoder input. results: decoded.
+	wire    []byte
+	refs    []BatchRef
+	pages   [][]byte
+	results []BatchReadResult
 
 	stats HostStats
 }

@@ -15,41 +15,41 @@ import (
 // when installed from an acked source and on every subsequent write, exactly
 // like a placement replica — so the staleness discipline is unchanged.
 
-// readCandidates returns the ordered attempt list for a page read: acked
-// holders first (placement order, hot extras after), then the unacked rest.
-// When the control plane has hinted agents slow, each group orders not-slow
-// before slow — routing around lag without ever dropping a candidate. With
-// no hot copies and no slow hints this is exactly the legacy acked-first
-// ordering. Callers hold h.mu.
+// readOrder returns the holder a read of page should try next: the first, in
+// attempt order, not in tried, or -1 when all have been. The order is acked
+// holders first (placement order, hot extras after), then the unacked rest;
+// when the control plane has hinted agents slow, each group orders not-slow
+// before slow — routing around lag without ever dropping a candidate. With no
+// hot copies and no slow hints this is exactly the legacy acked-first order.
+// It runs on every read and allocates nothing. Callers hold h.mu.
+func (h *Host) readOrder(page core.PageID, replicas, tried []int) int {
+	acked, extra := h.acked[page], h.hot[page]
+	for _, wantAcked := range [2]bool{true, false} {
+		for _, wantSlow := range [2]bool{false, true} {
+			// A hot holder that placement lists too is met twice, to no effect.
+			for _, cands := range [2][]int{replicas, extra} {
+				for _, idx := range cands {
+					if slices.Contains(acked, idx) == wantAcked && h.slow[idx] == wantSlow && !slices.Contains(tried, idx) {
+						return idx
+					}
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// readCandidates returns the whole attempt list readOrder picks from, in
+// order. Callers hold h.mu.
 func (h *Host) readCandidates(page core.PageID, replicas []int) []int {
-	cands := replicas
-	if extra := h.hot[page]; len(extra) > 0 {
-		cands = slices.Clone(replicas)
-		for _, idx := range extra {
-			if !slices.Contains(cands, idx) {
-				cands = append(cands, idx)
-			}
+	var order []int
+	for {
+		idx := h.readOrder(page, replicas, order)
+		if idx < 0 {
+			return order
 		}
+		order = append(order, idx)
 	}
-	acked := h.acked[page]
-	order := make([]int, 0, len(cands))
-	appendGroup := func(wantAcked, wantSlow bool) {
-		for _, idx := range cands {
-			if slices.Contains(acked, idx) == wantAcked && h.slow[idx] == wantSlow {
-				order = append(order, idx)
-			}
-		}
-	}
-	if len(h.slow) == 0 {
-		appendGroup(true, false)
-		appendGroup(false, false)
-		return order
-	}
-	appendGroup(true, false)
-	appendGroup(true, true)
-	appendGroup(false, false)
-	appendGroup(false, true)
-	return order
 }
 
 // writeTargets returns the write fan-out set for page: the slab replicas

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -981,6 +982,79 @@ func TestOneWritePerFrame(t *testing.T) {
 		var w countWriter
 		if err := EncodeResponse(&w, a.Handle(req)); err != nil || w.calls != 1 {
 			t.Errorf("response to op %d: %d writes (%v), want 1", req.Op, w.calls, err)
+		}
+	}
+}
+
+// TestWriteFrameWaitsForReadsElsewhere: a write frame's sender waits for the
+// response where it started it, and no other agent is to have work meanwhile.
+// With read frames in the air on agent 1, a doorbell for a write starts
+// nothing on agent 0 until they have landed.
+func TestWriteFrameWaitsForReadsElsewhere(t *testing.T) {
+	const slabPages, slabs, window = 16, 8, 8
+	h, gates := gatedHost(t, 2, HostConfig{SlabPages: slabPages, Replicas: 2, QueueDepth: 4, Seed: 5})
+	for pg := 0; pg < slabs*slabPages; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	started := func(g *gateTransport) (ops []uint8) {
+		for len(g.started) > 0 {
+			ops = append(ops, <-g.started)
+		}
+		return ops
+	}
+	// A slab that agent 1 reads for: drains ring agent 0 first.
+	first := -1
+	for s := 0; s < slabs && first < 0; s++ {
+		started(gates[1])
+		if err := h.ReadPage(core.PageID(s*slabPages), make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if len(started(gates[1])) > 0 {
+			first = s * slabPages
+		}
+	}
+	if first < 0 {
+		t.Fatalf("agent 1 reads for none of %d slabs", slabs)
+	}
+
+	gates[1].hold()
+	tickets := make([]*Ticket, window)
+	for i := range tickets {
+		tickets[i] = h.ReadPageAsync(core.PageID(first+i), make([]byte, PageSize))
+	}
+	if _, err := h.Submit(); err != nil { // the reads are in the air
+		t.Fatal(err)
+	}
+	h.WritePageAsync(core.PageID(first), stamp(first+1))
+	started(gates[0])
+	rung := make(chan error, 1)
+	go func() {
+		_, err := h.Submit()
+		rung <- err
+	}()
+	select {
+	case err := <-rung:
+		t.Fatalf("Submit returned (%v) with agent 1's responses held back", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if ops := started(gates[0]); len(ops) > 0 {
+		t.Fatalf("agent 0 was sent ops %v while agent 1's reads were in the air", ops)
+	}
+	gates[1].release()
+	within(t, 5*time.Second, "Submit", func() {
+		if err := <-rung; err != nil {
+			t.Error(err)
+		}
+	})
+	if ops := started(gates[0]); !slices.Contains(ops, OpWrite) {
+		t.Errorf("agent 0 was sent ops %v, want the write", ops)
+	}
+	for i, tk := range tickets {
+		if !tk.Done() {
+			t.Errorf("read %d still in the air after the write", i)
 		}
 	}
 }

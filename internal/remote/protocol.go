@@ -91,6 +91,8 @@ type Response struct {
 	// frame is Payload's backing buffer with respHeaderSize bytes of room in
 	// front (see Request.frame).
 	frame []byte
+	// home is the free list resp's buffer is from, nil for none (see release).
+	home *bufPool
 }
 
 // reqHeaderSize is magic+op+slab+pageoff+payloadlen.
@@ -114,14 +116,18 @@ const maxWirePayload = 4 + MaxBatchOps*(batchRefSize+2+PageSize+1)
 // it are read straight into their destination.
 const connBufSize = 16 << 10
 
+// sized returns a slice of n elements, s's own array when that is large
+// enough: scratch for a decoder or encoder that overwrites all of it.
+func sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // headroom returns a buffer of hdr+n bytes, reusing buf's capacity when it
 // suffices, for an encoder to build a payload behind room for its header.
-func headroom(buf []byte, hdr, n int) []byte {
-	if cap(buf) >= hdr+n {
-		return buf[:hdr+n]
-	}
-	return make([]byte, hdr+n)
-}
+func headroom(buf []byte, hdr, n int) []byte { return sized(buf, hdr+n) }
 
 // wireFrame lays header and payload out contiguously so a frame costs one
 // Write on any io.Writer: in place when frame is payload's backing buffer
@@ -219,10 +225,16 @@ func EncodeResponse(w io.Writer, resp *Response) error {
 	return nil
 }
 
-// DecodeResponse reads one response from r.
+// DecodeResponse reads one response from r into a freshly allocated payload.
 func DecodeResponse(r io.Reader) (*Response, error) {
-	var hdr [respHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readResponse(r, make([]byte, respHeaderSize), nil)
+}
+
+// readResponse reads one response from r: the header through hdr (a local
+// array would escape through the io.Reader), the payload into one of pool's
+// buffers; a nil pool, or one with no buffer large enough, allocates.
+func readResponse(r io.Reader, hdr []byte, pool *bufPool) (*Response, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	if hdr[0] != protoMagic {
@@ -234,12 +246,28 @@ func DecodeResponse(r io.Reader) (*Response, error) {
 		return nil, fmt.Errorf("remote: oversized payload %d", n)
 	}
 	if n > 0 {
-		resp.Payload = make([]byte, n)
+		resp.Payload, resp.home = sized(pool.take(), int(n)), pool
 		if _, err := io.ReadFull(r, resp.Payload); err != nil {
 			return nil, fmt.Errorf("remote: read payload: %w", err)
 		}
 	}
 	return resp, nil
+}
+
+// release hands resp's buffer back to the transport that owns it; nothing of
+// resp may be used afterwards. Only the host does, once a flight's response is
+// applied to its tickets (Host.reap, startNext's landing on the spot): a direct
+// Transport.Call's response has no owner who knows when it is dead, so none is.
+func (resp *Response) release() {
+	if resp == nil || resp.home == nil {
+		return
+	}
+	buf, home := resp.frame, resp.home
+	if buf == nil {
+		buf = resp.Payload
+	}
+	*resp = Response{Status: resp.Status}
+	home.put(buf)
 }
 
 // statusError converts a non-OK status into an error.

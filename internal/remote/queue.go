@@ -235,8 +235,8 @@ type flight struct {
 	// been applied.
 	reaping bool
 	landed  bool
-	// one backs the batch of a launched single-op frame, and req is the
-	// request of any single-op frame: neither is allocated apart.
+	// one backs the batch of a launched single-op frame, req is the frame's
+	// request (a batch's lies in the host's wire): neither is allocated apart.
 	one [1]queueEntry
 	req Request
 	// The depth estimator's record of a read frame left in the air (takeOff;
@@ -452,19 +452,6 @@ func (h *Host) pageBuf() []byte {
 	return make([]byte, PageSize)
 }
 
-// readOrder returns the preferred holder for a page read — the first
-// readCandidates entry (acked first, hot extras included, slow agents
-// last) not already tried — or -1 when every candidate has been tried.
-// Callers hold h.mu.
-func (h *Host) readOrder(page core.PageID, replicas []int, tried []int) int {
-	for _, idx := range h.readCandidates(page, replicas) {
-		if !slices.Contains(tried, idx) {
-			return idx
-		}
-	}
-	return -1
-}
-
 // drain runs the engine until it is idle: each pass starts the next frame of
 // every agent with queued work (landing write frames as it goes), a barrier
 // drain (Flush) then lands every flight, oldest first, and the passes repeat
@@ -513,13 +500,13 @@ func (h *Host) startNext(idx int) (werr error) {
 	// Make room first: landing a flight releases h.mu, and the queue must not
 	// change between cutting a batch and starting it (two writes of one page
 	// would reach the agent in the wrong order).
-	for (h.flying+h.cfg.QueueDepth)*PageSize > maxUnreaped {
-		_, err := h.reap(h.flights[0])
+	for f := h.inTheWay(idx); f != nil; f = h.inTheWay(idx) {
+		_, err := h.reap(f)
 		note(err)
 	}
 
 	q := h.queues[idx]
-	var batch []queueEntry
+	batch := make([]queueEntry, 0, min(len(q), h.cfg.QueueDepth))
 	isRead := false
 	consumed := 0
 	for consumed < len(q) {
@@ -541,9 +528,12 @@ func (h *Host) startNext(idx int) (werr error) {
 		batch = append(batch, e)
 		consumed++
 	}
-	h.queues[idx] = q[consumed:]
-	if len(h.queues[idx]) == 0 {
-		h.queues[idx] = nil // release the backing array between doorbells
+	// The rest is copied down and the array kept, unless a burst grew it large.
+	rest := copy(q, q[consumed:])
+	clear(q[rest:])
+	h.queues[idx] = q[:rest]
+	if rest == 0 && cap(q) > 4*h.cfg.QueueDepth {
+		h.queues[idx] = nil
 	}
 	if len(batch) == 0 {
 		return werr
@@ -558,6 +548,7 @@ func (h *Host) startNext(idx int) (werr error) {
 	f.pend = start(h.transports[idx], req)
 	if c, ok := f.pend.(completed); ok {
 		note(h.land(f, c.resp, c.err))
+		c.resp.release()
 		return werr
 	}
 	if isRead {
@@ -569,6 +560,27 @@ func (h *Host) startNext(idx int) (werr error) {
 		note(err)
 	}
 	return werr
+}
+
+// inTheWay returns a flight to land before agent idx's next frame starts, or
+// nil: the oldest, while those in the air leave no room under maxUnreaped for
+// one more; and ahead of a write frame, whose sender waits for the response on
+// the spot, any on another agent, so that the wait finds one agent with work
+// and not two (which, served by the caller's own scheduler, run on a second OS
+// thread woken for them, on and off with timing: DESIGN.md, "Remote
+// datapath"). Callers hold h.mu.
+func (h *Host) inTheWay(idx int) *flight {
+	if (h.flying+h.cfg.QueueDepth)*PageSize > maxUnreaped {
+		return h.flights[0]
+	}
+	if q := h.queues[idx]; len(q) > 0 && q[0].write != nil {
+		for _, f := range h.flights {
+			if f.idx != idx {
+				return f
+			}
+		}
+	}
+	return nil
 }
 
 // fly records f as in the air: on the host, for barriers and the flight
@@ -637,6 +649,7 @@ func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 		blocked = h.touchDown(f, waitFrom, err == nil)
 	}
 	werr = h.land(f, resp, err)
+	resp.release()
 	f.landed = true
 	h.landed.Broadcast()
 	return blocked, werr
@@ -670,23 +683,18 @@ func (h *Host) readFrame(f *flight) (*Request, error) {
 		f.req = Request{Op: OpRead, Slab: pr.slab, PageOff: pr.off}
 		return &f.req, nil
 	}
-	refs := make([]BatchRef, len(batch))
+	h.refs = sized(h.refs, len(batch))
 	for i, e := range batch {
 		e.read.attempts++
-		refs[i] = BatchRef{Slab: e.read.slab, PageOff: e.read.off}
+		h.refs[i] = BatchRef{Slab: e.read.slab, PageOff: e.read.off}
 	}
-	var req *Request
-	var err error
-	if h.cfg.Compress {
-		req, err = EncodeReadBatchCompressed(refs)
-	} else {
-		req, err = EncodeReadBatch(refs)
-	}
+	req, err := encodeReadBatch(&f.req, h.refs, h.cfg.Compress, h.wire)
 	if err != nil {
 		// Wrap as a read OpError: Flush's return value is attributed by op
 		// kind (a read failure must never be mistaken for lost acked data).
 		return nil, opError(OpRead, idx, batch[0].read.page, 0, err)
 	}
+	h.wire = req.frame
 	h.stats.BatchCalls++
 	h.stats.BatchedPages += int64(len(batch))
 	return req, nil
@@ -705,7 +713,8 @@ func (h *Host) landReads(idx int, batch []queueEntry, resp *Response, err error)
 		one[0] = BatchReadResult{Status: resp.Status, Page: resp.Payload}
 		results = one[:]
 	default:
-		results, err = DecodeReadBatchResponse(resp)
+		h.results, err = decodeReadBatchResponse(resp, h.results)
+		results = h.results
 		if err == nil && len(results) != len(batch) {
 			err = fmt.Errorf("remote: read batch response carried %d results for %d ops",
 				len(results), len(batch))
@@ -842,22 +851,22 @@ func (h *Host) writeFrame(f *flight) (*Request, error) {
 		f.req = Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data}
 		return &f.req, nil
 	}
-	refs := make([]BatchRef, len(batch))
-	pages := make([][]byte, len(batch))
+	h.refs, h.pages = sized(h.refs, len(batch)), sized(h.pages, len(batch))
 	for i, e := range batch {
-		refs[i] = BatchRef{Slab: e.write.slab, PageOff: e.write.off}
-		pages[i] = e.write.data
+		h.refs[i] = BatchRef{Slab: e.write.slab, PageOff: e.write.off}
+		h.pages[i] = e.write.data
 	}
 	var req *Request
 	var err error
 	if h.cfg.Compress {
-		req, err = EncodeWriteBatchCompressed(refs, pages, &h.comp)
+		req, err = encodeWriteBatchCompressed(&f.req, h.refs, h.pages, &h.comp, h.wire)
 	} else {
-		req, err = EncodeWriteBatch(refs, pages)
+		req, err = encodeWriteBatch(&f.req, h.refs, h.pages, h.wire)
 	}
 	if err != nil {
 		return nil, opError(OpWrite, idx, batch[0].write.page, 0, err)
 	}
+	h.wire = req.frame
 	if h.cfg.Compress {
 		h.stats.CompressedFrames++
 		h.stats.WireRawBytes += int64(4 + len(batch)*(batchRefSize+PageSize))
@@ -893,7 +902,7 @@ func (h *Host) landWrites(idx int, batch []queueEntry, resp *Response, err error
 	case len(batch) == 1:
 		statuses = []uint8{resp.Status}
 	default:
-		statuses, err = DecodeWriteBatchResponse(resp)
+		statuses, err = decodeWriteBatchResponse(resp)
 		if err == nil && len(statuses) != len(batch) {
 			err = fmt.Errorf("remote: write batch response carried %d statuses for %d ops",
 				len(statuses), len(batch))

@@ -12,7 +12,8 @@ import (
 // Transport carries requests from the host to one agent. Implementations
 // must be safe for concurrent use.
 type Transport interface {
-	// Call performs one round trip.
+	// Call performs one round trip. Like Starter.Start it is done with req
+	// when it returns: the host encodes its next frame over this one's bytes.
 	Call(req *Request) (*Response, error)
 	// Close releases the transport.
 	Close() error
@@ -62,10 +63,55 @@ func start(tr Transport, req *Request) Pending {
 	return p
 }
 
+// bufPool is a transport's free list of response buffers: a payload is read
+// (or, in process, built) into one and comes back through Response.release. It
+// is short and fixed — what a reader holds decoded and not yet landed, not the
+// pipeline's depth: a buffer released to a full list is dropped, one too small
+// for its next payload replaced by one that fits. The zero value is ready.
+type bufPool struct {
+	mu   sync.Mutex
+	free [4][]byte
+	n    int
+}
+
+// poisonReleased, set by this package's tests only, overwrites every released
+// buffer, so that bytes read through an alias kept past release are wrong.
+var poisonReleased func([]byte)
+
+// take removes a buffer from the list: nil when it is empty, or p is nil.
+func (p *bufPool) take() []byte {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n == 0 {
+		return nil
+	}
+	p.n--
+	buf := p.free[p.n]
+	p.free[p.n] = nil
+	return buf
+}
+
+// put enters buf into the list, or drops it when the list is full.
+func (p *bufPool) put(buf []byte) {
+	if poisonReleased != nil {
+		poisonReleased(buf[:cap(buf)])
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n < len(p.free) && cap(buf) > 0 {
+		p.free[p.n] = buf
+		p.n++
+	}
+}
+
 // InProc is a Transport that invokes an Agent directly — the zero-cost path
 // used by simulations and unit tests.
 type InProc struct {
 	agent *Agent
+	bufs  bufPool
 	// Fail simulates a crashed agent when true (for failover tests).
 	mu   sync.Mutex
 	fail bool
@@ -89,7 +135,14 @@ func (t *InProc) Call(req *Request) (*Response, error) {
 	if failed {
 		return nil, fmt.Errorf("remote: agent unreachable (simulated)")
 	}
-	return t.agent.Handle(req), nil
+	buf := t.bufs.take()
+	resp := t.agent.handle(req, buf)
+	if resp.frame != nil {
+		resp.home = &t.bufs // built in buf, or in the larger buffer that replaces it
+	} else {
+		t.bufs.put(buf)
+	}
+	return resp, nil
 }
 
 // Close implements Transport.
@@ -130,6 +183,9 @@ var ErrTransportClosed = errors.New("remote: transport closed")
 type TCP struct {
 	conn net.Conn
 	br   *bufio.Reader
+	// hdr and bufs are the socket reader's: header scratch, payload free list.
+	hdr  [respHeaderSize]byte
+	bufs bufPool
 	// timeout is responseTimeout (a field so tests can shorten it).
 	timeout time.Duration
 
@@ -274,7 +330,7 @@ func (t *TCP) awaitLocked(p *tcpPending) {
 			err := t.conn.SetReadDeadline(time.Now().Add(t.timeout))
 			var resp *Response
 			if err == nil {
-				resp, err = DecodeResponse(t.br)
+				resp, err = readResponse(t.br, t.hdr[:], &t.bufs)
 			}
 			t.mu.Lock()
 			if err != nil {
@@ -286,8 +342,9 @@ func (t *TCP) awaitLocked(p *tcpPending) {
 				break
 			}
 			head := t.fifo[0]
-			t.fifo[0] = nil
-			t.fifo = t.fifo[1:]
+			last := copy(t.fifo, t.fifo[1:]) // copied down: the array is kept
+			t.fifo[last] = nil
+			t.fifo = t.fifo[:last]
 			head.resp, head.done = resp, true
 			if head != p {
 				t.cond.Broadcast()
