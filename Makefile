@@ -63,11 +63,12 @@ smoke:
 # targets below are each subsystem's suites under the race detector.
 
 # The shared fault-path engine and the leap.Memory runtime; the two tests
-# of the read pipeline that run on the wall clock, and the use-after-release
-# guard of the recycled response buffers, three times over.
+# of the read pipeline that run on the wall clock, the use-after-release
+# guard of the recycled response buffers and the two page-map models of the
+# dirty-range write path, three times over.
 runtime-smoke:
 	$(GO) test -race . ./internal/runtime ./internal/paging/...
-	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding' ./internal/runtime ./internal/remote
+	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel' ./internal/runtime ./internal/remote
 
 # The concurrent runtime: stress, property and chaos suites plus the
 # 1-goroutine parity gate.

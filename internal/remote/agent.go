@@ -29,6 +29,7 @@ type Agent struct {
 	// to encoding its response, so one set serves every connection.
 	refs     []BatchRef
 	pages    [][]byte
+	ranges   []writeRange
 	results  []BatchReadResult
 	statuses []uint8
 }
@@ -101,33 +102,25 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		return &Response{Status: StatusOK}
 
 	case OpRead:
-		slab, ok := a.slabs[req.Slab]
-		if !ok {
-			return &Response{Status: StatusBadSlab}
-		}
-		off := int(req.PageOff) * PageSize
-		if off+PageSize > len(slab) {
-			return &Response{Status: StatusBadBound}
+		page, status := a.page(req.Slab, req.PageOff)
+		if status != StatusOK {
+			return &Response{Status: status}
 		}
 		a.reads++
 		frame := headroom(buf, respHeaderSize, PageSize)
-		copy(frame[respHeaderSize:], slab[off:off+PageSize])
+		copy(frame[respHeaderSize:], page)
 		return &Response{Status: StatusOK, Payload: frame[respHeaderSize:], frame: frame}
 
 	case OpWrite:
-		slab, ok := a.slabs[req.Slab]
-		if !ok {
-			return &Response{Status: StatusBadSlab}
+		page, status := a.page(req.Slab, req.PageOff)
+		if status == StatusOK && len(req.Payload) != PageSize {
+			status = StatusBadBound
 		}
-		if len(req.Payload) != PageSize {
-			return &Response{Status: StatusBadBound}
-		}
-		off := int(req.PageOff) * PageSize
-		if off+PageSize > len(slab) {
-			return &Response{Status: StatusBadBound}
+		if status != StatusOK {
+			return &Response{Status: status}
 		}
 		a.writes++
-		copy(slab[off:off+PageSize], req.Payload)
+		copy(page, req.Payload)
 		return &Response{Status: StatusOK}
 
 	case OpStats:
@@ -144,18 +137,11 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		results := sized(a.results, len(refs))
 		a.refs, a.results = refs, results
 		for i, ref := range refs {
-			slab, ok := a.slabs[ref.Slab]
-			if !ok {
-				results[i] = BatchReadResult{Status: StatusBadSlab}
-				continue
+			page, status := a.page(ref.Slab, ref.PageOff)
+			if status == StatusOK {
+				a.reads++
 			}
-			off := int(ref.PageOff) * PageSize
-			if off+PageSize > len(slab) {
-				results[i] = BatchReadResult{Status: StatusBadBound}
-				continue
-			}
-			a.reads++
-			results[i] = BatchReadResult{Status: StatusOK, Page: slab[off : off+PageSize]}
+			results[i] = BatchReadResult{Status: status, Page: page}
 		}
 		var resp *Response
 		if ReadBatchCompressed(req) {
@@ -175,20 +161,32 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		}
 		statuses := sized(a.statuses, len(refs))
 		a.refs, a.pages, a.statuses = refs, pages, statuses
-		clear(statuses) // StatusOK
 		for i, ref := range refs {
-			slab, ok := a.slabs[ref.Slab]
-			if !ok {
-				statuses[i] = StatusBadSlab
-				continue
+			var page []byte
+			if page, statuses[i] = a.page(ref.Slab, ref.PageOff); statuses[i] == StatusOK {
+				a.writes++
+				copy(page, pages[i])
 			}
-			off := int(ref.PageOff) * PageSize
-			if off+PageSize > len(slab) {
-				statuses[i] = StatusBadBound
-				continue
+		}
+		resp, err := encodeWriteBatchResponse(statuses, buf)
+		if err != nil {
+			return &Response{Status: StatusBadFrame}
+		}
+		return resp
+
+	case OpWriteRanges:
+		ranges, err := decodeWriteRanges(req, a.ranges)
+		if err != nil {
+			return &Response{Status: StatusBadFrame}
+		}
+		statuses := sized(a.statuses, len(ranges))
+		a.ranges, a.statuses = ranges, statuses
+		for i, r := range ranges {
+			var page []byte
+			if page, statuses[i] = a.page(r.Slab, r.PageOff); statuses[i] == StatusOK {
+				a.writes++
+				copy(page[r.Lo:], r.Data)
 			}
-			a.writes++
-			copy(slab[off:off+PageSize], pages[i])
 		}
 		resp, err := encodeWriteBatchResponse(statuses, buf)
 		if err != nil {
@@ -199,6 +197,21 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 	default:
 		return &Response{Status: StatusBadOp}
 	}
+}
+
+// page returns page off of slab where it lies in the agent's memory, or the
+// status that says why it cannot: the one slab and bound check of every page
+// operation. Callers hold a.mu.
+func (a *Agent) page(slab SlabID, off uint32) ([]byte, uint8) {
+	s, ok := a.slabs[slab]
+	if !ok {
+		return nil, StatusBadSlab
+	}
+	at := int(off) * PageSize
+	if at+PageSize > len(s) {
+		return nil, StatusBadBound
+	}
+	return s[at : at+PageSize], StatusOK
 }
 
 // Serve accepts connections on l and serves the wire protocol until l is

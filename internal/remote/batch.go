@@ -9,8 +9,8 @@ import (
 )
 
 // This file defines the doorbell-style batched frames of the wire protocol:
-// one OpReadBatch/OpWriteBatch request carries up to MaxBatchOps page
-// operations and one response carries all their results, so a queue of
+// one OpReadBatch/OpWriteBatch/OpWriteRanges request carries up to MaxBatchOps
+// page operations and one response carries all their results, so a queue of
 // pending pages costs one round trip (and one fabric doorbell) instead of
 // one per page. The framing packs entries into Request/Response.Payload, so
 // every transport — in-process, TCP, fault-injecting — carries batches
@@ -22,6 +22,11 @@ import (
 // Write batch request payload:  u32 count, then count × (u64 slab, u32 off,
 //                               PageSize bytes).
 // Write batch response payload: u32 count, then count × u8 status.
+// Write ranges request payload: u32 count, then count × (u64 slab, u32 off,
+//                               u16 lo, u16 len−1, len bytes): bytes
+//                               [lo, lo+len) of the page, the rest of which
+//                               the agent keeps; lo+len <= PageSize. Never
+//                               compressed. Its response is the write batch's.
 //
 // Compressed frames: when the high bit of the count word
 // (batchCompressFlag) is set, page images travel through the ztier block
@@ -51,6 +56,15 @@ const batchCompressFlag uint32 = 1 << 31
 type BatchRef struct {
 	Slab    SlabID
 	PageOff uint32
+}
+
+// writeRange is one entry of an OpWriteRanges frame: Data replaces the bytes
+// of the page from Lo on. 1 <= len(Data) and Lo+len(Data) <= PageSize; decoded,
+// Data aliases the request payload.
+type writeRange struct {
+	BatchRef
+	Lo   int
+	Data []byte
 }
 
 // BatchReadResult is one page's outcome inside a read-batch response. Page
@@ -362,8 +376,78 @@ func decodeWriteBatch(req *Request, refs []BatchRef, pages [][]byte) ([]BatchRef
 	return refs, pages, nil
 }
 
-// EncodeWriteBatchResponse packs per-page statuses into an OpWriteBatch
-// response.
+// encodeWriteRanges packs ranges into an OpWriteRanges request: req, built in
+// buf when its capacity suffices.
+func encodeWriteRanges(req *Request, ranges []writeRange, buf []byte) (*Request, error) {
+	if len(ranges) == 0 || len(ranges) > MaxBatchOps {
+		return nil, fmt.Errorf("remote: range batch of %d ops (want 1..%d)", len(ranges), MaxBatchOps)
+	}
+	size := 4
+	for i, r := range ranges {
+		if len(r.Data) == 0 || r.Lo < 0 || r.Lo+len(r.Data) > PageSize {
+			return nil, fmt.Errorf("remote: range batch entry %d is [%d,%d) of a page", i, r.Lo, r.Lo+len(r.Data))
+		}
+		size += batchRefSize + rangeHeadSize + len(r.Data)
+	}
+	frame := headroom(buf, reqHeaderSize, size)
+	payload := frame[reqHeaderSize:]
+	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(ranges)))
+	off := 4
+	for _, r := range ranges {
+		binary.LittleEndian.PutUint64(payload[off:], uint64(r.Slab))
+		binary.LittleEndian.PutUint32(payload[off+8:], r.PageOff)
+		binary.LittleEndian.PutUint16(payload[off+12:], uint16(r.Lo))
+		binary.LittleEndian.PutUint16(payload[off+14:], uint16(len(r.Data)-1))
+		off += batchRefSize + rangeHeadSize
+		off += copy(payload[off:], r.Data)
+	}
+	*req = Request{Op: OpWriteRanges, Payload: payload, frame: frame}
+	return req, nil
+}
+
+// decodeWriteRanges unpacks an OpWriteRanges request payload into ranges' array
+// when that is large enough. Every entry is checked before any is returned, so
+// a frame is applied whole or not at all.
+func decodeWriteRanges(req *Request, ranges []writeRange) ([]writeRange, error) {
+	if req.Op != OpWriteRanges {
+		return nil, fmt.Errorf("remote: decodeWriteRanges on op %d", req.Op)
+	}
+	n, compressed, err := batchCount(req.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if compressed {
+		return nil, fmt.Errorf("remote: range batch with compress flag")
+	}
+	ranges = sized(ranges, n)
+	off := 4
+	for i := range ranges {
+		if off+batchRefSize+rangeHeadSize > len(req.Payload) {
+			return nil, fmt.Errorf("remote: range batch truncated at op %d", i)
+		}
+		r := &ranges[i]
+		r.Slab = SlabID(binary.LittleEndian.Uint64(req.Payload[off:]))
+		r.PageOff = binary.LittleEndian.Uint32(req.Payload[off+8:])
+		r.Lo = int(binary.LittleEndian.Uint16(req.Payload[off+12:]))
+		size := int(binary.LittleEndian.Uint16(req.Payload[off+14:])) + 1
+		off += batchRefSize + rangeHeadSize
+		if r.Lo+size > PageSize {
+			return nil, fmt.Errorf("remote: range batch op %d is [%d,%d) of a page", i, r.Lo, r.Lo+size)
+		}
+		if off+size > len(req.Payload) {
+			return nil, fmt.Errorf("remote: range batch truncated at op %d bytes", i)
+		}
+		r.Data = req.Payload[off : off+size]
+		off += size
+	}
+	if off != len(req.Payload) {
+		return nil, fmt.Errorf("remote: range batch has %d trailing bytes", len(req.Payload)-off)
+	}
+	return ranges, nil
+}
+
+// EncodeWriteBatchResponse packs per-page statuses into an OpWriteBatch (or
+// OpWriteRanges) response.
 func EncodeWriteBatchResponse(statuses []uint8) (*Response, error) {
 	return encodeWriteBatchResponse(statuses, nil)
 }
@@ -453,7 +537,7 @@ func decodeCompressedPage(b []byte) ([]byte, int, error) {
 // it to charge fabric occupancy per page while paying round-trip latency
 // per doorbell.
 func BatchPages(req *Request) int {
-	if req.Op != OpReadBatch && req.Op != OpWriteBatch {
+	if !batchOp(req.Op) {
 		return 1
 	}
 	n, _, err := batchCount(req.Payload)

@@ -20,7 +20,7 @@ type FaultMode struct {
 	// Partitioned fails every call like Crashed, but models a network
 	// split: the agent keeps its memory and rejoins with old contents.
 	Partitioned bool
-	// WriteFailProb fails each OpWrite independently with this probability,
+	// WriteFailProb fails each write frame independently with this probability,
 	// producing stale-replica divergence (the write lands on the other
 	// replicas only).
 	WriteFailProb float64
@@ -122,7 +122,7 @@ func (t *FaultTransport) Call(req *Request) (*Response, error) {
 		cause = "agent crashed"
 	case mode.Partitioned:
 		cause = "network partition"
-	case mode.WriteFailProb > 0 && (req.Op == OpWrite || req.Op == OpWriteBatch) &&
+	case mode.WriteFailProb > 0 && (req.Op == OpWrite || req.Op == OpWriteBatch || req.Op == OpWriteRanges) &&
 		t.rng != nil && t.rng.Float64() < mode.WriteFailProb:
 		cause = "transient write failure"
 	}

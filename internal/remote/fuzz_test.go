@@ -27,6 +27,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		[][]byte{make([]byte, PageSize), make([]byte, PageSize)})
 	_ = EncodeRequest(&buf, wb)
 	f.Add(bytes.Clone(buf.Bytes()))
+	// A range frame: one byte of a page, and a whole one.
+	buf.Reset()
+	wr, _ := rangeFrame([]writeRange{{BatchRef{Slab: 3, PageOff: 1}, PageSize - 1, []byte{7}},
+		{BatchRef{Slab: 3, PageOff: 2}, 0, make([]byte, PageSize)}})
+	_ = EncodeRequest(&buf, wr)
+	f.Add(bytes.Clone(buf.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data))
@@ -88,6 +94,8 @@ func FuzzAgentHandle(f *testing.F) {
 	f.Add(uint8(OpReadBatch), uint64(0), uint32(0), rb.Payload)
 	wb, _ := EncodeWriteBatch([]BatchRef{{Slab: 1, PageOff: 0}}, [][]byte{make([]byte, PageSize)})
 	f.Add(uint8(OpWriteBatch), uint64(0), uint32(0), wb.Payload)
+	wr, _ := rangeFrame([]writeRange{{BatchRef{Slab: 1, PageOff: 0}, 100, []byte("leap")}})
+	f.Add(uint8(OpWriteRanges), uint64(0), uint32(0), wr.Payload)
 
 	f.Fuzz(func(t *testing.T, op uint8, slab uint64, off uint32, payload []byte) {
 		if len(payload) > maxWirePayload {
@@ -109,7 +117,8 @@ func FuzzAgentHandle(f *testing.F) {
 // must re-encode (in both framings) and decode to the same entries
 // (round-trip closure). isRead selects the read decoders, which also run
 // the payload through the read-*response* decoder, the other frame shape
-// that carries compressed page images.
+// that carries compressed page images; the write side also reads the payload
+// as a range frame, which must in addition apply to an agent as it decodes.
 func FuzzBatchFrames(f *testing.F) {
 	var seedComp ztier.Compressor
 	rb, _ := EncodeReadBatch([]BatchRef{{Slab: 9, PageOff: 2}, {Slab: 9, PageOff: 3}})
@@ -128,6 +137,14 @@ func FuzzBatchFrames(f *testing.F) {
 		{Status: StatusBadSlab},
 	}, &seedComp)
 	f.Add(true, cresp.Payload)
+	wr, _ := rangeFrame([]writeRange{
+		{BatchRef{Slab: 1, PageOff: 0}, 0, []byte{1}},
+		{BatchRef{Slab: 1, PageOff: 0}, PageSize - 3, []byte{2, 3, 4}},
+		{BatchRef{Slab: 2, PageOff: 1}, 0, bytes.Repeat([]byte{5}, PageSize)},
+		{BatchRef{Slab: 9, PageOff: 0}, 64, bytes.Repeat([]byte{6}, 64)},
+	})
+	f.Add(false, wr.Payload)
+	f.Add(false, wr.Payload[:len(wr.Payload)-1])
 
 	f.Fuzz(func(t *testing.T, isRead bool, payload []byte) {
 		if len(payload) > maxWirePayload {
@@ -177,6 +194,7 @@ func FuzzBatchFrames(f *testing.F) {
 			}
 			return
 		}
+		fuzzWriteRanges(t, payload)
 		refs, pages, err := DecodeWriteBatch(&Request{Op: OpWriteBatch, Payload: payload})
 		if err != nil {
 			return
@@ -208,6 +226,57 @@ func FuzzBatchFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzWriteRanges reads payload as a range frame. One that does not decode must
+// leave an agent's slabs alone; one that does must re-encode to the same bytes
+// and, applied to an agent, lay each range over its page — entry by entry, in
+// order, for the slabs the agent has — exactly as a page map does.
+func fuzzWriteRanges(t *testing.T, payload []byte) {
+	const slabPages = 2
+	a := NewAgent(slabPages, 0)
+	model := map[SlabID][]byte{1: make([]byte, slabPages*PageSize), 2: make([]byte, slabPages*PageSize)}
+	for slab := range model {
+		a.Handle(&Request{Op: OpMapSlab, Slab: slab})
+	}
+	req := &Request{Op: OpWriteRanges, Payload: payload}
+	ranges, err := decodeWriteRanges(req, nil)
+	resp := a.Handle(req)
+	if err != nil {
+		if resp.Status != StatusBadFrame {
+			t.Fatalf("agent answered status %d to a range frame that does not decode (%v)", resp.Status, err)
+		}
+	} else {
+		again, err := rangeFrame(ranges)
+		if err != nil || !bytes.Equal(again.Payload, payload) {
+			t.Fatalf("range frame round trip diverged (%v)", err)
+		}
+		statuses, err := DecodeWriteBatchResponse(resp)
+		if err != nil || len(statuses) != len(ranges) {
+			t.Fatalf("range frame of %d entries answered %d statuses (%v)", len(ranges), len(statuses), err)
+		}
+		for i, r := range ranges {
+			want := StatusOK
+			if img, ok := model[r.Slab]; !ok {
+				want = StatusBadSlab
+			} else if r.PageOff >= slabPages {
+				want = StatusBadBound
+			} else {
+				copy(img[int(r.PageOff)*PageSize+r.Lo:], r.Data)
+			}
+			if statuses[i] != want {
+				t.Fatalf("range %d: status %d, want %d", i, statuses[i], want)
+			}
+		}
+	}
+	for slab, img := range model {
+		for off := uint32(0); off < slabPages; off++ {
+			got := a.Handle(&Request{Op: OpRead, Slab: slab, PageOff: off}).Payload
+			if !bytes.Equal(got, img[int(off)*PageSize:int(off+1)*PageSize]) {
+				t.Fatalf("slab %d page %d differs from the model after the frame (decode error: %v)", slab, off, err)
+			}
+		}
+	}
 }
 
 func slicesEqualRefs(a, b []BatchRef) bool {

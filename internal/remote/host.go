@@ -97,6 +97,12 @@ type HostStats struct {
 	// (HostConfig.Compress); WireRawBytes is what those frames' payloads
 	// would have cost raw, WireCompressedBytes what they actually cost.
 	CompressedFrames, WireRawBytes, WireCompressedBytes int64
+	// RangeWrites counts per-replica write operations that traveled as the
+	// dirty range of their page instead of its image (WritePageRangeAsync);
+	// WriteWireBytes is the payload bytes of every write frame the engine
+	// built, whatever its encoding — over the bytes the application stored,
+	// the write amplification.
+	RangeWrites, WriteWireBytes int64
 }
 
 // Host is the machine-local agent of §4.4: it maps the swap address space
@@ -138,6 +144,10 @@ type Host struct {
 	// hot maps a page to extra read replicas beyond its slab placement —
 	// the control plane's top-K fault-frequency pages (ReplicateHot).
 	hot map[core.PageID][]int
+	// wholeNext marks pages whose next write must go out whole, whatever range
+	// its caller names (distrust): nil until a write fails everywhere or a read
+	// is served by a holder outside the ack set.
+	wholeNext map[core.PageID]struct{}
 
 	// now is the virtual-time source for per-ticket deadlines; onBackoff
 	// receives retry pacing charges (both optional, see SetTimeSource /
@@ -184,10 +194,12 @@ type Host struct {
 	comp ztier.Compressor
 	// Batch-frame scratch, consumed under h.mu. wire holds the encoded request:
 	// h.mu is held from frame to start, and a transport is done with a request
-	// when Start or Call returns. refs, pages: encoder input. results: decoded.
+	// when Start or Call returns. refs, pages, ranges: encoder input. results:
+	// decoded.
 	wire    []byte
 	refs    []BatchRef
 	pages   [][]byte
+	ranges  []writeRange
 	results []BatchReadResult
 
 	stats HostStats
@@ -285,11 +297,11 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, queued := h.dirty[page]; queued {
-		t := h.writeAsyncLocked(page, data)
+		t := h.writeAsyncLocked(page, data, 0, PageSize)
 		h.keepFor(t, h.drain(true))
 		return t.err
 	}
-	t, pw := h.newWrite(page, data)
+	t, pw := h.newWrite(page, data, 0, PageSize)
 	if pw != nil {
 		for _, idx := range pw.replicas {
 			h.reap(h.launch(idx, queueEntry{write: pw})) // carries only this write: its error is t.err

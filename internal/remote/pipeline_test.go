@@ -467,11 +467,12 @@ func (s *switchTransport) Start(req *Request) (Pending, error) {
 	return s.cur().(Starter).Start(req)
 }
 
-// gateTransport is a split-phase transport over an in-process agent whose
-// responses are held back until the gate opens: Start hands the request to
-// the agent at once (in order) and Wait blocks on the gate.
+// gateTransport is a split-phase transport over an in-process agent (or a
+// transport that fronts one) whose responses are held back until the gate
+// opens: Start hands the request to the agent at once (in order) and Wait
+// blocks on the gate.
 type gateTransport struct {
-	inner   *InProc
+	inner   Transport
 	mu      sync.Mutex
 	open    chan struct{}
 	started chan uint8 // op of every request started; buffered, never blocks

@@ -44,6 +44,9 @@ const (
 	OpReadBatch uint8 = 7
 	// OpWriteBatch writes up to MaxBatchOps pages in one frame.
 	OpWriteBatch uint8 = 8
+	// OpWriteRanges writes a byte range of each of up to MaxBatchOps pages in
+	// one frame: what a store dirtied, laid over the image the agent holds.
+	OpWriteRanges uint8 = 9
 )
 
 // Status codes of the wire protocol.
@@ -66,10 +69,10 @@ const MaxBatchOps = 256
 const protoMagic uint8 = 0x4C // 'L'
 
 // Request is one protocol request. Payload is used by OpWrite (exactly
-// PageSize bytes) and by the batch ops, whose payloads pack per-page
-// entries (see batch.go for the framing). A Request must not be encoded from
-// two goroutines at once: encoders that own header room write the header in
-// place.
+// PageSize bytes) and by the batch ops (OpReadBatch, OpWriteBatch,
+// OpWriteRanges), whose payloads pack per-page entries (see batch.go for the
+// framing). A Request must not be encoded from two goroutines at once:
+// encoders that own header room write the header in place.
 type Request struct {
 	Op      uint8
 	Slab    SlabID
@@ -104,17 +107,27 @@ const respHeaderSize = 1 + 1 + 4
 // batchRefSize is one (slab, pageoff) reference inside a batch payload.
 const batchRefSize = 8 + 4
 
-// maxWirePayload bounds any frame payload: the largest legal frame is a
-// full *compressed* write batch of incompressible pages — count word plus
-// MaxBatchOps × (ref, u16 clen, stored-fallback page of PageSize+1 bytes).
-// That exceeds the raw write batch by 3 bytes per entry. Decoders reject
-// anything larger before allocating.
-const maxWirePayload = 4 + MaxBatchOps*(batchRefSize+2+PageSize+1)
+// rangeHeadSize is what follows the reference in an OpWriteRanges entry: the
+// range's first byte and its length less one, a u16 each.
+const rangeHeadSize = 2 + 2
+
+// maxWirePayload bounds any frame payload: the largest legal frame is a full
+// range batch of whole pages — count word plus MaxBatchOps × (ref, range head,
+// PageSize bytes) — one byte per entry more than a compressed write batch of
+// incompressible pages (ref, u16 clen, stored-fallback page of PageSize+1
+// bytes). Decoders reject anything larger before allocating.
+const maxWirePayload = 4 + MaxBatchOps*(batchRefSize+rangeHeadSize+PageSize)
 
 // connBufSize sizes the bufio.Reader on each end of a TCP connection: one
 // header-sized read pulls in a whole single-page frame, and payloads beyond
 // it are read straight into their destination.
 const connBufSize = 16 << 10
+
+// batchOp reports whether op's payload packs per-page entries (batch.go) and
+// so may exceed a page.
+func batchOp(op uint8) bool {
+	return op == OpReadBatch || op == OpWriteBatch || op == OpWriteRanges
+}
 
 // sized returns a slice of n elements, s's own array when that is large
 // enough: scratch for a decoder or encoder that overwrites all of it.
@@ -204,7 +217,7 @@ func readRequest(r io.Reader, req *Request, buf []byte) ([]byte, error) {
 	if n > maxWirePayload {
 		return buf, fmt.Errorf("remote: oversized payload %d", n)
 	}
-	if n > PageSize && req.Op != OpReadBatch && req.Op != OpWriteBatch {
+	if n > PageSize && !batchOp(req.Op) {
 		return buf, fmt.Errorf("remote: oversized payload %d for op %d", n, req.Op)
 	}
 	if n > 0 {

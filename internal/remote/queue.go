@@ -199,6 +199,10 @@ type pendingWrite struct {
 
 	data     []byte // the host's own copy of the page image
 	replicas []int  // replica set at enqueue time (placement + hot holders)
+	// [lo,hi) is the hull of the bytes in which data differs from the image the
+	// agents in h.acked[page] hold (the base-image rule, see writeFrame): such
+	// an agent can be sent the hull alone. [0,PageSize) claims nothing.
+	lo, hi int
 	// started is set once any replica's sub-operation has been cut into a
 	// frame: the bytes are (about to be) on the wire, so a later write to
 	// the page must queue behind this one instead of superseding it in place.
@@ -342,20 +346,34 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 // with the final outcome). The write is durable — acknowledged, visible to
 // reads from other hosts' perspectives — only once flushed.
 func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
-	if len(data) != PageSize {
+	t, _ := h.WritePageRangeAsync(page, data, 0, PageSize)
+	return t
+}
+
+// WritePageRangeAsync is WritePageAsync from a caller that knows what it
+// changed: data is the whole image all the same, and [lo,hi) covers every byte
+// in which it differs from the image the host last gave out or took in for the
+// page (a read's bytes, the previous write's). Replicas known to hold that
+// image are sent the range alone (see writeFrame); [0,PageSize) claims nothing
+// and is WritePageAsync. It also reports the dirty backlog the write leaves —
+// the count of queued, unflushed writes — which an eviction pipeline bounds
+// before ringing the doorbell.
+func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t *Ticket, backlog int) {
+	if len(data) != PageSize || lo < 0 || lo >= hi || hi > PageSize {
 		return &Ticket{host: h, done: true,
-			err: fmt.Errorf("remote: WritePageAsync with %d bytes, want %d", len(data), PageSize)}
+			err: fmt.Errorf("remote: WritePageRangeAsync with %d bytes, range [%d,%d), want %d and a range within them",
+				len(data), lo, hi, PageSize)}, 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncWrites++
-	return h.writeAsyncLocked(page, data)
+	return h.writeAsyncLocked(page, data, lo, hi), len(h.dirty)
 }
 
-// writeAsyncLocked enqueues a write of data (len PageSize) to page. Callers
-// hold h.mu.
-func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
-	t, pw := h.newWrite(page, data)
+// writeAsyncLocked enqueues a write of data (len PageSize) to page, changed
+// within [lo,hi). Callers hold h.mu.
+func (h *Host) writeAsyncLocked(page core.PageID, data []byte, lo, hi int) *Ticket {
+	t, pw := h.newWrite(page, data, lo, hi)
 	if pw != nil {
 		for _, idx := range pw.replicas {
 			h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
@@ -364,18 +382,29 @@ func (h *Host) writeAsyncLocked(page core.PageID, data []byte) *Ticket {
 	return t
 }
 
-// newWrite opens a write of data (len PageSize) to page and returns its
-// ticket. A write that needs frames of its own comes back as a pendingWrite
-// too, already the page's dirty entry, for the caller to queue on, or launch
-// at, each of pw.replicas. Callers hold h.mu.
-func (h *Host) newWrite(page core.PageID, data []byte) (*Ticket, *pendingWrite) {
+// newWrite opens a write of data (len PageSize) to page, changed within
+// [lo,hi), and returns its ticket. A write that needs frames of its own comes
+// back as a pendingWrite too, already the page's dirty entry, for the caller to
+// queue on, or launch at, each of pw.replicas. Callers hold h.mu.
+func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pendingWrite) {
 	t := &Ticket{host: h}
-	if pw, ok := h.dirty[page]; ok && !pw.started {
+	prev, queued := h.dirty[page]
+	if _, ok := h.wholeNext[page]; ok || (queued && prev.started) {
+		// The hull is measured from an image no replica is known to hold: the
+		// host cannot vouch for what the replicas have, or an earlier write is
+		// on the wire and may yet miss any of them.
+		lo, hi = 0, PageSize
+	}
+	if queued && !prev.started {
 		// Supersede in place: the queued sub-operations will carry the new
 		// bytes (last writer wins); the earlier write's ticket completes
-		// with the same flush outcome. A write already cut into a frame
-		// cannot take new bytes — the new write queues behind it below.
+		// with the same flush outcome. Its hull was measured from what the
+		// replicas hold and this one's from its image, so the union covers
+		// both. A write already cut into a frame cannot take new bytes — the
+		// new write queues behind it below.
+		pw := prev
 		copy(pw.data, data)
+		pw.lo, pw.hi = min(pw.lo, lo), max(pw.hi, hi)
 		pw.superseded = append(pw.superseded, pw.ticket)
 		pw.ticket = t
 		t.write = pw
@@ -394,6 +423,8 @@ func (h *Host) newWrite(page core.PageID, data []byte) (*Ticket, *pendingWrite) 
 		off:      off,
 		data:     h.pageBuf(),
 		replicas: slices.Clone(h.writeTargets(page, replicas)),
+		lo:       lo,
+		hi:       hi,
 		lastIdx:  -1,
 		ticket:   t,
 	}
@@ -432,14 +463,6 @@ func (h *Host) Submit() (flying bool, err error) {
 	defer h.mu.Unlock()
 	err = h.drain(false)
 	return len(h.flights) > 0, err
-}
-
-// PendingWrites reports the queued, unflushed write count — the dirty
-// backlog an eviction pipeline bounds before ringing the doorbell.
-func (h *Host) PendingWrites() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.dirty)
 }
 
 // pageBuf takes a PageSize buffer off the free list.
@@ -662,7 +685,7 @@ func (h *Host) land(f *flight, resp *Response, err error) error {
 		h.landReads(f.idx, f.batch, resp, err)
 		return nil
 	}
-	return h.landWrites(f.idx, f.batch, resp, err)
+	return h.landWrites(f, resp, err)
 }
 
 // frame builds the request that carries f's batch. Callers hold h.mu.
@@ -768,10 +791,26 @@ func (h *Host) completeRead(pr *pendingRead, idx int, data []byte) {
 	if len(h.hot) > 0 && !slices.Contains(h.placements[pr.slab], idx) {
 		h.stats.HotReads++
 	}
+	if len(pr.tried) > 0 { // only a failover leaves the ack set while it has members
+		if acked := h.acked[pr.page]; len(acked) > 0 && !slices.Contains(acked, idx) {
+			h.distrust(pr.page) // every acked holder failed: these bytes may be an older image
+		}
+	}
 	h.retireRead(pr)
 	for _, t := range pr.tickets {
 		t.done = true
 	}
+}
+
+// distrust records that the image the caller has of page may be none the
+// acked replicas hold, so that a hull measured from it means nothing: the
+// page's next write goes out whole, and clears the mark once a replica has
+// acknowledged it. Callers hold h.mu.
+func (h *Host) distrust(page core.PageID) {
+	if h.wholeNext == nil {
+		h.wholeNext = make(map[core.PageID]struct{})
+	}
+	h.wholeNext[page] = struct{}{}
 }
 
 // retireRead marks pr complete and closes it to coalescing. Callers hold
@@ -842,26 +881,47 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 	fail(fmt.Errorf("%w: %w", ErrAllReplicasFailed, lastErr))
 }
 
-// writeFrame builds the request for f's write batch: a plain OpWrite for a
-// single operation, a batch frame otherwise. Callers hold h.mu.
-func (h *Host) writeFrame(f *flight) (*Request, error) {
+// writeFrame builds the request for f's write batch. The base-image rule
+// decides, entry by entry, what agent f.idx is sent: the hull alone when it is
+// shorter than a page and the agent is in h.acked[page] — it holds the image
+// the hull was measured from, because it acknowledged the page's last write (or
+// was certified a copy of it) and no write of the page has started since — and
+// the whole image otherwise, out of the same buffer. A frame with a range in
+// it is an OpWriteRanges, whole pages riding as [0,PageSize); one without is
+// what it always was, a plain OpWrite for a single operation and an
+// OpWriteBatch otherwise, compressed under HostConfig.Compress, which ships
+// whole pages only. Callers hold h.mu.
+func (h *Host) writeFrame(f *flight) (req *Request, err error) {
 	idx, batch := f.idx, f.batch
-	if len(batch) == 1 {
+	ranged := 0
+	h.ranges = sized(h.ranges, len(batch))
+	for i, e := range batch {
+		pw := e.write
+		lo, hi := 0, PageSize
+		if !h.cfg.Compress && pw.hi-pw.lo < PageSize && slices.Contains(h.acked[pw.page], idx) {
+			lo, hi = pw.lo, pw.hi
+			ranged++
+		}
+		h.ranges[i] = writeRange{BatchRef: BatchRef{Slab: pw.slab, PageOff: pw.off}, Lo: lo, Data: pw.data[lo:hi]}
+	}
+	switch {
+	case ranged > 0:
+		req, err = encodeWriteRanges(&f.req, h.ranges, h.wire)
+	case len(batch) == 1:
 		pw := batch[0].write
 		f.req = Request{Op: OpWrite, Slab: pw.slab, PageOff: pw.off, Payload: pw.data}
+		h.stats.WriteWireBytes += PageSize
 		return &f.req, nil
-	}
-	h.refs, h.pages = sized(h.refs, len(batch)), sized(h.pages, len(batch))
-	for i, e := range batch {
-		h.refs[i] = BatchRef{Slab: e.write.slab, PageOff: e.write.off}
-		h.pages[i] = e.write.data
-	}
-	var req *Request
-	var err error
-	if h.cfg.Compress {
-		req, err = encodeWriteBatchCompressed(&f.req, h.refs, h.pages, &h.comp, h.wire)
-	} else {
-		req, err = encodeWriteBatch(&f.req, h.refs, h.pages, h.wire)
+	default:
+		h.refs, h.pages = sized(h.refs, len(batch)), sized(h.pages, len(batch))
+		for i, r := range h.ranges {
+			h.refs[i], h.pages[i] = r.BatchRef, r.Data
+		}
+		if h.cfg.Compress {
+			req, err = encodeWriteBatchCompressed(&f.req, h.refs, h.pages, &h.comp, h.wire)
+		} else {
+			req, err = encodeWriteBatch(&f.req, h.refs, h.pages, h.wire)
+		}
 	}
 	if err != nil {
 		return nil, opError(OpWrite, idx, batch[0].write.page, 0, err)
@@ -872,15 +932,20 @@ func (h *Host) writeFrame(f *flight) (*Request, error) {
 		h.stats.WireRawBytes += int64(4 + len(batch)*(batchRefSize+PageSize))
 		h.stats.WireCompressedBytes += int64(len(req.Payload))
 	}
-	h.stats.BatchCalls++
-	h.stats.BatchedPages += int64(len(batch))
+	if len(batch) > 1 {
+		h.stats.BatchCalls++
+		h.stats.BatchedPages += int64(len(batch))
+	}
+	h.stats.RangeWrites += int64(ranged)
+	h.stats.WriteWireBytes += int64(len(req.Payload))
 	return req, nil
 }
 
 // landWrites resolves the per-replica sub-operations a write frame to agent
 // idx carried and returns the first error of a write it thereby finished on
 // every replica with no acceptance. Callers hold h.mu.
-func (h *Host) landWrites(idx int, batch []queueEntry, resp *Response, err error) error {
+func (h *Host) landWrites(f *flight, resp *Response, err error) error {
+	idx, batch := f.idx, f.batch
 	var firstErr error
 	resolve := func(pw *pendingWrite, err error) {
 		pw.resolved++
@@ -899,7 +964,7 @@ func (h *Host) landWrites(idx int, batch []queueEntry, resp *Response, err error
 	var statuses []uint8
 	switch {
 	case err != nil:
-	case len(batch) == 1:
+	case f.req.Op == OpWrite:
 		statuses = []uint8{resp.Status}
 	default:
 		statuses, err = decodeWriteBatchResponse(resp)
@@ -934,7 +999,9 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	if len(pw.acked) == 0 {
 		err = opError(OpWrite, pw.lastIdx, pw.page, len(pw.replicas),
 			fmt.Errorf("%w: %w", ErrAllReplicasFailed, pw.lastErr))
+		h.distrust(pw.page) // a replica whose answer was lost may hold either image
 	} else {
+		delete(h.wholeNext, pw.page)
 		h.acked[pw.page] = pw.acked
 		if len(pw.acked) < h.cfg.Replicas {
 			h.degraded[pw.page] = true

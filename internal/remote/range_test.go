@@ -1,0 +1,647 @@
+package remote
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"leap/internal/core"
+	"leap/internal/sim"
+)
+
+// rangeFrame encodes ranges into a request of its own.
+func rangeFrame(ranges []writeRange) (*Request, error) {
+	return encodeWriteRanges(new(Request), ranges, nil)
+}
+
+// TestWriteRangesRoundTrip: ranges of every shape — one byte, a whole page, the
+// last byte of a page — survive the codec and the wire, largest frame included.
+func TestWriteRangesRoundTrip(t *testing.T) {
+	page := stamp(7)
+	ranges := []writeRange{
+		{BatchRef{Slab: 1, PageOff: 0}, 0, page[:1]},
+		{BatchRef{Slab: 1 << 40, PageOff: 9}, 0, page},
+		{BatchRef{Slab: 2, PageOff: 3}, PageSize - 1, page[PageSize-1:]},
+		{BatchRef{Slab: 2, PageOff: 4}, 100, page[100:164]},
+	}
+	req, err := rangeFrame(ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := BatchPages(req); got != len(ranges) {
+		t.Errorf("BatchPages = %d, want %d", got, len(ranges))
+	}
+	var buf bytes.Buffer
+	if err := EncodeRequest(&buf, req); err != nil {
+		t.Fatal(err)
+	}
+	wired, err := DecodeRequest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeWriteRanges(wired, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ranges) {
+		t.Fatalf("decoded %d ranges, want %d", len(got), len(ranges))
+	}
+	for i := range ranges {
+		if got[i].BatchRef != ranges[i].BatchRef || got[i].Lo != ranges[i].Lo || !bytes.Equal(got[i].Data, ranges[i].Data) {
+			t.Errorf("range %d came back as %v [%d,+%d)", i, got[i].BatchRef, got[i].Lo, len(got[i].Data))
+		}
+	}
+
+	full := make([]writeRange, MaxBatchOps)
+	for i := range full {
+		full[i] = writeRange{BatchRef{Slab: 1, PageOff: uint32(i)}, 0, page}
+	}
+	req, err = rangeFrame(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Payload) != maxWirePayload {
+		t.Errorf("largest range frame is %d B, maxWirePayload %d", len(req.Payload), maxWirePayload)
+	}
+	buf.Reset()
+	if err := EncodeRequest(&buf, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeRequest(&buf); err != nil {
+		t.Errorf("largest range frame does not pass the request reader: %v", err)
+	}
+
+	for name, bad := range map[string][]writeRange{
+		"none":      {},
+		"empty":     {{BatchRef{}, 5, nil}},
+		"past page": {{BatchRef{}, PageSize - 1, page[:2]}},
+		"negative":  {{BatchRef{}, -1, page[:2]}},
+	} {
+		if _, err := rangeFrame(bad); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// TestAgentRejectsMalformedRanges: a range frame that does not parse — a range
+// past its page, a truncated or over-long payload, the compress flag — answers
+// StatusBadFrame and leaves every slab as it was, the well-formed entries
+// ahead of the bad one included.
+func TestAgentRejectsMalformedRanges(t *testing.T) {
+	a := NewAgent(4, 0)
+	a.Handle(&Request{Op: OpMapSlab, Slab: 1})
+	good, err := rangeFrame([]writeRange{
+		{BatchRef{Slab: 1, PageOff: 0}, 8, []byte("abcd")},
+		{BatchRef{Slab: 1, PageOff: 1}, PageSize - 2, []byte("yz")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(f func(p []byte) []byte) []byte { return f(bytes.Clone(good.Payload)) }
+	last := 4 + batchRefSize + rangeHeadSize + 4 // the second entry
+	for name, payload := range map[string][]byte{
+		"past page": mutate(func(p []byte) []byte { p[last+batchRefSize] = 0xff; return p }), // lo = PageSize-2+1
+		"truncated": mutate(func(p []byte) []byte { return p[:len(p)-1] }),
+		"trailing":  mutate(func(p []byte) []byte { return append(p, 0) }),
+		"compress":  mutate(func(p []byte) []byte { p[3] |= 0x80; return p }),
+		"no count":  {1, 0},
+		"zero ops":  {0, 0, 0, 0},
+		"cut head":  good.Payload[:4+batchRefSize+2],
+	} {
+		if resp := a.Handle(&Request{Op: OpWriteRanges, Payload: payload}); resp.Status != StatusBadFrame {
+			t.Errorf("%s: status %d, want StatusBadFrame", name, resp.Status)
+		}
+	}
+	for off := uint32(0); off < 4; off++ {
+		if resp := a.Handle(&Request{Op: OpRead, Slab: 1, PageOff: off}); !bytes.Equal(resp.Payload, make([]byte, PageSize)) {
+			t.Errorf("page %d was touched by a malformed frame", off)
+		}
+	}
+	if _, writes := a.Ops(); writes != 0 {
+		t.Errorf("agent counted %d writes", writes)
+	}
+
+	// The frame itself applies, with per-entry statuses like a write batch's: an
+	// unmapped slab or a page past the slab fails its entry alone.
+	mixed, _ := rangeFrame([]writeRange{
+		{BatchRef{Slab: 1, PageOff: 0}, 8, []byte("abcd")},
+		{BatchRef{Slab: 2, PageOff: 0}, 0, []byte("x")},
+		{BatchRef{Slab: 1, PageOff: 4}, 0, []byte("x")},
+		{BatchRef{Slab: 1, PageOff: 3}, PageSize - 2, []byte("yz")},
+	})
+	statuses, err := DecodeWriteBatchResponse(a.Handle(mixed))
+	if err != nil || !slices.Equal(statuses, []uint8{StatusOK, StatusBadSlab, StatusBadBound, StatusOK}) {
+		t.Fatalf("statuses %v (%v)", statuses, err)
+	}
+	want := make([]byte, PageSize)
+	copy(want[8:], "abcd")
+	if resp := a.Handle(&Request{Op: OpRead, Slab: 1, PageOff: 0}); !bytes.Equal(resp.Payload, want) {
+		t.Error("range was not laid over the page")
+	}
+}
+
+// TestFaultTransportFailsRangeFrames: write-fault injection and the page count
+// a virtual-time observer charges cover range frames as they cover batches.
+func TestFaultTransportFailsRangeFrames(t *testing.T) {
+	a := NewAgent(4, 0)
+	ft := NewFaultTransport(0, NewInProc(a), sim.NewRNG(1))
+	var seen []CallObservation
+	ft.SetObserver(func(o CallObservation) { seen = append(seen, o) })
+	ft.SetMode(FaultMode{WriteFailProb: 1})
+	req, _ := rangeFrame([]writeRange{
+		{BatchRef{Slab: 1, PageOff: 0}, 0, []byte("a")},
+		{BatchRef{Slab: 1, PageOff: 1}, 0, []byte("b")},
+		{BatchRef{Slab: 1, PageOff: 2}, 0, []byte("c")},
+	})
+	if _, err := ft.Call(req); err == nil {
+		t.Error("range frame passed a transport failing every write")
+	}
+	if len(seen) != 1 || seen[0].Pages != 3 || !seen[0].Injected {
+		t.Errorf("observed %+v, want one injected call of 3 pages", seen)
+	}
+}
+
+// frameLog is a Call-only transport that notes the shape of every write frame
+// its agent is sent: "a1 range 64 4096" is an OpWriteRanges to agent 1 of a
+// 64-byte range and a whole page.
+type frameLog struct {
+	idx   int
+	inner Transport
+	mu    *sync.Mutex
+	lines *[]string
+}
+
+func (l *frameLog) Call(req *Request) (*Response, error) {
+	var line string
+	switch req.Op {
+	case OpWrite:
+		line = "page"
+	case OpWriteBatch:
+		line = fmt.Sprintf("batch x%d", BatchPages(req))
+		if payloadCompressed(req.Payload) {
+			line += " compressed"
+		}
+	case OpWriteRanges:
+		ranges, err := decodeWriteRanges(req, nil)
+		if err != nil {
+			line = "range " + err.Error()
+		} else {
+			line = "range"
+			for _, r := range ranges {
+				line += fmt.Sprint(" ", len(r.Data))
+			}
+		}
+	}
+	if line != "" {
+		l.mu.Lock()
+		*l.lines = append(*l.lines, fmt.Sprintf("a%d %s", l.idx, line))
+		l.mu.Unlock()
+	}
+	return l.inner.Call(req)
+}
+
+func (l *frameLog) Close() error { return nil }
+
+// loggedHost builds a host over n in-process agents behind frameLogs; frames
+// returns, and forgets, the write frames sent since it was last called.
+func loggedHost(t *testing.T, n int, cfg HostConfig) (h *Host, inner []*InProc, frames func() string) {
+	t.Helper()
+	var mu sync.Mutex
+	var lines []string
+	trs := make([]Transport, n)
+	inner = make([]*InProc, n)
+	for i := range trs {
+		inner[i] = NewInProc(NewAgent(cfg.SlabPages, 0))
+		trs[i] = &frameLog{idx: i, inner: inner[i], mu: &mu, lines: &lines}
+	}
+	h, err := NewHost(cfg, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, inner, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		s := strings.Join(lines, "; ")
+		lines = nil
+		return s
+	}
+}
+
+// TestBaseImageRule walks the rule frame by frame: an agent is sent a range
+// only while it is in the page's ack set, which is to say it holds the image
+// the range was measured from.
+func TestBaseImageRule(t *testing.T) {
+	h, inner, frames := loggedHost(t, 2, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 1})
+	img := stamp(1)
+	step := func(what, want string) {
+		t.Helper()
+		if err := h.Flush(); err != nil {
+			t.Fatalf("%s: flush: %v", what, err)
+		}
+		if got := frames(); got != want {
+			t.Errorf("%s:\n got  %s\n want %s", what, got, want)
+		}
+	}
+	store := func(page core.PageID, lo, hi int) {
+		t.Helper()
+		img[lo]++
+		if tk, _ := h.WritePageRangeAsync(page, img, lo, hi); tk.Err() != nil {
+			t.Fatal(tk.Err())
+		}
+	}
+
+	store(0, 10, 20)
+	step("a first write has no base", "a0 page; a1 page")
+	store(0, 10, 20)
+	step("a range lands on both holders of the base", "a0 range 10; a1 range 10")
+	store(0, 0, 1)
+	store(0, 100, 164)
+	step("superseding in place unions the hulls", "a0 range 164; a1 range 164")
+	store(0, 5, 6)
+	store(1, 0, PageSize)
+	store(2, 7, 9)
+	step("a frame with a range in it carries whole pages as ranges", "a0 range 1 4096 4096; a1 range 1 4096 4096")
+	store(1, 0, PageSize)
+	store(2, 0, PageSize)
+	step("a frame of whole pages is the batch it always was", "a0 batch x2; a1 batch x2")
+
+	inner[1].SetFailed(true)
+	store(0, 30, 40)
+	step("one replica down (its frame is noted, and fails)", "a0 range 10; a1 range 10")
+	inner[1].SetFailed(false)
+	store(0, 50, 60)
+	step("the replica that missed a write is sent the page", "a0 range 10; a1 page")
+	store(0, 50, 60)
+	step("and ranges again once it has acknowledged one", "a0 range 10; a1 range 10")
+
+	if err := h.WritePage(0, img); err != nil {
+		t.Fatal(err)
+	}
+	step("WritePage ships the page, in placement order", "a1 page; a0 page")
+
+	inner[0].SetFailed(true)
+	inner[1].SetFailed(true)
+	img[70]++
+	tk, _ := h.WritePageRangeAsync(0, img, 70, 71)
+	if err := h.Flush(); err == nil || tk.Err() == nil {
+		t.Fatal("a write no replica took reported no error")
+	}
+	inner[0].SetFailed(false)
+	inner[1].SetFailed(false)
+	frames()
+	store(0, 70, 71)
+	step("after a write lost everywhere nobody's image is known", "a0 page; a1 page")
+	store(0, 70, 71)
+	step("until one has been acknowledged", "a0 range 1; a1 range 1")
+
+	// A read that every acked holder failed is served by whoever answers, whose
+	// image may be an older one: a range measured from those bytes has no base.
+	inner[1].SetFailed(true)
+	store(0, 80, 81) // acked: agent 0 alone
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	inner[1].SetFailed(false)
+	inner[0].SetFailed(true)
+	stale := make([]byte, PageSize)
+	if err := h.ReadPage(0, stale); err != nil {
+		t.Fatal(err)
+	}
+	inner[0].SetFailed(false)
+	frames()
+	stale[90]++
+	if tk, _ := h.WritePageRangeAsync(0, stale, 90, 91); tk.Err() != nil {
+		t.Fatal(tk.Err())
+	}
+	step("a range over bytes read from outside the ack set", "a0 page; a1 page")
+	copy(img, stale)
+
+	// An agent that lost its slabs fails a range as it fails a page.
+	inner[1].agent.Reset()
+	store(0, 1, 2)
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.AckedReplicas(0); !slices.Equal(got, []int{0}) {
+		t.Errorf("acked %v after a range to an unmapped slab, want [0]", got)
+	}
+	if st := h.Stats(); st.RangeWrites == 0 || st.WriteWireBytes == 0 {
+		t.Errorf("stats %+v count no range traffic", st)
+	}
+}
+
+// TestWriteBehindStartedWriteGoesWhole: a range queued behind a write of the
+// page that is on the wire is measured from an image that write may yet fail to
+// leave on a replica, so it travels whole.
+func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
+	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 5})
+	img := stamp(3)
+	if err := h.WritePage(3, img); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.hold()
+		for len(g.started) > 0 {
+			<-g.started
+		}
+	}
+	img[0]++
+	h.WritePageRangeAsync(3, img, 0, 1)
+	flushed := make(chan error, 1)
+	go func() { flushed <- h.Flush() }()
+	if op := <-gates[0].started; op != OpWriteRanges {
+		t.Fatalf("first write left as op %d, want a range frame", op)
+	}
+	img[9]++
+	h.WritePageRangeAsync(3, img, 9, 10)
+	for _, g := range gates {
+		g.release()
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The first write's two ranges and no more: the second went whole, alone in
+	// agent 0's next frame and beside the first in agent 1's.
+	if st := h.Stats(); st.RangeWrites != 2 {
+		t.Errorf("%d range writes, want the first write's 2", st.RangeWrites)
+	}
+	if op := <-gates[0].started; op != OpWrite {
+		t.Errorf("second write reached agent 0 as op %d, want a page", op)
+	}
+	for i, g := range gates {
+		resp, err := g.inner.Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
+		if err != nil || !bytes.Equal(resp.Payload, img) {
+			t.Errorf("agent %d does not hold the newest image", i)
+		}
+	}
+}
+
+// TestCompressedHostShipsWholePages: HostConfig.Compress frames are whole
+// pages through the codec, whatever range the caller names.
+func TestCompressedHostShipsWholePages(t *testing.T) {
+	h, _, frames := loggedHost(t, 2, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 1, Compress: true})
+	img := stamp(1)
+	for round := 0; round < 2; round++ {
+		for pg := core.PageID(0); pg < 2; pg++ {
+			img[5]++
+			h.WritePageRangeAsync(pg, img, 5, 6)
+		}
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := frames(), "a0 batch x2 compressed; a1 batch x2 compressed"; got != want {
+			t.Errorf("round %d: %s, want %s", round, got, want)
+		}
+	}
+	if st := h.Stats(); st.RangeWrites != 0 {
+		t.Errorf("a compressing host sent %d ranges", st.RangeWrites)
+	}
+}
+
+// rangeModel is a host over four agents and the page map its writes must
+// leave behind. Each agent sits behind a fault injector behind a gate, so a
+// tape can fail one replica's writes and hold a frame on the wire.
+type rangeModel struct {
+	t      *testing.T
+	rng    *rand.Rand
+	h      *Host
+	agents []*Agent
+	faults []*FaultTransport
+	gates  []*gateTransport
+	// started is every gate's: the op of each frame put on any wire.
+	started chan uint8
+	oracle  map[core.PageID]*[PageSize]byte
+	issued  []*Ticket
+}
+
+const modelPages = 24 // three slabs of eight
+
+func newRangeModel(t *testing.T, seed int64) *rangeModel {
+	m := &rangeModel{t: t, rng: rand.New(rand.NewSource(seed)), oracle: map[core.PageID]*[PageSize]byte{},
+		started: make(chan uint8, 1024)} // drained at every flush, which few frames separate
+	trs := make([]Transport, 4)
+	for i := range trs {
+		a := NewAgent(8, 0)
+		ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(uint64(seed)*31+uint64(i)))
+		g := &gateTransport{inner: ft, open: make(chan struct{}), started: m.started}
+		g.release()
+		m.agents, m.faults, m.gates = append(m.agents, a), append(m.faults, ft), append(m.gates, g)
+		trs[i] = g
+	}
+	var err error
+	if m.h, err = NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: uint64(seed)}, trs); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// write stores a random range of page — a byte, a page, or something between —
+// over the oracle's image of it, through the async engine.
+func (m *rangeModel) write(page core.PageID) {
+	img := m.oracle[page]
+	if img == nil {
+		img = new([PageSize]byte)
+		m.oracle[page] = img
+	}
+	lo, n := m.rng.Intn(PageSize), 1
+	switch m.rng.Intn(6) {
+	case 0:
+	case 1:
+		lo, n = 0, PageSize
+	default:
+		n = 1 + m.rng.Intn(min(PageSize-lo, 300))
+	}
+	for i := lo; i < lo+n; i++ {
+		img[i] += byte(1 + m.rng.Intn(255)) // every byte of the range changes
+	}
+	tk, _ := m.h.WritePageRangeAsync(page, img[:], lo, lo+n)
+	m.issued = append(m.issued, tk)
+}
+
+func (m *rangeModel) writes(n int) {
+	for i := 0; i < n; i++ {
+		m.write(core.PageID(m.rng.Intn(modelPages)))
+	}
+}
+
+// flush is the barrier the oracle is checked at: every write issued is
+// acknowledged, ReadPage returns the oracle's image of every page, and so does
+// every agent in the page's ack set, asked directly.
+func (m *rangeModel) flush(what string) {
+	m.t.Helper()
+	if err := m.h.Flush(); err != nil {
+		m.t.Fatalf("%s: flush: %v", what, err)
+	}
+	for _, tk := range m.issued {
+		if !tk.Done() || tk.Err() != nil {
+			m.t.Fatalf("%s: write ticket done=%v err=%v", what, tk.Done(), tk.Err())
+		}
+	}
+	m.issued = m.issued[:0]
+	for len(m.started) > 0 {
+		<-m.started
+	}
+	buf := make([]byte, PageSize)
+	for page, want := range m.oracle {
+		if err := m.h.ReadPage(page, buf); err != nil {
+			m.t.Fatalf("%s: page %d: %v", what, page, err)
+		}
+		if !bytes.Equal(buf, want[:]) {
+			m.t.Fatalf("%s: page %d: ReadPage differs from the oracle at byte %d", what, page, firstDiff(buf, want[:]))
+		}
+		acked := m.h.AckedReplicas(page)
+		if len(acked) == 0 {
+			m.t.Fatalf("%s: page %d has no acked replica", what, page)
+		}
+		slab, off := m.h.locate(page)
+		for _, idx := range acked {
+			resp := m.agents[idx].Handle(&Request{Op: OpRead, Slab: slab, PageOff: off})
+			if resp.Status != StatusOK {
+				m.t.Fatalf("%s: page %d: acked agent %d answers status %d", what, page, idx, resp.Status)
+			}
+			if !bytes.Equal(resp.Payload, want[:]) {
+				m.t.Fatalf("%s: page %d: acked agent %d differs from the oracle at byte %d",
+					what, page, idx, firstDiff(resp.Payload, want[:]))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// repair brings every page back to full replication, so that the next fault
+// finds no page depending on a single holder.
+func (m *rangeModel) repair(what string) {
+	m.t.Helper()
+	if _, err := m.h.RepairSlabs(); err != nil {
+		m.t.Fatalf("%s: repair: %v", what, err)
+	}
+	if n := m.h.DegradedPages(); n != 0 {
+		m.t.Fatalf("%s: %d pages still degraded after repair", what, n)
+	}
+}
+
+// behindStarted holds a write frame of page on the wire and queues more writes
+// behind it, of that page among others.
+func (m *rangeModel) behindStarted(page core.PageID) {
+	for _, g := range m.gates {
+		g.hold()
+	}
+	m.write(page)
+	flushed := make(chan error, 1)
+	go func() { flushed <- m.h.Flush() }()
+	<-m.started // the frame is out, whichever replica it went to first
+	m.write(page)
+	m.writes(3)
+	m.write(page)
+	for _, g := range m.gates {
+		g.release()
+	}
+	if err := <-flushed; err != nil {
+		m.t.Fatalf("behind started: flush: %v", err)
+	}
+}
+
+// TestRangeWriteModel plays seeded tapes of range writes against a page map:
+// superseded before the flush, queued behind a write on the wire, through one
+// replica's write failures, an outage with repair and recovery, hot copies and
+// slab migrations. At every flush each acked replica, read directly, and
+// ReadPage must hold the oracle's image — which no tape does once a range
+// reaches a replica that lacks its base, or a hull is lost in a supersede.
+func TestRangeWriteModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			m := newRangeModel(t, seed)
+			m.writes(modelPages)
+			m.flush("populate")
+			for round := 0; round < 40; round++ {
+				what := fmt.Sprint("round ", round)
+				victim := m.rng.Intn(len(m.agents))
+				page := core.PageID(m.rng.Intn(modelPages))
+				switch m.rng.Intn(7) {
+				case 0, 1:
+					m.writes(1 + m.rng.Intn(12))
+				case 2:
+					m.write(page) // superseded twice before the flush
+					m.write(page)
+					m.writes(2)
+					m.write(page)
+				case 3:
+					m.behindStarted(page)
+				case 4:
+					what += fmt.Sprint(": flaky agent ", victim)
+					m.faults[victim].SetMode(FaultMode{WriteFailProb: 0.5})
+					for i := 0; i < 3; i++ {
+						m.writes(6)
+						m.flush(what)
+					}
+					m.faults[victim].SetMode(FaultMode{})
+					m.repair(what)
+				case 5:
+					what += fmt.Sprint(": outage of agent ", victim)
+					m.faults[victim].SetMode(FaultMode{Partitioned: true})
+					m.writes(6)
+					m.flush(what)
+					if err := m.h.MarkFailed(victim); err != nil {
+						t.Fatal(err)
+					}
+					m.repair(what)
+					m.writes(6)
+					m.flush(what)
+					m.faults[victim].SetMode(FaultMode{})
+					if err := m.h.MarkRecovered(victim); err != nil {
+						t.Fatal(err)
+					}
+					m.repair(what)
+					if _, err := m.h.Rebalance(); err != nil { // its share migrates back
+						t.Fatalf("%s: rebalance: %v", what, err)
+					}
+				case 6:
+					what += fmt.Sprint(": hot copy of page ", page, ", agent ", victim, " drained")
+					m.flush(what)
+					if _, err := m.h.ReplicateHot(page, 1); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					m.write(page)
+					m.writes(4)
+					m.flush(what)
+					if err := m.h.Retire(victim); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.h.Rebalance(); err != nil {
+						t.Fatalf("%s: rebalance: %v", what, err)
+					}
+					m.write(page)
+					m.writes(4)
+					m.flush(what)
+					m.h.DropHot(page)
+					if err := m.h.Reinstate(victim); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.h.Rebalance(); err != nil {
+						t.Fatalf("%s: rebalance: %v", what, err)
+					}
+				}
+				m.flush(what)
+			}
+			st := m.h.Stats()
+			if st.RangeWrites == 0 || st.AsyncWrites == st.Writes || st.SlabsMoved == 0 || st.HotCopies == 0 {
+				t.Errorf("tape did not cover ranges, supersedes, migrations and hot copies: %+v", st)
+			}
+		})
+	}
+}

@@ -16,6 +16,9 @@ import (
 type delayedLink struct {
 	inner *remote.InProc
 	delay atomic.Int64 // nanoseconds
+	// wire is the bytes its frames would take on a socket, both ways: payloads
+	// and the wire protocol's 18- and 6-byte headers.
+	wire atomic.Int64
 }
 
 type delayedPending struct {
@@ -32,6 +35,9 @@ func (p delayedPending) Wait() (*remote.Response, error) {
 func (l *delayedLink) Start(req *remote.Request) (remote.Pending, error) {
 	due := time.Now().Add(time.Duration(l.delay.Load()))
 	resp, err := l.inner.Call(req)
+	if err == nil {
+		l.wire.Add(int64(18 + len(req.Payload) + 6 + len(resp.Payload)))
+	}
 	return delayedPending{due, resp, err}, nil
 }
 
@@ -109,4 +115,77 @@ func benchScanDelayedLink(b *testing.B, delay time.Duration) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	b.ReportMetric(float64(inFlight)/float64(b.N), "pages-in-flight")
+}
+
+// BenchmarkStoreScanDelayedLink is the write side's measuring stick (ROADMAP
+// item 1(d)): one goroutine stores into every page of a data set 8x its local
+// budget, replicated on two links that answer a fixed delay late, so that each
+// access faults a page in and evicts a dirty one. A 64-byte store dirties 64
+// bytes of its page, a 4 KB store all of it: wire-B/page is what both links
+// carried per access, requests and responses, headers included.
+func BenchmarkStoreScanDelayedLink(b *testing.B) {
+	for _, d := range []struct {
+		name  string
+		delay time.Duration
+	}{{"0", 0}, {"200us", 200 * time.Microsecond}, {"1ms", time.Millisecond}} {
+		for _, s := range []struct {
+			name string
+			size int
+		}{{"64B", 64}, {"4KB", remote.PageSize}} {
+			b.Run(d.name+"/"+s.name, func(b *testing.B) { benchStoreScanDelayedLink(b, d.delay, s.size) })
+		}
+	}
+}
+
+func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
+	const pages = 8192
+	links := []*delayedLink{
+		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
+		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
+	}
+	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1},
+		[]remote.Transport{links[0], links[1]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	m, err := Open(WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	for pg := core.PageID(0); pg < pages; pg++ {
+		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	// As in the read scan: a lap undelayed, a quarter lap on the delayed links.
+	data := image(1)[:size]
+	pg := core.PageID(0)
+	store := func() {
+		if _, err := m.WriteAt(data, int64(pg)*remote.PageSize); err != nil {
+			b.Fatal(err)
+		}
+		if pg++; pg == pages {
+			pg = 0
+		}
+	}
+	for i := 0; i < pages+pages/4; i++ {
+		if i == pages {
+			for _, l := range links {
+				l.delay.Store(int64(delay))
+			}
+		}
+		store()
+	}
+	b.ReportAllocs()
+	wire0 := links[0].wire.Load() + links[1].wire.Load()
+	for b.Loop() {
+		store()
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+	b.ReportMetric(float64(links[0].wire.Load()+links[1].wire.Load()-wire0)/float64(b.N), "wire-B/page")
 }

@@ -130,12 +130,25 @@ type demandFetch struct {
 // only with fill nil — the fault path reaps the fill first — and is recycled
 // only through freeFrame, which detaches data from an unfinished fill so a
 // late response is dropped instead of landing in the frame's next page.
+//
+// The hull: [lo,hi) covers every byte of data that differs from the page's
+// remote image (the one the host gave, or took at the last writeback), and an
+// eviction writes back no more than that. A frame whose page has no remote
+// image yet, or came back dirty from the compressed tier, which keeps no hull,
+// carries the whole page; lo == hi is a frame nothing was stored to.
 type frame struct {
-	data  []byte
-	dirty bool
-	fill  *remote.Ticket
-	next  *frame // free list
+	data   []byte
+	dirty  bool
+	lo, hi uint16
+	fill   *remote.Ticket
+	next   *frame // free list
 }
+
+// whole widens f's hull to the page: its image stands on no remote one.
+func (f *frame) whole() { f.lo, f.hi = 0, remote.PageSize }
+
+// clean empties f's hull: its image is the page's remote one.
+func (f *frame) clean() { f.dirty, f.lo, f.hi = false, 0, 0 }
 
 // DefaultConcurrency is the default WithConcurrency bound: how many
 // demand-miss fetches may overlap outside the fault-path locks.
@@ -538,9 +551,11 @@ func (m *Memory) Host() *remote.Host { return m.host }
 // operations are in flight.
 func (m *Memory) Prefetcher() prefetch.Prefetcher { return m.shards[0].eng.Prefetcher() }
 
-// zeroFrame clears a recycled frame's bytes.
+// zeroFrame clears a recycled frame's bytes: the image of a page that has no
+// remote one.
 func zeroFrame(f *frame) {
 	clear(f.data)
+	f.whole()
 }
 
 // loadErr reports the latched unrecoverable failure, or nil.
@@ -675,7 +690,13 @@ func (m *Memory) writeAt(pid prefetch.PID, p []byte, off int64) (int, error) {
 			s.mu.Unlock()
 			return n, err
 		}
-		c := copy(f.data[off%remote.PageSize:], p[n:])
+		at := int(off % remote.PageSize)
+		c := copy(f.data[at:], p[n:])
+		if f.lo == f.hi {
+			f.lo, f.hi = uint16(at), uint16(at+c)
+		} else {
+			f.lo, f.hi = min(f.lo, uint16(at)), max(f.hi, uint16(at+c))
+		}
 		f.dirty = true
 		s.mu.Unlock()
 		if m.plane != nil {

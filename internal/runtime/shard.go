@@ -155,7 +155,7 @@ func (s *shard) newFrame() *frame {
 	}
 	s.frameFree = f.next
 	f.next = nil
-	f.dirty = false
+	f.clean()
 	return f
 }
 
@@ -216,12 +216,9 @@ func (s *shard) evictResident(page core.PageID) bool {
 	}
 	if f.dirty {
 		s.written.Put(page, struct{}{})
-		m.host.WritePageAsync(page, f.data)
-		f.dirty = false
-		if s.eng.Recording() {
-			s.nWritebacks++
-		}
-		if m.host.PendingWrites() >= m.qdepth {
+		full := s.writeBack(page, f.data, int(f.lo), int(f.hi))
+		f.clean() // the image queued is the page's remote one now
+		if full {
 			m.latchWriteback(m.host.Flush())
 		}
 	}
@@ -245,14 +242,22 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 	}
 	m := s.m
 	s.written.Put(page, struct{}{})
-	m.host.WritePageAsync(page, raw)
+	full := s.writeBack(page, raw, 0, remote.PageSize) // the tier keeps no hull
+	s.eng.QueueWriteback(0, page, m.clock.Now())
+	if full {
+		m.latchWriteback(m.host.Flush())
+	}
+}
+
+// writeBack hands the host page's image, dirty within [lo,hi), through the
+// async ticket engine, and reports whether the dirty backlog the enqueue
+// leaves has reached the queue depth: time for the caller to ring the doorbell.
+func (s *shard) writeBack(page core.PageID, data []byte, lo, hi int) (full bool) {
+	_, backlog := s.m.host.WritePageRangeAsync(page, data, lo, hi)
 	if s.eng.Recording() {
 		s.nWritebacks++
 	}
-	s.eng.QueueWriteback(0, page, m.clock.Now())
-	if m.host.PendingWrites() >= m.qdepth {
-		m.latchWriteback(m.host.Flush())
-	}
+	return backlog >= s.m.qdepth
 }
 
 // fetchPrefetches is the engine's prefetch-issue hook: the window's pages
@@ -572,7 +577,9 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 			m.clock.Advance(latency)
 			return nil, fmt.Errorf("leap: page %d lost its compressed image", pg)
 		}
-		f.dirty = dirty
+		if f.dirty = dirty; dirty {
+			f.whole()
+		}
 		s.frames.Put(pg, f)
 	}
 	m.clock.Advance(latency)

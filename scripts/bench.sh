@@ -11,7 +11,9 @@
 #   - the per-layer benchmarks that live in their layer's package
 #     (internal/remote: one TCP round trip, eight pipelined;
 #     internal/runtime: a scan over a link that answers 0, 50 us, 200 us and
-#     1 ms late, with the pages the host keeps in flight at each).
+#     1 ms late, with the pages the host keeps in flight at each, and a store
+#     scan over two such links, 64 B and 4 KB stores, with the wire bytes a
+#     page costs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +34,7 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
   ./internal/remote | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
-  -bench 'BenchmarkScanDelayedLink' \
+  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink' \
   ./internal/runtime | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
