@@ -64,11 +64,12 @@ smoke:
 
 # The shared fault-path engine and the leap.Memory runtime; the two tests
 # of the read pipeline that run on the wall clock, the use-after-release
-# guard of the recycled response buffers and the two page-map models of the
-# dirty-range write path, three times over.
+# guard of the recycled response buffers, the two page-map models of the
+# dirty-range write path and the tests of the write frames left in flight
+# (unacked window, landing in order, late failure, repush), three times over.
 runtime-smoke:
 	$(GO) test -race . ./internal/runtime ./internal/paging/...
-	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel' ./internal/runtime ./internal/remote
+	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight' ./internal/runtime ./internal/remote
 
 # The concurrent runtime: stress, property and chaos suites plus the
 # 1-goroutine parity gate.

@@ -92,8 +92,15 @@ const (
 	maxUnreaped = 4 << 20
 )
 
-// link is the estimator's state for one agent link.
+// link is the host's state for one agent link: the frames in the air on it
+// and the estimator's books.
 type link struct {
+	// flights are the frames started on the link and not yet landed, reads and
+	// writes, in start order — the order the connection answers in, and the
+	// order they land in (reap). writes counts the write frames among them:
+	// the link's unacked window, depthQuanta at most (unackedFull).
+	flights []*flight
+	writes  int
 	// latency is the least fetch latency measured since the link was last
 	// probed, 0 until a blocked wait on the empty link gives the first, and
 	// taken is when it was last set. need is latency x rate in pages as of the
@@ -117,6 +124,19 @@ func (h *Host) Pipeline() (depth, flying, bound int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.depth, h.flying, maxUnreaped / PageSize
+}
+
+// Unacked reports the write side of the pipeline: the write frames in the
+// air, and the page images the host holds for them — writes started and not
+// yet answered by every replica. A link carries at most depthQuanta of the
+// frames, so neither outgrows depthQuanta x QueueDepth per link.
+func (h *Host) Unacked() (frames, pages int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.links {
+		frames += h.links[i].writes
+	}
+	return frames, h.unacked
 }
 
 // FetchLatency reports, per agent link, the fetch latency the depth estimator

@@ -156,15 +156,18 @@ type Host struct {
 	onBackoff func(agent int, d sim.Duration)
 
 	// Async engine state: per-agent FIFO queues of pending operations plus
-	// the coalescing indexes (see queue.go).
+	// the coalescing indexes (see queue.go). queued counts the writes in dirty
+	// not yet started on any replica, the backlog a doorbell clears; unacked
+	// those started and not yet answered by every replica.
 	queues       [][]queueEntry
 	readsPending map[core.PageID]*pendingRead
 	dirty        map[core.PageID]*pendingWrite
+	queued       int
+	unacked      int
 	bufFree      [][]byte // recycled page buffers for pending writes
-	// flights are the frames started and not yet landed, in start order;
-	// landed (on mu) wakes goroutines waiting for another's landing.
-	flights []*flight
-	landed  *sync.Cond
+	// landed (on mu) wakes goroutines waiting for another's landing of a
+	// flight; the flights themselves are on their links' FIFOs (links[i].flights).
+	landed *sync.Cond
 	// The depth estimator's books (depth.go): its state per agent link; the
 	// pages readers may keep in flight ahead of themselves; the pages of read
 	// frames in the air, the most of them since depth last moved, and those
@@ -185,9 +188,9 @@ type Host struct {
 	waitSince   time.Time
 	waited      time.Duration
 	clock       func() time.Time
-	// unreported is a write failure flushed out by a caller that could only
-	// report its own operation (Ticket.Wait); the next Flush or Submit
-	// returns it.
+	// unreported is a write failure landed by a caller that could only report
+	// its own operation (Ticket.Wait, a reader landing an older write frame in
+	// passing); the next Flush or Submit returns it.
 	unreported error
 
 	// comp is the wire codec state for HostConfig.Compress (used under mu).
@@ -304,7 +307,8 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 	t, pw := h.newWrite(page, data, 0, PageSize)
 	if pw != nil {
 		for _, idx := range pw.replicas {
-			h.reap(h.launch(idx, queueEntry{write: pw})) // carries only this write: its error is t.err
+			_, err := h.reap(h.launch(idx, queueEntry{write: pw}))
+			h.keepFor(t, err) // an older write frame's, landed in passing
 		}
 	}
 	return t.err
@@ -359,16 +363,6 @@ func (h *Host) ReadPage(page core.PageID, buf []byte) error {
 // out at once, ahead of whatever is queued, and the ticket's Wait collects the
 // page. Over a transport that cannot start without finishing, the whole read
 // — failover included — runs here and the ticket is already Done.
-//
-// So it does while writes are queued. The next doorbell pushes those one
-// synchronous round trip per replica before any read frame may follow, so no
-// window can share this read's round trip; left outstanding, the read would
-// only keep a second connection busy across the pushes. Against agents
-// served by the same scheduler as the caller (loopback, bench/) that meant
-// two agents runnable at once and a second OS thread woken on such a miss:
-// bench/'s seq_write ran its median 10 ms window at 35-45 k pages/s, against
-// 49-52 k with the read collected first, and spread twice as wide from run
-// to run (DESIGN.md, "Remote datapath").
 func (h *Host) StartRead(page core.PageID, buf []byte) *Ticket {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -376,9 +370,8 @@ func (h *Host) StartRead(page core.PageID, buf []byte) *Ticket {
 	if pr == nil {
 		return t
 	}
-	serial := len(h.dirty) > 0
 	f := h.launch(pr.primary, queueEntry{read: pr})
-	if _, inline := f.pend.(completed); inline || serial {
+	if _, inline := f.pend.(completed); inline {
 		h.await(t)
 	}
 	return t

@@ -91,6 +91,7 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 	slab, off := h.locate(page)
 
 	h.mu.Lock()
+	h.settleWrites() // a write in the air does not know the new holder: its ack would leave the copy out
 	replicas, ok := h.placements[slab]
 	if !ok {
 		h.mu.Unlock()

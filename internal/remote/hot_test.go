@@ -19,6 +19,7 @@ type opHookTransport struct {
 	mu    sync.Mutex
 	armed *bool // shared across wrappers so only the first matching call fires
 	hook  func()
+	after bool // run hook once the call has been made, not before
 }
 
 func (o *opHookTransport) Call(req *Request) (*Response, error) {
@@ -28,10 +29,14 @@ func (o *opHookTransport) Call(req *Request) (*Response, error) {
 		*o.armed = false
 	}
 	o.mu.Unlock()
-	if fire {
+	if fire && !o.after {
 		o.hook()
 	}
-	return o.inner.Call(req)
+	resp, err := o.inner.Call(req)
+	if fire && o.after {
+		o.hook()
+	}
+	return resp, err
 }
 
 func (o *opHookTransport) Close() error { return o.inner.Close() }

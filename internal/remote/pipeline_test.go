@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"leap/internal/core"
+	"leap/internal/sim"
 )
 
 // wrapListener hands every accepted connection through wrap.
@@ -470,12 +470,17 @@ func (s *switchTransport) Start(req *Request) (Pending, error) {
 // gateTransport is a split-phase transport over an in-process agent (or a
 // transport that fronts one) whose responses are held back until the gate
 // opens: Start hands the request to the agent at once (in order) and Wait
-// blocks on the gate.
+// blocks on the gate. It also watches the order its pendings are waited for in:
+// a link answers in order, and the host is to land a link's flights in the
+// order it started them (Host.reap).
 type gateTransport struct {
 	inner   Transport
 	mu      sync.Mutex
 	open    chan struct{}
 	started chan uint8 // op of every request started; buffered, never blocks
+	// issued numbers the pendings Start gave out, and every one below waited has
+	// been waited for; skipped counts the Waits that passed over an older one.
+	issued, waited, skipped int
 }
 
 func newGate(a *Agent) *gateTransport {
@@ -501,30 +506,52 @@ func (g *gateTransport) hold() {
 	g.open = make(chan struct{})
 }
 
+// outOfOrder reports how many Waits passed over an older pending of a Start.
+func (g *gateTransport) outOfOrder() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.skipped
+}
+
 type gatePending struct {
+	g    *gateTransport
+	seq  int // -1: a Call's, which waits where it starts
 	open <-chan struct{}
 	resp *Response
 	err  error
 }
 
 func (p gatePending) Wait() (*Response, error) {
+	if g := p.g; p.seq >= 0 {
+		g.mu.Lock()
+		switch {
+		case p.seq == g.waited:
+			g.waited++
+		case p.seq > g.waited:
+			g.skipped++
+		}
+		g.mu.Unlock()
+	}
 	<-p.open
 	return p.resp, p.err
 }
 
-func (g *gateTransport) Start(req *Request) (Pending, error) {
+func (g *gateTransport) begin(req *Request, split bool) gatePending {
 	resp, err := g.inner.Call(req)
 	g.mu.Lock()
-	open := g.open
+	p := gatePending{g, -1, g.open, resp, err}
+	if split {
+		p.seq = g.issued
+		g.issued++
+	}
 	g.mu.Unlock()
 	g.started <- req.Op
-	return gatePending{open, resp, err}, nil
+	return p
 }
 
-func (g *gateTransport) Call(req *Request) (*Response, error) {
-	p, _ := g.Start(req)
-	return p.Wait()
-}
+func (g *gateTransport) Start(req *Request) (Pending, error) { return g.begin(req, true), nil }
+
+func (g *gateTransport) Call(req *Request) (*Response, error) { return g.begin(req, false).Wait() }
 
 func (g *gateTransport) Close() error { return nil }
 
@@ -656,43 +683,6 @@ func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
 	}
 }
 
-// TestStartReadIsSerialWhileWritesAreQueued: with nothing queued a demand read
-// is left on the wire for its caller to overlap work with; with a write
-// queued — which the next doorbell pushes synchronously ahead of any window —
-// it is collected before StartRead returns, the stop-and-wait order.
-func TestStartReadIsSerialWhileWritesAreQueued(t *testing.T) {
-	h, _ := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
-	for pg := 0; pg < 4; pg++ {
-		h.WritePageAsync(core.PageID(pg), stamp(pg))
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	op := h.StartRead(1, buf)
-	if op.Done() {
-		t.Fatal("demand read with nothing queued was not left outstanding")
-	}
-	if err := op.Wait(); err != nil || !bytes.Equal(buf, stamp(1)) {
-		t.Fatalf("overlapped read: err %v, bytes ok %v", err, bytes.Equal(buf, stamp(1)))
-	}
-
-	wt := h.WritePageAsync(9, stamp(9))
-	op = h.StartRead(2, buf)
-	if !op.Done() {
-		t.Fatal("demand read left outstanding across a queued write")
-	}
-	if err := op.Wait(); err != nil || !bytes.Equal(buf, stamp(2)) {
-		t.Fatalf("serial read: err %v, bytes ok %v", err, bytes.Equal(buf, stamp(2)))
-	}
-	if wt.Done() {
-		t.Fatal("a demand read pushed the queued write")
-	}
-	if err := h.Flush(); err != nil || wt.Err() != nil {
-		t.Fatalf("flush: %v, write: %v", err, wt.Err())
-	}
-}
-
 // TestDemandReadsRunOutsideHostLock pins the lock rule of a launched frame:
 // over transports that finish what they start, two goroutines' StartReads to
 // different agents are inside Call at the same time, and neither keeps a
@@ -808,10 +798,7 @@ func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
 			if _, err := h.Submit(); err != nil {
 				return err
 			}
-			if !wt.Done() {
-				t.Error("Submit returned with the write in flight")
-			}
-			return wt.Err()
+			return wt.Wait()
 		},
 		"sync": func(h *Host, data []byte) error { return h.WritePage(3, data) },
 	}
@@ -987,75 +974,297 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 }
 
-// TestWriteFrameWaitsForReadsElsewhere: a write frame's sender waits for the
-// response where it started it, and no other agent is to have work meanwhile.
-// With read frames in the air on agent 1, a doorbell for a write starts
-// nothing on agent 0 until they have landed.
-func TestWriteFrameWaitsForReadsElsewhere(t *testing.T) {
-	const slabPages, slabs, window = 16, 8, 8
-	h, gates := gatedHost(t, 2, HostConfig{SlabPages: slabPages, Replicas: 2, QueueDepth: 4, Seed: 5})
-	for pg := 0; pg < slabs*slabPages; pg++ {
+// populated builds a gated host over two agents, both replicas of everything,
+// with stamp(pg) flushed to pages [0, pages), and empties the gates' logs.
+func populated(t *testing.T, pages int, cfg HostConfig) (*Host, []*gateTransport) {
+	t.Helper()
+	h, gates := gatedHost(t, 2, cfg)
+	for pg := 0; pg < pages; pg++ {
 		h.WritePageAsync(core.PageID(pg), stamp(pg))
 	}
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	started := func(g *gateTransport) (ops []uint8) {
-		for len(g.started) > 0 {
-			ops = append(ops, <-g.started)
-		}
-		return ops
+	for _, g := range gates {
+		startedOps(g)
 	}
-	// A slab that agent 1 reads for: drains ring agent 0 first.
-	first := -1
-	for s := 0; s < slabs && first < 0; s++ {
-		started(gates[1])
-		if err := h.ReadPage(core.PageID(s*slabPages), make([]byte, PageSize)); err != nil {
-			t.Fatal(err)
-		}
-		if len(started(gates[1])) > 0 {
-			first = s * slabPages
+	return h, gates
+}
+
+// startedOps empties g's log of started requests.
+func startedOps(g *gateTransport) (ops []uint8) {
+	for len(g.started) > 0 {
+		ops = append(ops, <-g.started)
+	}
+	return ops
+}
+
+// inOrder fails the test if a gate saw a flight landed ahead of an older one.
+func inOrder(t *testing.T, gates []*gateTransport) {
+	t.Helper()
+	for i, g := range gates {
+		if n := g.outOfOrder(); n > 0 {
+			t.Errorf("link %d: %d flights were waited for ahead of an older one", i, n)
 		}
 	}
-	if first < 0 {
-		t.Fatalf("agent 1 reads for none of %d slabs", slabs)
+}
+
+// TestWriteFramesStayInFlight: the doorbell puts a write's frames on both
+// replicas' links and returns with the responses held back. Until they land the
+// write is unacked — its ticket open, the ack set as it was — and the page
+// reads back from the image the host keeps.
+func TestWriteFramesStayInFlight(t *testing.T) {
+	h, gates := populated(t, 8, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
+	for _, g := range gates {
+		g.hold()
+	}
+	fresh := h.WritePageAsync(20, stamp(20)) // never written: no replica has acked it
+	again := h.WritePageAsync(3, stamp(33))
+	within(t, 5*time.Second, "Submit with the acks held back", func() {
+		if flying, err := h.Submit(); err != nil || !flying {
+			t.Errorf("Submit = flying %v, %v; want the write frames in the air", flying, err)
+		}
+	})
+	for i, g := range gates {
+		if ops := startedOps(g); len(ops) != 1 {
+			t.Fatalf("agent %d was sent ops %v, want one write frame", i, ops)
+		}
+	}
+	if frames, pages := h.Unacked(); frames != 2 || pages != 2 {
+		t.Fatalf("Unacked() = %d frames, %d pages; want 2 and 2", frames, pages)
+	}
+	if fresh.Done() || again.Done() {
+		t.Fatal("a write ticket completed with no response landed")
+	}
+	if acked := h.AckedReplicas(20); len(acked) != 0 {
+		t.Fatalf("page 20 acked by %v with its frames in the air", acked)
+	}
+	dirtyReads := h.Stats().DirtyReads
+	buf := make([]byte, PageSize)
+	within(t, 5*time.Second, "reads of pages with their writes in the air", func() {
+		for pg, want := range map[core.PageID][]byte{20: stamp(20), 3: stamp(33)} {
+			if err := h.ReadPage(pg, buf); err != nil || !bytes.Equal(buf, want) {
+				t.Errorf("page %d: err %v, newest bytes %v", pg, err, bytes.Equal(buf, want))
+			}
+		}
+	})
+	if got := h.Stats().DirtyReads - dirtyReads; got != 2 {
+		t.Errorf("%d of 2 reads were served from the images the host keeps", got)
 	}
 
-	gates[1].hold()
-	tickets := make([]*Ticket, window)
-	for i := range tickets {
-		tickets[i] = h.ReadPageAsync(core.PageID(first+i), make([]byte, PageSize))
+	for _, g := range gates {
+		g.release()
 	}
-	if _, err := h.Submit(); err != nil { // the reads are in the air
+	if fresh.Done() || len(h.AckedReplicas(20)) != 0 {
+		t.Fatal("a response nobody landed acked its write")
+	}
+	if err := fresh.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	h.WritePageAsync(core.PageID(first), stamp(first+1))
-	started(gates[0])
-	rung := make(chan error, 1)
-	go func() {
+	if acked := h.AckedReplicas(20); len(acked) != 2 {
+		t.Fatalf("page 20 acked by %v after landing, want both replicas", acked)
+	}
+	if !again.Done() { // the same two frames carried it
+		t.Error("page 3's write still open with both its frames landed")
+	}
+	if frames, pages := h.Unacked(); frames != 0 || pages != 0 {
+		t.Errorf("Unacked() = %d frames, %d pages after landing", frames, pages)
+	}
+	inOrder(t, gates)
+}
+
+// TestUnackedWindowBlocksWriter: a link carries depthQuanta write frames and no
+// more. The doorbell that would start another waits for the oldest, and what
+// the host holds unacked stays within depthQuanta frames of QueueDepth pages a
+// link.
+func TestUnackedWindowBlocksWriter(t *testing.T) {
+	const depth = 4
+	h, gates := populated(t, 64, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: depth, Seed: 5})
+	for _, g := range gates {
+		g.hold()
+	}
+	bounded := func(when string) (frames, pages int) {
+		t.Helper()
+		frames, pages = h.Unacked()
+		if frames > len(gates)*depthQuanta || pages > depthQuanta*depth {
+			t.Fatalf("%s: %d frames and %d pages unacked, over %d frames a link of %d pages",
+				when, frames, pages, depthQuanta, depth)
+		}
+		return frames, pages
+	}
+	pg := 0
+	ring := func() error {
+		for i := 0; i < depth; i++ {
+			h.WritePageAsync(core.PageID(pg), stamp(pg+100))
+			pg++
+		}
 		_, err := h.Submit()
-		rung <- err
-	}()
+		return err
+	}
+	for n := 1; n <= depthQuanta; n++ {
+		within(t, 5*time.Second, "a doorbell inside the window", func() {
+			if err := ring(); err != nil {
+				t.Error(err)
+			}
+		})
+		if frames, pages := bounded("inside the window"); frames != len(gates)*n || pages != depth*n {
+			t.Fatalf("after %d doorbells: %d frames, %d pages unacked", n, frames, pages)
+		}
+	}
+	for _, g := range gates {
+		startedOps(g)
+	}
+
+	rung := make(chan error, 1)
+	go func() { rung <- ring() }()
 	select {
 	case err := <-rung:
-		t.Fatalf("Submit returned (%v) with agent 1's responses held back", err)
+		t.Fatalf("Submit returned (%v) with the window full and every ack held back", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if ops := started(gates[0]); len(ops) > 0 {
-		t.Fatalf("agent 0 was sent ops %v while agent 1's reads were in the air", ops)
+	for i, g := range gates {
+		if ops := startedOps(g); len(ops) > 0 {
+			t.Fatalf("agent %d was sent ops %v past its unacked window", i, ops)
+		}
 	}
-	gates[1].release()
-	within(t, 5*time.Second, "Submit", func() {
+	bounded("window full")
+	for _, g := range gates {
+		g.release()
+	}
+	within(t, 5*time.Second, "Submit once the acks arrive", func() {
 		if err := <-rung; err != nil {
 			t.Error(err)
 		}
 	})
-	if ops := started(gates[0]); !slices.Contains(ops, OpWrite) {
-		t.Errorf("agent 0 was sent ops %v, want the write", ops)
+	// The oldest frame of each link made room, and no more was landed than that.
+	if frames, pages := bounded("after the wait"); frames != len(gates)*depthQuanta || pages != depthQuanta*depth {
+		t.Errorf("after the wait: %d frames, %d pages unacked, want the window full again", frames, pages)
 	}
-	for i, tk := range tickets {
-		if !tk.Done() {
-			t.Errorf("read %d still in the air after the write", i)
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if frames, pages := h.Unacked(); frames != 0 || pages != 0 {
+		t.Errorf("Unacked() = %d frames, %d pages after Flush", frames, pages)
+	}
+	buf := make([]byte, PageSize)
+	for i := 0; i < pg; i++ {
+		if err := h.ReadPage(core.PageID(i), buf); err != nil || !bytes.Equal(buf, stamp(i+100)) {
+			t.Fatalf("page %d after the flush: err %v, newest bytes %v", i, err, bytes.Equal(buf, stamp(i+100)))
 		}
+	}
+	inOrder(t, gates)
+}
+
+// TestLandingLandsOlderFlightsOfItsLink: whoever lands a flight first lands the
+// older flights of the same link — a read frame nobody came for, a write's ack —
+// and touches nothing on the other link.
+func TestLandingLandsOlderFlightsOfItsLink(t *testing.T) {
+	const slabPages, slabs = 16, 8
+	h, gates := populated(t, slabs*slabPages, HostConfig{SlabPages: slabPages, Replicas: 2, QueueDepth: 4, Seed: 5})
+	// A slab whose reads go to agent 0, and one whose reads go to agent 1.
+	reader := [2]int{-1, -1}
+	for s := 0; s < slabs; s++ {
+		if err := h.ReadPage(core.PageID(s*slabPages), make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range gates {
+			if len(startedOps(g)) > 0 && reader[i] < 0 {
+				reader[i] = s * slabPages
+			}
+		}
+	}
+	if reader[0] < 0 || reader[1] < 0 {
+		t.Fatalf("first pages read through each agent: %v; want one of %d slabs each", reader, slabs)
+	}
+	read := func(pg int) *Ticket {
+		tk := h.ReadPageAsync(core.PageID(pg), make([]byte, PageSize))
+		if _, err := h.Submit(); err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	ahead := read(reader[0])                                               // link 0: a read nobody consumes
+	wt := h.WritePageAsync(core.PageID(reader[0]+1), stamp(reader[0]+101)) // both links, behind it on link 0
+	other := read(reader[1])                                               // link 1, behind the write frame
+	later := read(reader[0] + 2)                                           // link 0, behind both
+	if ahead.Done() || wt.Done() || other.Done() || later.Done() {
+		t.Fatal("a flight landed with nobody waiting for it")
+	}
+	if err := later.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !ahead.Done() {
+		t.Error("the older read flight of the link was not landed in passing")
+	}
+	if frames, _ := h.Unacked(); frames != 1 {
+		t.Errorf("%d write frames in the air, want only the other link's", frames)
+	}
+	if wt.Done() || other.Done() {
+		t.Error("landing on link 0 landed a flight of link 1")
+	}
+	if err := other.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !wt.Done() || wt.Err() != nil || len(h.AckedReplicas(core.PageID(reader[0]+1))) != 2 {
+		t.Errorf("write not acked by both replicas (done %v, err %v) once a later flight of each link had landed",
+			wt.Done(), wt.Err())
+	}
+	if flying, err := h.Submit(); flying || err != nil {
+		t.Errorf("Submit = flying %v, %v with every flight landed", flying, err)
+	}
+	inOrder(t, gates)
+}
+
+// TestWriteFailureSurfacesAtNextDoorbell: a writeback no replica accepted is
+// landed by a reader that happened to come by, who has nobody to tell. The
+// failure is on the write's ticket and is what the next doorbell reports, once.
+func TestWriteFailureSurfacesAtNextDoorbell(t *testing.T) {
+	faults := make([]*FaultTransport, 2)
+	trs := make([]Transport, 2)
+	for i := range trs {
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(1, 0)), sim.NewRNG(uint64(i)+1))
+		g := &gateTransport{inner: faults[i], open: make(chan struct{}), started: make(chan uint8, 1024)}
+		g.release()
+		trs[i] = g
+	}
+	// One page per slab, so both agents are the preferred holder of some.
+	const pages = 16
+	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 2, QueueDepth: 4, Seed: 5}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < pages; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ft := range faults {
+		ft.SetMode(FaultMode{WriteFailProb: 1})
+	}
+	wt := h.WritePageAsync(3, stamp(33))
+	if _, err := h.Submit(); err != nil {
+		t.Fatalf("Submit reported %v before any response landed", err)
+	}
+	buf := make([]byte, PageSize)
+	for pg := 0; pg < pages && !wt.Done(); pg++ {
+		if pg == 3 {
+			continue
+		}
+		if err := h.ReadPage(core.PageID(pg), buf); err != nil || !bytes.Equal(buf, stamp(pg)) {
+			t.Fatalf("read of page %d next to a failed write: err %v", pg, err)
+		}
+	}
+	if !wt.Done() {
+		t.Fatal("reads through both links left the write's frames unlanded")
+	}
+	if err := wt.Err(); !errors.Is(err, ErrAllReplicasFailed) {
+		t.Fatalf("write ticket error = %v, want ErrAllReplicasFailed", err)
+	}
+	if _, err := h.Submit(); !errors.Is(err, ErrAllReplicasFailed) {
+		t.Fatalf("the next doorbell reported %v, want the writeback's failure", err)
+	}
+	if _, err := h.Submit(); err != nil {
+		t.Fatalf("the failure was reported twice: %v", err)
 	}
 }

@@ -163,6 +163,9 @@ func (h *Host) RetiredAgents() []int {
 // (Rebalance is idempotent — rerun it after healing).
 func (h *Host) Rebalance() (moved int, err error) {
 	h.mu.Lock()
+	// An ack landing after a slab has moved would name its leavers, and count
+	// them towards the replication factor.
+	h.settleWrites()
 	type job struct {
 		slab    SlabID
 		current []int

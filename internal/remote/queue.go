@@ -24,25 +24,27 @@ import (
 // The engine is split-phase: a frame is started on its agent's transport and
 // becomes a flight; landing the flight — applying its response to the
 // tickets it carries — happens when somebody waits for it, with h.mu
-// released for the wait. Read frames are left in flight, so a read window
-// shares its round trip with the demand read started ahead of it and with
-// the read frames of other agents. A write frame is waited for as soon as it
-// is started, one agent after the other. (Starting every replica's write
-// frame first was measured and withdrawn: two agents unpacking 32 KB frames
-// next to the client cost bench/'s seq_write a quarter of its throughput on
-// the 2-core reference box; for the same reason a demand read is not left
-// outstanding across pushed writes, see StartRead.) On a transport that
-// cannot start without finishing (anything that is not a Starter) every
+// released for the wait. Read and write frames alike are left in flight: a
+// read window shares its round trip with the demand read started ahead of it
+// and with the frames of other agents, and a writeback costs its sender a
+// frame, not a wait — the pendingWrite keeps the image, in h.dirty, until
+// every replica has answered. Two rules bound what is in the air and collect
+// it. A link carries at most depthQuanta write frames: the writer that would
+// start one more lands the oldest first (startNext). And landing a flight
+// first lands every older flight of its link (reap): the connection answers
+// in order, so their responses have arrived by then, and that is how acks,
+// and read frames nobody came for, are collected in passing. On a transport
+// that cannot start without finishing (anything that is not a Starter) every
 // frame lands the moment it is started, under h.mu, which makes the engine
 // deterministic there: agents are visited in index order, queues are FIFO,
 // so a single-threaded caller over in-process transports replays
 // bit-identically, call for call.
 //
 // Durability semantics: a write is acknowledged — visible to AckedReplicas,
-// counted for replication invariants — only once Flush has pushed it and at
-// least one replica accepted. An unflushed write lost to a crash was never
-// acked, so the chaos harness's "no acked-write loss" invariant is
-// unaffected by in-flight batches.
+// counted for replication invariants — only once its frames have landed and
+// at least one replica accepted. A write queued or in the air when a crash
+// takes it was never acked, so the chaos harness's "no acked-write loss"
+// invariant is unaffected by in-flight batches.
 
 // Ticket is the completion handle of one asynchronous page operation. A
 // ticket completes when the flight carrying its operation lands; Err is
@@ -135,7 +137,15 @@ func (t *Ticket) flight() *flight {
 // flushed out along the way is kept for the next Flush or Submit to report.
 // Callers hold h.mu.
 func (h *Host) keepFor(t *Ticket, err error) {
-	if err != nil && err != t.err && h.unreported == nil {
+	if err != t.err {
+		h.keep(err)
+	}
+}
+
+// keep holds on to a write error landed by a caller with nobody to report it
+// to, for the next Flush or Submit. Callers hold h.mu.
+func (h *Host) keep(err error) {
+	if err != nil && h.unreported == nil {
 		h.unreported = err
 	}
 }
@@ -204,8 +214,9 @@ type pendingWrite struct {
 	// an agent can be sent the hull alone. [0,PageSize) claims nothing.
 	lo, hi int
 	// started is set once any replica's sub-operation has been cut into a
-	// frame: the bytes are (about to be) on the wire, so a later write to
-	// the page must queue behind this one instead of superseding it in place.
+	// frame (begin): the bytes are (about to be) on the wire, so a later write
+	// to the page must queue behind this one instead of superseding it in
+	// place. From then until finishWrite the write is unacked.
 	started bool
 	// flights are the frames put in the air with a sub-operation of this
 	// write in them, landed ones included until the write is dropped.
@@ -254,6 +265,9 @@ type flight struct {
 	ahead   int
 	level   int
 }
+
+// isWrite reports whether f is a write frame (a frame's entries are of one kind).
+func (f *flight) isWrite() bool { return f.batch[0].write != nil }
 
 // ReadPageAsync enqueues a read of page into buf (len PageSize) and returns
 // its ticket. The data lands in buf when the ticket completes. Reads of
@@ -356,8 +370,8 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 // page (a read's bytes, the previous write's). Replicas known to hold that
 // image are sent the range alone (see writeFrame); [0,PageSize) claims nothing
 // and is WritePageAsync. It also reports the dirty backlog the write leaves —
-// the count of queued, unflushed writes — which an eviction pipeline bounds
-// before ringing the doorbell.
+// the count of writes queued and not yet started on any replica — which an
+// eviction pipeline bounds before ringing the doorbell.
 func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t *Ticket, backlog int) {
 	if len(data) != PageSize || lo < 0 || lo >= hi || hi > PageSize {
 		return &Ticket{host: h, done: true,
@@ -367,7 +381,7 @@ func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncWrites++
-	return h.writeAsyncLocked(page, data, lo, hi), len(h.dirty)
+	return h.writeAsyncLocked(page, data, lo, hi), h.queued
 }
 
 // writeAsyncLocked enqueues a write of data (len PageSize) to page, changed
@@ -431,8 +445,20 @@ func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pe
 	copy(pw.data, data)
 	t.write = pw
 	h.dirty[page] = pw
+	h.queued++
 	h.stats.Writes++
 	return t, pw
+}
+
+// begin marks pw started, the first time a sub-operation of it is cut into a
+// frame: it leaves the backlog and is unacked until finishWrite. Callers hold
+// h.mu.
+func (h *Host) begin(pw *pendingWrite) {
+	if !pw.started {
+		pw.started = true
+		h.queued--
+		h.unacked++
+	}
 }
 
 // Flush is the engine's barrier: per-agent batches of up to QueueDepth
@@ -449,20 +475,23 @@ func (h *Host) Flush() error {
 	return h.drain(true)
 }
 
-// Submit is the non-blocking doorbell for reads: it starts every queued
-// frame like Flush but leaves read frames in flight, to be landed by the
-// Ticket.Wait (or Flush) that needs them. Writes queued ahead of the reads
-// are pushed exactly as Flush pushes them, so Submit never returns with a
-// write in flight and reports write failures like Flush. Over transports
-// that cannot start without finishing it is Flush, and flying is false:
-// every ticket issued before the call has completed. With flying true some
-// frame is still in the air and a caller has nothing to gain from polling
-// its tickets.
+// Submit is the non-blocking doorbell: it starts every queued frame like
+// Flush but leaves them in flight, reads and writes alike, to be landed by
+// the Ticket.Wait or Flush that needs them, or in passing by whoever lands a
+// later flight of the same link. It waits only where a link's unacked window
+// is full (startNext). The write failures it reports are those landed since
+// the last doorbell, by anyone. Over transports that cannot start without
+// finishing it is Flush, and flying is false: every ticket issued before the
+// call has completed. With flying true some frame is still in the air and a
+// caller has nothing to gain from polling its tickets.
 func (h *Host) Submit() (flying bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	err = h.drain(false)
-	return len(h.flights) > 0, err
+	for i := range h.links {
+		flying = flying || len(h.links[i].flights) > 0
+	}
+	return flying, err
 }
 
 // pageBuf takes a PageSize buffer off the free list.
@@ -476,12 +505,11 @@ func (h *Host) pageBuf() []byte {
 }
 
 // drain runs the engine until it is idle: each pass starts the next frame of
-// every agent with queued work (landing write frames as it goes), a barrier
-// drain (Flush) then lands every flight, oldest first, and the passes repeat
-// until nothing is queued and, for a barrier, nothing is in flight. It
-// returns the first write error observed, starting with one an earlier
-// Ticket.Wait could not report. Callers hold h.mu, which is released
-// whenever the drain waits for the wire.
+// every agent with queued work, a barrier drain (Flush) then lands every
+// flight, link by link, and the passes repeat until nothing is queued and, for
+// a barrier, nothing is in flight. It returns the first write error observed,
+// starting with one landed earlier by a caller that could not report it.
+// Callers hold h.mu, which is released whenever the drain waits for the wire.
 func (h *Host) drain(barrier bool) error {
 	firstErr := h.unreported
 	h.unreported = nil
@@ -498,22 +526,23 @@ func (h *Host) drain(barrier bool) error {
 				note(h.startNext(idx))
 			}
 		}
-		for barrier && len(h.flights) > 0 {
-			active = true
-			_, err := h.reap(h.flights[0])
-			note(err)
+		for idx := 0; barrier && idx < len(h.links); idx++ {
+			for len(h.links[idx].flights) > 0 {
+				active = true
+				_, err := h.reap(h.links[idx].flights[0])
+				note(err)
+			}
 		}
 	}
 	return firstErr
 }
 
 // startNext cuts one batch (a contiguous run of same-kind entries, up to
-// QueueDepth) off agent idx's queue and starts its frame. A read frame is
-// left in flight; a write frame — and any frame on a transport that finishes
-// what it starts — is landed on the spot. Reads that already completed
-// elsewhere — the losing half of a hedge — are discarded unissued: they
-// consume no wire slot and charge no latency. It returns any write error of
-// a landing it performed. Callers hold h.mu.
+// QueueDepth) off agent idx's queue, starts its frame and leaves it in flight;
+// a frame on a transport that finishes what it starts is landed on the spot.
+// Reads that already completed elsewhere — the losing half of a hedge — are
+// discarded unissued: they consume no wire slot and charge no latency. It
+// returns any write error of a landing it performed. Callers hold h.mu.
 func (h *Host) startNext(idx int) (werr error) {
 	note := func(err error) {
 		if werr == nil {
@@ -523,7 +552,14 @@ func (h *Host) startNext(idx int) (werr error) {
 	// Make room first: landing a flight releases h.mu, and the queue must not
 	// change between cutting a batch and starting it (two writes of one page
 	// would reach the agent in the wrong order).
-	for f := h.inTheWay(idx); f != nil; f = h.inTheWay(idx) {
+	for {
+		f := h.inTheWay()
+		if f == nil {
+			f = h.unackedFull(idx)
+		}
+		if f == nil {
+			break
+		}
 		_, err := h.reap(f)
 		note(err)
 	}
@@ -546,7 +582,7 @@ func (h *Host) startNext(idx int) (werr error) {
 			break
 		}
 		if e.write != nil {
-			e.write.started = true
+			h.begin(e.write)
 		}
 		batch = append(batch, e)
 		consumed++
@@ -578,39 +614,56 @@ func (h *Host) startNext(idx int) (werr error) {
 		h.takeOff(f)
 	}
 	h.fly(f)
-	if !isRead {
-		_, err := h.reap(f)
-		note(err)
-	}
 	return werr
 }
 
-// inTheWay returns a flight to land before agent idx's next frame starts, or
-// nil: the oldest, while those in the air leave no room under maxUnreaped for
-// one more; and ahead of a write frame, whose sender waits for the response on
-// the spot, any on another agent, so that the wait finds one agent with work
-// and not two (which, served by the caller's own scheduler, run on a second OS
-// thread woken for them, on and off with timing: DESIGN.md, "Remote
-// datapath"). Callers hold h.mu.
-func (h *Host) inTheWay(idx int) *flight {
-	if (h.flying+h.cfg.QueueDepth)*PageSize > maxUnreaped {
-		return h.flights[0]
+// inTheWay returns a flight to land before the next frame starts, or nil: the
+// oldest of the link with the most pages in the air, while those in the air
+// leave no room under maxUnreaped for one more frame. Callers hold h.mu.
+func (h *Host) inTheWay() *flight {
+	if (h.flying+h.cfg.QueueDepth)*PageSize <= maxUnreaped {
+		return nil
 	}
-	if q := h.queues[idx]; len(q) > 0 && q[0].write != nil {
-		for _, f := range h.flights {
-			if f.idx != idx {
-				return f
-			}
+	most := &h.links[0]
+	for i := range h.links {
+		if h.links[i].flying > most.flying {
+			most = &h.links[i]
+		}
+	}
+	return most.flights[0]
+}
+
+// unackedFull returns the oldest write frame in the air on agent idx's link
+// when the next frame there is a write and the link already carries
+// depthQuanta of them — the unacked window, which is what a writer waits for —
+// and nil otherwise. Callers hold h.mu.
+func (h *Host) unackedFull(idx int) *flight {
+	l, q := &h.links[idx], h.queues[idx]
+	if l.writes < depthQuanta || len(q) == 0 || q[0].write == nil {
+		return nil
+	}
+	return l.oldestWrite()
+}
+
+// oldestWrite returns the oldest write frame in the air on l, or nil.
+func (l *link) oldestWrite() *flight {
+	for _, f := range l.flights {
+		if f.isWrite() {
+			return f
 		}
 	}
 	return nil
 }
 
-// fly records f as in the air: on the host, for barriers and the flight
-// bound, and on each operation it carries, for Ticket.Wait to find. Callers
-// hold h.mu.
+// fly records f as in the air: at the tail of its link's FIFO, for the
+// barriers and the bounds, and on each operation it carries, for Ticket.Wait
+// to find. Callers hold h.mu.
 func (h *Host) fly(f *flight) {
-	h.flights = append(h.flights, f)
+	l := &h.links[f.idx]
+	l.flights = append(l.flights, f)
+	if f.isWrite() {
+		l.writes++
+	}
 	for _, e := range f.batch {
 		if e.read != nil {
 			e.read.flights = append(e.read.flights, f)
@@ -630,7 +683,7 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 	f := &flight{idx: idx, reaping: true}
 	f.batch = append(f.one[:0], e)
 	if e.write != nil {
-		e.write.started = true
+		h.begin(e.write)
 	}
 	req, _ := h.frame(f) // a single-op frame has nothing to encode
 	h.fly(f)
@@ -643,13 +696,39 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 	return f
 }
 
-// reap waits for f's response and lands it, releasing h.mu for the wait —
+// reap lands f, and first every older flight of its link: the connection
+// answers in order, so by the time f's response can be had theirs have
+// arrived, and taking them costs no wait of its own. This is the one rule
+// that collects what nobody waits for — write acks, read frames issued ahead
+// and never consumed — and it keeps a link's landings in the order of its
+// FIFO. (A transport that finishes what it starts has no order to keep: its
+// only flights are launched ones, inside Call with h.mu released, and each is
+// landed alone, so that one stuck call holds up nobody else's.) It returns
+// what collect does, summed, and the first write error. Callers hold h.mu.
+func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
+	_, ordered := h.transports[f.idx].(Starter)
+	for !f.landed {
+		next := f
+		if ordered {
+			next = h.links[f.idx].flights[0]
+		}
+		waited, err := h.collect(next)
+		blocked += waited
+		if werr == nil {
+			werr = err
+		}
+	}
+	return blocked, werr
+}
+
+// collect waits for f's response and lands it, releasing h.mu for the wait —
 // Host.mu is never held across a blocking receive. When another goroutine is
 // already waiting on f, it waits for that goroutine's landing instead. The
 // landing's write error, if any, goes to the goroutine that performed it, and
 // so does blocked: how long a read frame of the pipeline kept it waiting for
-// a response that had not arrived (touchDown). Callers hold h.mu.
-func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
+// a response that had not arrived (touchDown). Callers hold h.mu and go
+// through reap.
+func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
 	for f.reaping {
 		h.landed.Wait()
 	}
@@ -665,8 +744,12 @@ func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 	resp, err := f.pend.Wait()
 	h.mu.Lock()
 	f.reaping = false
-	if i := slices.Index(h.flights, f); i >= 0 {
-		h.flights = slices.Delete(h.flights, i, i+1)
+	l := &h.links[f.idx]
+	if i := slices.Index(l.flights, f); i >= 0 { // the head, on a link that answers in order
+		l.flights = slices.Delete(l.flights, i, i+1)
+		if f.isWrite() {
+			l.writes--
+		}
 	}
 	if f.pages > 0 {
 		blocked = h.touchDown(f, waitFrom, err == nil)
@@ -993,6 +1076,7 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	if h.dirty[pw.page] == pw { // else a newer write queued behind this one
 		delete(h.dirty, pw.page)
 	}
+	h.unacked--
 	h.writeGen[pw.page]++
 	h.closeReads(pw.page)
 	var err error

@@ -556,12 +556,79 @@ func (m *rangeModel) behindStarted(page core.PageID) {
 	}
 }
 
+// readBack holds ReadPage's image of page against the oracle's.
+func (m *rangeModel) readBack(what string, page core.PageID) {
+	m.t.Helper()
+	buf := make([]byte, PageSize)
+	if err := m.h.ReadPage(page, buf); err != nil {
+		m.t.Fatalf("%s: page %d: %v", what, page, err)
+	}
+	want := new([PageSize]byte) // a page of a mapped slab never written reads as zeros
+	if img := m.oracle[page]; img != nil {
+		want = img
+	}
+	if !bytes.Equal(buf, want[:]) {
+		m.t.Fatalf("%s: page %d: ReadPage differs from the oracle at byte %d", what, page, firstDiff(buf, want[:]))
+	}
+}
+
+// readThrough picks a page with no write pending that a read fetches from
+// agent idx, if there is one.
+func (m *rangeModel) readThrough(idx int) (core.PageID, bool) {
+	m.h.mu.Lock()
+	defer m.h.mu.Unlock()
+	for page := core.PageID(0); page < modelPages; page++ {
+		slab, _ := m.h.locate(page)
+		if _, writing := m.h.dirty[page]; !writing && m.h.readOrder(page, m.h.placements[slab], nil) == idx {
+			return page, true
+		}
+	}
+	return 0, false
+}
+
+// outOfStep leaves writes of page, among others, in the air with every ack
+// held back, and lets the links answer one at a time in a drawn order, so that
+// a write's replicas answer out of step. A read through a link that has
+// answered lands the acks ahead of it there; the writes queued meanwhile take
+// what buffers the host has given up; and until its last replica has answered
+// page reads back from the image the host keeps.
+func (m *rangeModel) outOfStep(page core.PageID) {
+	m.t.Helper()
+	for _, g := range m.gates {
+		g.hold()
+	}
+	m.write(page)
+	m.writes(3)
+	if flying, err := m.h.Submit(); err != nil || !flying {
+		m.t.Fatalf("out of step: Submit = flying %v, %v", flying, err)
+	}
+	m.readBack("out of step: acks held back", page)
+	for _, idx := range m.rng.Perm(len(m.gates)) {
+		what := fmt.Sprint("out of step: agent ", idx, " answered")
+		m.gates[idx].release()
+		if clean, ok := m.readThrough(idx); ok {
+			m.readBack(what, clean)
+			m.h.mu.Lock()
+			left := m.h.links[idx].writes
+			m.h.mu.Unlock()
+			if left > 0 {
+				m.t.Fatalf("%s: %d write frames still in the air behind a read that landed", what, left)
+			}
+		}
+		m.writes(2) // queued: the other links' windows are not for this tape to fill
+		m.readBack(what, page)
+	}
+	inOrder(m.t, m.gates)
+}
+
 // TestRangeWriteModel plays seeded tapes of range writes against a page map:
-// superseded before the flush, queued behind a write on the wire, through one
-// replica's write failures, an outage with repair and recovery, hot copies and
-// slab migrations. At every flush each acked replica, read directly, and
-// ReadPage must hold the oracle's image — which no tape does once a range
-// reaches a replica that lacks its base, or a hull is lost in a supersede.
+// superseded before the flush, queued behind a write on the wire, left in the
+// air while their replicas answer out of step, through one replica's write
+// failures, an outage with repair and recovery, hot copies and slab
+// migrations. At every flush each acked replica, read directly, and ReadPage
+// must hold the oracle's image — which no tape does once a range reaches a
+// replica that lacks its base, a hull is lost in a supersede, or an image is
+// given up before its last replica has answered.
 func TestRangeWriteModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -572,9 +639,11 @@ func TestRangeWriteModel(t *testing.T) {
 				what := fmt.Sprint("round ", round)
 				victim := m.rng.Intn(len(m.agents))
 				page := core.PageID(m.rng.Intn(modelPages))
-				switch m.rng.Intn(7) {
+				switch m.rng.Intn(8) {
 				case 0, 1:
 					m.writes(1 + m.rng.Intn(12))
+				case 7:
+					m.outOfStep(page)
 				case 2:
 					m.write(page) // superseded twice before the flush
 					m.write(page)

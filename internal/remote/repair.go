@@ -49,6 +49,7 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 	if idx < 0 || idx >= len(h.transports) {
 		return 0, fmt.Errorf("remote: PurgeAgent(%d) out of range", idx)
 	}
+	h.settleWrites() // an ack from idx landing after the purge would put it back
 	for slab, replicas := range h.placements {
 		if !slices.Contains(replicas, idx) {
 			continue
@@ -82,6 +83,22 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 	return dropped, nil
 }
 
+// settleWrites lands every write frame in the air, so that the ack sets,
+// degraded flags and write generations a control-plane pass is about to read
+// or rewrite are not about to change under it by a landing of the caller's own
+// earlier writes. (Another goroutine's writes may still start while the pass
+// copies with h.mu released: that is what writeGen is snapshotted for.) A
+// failure landed here is the next doorbell's to report. Callers hold h.mu,
+// which is released for the waits.
+func (h *Host) settleWrites() {
+	for idx := range h.links {
+		for f := h.links[idx].oldestWrite(); f != nil; f = h.links[idx].oldestWrite() {
+			_, err := h.reap(f)
+			h.keep(err)
+		}
+	}
+}
+
 // FailedAgents reports the indices currently marked failed, sorted.
 func (h *Host) FailedAgents() []int {
 	h.mu.Lock()
@@ -108,6 +125,7 @@ func (h *Host) FailedAgents() []int {
 // the *other* original replica no longer loses data.
 func (h *Host) RepairSlabs() (int, error) {
 	h.mu.Lock()
+	h.settleWrites() // which pages are degraded is settled only then
 	// Snapshot the work under the lock; copying happens outside it. Jobs
 	// are sorted by slab so the repair order (and therefore the placement
 	// RNG stream and any transport-level accounting) is deterministic.
@@ -258,6 +276,15 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 // replicas that missed the write. Unreachable targets are skipped (the page
 // stays degraded); a page with no live acknowledged copy is beyond saving
 // by this path and is left for slab-level repair.
+//
+// The source read runs with h.mu released, so like ReplicateHot and slab
+// migration it snapshots the page's write generation with it. Unlike theirs,
+// its targets are replicas the page's own writes go to: a write frame and the
+// older image copied here could meet on one in either order, and the write's
+// ack would vouch for whichever came last. So the push runs under h.mu (as
+// DropHot's copy-back does), where no write of the page can start, and only
+// while none is queued or in the air and none has completed since the source
+// read; otherwise the page is left to that write, or to the next round.
 func (h *Host) repushDegraded() error {
 	h.mu.Lock()
 	pages := make([]core.PageID, 0, len(h.degraded))
@@ -270,55 +297,50 @@ func (h *Host) repushDegraded() error {
 	for _, page := range pages {
 		slab, off := h.locate(page)
 		h.mu.Lock()
-		replicas := slices.Clone(h.placements[slab])
-		acked := slices.Clone(h.acked[page])
-		srcIdx := -1
+		gen := h.writeGen[page]
+		acked := h.acked[page]
+		var src Transport
 		for _, idx := range acked {
-			if !h.failed[idx] && slices.Contains(replicas, idx) {
-				srcIdx = idx
+			if !h.failed[idx] && slices.Contains(h.placements[slab], idx) {
+				src = h.transports[idx]
 				break
 			}
 		}
-		var targets []int
-		for _, idx := range replicas {
+		targets := 0
+		for _, idx := range h.placements[slab] {
 			if !h.failed[idx] && !slices.Contains(acked, idx) {
-				targets = append(targets, idx)
+				targets++
 			}
-		}
-		var src Transport
-		if srcIdx >= 0 {
-			src = h.transports[srcIdx]
 		}
 		h.mu.Unlock()
 
-		if src == nil || len(targets) == 0 {
-			// Slab-level repair may already have restored full coverage
-			// (every live replica acked); clear the flag if so.
-			h.mu.Lock()
+		var payload []byte
+		if src != nil && targets > 0 {
+			rd, err := src.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
+			if err != nil || rd.Status != StatusOK {
+				continue // source unreachable this round; retry next repair
+			}
+			payload = rd.Payload
+		}
+		h.mu.Lock()
+		if _, writing := h.dirty[page]; !writing && h.writeGen[page] == gen {
+			for _, idx := range h.placements[slab] {
+				if payload == nil || len(h.acked[page]) == 0 {
+					break // nothing to push, or its source was purged meanwhile
+				}
+				if h.failed[idx] || slices.Contains(h.acked[page], idx) {
+					continue
+				}
+				wr, err := h.transports[idx].Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: payload})
+				if err == nil && wr.Status == StatusOK {
+					h.acked[page] = append(h.acked[page], idx)
+				} // else target unreachable; page stays degraded
+			}
+			// With no source or nothing to push, slab-level repair may already
+			// have restored full coverage (every live replica acked).
 			if len(h.acked[page]) >= h.cfg.Replicas {
 				delete(h.degraded, page)
 			}
-			h.mu.Unlock()
-			continue
-		}
-		rd, err := src.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
-		if err != nil || rd.Status != StatusOK {
-			continue // source unreachable this round; retry next repair
-		}
-		for _, idx := range targets {
-			wr, err := h.transports[idx].Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: rd.Payload})
-			if err != nil || wr.Status != StatusOK {
-				continue // target unreachable; page stays degraded
-			}
-			h.mu.Lock()
-			if a, ok := h.acked[page]; ok && !slices.Contains(a, idx) {
-				h.acked[page] = append(a, idx)
-			}
-			h.mu.Unlock()
-		}
-		h.mu.Lock()
-		if len(h.acked[page]) >= h.cfg.Replicas {
-			delete(h.degraded, page)
 		}
 		h.mu.Unlock()
 	}

@@ -264,3 +264,89 @@ func TestSlabOfConsistentWithWrites(t *testing.T) {
 		t.Fatalf("PageCount = %d", h.PageCount(0))
 	}
 }
+
+// TestRepushLeavesPageToWriteInFlight: RepairSlabs runs with writes of degraded
+// pages in the air on split-phase links. One was started before the repair,
+// which lands it first and finds the page healed. The other starts between the
+// repush's read of its source and the push — the copy in hand is the older
+// image, and the write's frame is already at the replica it would go to. The
+// repush must leave that page to its write: afterwards every agent in its ack
+// set, read directly, holds the newest bytes.
+func TestRepushLeavesPageToWriteInFlight(t *testing.T) {
+	const early, racing = core.PageID(1), core.PageID(2)
+	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
+	faults := make([]*FaultTransport, len(agents))
+	trs := make([]Transport, len(agents))
+	armed := false
+	var h *Host
+	var inAir *Ticket
+	for i, a := range agents {
+		faults[i] = NewFaultTransport(i, NewInProc(a), nil)
+		hooked := &opHookTransport{inner: faults[i], op: OpRead, armed: &armed, after: true, hook: func() {
+			inAir = h.WritePageAsync(racing, pageOf(3))
+			if flying, err := h.Submit(); err != nil || !flying {
+				t.Errorf("Submit inside the repush = flying %v, %v", flying, err)
+			}
+		}}
+		g := &gateTransport{inner: hooked, open: make(chan struct{}), started: make(chan uint8, 1024)}
+		g.release()
+		trs[i] = g
+	}
+	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pg := range []core.PageID{early, racing} {
+		if err := h.WritePage(pg, pageOf(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both pages are rewritten while one replica is away: acked by one agent.
+	away := h.AckedReplicas(racing)[1]
+	faults[away].SetMode(FaultMode{Partitioned: true})
+	for _, pg := range []core.PageID{early, racing} {
+		if err := h.WritePage(pg, pageOf(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faults[away].SetMode(FaultMode{})
+	if got := h.DegradedPages(); got != 2 {
+		t.Fatalf("DegradedPages = %d, want 2", got)
+	}
+
+	wt := h.WritePageAsync(early, pageOf(3))
+	if flying, err := h.Submit(); err != nil || !flying {
+		t.Fatalf("Submit = flying %v, %v; want the write in the air", flying, err)
+	}
+	armed = true
+	if _, err := h.RepairSlabs(); err != nil {
+		t.Fatal(err)
+	}
+	if armed || inAir == nil {
+		t.Fatal("the repush never read a source; the race was not exercised")
+	}
+	if !wt.Done() || wt.Err() != nil {
+		t.Fatalf("RepairSlabs left the write started before it in the air (done %v, err %v)", wt.Done(), wt.Err())
+	}
+	if inAir.Done() {
+		t.Fatal("the write started inside the repush landed with nobody waiting for it")
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.DegradedPages(); got != 0 {
+		t.Errorf("DegradedPages = %d once both writes have landed, want 0", got)
+	}
+	for _, pg := range []core.PageID{early, racing} {
+		acked := h.AckedReplicas(pg)
+		if len(acked) != 2 {
+			t.Errorf("page %d acked by %v, want both replicas", pg, acked)
+		}
+		for _, idx := range acked {
+			resp := agents[idx].Handle(&Request{Op: OpRead, Slab: 0, PageOff: uint32(pg)})
+			if resp.Status != StatusOK || !bytes.Equal(resp.Payload, pageOf(3)) {
+				t.Errorf("page %d: acked agent %d does not hold the newest write", pg, idx)
+			}
+		}
+	}
+}

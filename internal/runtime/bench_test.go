@@ -137,8 +137,11 @@ func BenchmarkStoreScanDelayedLink(b *testing.B) {
 	}
 }
 
-func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
-	const pages = 8192
+// replicatedOverDelayedLinks opens a Memory with a budget of 1024 pages over
+// two delayed links, both replicas of everything, stores image(pg) in pages
+// [0, pages) and flushes. Memory and host are closed with the benchmark.
+func replicatedOverDelayedLinks(b *testing.B, pages int, opts ...Option) (*Memory, []*delayedLink) {
+	b.Helper()
 	links := []*delayedLink{
 		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
 		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
@@ -148,13 +151,15 @@ func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer h.Close()
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1))
+	m, err := Open(append([]Option{WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
-	for pg := core.PageID(0); pg < pages; pg++ {
+	b.Cleanup(func() {
+		m.Close()
+		h.Close()
+	})
+	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
 		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
 			b.Fatal(err)
 		}
@@ -162,6 +167,12 @@ func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
 	if err := m.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	return m, links
+}
+
+func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
+	const pages = 8192
+	m, links := replicatedOverDelayedLinks(b, pages)
 	// As in the read scan: a lap undelayed, a quarter lap on the delayed links.
 	data := image(1)[:size]
 	pg := core.PageID(0)
@@ -188,4 +199,72 @@ func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	b.ReportMetric(float64(links[0].wire.Load()+links[1].wire.Load()-wire0)/float64(b.N), "wire-B/page")
+}
+
+// BenchmarkMixDelayedLink is the two scans side by side (ROADMAP item 1(d)):
+// one goroutine reads through the lower half of a data set 8x the local budget
+// while another stores 64 bytes into every page of the upper half, over the
+// store scan's two replicated links. An op is one access of either: pages/s is
+// both goroutines' together, and stores/read how many stores the writer got
+// through per read — what a read stream leaves a write stream next to it, and
+// the other way round.
+func BenchmarkMixDelayedLink(b *testing.B) {
+	for _, d := range []struct {
+		name  string
+		delay time.Duration
+	}{{"0", 0}, {"1ms", time.Millisecond}} {
+		b.Run(d.name, func(b *testing.B) { benchMixDelayedLink(b, d.delay) })
+	}
+}
+
+func benchMixDelayedLink(b *testing.B, delay time.Duration) {
+	const pages, half = 8192, 4096
+	m, links := replicatedOverDelayedLinks(b, pages, WithConcurrency(2))
+	buf, data := make([]byte, remote.PageSize), image(1)[:64]
+	rd, wr := core.PageID(0), core.PageID(half)
+	read := func() {
+		if err := m.getInto(1, rd, buf); err != nil {
+			b.Error(err)
+		}
+		if rd++; rd == half {
+			rd = 0
+		}
+	}
+	store := func() {
+		if _, err := m.Client(2).WriteAt(data, int64(wr)*remote.PageSize); err != nil {
+			b.Error(err)
+		}
+		if wr++; wr == pages {
+			wr = half
+		}
+	}
+	// As in the scans: a lap of each undelayed, a quarter lap on the delayed links.
+	for i := 0; i < half+half/4; i++ {
+		if i == half {
+			for _, l := range links {
+				l.delay.Store(int64(delay))
+			}
+		}
+		read()
+		store()
+	}
+	var stop atomic.Bool
+	stores, done := 0, make(chan struct{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			store()
+			stores++
+		}
+	}()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	stop.Store(true)
+	<-done
+	b.StopTimer()
+	b.ReportMetric(float64(b.N+stores)/b.Elapsed().Seconds(), "pages/s")
+	b.ReportMetric(float64(stores)/float64(b.N), "stores/read")
 }

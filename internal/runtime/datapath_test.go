@@ -20,19 +20,27 @@ import (
 // and in order, but the response of a read batch — a prefetch window — can be
 // held back, until release lets everything through or a pump lets responses
 // go one at a time, or turned into a failure that only shows when the
-// response is waited for. Single reads and writes always answer at once. The
-// gate also keeps the pages of every read batch it was handed.
+// response is waited for. Single reads and writes always answer at once —
+// unless the gate was told to hold acks, and then it is write frames whose
+// responses are held, and read batches answer at once. The gate also keeps the
+// pages of every read batch it was handed, and watches the order its pendings
+// are waited for in: a link answers in order, and the host is to land a link's
+// flights in the order it started them.
 type batchGate struct {
 	inner     *remote.InProc
 	slabPages int
+	acks      bool // hold write frames' responses, not read batches'
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	holding bool
 	fail    bool
-	held    []*gatePending // read batches whose response is held back, oldest first
+	held    []*gatePending // frames whose response is held back, oldest first
 	waiting int            // goroutines in Wait on a held response
 	frames  [][]core.PageID
+	// issued numbers the pendings Start gave out, and every one below waited has
+	// been waited for; skipped counts the Waits that passed over an older one.
+	issued, waited, skipped int
 }
 
 func newBatchGate(slabPages int) *batchGate {
@@ -115,6 +123,7 @@ func (g *batchGate) readFrames() [][]core.PageID {
 
 type gatePending struct {
 	g    *batchGate
+	seq  int // its number among the gate's Starts
 	resp *remote.Response
 	err  error
 	// held and waiters (goroutines in Wait while held) are guarded by g.mu.
@@ -126,6 +135,12 @@ func (p *gatePending) Wait() (*remote.Response, error) {
 	g := p.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	switch {
+	case p.seq == g.waited:
+		g.waited++
+	case p.seq > g.waited:
+		g.skipped++
+	}
 	if p.held {
 		p.waiters++
 		g.waiting++
@@ -142,36 +157,49 @@ var errGate = errors.New("batch gate: injected read-batch failure")
 func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
 	resp, err := g.inner.Call(req)
 	p := &gatePending{g: g, resp: resp, err: err}
-	if req.Op != remote.OpReadBatch {
-		return p, nil
-	}
-	refs, derr := remote.DecodeReadBatch(req)
-	if derr != nil {
-		return nil, derr
-	}
-	pages := make([]core.PageID, len(refs))
-	for i, r := range refs {
-		pages[i] = core.PageID(int(r.Slab)*g.slabPages + int(r.PageOff))
+	var pages []core.PageID
+	if req.Op == remote.OpReadBatch {
+		refs, derr := remote.DecodeReadBatch(req)
+		if derr != nil {
+			return nil, derr
+		}
+		pages = make([]core.PageID, len(refs))
+		for i, r := range refs {
+			pages[i] = core.PageID(int(r.Slab)*g.slabPages + int(r.PageOff))
+		}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.frames = append(g.frames, pages)
-	if g.fail {
-		p.resp, p.err = nil, errGate
+	p.seq = g.issued
+	g.issued++
+	gated := req.Op == remote.OpReadBatch
+	if gated {
+		g.frames = append(g.frames, pages)
+		if g.fail {
+			p.resp, p.err = nil, errGate
+		}
 	}
-	if g.holding {
+	if g.acks {
+		gated = req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
+	}
+	if gated && g.holding {
 		p.held = true
 		g.held = append(g.held, p)
 	}
 	return p, nil
 }
 
+// Call is a round trip of its own, outside the order of the Starts: the agent
+// is called directly.
 func (g *batchGate) Call(req *remote.Request) (*remote.Response, error) {
-	p, err := g.Start(req)
-	if err != nil {
-		return nil, err
-	}
-	return p.Wait()
+	return g.inner.Call(req)
+}
+
+// outOfOrder reports how many Waits passed over an older pending.
+func (g *batchGate) outOfOrder() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.skipped
 }
 
 func (g *batchGate) Close() error { return nil }

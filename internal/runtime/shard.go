@@ -195,14 +195,14 @@ func (s *shard) cacheEvicted(page core.PageID) {
 // legacy path runs: dirty bytes go to the remote host through the async
 // ticket engine behind the bounded dirty backlog, and the hook returns true
 // so the engine prices the writeback. The async engine copies bytes on
-// enqueue, so frames recycle immediately. A clean page that was never
+// enqueue and keeps them until the replicas have answered, so frames recycle
+// immediately. A clean page that was never
 // written is dropped either way — it re-materializes as zeros for free.
 func (s *shard) evictResident(page core.PageID) bool {
 	f, ok := s.frames.Get(page)
 	if !ok {
 		return true
 	}
-	m := s.m
 	if s.eng.Recording() {
 		s.nEvictions++
 	}
@@ -219,7 +219,7 @@ func (s *shard) evictResident(page core.PageID) bool {
 		full := s.writeBack(page, f.data, int(f.lo), int(f.hi))
 		f.clean() // the image queued is the page's remote one now
 		if full {
-			m.latchWriteback(m.host.Flush())
+			s.ringWriteback()
 		}
 	}
 	if !cached {
@@ -240,13 +240,23 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 	if !dirty {
 		return
 	}
-	m := s.m
 	s.written.Put(page, struct{}{})
 	full := s.writeBack(page, raw, 0, remote.PageSize) // the tier keeps no hull
-	s.eng.QueueWriteback(0, page, m.clock.Now())
+	s.eng.QueueWriteback(0, page, s.m.clock.Now())
 	if full {
-		m.latchWriteback(m.host.Flush())
+		s.ringWriteback()
 	}
+}
+
+// ringWriteback is the eviction doorbell: the queued writebacks leave as
+// frames and the evicting access goes on without waiting for the replicas
+// (§4.3) — the host keeps the images until they have answered, and holds a
+// writer up only at its unacked window. A writeback that failed on every
+// replica, landed since the last doorbell by whoever came across its frame,
+// is reported here.
+func (s *shard) ringWriteback() {
+	_, err := s.m.host.Submit()
+	s.m.latchWriteback(err)
 }
 
 // writeBack hands the host page's image, dirty within [lo,hi), through the
@@ -434,9 +444,7 @@ func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket, overlap boo
 // the demand page waited for, so the two share one round trip. The engine
 // calls and their virtual-time arguments are those of the serial order
 // Fault → fetch → Advance → OnAccess → MapIn; over a transport that finishes
-// what it starts, so is the order of the transport calls — and on any
-// transport while writebacks are queued, which the doorbell pushes ahead of
-// the window (see remote.Host.StartRead).
+// what it starts, so is the order of the transport calls.
 func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	m := s.m
 	if err := m.loadErr(); err != nil {

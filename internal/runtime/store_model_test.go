@@ -144,18 +144,33 @@ func (s *storeModel) play(n int, outage func(bool)) {
 // back as ranges, refaulted from the dirty backlog and superseded there,
 // through the compressed tier (which keeps no hull), over 1 and 4 stripes, on
 // loopback TCP and in process — where one replica also drops out for a while,
-// misses writes, and must be sent whole pages when it is back.
+// misses writes, and must be sent whole pages when it is back — and over links
+// that hold every write frame's ack back until somebody waits for it, so that
+// writebacks stay in the air across the refaults of their pages and a write's
+// two replicas answer out of step, each when a reader or a full window gets to
+// it; there every link must also see its flights landed in the order they
+// were started.
 func TestStoreModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, tier := range []int64{0, 96 << 10} {
-			for _, link := range []string{"inproc", "tcp"} {
+			for _, link := range []string{"inproc", "tcp", "held"} {
 				t.Run(fmt.Sprintf("shards%d/tier%dK/%s", shards, tier>>10, link), func(t *testing.T) {
 					var outage func(bool)
+					var gates []*batchGate
 					transports := make([]remote.Transport, 2)
 					for i := range transports {
 						agent := remote.NewAgent(modelSlab, 0)
 						if link == "inproc" {
 							transports[i] = remote.NewInProc(agent)
+							continue
+						}
+						if link == "held" {
+							g := newBatchGate(modelSlab)
+							g.acks = true
+							g.hold()
+							defer g.pump(func(int) int { return 0 }, func(int) {})()
+							gates = append(gates, g)
+							transports[i] = g
 							continue
 						}
 						l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -194,6 +209,11 @@ func TestStoreModel(t *testing.T) {
 					}
 					if err := m.CheckShardInvariants(core.PageID(modelPages*modelStride + 2)); err != nil {
 						t.Fatal(err)
+					}
+					for i, g := range gates {
+						if n := g.outOfOrder(); n > 0 {
+							t.Errorf("link %d: %d flights were waited for ahead of an older one", i, n)
+						}
 					}
 					st := m.Stats().Host
 					t.Logf("writes %d (async %d), range writes %d, dirty reads %d, %d B in write frames",

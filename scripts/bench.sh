@@ -11,9 +11,9 @@
 #   - the per-layer benchmarks that live in their layer's package
 #     (internal/remote: one TCP round trip, eight pipelined;
 #     internal/runtime: a scan over a link that answers 0, 50 us, 200 us and
-#     1 ms late, with the pages the host keeps in flight at each, and a store
+#     1 ms late, with the pages the host keeps in flight at each, a store
 #     scan over two such links, 64 B and 4 KB stores, with the wire bytes a
-#     page costs).
+#     page costs, and the two scans side by side on two goroutines).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +34,7 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
   ./internal/remote | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
-  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink' \
+  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink|BenchmarkMixDelayedLink' \
   ./internal/runtime | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
