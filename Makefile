@@ -7,7 +7,7 @@ DOCS = README.md DESIGN.md EXPERIMENTS.md PAPER_MAP.md \
        examples/multitenant/README.md examples/kvcache/README.md \
        examples/graphanalytics/README.md
 
-.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke runtime-smoke concurrency-smoke shard-smoke elastic-smoke selfheal-smoke ztier-smoke ensemble-smoke figures docs-check links-check
+.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress figures docs-check links-check
 
 all: vet build test docs-check links-check
 
@@ -59,46 +59,19 @@ smoke:
 	$(GO) run ./cmd/leapbench -scale small -fig 1
 
 # Every figure is held byte-for-byte to its recorded golden by
-# TestFiguresMatchGolden (internal/experiments, part of `make test`). The
-# targets below are each subsystem's suites under the race detector.
+# TestFiguresMatchGolden (internal/experiments, part of `make test`); the
+# two targets below are the race detector's.
+race:
+	$(GO) test -race ./...
 
-# The shared fault-path engine and the leap.Memory runtime; the two tests
-# of the read pipeline that run on the wall clock, the use-after-release
-# guard of the recycled response buffers, the two page-map models of the
-# dirty-range write path and the tests of the write frames left in flight
-# (unacked window, landing in order, late failure, repush), three times over.
-runtime-smoke:
-	$(GO) test -race . ./internal/runtime ./internal/paging/...
-	$(GO) test -race -count 3 -run 'TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight' ./internal/runtime ./internal/remote
-
-# The concurrent runtime: stress, property and chaos suites plus the
-# 1-goroutine parity gate.
-concurrency-smoke:
-	$(GO) test -race -run 'TestMemoryConcurrent|TestMemoryReadYourWrites|TestConcurrencyOne' . ./internal/runtime
-
-# The sharded fault path: 1-shard parity oracle, cross-shard invariant
-# property, sharded stress/chaos/self-heal, the 0-alloc hit path.
-shard-smoke:
-	$(GO) test -race -run 'TestSharded|TestMemorySharded|TestMemoryPlaneSelfHealsSharded' .
-
-# The self-healing control plane.
-elastic-smoke:
-	$(GO) test -race ./internal/control
-
-# The control plane wired into the live leap.Memory, faults injected mid-run.
-selfheal-smoke:
-	$(GO) test -race -run 'TestMemoryPlaneSelfHeals|TestMemoryConcurrentSlowReplica|TestMemoryTransientOutageRecovers' .
-
-# The compressed victim tier: seal/unseal stress, property and codec suites.
-ztier-smoke:
-	$(GO) test -race -run 'TestMemoryZtier|TestMemoryWireCompression' .
-	$(GO) test -race ./internal/ztier
-
-# The online selector: stress suite, one-arm parity oracle, seeded
-# advise/read-your-writes property.
-ensemble-smoke:
-	$(GO) test -race -run 'TestMemoryEnsemble|TestEnsembleOneArmMatchesFixed|TestMemoryAdvise' .
-	$(GO) test -race -run 'TestEnsemble|TestShadowSet' ./internal/prefetch
+# The suites whose interleavings want more than one roll, three times over:
+# concurrent/sharded stress, read-your-writes properties and chaos, single-
+# flight, the compressed tier, the control plane alone and wired into the
+# runtime, the ensemble selector under Advise traffic, and the wall-clock,
+# buffer-reuse, page-map-model and unacked-window tests of the wire path.
+STRESS = TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant
+stress:
+	$(GO) test -race -count 3 -run '$(STRESS)' . ./internal/runtime ./internal/remote ./internal/control
 
 # Regenerate every figure and table at full scale.
 figures:

@@ -306,7 +306,7 @@ func TestMemoryEnsembleStress(t *testing.T) {
 	}
 	mem, err := Open(
 		WithSeed(29), WithCacheCapacity(96), WithQueueDepth(8),
-		WithConcurrency(cfg.Goroutines), WithShards(4),
+		WithShards(4),
 		WithEnsemble(EnsembleConfig{EpochFaults: 32, SwitchStreak: 1}),
 	)
 	if err != nil {
@@ -356,17 +356,7 @@ func TestMemoryEnsembleStress(t *testing.T) {
 // TestMemoryEnsembleOptionValidation pins the option- and hint-misuse
 // errors.
 func TestMemoryEnsembleOptionValidation(t *testing.T) {
-	pf, err := NewPrefetcher("stride")
-	if err != nil {
-		t.Fatal(err)
-	}
 	factory := func() Prefetcher { p, _ := NewPrefetcher("stride"); return p }
-	if _, err := Open(WithPrefetcher(pf), WithPrefetcherFactory(factory)); err == nil {
-		t.Fatal("WithPrefetcher accepted alongside WithPrefetcherFactory")
-	}
-	if _, err := Open(WithEnsemble(EnsembleConfig{}), WithPrefetcher(pf)); err == nil {
-		t.Fatal("WithEnsemble accepted alongside WithPrefetcher")
-	}
 	if _, err := Open(WithEnsemble(EnsembleConfig{}), WithPrefetcherFactory(factory)); err == nil {
 		t.Fatal("WithEnsemble accepted alongside WithPrefetcherFactory")
 	}
@@ -376,10 +366,7 @@ func TestMemoryEnsembleOptionValidation(t *testing.T) {
 	if _, err := Open(WithPrefetcherFactory(func() Prefetcher { return nil })); err == nil {
 		t.Fatal("nil-returning prefetcher factory accepted")
 	}
-	if _, err := Open(WithShards(2), WithPrefetcher(pf)); err == nil {
-		t.Fatal("shared WithPrefetcher accepted on a sharded runtime")
-	}
-	// WithPrefetcherFactory is exactly the sharded replacement.
+	// One factory serves every stripe count.
 	mem, err := Open(WithShards(2), WithPrefetcherFactory(factory))
 	if err != nil {
 		t.Fatal(err)
@@ -402,8 +389,9 @@ func TestMemoryEnsembleOptionValidation(t *testing.T) {
 // sequential-advised issues straight-line windows, and WillNeed warms pages
 // so later Gets hit the prefetch cache.
 func TestMemoryAdviseSteersIssue(t *testing.T) {
-	run := func(advise func(c *MemoryClient) error) MemoryStats {
-		mem, err := Open(WithSeed(77), WithCacheCapacity(64), WithQueueDepth(8))
+	const budget = 64
+	run := func(span PageID, advise func(c *MemoryClient) error) MemoryStats {
+		mem, err := Open(WithSeed(77), WithCacheCapacity(budget), WithQueueDepth(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,16 +410,16 @@ func TestMemoryAdviseSteersIssue(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for pg := PageID(0); pg < 512; pg += 2 { // stride-2 scan
+		for pg := PageID(0); pg < span; pg += 2 { // stride-2 scan
 			if _, err := c.Get(pg); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return mem.Stats()
 	}
-	normal := run(nil)
-	random := run(func(c *MemoryClient) error { return c.Advise(AdviseRandom, 0, 512) })
-	seq := run(func(c *MemoryClient) error { return c.Advise(AdviseSequential, 0, 512) })
+	normal := run(512, nil)
+	random := run(512, func(c *MemoryClient) error { return c.Advise(AdviseRandom, 0, 512) })
+	seq := run(512, func(c *MemoryClient) error { return c.Advise(AdviseSequential, 0, 512) })
 	if random.PrefetchIssued != 0 {
 		t.Fatalf("random-advised scan still issued %d prefetches", random.PrefetchIssued)
 	}
@@ -442,12 +430,13 @@ func TestMemoryAdviseSteersIssue(t *testing.T) {
 		t.Fatal("un-advised scan issued no prefetches (baseline lost its bite)")
 	}
 
-	// WillNeed warms the whole span up front: the scan then hits the
-	// prefetch cache far more than the un-advised run.
-	warm := run(func(c *MemoryClient) error { return c.Advise(AdviseWillNeed, 0, 512) })
-	if warm.CacheHits <= normal.CacheHits {
-		t.Fatalf("WillNeed did not warm the scan: %d cache hits vs %d un-advised",
-			warm.CacheHits, normal.CacheHits)
+	// WillNeed warms the head of the span up front, as much of it as the
+	// budget holds: a scan of that head runs on prefetched pages from its
+	// first access, where the un-advised one starts on a miss.
+	cold := run(budget, nil)
+	warm := run(budget, func(c *MemoryClient) error { return c.Advise(AdviseWillNeed, 0, 512) })
+	if warm.Misses != 0 || cold.Misses == 0 {
+		t.Fatalf("WillNeed did not warm the scan: %d misses vs %d un-advised", warm.Misses, cold.Misses)
 	}
 }
 

@@ -97,10 +97,9 @@ func concurrencyRun(depth, clients int, ops int64, seed uint64, shared bool) (lo
 	pf.Shared = shared
 	mem, err := runtime.Open(
 		runtime.WithSeed(seed),
-		runtime.WithPrefetcher(pf),
+		runtime.WithPrefetcherFactory(func() prefetch.Prefetcher { return pf }),
 		runtime.WithCacheCapacity(concurrencyCache),
 		runtime.WithQueueDepth(depth),
-		runtime.WithConcurrency(8),
 	)
 	if err != nil {
 		panic(err)
@@ -139,7 +138,6 @@ func measuredRun(g int, ops int64, seed uint64) MeasuredRow {
 		runtime.WithShards(measuredShards),
 		runtime.WithCacheCapacity(concurrencyCache),
 		runtime.WithQueueDepth(8),
-		runtime.WithConcurrency(8),
 	)
 	if err != nil {
 		panic(err)

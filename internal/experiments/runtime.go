@@ -80,7 +80,7 @@ func runtimeCell(wlName string, stride int64, pfName string, accesses int64, see
 	}
 	mem, err := runtime.Open(
 		runtime.WithSeed(seed),
-		runtime.WithPrefetcher(pf),
+		runtime.WithPrefetcherFactory(func() prefetch.Prefetcher { return pf }),
 		runtime.WithCacheCapacity(256),
 		runtime.WithQueueDepth(8),
 	)

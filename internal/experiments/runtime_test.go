@@ -21,7 +21,7 @@ func TestRuntimeDeterministic(t *testing.T) {
 
 // TestRuntimeLeapBeatsBaselines is the acceptance gate from the paper's
 // thesis, over real remote memory: with the Leap prefetcher the runtime's
-// hit ratio is strictly above WithPrefetcher(none) on both microbenchmark
+// hit ratio is strictly above the none prefetcher on both microbenchmark
 // patterns, and above read-ahead on stride (where read-ahead's sequential
 // assumption collapses).
 func TestRuntimeLeapBeatsBaselines(t *testing.T) {

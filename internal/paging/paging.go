@@ -108,7 +108,9 @@ type Engine[O any] struct {
 
 	// Batched submission (QueueDepth > 1 on a BatchDevice): prefetch
 	// fan-out goes through batchDev in chunks of qdepth, and evicted pages
-	// accumulate in the writeback backlog until it reaches qdepth.
+	// accumulate in the writeback backlog until it reaches qdepth. Without
+	// it batchPages/batchDists/batchDone still hold a window's deduplicated
+	// pages, submitted one by one.
 	batchDev   storage.BatchDevice
 	qdepth     int
 	batchPages []core.PageID
@@ -123,7 +125,6 @@ type Engine[O any] struct {
 
 	lastDevPage core.PageID // device head/locality tracker
 	candBuf     []core.PageID
-	issuedBuf   []core.PageID
 
 	recording bool
 
@@ -347,7 +348,7 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 }
 
 // Hint is an madvise-style access-pattern declaration threaded into the
-// fault path per access (see OnAccessHinted). HintNone is the zero value
+// fault path per access (see OnAccess). HintNone is the zero value
 // and leaves candidate generation untouched.
 type Hint uint8
 
@@ -367,19 +368,14 @@ const SequentialHintWindow = 8
 // OnAccess records the access with the prefetcher and, on a miss, collects
 // and issues the prefetch window. The prefetcher sees every swap-in (§4.1:
 // cache look-ups are monitored, resident pages are not); candidate
-// generation sits on the miss path like swapin_readahead.
-func (e *Engine[O]) OnAccess(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, miss bool, now sim.Time) {
-	e.OnAccessHinted(o, res, pid, cpu, page, miss, now, HintNone, 0)
-}
-
-// OnAccessHinted is OnAccess carrying an madvise-style hint for this
-// access. The prefetcher always records the access — hints steer issue,
-// not learning — but the candidates it returns are overridden per the
-// hint: HintSequential discards them for a straight-line window of up to
+// generation sits on the miss path like swapin_readahead. hint is the
+// madvise-style declaration covering this access: the prefetcher always
+// records the access — hints steer issue, not learning — but HintSequential
+// discards its candidates for a straight-line window of up to
 // SequentialHintWindow pages after the fault, clamped below hintEnd
-// (exclusive); HintRandom discards them and issues nothing. HintNone is
-// byte-identical to OnAccess.
-func (e *Engine[O]) OnAccessHinted(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, miss bool, now sim.Time, hint Hint, hintEnd core.PageID) {
+// (exclusive), and HintRandom discards them and issues nothing. HintNone
+// issues what the prefetcher returned.
+func (e *Engine[O]) OnAccess(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, miss bool, now sim.Time, hint Hint, hintEnd core.PageID) {
 	e.candBuf = e.pf.OnAccess(pid, page, miss, e.candBuf[:0])
 	switch hint {
 	case HintRandom:
@@ -410,7 +406,7 @@ func (e *Engine[O]) Prefetch(o O, res *Resident, cpu int, pages []core.PageID, n
 // an access by pid that consumed a prefetched page, it asks the prefetcher
 // (when it is a prefetch.RunAhead) for the next frame pages that keep up to
 // limit pages in flight ahead of pid's stream, and issues them through
-// Prefetch. Hints steer it like OnAccessHinted: HintRandom issues nothing,
+// Prefetch. Hints steer it like OnAccess: HintRandom issues nothing,
 // HintSequential stops at hintEnd. It returns how many pages were issued.
 func (e *Engine[O]) Ahead(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, frame, limit int, now sim.Time, hint Hint, hintEnd core.PageID) int {
 	if e.ahead == nil || hint == HintRandom {
@@ -429,56 +425,11 @@ func (e *Engine[O]) Ahead(o O, res *Resident, pid prefetch.PID, cpu int, page co
 // queues and bandwidth — but nobody blocks on it. Linux batches read-ahead
 // pages onto the demand request's trip through the block layer, so no
 // per-page block-layer overhead is charged on either path; each page pays
-// only dispatch + device time.
+// only dispatch + device time. On a batching device the deduplicated
+// candidates go out in chunks of up to qdepth pages, so a window costs one
+// submission (and one fabric round-trip draw) per chunk instead of one per
+// page — the fan-out overlap the async remote engine exists for.
 func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) int {
-	if e.batchDev != nil {
-		return e.issuePrefetchBatches(o, res, cpu, cands, now)
-	}
-	e.issuedBuf = e.issuedBuf[:0]
-	issued := 0
-	for _, c := range cands {
-		if res.Contains(c) {
-			continue
-		}
-		if e.cache.Contains(c) {
-			continue
-		}
-		if e.inflight.Contains(c) {
-			continue
-		}
-		if e.blocked.Len() > 0 && e.blocked.Contains(c) {
-			continue
-		}
-		if e.ztier != nil && e.ztier(c) {
-			continue
-		}
-		if e.Owns != nil && !e.Owns(c) {
-			continue
-		}
-		dist := int64(c - e.lastDevPage)
-		e.lastDevPage = c
-		done := e.dev.Read(cpu, now, c, dist)
-		e.inflight.Put(c, done)
-		e.inflights.Push(arrival[O]{page: c, at: done, who: o})
-		if e.OnIssue != nil {
-			e.issuedBuf = append(e.issuedBuf, c)
-		}
-		issued++
-		if e.recording {
-			*e.cPrefetchIssued++
-		}
-	}
-	if e.OnIssue != nil && len(e.issuedBuf) > 0 {
-		e.OnIssue(o, e.issuedBuf)
-	}
-	return issued
-}
-
-// issuePrefetchBatches is the doorbell path: the deduplicated candidates go
-// to the device in chunks of up to qdepth pages, so a prefetch window costs
-// one submission (and one fabric round-trip draw) per chunk instead of one
-// per page — the fan-out overlap the async remote engine exists for.
-func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) int {
 	e.batchPages = e.batchPages[:0]
 	e.batchDists = e.batchDists[:0]
 	for _, c := range cands {
@@ -494,14 +445,22 @@ func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []co
 		if e.Owns != nil && !e.Owns(c) {
 			continue
 		}
+		if slices.Contains(e.batchPages, c) {
+			continue // listed twice: issued once
+		}
 		e.batchPages = append(e.batchPages, c)
 		e.batchDists = append(e.batchDists, int64(c-e.lastDevPage))
 		e.lastDevPage = c
 	}
-	for lo := 0; lo < len(e.batchPages); lo += e.qdepth {
-		hi := min(lo+e.qdepth, len(e.batchPages))
-		e.batchDone = e.batchDev.ReadBatch(cpu, now,
-			e.batchPages[lo:hi], e.batchDists[lo:hi], e.batchDone)
+	for lo, hi := 0, 0; lo < len(e.batchPages); lo = hi {
+		if e.batchDev != nil {
+			hi = min(lo+e.qdepth, len(e.batchPages))
+			e.batchDone = e.batchDev.ReadBatch(cpu, now,
+				e.batchPages[lo:hi], e.batchDists[lo:hi], e.batchDone)
+		} else {
+			hi = lo + 1
+			e.batchDone = append(e.batchDone[:0], e.dev.Read(cpu, now, e.batchPages[lo], e.batchDists[lo]))
+		}
 		for i, c := range e.batchPages[lo:hi] {
 			done := e.batchDone[i]
 			e.inflight.Put(c, done)

@@ -72,7 +72,7 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	if !miss || lat <= 0 {
 		t.Fatalf("first access: lat=%v miss=%v", lat, miss)
 	}
-	e.OnAccess(0, r, 0, 0, 1, miss, 0)
+	e.OnAccess(0, r, 0, 0, 1, miss, 0, HintNone, 0)
 	e.MapIn(0, r, 0, 1, 0)
 	if got := e.Counters.Get("prefetch_issued"); got != 3 {
 		t.Fatalf("prefetch_issued = %d, want 3", got)
@@ -89,7 +89,7 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	if e.Counters.Get("inflight_hits") != 1 || pf.hits != 1 {
 		t.Fatalf("inflight_hits=%d pf hits=%d", e.Counters.Get("inflight_hits"), pf.hits)
 	}
-	e.OnAccess(0, r, 0, 0, 10, miss2, sim.Time(lat2))
+	e.OnAccess(0, r, 0, 0, 10, miss2, sim.Time(lat2), HintNone, 0)
 	e.MapIn(0, r, 0, 10, sim.Time(lat2))
 
 	// Let the remaining prefetches land, then hit the cache.
@@ -107,26 +107,30 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	}
 }
 
+// TestOnIssueDedupes: a window loses its resident and in-flight pages and a
+// page it lists twice, whether it goes out page by page or in batches.
 func TestOnIssueDedupes(t *testing.T) {
-	pf := &stubPrefetcher{window: []core.PageID{5, 6, 7}}
-	e := newTestEngine(pf)
-	r := NewResident(8)
-	r.Limit = 64
-	var issued [][]core.PageID
-	e.OnIssue = func(_ int, pages []core.PageID) {
-		cp := make([]core.PageID, len(pages))
-		copy(cp, pages)
-		issued = append(issued, cp)
-	}
-	e.MapIn(0, r, 0, 6, 0) // 6 already resident
-	e.OnAccess(0, r, 0, 0, 1, true, 0)
-	if len(issued) != 1 || len(issued[0]) != 2 {
-		t.Fatalf("issued = %v, want one batch of {5,7}", issued)
-	}
-	// Same window again: everything is in flight now — no hook call.
-	e.OnAccess(0, r, 0, 0, 2, true, 0)
-	if len(issued) != 1 {
-		t.Fatalf("in-flight pages re-issued: %v", issued)
+	for _, qdepth := range []int{1, 8} {
+		pf := &stubPrefetcher{window: []core.PageID{5, 6, 7, 5}}
+		e := New[int](Config{Prefetcher: pf, Seed: 7, QueueDepth: qdepth})
+		r := NewResident(8)
+		r.Limit = 64
+		var issued [][]core.PageID
+		e.OnIssue = func(_ int, pages []core.PageID) {
+			cp := make([]core.PageID, len(pages))
+			copy(cp, pages)
+			issued = append(issued, cp)
+		}
+		e.MapIn(0, r, 0, 6, 0) // 6 already resident
+		e.OnAccess(0, r, 0, 0, 1, true, 0, HintNone, 0)
+		if len(issued) != 1 || len(issued[0]) != 2 || e.Counters.Get("prefetch_issued") != 2 {
+			t.Fatalf("depth %d: issued = %v, want one batch of {5,7}", qdepth, issued)
+		}
+		// Same window again: everything is in flight now — no hook call.
+		e.OnAccess(0, r, 0, 0, 2, true, 0, HintNone, 0)
+		if len(issued) != 1 {
+			t.Fatalf("depth %d: in-flight pages re-issued: %v", qdepth, issued)
+		}
 	}
 }
 
@@ -135,7 +139,7 @@ func TestCancelPrefetchDropsArrival(t *testing.T) {
 	e := newTestEngine(pf)
 	r := NewResident(8)
 	r.Limit = 64
-	e.OnAccess(0, r, 0, 0, 1, true, 0)
+	e.OnAccess(0, r, 0, 0, 1, true, 0, HintNone, 0)
 	if !e.CancelPrefetch(42) {
 		t.Fatal("42 was not in flight")
 	}
@@ -173,7 +177,7 @@ func TestEngineDeterminism(t *testing.T) {
 			lat, miss := e.Fault(0, 0, pg, now)
 			total += lat
 			now = now.Add(lat)
-			e.OnAccess(0, r, 0, 0, pg, miss, now)
+			e.OnAccess(0, r, 0, 0, pg, miss, now, HintNone, 0)
 			e.MapIn(0, r, 0, pg, now)
 		}
 		return e.Counters.String(), total

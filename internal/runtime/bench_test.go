@@ -140,7 +140,7 @@ func BenchmarkStoreScanDelayedLink(b *testing.B) {
 // replicatedOverDelayedLinks opens a Memory with a budget of 1024 pages over
 // two delayed links, both replicas of everything, stores image(pg) in pages
 // [0, pages) and flushes. Memory and host are closed with the benchmark.
-func replicatedOverDelayedLinks(b *testing.B, pages int, opts ...Option) (*Memory, []*delayedLink) {
+func replicatedOverDelayedLinks(b *testing.B, pages int) (*Memory, []*delayedLink) {
 	b.Helper()
 	links := []*delayedLink{
 		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
@@ -151,7 +151,7 @@ func replicatedOverDelayedLinks(b *testing.B, pages int, opts ...Option) (*Memor
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Open(append([]Option{WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1)}, opts...)...)
+	m, err := Open(WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func BenchmarkMixDelayedLink(b *testing.B) {
 
 func benchMixDelayedLink(b *testing.B, delay time.Duration) {
 	const pages, half = 8192, 4096
-	m, links := replicatedOverDelayedLinks(b, pages, WithConcurrency(2))
+	m, links := replicatedOverDelayedLinks(b, pages)
 	buf, data := make([]byte, remote.PageSize), image(1)[:64]
 	rd, wr := core.PageID(0), core.PageID(half)
 	read := func() {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"leap/internal/core"
 	"leap/internal/prefetch"
@@ -126,7 +127,9 @@ const (
 	// AdviseWillNeed warms the range immediately: its pages are prefetched
 	// now through the normal deduplicated prefetch path (resident, cached,
 	// in-flight, sealed and in-demand pages are skipped, so read-your-
-	// writes is never at risk), with real bytes fetched underneath.
+	// writes is never at risk), with real bytes fetched underneath. A
+	// stripe warms no more of the range than its residency budget holds:
+	// pages beyond that would be reclaimed before anyone read them.
 	AdviseWillNeed
 )
 
@@ -155,7 +158,7 @@ func (c *Client) Advise(a Advice, start core.PageID, pages int) error {
 		var buf []core.PageID
 		for _, s := range m.shards {
 			buf = buf[:0]
-			for pg := start; pg < end; pg++ {
+			for pg := start; pg < end && len(buf) < int(s.res.Limit); pg++ {
 				if m.shardFor(pg) == s {
 					buf = append(buf, pg)
 				}
@@ -177,7 +180,11 @@ func (c *Client) Advise(a Advice, start core.PageID, pages int) error {
 			if s.hints == nil {
 				s.hints = make(map[prefetch.PID][]hintRange)
 			}
-			s.hints[c.pid] = append(s.hints[c.pid], r)
+			// A declaration the new one covers can never win again.
+			rs := slices.DeleteFunc(s.hints[c.pid], func(old hintRange) bool {
+				return r.start <= old.start && old.end <= r.end
+			})
+			s.hints[c.pid] = append(rs, r)
 			s.mu.Unlock()
 		}
 		return nil

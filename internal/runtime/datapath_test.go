@@ -22,14 +22,16 @@ import (
 // go one at a time, or turned into a failure that only shows when the
 // response is waited for. Single reads and writes always answer at once —
 // unless the gate was told to hold acks, and then it is write frames whose
-// responses are held, and read batches answer at once. The gate also keeps the
-// pages of every read batch it was handed, and watches the order its pendings
-// are waited for in: a link answers in order, and the host is to land a link's
-// flights in the order it started them.
+// responses are held, and read batches answer at once, or to gate demand
+// reads, and then single reads are held (and failed) in place of read batches.
+// The gate also keeps the pages of every read batch it was handed, and watches
+// the order its pendings are waited for in: a link answers in order, and the
+// host is to land a link's flights in the order it started them.
 type batchGate struct {
 	inner     *remote.InProc
 	slabPages int
 	acks      bool // hold write frames' responses, not read batches'
+	demand    bool // hold and fail single reads, not read batches
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -107,7 +109,17 @@ func (g *batchGate) pump(pick func(n int) int, observe func(held int)) (stop fun
 	}
 }
 
-// failBatches makes read batches fail at Wait.
+// awaitWaiters returns once n goroutines are waiting for held responses.
+func (g *batchGate) awaitWaiters(n int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.waiting < n {
+		g.cond.Wait()
+	}
+}
+
+// failBatches makes read batches (single reads, on a gate of demand reads)
+// fail at Wait.
 func (g *batchGate) failBatches(on bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -175,9 +187,12 @@ func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
 	gated := req.Op == remote.OpReadBatch
 	if gated {
 		g.frames = append(g.frames, pages)
-		if g.fail {
-			p.resp, p.err = nil, errGate
-		}
+	}
+	if g.demand {
+		gated = req.Op == remote.OpRead
+	}
+	if gated && g.fail {
+		p.resp, p.err = nil, errGate
 	}
 	if g.acks {
 		gated = req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
@@ -330,43 +345,125 @@ func TestRecycledFrameIsNotFilledLate(t *testing.T) {
 // prefetch and takes a demand miss — right bytes, nothing latched, and the
 // counters still add up.
 func TestFailedWindowFillFallsBackToDemand(t *testing.T) {
-	for _, conc := range []int{1, DefaultConcurrency} {
-		m, g := gatedMemory(t, 192, WithConcurrency(conc))
-		g.failBatches(true)
-		before := m.Stats()
-		if err := m.Client(0).Advise(AdviseWillNeed, 30, 8); err != nil {
-			t.Fatal(err)
+	m, g := gatedMemory(t, 192)
+	g.failBatches(true)
+	before := m.Stats()
+	if err := m.Client(0).Advise(AdviseWillNeed, 30, 8); err != nil {
+		t.Fatal(err)
+	}
+	// Some of the window is consumed while the model has it in flight,
+	// the rest after the model landed it in the cache.
+	for pg := core.PageID(30); pg < 34; pg++ {
+		checkPage(t, m, pg)
+	}
+	m.clock.Advance(10 * sim.Millisecond)
+	for pg := core.PageID(34); pg < 38; pg++ {
+		checkPage(t, m, pg)
+	}
+	g.failBatches(false)
+	if err := m.Flush(); err != nil {
+		t.Fatalf("a failed prefetch read latched the Memory: %v", err)
+	}
+	st := m.Stats()
+	accesses := st.Accesses - before.Accesses
+	faults := st.Faults - before.Faults
+	resident := st.ResidentHits - before.ResidentHits
+	served := (st.CacheHits - before.CacheHits) + (st.InflightHits - before.InflightHits) + (st.Misses - before.Misses)
+	if accesses != 8 || accesses != resident+faults || faults != served {
+		t.Fatalf("counters not conserved: accesses %d = resident %d + faults %d; faults = %d served",
+			accesses, resident, faults, served)
+	}
+	if misses := st.Misses - before.Misses; misses < 8 {
+		// The predictor's own windows fail too while the gate fails
+		// batches, so every one of the eight accesses ends as a miss.
+		t.Fatalf("%d demand misses for 8 failed fills", misses)
+	}
+	if err := m.CheckShardInvariants(192); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// singleFlight parks one goroutine's demand read of page 5 at the gate and then
+// sends two more goroutines after the same page: it returns once both sleep on
+// the first one's fault, with a channel carrying the three accesses' outcomes.
+// Client 0's window is advised away, so the demand read is the access's only one.
+func singleFlight(t *testing.T, m *Memory, g *batchGate) <-chan error {
+	t.Helper()
+	const pg = 5
+	if err := m.Client(0).Advise(AdviseRandom, 0, 192); err != nil {
+		t.Fatal(err)
+	}
+	g.hold()
+	before := m.Stats()
+	done := make(chan error, 3)
+	access := func() {
+		got := make([]byte, remote.PageSize)
+		err := m.getInto(0, pg, got)
+		if err == nil && !bytes.Equal(got, image(pg)) {
+			err = errors.New("wrong bytes")
 		}
-		// Some of the window is consumed while the model has it in flight,
-		// the rest after the model landed it in the cache.
-		for pg := core.PageID(30); pg < 34; pg++ {
-			checkPage(t, m, pg)
+		done <- err
+	}
+	go access()
+	g.awaitWaiters(1)
+	go access()
+	go access()
+	for m.Stats().DemandWaits-before.DemandWaits < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if st := m.Stats(); st.Host.Reads-before.Host.Reads != 1 || st.Misses-before.Misses != 1 {
+		t.Errorf("three faults on one page: %d host reads, %d misses, want 1 and 1",
+			st.Host.Reads-before.Host.Reads, st.Misses-before.Misses)
+	}
+	return done
+}
+
+// TestSingleFlightSleepsOnFaulting: a fault that finds its page in another
+// goroutine's fault — there to be seen because a demand read leaves the stripe
+// lock — counts a demand wait and sleeps, puts no second read on the wire, and
+// wakes to the page once the owner has mapped it in.
+func TestSingleFlightSleepsOnFaulting(t *testing.T) {
+	m, g := gatedMemory(t, 192)
+	g.demand = true
+	before := m.Stats()
+	done := singleFlight(t, m, g)
+	g.release()
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Errorf("access %d: %v", i, err)
 		}
-		m.clock.Advance(10 * sim.Millisecond)
-		for pg := core.PageID(34); pg < 38; pg++ {
-			checkPage(t, m, pg)
+	}
+	st := m.Stats()
+	if waits, reads := st.DemandWaits-before.DemandWaits, st.Host.Reads-before.Host.Reads; waits != 2 || reads != 1 {
+		t.Errorf("%d demand waits and %d host reads, want 2 and 1", waits, reads)
+	}
+	if err := m.CheckShardInvariants(192); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSingleFlightWaitersWakeOnUnwind: the demand read the waiters sleep on
+// fails on every replica. The owner unwinds and wakes them; each then faults
+// for itself and fails the same way, nobody hangs and nothing latches, and the
+// page faults cleanly once the failure is lifted.
+func TestSingleFlightWaitersWakeOnUnwind(t *testing.T) {
+	m, g := gatedMemory(t, 192)
+	g.demand = true
+	g.failBatches(true)
+	done := singleFlight(t, m, g)
+	g.release()
+	for i := 0; i < 3; i++ {
+		if err := <-done; !errors.Is(err, errGate) {
+			t.Errorf("access %d: %v, want the injected read failure", i, err)
 		}
-		g.failBatches(false)
-		if err := m.Flush(); err != nil {
-			t.Fatalf("conc %d: a failed prefetch read latched the Memory: %v", conc, err)
-		}
-		st := m.Stats()
-		accesses := st.Accesses - before.Accesses
-		faults := st.Faults - before.Faults
-		resident := st.ResidentHits - before.ResidentHits
-		served := (st.CacheHits - before.CacheHits) + (st.InflightHits - before.InflightHits) + (st.Misses - before.Misses)
-		if accesses != 8 || accesses != resident+faults || faults != served {
-			t.Fatalf("conc %d: counters not conserved: accesses %d = resident %d + faults %d; faults = %d served",
-				conc, accesses, resident, faults, served)
-		}
-		if misses := st.Misses - before.Misses; misses < 8 {
-			// The predictor's own windows fail too while the gate fails
-			// batches, so every one of the eight accesses ends as a miss.
-			t.Fatalf("conc %d: %d demand misses for 8 failed fills", conc, misses)
-		}
-		if err := m.CheckShardInvariants(192); err != nil {
-			t.Fatalf("conc %d: %v", conc, err)
-		}
+	}
+	g.failBatches(false)
+	checkPage(t, m, 5)
+	if err := m.Flush(); err != nil {
+		t.Fatalf("a failed demand read latched the Memory: %v", err)
+	}
+	if err := m.CheckShardInvariants(192); err != nil {
+		t.Fatal(err)
 	}
 }
 

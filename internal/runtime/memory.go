@@ -35,10 +35,9 @@ import (
 // eviction, while real page images move underneath.
 //
 // Time is virtual: every fault charges the modeled data-path + fabric
-// latency to the runtime's clock (WithClock shares it), so hit ratios,
-// latency percentiles and prefetch accuracy are reproducible bit-for-bit
-// from the options — while the bytes, placement, replication and failover
-// are real.
+// latency to the runtime's clock, so hit ratios, latency percentiles and
+// prefetch accuracy are reproducible bit-for-bit from the options — while
+// the bytes, placement, replication and failover are real.
 //
 // Memory is safe for concurrent use: ReadAt, WriteAt, Get, Flush and Stats
 // may be called from arbitrary goroutines. The fault path is sharded by
@@ -46,13 +45,12 @@ import (
 // page cache, residency budget and frame table behind its own mutex, so a
 // page-cache hit takes exactly one shard lock and hits on different stripes
 // scale across cores. Cross-shard concerns — the virtual clock, the error
-// latch, the demand-fetch overlap budget and the control-plane tick cadence
-// — are atomics on the Memory coordinator; the documented lock order is
-// shard.mu → plane.mu → host.mu, with at most one shard lock held at a
-// time. Within a shard, a full miss drops the lock for the remote fetch
-// when WithConcurrency allows, registering a single-flight entry so
-// concurrent faults on the same page wait for one fetch while faults on
-// other pages proceed in parallel. The fetch is split-phase: the demand read
+// latch and the control-plane tick cadence — are atomics on the Memory
+// coordinator; the documented lock order is shard.mu → plane.mu → host.mu,
+// with at most one shard lock held at a time. Within a shard, a full miss
+// drops the lock for the remote fetch: concurrent faults on the same page
+// wait for that one fetch (single-flight) while faults on other pages
+// proceed in parallel. The fetch is split-phase: the demand read
 // is started, the prefetch window goes on the wire behind it, and only then
 // is the demand page waited for; a prefetched page's bytes are waited for by
 // the first access that needs them. The default WithShards(1) runs one
@@ -61,10 +59,9 @@ import (
 // The paper's multi-process deployment (§4.1) maps onto Client handles:
 // each logical client id gets its own predictor over its own fault stream
 // (per stripe), while all clients share the page caches, the residency
-// budget and the remote host. Two caveats: the slice returned by Memory.Get
+// budget and the remote host. One caveat: the slice returned by Memory.Get
 // aliases the live frame table and is safe only for single-goroutine use
-// (Client.Get copies instead), and a clock shared via WithClock must not be
-// touched while operations are in flight.
+// (Client.Get copies instead).
 type Memory struct {
 	// shards are the PageID stripes of the fault path; page pg belongs to
 	// shards[uint64(pg)&mask]. len(shards) is a power of two.
@@ -77,12 +74,6 @@ type Memory struct {
 	ownHost bool
 	clock   *sim.Clock
 	qdepth  int
-	// conc is the WithConcurrency bound: the number of demand-miss fetches
-	// allowed to overlap outside the shard locks, globally across shards.
-	// conc <= 1 keeps every fetch under its shard's lock — the strictly
-	// serialized PR-4 execution order.
-	conc     int
-	fetching atomic.Int64 // demand fetches currently running unlocked
 
 	// err latches the first unrecoverable store failure (a writeback no
 	// replica accepted); every subsequent operation reports it. An atomic
@@ -114,13 +105,6 @@ type Memory struct {
 	lastSerial  atomic.Int64
 }
 
-// demandFetch is one single-flight demand read in progress with the shard
-// lock dropped; done closes once the page is mapped in (or the fetch
-// failed).
-type demandFetch struct {
-	done chan struct{}
-}
-
 // frame is one 4KB local page frame. Frames are pooled per shard; data
 // stays at PageSize.
 //
@@ -150,21 +134,14 @@ func (f *frame) whole() { f.lo, f.hi = 0, remote.PageSize }
 // clean empties f's hull: its image is the page's remote one.
 func (f *frame) clean() { f.dirty, f.lo, f.hi = false, 0, 0 }
 
-// DefaultConcurrency is the default WithConcurrency bound: how many
-// demand-miss fetches may overlap outside the fault-path locks.
-const DefaultConcurrency = 8
-
 // memOptions collects Open's functional options.
 type memOptions struct {
-	pf         prefetch.Prefetcher
 	pfFactory  func() prefetch.Prefetcher
 	ensCfg     *prefetch.EnsembleConfig
 	host       *remote.Host
 	capacity   int
 	queueDepth int
-	conc       int
 	shards     int
-	clock      *sim.Clock
 	seed       uint64
 	agents     int
 	slabPages  int
@@ -173,27 +150,20 @@ type memOptions struct {
 	retry      remote.RetryPolicy
 	retrySet   bool
 	ztierBytes int64
-	ztierLat   sim.Duration
 	wireComp   bool
 }
 
 // Option configures Open.
 type Option func(*memOptions)
 
-// WithPrefetcher selects the prefetching policy consulted on every fault
-// (default: the Leap majority-trend predictor). Build baselines with
-// NewPrefetcher("readahead"), NewPrefetcher("none"), etc. A supplied
-// prefetcher is a single instance and cannot be split across stripes:
-// incompatible with WithShards beyond 1 — use WithPrefetcherFactory there,
-// which builds one instance per stripe.
-func WithPrefetcher(p prefetch.Prefetcher) Option { return func(o *memOptions) { o.pf = p } }
-
-// WithPrefetcherFactory selects the prefetching policy by factory: every
-// PageID stripe calls f once and owns the returned instance under its own
-// lock, so any policy — not just the default Leap — runs sharded. The
-// factory must return independent instances (stripe state is never shared).
-// Mutually exclusive with WithPrefetcher and WithEnsemble. At WithShards(1)
-// it is equivalent to WithPrefetcher(f()).
+// WithPrefetcherFactory selects the prefetching policy consulted on every
+// fault (default: the Leap majority-trend predictor; build baselines with
+// NewPrefetcher("readahead"), NewPrefetcher("none"), etc.): every PageID
+// stripe calls f once and owns the returned instance under its own lock, so
+// any policy runs sharded. The factory must return independent instances
+// (stripe state is never shared); at WithShards(1) it is called exactly once,
+// so a closure over one instance the caller keeps for its statistics is fine
+// there. Mutually exclusive with WithEnsemble.
 func WithPrefetcherFactory(f func() prefetch.Prefetcher) Option {
 	return func(o *memOptions) { o.pfFactory = f }
 }
@@ -206,8 +176,8 @@ func WithPrefetcherFactory(f func() prefetch.Prefetcher) Option {
 // function of the access stream. Each stripe owns an independent selector
 // (per-stripe fault streams, like every predictor here); Stats.Ensemble
 // aggregates them and Client.SelectionHistory exposes per-client switches.
-// Mutually exclusive with WithPrefetcher and WithPrefetcherFactory. The
-// zero EnsembleConfig takes the documented defaults.
+// Mutually exclusive with WithPrefetcherFactory. The zero EnsembleConfig
+// takes the documented defaults.
 func WithEnsemble(cfg prefetch.EnsembleConfig) Option {
 	return func(o *memOptions) { o.ensCfg = &cfg }
 }
@@ -232,15 +202,6 @@ func WithCacheCapacity(pages int) Option { return func(o *memOptions) { o.capaci
 // 8; 1 degenerates to one synchronous round trip per page).
 func WithQueueDepth(depth int) Option { return func(o *memOptions) { o.queueDepth = depth } }
 
-// WithConcurrency bounds how many demand-miss fetches may run outside the
-// fault-path locks at once, globally across shards (default
-// DefaultConcurrency). Size it to the number of goroutines expected to
-// drive the Memory. 1 pins every fetch under its shard's lock — the fault
-// path becomes strictly serialized per stripe, executing exactly like the
-// pre-concurrency runtime; a single-goroutine caller makes identical
-// decisions at every setting.
-func WithConcurrency(n int) Option { return func(o *memOptions) { o.conc = n } }
-
 // WithShards splits the fault path into n PageID stripes, each with its own
 // lock, engine, predictor, page cache and residency budget, so operations
 // on different stripes proceed in parallel and page-cache hits take exactly
@@ -250,9 +211,8 @@ func WithConcurrency(n int) Option { return func(o *memOptions) { o.conc = n } }
 // sees only its own fault stream; a sequential sweep's in-stripe deltas are
 // uniform, so trend detection survives striping, and cross-stripe prefetch
 // candidates are filtered out rather than issued blind. WithShards(1) is
-// bit-identical to the pre-sharding serialized runtime. Incompatible with
-// WithPrefetcher beyond 1 shard, and WithCacheCapacity must provide at
-// least one page per shard.
+// bit-identical to the pre-sharding serialized runtime. WithCacheCapacity
+// must provide at least one page per shard.
 func WithShards(n int) Option { return func(o *memOptions) { o.shards = n } }
 
 // DefaultDecompressLatency is the virtual-time charge of unsealing one page
@@ -283,16 +243,6 @@ func WithCompressedTier(bytes int64) Option { return func(o *memOptions) { o.zti
 // RemoteHostConfig.Compress on the supplied host instead.
 func WithWireCompression(on bool) Option { return func(o *memOptions) { o.wireComp = on } }
 
-// WithDecompressLatency overrides the virtual-time charge of a compressed-
-// tier hit (default DefaultDecompressLatency; zero or negative keeps the
-// default). Meaningful only with WithCompressedTier.
-func WithDecompressLatency(d sim.Duration) Option { return func(o *memOptions) { o.ztierLat = d } }
-
-// WithClock shares a virtual clock with the runtime (for virtual-time
-// tests: fault latencies are charged to it, so a test can interleave its
-// own events deterministically). Default: a private clock starting at 0.
-func WithClock(c *sim.Clock) Option { return func(o *memOptions) { o.clock = c } }
-
 // WithSeed seeds the latency models (fabric jitter, data-path stage draws).
 // Equal seeds and equal access sequences replay bit-identically.
 func WithSeed(seed uint64) Option { return func(o *memOptions) { o.seed = seed } }
@@ -320,7 +270,6 @@ func Open(opts ...Option) (*Memory, error) {
 	o := memOptions{
 		capacity:   1024,
 		queueDepth: remote.DefaultQueueDepth,
-		conc:       DefaultConcurrency,
 		seed:       42,
 		agents:     3,
 		slabPages:  1024,
@@ -334,21 +283,12 @@ func Open(opts ...Option) (*Memory, error) {
 	if o.queueDepth <= 0 {
 		o.queueDepth = 1
 	}
-	if o.conc <= 0 {
-		o.conc = DefaultConcurrency
-	}
 	nshards := 1
 	for nshards < o.shards {
 		nshards <<= 1
 	}
-	if o.pf != nil && o.pfFactory != nil {
-		return nil, fmt.Errorf("leap: WithPrefetcher and WithPrefetcherFactory are mutually exclusive; keep the factory")
-	}
-	if o.ensCfg != nil && (o.pf != nil || o.pfFactory != nil) {
-		return nil, fmt.Errorf("leap: WithEnsemble supplies its own per-stripe selector and is mutually exclusive with WithPrefetcher/WithPrefetcherFactory")
-	}
-	if o.pf != nil && nshards > 1 {
-		return nil, fmt.Errorf("leap: WithPrefetcher supplies a single prefetcher instance and cannot be split across %d shards; use WithPrefetcherFactory to build one instance per stripe (or WithShards(1))", nshards)
+	if o.ensCfg != nil && o.pfFactory != nil {
+		return nil, fmt.Errorf("leap: WithEnsemble supplies its own per-stripe selector and is mutually exclusive with WithPrefetcherFactory")
 	}
 	if o.capacity < nshards {
 		return nil, fmt.Errorf("leap: cache capacity %d pages < %d shards, need at least one page per shard", o.capacity, nshards)
@@ -363,14 +303,10 @@ func Open(opts ...Option) (*Memory, error) {
 		return nil, fmt.Errorf("leap: WithWireCompression configures the private in-process cluster; set RemoteHostConfig.Compress on the host passed to WithRemoteHost instead")
 	}
 	m := &Memory{
-		clock:     o.clock,
+		clock:     &sim.Clock{},
 		qdepth:    o.queueDepth,
-		conc:      o.conc,
 		slabPages: o.slabPages,
 		mask:      uint64(nshards - 1),
-	}
-	if m.clock == nil {
-		m.clock = &sim.Clock{}
 	}
 	m.host = o.host
 	if m.host == nil {
@@ -422,8 +358,6 @@ func Open(opts ...Option) (*Memory, error) {
 				return nil, fmt.Errorf("leap: WithPrefetcherFactory returned nil for stripe %d", i)
 			}
 			pfs[i] = p
-		case o.pf != nil:
-			pfs[i] = o.pf
 		default:
 			pfs[i] = prefetch.NewLeap(core.Config{})
 		}
@@ -440,11 +374,10 @@ func Open(opts ...Option) (*Memory, error) {
 
 // newShard builds stripe idx of nshards: its own engine (latency models
 // seeded per stripe, stripe 0 keeping the user seed), the stripe's
-// prefetcher pf (resolved by Open — default Leap, a shared WithPrefetcher
-// instance at one stripe, one factory-built instance per stripe, or an
-// ensemble selector), cache, residency budget and frame pool. The global
-// capacity is striped statically — capacity/nshards pages each, remainder
-// to the low stripes.
+// prefetcher pf (resolved by Open — default Leap, one factory-built instance
+// per stripe, or an ensemble selector), cache, residency budget and frame
+// pool. The global capacity is striped statically — capacity/nshards pages
+// each, remainder to the low stripes.
 func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetcher) *shard {
 	capacity := o.capacity / nshards
 	if idx < o.capacity%nshards {
@@ -456,8 +389,8 @@ func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetche
 		frames:   pagemap.New[*frame](capacity),
 		written:  pagemap.New[struct{}](0),
 		faulting: pagemap.New[struct{}](0),
-		demand:   pagemap.New[*demandFetch](0),
 	}
+	s.faulted.L = &s.mu
 	s.ens, _ = pf.(*prefetch.Ensemble)
 	// The full Leap stack of §4: lean data path, eager cache eviction, and
 	// (unless overridden) majority-trend prefetching — the same
@@ -501,11 +434,7 @@ func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetche
 		}
 		s.ztier = ztier.NewPool(zb, remote.PageSize)
 		s.ztier.OnEvict = s.ztierEvicted
-		lat := o.ztierLat
-		if lat <= 0 {
-			lat = DefaultDecompressLatency
-		}
-		s.eng.EnableZtier(s.ztier.Contains, lat)
+		s.eng.EnableZtier(s.ztier.Contains, DefaultDecompressLatency)
 	}
 	return s
 }

@@ -16,21 +16,19 @@ import (
 )
 
 // shard is one PageID stripe of the fault path: its own engine (predictor,
-// page cache, latency models), residency LRU, frame table, written/faulting
-// sets and single-flight demand table, all guarded by its own mutex. Page pg
-// belongs to shard pg & m.mask (round-robin striping, so hot contiguous
-// ranges spread across stripes), and a page's bytes, cache entry and
-// residency charge only ever live in its owning shard — the single-owner
-// invariant CheckShardInvariants verifies. Cross-shard state (virtual clock,
-// error latch, demand-overlap budget, control-plane cadence) lives on Memory
-// as atomics, so a hit takes exactly one lock: its shard's.
+// page cache, latency models), residency LRU, frame table and written/faulting
+// sets, all guarded by its own mutex. Page pg belongs to shard pg & m.mask
+// (round-robin striping, so hot contiguous ranges spread across stripes), and
+// a page's bytes, cache entry and residency charge only ever live in its
+// owning shard — the single-owner invariant CheckShardInvariants verifies. Cross-shard state (virtual clock,
+// error latch, control-plane cadence) lives on Memory as atomics, so a hit
+// takes exactly one lock: its shard's.
 //
 // Lock order: shard.mu → plane.mu → host.mu. A fault path holds at most its
 // own shard's lock (never two shards), may observe the plane (plane.mu) and
 // ring the host's doorbell (host.mu) under it; control ticks run with no
-// shard lock held, entering at plane.mu. host.mu is never held across a wait
-// for the wire, and neither is shard.mu unless WithConcurrency (or its
-// budget) pins the fault under the lock.
+// shard lock held, entering at plane.mu. Neither host.mu nor shard.mu is ever
+// held across a wait for the wire.
 type shard struct {
 	m   *Memory
 	idx int
@@ -74,11 +72,14 @@ type shard struct {
 	// faulting is the set of stripe pages currently traversing the fault
 	// path: the eager cache policy frees their cache entries mid-fault (the
 	// page table takes ownership), and the eviction callback must not drop
-	// their frames. More than one entry only under concurrent faults.
+	// their frames. It is the single-flight state as well: a demand read runs
+	// with the lock dropped, and a fault that finds its page here waits for
+	// the owner instead of fetching again. More than one entry only under
+	// concurrent faults.
 	faulting *pagemap.Map[struct{}]
-	// demand is the single-flight table: a stripe page being demand-fetched
-	// with the lock dropped maps to the entry concurrent faulters wait on.
-	demand *pagemap.Map[*demandFetch]
+	// faulted (over mu) wakes the faults that found their page in faulting:
+	// the owner broadcasts once the page is mapped in, or the fault unwound.
+	faulted sync.Cond
 
 	// fills and fillPages are fetchPrefetches' scratch: the window's frames
 	// that requested a remote image, and their pages.
@@ -118,8 +119,8 @@ type hintRange struct {
 
 // hintFor resolves the newest hint covering pg for client pid into the
 // engine's per-access hint form. Runs under s.mu on the fault path; the
-// range list is append-only and expected to stay short (an madvise call per
-// region, not per access).
+// range list holds no declaration a later one covers (see Client.Advise), so
+// it stays as short as the regions are many however often they are re-advised.
 func (s *shard) hintFor(pid prefetch.PID, pg core.PageID) (paging.Hint, core.PageID) {
 	rs := s.hints[pid]
 	for i := len(rs) - 1; i >= 0; i-- {
@@ -346,8 +347,8 @@ func (s *shard) issueAhead(pid prefetch.PID, pg core.PageID, now sim.Time, hint 
 // has it (still in flight, or landed in the cache). No synchronous retry
 // happens here, because a wire round trip with the shard lock held would
 // head-of-line-block every client of the stripe behind one slow replica. A
-// later demand access refetches the page under the overlap budget, where a
-// slow replica delays only its own faulter.
+// later demand access refetches the page with the lock released, where a slow
+// replica delays only its own faulter.
 func (s *shard) abandonPrefetch(page core.PageID) {
 	s.eng.CancelPrefetch(page)
 	s.eng.Cache().Drop(page) // its evict hook uncharges and frees the frame
@@ -360,14 +361,14 @@ func (s *shard) abandonPrefetch(page core.PageID) {
 // reapFill completes the outstanding fill of f, the prefetched frame of pg,
 // before the fault path consumes the page. It reports how long the access was
 // blocked on the wire for it — 0 when the response had arrived, however long
-// ago the fill was issued — and whether the stripe lock was held throughout;
-// false means the lock was dropped for the wait (WithConcurrency above 1) and
-// the caller must re-check everything — the frame may have been evicted and
-// recycled meanwhile. A failed fill abandons the prefetch, so the access falls
-// through to a demand miss on its own failover budget.
+// ago the fill was issued — and whether the stripe lock was held throughout:
+// it is released for a response that has not arrived, and the caller must then
+// re-check everything — the frame may have been evicted and recycled
+// meanwhile. A failed fill abandons the prefetch, so the access falls through
+// to a demand miss on its own failover budget.
 func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, held bool) {
 	t := f.fill
-	if s.m.conc > 1 && !t.Done() {
+	if !t.Done() {
 		s.mu.Unlock()
 		blocked, _ = t.Collect()
 		s.mu.Lock()
@@ -381,53 +382,15 @@ func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, held 
 	return blocked, true
 }
 
-// beginDemand decides how pg's demand fetch treats the stripe lock. When the
-// global overlap budget (WithConcurrency) has room it takes a slot and
-// registers a single-flight entry, so that the lock can be dropped while the
-// fetch is started and while it is waited for: concurrent faults on pg wait
-// for this fetch (and the engine's prefetch dedup is told to skip pg), while
-// faults on other pages — same shard or not — proceed in parallel. At the
-// budget — or at WithConcurrency(1) — it reports false and the fetch runs
-// with the lock held, strictly serialized. A true result is paired with
-// endDemand.
-func (s *shard) beginDemand(pg core.PageID) bool {
-	m := s.m
-	if m.conc <= 1 {
-		return false
-	}
-	if n := m.fetching.Add(1); n > int64(m.conc) {
-		m.fetching.Add(-1)
-		return false
-	}
-	s.demand.Put(pg, &demandFetch{done: make(chan struct{})})
-	s.eng.BlockPrefetch(pg)
-	return true
-}
-
-// endDemand releases what beginDemand took and wakes pg's waiters, who then
-// queue on the stripe lock until the fault has mapped the page in (or
-// unwound).
-func (s *shard) endDemand(pg core.PageID) {
-	s.m.fetching.Add(-1)
-	s.eng.UnblockPrefetch(pg)
-	d, _ := s.demand.Get(pg)
-	s.demand.Delete(pg)
-	close(d.done)
-}
-
-// collectDemand waits for pg's demand read, with the stripe lock released
-// when beginDemand let it go (overlap), and then releases the single-flight
-// entry. The ticket is always collected here, whoever landed it: the window's
-// own Submit, or another goroutine's doorbell, may have completed a read that
-// a failover had requeued.
-func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket, overlap bool) error {
-	if !overlap {
-		return demand.Wait()
-	}
+// collectDemand waits for pg's demand read with the stripe lock released and
+// lets the prefetch dedup see pg again. The ticket is always collected here,
+// whoever landed it: the window's own Submit, or another goroutine's doorbell,
+// may have completed a read that a failover had requeued.
+func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket) error {
 	s.mu.Unlock()
 	err := demand.Wait()
 	s.mu.Lock()
-	s.endDemand(pg)
+	s.eng.UnblockPrefetch(pg)
 	return err
 }
 
@@ -441,10 +404,15 @@ func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket, overlap boo
 // The real I/O of a miss is split-phase (§4.2: the prefetch window is issued
 // off the demand fetch's critical path): the demand read is started, the
 // predictor runs and puts its window on the wire behind it, and only then is
-// the demand page waited for, so the two share one round trip. The engine
-// calls and their virtual-time arguments are those of the serial order
-// Fault → fetch → Advance → OnAccess → MapIn; over a transport that finishes
-// what it starts, so is the order of the transport calls.
+// the demand page waited for, so the two share one round trip. The stripe
+// lock is released while the read is started and while it is waited for, so
+// faults on other pages — same stripe or not — proceed meanwhile; pg stays in
+// s.faulting throughout, which is what a concurrent fault on pg waits on
+// (single-flight) and what keeps the engine's prefetch dedup off pg
+// (BlockPrefetch). The engine calls and their virtual-time arguments are
+// those of the serial order Fault → fetch → Advance → OnAccess → MapIn; over
+// a transport that finishes what it starts, so is the order of the transport
+// calls.
 func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	m := s.m
 	if err := m.loadErr(); err != nil {
@@ -494,17 +462,18 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 			first = false
 		}
 
-		// Single-flight: another goroutine is demand-fetching pg. Wait for
-		// its map-in and retry from the residency check. The waited access
-		// is accounted as a hit (it pays no full miss of its own) and is
-		// not re-recorded with the predictor.
-		if d, ok := s.demand.Get(pg); ok {
+		// Single-flight: pg is mid-fault on another goroutine, which only a
+		// demand read with the lock released lets anyone see. Sleep until that
+		// fault has mapped the page in (or unwound) and retry from the
+		// residency check. The waited access is accounted as a hit (it pays
+		// no full miss of its own) and is not re-recorded with the predictor.
+		if s.faulting.Contains(pg) {
 			if recording {
 				*s.cDemandWaits++
 			}
-			s.mu.Unlock()
-			<-d.done
-			s.mu.Lock()
+			for s.faulting.Contains(pg) {
+				s.faulted.Wait()
+			}
 			if err := m.loadErr(); err != nil {
 				return nil, err
 			}
@@ -533,11 +502,10 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	m.lastLatency.Store(int64(latency))
 	m.lastSerial.Store(int64(s.eng.LastFaultSerial))
 	// demand is the read of pg's real image on a full miss of a page that
-	// has one, started here and collected after the predictor has run;
-	// overlap records that beginDemand let the stripe lock go around both.
+	// has one, started here and collected after the predictor has run, the
+	// stripe lock released around both.
 	var demand *remote.Ticket
 	var demandFrame *frame
-	overlap := false
 	if miss {
 		// Full miss: fetch the real bytes (zeros when the page has no
 		// remote image — memory never written reads as zero).
@@ -548,18 +516,15 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 				// feed: natural hotspots drive ReplicateHot.
 				m.plane.ObserveRead(pg)
 			}
-			if overlap = s.beginDemand(pg); overlap {
-				s.mu.Unlock()
-			}
+			s.eng.BlockPrefetch(pg)
+			s.mu.Unlock()
 			demand, demandFrame = m.host.StartRead(pg, f.data), f
-			if overlap {
-				s.mu.Lock()
-			}
+			s.mu.Lock()
 			if demand.Done() {
 				// A transport that finishes what it starts: the serial order,
-				// in which waiters are released, and a failure unwinds, before
-				// the predictor sees the access.
-				if err := s.collectDemand(pg, demand, overlap); err != nil {
+				// in which a failure unwinds before the predictor sees the
+				// access.
+				if err := s.collectDemand(pg, demand); err != nil {
 					return nil, s.unwindDemand(pg, f, latency, err)
 				}
 				demand = nil
@@ -596,7 +561,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	if s.hints != nil {
 		hint, hintEnd = s.hintFor(pid, pg)
 	}
-	s.eng.OnAccessHinted(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
+	s.eng.OnAccess(s, s.res, pid, 0, pg, miss, now, hint, hintEnd)
 	if unreaped && !miss {
 		if blocked > 0 && recording {
 			s.nLate++
@@ -607,12 +572,15 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	if demand != nil {
 		// The clock has been advanced and the window issued; on a failure
 		// only the map-in is left to skip.
-		if err := s.collectDemand(pg, demand, overlap); err != nil {
+		if err := s.collectDemand(pg, demand); err != nil {
 			return nil, s.unwindDemand(pg, demandFrame, 0, err)
 		}
 	}
 	s.eng.MapIn(s, s.res, 0, pg, now)
 	s.faulting.Delete(pg)
+	if demandFrame != nil {
+		s.faulted.Broadcast() // the lock was released: pg may have waiters
+	}
 	f, ok := s.frames.Get(pg)
 	if !ok {
 		// Unreachable by construction: every path above installed a frame.
@@ -626,21 +594,21 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 // through cleanly. The engine has already recorded the miss and charged the
 // device model, so the clock still advances by the fault's latency (passed
 // as advance unless it already has) — device queue occupancy and the latency
-// histogram stay truthful.
+// histogram stay truthful. Faults waiting for pg wake to fetch it themselves.
 func (s *shard) unwindDemand(pg core.PageID, f *frame, advance sim.Duration, err error) error {
 	s.frames.Delete(pg) // if the fault got as far as installing f
 	s.freeFrame(f)
 	s.faulting.Delete(pg)
+	s.faulted.Broadcast()
 	s.m.clock.Advance(advance)
 	return fmt.Errorf("leap: page %d unreachable: %w", pg, err)
 }
 
 // CheckShardInvariants verifies the single-owner contract of the sharded
 // fault path over every page in [0, span): a page may appear in a shard's
-// residency set, page cache, frame table, written set, faulting set,
-// single-flight demand table or compressed tier only if that shard owns the
-// page's stripe — which implies no page is resident (or cached, or sealed)
-// in two shards at once. Within the owning stripe it additionally verifies
+// residency set, page cache, frame table, written set, faulting set or
+// compressed tier only if that shard owns the page's stripe — which implies
+// no page is resident (or cached, or sealed) in two shards at once. Within the owning stripe it additionally verifies
 // exclusivity between the compressed tier and the live fault path: a sealed
 // page must not simultaneously be resident, cached or hold a frame (Take is
 // exclusive, seal happens only after the frame is dropped). It is a test
@@ -671,8 +639,6 @@ func (m *Memory) CheckShardInvariants(span core.PageID) error {
 				where = "written set"
 			case s.faulting.Contains(pg):
 				where = "faulting set"
-			case s.demand.Contains(pg):
-				where = "demand table"
 			case s.ztier != nil && s.ztier.Contains(pg):
 				where = "compressed tier"
 			default:

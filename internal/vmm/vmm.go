@@ -369,7 +369,7 @@ func (m *Machine) step(p *proc) sim.Duration {
 
 	// Record the access, collect and issue prefetch candidates on a miss,
 	// and map the faulted page in (evicting past the cgroup budget).
-	eng.OnAccess(p, p.res, p.app.PID, int(p.app.PID), page, miss, p.clock)
+	eng.OnAccess(p, p.res, p.app.PID, int(p.app.PID), page, miss, p.clock, paging.HintNone, 0)
 	eng.MapIn(p, p.res, int(p.app.PID), page, p.clock)
 	return latency
 }

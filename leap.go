@@ -9,8 +9,8 @@
 // Get records into the predictor, issues the prefetch window asynchronously
 // to the real host (in-process or TCP), and accounts hits, accuracy and
 // coverage, exactly as the paper places Leap in the paging data path (§4).
-// Configure it with functional options: WithPrefetcher, WithRemoteHost,
-// WithCacheCapacity, WithQueueDepth, WithClock, WithSeed.
+// Configure it with functional options: WithPrefetcherFactory,
+// WithRemoteHost, WithCacheCapacity, WithQueueDepth, WithShards, WithSeed.
 //
 // Underneath, the layers stay individually usable:
 //

@@ -21,10 +21,10 @@ import (
 //
 // Build one with Open; drive it with ReadAt / WriteAt / Get; read the
 // accounting with Stats. Memory is safe for concurrent use by arbitrary
-// goroutines: one lock serializes the fault path, full misses overlap their
-// remote fetches outside it (single-flight per page, bounded by
-// WithConcurrency), and Client handles map logical clients onto their own
-// predictors (§4.1 isolation) over the shared cache, budget and host.
+// goroutines: each stripe of the fault path (WithShards) has its own lock,
+// full misses fetch from the remote host outside it (single-flight per
+// page), and Client handles map logical clients onto their own predictors
+// (§4.1 isolation) over the shared cache, budget and host.
 type Memory = runtime.Memory
 
 // MemoryClient is a per-client handle on a shared Memory: operations
@@ -40,11 +40,6 @@ type MemoryStats = runtime.Stats
 // Option configures Open.
 type Option = runtime.Option
 
-// Clock is a monotonically advancing virtual clock (zero value usable);
-// share one with a Memory via WithClock to interleave test events with
-// fault latencies deterministically.
-type Clock = sim.Clock
-
 // Duration is a span of virtual time (nanoseconds), the unit every latency
 // and cadence knob in this package is expressed in.
 type Duration = sim.Duration
@@ -55,17 +50,13 @@ type Duration = sim.Duration
 // doorbell-batched remote I/O.
 func Open(opts ...Option) (*Memory, error) { return runtime.Open(opts...) }
 
-// WithPrefetcher selects the prefetching policy consulted on every fault
-// (default: the Leap majority-trend predictor). Build baselines with
-// NewPrefetcher("readahead"), NewPrefetcher("none"), etc. A single shared
-// instance only works on the serialized runtime — with WithShards beyond 1
-// use WithPrefetcherFactory, which builds one instance per stripe.
-func WithPrefetcher(p Prefetcher) Option { return runtime.WithPrefetcher(p) }
-
-// WithPrefetcherFactory selects the prefetching policy by constructor: f is
-// invoked once per fault-path stripe (once total at WithShards(1)), so every
-// stripe owns a private instance and no predictor state is shared across
-// shard locks. This is the sharded-runtime counterpart of WithPrefetcher.
+// WithPrefetcherFactory selects the prefetching policy consulted on every
+// fault (default: the Leap majority-trend predictor; build baselines with
+// NewPrefetcher("readahead"), NewPrefetcher("none"), etc.). f is invoked
+// once per fault-path stripe, so every stripe owns a private instance and no
+// predictor state is shared across shard locks; at WithShards(1) that is
+// once in all, and f may return an instance the caller keeps to read its
+// statistics.
 func WithPrefetcherFactory(f func() Prefetcher) Option { return runtime.WithPrefetcherFactory(f) }
 
 // EnsembleConfig tunes the WithEnsemble selector: the candidate arms (in
@@ -105,8 +96,8 @@ type SelectionEvent = runtime.SelectionEvent
 // scored against later accesses, and the selection switches when a
 // challenger sustainably out-scores the incumbent (hysteresis + streak).
 // Selection is deterministic given the seed. Incompatible with
-// WithPrefetcher and WithPrefetcherFactory; read the accounting from
-// Stats.Ensemble and MemoryClient.SelectionHistory.
+// WithPrefetcherFactory; read the accounting from Stats.Ensemble and
+// MemoryClient.SelectionHistory.
 func WithEnsemble(cfg EnsembleConfig) Option { return runtime.WithEnsemble(cfg) }
 
 // WithRemoteHost runs the Memory over an existing host — typically one
@@ -126,28 +117,14 @@ func WithCacheCapacity(pages int) Option { return runtime.WithCacheCapacity(page
 // 8; 1 degenerates to one synchronous round trip per page).
 func WithQueueDepth(depth int) Option { return runtime.WithQueueDepth(depth) }
 
-// WithConcurrency bounds how many demand-miss fetches may overlap outside
-// the fault-path lock (default runtime.DefaultConcurrency). Size it to the
-// number of goroutines driving the Memory; 1 serializes the fault path
-// completely — a single-goroutine run makes identical decisions at every
-// setting.
-func WithConcurrency(n int) Option { return runtime.WithConcurrency(n) }
-
 // WithShards splits the fault path into n PageID stripes (default 1;
 // rounded up to a power of two), each with its own lock, predictor, page
 // cache and residency budget, so page-cache hits on different stripes
 // proceed in parallel — one shard lock per hit. Page pg lands on stripe
 // pg mod n (round-robin striping). WithShards(1) is bit-identical to the
-// serialized runtime; n beyond 1 is incompatible with WithPrefetcher, and
-// WithCacheCapacity must supply at least one page per shard.
+// serialized runtime; WithCacheCapacity must supply at least one page per
+// shard.
 func WithShards(n int) Option { return runtime.WithShards(n) }
-
-// WithClock shares a virtual clock with the runtime (for virtual-time
-// tests: fault latencies are charged to it, so a test can interleave its
-// own events deterministically). Default: a private clock starting at 0.
-// A shared clock must not be touched while operations are in flight on
-// other goroutines.
-func WithClock(c *sim.Clock) Option { return runtime.WithClock(c) }
 
 // WithSeed seeds the latency models (fabric jitter, data-path stage draws).
 // Equal seeds and equal access sequences replay bit-identically.
@@ -219,8 +196,8 @@ type MemoryZtierStats = runtime.ZtierStats
 // the residency LRU and the remote host, budgeted in bytes (split evenly
 // across shards). Evicted dirty pages are sealed — compressed in local
 // memory — instead of written back; a fault on a sealed page decompresses
-// it locally at WithDecompressLatency cost instead of paying a fabric
-// round trip. When the tier overflows, the coldest sealed pages are
+// it locally at runtime.DefaultDecompressLatency cost instead of paying a
+// fabric round trip. When the tier overflows, the coldest sealed pages are
 // written back through the async engine. bytes <= 0 disables the tier
 // (the default), which is bit-identical to the legacy runtime.
 func WithCompressedTier(bytes int64) Option { return runtime.WithCompressedTier(bytes) }
@@ -232,8 +209,3 @@ func WithCompressedTier(bytes int64) Option { return runtime.WithCompressedTier(
 // unchanged. Incompatible with WithRemoteHost — set
 // RemoteHostConfig.Compress on the supplied host instead.
 func WithWireCompression(on bool) Option { return runtime.WithWireCompression(on) }
-
-// WithDecompressLatency sets the virtual-time charge for decompressing a
-// sealed page on a compressed-tier hit (default
-// runtime.DefaultDecompressLatency). Non-positive keeps the default.
-func WithDecompressLatency(d Duration) Option { return runtime.WithDecompressLatency(d) }

@@ -11,11 +11,8 @@ import (
 	"time"
 
 	"leap/internal/chaos"
-	"leap/internal/core"
 	"leap/internal/load"
-	"leap/internal/prefetch"
 	"leap/internal/remote"
-	"leap/internal/runtime"
 	"leap/internal/sim"
 )
 
@@ -29,7 +26,7 @@ func TestMemoryConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		cfg.Clients, cfg.Goroutines, cfg.OpsPerClient = 4, 4, 600
 	}
-	mem, err := Open(WithSeed(17), WithCacheCapacity(128), WithQueueDepth(8), WithConcurrency(cfg.Goroutines))
+	mem, err := Open(WithSeed(17), WithCacheCapacity(128), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +61,7 @@ func TestMemoryConcurrentStressSharedPages(t *testing.T) {
 		cfg.Clients, cfg.Goroutines, cfg.OpsPerClient = 4, 4, 500
 	}
 	// A tiny budget versus the span keeps almost every access faulting.
-	mem, err := Open(WithSeed(29), WithCacheCapacity(48), WithQueueDepth(8), WithConcurrency(cfg.Goroutines))
+	mem, err := Open(WithSeed(29), WithCacheCapacity(48), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +80,15 @@ func TestMemoryConcurrentStressSharedPages(t *testing.T) {
 
 // runReadYourWritesCase executes one seeded property case: a deterministic
 // pseudo-random interleave of the per-client streams over a fresh runtime
-// whose shape (cache budget, queue depth, concurrency bound) also derives
-// from the seed. Every read is verified as it happens (read-your-writes);
+// whose shape (cache budget, queue depth) also derives from the seed. Every read is verified as it happens (read-your-writes);
 // the final image must match the sequential oracle replay.
 func runReadYourWritesCase(t *testing.T, seed uint64) {
 	t.Helper()
 	qdepths := []int{1, 2, 8}
-	concs := []int{1, 2, 8}
 	mem, err := Open(
 		WithSeed(seed*0x9E3779B97F4A7C15+1),
 		WithCacheCapacity(64+int(seed%3)*96),
 		WithQueueDepth(qdepths[seed%uint64(len(qdepths))]),
-		WithConcurrency(concs[(seed/3)%uint64(len(concs))]),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -136,65 +130,6 @@ func TestMemoryReadYourWritesProperty(t *testing.T) {
 	}
 }
 
-// TestConcurrencyOneMatchesPR4 is the depth-style parity gate for the
-// concurrent runtime: one client on one goroutine — through a Client handle
-// on a Memory with the concurrent fetch window wide open — must make
-// decisions identical to the strictly serialized runtime
-// (WithConcurrency(1), the pre-concurrency execution order) on a shared
-// trace: equal fault-path counters, equal latency accounting, equal host
-// traffic, and bit-identical predictor statistics.
-func TestConcurrencyOneMatchesPR4(t *testing.T) {
-	const seed = 137
-	trace := parityTrace()
-
-	run := func(conc int, drive func(*Memory, PageID) error) (MemoryStats, map[prefetch.PID]core.Stats) {
-		t.Helper()
-		lp := NewLeapPrefetcher(PredictorConfig{})
-		mem, err := Open(WithSeed(seed), WithCacheCapacity(256),
-			WithQueueDepth(8), WithConcurrency(conc), WithPrefetcher(lp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mem.Close()
-		for _, pg := range trace {
-			if err := drive(mem, pg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return mem.Stats(), lp.ProcessStats()
-	}
-
-	// Serialized runtime, driven through Memory's own methods (client 0).
-	serial, serialPred := run(1, func(m *Memory, pg PageID) error {
-		_, err := m.Get(pg)
-		return err
-	})
-	// Concurrent runtime, driven through a Client handle on one goroutine.
-	client := (*MemoryClient)(nil)
-	concurrent, concPred := run(runtime.DefaultConcurrency, func(m *Memory, pg PageID) error {
-		if client == nil || client.Memory() != m {
-			client = m.Client(0)
-		}
-		_, err := client.Get(pg)
-		return err
-	})
-
-	if serial != concurrent {
-		t.Errorf("stats diverged:\nserialized %+v\nconcurrent %+v", serial, concurrent)
-	}
-	if len(serialPred) != len(concPred) {
-		t.Fatalf("predictor population diverged: %d vs %d", len(serialPred), len(concPred))
-	}
-	for pid, st := range serialPred {
-		if cst, ok := concPred[pid]; !ok || cst != st {
-			t.Errorf("predictor %d stats diverged:\nserialized %+v\nconcurrent %+v", pid, st, cst)
-		}
-	}
-	if concurrent.DemandWaits != 0 {
-		t.Errorf("single-goroutine run recorded %d demand waits", concurrent.DemandWaits)
-	}
-}
-
 // chaosCrashRepairScenario runs the PR-2 crash-restart chaos scenario
 // against the concurrent runtime while the stress load is live: the
 // schedule's virtual-time offsets map onto operation-count thresholds, so
@@ -230,7 +165,7 @@ func chaosCrashRepairScenario(t *testing.T, extra ...Option) {
 	}
 	defer host.Close()
 	mem, err := Open(append([]Option{WithRemoteHost(host), WithSeed(67), WithCacheCapacity(64),
-		WithQueueDepth(8), WithConcurrency(cfg.Goroutines)}, extra...)...)
+		WithQueueDepth(8)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestMemoryConcurrentSlowReplica(t *testing.T) {
 	}
 	defer host.Close()
 	mem, err := Open(WithRemoteHost(host), WithSeed(21), WithCacheCapacity(16),
-		WithQueueDepth(4), WithConcurrency(4))
+		WithQueueDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestMemoryMatchesSimulator(t *testing.T) {
 	// depth 1 (the simulator run above is unbatched).
 	memPf := NewLeapPrefetcher(PredictorConfig{})
 	mem, err := Open(WithSeed(seed), WithCacheCapacity(limit),
-		WithQueueDepth(1), WithPrefetcher(memPf))
+		WithQueueDepth(1), WithPrefetcherFactory(func() Prefetcher { return memPf }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,8 @@ func TestMemoryMatchesSimulator(t *testing.T) {
 // transition counters that prove both happened.
 func TestMemoryWindowAdaptation(t *testing.T) {
 	lp := NewLeapPrefetcher(PredictorConfig{})
-	mem, err := Open(WithSeed(21), WithCacheCapacity(128), WithPrefetcher(lp))
+	mem, err := Open(WithSeed(21), WithCacheCapacity(128),
+		WithPrefetcherFactory(func() Prefetcher { return lp }))
 	if err != nil {
 		t.Fatal(err)
 	}

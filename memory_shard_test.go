@@ -22,7 +22,7 @@ import (
 func shardParityRun(t *testing.T, cfg load.Config, extra ...Option) (MemoryStats, []core.Stats, [][]byte) {
 	t.Helper()
 	opts := append([]Option{
-		WithSeed(131), WithCacheCapacity(96), WithQueueDepth(8), WithConcurrency(8),
+		WithSeed(131), WithCacheCapacity(96), WithQueueDepth(8),
 	}, extra...)
 	mem, err := Open(opts...)
 	if err != nil {
@@ -57,8 +57,8 @@ func shardParityRun(t *testing.T, cfg load.Config, extra ...Option) (MemoryStats
 	return st, preds, image
 }
 
-// TestShardedOneMatchesSerial is the sharding parity oracle, in the spirit
-// of TestConcurrencyOneMatchesPR4. On a shared deterministic trace:
+// TestShardedOneMatchesSerial is the sharding parity oracle. On a shared
+// deterministic trace:
 //
 //   - WithShards(1) must be bit-identical to the default (pre-sharding
 //     serialized) runtime: equal Stats, equal per-client predictor
@@ -128,9 +128,8 @@ func TestShardedOneMatchesSerial(t *testing.T) {
 }
 
 // runShardedInvariantCase executes one seeded property case over a sharded
-// Memory whose whole shape (stripe count, cache budget, queue depth,
-// overlap bound) derives from the seed: a deterministic pseudo-random
-// interleave of per-client streams with read-your-writes verified on every
+// Memory whose whole shape (stripe count, cache budget, queue depth)
+// derives from the seed: a deterministic pseudo-random interleave of per-client streams with read-your-writes verified on every
 // read, the single-owner shard invariant checked every 64 operations — a
 // page must never be resident (or cached, or in flight) outside its owning
 // stripe, including across eviction at shard boundaries — and the final
@@ -139,7 +138,6 @@ func runShardedInvariantCase(t *testing.T, seed uint64) {
 	t.Helper()
 	shardCounts := []int{2, 4, 8}
 	qdepths := []int{1, 2, 8}
-	concs := []int{1, 2, 8}
 	fail := func(err error) {
 		t.Fatalf("case seed %#x: %v\nreplay with LEAP_SEED=%#x go test -run TestMemoryShardedInvariantsProperty",
 			seed, err, seed)
@@ -151,7 +149,6 @@ func runShardedInvariantCase(t *testing.T, seed uint64) {
 		// resident/cached boundary (and leave) on every stripe.
 		WithCacheCapacity(32+int(seed%3)*48),
 		WithQueueDepth(qdepths[(seed/3)%uint64(len(qdepths))]),
-		WithConcurrency(concs[(seed/9)%uint64(len(concs))]),
 	)
 	if err != nil {
 		fail(err)
@@ -254,7 +251,7 @@ func TestMemoryShardedStress(t *testing.T) {
 				cfg.OpsPerClient = 400
 			}
 			mem, err := Open(WithSeed(17+uint64(g.shards)), WithShards(g.shards),
-				WithCacheCapacity(128), WithQueueDepth(8), WithConcurrency(g.goroutines))
+				WithCacheCapacity(128), WithQueueDepth(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,9 +294,6 @@ func TestShardedOptionValidation(t *testing.T) {
 			t.Errorf("WithShards(%d) ran %d stripes, want %d", c.ask, got, c.want)
 		}
 		mem.Close()
-	}
-	if _, err := Open(WithShards(2), WithPrefetcher(NewLeapPrefetcher(PredictorConfig{}))); err == nil {
-		t.Error("WithPrefetcher + WithShards(2) must be rejected: one prefetcher instance cannot be striped")
 	}
 	if _, err := Open(WithShards(8), WithCacheCapacity(4)); err == nil {
 		t.Error("capacity 4 over 8 shards must be rejected: every stripe needs at least one page")

@@ -92,7 +92,8 @@ func runScan(t *testing.T, pfName string, stride int64) MemoryStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := Open(WithSeed(11), WithCacheCapacity(256), WithPrefetcher(pf), WithQueueDepth(8))
+	mem, err := Open(WithSeed(11), WithCacheCapacity(256),
+		WithPrefetcherFactory(func() Prefetcher { return pf }), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,8 @@ func TestMemoryDeterminism(t *testing.T) {
 // hits (NoteHit feedback) and the predictor must have seen trends.
 func TestMemorySharedLeapPrefetcher(t *testing.T) {
 	lp := NewLeapPrefetcher(PredictorConfig{})
-	mem, err := Open(WithSeed(5), WithCacheCapacity(128), WithPrefetcher(lp))
+	mem, err := Open(WithSeed(5), WithCacheCapacity(128),
+		WithPrefetcherFactory(func() Prefetcher { return lp }))
 	if err != nil {
 		t.Fatal(err)
 	}

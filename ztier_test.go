@@ -132,7 +132,7 @@ func TestMemoryZtierConcurrentStress(t *testing.T) {
 	}
 	mem, err := Open(
 		WithSeed(23), WithCacheCapacity(96), WithQueueDepth(8),
-		WithConcurrency(cfg.Goroutines), WithShards(4),
+		WithShards(4),
 		WithCompressedTier(64*remote.PageSize), WithWireCompression(true),
 	)
 	if err != nil {
