@@ -243,17 +243,19 @@ func (p *Predictor) PredictInto(addr PageID, dst []PageID) []PageID {
 // consumed a prefetched page, it keeps issue whole frames ahead of the stream.
 // While every such access since the last miss has followed its trend, each
 // call lets depth grow by a page — from the miss's window up to limit — and
-// once addr + depth strides lies a frame or more past the frontier it appends
-// the next frame pages beyond the frontier to dst (same contract as append)
-// and moves the frontier over them. The frontier thus advances two pages for
-// each one the stream consumes until the pages in flight cover the fetch
-// latency (Linux read-ahead's async marker doubles its window once per window
-// consumed, the same slope), and a stream that ends after n hits leaves at
-// most its window plus n pages unused. The paper's PWsizemax, sized for a 4 us
-// RDMA hop, still bounds what a miss issues. A limit below frame issues
-// nothing and leaves the ramp where it is, so a caller may pass 0 while it
-// cannot take a frame.
-func (p *Predictor) AheadInto(addr PageID, frame, limit int, dst []PageID) []PageID {
+// appends to dst (same contract as append) every whole frame of pages beyond
+// the frontier that lies within depth strides of addr and within room, the
+// pages the data path can take now, moving the frontier over them; a stream
+// with train pages or more ahead of it waits until they make a train, for a
+// data path whose doorbell costs the same whatever it carries (train = frame:
+// none). The frontier thus advances two pages for each one the stream consumes
+// until the pages in flight cover the fetch latency (Linux read-ahead's async
+// marker doubles its window once per window consumed, the same slope), and a
+// stream that ends after n hits leaves at most its window plus n pages unused:
+// room and train decide when frames leave, never how far. The paper's
+// PWsizemax, sized for a 4 us RDMA hop, still bounds what a miss issues. A
+// limit below frame issues nothing and leaves the ramp where it is.
+func (p *Predictor) AheadInto(addr PageID, frame, train, limit, room int, dst []PageID) []PageID {
 	if p.depth == 0 {
 		return dst
 	}
@@ -269,18 +271,19 @@ func (p *Predictor) AheadInto(addr PageID, frame, limit int, dst []PageID) []Pag
 		return dst
 	}
 	p.depth = min(p.depth+1, limit)
-	if int64(p.depth)-lead < int64(frame) {
+	pages := max(min(int64(p.depth)-lead, int64(room)), 0) / int64(frame) * int64(frame)
+	if pages < int64(train) && lead >= int64(train) {
 		return dst
 	}
 	before := len(dst)
-	for k := 1; k <= frame; k++ {
-		c := p.frontier + PageID(int64(k)*p.trend)
+	for k := int64(1); k <= pages; k++ {
+		c := p.frontier + PageID(k*p.trend)
 		if c < 0 {
 			break
 		}
 		dst = append(dst, c)
 	}
-	p.frontier += PageID(int64(frame) * p.trend)
+	p.frontier += PageID(pages * p.trend)
 	p.stats.AheadPages += int64(len(dst) - before)
 	return dst
 }

@@ -375,7 +375,7 @@ func driveAhead(p *Predictor, predicted map[PageID]bool, addrs []PageID, frame, 
 		if predicted[a] {
 			p.NoteHit()
 			p.Record(a)
-			got = p.AheadInto(a, frame, limit, nil)
+			got = p.AheadInto(a, frame, frame, limit, limit, nil)
 		} else {
 			for _, c := range p.OnFault(a, nil) {
 				predicted[c] = true
@@ -466,12 +466,12 @@ func TestAheadEndsWithTheStream(t *testing.T) {
 	p.Record(90000)
 	p.NoteHit()
 	p.Record(5301)
-	if got := p.AheadInto(5301, frame, limit, nil); len(got) != 0 {
+	if got := p.AheadInto(5301, frame, frame, limit, limit, nil); len(got) != 0 {
 		t.Fatalf("issued %v ahead of an access off the trend", got)
 	}
 	p.NoteHit()
 	p.Record(5302)
-	if got := p.AheadInto(5302, frame, limit, nil); len(got) != 0 {
+	if got := p.AheadInto(5302, frame, frame, limit, limit, nil); len(got) != 0 {
 		t.Fatalf("issued %v ahead with no miss since the stream broke", got)
 	}
 
@@ -487,7 +487,7 @@ func TestAheadEndsWithTheStream(t *testing.T) {
 	for a := last + 4; a < last+4+3*2*frame; a += 3 {
 		q.NoteHit()
 		q.Record(a)
-		if got := q.AheadInto(a, frame, limit, nil); len(got) != 0 {
+		if got := q.AheadInto(a, frame, frame, limit, limit, nil); len(got) != 0 {
 			t.Fatalf("issued %v ahead of a stream out of step with its frontier", got)
 		}
 	}
@@ -503,7 +503,7 @@ func TestAheadWithoutRoomLeavesStateAlone(t *testing.T) {
 	want := driveAhead(a, map[PageID]bool{}, addrs, frame, limit)
 	predicted := map[PageID]bool{}
 	driveAhead(b, predicted, addrs[:120], frame, limit)
-	if got := b.AheadInto(addrs[119], frame, 0, nil); len(got) != 0 {
+	if got := b.AheadInto(addrs[119], frame, frame, 0, 0, nil); len(got) != 0 {
 		t.Fatalf("issued %v with no room", got)
 	}
 	got := driveAhead(b, predicted, addrs[120:], frame, limit)
@@ -511,5 +511,91 @@ func TestAheadWithoutRoomLeavesStateAlone(t *testing.T) {
 		if len(got[i]) != len(want[120+i]) {
 			t.Fatalf("access %d: issued %v after a skipped turn, want %v", 120+i, got[i], want[120+i])
 		}
+	}
+}
+
+// TestAheadIssuesTrainsWithinTheRampsBound: room and train decide when frames
+// leave, never how far. Whatever the caller's room was at each hit — none for
+// stretches, then ample — and whether frames leave one by one or in trains of
+// three, the depth ramps a page per on-trend hit all the same, what is issued
+// is whole frames continuing the frontier, and a stream that ends after n hits
+// has at most its window and n pages issued beyond it. With a train's worth of
+// pages ahead of it a stream issues nothing short of a train; with less — just
+// past a miss — it takes every frame it has earned, as it would without trains.
+func TestAheadIssuesTrainsWithinTheRampsBound(t *testing.T) {
+	const frame, limit = 8, 256
+	for _, c := range []struct {
+		name  string
+		train int
+		room  func(hit int) int // the caller's room at the hit-th hit since the miss
+	}{
+		{"frame by frame", frame, func(int) int { return limit }},
+		{"a frame's room at a time", frame, func(int) int { return frame }},
+		{"trains of three", 3 * frame, func(int) int { return limit }},
+		{"trains of three, held for 40 hits of 48 once the lead covers it", 3 * frame, func(hit int) int {
+			if hit > 64 && hit%48 < 40 {
+				return 0
+			}
+			return limit
+		}},
+		{"frame by frame, held for 5 hits of 6, then two frames", frame, func(hit int) int {
+			if hit%6 < 5 {
+				return 0
+			}
+			return 2 * frame
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			free, p := NewPredictor(Config{}), NewPredictor(Config{})
+			predicted := map[PageID]bool{}
+			window, hits, short, whole := 0, 0, 0, 0
+			for i, a := range stream(7000, 1, 400) {
+				if !predicted[a] {
+					for _, pg := range p.OnFault(a, nil) {
+						predicted[pg] = true
+					}
+					free.OnFault(a, nil)
+					window, hits = p.Window(), 0
+					continue
+				}
+				hits++
+				p.NoteHit()
+				p.Record(a)
+				free.NoteHit()
+				free.Record(a)
+				free.AheadInto(a, frame, frame, limit, limit, nil)
+				room, lead := c.room(hits), int(p.frontier-a)
+				got := p.AheadInto(a, frame, c.train, limit, room, nil)
+				if p.depth != free.depth {
+					t.Fatalf("access %d: depth %d after %d hits with room %d, %d with room throughout", i, p.depth, hits, room, free.depth)
+				}
+				if len(got)%frame != 0 || len(got) > room {
+					t.Fatalf("access %d: issued %d pages with room for %d, want whole frames within it", i, len(got), room)
+				}
+				for k, pg := range got {
+					if want := p.frontier - PageID(len(got)-1-k); pg != want || predicted[pg] {
+						t.Fatalf("access %d: issued page %d, want %d and not issued before", i, pg, want)
+					}
+					predicted[pg] = true
+				}
+				if unused := int(p.frontier - a); unused > window+hits {
+					t.Fatalf("access %d: %d pages issued beyond the stream %d hits after a window of %d", i, unused, hits, window)
+				}
+				earned := min(p.depth-lead, room) / frame * frame
+				switch {
+				case len(got) > 0 && len(got) < c.train && lead >= c.train:
+					t.Fatalf("access %d: issued %d pages, short of a train of %d, with %d ahead of the stream", i, len(got), c.train, lead)
+				case len(got) == 0 && earned > 0 && (earned >= c.train || lead < c.train):
+					t.Fatalf("access %d: %d pages earned and fitting were not issued (%d ahead of the stream)", i, earned, lead)
+				case len(got) > 0 && len(got) < c.train:
+					short++
+				case len(got) >= c.train:
+					whole++
+				}
+			}
+			if whole < 8 || (c.train > frame) != (short > 0) {
+				t.Errorf("%d issues of a train or more, %d short of one just past a miss", whole, short)
+			}
+		})
 	}
 }

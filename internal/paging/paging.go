@@ -404,15 +404,16 @@ func (e *Engine[O]) Prefetch(o O, res *Resident, cpu int, pages []core.PageID, n
 // Ahead is the hit-side issue point, for an owner whose fetches take long
 // enough that windows issued at misses arrive late: called after OnAccess for
 // an access by pid that consumed a prefetched page, it asks the prefetcher
-// (when it is a prefetch.RunAhead) for the next frame pages that keep up to
-// limit pages in flight ahead of pid's stream, and issues them through
-// Prefetch. Hints steer it like OnAccess: HintRandom issues nothing,
-// HintSequential stops at hintEnd. It returns how many pages were issued.
-func (e *Engine[O]) Ahead(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, frame, limit int, now sim.Time, hint Hint, hintEnd core.PageID) int {
+// (when it is a prefetch.RunAhead) for the frames, of frame pages and room
+// pages at most together, train pages at a time, that keep up to limit pages in
+// flight ahead of pid's stream, and issues them through Prefetch. Hints steer it like OnAccess:
+// HintRandom issues nothing, HintSequential stops at hintEnd. It returns how
+// many pages were issued.
+func (e *Engine[O]) Ahead(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, frame, train, limit, room int, now sim.Time, hint Hint, hintEnd core.PageID) int {
 	if e.ahead == nil || hint == HintRandom {
 		return 0
 	}
-	cands := e.ahead.Ahead(pid, page, frame, limit, e.candBuf[:0])
+	cands := e.ahead.Ahead(pid, page, frame, train, limit, room, e.candBuf[:0])
 	e.candBuf = cands
 	if hint == HintSequential {
 		cands = slices.DeleteFunc(cands, func(c core.PageID) bool { return c >= hintEnd })

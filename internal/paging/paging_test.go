@@ -196,8 +196,8 @@ func TestEngineDeterminism(t *testing.T) {
 // offers the frame pages after page.
 type aheadStub struct{ stubPrefetcher }
 
-func (s *aheadStub) Ahead(_ prefetch.PID, page core.PageID, frame, limit int, dst []core.PageID) []core.PageID {
-	for k := 1; k <= min(frame, limit); k++ {
+func (s *aheadStub) Ahead(_ prefetch.PID, page core.PageID, frame, _, limit, room int, dst []core.PageID) []core.PageID {
+	for k := 1; k <= min(frame, limit, room); k++ {
 		dst = append(dst, page+core.PageID(k))
 	}
 	return dst
@@ -214,23 +214,23 @@ func TestAheadIssuesThroughThePrefetchPath(t *testing.T) {
 	var issued []core.PageID
 	e.OnIssue = func(_ int, pages []core.PageID) { issued = append(issued[:0], pages...) }
 	e.MapIn(0, r, 0, 103, 0) // resident: deduplicated
-	if n := e.Ahead(0, r, 0, 0, 100, 8, 56, 0, HintNone, 0); n != 7 || len(issued) != 7 {
+	if n := e.Ahead(0, r, 0, 0, 100, 8, 8, 56, 56, 0, HintNone, 0); n != 7 || len(issued) != 7 {
 		t.Fatalf("issued %d pages (%v), want the 7 of 101..108 that are not resident", n, issued)
 	}
-	if n := e.Ahead(0, r, 0, 0, 100, 8, 56, 0, HintNone, 0); n != 0 {
+	if n := e.Ahead(0, r, 0, 0, 100, 8, 8, 56, 56, 0, HintNone, 0); n != 0 {
 		t.Fatalf("issued %d pages already in flight", n)
 	}
-	if n := e.Ahead(0, r, 0, 0, 200, 8, 56, 0, HintSequential, 204); n != 3 || issued[2] != 203 {
+	if n := e.Ahead(0, r, 0, 0, 200, 8, 8, 56, 56, 0, HintSequential, 204); n != 3 || issued[2] != 203 {
 		t.Fatalf("issued %d pages (%v) under a sequential hint ending at 204, want 201..203", n, issued)
 	}
-	if n := e.Ahead(0, r, 0, 0, 300, 8, 56, 0, HintRandom, 0); n != 0 {
+	if n := e.Ahead(0, r, 0, 0, 300, 8, 8, 56, 56, 0, HintRandom, 0); n != 0 {
 		t.Fatalf("issued %d pages under a random hint", n)
 	}
 	if got := e.Counters.Get("prefetch_issued"); got != 10 {
 		t.Fatalf("prefetch_issued = %d, want 10", got)
 	}
 	plain := newTestEngine(&stubPrefetcher{window: []core.PageID{1}})
-	if n := plain.Ahead(0, r, 0, 0, 400, 8, 56, 0, HintNone, 0); n != 0 {
+	if n := plain.Ahead(0, r, 0, 0, 400, 8, 8, 56, 56, 0, HintNone, 0); n != 0 {
 		t.Fatalf("a prefetcher that cannot run ahead issued %d pages", n)
 	}
 }

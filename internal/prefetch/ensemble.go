@@ -282,14 +282,14 @@ func (e *Ensemble) OnPrefetchHit(pid PID) {
 
 // Ahead implements RunAhead: the pages issued are the selected arm's, when it
 // can run ahead at all, and count as its predictions.
-func (e *Ensemble) Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID {
+func (e *Ensemble) Ahead(pid PID, page PageID, frame, train, limit, room int, dst []PageID) []PageID {
 	c := e.client(pid)
 	arm, ok := e.insts[c.selected].(RunAhead)
 	if !ok {
 		return dst
 	}
 	before := len(dst)
-	dst = arm.Ahead(pid, page, frame, limit, dst)
+	dst = arm.Ahead(pid, page, frame, train, limit, room, dst)
 	c.issued[c.selected] += int64(len(dst) - before)
 	return dst
 }

@@ -227,7 +227,7 @@ func TestEnsembleRunsAheadWithItsSelectedArm(t *testing.T) {
 				issued[c] = true
 			}
 			if issued[pg] {
-				got := ra.Ahead(1, pg, 8, 56, nil)
+				got := ra.Ahead(1, pg, 8, 8, 56, 56, nil)
 				for _, c := range got {
 					issued[c] = true
 				}

@@ -62,8 +62,8 @@ func (p *Leap) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageID 
 func (p *Leap) OnPrefetchHit(pid PID) { p.predictor(pid).NoteHit() }
 
 // Ahead implements RunAhead with pid's predictor.
-func (p *Leap) Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID {
-	return p.predictor(pid).AheadInto(page, frame, limit, dst)
+func (p *Leap) Ahead(pid PID, page PageID, frame, train, limit, room int, dst []PageID) []PageID {
+	return p.predictor(pid).AheadInto(page, frame, train, limit, room, dst)
 }
 
 // Reset implements Prefetcher.

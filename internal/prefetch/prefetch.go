@@ -60,10 +60,11 @@ type Prefetcher interface {
 // fetches outlast a window (see core.Predictor.AheadInto). Ahead is called
 // after OnAccess, when pid's access to page consumed a prefetched page, and
 // appends to dst the pages to issue now so that up to limit pages stay in
-// flight ahead of pid's stream, a whole frame of them at a time. It returns
-// dst.
+// flight ahead of pid's stream: whole frames of them, as many as room pages
+// hold, train pages at a time once the stream has that many ahead of it. It
+// returns dst.
 type RunAhead interface {
-	Ahead(pid PID, page PageID, frame, limit int, dst []PageID) []PageID
+	Ahead(pid PID, page PageID, frame, train, limit, room int, dst []PageID) []PageID
 }
 
 // Factory builds a fresh Prefetcher.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -230,8 +231,12 @@ func (a *Agent) Serve(l net.Listener) error {
 }
 
 // serveConn serves one connection. One request is handled at a time and
-// Handle copies pages in and out of the slabs, so the request payload and
-// the response frame each live in one buffer reused across requests.
+// Handle copies pages in and out of the slabs, so the request payload lives in
+// one buffer reused across requests, and the responses are laid out back to
+// back in another. Replies leave as they came: while the next request has
+// already arrived whole — the host sent a train — the response waits for that
+// one's, and they go out in one write, before the loop would block on a read
+// or once trainBytes are held.
 func (a *Agent) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, connBufSize)
@@ -241,16 +246,44 @@ func (a *Agent) serveConn(conn net.Conn) {
 		err     error
 	)
 	for {
-		if in, err = readRequest(br, &req, in); err != nil {
-			return // EOF or protocol error: drop the connection
+		if in, err = readRequest(br, &req, in); err == nil {
+			room := out[len(out):]
+			frame := a.handle(&req, room).wire(room)
+			if cap(room) > 0 && &frame[0] == &room[:1][0] {
+				out = out[:len(out)+len(frame)] // built where it goes
+			} else {
+				out = append(out, frame...)
+			}
+			if len(out) < trainBytes && requestBuffered(br) {
+				continue
+			}
+		} else if err != io.EOF { // a hang-up between requests is how a connection ends
+			log.Printf("remote: agent request read: %v", err)
 		}
-		frame := a.handle(&req, out).wire(out)
-		if cap(frame) > cap(out) {
-			out = frame
+		if len(out) > 0 { // on the way down too: owed to the requests before a malformed one
+			if _, werr := conn.Write(out); werr != nil {
+				log.Printf("remote: agent response write: %v", werr)
+				return
+			}
+			out = out[:0]
 		}
-		if _, err := conn.Write(frame); err != nil {
-			log.Printf("remote: agent response write: %v", err)
+		if err != nil {
 			return
 		}
 	}
+}
+
+// trainBytes is how many bytes of responses a connection's server loop holds
+// back at most for the requests behind them: two eight-page read responses.
+const trainBytes = 64 << 10
+
+// requestBuffered reports whether br holds a whole request already, so that
+// reading it will not block.
+func requestBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < reqHeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(reqHeaderSize) // buffered: no read, no error
+	return n-reqHeaderSize >= int(binary.LittleEndian.Uint32(hdr[14:18]))
 }

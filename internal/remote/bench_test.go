@@ -1,6 +1,9 @@
 package remote
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // benchResp keeps the measured calls' results alive.
 var benchResp *Response
@@ -50,5 +53,42 @@ func BenchmarkTCPPipelined8(b *testing.B) {
 			}
 			benchResp = resp
 		}
+	}
+}
+
+// BenchmarkTCPTrain moves eight-page read frames over loopback k to a socket
+// write (StartTrain) and collects them in order, handing each response's buffer
+// back as the host does: what a doorbell costs, and what a train saves of it.
+// ns/op is per page; writes/page is the request writes' share of a page.
+func BenchmarkTCPTrain(b *testing.B) {
+	for _, k := range []int{1, 2, 4} {
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
+			tr := loopbackAgent(b, 64)
+			reqs, ps := make([]*Request, k), make([]Pending, k)
+			for j := range reqs {
+				reqs[j] = readFrame(b, 8*j)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			writes0, _ := tr.doorbells()
+			for i := 0; i < b.N; i += 8 * k {
+				for j, req := range reqs {
+					p, err := tr.StartTrain(req, j < k-1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ps[j] = p
+				}
+				for _, p := range ps {
+					resp, err := p.Wait()
+					if err != nil || resp.Status != StatusOK {
+						b.Fatalf("train read: %v", err)
+					}
+					resp.release()
+				}
+			}
+			writes, _ := tr.doorbells()
+			b.ReportMetric(float64(writes-writes0)/float64(b.N), "writes/page")
+		})
 	}
 }

@@ -11,9 +11,19 @@ import "time"
 //
 //	depth = depthGain x latency x rate + depthQuanta frames
 //
-// is what Ahead lets readers keep in the air, for the link that needs the most.
-// It is how BBR sizes a congestion window: cwnd_gain x min_rtt x rate, plus a
-// few of the quanta the sender moves in.
+// is what readers keep in the air before they issue again, for the link that
+// needs the most. It is how BBR sizes a congestion window: cwnd_gain x min_rtt x
+// rate, plus a few of the quanta the sender moves in. And like BBR's sender,
+// issue moves in quanta of more than a frame, a train (trainFrames): a doorbell
+// costs a socket write per link whatever it carries. The train is not carved
+// out of depth: held until the pages in flight have fallen to the product, a
+// scan reads 20 % faster over loopback TCP and half as fast over a link with
+// jitter, waiting whenever a response is later than the least ever seen — what
+// the headroom is for (EXPERIMENTS.md). So issue resumes where it always has,
+// with a frame of depth free, and the rest of the train runs over depth. A
+// reader whose own cap binds below depth is never held: it issues frame by
+// frame, with all it may have in flight in flight — its throughput, on a link
+// that is all latency.
 //
 // Latency is start -> response available, and nothing reads a socket until
 // somebody reaps: a flight's land - start is its latency only if its reaper
@@ -66,7 +76,7 @@ const (
 	depthGain = 2
 	// depthQuanta is what the pipeline holds on top of that because issue
 	// moves in whole frames, BBR's quantization budget of three send quanta:
-	// the frame the reader is about to issue (Ahead admits one only if all of
+	// the frame the reader is about to issue (ahead admits one only if all of
 	// it fits), the one an agent is serving, and one queued behind that so the
 	// agent does not idle between frames. With no product to speak of it is
 	// the whole pipeline, and where the leak stops.
@@ -83,13 +93,23 @@ const (
 	// at once, across its agents: what they hold in socket buffers, and how
 	// far issue may run ahead of all readers together. A read frame that must
 	// start at the bound (a miss's window) lands the oldest flight first; one
-	// that need not (a frame issued ahead) is not offered, because Ahead
+	// that need not (a frame issued ahead) is not offered, because ahead
 	// reports no room. It bounds memory, not the pipeline: 1024 pages cover a
 	// 1 ms link at a million pages a second, and it is all a host that has
 	// measured nothing goes by. What keeps a pipelined connection from
 	// deadlocking, at any depth, is the transport's writeStall rule, not this
 	// bound.
 	maxUnreaped = 4 << 20
+	// trainFrames is the frames issue moves in, one doorbell for all: as many
+	// as the quanta. A fourth would save a twelfth of a doorbell a frame, for
+	// eight more pages over depth and as many more images unacked a link.
+	trainFrames = depthQuanta
+	// unackedFrames is the unacked window: the write frames a link carries
+	// before a writer waits for the oldest. Writebacks leave in a stream's
+	// trains (WritePageRangeAsync), a frame to a link for each read frame — a
+	// page in evicts a page — and the window holds two trains, so that a writer
+	// waits for the train before the last and not for the one just gone.
+	unackedFrames = 2 * trainFrames
 )
 
 // link is the host's state for one agent link: the frames in the air on it
@@ -98,7 +118,7 @@ type link struct {
 	// flights are the frames started on the link and not yet landed, reads and
 	// writes, in start order — the order the connection answers in, and the
 	// order they land in (reap). writes counts the write frames among them:
-	// the link's unacked window, depthQuanta at most (unackedFull).
+	// the link's unacked window, unackedFrames at most (unackedFull).
 	flights []*flight
 	writes  int
 	// latency is the least fetch latency measured since the link was last
@@ -128,8 +148,8 @@ func (h *Host) Pipeline() (depth, flying, bound int) {
 
 // Unacked reports the write side of the pipeline: the write frames in the
 // air, and the page images the host holds for them — writes started and not
-// yet answered by every replica. A link carries at most depthQuanta of the
-// frames, so neither outgrows depthQuanta x QueueDepth per link.
+// yet answered by every replica. A link carries at most unackedFrames of the
+// frames, so neither outgrows unackedFrames x QueueDepth per link.
 func (h *Host) Unacked() (frames, pages int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -137,6 +157,21 @@ func (h *Host) Unacked() (frames, pages int) {
 		frames += h.links[i].writes
 	}
 	return frames, h.unacked
+}
+
+// Doorbells reports what the host's doorbells carried: the socket writes its
+// transports made for requests, and the frames those moved (TCP counts both;
+// a transport with no socket adds nothing).
+func (h *Host) Doorbells() (writes, frames int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, tr := range h.transports {
+		if c, ok := tr.(interface{ doorbells() (int64, int64) }); ok {
+			w, f := c.doorbells()
+			writes, frames = writes+w, frames+f
+		}
+	}
+	return writes, frames
 }
 
 // FetchLatency reports, per agent link, the fetch latency the depth estimator
@@ -151,20 +186,43 @@ func (h *Host) FetchLatency() []time.Duration {
 	return latency
 }
 
-// Ahead reports what a reader's stream may keep in flight ahead of itself
-// over this host: frames of frame pages (QueueDepth, one wire frame), up to
-// room pages in all — the depth the estimator has measured — or none while
-// the pages in flight, every reader's together, leave no frame of it free. A
-// caller issuing ahead skips its turn then and asks again at its next access:
-// waiting for a flight to land is for accesses that need the page.
-func (h *Host) Ahead() (frame, room int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	frame = h.cfg.QueueDepth
-	if h.flying+frame > h.depth {
-		return frame, 0
+// Headroom is what a reader's stream may keep in flight ahead of itself over a
+// host, every reader's pages in flight counted together: frames of Frame pages
+// (QueueDepth, one wire frame), Train pages to a doorbell, reaching at most
+// Depth pages past the stream, of which Room may be issued now. Room is 0 until
+// a frame of the depth the estimator has measured is free, and then that frame
+// — or, over transports that move trains, a train of trainFrames, the rest of
+// it over depth, which Depth allows for. A caller issuing ahead skips its turn
+// at 0 and asks again at its next access (Ticket.Landed): waiting for a flight
+// to land is for accesses that need the page.
+type Headroom struct {
+	Frame, Train, Depth, Room int
+}
+
+// ahead reports the headroom now. Callers hold h.mu.
+func (h *Host) ahead() Headroom {
+	frame := h.cfg.QueueDepth
+	a := Headroom{Frame: frame, Train: frame, Depth: h.depth}
+	if h.movesTrains() {
+		a.Train = min(trainFrames*frame, maxUnreaped/PageSize-h.depth+frame)
+		a.Depth += a.Train
 	}
-	return frame, h.depth
+	if h.flying+frame <= h.depth {
+		a.Room = h.depth - frame + a.Train - h.flying
+	}
+	return a
+}
+
+// movesTrains reports whether a doorbell's frames leave in one write on any of
+// the host's links: where none can hold a frame for the next, a train saves
+// nothing for the pages and images it keeps in the air. Callers hold h.mu.
+func (h *Host) movesTrains() bool {
+	for _, tr := range h.transports {
+		if _, ok := tr.(TrainStarter); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // waitedBy reports the time up to now during which some reaper was waiting

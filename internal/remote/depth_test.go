@@ -76,19 +76,31 @@ func (l *timedLink) Call(req *Request) (*Response, error) {
 
 func (l *timedLink) Close() error { return nil }
 
+// timedTrains is a timedLink that says it moves trains, which is all the host
+// asks of a link before it issues in them: on a fake clock a frame costs the
+// same whenever it leaves.
+type timedTrains struct{ *timedLink }
+
+func (l timedTrains) StartTrain(req *Request, more bool) (Pending, error) { return l.Start(req) }
+
 // pipeReader reads a host's pages in frames of 8 the way a scan over the
-// runtime does: it keeps as many frames in flight as Ahead allows, collects
-// the oldest, and takes pace over every page. Frame k is the 8 pages from
-// page(k) on, 8k when page is nil.
+// runtime does: it keeps as many frames in flight as the host's headroom allows — and as its
+// own limit does, when it has one, the way a stripe's budget caps a stream —
+// collects the oldest, and takes pace over every page. Frame k is the 8 pages
+// from page(k) on, 8k when page is nil.
 type pipeReader struct {
 	t      *testing.T
 	h      *Host
 	clock  *fakeClock
 	pace   time.Duration
 	page   func(k int) core.PageID
+	limit  int // pages the reader itself lets be in flight, 0 for no limit
 	next   int // the first frame not issued
 	flying [][]*Ticket
 	bufs   [][][]byte
+	// doorbells counts the issues made from the headroom, and least is the
+	// fewest pages seen in flight once such an issue had had its chance.
+	doorbells, least int
 }
 
 func (r *pipeReader) first(k int) core.PageID {
@@ -98,17 +110,26 @@ func (r *pipeReader) first(k int) core.PageID {
 	return core.PageID(8 * k)
 }
 
-func (r *pipeReader) issue() {
-	ts, bs := make([]*Ticket, 8), make([][]byte, 8)
-	for i := range ts {
-		bs[i] = make([]byte, PageSize)
-		ts[i] = r.h.ReadPageAsync(r.first(r.next)+core.PageID(i), bs[i])
+func (r *pipeReader) ahead() Headroom {
+	r.h.mu.Lock()
+	defer r.h.mu.Unlock()
+	return r.h.ahead()
+}
+
+// issue puts the next n frames in flight with one doorbell.
+func (r *pipeReader) issue(n int) {
+	for ; n > 0; n-- {
+		ts, bs := make([]*Ticket, 8), make([][]byte, 8)
+		for i := range ts {
+			bs[i] = make([]byte, PageSize)
+			ts[i] = r.h.ReadPageAsync(r.first(r.next)+core.PageID(i), bs[i])
+		}
+		r.flying, r.bufs = append(r.flying, ts), append(r.bufs, bs)
+		r.next++
 	}
 	if _, err := r.h.Submit(); err != nil {
 		r.t.Fatal(err)
 	}
-	r.flying, r.bufs = append(r.flying, ts), append(r.bufs, bs)
-	r.next++
 }
 
 // frames reads the next n frames and returns how long the reader was blocked
@@ -116,15 +137,20 @@ func (r *pipeReader) issue() {
 func (r *pipeReader) frames(n int) (blocked time.Duration, peak int) {
 	r.t.Helper()
 	for k := r.next - len(r.flying); n > 0; k, n = k+1, n-1 {
-		if frame, room := r.h.Ahead(); room > 0 {
-			for 8*len(r.flying)+frame <= room {
-				r.issue()
-			}
+		a := r.ahead()
+		fit := a.Room / a.Frame
+		if r.limit > 0 {
+			fit = min(fit, r.limit/a.Frame-len(r.flying))
+		}
+		if fit > 0 {
+			r.issue(fit)
+			r.doorbells++
 		}
 		if len(r.flying) == 0 {
-			r.issue() // a miss
+			r.issue(1) // a miss
 		}
 		_, flying, bound := r.h.Pipeline()
+		r.least = min(r.least, flying)
 		if flying > bound {
 			r.t.Fatalf("%d pages in flight, above the %d the host may leave unread", flying, bound)
 		}
@@ -167,7 +193,7 @@ func timedHost(t *testing.T, pages int, pace time.Duration, links ...*timedLink)
 			t.Fatal(err)
 		}
 	}
-	return h, &pipeReader{t: t, h: h, clock: clock, pace: pace}
+	return h, &pipeReader{t: t, h: h, clock: clock, pace: pace, least: 1 << 30}
 }
 
 // TestDepthCoversALinkThatGotSlower: a 200 us link under a reader that takes
@@ -302,5 +328,67 @@ func TestDepthIsGivenBackToAFasterLink(t *testing.T) {
 	}
 	if blocked > 64*8*pace/20 {
 		t.Errorf("reader blocked %v over 64 frames", blocked)
+	}
+}
+
+// TestIssueMovesInTrains: issue resumes when a frame of depth is free, as it
+// always has, and then moves a train, the rest of it over depth. Over a 200 us
+// link read at 4 us a page — a product of 50 pages — a doorbell carries three
+// frames, the pages in flight never fall more than a frame below the product
+// the host goes by (nor below depth less a frame), and the reader waits no more
+// than the leak's probing costs. A reader whose own limit binds below the
+// product is never held: it issues frame by frame, as it would with no trains
+// at all, and keeps its limit in flight.
+func TestIssueMovesInTrains(t *testing.T) {
+	const pace, delay, product = 4 * time.Microsecond, 200 * time.Microsecond, 50
+	for _, c := range []struct {
+		name  string
+		limit int
+	}{{"no limit", 0}, {"a limit of half the product", 24}} {
+		t.Run(c.name, func(t *testing.T) {
+			l := &timedLink{delay: delay}
+			h, r := timedHost(t, 1<<16, pace, l)
+			h.transports[0] = timedTrains{l}
+			r.limit = c.limit
+			r.frames(1024)
+			r.doorbells = 0
+			from, held, least, blocked := r.next, 0, 1<<30, time.Duration(0)
+			for k := 0; k < 512; k++ {
+				if r.ahead().Room == 0 {
+					held++
+				}
+				h.mu.Lock()
+				want := max(h.links[0].need, h.depth-8) // the product the host goes by as the frame is read
+				h.mu.Unlock()
+				if c.limit > 0 {
+					want = min(want, c.limit)
+				}
+				r.least = 1 << 30
+				b, _ := r.frames(1)
+				blocked += b
+				if r.least < want-8 {
+					t.Fatalf("frame %d: %d pages in flight with a product of %d taken", k, r.least, want)
+				}
+				least = min(least, r.least)
+			}
+			r.least = least
+			perBell := float64(r.next-from) / float64(r.doorbells)
+			t.Logf("%.2f frames a doorbell, issue held at %d of 512 frames, never under %d pages in flight, reader blocked %v",
+				perBell, held, least, blocked)
+			if c.limit == 0 {
+				if perBell < 2.5 || held == 0 {
+					t.Errorf("%.2f frames a doorbell with issue held %d times: no trains", perBell, held)
+				}
+				if r.least < product-8 {
+					t.Errorf("pages in flight fell to %d, the link needs %d", r.least, product)
+				}
+				if blocked > 512*8*pace/20 {
+					t.Errorf("reader blocked %v over 512 frames", blocked)
+				}
+			} else if perBell != 1 || held > 0 || r.least < c.limit-8 {
+				t.Errorf("%.2f frames a doorbell, issue held %d times, %d pages in flight at the least: want frame by frame at the limit of %d",
+					perBell, held, r.least, c.limit)
+			}
+		})
 	}
 }

@@ -2,10 +2,71 @@ package remote
 
 import (
 	"bytes"
+	"io"
+	"log"
+	"net"
 	"testing"
 
 	"leap/internal/ztier"
 )
+
+// trainSeeds returns two and three valid frames back to back in one buffer: a
+// train as the agent's connection delivers it in one Read.
+func trainSeeds() [][]byte {
+	rb, _ := EncodeReadBatch([]BatchRef{{Slab: 1, PageOff: 0}, {Slab: 1, PageOff: 1}})
+	wr, _ := rangeFrame([]writeRange{{BatchRef{Slab: 1, PageOff: 1}, 9, []byte("leap")}})
+	var two, three bytes.Buffer
+	for _, req := range []*Request{{Op: OpMapSlab, Slab: 1}, rb} {
+		_ = EncodeRequest(&two, req)
+	}
+	for _, req := range []*Request{wr, rb, {Op: OpRead, Slab: 1, PageOff: 1}} {
+		_ = EncodeRequest(&three, req)
+	}
+	return [][]byte{two.Bytes(), three.Bytes()}
+}
+
+// streamConn is a connection that delivers a buffer, as much per Read as the
+// reader takes, then hangs up, and keeps what is written to it.
+type streamConn struct {
+	net.Conn
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *streamConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *streamConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+func (c *streamConn) Close() error                { return nil }
+
+// fuzzServeStream serves data to an agent as one connection's bytes: whatever
+// it holds, the agent answers exactly the requests that decode from it, one
+// response each and in order — held back for the next or not — and stops at
+// the first that does not.
+func fuzzServeStream(t *testing.T, data []byte) {
+	requests, r := 0, bytes.NewReader(data)
+	for req := new(Request); ; requests++ {
+		if _, err := readRequest(r, req, nil); err != nil {
+			break
+		}
+	}
+	conn := &streamConn{in: bytes.NewReader(data)}
+	NewAgent(8, 4).serveConn(conn)
+	for i := 0; i < requests; i++ {
+		if _, err := DecodeResponse(&conn.out); err != nil {
+			t.Fatalf("response %d of %d: %v", i, requests, err)
+		}
+	}
+	if conn.out.Len() != 0 {
+		t.Fatalf("%d bytes written after the %d responses", conn.out.Len(), requests)
+	}
+}
+
+// quietLog silences the agent's connection log for a fuzz target, whose
+// inputs are mostly protocol errors.
+func quietLog(f *testing.F) {
+	out := log.Writer()
+	log.SetOutput(io.Discard)
+	f.Cleanup(func() { log.SetOutput(out) })
+}
 
 // FuzzDecodeRequest hammers the request decoder with arbitrary bytes: it
 // must never panic or over-allocate, only return errors.
@@ -33,8 +94,13 @@ func FuzzDecodeRequest(f *testing.F) {
 		{BatchRef{Slab: 3, PageOff: 2}, 0, make([]byte, PageSize)}})
 	_ = EncodeRequest(&buf, wr)
 	f.Add(bytes.Clone(buf.Bytes()))
+	for _, train := range trainSeeds() {
+		f.Add(train)
+	}
+	quietLog(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzServeStream(t, data)
 		req, err := DecodeRequest(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -96,11 +162,16 @@ func FuzzAgentHandle(f *testing.F) {
 	f.Add(uint8(OpWriteBatch), uint64(0), uint32(0), wb.Payload)
 	wr, _ := rangeFrame([]writeRange{{BatchRef{Slab: 1, PageOff: 0}, 100, []byte("leap")}})
 	f.Add(uint8(OpWriteRanges), uint64(0), uint32(0), wr.Payload)
+	for _, train := range trainSeeds() {
+		f.Add(uint8(OpPing), uint64(0), uint32(0), train)
+	}
+	quietLog(f)
 
 	f.Fuzz(func(t *testing.T, op uint8, slab uint64, off uint32, payload []byte) {
 		if len(payload) > maxWirePayload {
 			payload = payload[:maxWirePayload]
 		}
+		fuzzServeStream(t, payload) // the payload as a connection's bytes: a train, or noise
 		a := NewAgent(8, 4)
 		resp := a.Handle(&Request{Op: op, Slab: SlabID(slab), PageOff: off, Payload: payload})
 		if resp == nil {
@@ -145,11 +216,16 @@ func FuzzBatchFrames(f *testing.F) {
 	})
 	f.Add(false, wr.Payload)
 	f.Add(false, wr.Payload[:len(wr.Payload)-1])
+	for _, train := range trainSeeds() {
+		f.Add(false, train)
+	}
+	quietLog(f)
 
 	f.Fuzz(func(t *testing.T, isRead bool, payload []byte) {
 		if len(payload) > maxWirePayload {
 			payload = payload[:maxWirePayload]
 		}
+		fuzzServeStream(t, payload)
 		var comp ztier.Compressor
 		if isRead {
 			if refs, err := DecodeReadBatch(&Request{Op: OpReadBatch, Payload: payload}); err == nil {

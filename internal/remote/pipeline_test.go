@@ -555,6 +555,60 @@ func (g *gateTransport) Call(req *Request) (*Response, error) { return g.begin(r
 
 func (g *gateTransport) Close() error { return nil }
 
+// trainGate is a gateTransport that moves trains: a frame started with more to
+// follow is kept — a copy, the host encodes its next frame over the request —
+// and reaches the agent only when its train leaves, with the next frame started
+// without more, a Call, or the first Wait for a frame of it.
+type trainGate struct {
+	*gateTransport
+	tmu  sync.Mutex
+	held []*trainPending
+}
+
+type trainPending struct {
+	g    *trainGate
+	req  *Request
+	sent *gatePending // nil while held
+}
+
+func (g *trainGate) StartTrain(req *Request, more bool) (Pending, error) {
+	g.tmu.Lock()
+	defer g.tmu.Unlock()
+	p := &trainPending{g: g, req: &Request{Op: req.Op, Slab: req.Slab, PageOff: req.PageOff, Payload: bytes.Clone(req.Payload)}}
+	g.held = append(g.held, p)
+	if !more {
+		g.send()
+	}
+	return p, nil
+}
+
+// send hands the held frames to the agent, in order. Callers hold g.tmu.
+func (g *trainGate) send() {
+	for _, p := range g.held {
+		sent := g.begin(p.req, true)
+		p.sent = &sent
+	}
+	g.held = nil
+}
+
+func (p *trainPending) Wait() (*Response, error) {
+	p.g.tmu.Lock()
+	if p.sent == nil {
+		p.g.send()
+	}
+	p.g.tmu.Unlock()
+	return p.sent.Wait()
+}
+
+func (g *trainGate) Start(req *Request) (Pending, error) { return g.StartTrain(req, false) }
+
+func (g *trainGate) Call(req *Request) (*Response, error) {
+	g.tmu.Lock()
+	g.send()
+	g.tmu.Unlock()
+	return g.gateTransport.Call(req)
+}
+
 // gatedHost builds a host over n gated in-process agents, gates open.
 func gatedHost(t *testing.T, n int, cfg HostConfig) (*Host, []*gateTransport) {
 	t.Helper()
@@ -1073,9 +1127,9 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 	inOrder(t, gates)
 }
 
-// TestUnackedWindowBlocksWriter: a link carries depthQuanta write frames and no
+// TestUnackedWindowBlocksWriter: a link carries unackedFrames write frames and no
 // more. The doorbell that would start another waits for the oldest, and what
-// the host holds unacked stays within depthQuanta frames of QueueDepth pages a
+// the host holds unacked stays within unackedFrames frames of QueueDepth pages a
 // link.
 func TestUnackedWindowBlocksWriter(t *testing.T) {
 	const depth = 4
@@ -1086,9 +1140,9 @@ func TestUnackedWindowBlocksWriter(t *testing.T) {
 	bounded := func(when string) (frames, pages int) {
 		t.Helper()
 		frames, pages = h.Unacked()
-		if frames > len(gates)*depthQuanta || pages > depthQuanta*depth {
+		if frames > len(gates)*unackedFrames || pages > unackedFrames*depth {
 			t.Fatalf("%s: %d frames and %d pages unacked, over %d frames a link of %d pages",
-				when, frames, pages, depthQuanta, depth)
+				when, frames, pages, unackedFrames, depth)
 		}
 		return frames, pages
 	}
@@ -1101,7 +1155,7 @@ func TestUnackedWindowBlocksWriter(t *testing.T) {
 		_, err := h.Submit()
 		return err
 	}
-	for n := 1; n <= depthQuanta; n++ {
+	for n := 1; n <= unackedFrames; n++ {
 		within(t, 5*time.Second, "a doorbell inside the window", func() {
 			if err := ring(); err != nil {
 				t.Error(err)
@@ -1137,7 +1191,7 @@ func TestUnackedWindowBlocksWriter(t *testing.T) {
 		}
 	})
 	// The oldest frame of each link made room, and no more was landed than that.
-	if frames, pages := bounded("after the wait"); frames != len(gates)*depthQuanta || pages != depthQuanta*depth {
+	if frames, pages := bounded("after the wait"); frames != len(gates)*unackedFrames || pages != unackedFrames*depth {
 		t.Errorf("after the wait: %d frames, %d pages unacked, want the window full again", frames, pages)
 	}
 	if err := h.Flush(); err != nil {

@@ -12,7 +12,11 @@ import (
 // The ticket engine is the one way a page reaches the wire. ReadPageAsync and
 // WritePageAsync enqueue page operations onto per-agent request queues and
 // return tickets; Flush, Submit or Ticket.Wait ring the doorbell, cutting each
-// queue into batched wire frames of up to HostConfig.QueueDepth operations.
+// queue into batched wire frames of up to HostConfig.QueueDepth operations. A
+// doorbell moves a train: the frames it starts on one link leave in one socket
+// write where the transport can hold a frame for the next (TrainStarter), which
+// is why run-ahead issues several frames to a doorbell (depth.go) and queued
+// writebacks wait for a stream's next one (WritePageRangeAsync).
 // The synchronous calls are the same operations with their single-op frames
 // launched at once instead of queued (StartRead, ReadPage, WritePage). The
 // engine coalesces duplicate pending reads (a second read of a queued or
@@ -93,6 +97,14 @@ func (t *Ticket) Collect() (blocked time.Duration, err error) {
 	t.host.mu.Lock()
 	defer t.host.mu.Unlock()
 	return t.host.await(t), t.err
+}
+
+// Landed is a prefetch hit's one visit to the host: the stream's headroom at
+// this moment, whether t has completed, and its outcome if it has.
+func (t *Ticket) Landed() (ahead Headroom, done bool, err error) {
+	t.host.mu.Lock()
+	defer t.host.mu.Unlock()
+	return t.host.ahead(), t.done, t.err
 }
 
 // await blocks until t completes and returns how long read frames in flight
@@ -360,7 +372,7 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 // with the final outcome). The write is durable — acknowledged, visible to
 // reads from other hosts' perspectives — only once flushed.
 func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
-	t, _ := h.WritePageRangeAsync(page, data, 0, PageSize)
+	t, _, _ := h.WritePageRangeAsync(page, data, 0, PageSize)
 	return t
 }
 
@@ -371,17 +383,22 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 // image are sent the range alone (see writeFrame); [0,PageSize) claims nothing
 // and is WritePageAsync. It also reports the dirty backlog the write leaves —
 // the count of writes queued and not yet started on any replica — which an
-// eviction pipeline bounds before ringing the doorbell.
-func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t *Ticket, backlog int) {
+// eviction pipeline bounds before ringing the doorbell, and whether that
+// backlog rides, needing no doorbell of its own: read frames are in the air
+// over links that move trains, so a stream is running whose next doorbell takes
+// the queued writes along in the same socket write per link, and they are
+// fewer than half the unacked window holds, which is for two trains.
+func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t *Ticket, backlog int, rides bool) {
 	if len(data) != PageSize || lo < 0 || lo >= hi || hi > PageSize {
 		return &Ticket{host: h, done: true,
 			err: fmt.Errorf("remote: WritePageRangeAsync with %d bytes, range [%d,%d), want %d and a range within them",
-				len(data), lo, hi, PageSize)}, 0
+				len(data), lo, hi, PageSize)}, 0, false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncWrites++
-	return h.writeAsyncLocked(page, data, lo, hi), h.queued
+	t = h.writeAsyncLocked(page, data, lo, hi)
+	return t, h.queued, h.flying > 0 && h.queued < unackedFrames*h.cfg.QueueDepth/2 && h.movesTrains()
 }
 
 // writeAsyncLocked enqueues a write of data (len PageSize) to page, changed
@@ -604,7 +621,14 @@ func (h *Host) startNext(idx int) (werr error) {
 		note(err)
 		return werr
 	}
-	f.pend = start(h.transports[idx], req)
+	// A doorbell moves a train: while the queue holds another frame for this
+	// link the transport may keep this one back, and the link's last frame of
+	// the drain takes them out together. Only an entry sure to be cut into a
+	// frame counts: a hedged read may yet be discarded unissued.
+	more := slices.ContainsFunc(h.queues[idx], func(e queueEntry) bool {
+		return e.write != nil || !e.read.done && !e.read.hedged
+	})
+	f.pend = start(h.transports[idx], req, more)
 	if c, ok := f.pend.(completed); ok {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
@@ -635,11 +659,11 @@ func (h *Host) inTheWay() *flight {
 
 // unackedFull returns the oldest write frame in the air on agent idx's link
 // when the next frame there is a write and the link already carries
-// depthQuanta of them — the unacked window, which is what a writer waits for —
-// and nil otherwise. Callers hold h.mu.
+// unackedFrames of them — the unacked window, which is what a writer waits
+// for — and nil otherwise. Callers hold h.mu.
 func (h *Host) unackedFull(idx int) *flight {
 	l, q := &h.links[idx], h.queues[idx]
-	if l.writes < depthQuanta || len(q) == 0 || q[0].write == nil {
+	if l.writes < unackedFrames || len(q) == 0 || q[0].write == nil {
 		return nil
 	}
 	return l.oldestWrite()
@@ -689,7 +713,7 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 	h.fly(f)
 	tr := h.transports[idx]
 	h.mu.Unlock()
-	f.pend = start(tr, req)
+	f.pend = start(tr, req, false)
 	h.mu.Lock()
 	f.reaping = false
 	h.landed.Broadcast()

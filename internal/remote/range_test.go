@@ -249,7 +249,7 @@ func TestBaseImageRule(t *testing.T) {
 	store := func(page core.PageID, lo, hi int) {
 		t.Helper()
 		img[lo]++
-		if tk, _ := h.WritePageRangeAsync(page, img, lo, hi); tk.Err() != nil {
+		if tk, _, _ := h.WritePageRangeAsync(page, img, lo, hi); tk.Err() != nil {
 			t.Fatal(tk.Err())
 		}
 	}
@@ -286,7 +286,7 @@ func TestBaseImageRule(t *testing.T) {
 	inner[0].SetFailed(true)
 	inner[1].SetFailed(true)
 	img[70]++
-	tk, _ := h.WritePageRangeAsync(0, img, 70, 71)
+	tk, _, _ := h.WritePageRangeAsync(0, img, 70, 71)
 	if err := h.Flush(); err == nil || tk.Err() == nil {
 		t.Fatal("a write no replica took reported no error")
 	}
@@ -314,7 +314,7 @@ func TestBaseImageRule(t *testing.T) {
 	inner[0].SetFailed(false)
 	frames()
 	stale[90]++
-	if tk, _ := h.WritePageRangeAsync(0, stale, 90, 91); tk.Err() != nil {
+	if tk, _, _ := h.WritePageRangeAsync(0, stale, 90, 91); tk.Err() != nil {
 		t.Fatal(tk.Err())
 	}
 	step("a range over bytes read from outside the ack set", "a0 page; a1 page")
@@ -407,7 +407,9 @@ func TestCompressedHostShipsWholePages(t *testing.T) {
 
 // rangeModel is a host over four agents and the page map its writes must
 // leave behind. Each agent sits behind a fault injector behind a gate, so a
-// tape can fail one replica's writes and hold a frame on the wire.
+// tape can fail one replica's writes and hold a frame on the wire; on links
+// that move trains the frames a doorbell starts also reach their agent
+// together, when the last of them is started or the first is waited for.
 type rangeModel struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -423,7 +425,7 @@ type rangeModel struct {
 
 const modelPages = 24 // three slabs of eight
 
-func newRangeModel(t *testing.T, seed int64) *rangeModel {
+func newRangeModel(t *testing.T, seed int64, trains bool) *rangeModel {
 	m := &rangeModel{t: t, rng: rand.New(rand.NewSource(seed)), oracle: map[core.PageID]*[PageSize]byte{},
 		started: make(chan uint8, 1024)} // drained at every flush, which few frames separate
 	trs := make([]Transport, 4)
@@ -433,7 +435,9 @@ func newRangeModel(t *testing.T, seed int64) *rangeModel {
 		g := &gateTransport{inner: ft, open: make(chan struct{}), started: m.started}
 		g.release()
 		m.agents, m.faults, m.gates = append(m.agents, a), append(m.faults, ft), append(m.gates, g)
-		trs[i] = g
+		if trs[i] = g; trains {
+			trs[i] = &trainGate{gateTransport: g}
+		}
 	}
 	var err error
 	if m.h, err = NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: uint64(seed)}, trs); err != nil {
@@ -461,7 +465,7 @@ func (m *rangeModel) write(page core.PageID) {
 	for i := lo; i < lo+n; i++ {
 		img[i] += byte(1 + m.rng.Intn(255)) // every byte of the range changes
 	}
-	tk, _ := m.h.WritePageRangeAsync(page, img[:], lo, lo+n)
+	tk, _, _ := m.h.WritePageRangeAsync(page, img[:], lo, lo+n)
 	m.issued = append(m.issued, tk)
 }
 
@@ -630,9 +634,14 @@ func (m *rangeModel) outOfStep(page core.PageID) {
 // replica that lacks its base, a hull is lost in a supersede, or an image is
 // given up before its last replica has answered.
 func TestRangeWriteModel(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			m := newRangeModel(t, seed)
+	for run := 0; run < 12; run++ {
+		seed, trains := int64(run%6+1), run >= 6 // the six tapes again, over links that move trains
+		name := fmt.Sprint("seed", seed)
+		if trains {
+			name += "/trains"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := newRangeModel(t, seed, trains)
 			m.writes(modelPages)
 			m.flush("populate")
 			for round := 0; round < 40; round++ {

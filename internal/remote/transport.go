@@ -45,18 +45,35 @@ type completed struct {
 // Wait implements Pending.
 func (c completed) Wait() (*Response, error) { return c.resp, c.err }
 
-// start begins req on tr. A split-phase transport returns with the request
+// TrainStarter is the optional train side of a Starter. StartTrain is Start
+// from a caller that says whether another frame for this transport follows at
+// once (MSG_MORE's meaning): with more set the transport may hold the frame
+// back — it is done with req all the same — and put it on the wire with those
+// that follow, in one write. Everything held leaves, in Start order, with the
+// next frame started without more, or when somebody waits for a held pending.
+type TrainStarter interface {
+	Starter
+	StartTrain(req *Request, more bool) (Pending, error)
+}
+
+// start begins req on tr; more says that the caller's next frame for tr
+// follows at once. A split-phase transport returns with the request
 // outstanding; any other transport runs the whole round trip right here and
 // yields a completed pending, so code written against start executes a
 // Call-only transport's calls in exactly the order it would have made them
 // with Call.
-func start(tr Transport, req *Request) Pending {
-	s, ok := tr.(Starter)
-	if !ok {
+func start(tr Transport, req *Request, more bool) Pending {
+	var p Pending
+	var err error
+	switch s := tr.(type) {
+	case TrainStarter:
+		p, err = s.StartTrain(req, more)
+	case Starter:
+		p, err = s.Start(req)
+	default:
 		resp, err := tr.Call(req)
 		return completed{resp, err}
 	}
-	p, err := s.Start(req)
 	if err != nil {
 		return completed{err: err}
 	}
@@ -163,6 +180,10 @@ const responseTimeout = 2 * time.Second
 // means the agent is stuck on a response, and reading one unsticks it.
 const writeStall = 5 * time.Millisecond
 
+// trainKeep is the most a TCP transport keeps of the buffer its trains are laid
+// out in: a link's unacked window of eight-page write frames and change.
+const trainKeep = 256 << 10
+
 // ErrTransportClosed is the error of requests outstanding on, or started
 // after, a TCP transport's Close.
 var ErrTransportClosed = errors.New("remote: transport closed")
@@ -175,11 +196,14 @@ var ErrTransportClosed = errors.New("remote: transport closed")
 // socket, completing pendings in order until its own is done; later waiters
 // queue behind it, and responses nobody waits for yet stay in the kernel's
 // socket buffer. A lone Call therefore runs its write and its read on the
-// calling goroutine. The host opens one transport per agent.
+// calling goroutine. It moves trains (TrainStarter): a frame started with more
+// to follow is held, and the frame that ends the train takes everything held
+// out in one socket write; whoever waits for a held frame writes the train
+// first. The host opens one transport per agent.
 //
 // Any I/O, framing or timeout error leaves the byte stream desynchronised,
-// so it poisons the connection: every outstanding and every later request
-// fails with that error, and none decodes another's bytes.
+// so it poisons the connection: every outstanding and every later request,
+// held ones included, fails with that error, and none decodes another's bytes.
 type TCP struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -189,18 +213,19 @@ type TCP struct {
 	// timeout is responseTimeout (a field so tests can shorten it).
 	timeout time.Duration
 
-	// wmu serializes Starts: frame writes reach the socket, and pendings the
-	// FIFO, in one order. wbuf, which it guards, is where a request that
-	// brings no header room of its own (at most a page of payload) is laid
-	// out for its single Write.
-	wmu  sync.Mutex
-	wbuf []byte
+	// wmu serializes Starts: frames reach the socket, and pendings the FIFO,
+	// in one order. It guards wbuf, where a request that brings no header room
+	// of its own (at most a page of payload) is laid out; train, the held
+	// frames back to back; and the counts of socket writes and their frames.
+	wmu            sync.Mutex
+	wbuf, train    []byte
+	writes, frames int64
 
 	// mu guards everything below. It is released around socket reads;
 	// reading marks the one goroutine doing them.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	fifo    []*tcpPending // outstanding requests, oldest first
+	fifo    []*tcpPending // outstanding requests, oldest first; the held ones are its tail
 	reading bool
 	err     error // poison: set once, fails everything after
 }
@@ -211,6 +236,10 @@ type tcpPending struct {
 	done bool
 	resp *Response
 	err  error
+	// held: the frame is in t.train and not all of it on the wire, where it
+	// ends at byte end. Nothing reads the socket for a held pending.
+	held bool
+	end  int
 }
 
 // DialTCP connects to an agent at addr ("host:port").
@@ -243,68 +272,108 @@ func (t *TCP) Call(req *Request) (*Response, error) {
 	return p.Wait()
 }
 
-// Start implements Starter: it writes req to the connection as one frame
-// and returns its pending.
-func (t *TCP) Start(req *Request) (Pending, error) {
+// Start implements Starter: it writes req to the connection, behind whatever
+// is held, and returns its pending.
+func (t *TCP) Start(req *Request) (Pending, error) { return t.StartTrain(req, false) }
+
+// StartTrain implements TrainStarter. A frame with more to follow, or with
+// frames held ahead of it, is copied to the train; one without more then
+// sends what is held, or goes out alone from where it lies. A pending is
+// queued, as held, before its frame is written: whoever reads the socket
+// meanwhile waits for an older request and stops before this one's response.
+func (t *TCP) StartTrain(req *Request, more bool) (Pending, error) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	if err := t.writeFrame(req.wire(t.wbuf)); err != nil {
-		// Part of the frame may be out: the agent's view of the stream is
-		// broken for everything behind it.
-		t.mu.Lock()
-		err = t.poisonLocked(fmt.Errorf("remote: write request: %w", err))
-		t.mu.Unlock()
+	t.frames++
+	out := req.wire(t.wbuf)
+	if more || len(t.train) > 0 {
+		t.train = append(t.train, out...)
+		out = t.train
+	}
+	p := &tcpPending{t: t, held: true, end: len(out)}
+	t.mu.Lock()
+	err := t.err
+	if err == nil {
+		t.fifo = append(t.fifo, p)
+	}
+	t.mu.Unlock()
+	if err == nil && !more {
+		err = t.send(out)
+	}
+	if err != nil {
+		t.train = t.train[:0]
 		return nil, err
 	}
-	// Queued only now: a goroutine reading the socket meanwhile waits for an
-	// older request and stops before this one's response.
-	p := &tcpPending{t: t}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return nil, t.err
-	}
-	t.fifo = append(t.fifo, p)
 	return p, nil
 }
 
-// writeFrame writes one request frame. Whenever the socket takes nothing for
-// writeStall it reaps the oldest outstanding response (into its pending) and
-// carries on (see writeStall); a peer that takes nothing for the whole
-// response timeout fails the write. Callers hold t.wmu.
-func (t *TCP) writeFrame(frame []byte) error {
-	progress := time.Now()
+// send puts frames — one, or the train — on the socket as one Write, the
+// deadline armed and the clock read once for all of them, and marks their
+// pendings as no longer held. Whenever the socket takes nothing for writeStall
+// it reaps the oldest outstanding response (into its pending) and carries on
+// (see writeStall); a peer that takes nothing for the whole response timeout
+// fails the write, and a failed write poisons the connection: part of a frame
+// may be out, the agent's view of the stream broken. Callers hold t.wmu.
+func (t *TCP) send(frames []byte) error {
+	t.writes++
+	if t.train = t.train[:0]; cap(t.train) > trainKeep {
+		t.train = nil
+	}
+	progress, sent := time.Now(), 0
 	for now := progress; ; now = time.Now() {
-		if err := t.conn.SetWriteDeadline(now.Add(writeStall)); err != nil {
-			return err
-		}
-		n, err := t.conn.Write(frame)
+		err := t.conn.SetWriteDeadline(now.Add(writeStall))
 		if err == nil {
-			return nil
-		}
-		if n > 0 {
-			frame, progress = frame[n:], now
+			var n int
+			n, err = t.conn.Write(frames[sent:])
+			if n > 0 {
+				sent, progress = sent+n, now
+			}
 		}
 		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() || now.Sub(progress) > t.timeout {
-			return err
-		}
+		stalled := errors.As(err, &nerr) && nerr.Timeout() && now.Sub(progress) <= t.timeout
 		t.mu.Lock()
-		if len(t.fifo) > 0 {
-			t.awaitLocked(t.fifo[0])
+		// The frames that are out are owed responses like any other; one that
+		// is not must not be waited for from here.
+		for i := len(t.fifo) - 1; i >= 0 && t.fifo[i].held; i-- {
+			if p := t.fifo[i]; p.end <= sent {
+				p.held = false
+			}
 		}
-		err = t.err
+		if err != nil && !stalled {
+			err = t.poisonLocked(fmt.Errorf("remote: write request: %w", err))
+		} else if stalled {
+			if len(t.fifo) > 0 && !t.fifo[0].held {
+				t.awaitLocked(t.fifo[0])
+			}
+			err = t.err
+		}
 		t.mu.Unlock()
-		if err != nil {
+		if err != nil || !stalled {
 			return err
 		}
 	}
 }
 
-// Wait implements Pending.
+// doorbells reports the socket writes made for requests and their frames.
+func (t *TCP) doorbells() (writes, frames int64) {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	return t.writes, t.frames
+}
+
+// Wait implements Pending. Waiting for a held frame sends its train first.
 func (p *tcpPending) Wait() (*Response, error) {
 	t := p.t
 	t.mu.Lock()
+	if p.held && !p.done {
+		t.mu.Unlock()
+		t.wmu.Lock()
+		if len(t.train) > 0 { // else somebody else sent it meanwhile
+			_ = t.send(t.train) // a failure has poisoned the connection, p with it
+		}
+		t.wmu.Unlock()
+		t.mu.Lock()
+	}
 	t.awaitLocked(p)
 	t.mu.Unlock()
 	return p.resp, p.err

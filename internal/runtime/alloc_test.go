@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"math/rand"
-	"net"
 	goruntime "runtime"
 	"testing"
 
@@ -16,42 +15,15 @@ import (
 // which are served in this process over loopback TCP — to a ceiling on the
 // three access patterns of bench/: a page costs its copies and its syscalls,
 // not a buffer. (Before the wire path recycled its buffers the three read
-// 5.6 KB, 4.9 KB and 15.7 KB.)
+// 5.6 KB, 4.9 KB and 15.7 KB.) And its share of a syscall at that: on the two
+// scans a socket write carries a train of frames (remote.Host.Doorbells), where
+// a random read's demand frame leaves alone and at once.
 func TestScanSteadyStateAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const pages, capacity = 4096, 512
-	transports := make([]remote.Transport, 2)
-	for i := range transports {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		go remote.NewAgent(1024, 0).Serve(l)
-		if transports[i], err = remote.DialTCP(l.Addr().String()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1}, transports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithQueueDepth(8), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for pg := core.PageID(0); pg < pages; pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	m, h := loopbackCluster(t, pages, capacity)
 
 	buf, want := make([]byte, remote.PageSize), make([]byte, remote.PageSize)
 	read := func(pg core.PageID) {
@@ -74,11 +46,12 @@ func TestScanSteadyStateAllocBytes(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		ceiling float64
+		train   float64 // frames a socket write carries, at least
 		access  func(i int)
 	}{
-		{"sequential read", 1024, func(i int) { read(core.PageID(i % pages)) }},
-		{"random read", 1024, func(int) { read(core.PageID(rng.Intn(pages))) }},
-		{"sequential 64-byte store", 2560, func(i int) { store(core.PageID(i % pages)) }},
+		{"sequential read", 1024, 1.8, func(i int) { read(core.PageID(i % pages)) }},
+		{"random read", 1024, 1, func(int) { read(core.PageID(rng.Intn(pages))) }},
+		{"sequential 64-byte store", 2560, 2, func(i int) { store(core.PageID(i % pages)) }},
 	} {
 		// A lap to settle the predictor, the pipeline depth and every free
 		// list on this pattern; two to measure.
@@ -87,14 +60,20 @@ func TestScanSteadyStateAllocBytes(t *testing.T) {
 		}
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
+		writes0, frames0 := h.Doorbells()
 		for i := 0; i < 2*pages; i++ {
 			c.access(i)
 		}
+		writes, frames := h.Doorbells()
 		goruntime.ReadMemStats(&after)
 		perPage := float64(after.TotalAlloc-before.TotalAlloc) / (2 * pages)
-		t.Logf("%s: %.0f B allocated per access", c.name, perPage)
+		train := float64(frames-frames0) / float64(writes-writes0)
+		t.Logf("%s: %.0f B allocated per access, %.2f frames per socket write", c.name, perPage, train)
 		if perPage > c.ceiling {
 			t.Errorf("%s: %.0f B allocated per access, want at most %.0f", c.name, perPage, c.ceiling)
+		}
+		if train < c.train {
+			t.Errorf("%s: %.2f frames per socket write, want at least %.1f", c.name, train, c.train)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -267,4 +268,90 @@ func benchMixDelayedLink(b *testing.B, delay time.Duration) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N+stores)/b.Elapsed().Seconds(), "pages/s")
 	b.ReportMetric(float64(stores)/float64(b.N), "stores/read")
+}
+
+// loopbackCluster is bench/'s cluster inside this process: two agents served on
+// loopback TCP, both replicas of everything, frames of eight, and a Memory with
+// a budget of capacity pages over them, image(pg) stored in pages [0, pages)
+// and flushed. Everything is closed with the test.
+func loopbackCluster(tb testing.TB, pages, capacity int) (*Memory, *remote.Host) {
+	tb.Helper()
+	transports := make([]remote.Transport, 2)
+	for i := range transports {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		go remote.NewAgent(1024, 0).Serve(l)
+		if transports[i], err = remote.DialTCP(l.Addr().String()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1}, transports)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithQueueDepth(8), WithSeed(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		m.Close()
+		h.Close()
+	})
+	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
+		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return m, h
+}
+
+// BenchmarkScanLoopbackTCP is bench/'s seq_read inside the tree: one goroutine
+// reads through 16384 pages, 16x its local budget, over the loopback cluster.
+// Beside pages/s it reports what the library says of its doorbells — the frames
+// a socket write carried (remote.Host.Doorbells) — and what holding issue back
+// for them cost the reader, the wait of late prefetch hits per page.
+func BenchmarkScanLoopbackTCP(b *testing.B) { benchLoopbackTCP(b, false) }
+
+// BenchmarkStoreScanLoopbackTCP is bench/'s seq_write: a 64-byte store into
+// every page, so that each access faults a page in and evicts a dirty one.
+func BenchmarkStoreScanLoopbackTCP(b *testing.B) { benchLoopbackTCP(b, true) }
+
+func benchLoopbackTCP(b *testing.B, store bool) {
+	const pages = 16384
+	m, h := loopbackCluster(b, pages, 1024)
+	buf, data := make([]byte, remote.PageSize), image(1)[:64]
+	pg := core.PageID(0)
+	access := func() {
+		var err error
+		if store {
+			_, err = m.WriteAt(data, int64(pg)*remote.PageSize)
+		} else {
+			err = m.getInto(0, pg, buf)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pg++; pg == pages {
+			pg = 0
+		}
+	}
+	for i := 0; i < pages/2; i++ { // settles the predictor, the pipeline depth and the free lists
+		access()
+	}
+	b.ReportAllocs()
+	writes0, frames0 := h.Doorbells()
+	late0 := m.Stats().PrefetchLateWait
+	for b.Loop() {
+		access()
+	}
+	writes, frames := h.Doorbells()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+	b.ReportMetric(float64(frames-frames0)/float64(writes-writes0), "frames/write")
+	b.ReportMetric(float64(m.Stats().PrefetchLateWait-late0)/float64(b.N), "late-wait-ns/page")
 }

@@ -31,6 +31,7 @@ type batchGate struct {
 	inner     *remote.InProc
 	slabPages int
 	acks      bool // hold write frames' responses, not read batches'
+	both      bool // with acks: hold read batches' as well
 	demand    bool // hold and fail single reads, not read batches
 
 	mu      sync.Mutex
@@ -195,7 +196,7 @@ func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
 		p.resp, p.err = nil, errGate
 	}
 	if g.acks {
-		gated = req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
+		gated = g.both && gated || req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
 	}
 	if gated && g.holding {
 		p.held = true
@@ -208,6 +209,68 @@ func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
 // is called directly.
 func (g *batchGate) Call(req *remote.Request) (*remote.Response, error) {
 	return g.inner.Call(req)
+}
+
+// trainGate is a batchGate that moves trains: a frame started with more to
+// follow is kept — a copy, the host encodes its next frame over the request —
+// and reaches the agent only when its train leaves, with the next frame started
+// without more, a Call, or the first Wait for a frame of it.
+type trainGate struct {
+	*batchGate
+	tmu  sync.Mutex
+	held []*trainPending
+}
+
+type trainPending struct {
+	g    *trainGate
+	req  *remote.Request
+	sent remote.Pending // nil while held
+}
+
+func (g *trainGate) StartTrain(req *remote.Request, more bool) (remote.Pending, error) {
+	g.tmu.Lock()
+	defer g.tmu.Unlock()
+	p := &trainPending{g: g, req: &remote.Request{Op: req.Op, Slab: req.Slab, PageOff: req.PageOff, Payload: bytes.Clone(req.Payload)}}
+	g.held = append(g.held, p)
+	if !more {
+		g.send()
+	}
+	return p, nil
+}
+
+// send hands the held frames to the agent, in order. Callers hold g.tmu.
+func (g *trainGate) send() {
+	for _, p := range g.held {
+		var err error
+		if p.sent, err = g.batchGate.Start(p.req); err != nil {
+			p.sent = failedPending{err}
+		}
+	}
+	g.held = nil
+}
+
+type failedPending struct{ err error }
+
+func (p failedPending) Wait() (*remote.Response, error) { return nil, p.err }
+
+func (p *trainPending) Wait() (*remote.Response, error) {
+	p.g.tmu.Lock()
+	if p.sent == nil {
+		p.g.send()
+	}
+	p.g.tmu.Unlock()
+	return p.sent.Wait()
+}
+
+func (g *trainGate) Start(req *remote.Request) (remote.Pending, error) {
+	return g.StartTrain(req, false)
+}
+
+func (g *trainGate) Call(req *remote.Request) (*remote.Response, error) {
+	g.tmu.Lock()
+	g.send()
+	g.tmu.Unlock()
+	return g.batchGate.Call(req)
 }
 
 // outOfOrder reports how many Waits passed over an older pending.

@@ -252,7 +252,8 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 // ringWriteback is the eviction doorbell: the queued writebacks leave as
 // frames and the evicting access goes on without waiting for the replicas
 // (§4.3) — the host keeps the images until they have answered, and holds a
-// writer up only at its unacked window. A writeback that failed on every
+// writer up only at its unacked window. It rings on its own only while no
+// stream's doorbell will do it (writeBack). A writeback that failed on every
 // replica, landed since the last doorbell by whoever came across its frame,
 // is reported here.
 func (s *shard) ringWriteback() {
@@ -262,13 +263,14 @@ func (s *shard) ringWriteback() {
 
 // writeBack hands the host page's image, dirty within [lo,hi), through the
 // async ticket engine, and reports whether the dirty backlog the enqueue
-// leaves has reached the queue depth: time for the caller to ring the doorbell.
+// leaves has reached the queue depth and does not ride a stream's next
+// doorbell: time for the caller to ring one.
 func (s *shard) writeBack(page core.PageID, data []byte, lo, hi int) (full bool) {
-	_, backlog := s.m.host.WritePageRangeAsync(page, data, lo, hi)
+	_, backlog, rides := s.m.host.WritePageRangeAsync(page, data, lo, hi)
 	if s.eng.Recording() {
 		s.nWritebacks++
 	}
-	return backlog >= s.m.qdepth
+	return backlog >= s.m.qdepth && !rides
 }
 
 // fetchPrefetches is the engine's prefetch-issue hook: the window's pages
@@ -327,16 +329,21 @@ func (s *shard) fetchPrefetches(pages []core.PageID) {
 // windows, which over a transport that finishes what it starts never happens,
 // and this is never reached — the engine asks the client's predictor to run
 // ahead (core.Predictor.AheadInto): whole frames beyond the stream's frontier,
-// through the same dedup and the same fetchPrefetches as a miss's window. The
-// depth is bounded by what the host may keep in flight and by a quarter of the
-// stripe's residency budget, which prefetched pages are charged to — or the
-// one frame a miss's window may take whatever the budget. With the host's
-// pipeline full Ahead reports no room and the stream skips its turn: waiting
-// for a flight to land is for accesses that need the page.
-func (s *shard) issueAhead(pid prefetch.PID, pg core.PageID, now sim.Time, hint paging.Hint, hintEnd core.PageID) {
-	frame, room := s.m.host.Ahead()
-	limit := min(room, max(int(s.res.Limit)/4, frame))
-	n := s.eng.Ahead(s, s.res, pid, 0, pg, frame, limit, now, hint, hintEnd)
+// through the same dedup and the same fetchPrefetches as a miss's window — one
+// doorbell, so the frames leave as a train and the queued writebacks with
+// them. The depth is bounded by what the host may keep in flight and by a
+// quarter of the stripe's residency budget, which prefetched pages are charged
+// to — or the one frame a miss's window may take whatever the budget — and a
+// stream at that cap keeps it full, frame by frame; ahead is what the host
+// reported when the hit collected its page (remote.Headroom).
+// While the host's pipeline is full it reports no room and the stream skips its
+// turn: waiting for a flight to land is for accesses that need the page.
+func (s *shard) issueAhead(pid prefetch.PID, pg core.PageID, ahead remote.Headroom, now sim.Time, hint paging.Hint, hintEnd core.PageID) {
+	limit, train := max(int(s.res.Limit)/4, ahead.Frame), ahead.Frame
+	if limit >= ahead.Depth {
+		limit, train = ahead.Depth, ahead.Train
+	}
+	n := s.eng.Ahead(s, s.res, pid, 0, pg, ahead.Frame, train, limit, ahead.Room, now, hint, hintEnd)
 	if s.eng.Recording() {
 		s.nAhead += int64(n)
 	}
@@ -361,25 +368,26 @@ func (s *shard) abandonPrefetch(page core.PageID) {
 // reapFill completes the outstanding fill of f, the prefetched frame of pg,
 // before the fault path consumes the page. It reports how long the access was
 // blocked on the wire for it — 0 when the response had arrived, however long
-// ago the fill was issued — and whether the stripe lock was held throughout:
-// it is released for a response that has not arrived, and the caller must then
-// re-check everything — the frame may have been evicted and recycled
-// meanwhile. A failed fill abandons the prefetch, so the access falls through
-// to a demand miss on its own failover budget.
-func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, held bool) {
+// ago the fill was issued — what the host lets the stream issue ahead now, and
+// whether the stripe lock was held throughout: it is released for a response
+// that has not arrived, and the caller must then re-check everything — the
+// frame may have been evicted and recycled meanwhile. A failed fill abandons
+// the prefetch, so the access falls through to a demand miss on its own
+// failover budget. A hit whose page has arrived visits the host once.
+func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, ahead remote.Headroom, held bool) {
 	t := f.fill
-	if !t.Done() {
+	ahead, done, err := t.Landed()
+	if !done {
 		s.mu.Unlock()
 		blocked, _ = t.Collect()
 		s.mu.Lock()
-		return blocked, false
+		return blocked, ahead, false
 	}
 	f.fill = nil
-	blocked, err := t.Collect()
 	if err != nil {
 		s.abandonPrefetch(pg)
 	}
-	return blocked, true
+	return 0, ahead, true
 }
 
 // collectDemand waits for pg's demand read with the stripe lock released and
@@ -432,6 +440,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	// waited for the response — the prefetch was late only if it did.
 	unreaped := false
 	var blocked time.Duration
+	var ahead remote.Headroom
 	var now sim.Time
 	for {
 		now = m.clock.Now()
@@ -485,8 +494,8 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// access into a demand miss, before the engine has seen it).
 		if f, ok := s.frames.Get(pg); ok && f.fill != nil {
 			unreaped = true
-			waited, held := s.reapFill(pg, f)
-			blocked += waited
+			waited, room, held := s.reapFill(pg, f)
+			blocked, ahead = blocked+waited, room
 			if !held {
 				if err := m.loadErr(); err != nil {
 					return nil, err
@@ -567,7 +576,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 			s.nLate++
 			s.lateWait += blocked
 		}
-		s.issueAhead(pid, pg, now, hint, hintEnd)
+		s.issueAhead(pid, pg, ahead, now, hint, hintEnd)
 	}
 	if demand != nil {
 		// The clock has been advanced and the window issued; on a failure

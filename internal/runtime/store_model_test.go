@@ -149,11 +149,14 @@ func (s *storeModel) play(n int, outage func(bool)) {
 // writebacks stay in the air across the refaults of their pages and a write's
 // two replicas answer out of step, each when a reader or a full window gets to
 // it; there every link must also see its flights landed in the order they
-// were started.
+// were started. The last kind of link moves trains on top of that: the frames a
+// doorbell starts reach their agent together, when the last of them is started
+// or the first waited for, and read replies are held back like acks, all let
+// through in a drawn order.
 func TestStoreModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, tier := range []int64{0, 96 << 10} {
-			for _, link := range []string{"inproc", "tcp", "held"} {
+			for _, link := range []string{"inproc", "tcp", "held", "trains"} {
 				t.Run(fmt.Sprintf("shards%d/tier%dK/%s", shards, tier>>10, link), func(t *testing.T) {
 					var outage func(bool)
 					var gates []*batchGate
@@ -164,13 +167,17 @@ func TestStoreModel(t *testing.T) {
 							transports[i] = remote.NewInProc(agent)
 							continue
 						}
-						if link == "held" {
+						if link == "held" || link == "trains" {
 							g := newBatchGate(modelSlab)
 							g.acks = true
 							g.hold()
-							defer g.pump(func(int) int { return 0 }, func(int) {})()
+							pick := func(int) int { return 0 }
+							if transports[i] = g; link == "trains" {
+								g.both, pick = true, rand.New(rand.NewSource(int64(i))).Intn
+								transports[i] = &trainGate{batchGate: g}
+							}
+							defer g.pump(pick, func(int) {})()
 							gates = append(gates, g)
-							transports[i] = g
 							continue
 						}
 						l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -9,11 +9,13 @@
 #     is a complete experiment, so 1x is already meaningful and keeps the
 #     suite fast);
 #   - the per-layer benchmarks that live in their layer's package
-#     (internal/remote: one TCP round trip, eight pipelined;
-#     internal/runtime: a scan over a link that answers 0, 50 us, 200 us and
-#     1 ms late, with the pages the host keeps in flight at each, a store
-#     scan over two such links, 64 B and 4 KB stores, with the wire bytes a
-#     page costs, and the two scans side by side on two goroutines).
+#     (internal/remote: one TCP round trip, eight pipelined, and read frames
+#     1, 2 and 4 to a socket write; internal/runtime: a scan over a link that
+#     answers 0, 50 us, 200 us and 1 ms late, with the pages the host keeps in
+#     flight at each, a store scan over two such links, 64 B and 4 KB stores,
+#     with the wire bytes a page costs, the two scans side by side on two
+#     goroutines, and bench/'s read and store scans over loopback TCP with the
+#     frames a socket write carried and the late prefetch wait per page).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +36,7 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
   ./internal/remote | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
-  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink|BenchmarkMixDelayedLink' \
+  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink|BenchmarkMixDelayedLink|BenchmarkScanLoopbackTCP|BenchmarkStoreScanLoopbackTCP' \
   ./internal/runtime | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
