@@ -246,15 +246,16 @@ func (p *Predictor) PredictInto(addr PageID, dst []PageID) []PageID {
 // appends to dst (same contract as append) every whole frame of pages beyond
 // the frontier that lies within depth strides of addr and within room, the
 // pages the data path can take now, moving the frontier over them; a stream
-// with train pages or more ahead of it waits until they make a train, for a
-// data path whose doorbell costs the same whatever it carries (train = frame:
-// none). The frontier thus advances two pages for each one the stream consumes
-// until the pages in flight cover the fetch latency (Linux read-ahead's async
-// marker doubles its window once per window consumed, the same slope), and a
-// stream that ends after n hits leaves at most its window plus n pages unused:
-// room and train decide when frames leave, never how far. The paper's
-// PWsizemax, sized for a 4 us RDMA hop, still bounds what a miss issues. A
-// limit below frame issues nothing and leaves the ramp where it is.
+// with train pages or more ahead of it waits until they make a train (at limit
+// too: it keeps from limit less a train to limit ahead), for a data path whose
+// doorbell costs the same whatever it carries (train = frame: none). The
+// frontier thus advances two pages for each one the stream consumes until the
+// pages in flight cover the fetch latency (Linux read-ahead's async marker
+// doubles its window once per window consumed, the same slope), and a stream
+// that ends after n hits leaves at most its window plus n pages unused: room
+// and train decide when frames leave, never how far. The paper's PWsizemax,
+// sized for a 4 us RDMA hop, still bounds what a miss issues. A limit below
+// frame issues nothing and leaves the ramp where it is.
 func (p *Predictor) AheadInto(addr PageID, frame, train, limit, room int, dst []PageID) []PageID {
 	if p.depth == 0 {
 		return dst

@@ -21,9 +21,9 @@ import "time"
 // jitter, waiting whenever a response is later than the least ever seen — what
 // the headroom is for (EXPERIMENTS.md). So issue resumes where it always has,
 // with a frame of depth free, and the rest of the train runs over depth. A
-// reader whose own cap binds below depth is never held: it issues frame by
-// frame, with all it may have in flight in flight — its throughput, on a link
-// that is all latency.
+// reader whose own cap binds below depth is never held by the host, and moves
+// trains all the same: it issues when a train fits under its cap, so it keeps
+// between its cap and a train less in flight.
 //
 // Latency is start -> response available, and nothing reads a socket until
 // somebody reaps: a flight's land - start is its latency only if its reaper
@@ -192,9 +192,10 @@ func (h *Host) FetchLatency() []time.Duration {
 // Depth pages past the stream, of which Room may be issued now. Room is 0 until
 // a frame of the depth the estimator has measured is free, and then that frame
 // — or, over transports that move trains, a train of trainFrames, the rest of
-// it over depth, which Depth allows for. A caller issuing ahead skips its turn
-// at 0 and asks again at its next access (Ticket.Landed): waiting for a flight
-// to land is for accesses that need the page.
+// it over depth, which Depth allows for; a caller whose own cap is below Depth
+// moves Train pages at a time under it too. A caller issuing ahead skips its
+// turn at 0 and asks again at its next access (Ticket.Landed): waiting for a
+// flight to land is for accesses that need the page.
 type Headroom struct {
 	Frame, Train, Depth, Room int
 }

@@ -85,7 +85,8 @@ func (l timedTrains) StartTrain(req *Request, more bool) (Pending, error) { retu
 
 // pipeReader reads a host's pages in frames of 8 the way a scan over the
 // runtime does: it keeps as many frames in flight as the host's headroom allows — and as its
-// own limit does, when it has one, the way a stripe's budget caps a stream —
+// own limit does, when it has one, the way a stripe's budget caps a stream,
+// waiting at the limit with a train's worth in flight until a train fits —
 // collects the oldest, and takes pace over every page. Frame k is the 8 pages
 // from page(k) on, 8k when page is nil.
 type pipeReader struct {
@@ -141,6 +142,9 @@ func (r *pipeReader) frames(n int) (blocked time.Duration, peak int) {
 		fit := a.Room / a.Frame
 		if r.limit > 0 {
 			fit = min(fit, r.limit/a.Frame-len(r.flying))
+			if fit*a.Frame < a.Train && len(r.flying)*a.Frame >= a.Train {
+				fit = 0
+			}
 		}
 		if fit > 0 {
 			r.issue(fit)
@@ -337,14 +341,17 @@ func TestDepthIsGivenBackToAFasterLink(t *testing.T) {
 // frames, the pages in flight never fall more than a frame below the product
 // the host goes by (nor below depth less a frame), and the reader waits no more
 // than the leak's probing costs. A reader whose own limit binds below the
-// product is never held: it issues frame by frame, as it would with no trains
-// at all, and keeps its limit in flight.
+// product is never held by the host. It moves trains too, waiting with a train
+// less a frame below its limit; one whose limit is less than two trains never
+// has a train's worth in flight to wait with, and issues frame by frame.
 func TestIssueMovesInTrains(t *testing.T) {
 	const pace, delay, product = 4 * time.Microsecond, 200 * time.Microsecond, 50
 	for _, c := range []struct {
-		name  string
-		limit int
-	}{{"no limit", 0}, {"a limit of half the product", 24}} {
+		name   string
+		limit  int
+		least  int  // pages in flight at the limit, at the least
+		trains bool // at the limit
+	}{{"no limit", 0, 0, true}, {"a limit of half the product", 24, 16, false}, {"a limit of two trains", 48, 32, true}} {
 		t.Run(c.name, func(t *testing.T) {
 			l := &timedLink{delay: delay}
 			h, r := timedHost(t, 1<<16, pace, l)
@@ -361,7 +368,7 @@ func TestIssueMovesInTrains(t *testing.T) {
 				want := max(h.links[0].need, h.depth-8) // the product the host goes by as the frame is read
 				h.mu.Unlock()
 				if c.limit > 0 {
-					want = min(want, c.limit)
+					want = min(want, c.least+8)
 				}
 				r.least = 1 << 30
 				b, _ := r.frames(1)
@@ -385,9 +392,9 @@ func TestIssueMovesInTrains(t *testing.T) {
 				if blocked > 512*8*pace/20 {
 					t.Errorf("reader blocked %v over 512 frames", blocked)
 				}
-			} else if perBell != 1 || held > 0 || r.least < c.limit-8 {
-				t.Errorf("%.2f frames a doorbell, issue held %d times, %d pages in flight at the least: want frame by frame at the limit of %d",
-					perBell, held, r.least, c.limit)
+			} else if c.trains && perBell < 2.5 || !c.trains && perBell != 1 || held > 0 || r.least < c.least {
+				t.Errorf("%.2f frames a doorbell, issue held %d times, %d pages in flight at the least: want trains %v, never under %d at the limit of %d",
+					perBell, held, r.least, c.trains, c.least, c.limit)
 			}
 		})
 	}

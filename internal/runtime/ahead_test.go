@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"leap/internal/core"
 	"leap/internal/remote"
@@ -57,11 +58,13 @@ func TestScanKeepsPipelineFull(t *testing.T) {
 		{"strided", 3, 256, 320, nil},
 		{"sharded", 1, 1024, 1100, []Option{WithShards(4)}},
 	}
-	const scan = 512
+	// Four stripes of 256 pages run 512 pages ahead between them (half of each
+	// one's budget): the scan is twice that, so that it waits for the link.
+	const scan = 1024
 	var got strings.Builder
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			span := (c.ramp + scan + 256) * int(c.stride) // the slack keeps run-ahead inside the data set
+			span := (c.ramp + scan + 512) * int(c.stride) // the slack keeps run-ahead inside the data set
 			m, g := gatedMemory(t, span, append([]Option{WithCacheCapacity(c.capacity)}, c.opts...)...)
 			pg := core.PageID(0)
 			for i := 0; i < c.ramp; i++ {
@@ -137,7 +140,7 @@ func TestScanKeepsPipelineFull(t *testing.T) {
 // the hits stop issuing at once, and Algorithm 2 winds its own window down to
 // nothing within one history window of accesses.
 func TestRunAheadEndsWithTheStream(t *testing.T) {
-	const scanned, depth = 600, 64 // a quarter of the 256-page budget
+	const scanned, depth = 600, 128 // half the 256-page budget
 	m, g := gatedMemory(t, 2048, WithCacheCapacity(256))
 	for pg := core.PageID(0); pg < scanned; pg++ {
 		checkPage(t, m, pg)
@@ -169,6 +172,58 @@ func TestRunAheadEndsWithTheStream(t *testing.T) {
 	}
 	if late := st.PrefetchIssued - mid.PrefetchIssued; late != 0 {
 		t.Errorf("%d pages still prefetched a history window after the stream ended", late)
+	}
+}
+
+// TestRunAheadCapIsHalfTheBudget: over a link that answers 1 ms late, a scan
+// keeps as much in flight as the link needs up to half its stripe's budget —
+// more than the quarter it was once held to, wherever the host allows twice
+// that, and never more than the half and a train — and at a cap that binds its
+// frames still leave in trains.
+func TestRunAheadCapIsHalfTheBudget(t *testing.T) {
+	const oldCap = 1024 / 4
+	for _, c := range []struct {
+		name     string
+		capacity int
+		train    int // pages, one frame over a link that cannot move trains
+	}{
+		{"1024-page budget", 1024, 8},
+		{"64-page budget", 64, 8},
+		{"trains at a 128-page budget", 128, 24},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := &delayedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0))}
+			trains := &delayedTrains{delayedLink: l}
+			var tr remote.Transport = l
+			if c.train > 8 {
+				tr = trains
+			}
+			h, next := delayedScan(t, l, tr, time.Millisecond, c.capacity, 4096)
+			for range 1024 {
+				next()
+			}
+			writes0, frames0 := trains.writes.Load(), trains.frames.Load()
+			var p pipelineMeans
+			for range 2048 {
+				next()
+				p.sample(h)
+			}
+			t.Logf("mean depth %.0f, pages in flight %.0f on average and %d at most", p.meanDepth(), p.meanFlying(), p.peak)
+			if most := c.capacity/2 + c.train; p.peak > most {
+				t.Errorf("%d pages in flight, want at most %d: half the budget and a train", p.peak, most)
+			}
+			if c.capacity == 1024 && p.meanDepth() >= 2*oldCap && p.meanFlying() <= oldCap {
+				t.Errorf("%.0f pages in flight on average at a depth of %.0f, want more than the old cap of %d",
+					p.meanFlying(), p.meanDepth(), oldCap)
+			}
+			if tr == trains {
+				perWrite := float64(trains.frames.Load()-frames0) / float64(trains.writes.Load()-writes0)
+				t.Logf("%.2f frames a write", perWrite)
+				if perWrite < 2 {
+					t.Errorf("%.2f frames a write at the cap, want trains of at least 2", perWrite)
+				}
+			}
+		})
 	}
 }
 
@@ -212,11 +267,11 @@ func stamp(pg core.PageID, v int) []byte {
 	return b
 }
 
-// runPipelinedCase is one seeded case of TestMemoryReadYourWritesPipelined.
-// It returns the scan's prefetch accuracy.
-func runPipelinedCase(t *testing.T, seed int64, writers int, opts ...Option) float64 {
+// runPipelinedCase is one seeded case of TestMemoryReadYourWritesPipelined, over
+// pages [0, span). It returns the scan's prefetch accuracy.
+func runPipelinedCase(t *testing.T, seed int64, writers int, span core.PageID, opts ...Option) float64 {
 	t.Helper()
-	const span, scanFrom = 512, 192 // the writers own [0, scanFrom), the scanner reads the rest
+	const scanFrom = 192 // the writers own [0, scanFrom), the scanner reads the rest
 	gates := []*batchGate{newBatchGate(64), newBatchGate(64)}
 	h, err := remote.NewHost(remote.HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 8, Seed: uint64(seed)},
 		[]remote.Transport{gates[0], gates[1]})
@@ -364,12 +419,14 @@ func TestMemoryReadYourWritesPipelined(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				runPipelinedCase(t, seed, 2, sh.opts...)
+				runPipelinedCase(t, seed, 2, 512, sh.opts...)
 			}
 		})
 	}
 	t.Run("scan", func(t *testing.T) {
-		acc := runPipelinedCase(t, 9, 0, WithCacheCapacity(256))
+		// Each pass ends with up to half the 256-page budget, and a frame,
+		// issued beyond it: 1536 pages a pass keep that under a tenth.
+		acc := runPipelinedCase(t, 9, 0, 192+1536, WithCacheCapacity(256))
 		t.Logf("prefetch accuracy %.3f", acc)
 		if acc < 0.9 {
 			t.Errorf("prefetch accuracy %.3f on a pure scan, want >= 0.9", acc)

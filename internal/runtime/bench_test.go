@@ -49,13 +49,79 @@ func (l *delayedLink) Call(req *remote.Request) (*remote.Response, error) {
 
 func (l *delayedLink) Close() error { return nil }
 
+// delayedTrains is a delayedLink that moves trains and counts them: a frame
+// started with more to follow joins the train, which leaves — one socket write
+// on a real link — with the first frame started without. The agent answers
+// every frame at once all the same.
+type delayedTrains struct {
+	*delayedLink
+	writes, frames atomic.Int64
+}
+
+func (l *delayedTrains) StartTrain(req *remote.Request, more bool) (remote.Pending, error) {
+	l.frames.Add(1)
+	if !more {
+		l.writes.Add(1)
+	}
+	return l.Start(req)
+}
+
+// delayedScan opens a Memory with a budget of capacity pages over tr, a
+// delayedLink l or a wrapper of it, stores image(pg) in pages [0, pages) and
+// scans them: a lap undelayed, which settles the predictor and pushes out
+// populate's dirty residue, then a quarter lap delayed by delay, which lets the
+// host measure the link. It returns the host and the scan's next access. Memory
+// and host are closed with the test.
+func delayedScan(tb testing.TB, l *delayedLink, tr remote.Transport, delay time.Duration, capacity, pages int) (*remote.Host, func()) {
+	tb.Helper()
+	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1},
+		[]remote.Transport{tr})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithSeed(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		m.Close()
+		h.Close()
+	})
+	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
+		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	buf, pg := make([]byte, remote.PageSize), core.PageID(0)
+	next := func() {
+		if err := m.getInto(0, pg, buf); err != nil {
+			tb.Fatal(err)
+		}
+		if pg++; pg == core.PageID(pages) {
+			pg = 0
+		}
+	}
+	for i := 0; i < pages+pages/4; i++ {
+		if i == pages {
+			l.delay.Store(int64(delay))
+		}
+		next()
+	}
+	return h, next
+}
+
 // BenchmarkScanDelayedLink is the overlap's microbenchmark: one goroutine
 // scans a data set 8x its local budget over a link that answers a fixed delay
 // late — none, the 50 us and 1 ms of ROADMAP item 1's gate, and 200 us between
 // them. Stop-and-wait pays the delay once per window of nine pages; run-ahead
 // pays it once per pipeline, and the host sizes the pipeline from the delay it
 // measures, so the scan's rate should hardly depend on it: pages/s is that
-// rate, pages-in-flight the mean of what was in the air after each access.
+// rate, pages-in-flight the mean of what was in the air after each access, and
+// depth the mean of what the host allowed (remote.Host.Pipeline) — a stream
+// held at its stripe's cap shows as pages in flight at the cap, below depth.
 func BenchmarkScanDelayedLink(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -66,56 +132,32 @@ func BenchmarkScanDelayedLink(b *testing.B) {
 }
 
 func benchScanDelayedLink(b *testing.B, delay time.Duration) {
-	const pages = 8192
 	l := &delayedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0))}
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1},
-		[]remote.Transport{l})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	buf := make([]byte, remote.PageSize)
-	for pg := core.PageID(0); pg < pages; pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	// One lap undelayed settles the predictor and pushes out populate's dirty
-	// residue; a quarter lap delayed lets the host measure the link.
-	pg := core.PageID(0)
-	for i := 0; i < pages+pages/4; i++ {
-		if i == pages {
-			l.delay.Store(int64(delay))
-		}
-		if err := m.getInto(0, pg, buf); err != nil {
-			b.Fatal(err)
-		}
-		if pg++; pg == pages {
-			pg = 0
-		}
-	}
+	h, next := delayedScan(b, l, l, delay, 1024, 8192)
 	b.ReportAllocs()
-	inFlight := 0
+	var p pipelineMeans
 	for b.Loop() {
-		if err := m.getInto(0, pg, buf); err != nil {
-			b.Fatal(err)
-		}
-		if pg++; pg == pages {
-			pg = 0
-		}
-		_, flying, _ := h.Pipeline()
-		inFlight += flying
+		next()
+		p.sample(h)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-	b.ReportMetric(float64(inFlight)/float64(b.N), "pages-in-flight")
+	p.report(b)
+}
+
+// pipelineMeans sums what Host.Pipeline reports, one sample an access.
+type pipelineMeans struct{ n, depth, flying, peak int }
+
+func (p *pipelineMeans) sample(h *remote.Host) {
+	depth, flying, _ := h.Pipeline()
+	p.n, p.depth, p.flying, p.peak = p.n+1, p.depth+depth, p.flying+flying, max(p.peak, flying)
+}
+
+func (p *pipelineMeans) meanDepth() float64  { return float64(p.depth) / float64(p.n) }
+func (p *pipelineMeans) meanFlying() float64 { return float64(p.flying) / float64(p.n) }
+
+func (p *pipelineMeans) report(b *testing.B) {
+	b.ReportMetric(p.meanFlying(), "pages-in-flight")
+	b.ReportMetric(p.meanDepth(), "depth")
 }
 
 // BenchmarkStoreScanDelayedLink is the write side's measuring stick (ROADMAP
@@ -314,8 +356,9 @@ func loopbackCluster(tb testing.TB, pages, capacity int) (*Memory, *remote.Host)
 // BenchmarkScanLoopbackTCP is bench/'s seq_read inside the tree: one goroutine
 // reads through 16384 pages, 16x its local budget, over the loopback cluster.
 // Beside pages/s it reports what the library says of its doorbells — the frames
-// a socket write carried (remote.Host.Doorbells) — and what holding issue back
-// for them cost the reader, the wait of late prefetch hits per page.
+// a socket write carried (remote.Host.Doorbells) — what holding issue back for
+// them cost the reader, the wait of late prefetch hits per page, and the
+// pipeline's means as BenchmarkScanDelayedLink has them.
 func BenchmarkScanLoopbackTCP(b *testing.B) { benchLoopbackTCP(b, false) }
 
 // BenchmarkStoreScanLoopbackTCP is bench/'s seq_write: a 64-byte store into
@@ -347,11 +390,14 @@ func benchLoopbackTCP(b *testing.B, store bool) {
 	b.ReportAllocs()
 	writes0, frames0 := h.Doorbells()
 	late0 := m.Stats().PrefetchLateWait
+	var p pipelineMeans
 	for b.Loop() {
 		access()
+		p.sample(h)
 	}
 	writes, frames := h.Doorbells()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	b.ReportMetric(float64(frames-frames0)/float64(writes-writes0), "frames/write")
 	b.ReportMetric(float64(m.Stats().PrefetchLateWait-late0)/float64(b.N), "late-wait-ns/page")
+	p.report(b)
 }

@@ -331,19 +331,17 @@ func (s *shard) fetchPrefetches(pages []core.PageID) {
 // ahead (core.Predictor.AheadInto): whole frames beyond the stream's frontier,
 // through the same dedup and the same fetchPrefetches as a miss's window — one
 // doorbell, so the frames leave as a train and the queued writebacks with
-// them. The depth is bounded by what the host may keep in flight and by a
-// quarter of the stripe's residency budget, which prefetched pages are charged
-// to — or the one frame a miss's window may take whatever the budget — and a
-// stream at that cap keeps it full, frame by frame; ahead is what the host
-// reported when the hit collected its page (remote.Headroom).
+// them. The depth is what the host measured the link to need (ahead, reported
+// when the hit collected its page: remote.Headroom) and at most half the
+// stripe's residency budget — or the one frame a miss's window may take
+// whatever the budget: prefetched pages are charged to the stripe as they
+// land, and MapIn reclaims cache pages past their grace before resident ones,
+// so a stream let have the whole budget would reclaim its own prefetches.
 // While the host's pipeline is full it reports no room and the stream skips its
 // turn: waiting for a flight to land is for accesses that need the page.
 func (s *shard) issueAhead(pid prefetch.PID, pg core.PageID, ahead remote.Headroom, now sim.Time, hint paging.Hint, hintEnd core.PageID) {
-	limit, train := max(int(s.res.Limit)/4, ahead.Frame), ahead.Frame
-	if limit >= ahead.Depth {
-		limit, train = ahead.Depth, ahead.Train
-	}
-	n := s.eng.Ahead(s, s.res, pid, 0, pg, ahead.Frame, train, limit, ahead.Room, now, hint, hintEnd)
+	limit := min(ahead.Depth, max(int(s.res.Limit)/2, ahead.Frame))
+	n := s.eng.Ahead(s, s.res, pid, 0, pg, ahead.Frame, ahead.Train, limit, ahead.Room, now, hint, hintEnd)
 	if s.eng.Recording() {
 		s.nAhead += int64(n)
 	}
