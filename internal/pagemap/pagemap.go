@@ -6,10 +6,10 @@
 // map replaces it with one multiply and a linear probe over a single slot
 // array (state, key and value share a cache line).
 //
-// The map is deterministic (layout depends only on the operation sequence),
-// supports no iteration, and is not safe for concurrent use. Deleted slots
-// become tombstones; the table rehashes in slot order — also deterministic
-// — when occupancy plus tombstones crosses the load limit.
+// The map is deterministic (layout depends only on the operation sequence,
+// and Range walks it in slot order) and is not safe for concurrent use.
+// Deleted slots become tombstones; the table rehashes in slot order — also
+// deterministic — when occupancy plus tombstones crosses the load limit.
 package pagemap
 
 import "leap/internal/core"
@@ -143,6 +143,18 @@ func (m *Map[V]) Delete(k core.PageID) {
 			s.val = zero // release pointer-bearing values
 			m.n--
 			m.tombs++
+			return
+		}
+	}
+}
+
+// Range calls yield for every live entry, in slot order, until yield returns
+// false; m.Range is thus also a range-over-func iterator. The order is a pure
+// function of the operation history. yield may Delete entries, but must not
+// Put: a Put may rehash the table under the walk.
+func (m *Map[V]) Range(yield func(k core.PageID, v V) bool) {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.state == slotFull && !yield(s.key, s.val) {
 			return
 		}
 	}

@@ -3,6 +3,8 @@ package remote
 import (
 	"strconv"
 	"testing"
+
+	"leap/internal/core"
 )
 
 // benchResp keeps the measured calls' results alive.
@@ -53,6 +55,83 @@ func BenchmarkTCPPipelined8(b *testing.B) {
 			}
 			benchResp = resp
 		}
+	}
+}
+
+// storeHost is a host over three in-process agents, slabs of 64 pages, whose
+// pages [0,pages) have been written once: every page has its record and an ack
+// set, as a store scan finds them.
+func storeHost(tb testing.TB, pages int) *Host {
+	tb.Helper()
+	h, _ := buildCluster(tb, 3, 64, 11)
+	for pg := 0; pg < pages; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// storeAt stores 64 bytes into buf and writes that range of page back, buf
+// for its image, ringing the doorbell once a frame's worth of writes is queued.
+func storeAt(h *Host, page core.PageID, buf []byte) error {
+	lo := int(page) % (PageSize / 64) * 64
+	buf[lo]++
+	_, backlog, _ := h.WritePageRangeAsync(page, buf, lo, lo+64)
+	if backlog < h.cfg.QueueDepth {
+		return nil
+	}
+	_, err := h.Submit()
+	return err
+}
+
+// BenchmarkHostRangeWriteback is a store scan's host side over in-process
+// agents: each op reads a page, stores 64 bytes in it and writes the range
+// back. ns/op and allocs/op are per page, agents included.
+func BenchmarkHostRangeWriteback(b *testing.B) {
+	const pages = 1024
+	h := storeHost(b, pages)
+	buf := make([]byte, PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page := core.PageID(i % pages)
+		if err := h.ReadPage(page, buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := storeAt(h, page, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRangeWritebackAllocatesOncePerPage: in steady state a range writeback
+// costs the host one object, the pendingWrite that carries its ticket, replica
+// set, ack set and flight list, and its share of the frames it rides in, whose
+// flights carry their batches; the ack set the write leaves in its page's
+// record reuses the record's.
+func TestRangeWritebackAllocatesOncePerPage(t *testing.T) {
+	const pages = 256
+	h := storeHost(t, pages)
+	buf := make([]byte, PageSize)
+	page := core.PageID(0)
+	writeFrame := func() {
+		for i := 0; i < h.cfg.QueueDepth; i++ {
+			if err := storeAt(h, page, buf); err != nil {
+				t.Fatal(err)
+			}
+			page = (page + 1) % pages
+		}
+	}
+	for i := 0; i < 2*pages/h.cfg.QueueDepth; i++ {
+		writeFrame()
+	}
+	perPage := testing.AllocsPerRun(50, writeFrame) / float64(h.cfg.QueueDepth)
+	// A pendingWrite a page, and over a frame's worth of pages two frames, one
+	// per replica, each a flight and the in-process agent's response.
+	if want := 1 + 2*2/float64(h.cfg.QueueDepth); perPage > want {
+		t.Errorf("a range writeback allocates %.2f objects a page, want at most %.2f", perPage, want)
 	}
 }
 

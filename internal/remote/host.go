@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"leap/internal/core"
+	"leap/internal/pagemap"
 	"leap/internal/sim"
 	"leap/internal/ztier"
 )
@@ -120,19 +121,11 @@ type Host struct {
 	slabLoad   []int            // slabs placed per agent
 	placements map[SlabID][]int // slab → agent indices, primary first
 	failed     map[int]bool     // agents marked dead (excluded from placement)
-	// acked records, per page, the agent indices that acknowledged its most
-	// recent write. A transiently failed replica write leaves that copy
-	// stale; reads must prefer acked replicas or they break
-	// read-your-writes (divergent replicas).
-	acked map[core.PageID][]int
+	// records holds the host's state of each page it has read or written.
+	records *pagemap.Map[*record]
 	// degraded tracks pages whose most recent write was acknowledged by
 	// fewer than Replicas agents; RepairSlabs re-pushes them.
 	degraded map[core.PageID]bool
-	// writeGen counts completed writes per page. Paths that copy a page with
-	// h.mu released (ReplicateHot, slab migration) snapshot it with their
-	// source read and re-check it before certifying the copy into the ack
-	// set: a bump in between means a write raced in and the copy is stale.
-	writeGen map[core.PageID]uint64
 	// retired agents are draining for graceful scale-down: excluded from
 	// rendezvous ranking (so Rebalance migrates their share away) while
 	// remaining fully live copy sources and read targets.
@@ -155,16 +148,14 @@ type Host struct {
 	now       func() sim.Time
 	onBackoff func(agent int, d sim.Duration)
 
-	// Async engine state: per-agent FIFO queues of pending operations plus
-	// the coalescing indexes (see queue.go). queued counts the writes in dirty
-	// not yet started on any replica, the backlog a doorbell clears; unacked
-	// those started and not yet answered by every replica.
-	queues       [][]queueEntry
-	readsPending map[core.PageID]*pendingRead
-	dirty        map[core.PageID]*pendingWrite
-	queued       int
-	unacked      int
-	bufFree      [][]byte // recycled page buffers for pending writes
+	// Async engine state: per-agent FIFO queues of pending operations (see
+	// queue.go). queued counts the pending writes not yet started on any
+	// replica, the backlog a doorbell clears; unacked those started and not
+	// yet answered by every replica.
+	queues  [][]queueEntry
+	queued  int
+	unacked int
+	bufFree [][]byte // recycled page buffers for pending writes
 	// landed (on mu) wakes goroutines waiting for another's landing of a
 	// flight; the flights themselves are on their links' FIFOs (links[i].flights).
 	landed *sync.Cond
@@ -219,22 +210,76 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 		cfg.Replicas = len(transports)
 	}
 	h := &Host{
-		cfg:          cfg,
-		transports:   transports,
-		slabLoad:     make([]int, len(transports)),
-		placements:   make(map[SlabID][]int),
-		acked:        make(map[core.PageID][]int),
-		degraded:     make(map[core.PageID]bool),
-		writeGen:     make(map[core.PageID]uint64),
-		queues:       make([][]queueEntry, len(transports)),
-		readsPending: make(map[core.PageID]*pendingRead),
-		dirty:        make(map[core.PageID]*pendingWrite),
-		links:        make([]link, len(transports)),
-		depth:        maxUnreaped / PageSize,
-		clock:        time.Now,
+		cfg:        cfg,
+		transports: transports,
+		slabLoad:   make([]int, len(transports)),
+		placements: make(map[SlabID][]int),
+		records:    pagemap.New[*record](0),
+		degraded:   make(map[core.PageID]bool),
+		queues:     make([][]queueEntry, len(transports)),
+		links:      make([]link, len(transports)),
+		depth:      maxUnreaped / PageSize,
+		clock:      time.Now,
 	}
 	h.landed = sync.NewCond(&h.mu)
 	return h, nil
+}
+
+// record is the host's state of one page, found with one lookup: the page's
+// newest write, whose image the host keeps until every replica has answered
+// (reads of the page are served from it, and a later write supersedes it or
+// queues behind it); the read a read of the page may coalesce onto; the agents
+// that acknowledged its most recent write — a transiently failed replica write
+// leaves that copy stale, so reads prefer acked replicas and a range goes to
+// them alone (writeFrame); and gen, its completed writes. Paths that copy a page
+// with h.mu released (ReplicateHot, slab migration, repair) snapshot gen with
+// their source read and re-check it before certifying the copy into the ack
+// set: a bump in between means a write raced in and the copy is stale. A
+// record no write has completed on goes with its last read (retireRead).
+type record struct {
+	write *pendingWrite
+	read  *pendingRead
+	acks  []int
+	gen   uint64
+}
+
+// rec returns page's record, nil when the host keeps none. Callers hold h.mu.
+func (h *Host) rec(page core.PageID) *record {
+	r, _ := h.records.Get(page)
+	return r
+}
+
+// newRecord makes page's record, for a page with none. Callers hold h.mu.
+func (h *Host) newRecord(page core.PageID) *record {
+	r := &record{}
+	h.records.Put(page, r)
+	return r
+}
+
+// acked returns the agents that acknowledged the page's most recent write, nil
+// when there are none or r is nil.
+func (r *record) acked() []int {
+	if r == nil || len(r.acks) == 0 {
+		return nil
+	}
+	return r.acks
+}
+
+// dirty returns the page's pending write — queued, or started and not yet
+// answered by every replica — nil when there is none or r is nil.
+func (r *record) dirty() *pendingWrite {
+	if r == nil {
+		return nil
+	}
+	return r.write
+}
+
+// generation returns the page's completed writes, 0 when r is nil.
+func (r *record) generation() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.gen
 }
 
 // Stats reports a copy of the counters.
@@ -299,7 +344,7 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, queued := h.dirty[page]; queued {
+	if h.rec(page).dirty() != nil {
 		t := h.writeAsyncLocked(page, data, 0, PageSize)
 		h.keepFor(t, h.drain(true))
 		return t.err
@@ -320,7 +365,7 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 func (h *Host) AckedReplicas(page core.PageID) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return slices.Clone(h.acked[page])
+	return slices.Clone(h.rec(page).acked())
 }
 
 // DegradedPages reports how many pages are currently under-acknowledged:
@@ -371,7 +416,7 @@ func (h *Host) StartRead(page core.PageID, buf []byte) *Ticket {
 		return t
 	}
 	f := h.launch(pr.primary, queueEntry{read: pr})
-	if _, inline := f.pend.(completed); inline {
+	if _, inline := f.pend.(*completed); inline {
 		h.await(t)
 	}
 	return t

@@ -21,9 +21,10 @@ import (
 // when the control plane has hinted agents slow, each group orders not-slow
 // before slow — routing around lag without ever dropping a candidate. With no
 // hot copies and no slow hints this is exactly the legacy acked-first order.
-// It runs on every read and allocates nothing. Callers hold h.mu.
-func (h *Host) readOrder(page core.PageID, replicas, tried []int) int {
-	acked, extra := h.acked[page], h.hot[page]
+// It runs on every read and allocates nothing; r is page's record. Callers
+// hold h.mu.
+func (h *Host) readOrder(page core.PageID, r *record, replicas, tried []int) int {
+	acked, extra := r.acked(), h.hot[page]
 	for _, wantAcked := range [2]bool{true, false} {
 		for _, wantSlow := range [2]bool{false, true} {
 			// A hot holder that placement lists too is met twice, to no effect.
@@ -44,7 +45,7 @@ func (h *Host) readOrder(page core.PageID, replicas, tried []int) int {
 func (h *Host) readCandidates(page core.PageID, replicas []int) []int {
 	var order []int
 	for {
-		idx := h.readOrder(page, replicas, order)
+		idx := h.readOrder(page, h.rec(page), replicas, order)
 		if idx < 0 {
 			return order
 		}
@@ -133,7 +134,8 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			continue
 		}
 		h.mu.Lock()
-		if h.writeGen[page] != gen {
+		r := h.rec(page)
+		if r.generation() != gen {
 			// A write completed after our source read: the bytes just pushed
 			// are stale and must not join the ack set. Nothing references
 			// them; re-read fresh bytes and retry this same target.
@@ -151,8 +153,8 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			h.hot = make(map[core.PageID][]int)
 		}
 		h.hot[page] = append(h.hot[page], target)
-		if acked, ok := h.acked[page]; ok && !slices.Contains(acked, target) {
-			h.acked[page] = append(acked, target)
+		if len(r.acked()) > 0 && !slices.Contains(r.acks, target) {
+			r.acks = append(r.acks, target)
 		}
 		h.stats.HotCopies++
 		h.mu.Unlock()
@@ -166,13 +168,14 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 // bytes from a live holder that acknowledged the latest write. A nil payload
 // with nil error means no live acked source exists (the caller gives up
 // without certifying anything). The transport read runs with h.mu released;
-// callers compare the returned generation against h.writeGen under the lock
+// callers compare the returned generation against the page's under the lock
 // before trusting the payload as fresh.
 func (h *Host) hotSourceRead(page core.PageID, slab SlabID, off uint32) (payload []byte, gen uint64, err error) {
 	h.mu.Lock()
-	gen = h.writeGen[page]
+	r := h.rec(page)
+	gen = r.generation()
 	srcIdx := -1
-	for _, idx := range h.acked[page] {
+	for _, idx := range r.acked() {
 		if !h.failed[idx] {
 			srcIdx = idx
 			break
@@ -213,23 +216,23 @@ func (h *Host) DropHot(page core.PageID) bool {
 	if len(holders) == 0 {
 		return true
 	}
-	if acked, ok := h.acked[page]; ok {
-		rest := slices.DeleteFunc(slices.Clone(acked), func(r int) bool {
-			return slices.Contains(holders, r)
+	if r := h.rec(page); len(r.acked()) > 0 {
+		rest := slices.DeleteFunc(slices.Clone(r.acks), func(a int) bool {
+			return slices.Contains(holders, a)
 		})
 		if len(rest) == 0 {
 			// With a write in flight the copy-back below could overwrite the
 			// write's fresher bytes on a placement replica that then acks it
 			// — defer; the next attempt sees the write's own ack set.
-			if h.dirty[page] != nil {
+			if r.write != nil {
 				return false
 			}
-			rest = h.restoreAckedLocked(page, acked)
+			rest = h.restoreAckedLocked(page, r.acks)
 			if len(rest) == 0 {
 				return false
 			}
 		}
-		h.acked[page] = rest
+		r.acks = rest
 		if len(rest) < h.cfg.Replicas {
 			// The last write is certified on fewer than Replicas placement
 			// copies once the holders leave: keep it flagged so RepairSlabs

@@ -253,18 +253,15 @@ func (h *Host) migrateSlab(slab SlabID, current, desired []int) error {
 	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
 	for off := int64(0); off < int64(h.cfg.SlabPages); off++ {
 		page := first + core.PageID(off)
-		if acked, ok := h.acked[page]; ok {
-			rest := slices.DeleteFunc(slices.Clone(acked), func(r int) bool {
-				return slices.Contains(leavers, r)
+		if r := h.rec(page); len(r.acked()) > 0 {
+			r.acks = slices.DeleteFunc(r.acks, func(a int) bool {
+				return slices.Contains(leavers, a)
 			})
-			if len(rest) == 0 {
+			if len(r.acks) == 0 {
 				// Every acked holder was a leaver and the copy could not
 				// certify freshness: the write is no longer recoverable
 				// as-acked, so drop the bookkeeping as PurgeAgent does.
-				delete(h.acked, page)
 				delete(h.degraded, page)
-			} else {
-				h.acked[page] = rest
 			}
 		}
 		if holders, ok := h.hot[page]; ok {

@@ -21,7 +21,7 @@ import (
 // launched at once instead of queued (StartRead, ReadPage, WritePage). The
 // engine coalesces duplicate pending reads (a second read of a queued or
 // in-flight page rides the same wire request, unless a write to the page has
-// completed in between — see closeReads), serves reads of not-yet-flushed
+// completed in between — see finishWrite), serves reads of not-yet-flushed
 // writes from the dirty buffer (read-your-writes), and fails reads over
 // across replicas under the retry policy (retryRead).
 //
@@ -31,9 +31,9 @@ import (
 // released for the wait. Read and write frames alike are left in flight: a
 // read window shares its round trip with the demand read started ahead of it
 // and with the frames of other agents, and a writeback costs its sender a
-// frame, not a wait — the pendingWrite keeps the image, in h.dirty, until
-// every replica has answered. Two rules bound what is in the air and collect
-// it. A link carries at most depthQuanta write frames: the writer that would
+// frame, not a wait — the pendingWrite keeps the image, as its page's dirty
+// write, until every replica has answered. Two rules bound what is in the air
+// and collect it. A link carries at most depthQuanta write frames: the writer that would
 // start one more lands the oldest first (startNext). And landing a flight
 // first lands every older flight of its link (reap): the connection answers
 // in order, so their responses have arrived by then, and that is how acks,
@@ -222,8 +222,8 @@ type pendingWrite struct {
 	data     []byte // the host's own copy of the page image
 	replicas []int  // replica set at enqueue time (placement + hot holders)
 	// [lo,hi) is the hull of the bytes in which data differs from the image the
-	// agents in h.acked[page] hold (the base-image rule, see writeFrame): such
-	// an agent can be sent the hull alone. [0,PageSize) claims nothing.
+	// agents in the page's ack set hold (the base-image rule, see writeFrame):
+	// such an agent can be sent the hull alone. [0,PageSize) claims nothing.
 	lo, hi int
 	// started is set once any replica's sub-operation has been cut into a
 	// frame (begin): the bytes are (about to be) on the wire, so a later write
@@ -241,6 +241,13 @@ type pendingWrite struct {
 	// superseded holds tickets of earlier writes to the same page that this
 	// write replaced before the flush; they complete with its outcome.
 	superseded []*Ticket
+	// The usual write goes to two replicas, in a frame each: own is its ticket
+	// and the arrays back replicas, acked and flights, so that the write is one
+	// allocation.
+	own      Ticket
+	replica0 [2]int
+	acked0   [2]int
+	flight0  [2]*flight
 }
 
 // queueEntry is one slot in a per-agent queue: exactly one of read/write is
@@ -262,10 +269,13 @@ type flight struct {
 	// been applied.
 	reaping bool
 	landed  bool
-	// one backs the batch of a launched single-op frame, req is the frame's
-	// request (a batch's lies in the host's wire): neither is allocated apart.
-	one [1]queueEntry
-	req Request
+	// entries backs a batch of up to DefaultQueueDepth operations, req is the
+	// frame's request (a batch's lies in the host's wire), and done the pending
+	// of a frame whose outcome was known when it started (start): none of them
+	// is allocated apart.
+	entries [DefaultQueueDepth]queueEntry
+	req     Request
+	done    completed
 	// The depth estimator's record of a read frame left in the air (takeOff;
 	// pages is 0 for every other flight): its pages, when it started, the
 	// host's landedPages and waitedBy then, the pages in flight ahead of it
@@ -311,14 +321,16 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	if len(buf) != PageSize {
 		return fail(fmt.Errorf("buffer is %d bytes, want %d", len(buf), PageSize))
 	}
-	if pw, ok := h.dirty[page]; ok {
+	r := h.rec(page)
+	if pw := r.dirty(); pw != nil {
 		// Read-your-writes: the freshest bytes are the queued write's.
 		copy(buf, pw.data)
 		h.stats.DirtyReads++
 		h.stats.Reads++
 		return &Ticket{host: h, done: true}, nil
 	}
-	if pr, ok := h.readsPending[page]; ok {
+	if r != nil && r.read != nil {
+		pr := r.read
 		t := &Ticket{host: h, read: pr, slot: len(pr.bufs)}
 		pr.bufs = append(pr.bufs, buf)
 		pr.tickets = append(pr.tickets, t)
@@ -331,7 +343,7 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	if !ok {
 		return fail(ErrNeverWritten)
 	}
-	target := h.readOrder(page, replicas, nil)
+	target := h.readOrder(page, r, replicas, nil)
 	if target < 0 {
 		return fail(ErrNoReplica)
 	}
@@ -343,7 +355,10 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	if pol.Deadline > 0 && h.now != nil {
 		pr.deadline = h.now().Add(pol.Deadline)
 	}
-	h.readsPending[page] = pr
+	if r == nil {
+		r = h.newRecord(page)
+	}
+	r.read = pr
 	if pol.HedgeReads && h.slow[target] {
 		// The best candidate is hinted slow: duplicate the read onto the
 		// next holder so the slow agent costs one extra frame, not a stall.
@@ -353,7 +368,7 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 		// slow means every acked holder is slow, so the twin is too; racing
 		// two slow agents still beats stalling on one.) First completion
 		// wins; the loser is discarded unissued.
-		if second := h.readOrder(page, replicas, []int{target}); second >= 0 && slices.Contains(h.acked[page], second) {
+		if second := h.readOrder(page, r, replicas, []int{target}); second >= 0 && slices.Contains(r.acks, second) {
 			h.queues[second] = append(h.queues[second], queueEntry{read: pr})
 			pr.inflight++
 			pr.hedged = true
@@ -418,15 +433,15 @@ func (h *Host) writeAsyncLocked(page core.PageID, data []byte, lo, hi int) *Tick
 // back as a pendingWrite too, already the page's dirty entry, for the caller to
 // queue on, or launch at, each of pw.replicas. Callers hold h.mu.
 func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pendingWrite) {
-	t := &Ticket{host: h}
-	prev, queued := h.dirty[page]
-	if _, ok := h.wholeNext[page]; ok || (queued && prev.started) {
+	r := h.rec(page)
+	prev := r.dirty()
+	if _, ok := h.wholeNext[page]; ok || (prev != nil && prev.started) {
 		// The hull is measured from an image no replica is known to hold: the
 		// host cannot vouch for what the replicas have, or an earlier write is
 		// on the wire and may yet miss any of them.
 		lo, hi = 0, PageSize
 	}
-	if queued && !prev.started {
+	if prev != nil && !prev.started {
 		// Supersede in place: the queued sub-operations will carry the new
 		// bytes (last writer wins); the earlier write's ticket completes
 		// with the same flush outcome. Its hull was measured from what the
@@ -437,34 +452,27 @@ func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pe
 		copy(pw.data, data)
 		pw.lo, pw.hi = min(pw.lo, lo), max(pw.hi, hi)
 		pw.superseded = append(pw.superseded, pw.ticket)
-		pw.ticket = t
-		t.write = pw
-		return t, nil
+		pw.ticket = &Ticket{host: h, write: pw}
+		return pw.ticket, nil
 	}
 	slab, off := h.locate(page)
 	replicas, err := h.placement(slab)
 	if err != nil {
-		t.done = true
-		t.err = opError(OpWrite, -1, page, 0, err)
-		return t, nil
+		return &Ticket{host: h, done: true, err: opError(OpWrite, -1, page, 0, err)}, nil
 	}
-	pw := &pendingWrite{
-		page:     page,
-		slab:     slab,
-		off:      off,
-		data:     h.pageBuf(),
-		replicas: slices.Clone(h.writeTargets(page, replicas)),
-		lo:       lo,
-		hi:       hi,
-		lastIdx:  -1,
-		ticket:   t,
-	}
+	pw := &pendingWrite{page: page, slab: slab, off: off, data: h.pageBuf(), lo: lo, hi: hi, lastIdx: -1}
 	copy(pw.data, data)
-	t.write = pw
-	h.dirty[page] = pw
+	pw.replicas = append(pw.replica0[:0], h.writeTargets(page, replicas)...)
+	pw.acked, pw.flights = pw.acked0[:0], pw.flight0[:0]
+	pw.ticket = &pw.own
+	pw.own.host, pw.own.write = h, pw
+	if r == nil {
+		r = h.newRecord(page)
+	}
+	r.write = pw
 	h.queued++
 	h.stats.Writes++
-	return t, pw
+	return pw.ticket, pw
 }
 
 // begin marks pw started, the first time a sub-operation of it is cut into a
@@ -582,7 +590,11 @@ func (h *Host) startNext(idx int) (werr error) {
 	}
 
 	q := h.queues[idx]
-	batch := make([]queueEntry, 0, min(len(q), h.cfg.QueueDepth))
+	f := &flight{idx: idx}
+	batch := f.entries[:0]
+	if n := min(len(q), h.cfg.QueueDepth); n > len(f.entries) {
+		batch = make([]queueEntry, 0, n)
+	}
 	isRead := false
 	consumed := 0
 	for consumed < len(q) {
@@ -615,7 +627,7 @@ func (h *Host) startNext(idx int) (werr error) {
 		return werr
 	}
 
-	f := &flight{idx: idx, batch: batch}
+	f.batch = batch
 	req, err := h.frame(f)
 	if err != nil {
 		note(err)
@@ -628,8 +640,8 @@ func (h *Host) startNext(idx int) (werr error) {
 	more := slices.ContainsFunc(h.queues[idx], func(e queueEntry) bool {
 		return e.write != nil || !e.read.done && !e.read.hedged
 	})
-	f.pend = start(h.transports[idx], req, more)
-	if c, ok := f.pend.(completed); ok {
+	f.pend = start(h.transports[idx], req, more, &f.done)
+	if c, ok := f.pend.(*completed); ok {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
 		return werr
@@ -705,7 +717,7 @@ func (h *Host) fly(f *flight) {
 // pending it does not have yet. Callers hold h.mu.
 func (h *Host) launch(idx int, e queueEntry) *flight {
 	f := &flight{idx: idx, reaping: true}
-	f.batch = append(f.one[:0], e)
+	f.batch = append(f.entries[:0], e)
 	if e.write != nil {
 		h.begin(e.write)
 	}
@@ -713,7 +725,7 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 	h.fly(f)
 	tr := h.transports[idx]
 	h.mu.Unlock()
-	f.pend = start(tr, req, false)
+	f.pend = start(tr, req, false, &f.done)
 	h.mu.Lock()
 	f.reaping = false
 	h.landed.Broadcast()
@@ -899,7 +911,7 @@ func (h *Host) completeRead(pr *pendingRead, idx int, data []byte) {
 		h.stats.HotReads++
 	}
 	if len(pr.tried) > 0 { // only a failover leaves the ack set while it has members
-		if acked := h.acked[pr.page]; len(acked) > 0 && !slices.Contains(acked, idx) {
+		if acked := h.rec(pr.page).acked(); len(acked) > 0 && !slices.Contains(acked, idx) {
 			h.distrust(pr.page) // every acked holder failed: these bytes may be an older image
 		}
 	}
@@ -920,22 +932,18 @@ func (h *Host) distrust(page core.PageID) {
 	h.wholeNext[page] = struct{}{}
 }
 
-// retireRead marks pr complete and closes it to coalescing. Callers hold
-// h.mu.
+// retireRead marks pr complete and closes it to coalescing, and lets go of a
+// record left holding nothing. Callers hold h.mu.
 func (h *Host) retireRead(pr *pendingRead) {
 	pr.done = true
-	if h.readsPending[pr.page] == pr { // else a write finished since, see closeReads
-		delete(h.readsPending, pr.page)
+	r := h.rec(pr.page)
+	if r.read != pr { // a write finished since, see finishWrite
+		return
 	}
-}
-
-// closeReads closes the reads of page still pending to coalescing, at the
-// moment a write to it completes: such a read may have left for its agent
-// ahead of the write, and a read issued from now on must not share its
-// (older) bytes. The pending read itself completes as before. Callers hold
-// h.mu.
-func (h *Host) closeReads(page core.PageID) {
-	delete(h.readsPending, page)
+	r.read = nil
+	if r.write == nil && r.gen == 0 {
+		h.records.Delete(pr.page)
+	}
 }
 
 // retryRead handles a failed read attempt: under the retry policy it either
@@ -975,7 +983,7 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 		return
 	}
 	replicas := h.placements[pr.slab]
-	next := h.readOrder(pr.page, replicas, pr.tried)
+	next := h.readOrder(pr.page, h.rec(pr.page), replicas, pr.tried)
 	if next >= 0 {
 		if d := pol.backoffFor(pr.page, pr.attempts); d > 0 && h.onBackoff != nil {
 			h.onBackoff(next, d)
@@ -990,7 +998,7 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 
 // writeFrame builds the request for f's write batch. The base-image rule
 // decides, entry by entry, what agent f.idx is sent: the hull alone when it is
-// shorter than a page and the agent is in h.acked[page] — it holds the image
+// shorter than a page and the agent is in the page's ack set — it holds the image
 // the hull was measured from, because it acknowledged the page's last write (or
 // was certified a copy of it) and no write of the page has started since — and
 // the whole image otherwise, out of the same buffer. A frame with a range in
@@ -1005,7 +1013,7 @@ func (h *Host) writeFrame(f *flight) (req *Request, err error) {
 	for i, e := range batch {
 		pw := e.write
 		lo, hi := 0, PageSize
-		if !h.cfg.Compress && pw.hi-pw.lo < PageSize && slices.Contains(h.acked[pw.page], idx) {
+		if !h.cfg.Compress && pw.hi-pw.lo < PageSize && slices.Contains(h.rec(pw.page).acked(), idx) {
 			lo, hi = pw.lo, pw.hi
 			ranged++
 		}
@@ -1094,15 +1102,19 @@ func (h *Host) landWrites(f *flight, resp *Response, err error) error {
 }
 
 // finishWrite finalizes a fully-resolved pending write, queued or launched:
-// it is where a write's ack and degraded bookkeeping is kept. Callers hold
-// h.mu. It returns the write's error, if the write failed on every replica.
+// it is where a write's ack and degraded bookkeeping is kept. It also closes
+// the page's pending read to coalescing: that read may have left for its agent
+// ahead of the write, and a read issued from now on must not share its (older)
+// bytes; the read itself completes as before. Callers hold h.mu. It returns the
+// write's error, if the write failed on every replica.
 func (h *Host) finishWrite(pw *pendingWrite) error {
-	if h.dirty[pw.page] == pw { // else a newer write queued behind this one
-		delete(h.dirty, pw.page)
+	r := h.rec(pw.page)
+	if r.write == pw { // else a newer write queued behind this one
+		r.write = nil
 	}
 	h.unacked--
-	h.writeGen[pw.page]++
-	h.closeReads(pw.page)
+	r.gen++
+	r.read = nil
 	var err error
 	if len(pw.acked) == 0 {
 		err = opError(OpWrite, pw.lastIdx, pw.page, len(pw.replicas),
@@ -1110,7 +1122,7 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 		h.distrust(pw.page) // a replica whose answer was lost may hold either image
 	} else {
 		delete(h.wholeNext, pw.page)
-		h.acked[pw.page] = pw.acked
+		r.acks = append(r.acks[:0], pw.acked...)
 		if len(pw.acked) < h.cfg.Replicas {
 			h.degraded[pw.page] = true
 		} else {

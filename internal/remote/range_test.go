@@ -583,7 +583,7 @@ func (m *rangeModel) readThrough(idx int) (core.PageID, bool) {
 	defer m.h.mu.Unlock()
 	for page := core.PageID(0); page < modelPages; page++ {
 		slab, _ := m.h.locate(page)
-		if _, writing := m.h.dirty[page]; !writing && m.h.readOrder(page, m.h.placements[slab], nil) == idx {
+		if r := m.h.rec(page); r.dirty() == nil && m.h.readOrder(page, r, m.h.placements[slab], nil) == idx {
 			return page, true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"leap/internal/core"
+	"leap/internal/pagemap"
 )
 
 // legacyReadCandidates is the attempt list as it was built, on every read,
@@ -19,7 +20,7 @@ func legacyReadCandidates(h *Host, page core.PageID, replicas []int) []int {
 			}
 		}
 	}
-	acked := h.acked[page]
+	acked := h.rec(page).acked()
 	order := make([]int, 0, len(cands))
 	appendGroup := func(wantAcked, wantSlow bool) {
 		for _, idx := range cands {
@@ -42,9 +43,9 @@ func legacyReadCandidates(h *Host, page core.PageID, replicas []int) []int {
 
 // orderHost is a host with just the state the read order consults.
 func orderHost(page core.PageID, acked, hot, slow []int) *Host {
-	h := &Host{acked: map[core.PageID][]int{}, hot: map[core.PageID][]int{}}
+	h := &Host{records: pagemap.New[*record](0), hot: map[core.PageID][]int{}}
 	if acked != nil {
-		h.acked[page] = acked
+		h.newRecord(page).acks = acked
 	}
 	if hot != nil {
 		h.hot[page] = hot
@@ -105,7 +106,7 @@ func TestReadOrderWalksTheCandidateList(t *testing.T) {
 					break
 				}
 			}
-			if got := h.readOrder(page, replicas, tried); got != want {
+			if got := h.readOrder(page, h.rec(page), replicas, tried); got != want {
 				t.Fatalf("replicas %v acked %v hot %v slow %v tried %v: readOrder = %d, want %d",
 					replicas, acked, hot, slow, tried, got, want)
 			}
@@ -114,7 +115,7 @@ func TestReadOrderWalksTheCandidateList(t *testing.T) {
 
 	h := orderHost(page, []int{0, 3}, []int{3}, []int{0})
 	replicas, tried := []int{0, 1}, []int{3}
-	if allocs := testing.AllocsPerRun(100, func() { h.readOrder(page, replicas, tried) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { h.readOrder(page, h.rec(page), replicas, tried) }); allocs != 0 {
 		t.Errorf("readOrder allocates %.0f times a call, want 0", allocs)
 	}
 }

@@ -44,7 +44,7 @@ func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 	}
 	// One slab: every read has the same primary, whose connection carries them.
 	h.mu.Lock()
-	primary := h.readOrder(0, h.placements[0], nil)
+	primary := h.readOrder(0, h.rec(0), h.placements[0], nil)
 	h.mu.Unlock()
 	link := trs[primary].(*TCP)
 

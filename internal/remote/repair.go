@@ -63,22 +63,20 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 		}
 	}
 	h.dropAgentFromHotLocked(idx)
-	for page, acked := range h.acked {
-		if !slices.Contains(acked, idx) {
-			continue
+	h.records.Range(func(page core.PageID, r *record) bool {
+		if !slices.Contains(r.acks, idx) {
+			return true
 		}
-		rest := slices.DeleteFunc(slices.Clone(acked), func(r int) bool { return r == idx })
-		if len(rest) == 0 {
+		r.acks = slices.DeleteFunc(r.acks, func(a int) bool { return a == idx })
+		if len(r.acks) == 0 {
 			// The last acknowledged copy is gone: the write is lost, and
 			// there is nothing left for repushDegraded to propagate — drop
 			// the degraded flag too, or the page wedges every future
 			// repair barrier with un-actionable work.
-			delete(h.acked, page)
 			delete(h.degraded, page)
-		} else {
-			h.acked[page] = rest
 		}
-	}
+		return true
+	})
 	h.slabLoad[idx] = 0
 	return dropped, nil
 }
@@ -87,7 +85,7 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 // degraded flags and write generations a control-plane pass is about to read
 // or rewrite are not about to change under it by a landing of the caller's own
 // earlier writes. (Another goroutine's writes may still start while the pass
-// copies with h.mu released: that is what writeGen is snapshotted for.) A
+// copies with h.mu released: that is what a record's gen is snapshotted for.) A
 // failure landed here is the next doorbell's to report. Callers hold h.mu,
 // which is released for the waits.
 func (h *Host) settleWrites() {
@@ -229,16 +227,17 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 	for off := uint32(0); off < uint32(h.cfg.SlabPages); off++ {
 		page := core.PageID(int64(slab)*int64(h.cfg.SlabPages) + int64(off))
 		h.mu.Lock()
+		r := h.rec(page)
 		srcIdx := sources[0]
 		srcAcked := false
 		for _, s := range sources {
-			if slices.Contains(h.acked[page], s) {
+			if slices.Contains(r.acked(), s) {
 				srcIdx = s
 				srcAcked = true
 				break
 			}
 		}
-		gen := h.writeGen[page]
+		gen := r.generation()
 		src := h.transports[srcIdx]
 		h.mu.Unlock()
 
@@ -262,8 +261,8 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 			// read (the copy would be stale); the target still holds usable
 			// bytes, it just stays out of the ack set like any replica that
 			// missed a write.
-			if acked, ok := h.acked[page]; ok && h.writeGen[page] == gen && !slices.Contains(acked, target) {
-				h.acked[page] = append(acked, target)
+			if r = h.rec(page); len(r.acked()) > 0 && r.gen == gen && !slices.Contains(r.acks, target) {
+				r.acks = append(r.acks, target)
 			}
 			h.mu.Unlock()
 		}
@@ -297,8 +296,8 @@ func (h *Host) repushDegraded() error {
 	for _, page := range pages {
 		slab, off := h.locate(page)
 		h.mu.Lock()
-		gen := h.writeGen[page]
-		acked := h.acked[page]
+		r := h.rec(page)
+		gen, acked := r.generation(), r.acked()
 		var src Transport
 		for _, idx := range acked {
 			if !h.failed[idx] && slices.Contains(h.placements[slab], idx) {
@@ -323,22 +322,22 @@ func (h *Host) repushDegraded() error {
 			payload = rd.Payload
 		}
 		h.mu.Lock()
-		if _, writing := h.dirty[page]; !writing && h.writeGen[page] == gen {
+		if r = h.rec(page); r.dirty() == nil && r.generation() == gen {
 			for _, idx := range h.placements[slab] {
-				if payload == nil || len(h.acked[page]) == 0 {
+				if payload == nil || len(r.acked()) == 0 {
 					break // nothing to push, or its source was purged meanwhile
 				}
-				if h.failed[idx] || slices.Contains(h.acked[page], idx) {
+				if h.failed[idx] || slices.Contains(r.acks, idx) {
 					continue
 				}
 				wr, err := h.transports[idx].Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: payload})
 				if err == nil && wr.Status == StatusOK {
-					h.acked[page] = append(h.acked[page], idx)
+					r.acks = append(r.acks, idx)
 				} // else target unreachable; page stays degraded
 			}
 			// With no source or nothing to push, slab-level repair may already
 			// have restored full coverage (every live replica acked).
-			if len(h.acked[page]) >= h.cfg.Replicas {
+			if len(r.acked()) >= h.cfg.Replicas {
 				delete(h.degraded, page)
 			}
 		}

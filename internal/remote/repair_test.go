@@ -31,7 +31,7 @@ func (f *flaky) Call(req *Request) (*Response, error) {
 
 func (f *flaky) Close() error { return f.inner.Close() }
 
-func buildCluster(t *testing.T, n, slabPages int, seed uint64) (*Host, []*InProc) {
+func buildCluster(t testing.TB, n, slabPages int, seed uint64) (*Host, []*InProc) {
 	t.Helper()
 	inprocs := make([]*InProc, n)
 	trs := make([]Transport, n)

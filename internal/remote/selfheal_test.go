@@ -81,7 +81,7 @@ func checkFresh(t *testing.T, h *Host, pages int, want func(p core.PageID) []byt
 		}
 		slab, off := h.locate(p)
 		h.mu.Lock()
-		acked := append([]int(nil), h.acked[p]...)
+		acked := append([]int(nil), h.rec(p).acked()...)
 		trs := make([]Transport, len(acked))
 		for i, idx := range acked {
 			trs[i] = h.transports[idx]

@@ -59,10 +59,10 @@ type TrainStarter interface {
 // start begins req on tr; more says that the caller's next frame for tr
 // follows at once. A split-phase transport returns with the request
 // outstanding; any other transport runs the whole round trip right here and
-// yields a completed pending, so code written against start executes a
-// Call-only transport's calls in exactly the order it would have made them
-// with Call.
-func start(tr Transport, req *Request, more bool) Pending {
+// yields the completed pending c, filled in, so code written against start
+// executes a Call-only transport's calls in exactly the order it would have
+// made them with Call. A start that fails outright yields c too.
+func start(tr Transport, req *Request, more bool, c *completed) Pending {
 	var p Pending
 	var err error
 	switch s := tr.(type) {
@@ -71,11 +71,12 @@ func start(tr Transport, req *Request, more bool) Pending {
 	case Starter:
 		p, err = s.Start(req)
 	default:
-		resp, err := tr.Call(req)
-		return completed{resp, err}
+		c.resp, c.err = tr.Call(req)
+		return c
 	}
 	if err != nil {
-		return completed{err: err}
+		c.err = err
+		return c
 	}
 	return p
 }
@@ -329,8 +330,11 @@ func (t *TCP) send(frames []byte) error {
 				sent, progress = sent+n, now
 			}
 		}
-		var nerr net.Error
-		stalled := errors.As(err, &nerr) && nerr.Timeout() && now.Sub(progress) <= t.timeout
+		stalled := false
+		if err != nil { // the check's error variable escapes: allocate it only here
+			var nerr net.Error
+			stalled = errors.As(err, &nerr) && nerr.Timeout() && now.Sub(progress) <= t.timeout
+		}
 		t.mu.Lock()
 		// The frames that are out are owed responses like any other; one that
 		// is not must not be waited for from here.

@@ -9,8 +9,10 @@
 #     is a complete experiment, so 1x is already meaningful and keeps the
 #     suite fast);
 #   - the per-layer benchmarks that live in their layer's package
-#     (internal/remote: one TCP round trip, eight pipelined, and read frames
-#     1, 2 and 4 to a socket write; internal/runtime: a scan over a link that
+#     (internal/pagemap: Get and Put+Delete at 16 k keys under churn;
+#     internal/remote: one TCP round trip, eight pipelined, read frames 1, 2
+#     and 4 to a socket write, and a store scan's host side over in-process
+#     agents, read + 64 B store + range writeback; internal/runtime: a scan over a link that
 #     answers 0, 50 us, 200 us and 1 ms late, with the pages the host keeps in
 #     flight at each, a store scan over two such links, 64 B and 4 KB stores,
 #     with the wire bytes a page costs, the two scans side by side on two
@@ -35,7 +37,11 @@ go test -run '^$' -benchmem -count 1 -benchtime 1x \
   . | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
-  -bench 'BenchmarkTCP' \
+  -bench 'BenchmarkMap' \
+  ./internal/pagemap | tee -a "$TMP"
+
+go test -run '^$' -benchmem -count 1 -benchtime 2s \
+  -bench 'BenchmarkTCP|BenchmarkHostRangeWriteback' \
   ./internal/remote | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 3 -benchtime 2s \
