@@ -34,7 +34,8 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figures to run: comma-separated subset of 1,2,3,4,table1,7,8a,8b,9,10,11,12,13,resilience,scaling,elastic,runtime,selfheal,ztier,ensemble,ablations, or all (see -list)")
+	known := experiments.Figures()
+	fig := flag.String("fig", "all", "figures to run: comma-separated subset of "+strings.Join(known, ",")+", or all (see -list)")
 	scaleName := flag.String("scale", "full", "run scale: full or small")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max figures running concurrently (1 = sequential)")
@@ -57,7 +58,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	known := experiments.Figures()
 	var names []string
 	if strings.EqualFold(*fig, "all") {
 		names = known

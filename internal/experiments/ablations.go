@@ -59,7 +59,7 @@ func powerGraphLeapRun(label string, cc core.Config, shared bool, policy pagecac
 	prof := workload.PowerGraphProfile()
 	lp := prefetch.NewLeap(cc)
 	lp.Shared = shared
-	cfg := DVMMLeapConfig(seed)
+	cfg := vmm.SystemDVMMLeap.Config(seed)
 	cfg.Prefetcher = lp
 	cfg.CachePolicy = policy
 	_, res := mustRun(cfg, []vmm.App{appAt(prof, 1, 0.5, seed)}, s)
@@ -116,7 +116,7 @@ func AblationIsolation(s Scale, seed uint64) AblationResult {
 	run := func(label string, shared bool) AblationRow {
 		lp := prefetch.NewLeap(core.Config{})
 		lp.Shared = shared
-		cfg := DVMMLeapConfig(seed)
+		cfg := vmm.SystemDVMMLeap.Config(seed)
 		cfg.Prefetcher = lp
 		apps := []vmm.App{
 			microApp(workload.NewSequential(1<<20, seed), 1),
@@ -212,7 +212,7 @@ func AblationThrottling(s Scale, seed uint64) ThrottlingResult {
 		if err != nil {
 			panic(err)
 		}
-		cfg := DVMMLeapConfig(seed)
+		cfg := vmm.SystemDVMMLeap.Config(seed)
 		cfg.Prefetcher = pf
 		m, res := mustRun(cfg, []vmm.App{appAt(prof, 1, 0.5, seed)}, s)
 		row := ThrottlingRow{

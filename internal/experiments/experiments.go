@@ -12,12 +12,6 @@
 package experiments
 
 import (
-	"leap/internal/core"
-	"leap/internal/datapath"
-	"leap/internal/pagecache"
-	"leap/internal/prefetch"
-	"leap/internal/sim"
-	"leap/internal/storage"
 	"leap/internal/vfs"
 	"leap/internal/vmm"
 	"leap/internal/workload"
@@ -36,76 +30,15 @@ var (
 	Small = Scale{Warmup: 3000, Measured: 15000}
 )
 
-// cachePages leaves the prefetch cache unbounded in the presets: the cgroup
-// charge coupling in internal/vmm is what constrains it, so cache space
-// competes with the application's resident set and pollution has a real
-// cost — aggressive prefetchers churn their own unconsumed pages under
-// pressure (Figure 9a's Next-N-Line miss count). Figure 12 overrides this
-// with its explicit size grid.
-const cachePages = 0
-
-// DiskConfig is local HDD swap on the stock path: legacy block layer,
-// read-ahead, lazy reclaim.
-func DiskConfig(seed uint64) vmm.Config {
-	pf, _ := prefetch.New("readahead")
-	return vmm.Config{
-		Path:          datapath.Config{Kind: datapath.Legacy},
-		CachePolicy:   pagecache.EvictLazy,
-		CacheCapacity: cachePages,
-		Prefetcher:    pf,
-		Device:        storage.NewHDD(sim.NewRNG(seed ^ 0xd15c)),
-		Seed:          seed,
-	}
-}
-
-// SSDConfig is local SSD swap on the stock path.
-func SSDConfig(seed uint64) vmm.Config {
-	cfg := DiskConfig(seed)
-	cfg.Device = storage.NewSSD(sim.NewRNG(seed ^ 0x55d))
-	return cfg
-}
-
-// DVMMConfig is Infiniswap-style remote paging on the default data path.
-func DVMMConfig(seed uint64) vmm.Config {
-	pf, _ := prefetch.New("readahead")
-	return vmm.Config{
-		Path:          datapath.Config{Kind: datapath.Legacy},
-		CachePolicy:   pagecache.EvictLazy,
-		CacheCapacity: cachePages,
-		Prefetcher:    pf,
-		Seed:          seed,
-	}
-}
-
-// DVMMLeapConfig is remote paging with the full Leap stack: lean path,
-// majority-trend prefetcher, eager eviction.
-func DVMMLeapConfig(seed uint64) vmm.Config {
-	return vmm.Config{
-		Path:          datapath.Config{Kind: datapath.Lean},
-		CachePolicy:   pagecache.EvictEager,
-		CacheCapacity: cachePages,
-		Prefetcher:    prefetch.NewLeap(core.Config{}),
-		Seed:          seed,
-	}
-}
-
-// DVFSConfig is Remote-Regions-style file access on the default path.
-func DVFSConfig(seed uint64) vfs.Config {
-	pf, _ := prefetch.New("readahead")
+// vfsConfig is the file abstraction (D-VFS) on system's stack: the same
+// data path, cache policy and prefetcher, over remote memory.
+func vfsConfig(system vmm.System, seed uint64) vfs.Config {
+	c := system.Config(seed)
 	return vfs.Config{
-		Path:        datapath.Config{Kind: datapath.Legacy},
-		CachePolicy: pagecache.EvictLazy,
-		Prefetcher:  pf,
-		Seed:        seed,
-	}
-}
-
-// DVFSLeapConfig is the file abstraction with the Leap stack.
-func DVFSLeapConfig(seed uint64) vfs.Config {
-	return vfs.Config{
-		Path:        datapath.Config{Kind: datapath.Lean},
-		CachePolicy: pagecache.EvictEager,
-		Prefetcher:  prefetch.NewLeap(core.Config{}),
+		Path:        c.Path,
+		CachePolicy: c.CachePolicy,
+		Prefetcher:  c.Prefetcher,
+		Device:      c.Device,
 		Seed:        seed,
 	}
 }

@@ -251,9 +251,9 @@ func TestFig11Shapes(t *testing.T) {
 	for _, app := range apps {
 		// At 100% memory nothing pages: all systems equivalent (within
 		// noise) and faster than their 50% runs.
-		for _, system := range SystemNames {
-			c100, _ := r.Cell(app, system, 1.0)
-			c50, _ := r.Cell(app, system, 0.5)
+		for _, system := range Systems {
+			c100, _ := r.Cell(app, system.String(), 1.0)
+			c50, _ := r.Cell(app, system.String(), 0.5)
 			if c100.Completion > c50.Completion {
 				t.Errorf("%s/%s: 100%% slower than 50%% (%v vs %v)",
 					app, system, c100.Completion, c50.Completion)

@@ -31,13 +31,13 @@ type Fig1Result struct {
 // sampling each device model.
 func Fig1(s Scale, seed uint64) Fig1Result {
 	// Legacy path over remote memory, no prefetching: pure miss traffic.
-	cfg := DVMMConfig(seed)
+	cfg := vmm.SystemDVMM.Config(seed)
 	cfg.Prefetcher = nil
 	m, legacy := mustRun(cfg, []vmm.App{
 		microApp(workload.NewStride(1<<20, 10, seed), 1),
 	}, s)
 
-	leanCfg := DVMMLeapConfig(seed)
+	leanCfg := vmm.SystemDVMMLeap.Config(seed)
 	leanCfg.Prefetcher = nil
 	leanCfg.CachePolicy = 0
 	_, lean := mustRun(leanCfg, []vmm.App{

@@ -12,8 +12,8 @@ import (
 // MemFractions is the Figure 11 memory-limit grid.
 var MemFractions = []float64{1.0, 0.5, 0.25}
 
-// SystemNames is the Figure 11 medium set.
-var SystemNames = []string{"disk", "d-vmm", "d-vmm+leap"}
+// Systems is the Figure 11 medium set.
+var Systems = []vmm.System{vmm.SystemDisk, vmm.SystemDVMM, vmm.SystemDVMMLeap}
 
 // Fig11Cell is one (app, system, fraction) outcome.
 type Fig11Cell struct {
@@ -40,29 +40,16 @@ func (r Fig11Result) Cell(app, system string, frac float64) (Fig11Cell, bool) {
 	return c, ok
 }
 
-func systemConfig(system string, seed uint64) vmm.Config {
-	switch system {
-	case "disk":
-		return DiskConfig(seed)
-	case "d-vmm":
-		return DVMMConfig(seed)
-	case "d-vmm+leap":
-		return DVMMLeapConfig(seed)
-	default:
-		panic("experiments: unknown system " + system)
-	}
-}
-
 // Fig11 runs the full grid: 4 apps × 3 systems × 3 memory limits.
 func Fig11(s Scale, seed uint64) Fig11Result {
 	out := Fig11Result{Cells: map[string]Fig11Cell{}}
 	for ai, prof := range workload.Profiles() {
-		for _, system := range SystemNames {
+		for _, system := range Systems {
 			for _, frac := range MemFractions {
 				runSeed := seed + uint64(ai)*97
-				cfg := systemConfig(system, runSeed)
+				cfg := system.Config(runSeed)
 				_, res := mustRun(cfg, []vmm.App{appAt(prof, 1, frac, runSeed)}, s)
-				out.Cells[fig11Key(prof.AppName, system, frac)] = Fig11Cell{
+				out.Cells[fig11Key(prof.AppName, system.String(), frac)] = Fig11Cell{
 					Completion: res.Makespan,
 					OpsPerSec:  res.PerProc[0].OpsPerSec,
 					P99:        res.Latency.P99,
@@ -90,10 +77,10 @@ func (r Fig11Result) String() string {
 			fmt.Fprintf(&b, " %14.0f%%", f*100)
 		}
 		b.WriteByte('\n')
-		for _, system := range SystemNames {
+		for _, system := range Systems {
 			fmt.Fprintf(&b, "    %-12s", system)
 			for _, f := range MemFractions {
-				c := r.Cells[fig11Key(app, system, f)]
+				c := r.Cells[fig11Key(app, system.String(), f)]
 				if throughput {
 					fmt.Fprintf(&b, " %15.0f", c.OpsPerSec)
 				} else {

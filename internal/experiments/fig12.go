@@ -47,7 +47,7 @@ func Fig12(s Scale, seed uint64) Fig12Result {
 	for ai, prof := range workload.Profiles() {
 		for _, size := range CacheSizes {
 			runSeed := seed + uint64(ai)*131
-			cfg := DVMMLeapConfig(runSeed)
+			cfg := vmm.SystemDVMMLeap.Config(runSeed)
 			cfg.CacheCapacity = size.Pages
 			_, res := mustRun(cfg, []vmm.App{appAt(prof, 1, 0.5, runSeed)}, s)
 			out.Cells[prof.AppName+"/"+size.Name] = Fig12Cell{

@@ -41,8 +41,8 @@ func Fig13(s Scale, seed uint64) Fig13Result {
 		}
 		return out
 	}
-	_, def := mustRun(DVMMConfig(seed), apps(seed), s)
-	_, leap := mustRun(DVMMLeapConfig(seed), apps(seed), s)
+	_, def := mustRun(vmm.SystemDVMM.Config(seed), apps(seed), s)
+	_, leap := mustRun(vmm.SystemDVMMLeap.Config(seed), apps(seed), s)
 
 	var out Fig13Result
 	for i, prof := range workload.Profiles() {

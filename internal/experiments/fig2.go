@@ -51,14 +51,6 @@ func Fig2(s Scale, seed uint64) Fig2Result {
 		Hists:      map[string]*metrics.Histogram{},
 	}
 
-	type mk struct {
-		name string
-		cfg  func(uint64) vmm.Config
-	}
-	mediums := []mk{
-		{"disk", DiskConfig},
-		{"d-vmm", DVMMConfig},
-	}
 	patterns := []struct {
 		name   string
 		stride int64
@@ -67,24 +59,24 @@ func Fig2(s Scale, seed uint64) Fig2Result {
 		{"stride-10", 10},
 	}
 
-	for _, med := range mediums {
+	for _, med := range []vmm.System{vmm.SystemDisk, vmm.SystemDVMM} {
 		for _, pat := range patterns {
 			gen := workload.NewStride(1<<20, pat.stride, seed)
-			m, res := mustRun(med.cfg(seed), []vmm.App{microApp(gen, 1)}, s)
-			key := pat.name + "/" + med.name
+			m, res := mustRun(med.Config(seed), []vmm.App{microApp(gen, 1)}, s)
+			key := pat.name + "/" + med.String()
 			h := m.ProcLatency(1)
 			r.Hists[key] = h
 			if pat.name == "sequential" {
-				r.Sequential[med.name] = res.Latency
+				r.Sequential[med.String()] = res.Latency
 			} else {
-				r.Stride[med.name] = res.Latency
+				r.Stride[med.String()] = res.Latency
 			}
 		}
 	}
 
 	// D-VFS series.
 	for _, pat := range patterns {
-		f := runVFSPattern(DVFSConfig(seed), pat.stride, s)
+		f := runVFSPattern(vfsConfig(vmm.SystemDVMM, seed), pat.stride, s)
 		key := pat.name + "/d-vfs"
 		r.Hists[key] = &f.ReadLatency
 		if pat.name == "sequential" {

@@ -31,7 +31,7 @@ type Fig3Result struct {
 func Fig3(s Scale, seed uint64) Fig3Result {
 	var out Fig3Result
 	for i, prof := range workload.Profiles() {
-		cfg := DVMMConfig(seed + uint64(i))
+		cfg := vmm.SystemDVMM.Config(seed + uint64(i))
 		cfg.CaptureFaults = true
 		m, _ := mustRun(cfg, []vmm.App{appAt(prof, 1, 0.5, seed+uint64(i))}, s)
 		faults := m.FaultTrace(1)

@@ -31,12 +31,12 @@ func Fig4(s Scale, seed uint64) Fig4Result {
 	// The lazy scan period is compressed so the simulated run (hundreds of
 	// virtual milliseconds) spans many kswapd passes; the paper's absolute
 	// waits (seconds, Fig. 4's x-axis) scale with the real scan cadence.
-	lazyCfg := DVMMConfig(seed)
+	lazyCfg := vmm.SystemDVMM.Config(seed)
 	lazyCfg.CachePolicy = pagecache.EvictLazy
 	lazyCfg.CacheScanInterval = 20 * sim.Millisecond
 	mLazy, _ := mustRun(lazyCfg, []vmm.App{appAt(prof, 1, 0.5, seed)}, s)
 
-	eagerCfg := DVMMConfig(seed)
+	eagerCfg := vmm.SystemDVMM.Config(seed)
 	eagerCfg.CachePolicy = pagecache.EvictEager
 	mEager, _ := mustRun(eagerCfg, []vmm.App{appAt(prof, 1, 0.5, seed)}, s)
 

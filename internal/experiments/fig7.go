@@ -50,17 +50,17 @@ func Fig7(s Scale, seed uint64) Fig7Result {
 
 	for _, pat := range patterns {
 		// D-VMM.
-		mDef, resDef := mustRun(DVMMConfig(seed),
+		mDef, resDef := mustRun(vmm.SystemDVMM.Config(seed),
 			[]vmm.App{microApp(workload.NewStride(1<<20, pat.stride, seed), 1)}, s)
-		mLeap, resLeap := mustRun(DVMMLeapConfig(seed),
+		mLeap, resLeap := mustRun(vmm.SystemDVMMLeap.Config(seed),
 			[]vmm.App{microApp(workload.NewStride(1<<20, pat.stride, seed), 1)}, s)
 		r.Cells["d-vmm/"+pat.name] = Fig7Cell{Default: resDef.Latency, Leap: resLeap.Latency}
 		r.Hists["d-vmm/"+pat.name+"/default"] = mDef.ProcLatency(1)
 		r.Hists["d-vmm/"+pat.name+"/leap"] = mLeap.ProcLatency(1)
 
 		// D-VFS.
-		fDef := runVFSPattern(DVFSConfig(seed), pat.stride, s)
-		fLeap := runVFSPattern(DVFSLeapConfig(seed), pat.stride, s)
+		fDef := runVFSPattern(vfsConfig(vmm.SystemDVMM, seed), pat.stride, s)
+		fLeap := runVFSPattern(vfsConfig(vmm.SystemDVMMLeap, seed), pat.stride, s)
 		r.Cells["d-vfs/"+pat.name] = Fig7Cell{
 			Default: fDef.ReadLatency.Summarize(),
 			Leap:    fLeap.ReadLatency.Summarize(),

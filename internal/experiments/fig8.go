@@ -32,16 +32,16 @@ func Fig8a(s Scale, seed uint64) Fig8aResult {
 	prof := workload.PowerGraphProfile()
 	apps := func(sd uint64) []vmm.App { return []vmm.App{appAt(prof, 1, 0.5, sd)} }
 
-	pathOnly := DVMMLeapConfig(seed)
+	pathOnly := vmm.SystemDVMMLeap.Config(seed)
 	pathOnly.Prefetcher = nil
 	pathOnly.CachePolicy = pagecache.EvictLazy
 	m1, r1 := mustRun(pathOnly, apps(seed), s)
 
-	withPf := DVMMLeapConfig(seed)
+	withPf := vmm.SystemDVMMLeap.Config(seed)
 	withPf.CachePolicy = pagecache.EvictLazy
 	m2, r2 := mustRun(withPf, apps(seed), s)
 
-	full := DVMMLeapConfig(seed)
+	full := vmm.SystemDVMMLeap.Config(seed)
 	m3, r3 := mustRun(full, apps(seed), s)
 
 	return Fig8aResult{
@@ -95,8 +95,8 @@ func (r Fig8bResult) Gains() (hdd, ssd float64) {
 // Fig8b swaps only the prefetching algorithm on the stock disk path.
 func Fig8b(s Scale, seed uint64) Fig8bResult {
 	prof := workload.PowerGraphProfile()
-	run := func(base func(uint64) vmm.Config, leapPf bool) sim.Duration {
-		cfg := base(seed)
+	run := func(system vmm.System, leapPf bool) sim.Duration {
+		cfg := system.Config(seed)
 		if leapPf {
 			cfg.Prefetcher = prefetch.NewLeap(core.Config{})
 		}
@@ -104,10 +104,10 @@ func Fig8b(s Scale, seed uint64) Fig8bResult {
 		return res.Makespan
 	}
 	return Fig8bResult{
-		HDDReadAhead: run(DiskConfig, false),
-		HDDLeap:      run(DiskConfig, true),
-		SSDReadAhead: run(SSDConfig, false),
-		SSDLeap:      run(SSDConfig, true),
+		HDDReadAhead: run(vmm.SystemDisk, false),
+		HDDLeap:      run(vmm.SystemDisk, true),
+		SSDReadAhead: run(vmm.SystemSSD, false),
+		SSDLeap:      run(vmm.SystemSSD, true),
 	}
 }
 

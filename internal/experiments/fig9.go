@@ -46,7 +46,7 @@ func Fig9(s Scale, seed uint64) Fig9Result {
 		if err != nil {
 			panic(err)
 		}
-		cfg := DiskConfig(seed)
+		cfg := vmm.SystemDisk.Config(seed)
 		cfg.Prefetcher = pf
 		m, res := mustRun(cfg, []vmm.App{appAt(prof, 1, 0.5, seed)}, s)
 		out.Rows = append(out.Rows, Fig9Row{
@@ -86,19 +86,15 @@ func (r Fig9Result) String() string {
 	return b.String()
 }
 
-// Fig10Result reuses the Figure 9 runs for the prefetcher quality metrics.
+// Fig10Result reuses the Figure 9 runs for the prefetcher quality metrics;
+// only its rendering differs.
 type Fig10Result struct {
-	Rows []Fig9Row
+	Fig9Result
 }
 
 // Fig10 derives accuracy/coverage/timeliness from the same configuration.
 func Fig10(s Scale, seed uint64) Fig10Result {
-	return Fig10Result{Rows: Fig9(s, seed).Rows}
-}
-
-// Row returns the row for a prefetcher name.
-func (r Fig10Result) Row(name string) (Fig9Row, bool) {
-	return Fig9Result{Rows: r.Rows}.Row(name)
+	return Fig10Result{Fig9(s, seed)}
 }
 
 // String renders Figures 10a and 10b.

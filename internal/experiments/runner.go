@@ -24,50 +24,36 @@ type figureRunner struct {
 	run  func(Scale, uint64) string
 }
 
+// show adapts a figure driver to the registry: it renders the driver's
+// result with fmt.Sprint.
+func show[R any](fig func(Scale, uint64) R) func(Scale, uint64) string {
+	return func(s Scale, seed uint64) string { return fmt.Sprint(fig(s, seed)) }
+}
+
 // figureRegistry lists every figure in the paper's presentation order.
 var figureRegistry = []figureRunner{
-	{"1", "data-path latency breakdown: stock block layer vs Leap's lean path",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig1(s, seed)) }},
-	{"2", "4KB read latency CDFs across disaggregated VMM/VFS stacks",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig2(s, seed)) }},
-	{"3", "page-fault pattern mix (sequential/stride/irregular) per application",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig3(s, seed)) }},
-	{"4", "consumed-page wait time under lazy vs eager cache eviction",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig4(s, seed)) }},
+	{"1", "data-path latency breakdown: stock block layer vs Leap's lean path", show(Fig1)},
+	{"2", "4KB read latency CDFs across disaggregated VMM/VFS stacks", show(Fig2)},
+	{"3", "page-fault pattern mix (sequential/stride/irregular) per application", show(Fig3)},
+	{"4", "consumed-page wait time under lazy vs eager cache eviction", show(Fig4)},
 	{"table1", "majority-trend prefetching contrasted with prior prefetcher classes",
 		func(Scale, uint64) string { return RenderTable1() }},
-	{"7", "microbenchmark latency CDFs: default path vs Leap, sequential and stride",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig7(s, seed)) }},
-	{"8a", "prefetcher comparison on the sequential microbenchmark",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig8a(s, seed)) }},
-	{"8b", "prefetcher comparison on the stride-10 microbenchmark",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig8b(s, seed)) }},
-	{"9", "cache adds and prefetch accuracy/coverage per prefetcher and app",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig9(s, seed)) }},
-	{"10", "application 4KB latency CDFs and prefetch timeliness on Leap",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig10(s, seed)) }},
-	{"11", "application completion time and throughput at 100%/50%/25% memory",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig11(s, seed)) }},
-	{"12", "Leap under shrinking prefetch-cache budgets",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig12(s, seed)) }},
-	{"13", "multi-process isolation: per-process predictors vs global stream",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Fig13(s, seed)) }},
-	{"resilience", "chaos harness: scripted faults, failover latency, repair traffic",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Resilience(s, seed)) }},
-	{"scaling", "async ticket engine throughput over agents × queue-depth grid",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Scaling(s, seed)) }},
-	{"elastic", "self-healing control plane: diurnal ramp, static vs detector+autoscaler",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Elastic(s, seed)) }},
-	{"runtime", "end-to-end leap.Memory: prefetchers over a live in-proc remote cluster",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Runtime(s, seed)) }},
-	{"selfheal", "leap.Memory under mid-run agent faults: unsupervised vs WithControlPlane",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Selfheal(s, seed)) }},
-	{"concurrency", "multi-client leap.Memory: modeled throughput over goroutines × clients",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Concurrency(s, seed)) }},
-	{"ztier", "compressed victim tier: hit ratio, hit latency and compression ratio at equal RAM",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Ztier(s, seed)) }},
-	{"ensemble", "online per-client prefetcher selection vs every fixed policy, per application",
-		func(s Scale, seed uint64) string { return fmt.Sprint(Ensemble(s, seed)) }},
+	{"7", "microbenchmark latency CDFs: default path vs Leap, sequential and stride", show(Fig7)},
+	{"8a", "benefit breakdown: Leap's components enabled one at a time on PowerGraph", show(Fig8a)},
+	{"8b", "Leap prefetcher vs read-ahead on slow storage (HDD, SSD)", show(Fig8b)},
+	{"9", "cache adds, cache misses and completion time per prefetcher", show(Fig9)},
+	{"10", "prefetcher accuracy, coverage and timeliness per prefetcher", show(Fig10)},
+	{"11", "application completion time and throughput at 100%/50%/25% memory", show(Fig11)},
+	{"12", "Leap under shrinking prefetch-cache budgets", show(Fig12)},
+	{"13", "multi-process isolation: per-process predictors vs global stream", show(Fig13)},
+	{"resilience", "chaos harness: scripted faults, failover latency, repair traffic", show(Resilience)},
+	{"scaling", "async ticket engine throughput over agents × queue-depth grid", show(Scaling)},
+	{"elastic", "self-healing control plane: diurnal ramp, static vs detector+autoscaler", show(Elastic)},
+	{"runtime", "end-to-end leap.Memory: prefetchers over a live in-proc remote cluster", show(Runtime)},
+	{"selfheal", "leap.Memory under mid-run agent faults: unsupervised vs WithControlPlane", show(Selfheal)},
+	{"concurrency", "multi-client leap.Memory: modeled throughput over goroutines × clients", show(Concurrency)},
+	{"ztier", "compressed victim tier: hit ratio, hit latency and compression ratio at equal RAM", show(Ztier)},
+	{"ensemble", "online per-client prefetcher selection vs every fixed policy, per application", show(Ensemble)},
 	{"ablations", "design-choice sweeps: majority vote, windows, eviction, isolation",
 		func(s Scale, seed uint64) string {
 			parts := []string{

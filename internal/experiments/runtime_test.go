@@ -61,10 +61,10 @@ func TestDescribeGolden(t *testing.T) {
 4           consumed-page wait time under lazy vs eager cache eviction
 table1      majority-trend prefetching contrasted with prior prefetcher classes
 7           microbenchmark latency CDFs: default path vs Leap, sequential and stride
-8a          prefetcher comparison on the sequential microbenchmark
-8b          prefetcher comparison on the stride-10 microbenchmark
-9           cache adds and prefetch accuracy/coverage per prefetcher and app
-10          application 4KB latency CDFs and prefetch timeliness on Leap
+8a          benefit breakdown: Leap's components enabled one at a time on PowerGraph
+8b          Leap prefetcher vs read-ahead on slow storage (HDD, SSD)
+9           cache adds, cache misses and completion time per prefetcher
+10          prefetcher accuracy, coverage and timeliness per prefetcher
 11          application completion time and throughput at 100%/50%/25% memory
 12          Leap under shrinking prefetch-cache budgets
 13          multi-process isolation: per-process predictors vs global stream

@@ -139,9 +139,6 @@ func (h *Histogram) Percentile(p float64) sim.Duration {
 	return h.max
 }
 
-// Median is shorthand for Percentile(50).
-func (h *Histogram) Median() sim.Duration { return h.Percentile(50) }
-
 // Merge adds all samples recorded in o into h.
 func (h *Histogram) Merge(o *Histogram) {
 	if o.total == 0 {

@@ -218,30 +218,6 @@ func TestReservoirSubsamples(t *testing.T) {
 	}
 }
 
-func TestCountersBasics(t *testing.T) {
-	var c Counters
-	c.Inc("hits")
-	c.Add("hits", 4)
-	c.Add("misses", 2)
-	if c.Get("hits") != 5 || c.Get("misses") != 2 || c.Get("absent") != 0 {
-		t.Fatalf("unexpected counters: %s", c.String())
-	}
-	if got := c.String(); got != "hits=5 misses=2" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestCountersMerge(t *testing.T) {
-	var a, b Counters
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(&b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Fatalf("merge wrong: %s", a.String())
-	}
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {

@@ -9,10 +9,12 @@
 // deduplicated (optionally doorbell-batched) issue, and the residency map-in
 // with cgroup-style reclaim and eviction writeback.
 //
-// Both consumers of the fault path run on this engine:
+// All three consumers of the fault path run on this engine:
 //
 //   - internal/vmm, the discrete-event simulator, instantiates Engine[*proc]
 //     — every process shares one engine, exactly as processes share a kernel;
+//   - internal/vfs, the file-access (D-VFS) simulator, instantiates
+//     Engine[struct{}] over an empty residency set: every read is a fault;
 //   - leap.Memory, the byte-addressable runtime over the real remote-memory
 //     substrate, instantiates the engine with itself as owner and moves
 //     actual page images through the hooks.
@@ -162,7 +164,6 @@ type Engine[O any] struct {
 	// tierless fault path.
 	ztier        func(core.PageID) bool
 	ztierLatency sim.Duration
-	cZtierHits   *int64
 
 	// LastFaultZtier reports whether the most recent Fault landed in the
 	// compressed victim tier (EnableZtier): miss stays false — no remote
@@ -179,16 +180,27 @@ type Engine[O any] struct {
 	// Global metrics.
 	FaultLatency metrics.Histogram // all swap-in faults, all owners
 	AllocLatency metrics.Histogram // page-allocation cost paid per miss
-	Counters     metrics.Counters
+	Counters     Counters
+}
 
-	// Pre-resolved counter handles: the fault path increments through these
-	// pointers instead of paying a string-map lookup per event.
-	cCacheHits      *int64
-	cCacheMisses    *int64
-	cInflightHits   *int64
-	cInflightAdds   *int64
-	cPrefetchIssued *int64
-	cSwapouts       *int64
+// Counters counts the fault path's events while recording is on. The engine
+// increments the fault-side fields; the owner increments the ones its
+// residency check decides (Accesses, ResidentHits, Faults, DemandWaits).
+type Counters struct {
+	// Accesses is every access (the runtime counts it; the simulator keeps
+	// per-process counts instead), ResidentHits the accesses the residency
+	// check served and Faults the ones that entered the fault path.
+	// DemandWaits is the runtime's faults that slept on another goroutine's
+	// fault of the same page.
+	Accesses, ResidentHits, Faults, DemandWaits int64
+	// CacheHits, InflightHits, ZtierHits and CacheMisses split the faults by
+	// where Fault found the page: in the page cache, on the wire, sealed in
+	// the compressed tier, or nowhere.
+	CacheHits, InflightHits, ZtierHits, CacheMisses int64
+	// InflightAdds counts in-flight consumptions as prefetch successes,
+	// PrefetchIssued the prefetched pages submitted and Swapouts the
+	// resident pages MapIn evicted.
+	InflightAdds, PrefetchIssued, Swapouts int64
 }
 
 // New builds an engine. The RNG fork order (device first when defaulted,
@@ -224,12 +236,6 @@ func New[O any](cfg Config) *Engine[O] {
 			e.qdepth = cfg.QueueDepth
 		}
 	}
-	e.cCacheHits = e.Counters.Handle("cache_hits")
-	e.cCacheMisses = e.Counters.Handle("cache_misses")
-	e.cInflightHits = e.Counters.Handle("inflight_hits")
-	e.cInflightAdds = e.Counters.Handle("inflight_adds")
-	e.cPrefetchIssued = e.Counters.Handle("prefetch_issued")
-	e.cSwapouts = e.Counters.Handle("swapouts")
 	return e
 }
 
@@ -251,13 +257,10 @@ func (e *Engine[O]) Prefetcher() prefetch.Prefetcher { return e.pf }
 // trip — miss stays false, LastFaultZtier is set, and the caller unseals the
 // bytes itself. Prefetch candidate generation skips sealed pages: a sealed
 // dirty page's only fresh image is local, so fetching its stale remote copy
-// would break read-your-writes. The "ztier_hits" counter is registered here
-// rather than in New so engines without a tier keep their counter set — and
-// their byte-identical recorded output — unchanged.
+// would break read-your-writes.
 func (e *Engine[O]) EnableZtier(contains func(core.PageID) bool, latency sim.Duration) {
 	e.ztier = contains
 	e.ztierLatency = latency
-	e.cZtierHits = e.Counters.Handle("ztier_hits")
 }
 
 // SetRecording toggles metric collection; warmup runs with recording off.
@@ -296,7 +299,7 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 			e.pf.OnPrefetchHit(pid)
 		}
 		if e.recording {
-			*e.cCacheHits++
+			e.Counters.CacheHits++
 		}
 	} else if at, ok := e.inflight.Get(page); ok {
 		// The prefetch is on the wire: pay only the remaining time.
@@ -310,10 +313,10 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 		e.LastFaultSerial = hit
 		e.pf.OnPrefetchHit(pid)
 		if e.recording {
-			*e.cInflightHits++
+			e.Counters.InflightHits++
 			// An in-flight consumption is still a prefetch success for
 			// accuracy accounting (it was added and used).
-			*e.cInflightAdds++
+			e.Counters.InflightAdds++
 		}
 	} else if e.ztier != nil && e.ztier(page) {
 		// Sealed in the compressed victim tier: the page decompresses
@@ -323,7 +326,7 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 		latency = e.path.HitLatency() + e.ztierLatency
 		e.LastFaultSerial = latency
 		if e.recording {
-			*e.cZtierHits++
+			e.Counters.ZtierHits++
 		}
 	} else {
 		// Full miss: data path overhead + device + page allocation.
@@ -337,7 +340,7 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 		latency = b.Total() + done.Sub(submit) + alloc
 		e.LastFaultSerial = b.Total() + alloc
 		if e.recording {
-			*e.cCacheMisses++
+			e.Counters.CacheMisses++
 			e.AllocLatency.Observe(alloc)
 		}
 	}
@@ -467,7 +470,7 @@ func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.Pa
 			e.inflight.Put(c, done)
 			e.inflights.Push(arrival[O]{page: c, at: done, who: o})
 			if e.recording {
-				*e.cPrefetchIssued++
+				e.Counters.PrefetchIssued++
 			}
 		}
 	}
@@ -551,7 +554,7 @@ func (e *Engine[O]) MapIn(o O, res *Resident, cpu int, page core.PageID, now sim
 		}
 		e.freeResEntry(victim)
 		if e.recording {
-			*e.cSwapouts++
+			e.Counters.Swapouts++
 		}
 	}
 }
@@ -572,6 +575,15 @@ func (e *Engine[O]) QueueWriteback(cpu int, page core.PageID, now sim.Time) {
 	} else {
 		e.dev.Write(cpu, now, page, 1)
 	}
+}
+
+// WriteThrough prices a write of page submitted at now: a file write leaves
+// for the device at once and, unlike a swap-out, moves the device head the
+// way a read does.
+func (e *Engine[O]) WriteThrough(cpu int, page core.PageID, now sim.Time) {
+	dist := int64(page - e.lastDevPage)
+	e.lastDevPage = page
+	e.dev.Write(cpu, now, page, dist)
 }
 
 // FlushWriteback drains the eviction backlog as one doorbell. It is a no-op

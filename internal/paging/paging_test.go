@@ -74,7 +74,7 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	}
 	e.OnAccess(0, r, 0, 0, 1, miss, 0, HintNone, 0)
 	e.MapIn(0, r, 0, 1, 0)
-	if got := e.Counters.Get("prefetch_issued"); got != 3 {
+	if got := e.Counters.PrefetchIssued; got != 3 {
 		t.Fatalf("prefetch_issued = %d, want 3", got)
 	}
 
@@ -86,8 +86,8 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	if lat2 <= 0 {
 		t.Fatal("in-flight hit paid no wait")
 	}
-	if e.Counters.Get("inflight_hits") != 1 || pf.hits != 1 {
-		t.Fatalf("inflight_hits=%d pf hits=%d", e.Counters.Get("inflight_hits"), pf.hits)
+	if e.Counters.InflightHits != 1 || pf.hits != 1 {
+		t.Fatalf("inflight_hits=%d pf hits=%d", e.Counters.InflightHits, pf.hits)
 	}
 	e.OnAccess(0, r, 0, 0, 10, miss2, sim.Time(lat2), HintNone, 0)
 	e.MapIn(0, r, 0, 10, sim.Time(lat2))
@@ -102,8 +102,8 @@ func TestFaultPathsAndCounters(t *testing.T) {
 	if miss3 {
 		t.Fatal("landed prefetch misclassified as miss")
 	}
-	if e.Counters.Get("cache_hits") != 1 {
-		t.Fatalf("cache_hits = %d, want 1", e.Counters.Get("cache_hits"))
+	if e.Counters.CacheHits != 1 {
+		t.Fatalf("cache_hits = %d, want 1", e.Counters.CacheHits)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestOnIssueDedupes(t *testing.T) {
 		}
 		e.MapIn(0, r, 0, 6, 0) // 6 already resident
 		e.OnAccess(0, r, 0, 0, 1, true, 0, HintNone, 0)
-		if len(issued) != 1 || len(issued[0]) != 2 || e.Counters.Get("prefetch_issued") != 2 {
+		if len(issued) != 1 || len(issued[0]) != 2 || e.Counters.PrefetchIssued != 2 {
 			t.Fatalf("depth %d: issued = %v, want one batch of {5,7}", qdepth, issued)
 		}
 		// Same window again: everything is in flight now — no hook call.
@@ -160,7 +160,7 @@ func TestCancelPrefetchDropsArrival(t *testing.T) {
 // TestEngineDeterminism replays one access script twice and compares every
 // counter and the latency histogram sum.
 func TestEngineDeterminism(t *testing.T) {
-	run := func() (string, sim.Duration) {
+	run := func() (Counters, sim.Duration) {
 		e := newTestEngine(prefetch.NewLeap(core.Config{}))
 		r := NewResident(64)
 		r.Limit = 64
@@ -180,14 +180,14 @@ func TestEngineDeterminism(t *testing.T) {
 			e.OnAccess(0, r, 0, 0, pg, miss, now, HintNone, 0)
 			e.MapIn(0, r, 0, pg, now)
 		}
-		return e.Counters.String(), total
+		return e.Counters, total
 	}
 	c1, t1 := run()
 	c2, t2 := run()
 	if c1 != c2 || t1 != t2 {
-		t.Fatalf("replay diverged:\n%s (%v)\n%s (%v)", c1, t1, c2, t2)
+		t.Fatalf("replay diverged:\n%+v (%v)\n%+v (%v)", c1, t1, c2, t2)
 	}
-	if c1 == "" {
+	if c1 == (Counters{}) {
 		t.Fatal("no counters recorded")
 	}
 }
@@ -226,7 +226,7 @@ func TestAheadIssuesThroughThePrefetchPath(t *testing.T) {
 	if n := e.Ahead(0, r, 0, 0, 300, 8, 8, 56, 56, 0, HintRandom, 0); n != 0 {
 		t.Fatalf("issued %d pages under a random hint", n)
 	}
-	if got := e.Counters.Get("prefetch_issued"); got != 10 {
+	if got := e.Counters.PrefetchIssued; got != 10 {
 		t.Fatalf("prefetch_issued = %d, want 10", got)
 	}
 	plain := newTestEngine(&stubPrefetcher{window: []core.PageID{1}})

@@ -420,10 +420,6 @@ func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetche
 	s.eng.OnIssue = (*shard).fetchPrefetches
 	s.eng.OnEvict = (*shard).evictResident
 	s.eng.Cache().OnEvict = s.cacheEvicted
-	s.cAccesses = s.eng.Counters.Handle("accesses")
-	s.cFaults = s.eng.Counters.Handle("faults")
-	s.cResidentHits = s.eng.Counters.Handle("resident_hits")
-	s.cDemandWaits = s.eng.Counters.Handle("demand_waits")
 	if o.ztierBytes > 0 {
 		// The compressed tier's byte budget is striped exactly like the
 		// frame budget: bytes/nshards each, remainder to the low stripes.
@@ -791,21 +787,21 @@ func (m *Memory) Stats() Stats {
 		sh.mu.Lock()
 		c := &sh.eng.Counters
 		cs := sh.eng.Cache().Stats()
-		s.Accesses += c.Get("accesses")
-		s.ResidentHits += c.Get("resident_hits")
-		s.Faults += c.Get("faults")
-		s.CacheHits += c.Get("cache_hits")
-		s.InflightHits += c.Get("inflight_hits")
-		s.Misses += c.Get("cache_misses")
-		s.DemandWaits += c.Get("demand_waits")
-		s.PrefetchIssued += c.Get("prefetch_issued")
-		s.Swapouts += c.Get("swapouts")
+		s.Accesses += c.Accesses
+		s.ResidentHits += c.ResidentHits
+		s.Faults += c.Faults
+		s.CacheHits += c.CacheHits
+		s.InflightHits += c.InflightHits
+		s.Misses += c.CacheMisses
+		s.DemandWaits += c.DemandWaits
+		s.PrefetchIssued += c.PrefetchIssued
+		s.Swapouts += c.Swapouts
 		s.Evictions += sh.nEvictions
 		s.WritebackPages += sh.nWritebacks
 		s.PrefetchAheadPages += sh.nAhead
 		s.PrefetchLate += sh.nLate
 		s.PrefetchLateWait += sh.lateWait
-		s.Ztier.Hits += c.Get("ztier_hits")
+		s.Ztier.Hits += c.ZtierHits
 		if sh.ztier != nil {
 			zs := sh.ztier.Stats()
 			s.Ztier.Enabled = true

@@ -91,11 +91,6 @@ type shard struct {
 	// simulator's warmup handling).
 	cacheStats0 pagecache.Stats
 
-	cAccesses     *int64
-	cFaults       *int64
-	cResidentHits *int64
-	cDemandWaits  *int64
-
 	// nEvictions counts residency evictions reaching evictResident;
 	// nWritebacks counts page images actually pushed to the host (eviction
 	// or compressed-tier overflow); nAhead counts prefetch pages issued from
@@ -429,7 +424,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	}
 	recording := s.eng.Recording()
 	if recording {
-		*s.cAccesses++
+		s.eng.Counters.Accesses++
 	}
 	first := true
 	// unreaped records that nobody had collected pg's prefetch when the access
@@ -447,7 +442,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// Resident: no fault.
 		if s.res.Touch(pg) {
 			if recording && first {
-				*s.cResidentHits++
+				s.eng.Counters.ResidentHits++
 			}
 			// Store-on-transition: a hit zeroes the last-fault snapshot, but
 			// atomic stores are full barriers and this is the hottest line in
@@ -464,7 +459,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		}
 		if first {
 			if recording {
-				*s.cFaults++
+				s.eng.Counters.Faults++
 			}
 			first = false
 		}
@@ -476,7 +471,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		// no full miss of its own) and is not re-recorded with the predictor.
 		if s.faulting.Contains(pg) {
 			if recording {
-				*s.cDemandWaits++
+				s.eng.Counters.DemandWaits++
 			}
 			for s.faulting.Contains(pg) {
 				s.faulted.Wait()

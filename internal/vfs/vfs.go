@@ -1,24 +1,23 @@
 // Package vfs simulates the disaggregated virtual-file-system path of
 // Remote Regions [ATC'18]: remote memory exposed as files, with page-granular
-// reads and writes flowing through a VFS cache. It mirrors internal/vmm's
-// latency composition — the same data path (legacy or lean), page cache and
-// prefetcher — but with file semantics: no residency limit or swap-out;
-// every read is a cache lookup, every write is buffered and flushed to the
-// remote store asynchronously.
+// reads and writes flowing through a VFS cache. It runs on the shared
+// fault-path engine (internal/paging) — the same data path (legacy or lean),
+// page cache and prefetcher as internal/vmm — but with file semantics: no
+// residency limit or swap-out; every read is a cache lookup, every write is
+// buffered and flushed to the remote store asynchronously.
 //
 // This is the engine behind the D-VFS series of Figures 2 and 7.
 package vfs
 
 import (
-	"container/heap"
 	"fmt"
 
 	"leap/internal/core"
 	"leap/internal/datapath"
 	"leap/internal/metrics"
 	"leap/internal/pagecache"
+	"leap/internal/paging"
 	"leap/internal/prefetch"
-	"leap/internal/rdma"
 	"leap/internal/sim"
 	"leap/internal/storage"
 )
@@ -41,87 +40,43 @@ type Config struct {
 	Seed uint64
 }
 
-// arrival tracks an in-flight prefetch.
-type arrival struct {
-	page core.PageID
-	at   sim.Time
-}
-
-type arrivalHeap []arrival
-
-func (h arrivalHeap) Len() int            { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(arrival)) }
-func (h *arrivalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // FS is the simulated remote file system. Not safe for concurrent use.
 type FS struct {
-	cfg   Config
 	clock sim.Clock
-	path  *datapath.Path
-	cache *pagecache.Cache
-	dev   storage.Device
-	pf    prefetch.Prefetcher
-
-	inflight    map[core.PageID]sim.Time
-	inflights   arrivalHeap
-	lastDevPage core.PageID
-	candBuf     []core.PageID
+	eng   *paging.Engine[struct{}]
+	// none is the empty residency set: a file's pages live in the cache.
+	none *paging.Resident
 
 	// ReadLatency is the 4KB read latency distribution (the D-VFS CDFs).
 	ReadLatency metrics.Histogram
-	// WriteLatency is the buffered-write latency distribution.
-	WriteLatency metrics.Histogram
-	Counters     metrics.Counters
+	// Reads and Writes count the operations; the engine's Counters split
+	// the reads by where the page was found.
+	Reads, Writes int64
 }
 
 // New builds a file system simulator.
 func New(cfg Config) *FS {
-	rng := sim.NewRNG(cfg.Seed)
-	dev := cfg.Device
-	if dev == nil {
-		dev = storage.NewRemote(rdma.New(rdma.Config{}, rng.Fork(1)))
-	}
-	pf := cfg.Prefetcher
-	if pf == nil {
-		pf = prefetch.None{}
-	}
 	return &FS{
-		cfg:  cfg,
-		path: datapath.New(cfg.Path, rng.Fork(2)),
-		cache: pagecache.New(pagecache.Config{
-			Capacity: cfg.CacheCapacity,
-			Policy:   cfg.CachePolicy,
+		eng: paging.New[struct{}](paging.Config{
+			Path:          cfg.Path,
+			CachePolicy:   cfg.CachePolicy,
+			CacheCapacity: cfg.CacheCapacity,
+			Prefetcher:    cfg.Prefetcher,
+			Device:        cfg.Device,
+			Seed:          cfg.Seed,
 		}),
-		dev:      dev,
-		pf:       pf,
-		inflight: make(map[core.PageID]sim.Time),
+		none: paging.NewResident(0),
 	}
 }
 
 // Cache exposes the VFS cache.
-func (f *FS) Cache() *pagecache.Cache { return f.cache }
+func (f *FS) Cache() *pagecache.Cache { return f.eng.Cache() }
+
+// Counters exposes the fault-path counters of the reads.
+func (f *FS) Counters() *paging.Counters { return &f.eng.Counters }
 
 // Now reports the current virtual time.
 func (f *FS) Now() sim.Time { return f.clock.Now() }
-
-func (f *FS) flushArrivals(now sim.Time) {
-	for len(f.inflights) > 0 && f.inflights[0].at <= now {
-		a := heap.Pop(&f.inflights).(arrival)
-		if at, ok := f.inflight[a.page]; ok && at == a.at {
-			delete(f.inflight, a.page)
-			f.cache.Insert(a.page, true, a.at)
-		}
-	}
-	f.cache.Tick(now)
-}
 
 // Write buffers one page write; data lands in the cache immediately and the
 // device write proceeds asynchronously (write-behind). The returned latency
@@ -129,14 +84,11 @@ func (f *FS) flushArrivals(now sim.Time) {
 func (f *FS) Write(pid PID, page core.PageID, think sim.Duration) sim.Duration {
 	f.clock.Advance(think)
 	now := f.clock.Now()
-	f.flushArrivals(now)
-	lat := f.path.HitLatency() // buffered write: cache insert cost
-	f.cache.Insert(page, false, now)
-	dist := int64(page - f.lastDevPage)
-	f.lastDevPage = page
-	f.dev.Write(int(pid), now, page, dist)
-	f.Counters.Inc("writes")
-	f.WriteLatency.Observe(lat)
+	f.eng.FlushArrivals(now)
+	lat := f.eng.Path().HitLatency() // buffered write: cache insert cost
+	f.eng.Cache().Insert(page, false, now)
+	f.eng.WriteThrough(int(pid), page, now)
+	f.Writes++
 	f.clock.Advance(lat)
 	return lat
 }
@@ -145,67 +97,21 @@ func (f *FS) Write(pid PID, page core.PageID, think sim.Duration) sim.Duration {
 func (f *FS) Read(pid PID, page core.PageID, think sim.Duration) sim.Duration {
 	f.clock.Advance(think)
 	now := f.clock.Now()
-	f.flushArrivals(now)
-	f.Counters.Inc("reads")
-
-	var lat sim.Duration
-	miss := false
-	if hit, wasPre := f.cache.Lookup(page, now); hit {
-		lat = f.path.HitLatency()
-		if wasPre {
-			f.pf.OnPrefetchHit(pid)
-		}
-		f.Counters.Inc("cache_hits")
-	} else if at, ok := f.inflight[page]; ok {
-		delete(f.inflight, page)
-		wait := at.Sub(now)
-		if wait < 0 {
-			wait = 0
-		}
-		lat = f.path.HitLatency() + wait
-		f.pf.OnPrefetchHit(pid)
-		f.Counters.Inc("inflight_hits")
-	} else {
-		miss = true
-		b := f.path.RequestOverhead()
-		dist := int64(page - f.lastDevPage)
-		f.lastDevPage = page
-		submit := now.Add(b.Total())
-		done := f.dev.Read(int(pid), submit, page, dist)
-		lat = b.Total() + done.Sub(submit) + f.cache.AllocLatency()
-		f.cache.Insert(page, false, now.Add(lat))
-		f.Counters.Inc("cache_misses")
+	f.eng.FlushArrivals(now)
+	f.Reads++
+	lat, miss := f.eng.Fault(pid, int(pid), page, now)
+	if miss {
+		f.eng.Cache().Insert(page, false, now.Add(lat))
 	}
-
 	f.ReadLatency.Observe(lat)
 	f.clock.Advance(lat)
-
-	f.candBuf = f.pf.OnAccess(pid, page, miss, f.candBuf[:0])
-	f.issuePrefetches(pid, f.candBuf, f.clock.Now())
+	f.eng.OnAccess(struct{}{}, f.none, pid, int(pid), page, miss, f.clock.Now(), paging.HintNone, 0)
 	return lat
-}
-
-func (f *FS) issuePrefetches(pid PID, cands []core.PageID, now sim.Time) {
-	for _, c := range cands {
-		if f.cache.Contains(c) {
-			continue
-		}
-		if _, ok := f.inflight[c]; ok {
-			continue
-		}
-		dist := int64(c - f.lastDevPage)
-		f.lastDevPage = c
-		done := f.dev.Read(int(pid), now, c, dist)
-		f.inflight[c] = done
-		heap.Push(&f.inflights, arrival{page: c, at: done})
-		f.Counters.Inc("prefetch_issued")
-	}
 }
 
 // Summary renders the read-side outcome compactly.
 func (f *FS) Summary() string {
 	s := f.ReadLatency.Summarize()
 	return fmt.Sprintf("reads=%d hits=%d misses=%d p50=%v p99=%v",
-		f.Counters.Get("reads"), f.Counters.Get("cache_hits"),
-		f.Counters.Get("cache_misses"), s.P50, s.P99)
+		f.Reads, f.eng.Counters.CacheHits, f.eng.Counters.CacheMisses, s.P50, s.P99)
 }

@@ -40,7 +40,7 @@ func TestWriteThenReadHitsCache(t *testing.T) {
 	if rlat > sim.Microsecond {
 		t.Fatalf("cached read latency %v, want sub-µs", rlat)
 	}
-	if f.Counters.Get("cache_hits") != 1 {
+	if f.Counters().CacheHits != 1 {
 		t.Fatal("read did not hit the cache")
 	}
 }
@@ -57,8 +57,8 @@ func TestColdReadPaysFullPath(t *testing.T) {
 	if mean := sum / n; mean < 25*sim.Microsecond {
 		t.Fatalf("cold legacy read mean = %v, want >= 25µs", mean)
 	}
-	if f.Counters.Get("cache_misses") != n {
-		t.Fatalf("misses = %d, want %d", f.Counters.Get("cache_misses"), n)
+	if f.Counters().CacheMisses != n {
+		t.Fatalf("misses = %d, want %d", f.Counters().CacheMisses, n)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestSequentialReadPrefetchWorks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f.Read(1, core.PageID(1_000_000+i), 200)
 	}
-	hits := f.Counters.Get("cache_hits") + f.Counters.Get("inflight_hits")
+	hits := f.Counters().CacheHits + f.Counters().InflightHits
 	if rate := float64(hits) / float64(n); rate < 0.7 {
 		t.Fatalf("sequential prefetch hit rate = %.3f, want >= 0.7", rate)
 	}
@@ -133,6 +133,24 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %d vs %d", a, b)
+	}
+}
+
+// TestCountersConserved: Fault finds each read's page in exactly one place,
+// writes in between included.
+func TestCountersConserved(t *testing.T) {
+	for _, f := range []*FS{New(leanCfg(9)), New(legacyCfg(9))} {
+		for i := 0; i < 5000; i++ {
+			if i%7 == 0 {
+				f.Write(1, core.PageID(i*3+3), 100)
+			}
+			f.Read(1, core.PageID(i*3), 100)
+		}
+		c := f.Counters()
+		if sum := c.CacheHits + c.InflightHits + c.CacheMisses; sum != f.Reads || f.Reads != 5000 {
+			t.Errorf("reads %d, but cache %d + in flight %d + misses %d = %d",
+				f.Reads, c.CacheHits, c.InflightHits, c.CacheMisses, sum)
+		}
 	}
 }
 

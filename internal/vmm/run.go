@@ -46,18 +46,17 @@ type Result struct {
 // recording was last enabled).
 func (m *Machine) Collect() Result {
 	st := m.eng.Cache().Stats()
-	inflightHits := m.eng.Counters.Get("inflight_hits")
-	prefetchHits := st.PrefetchHits - m.cacheStats0.PrefetchHits + inflightHits
-	issued := m.eng.Counters.Get("prefetch_issued")
-	faults := m.eng.Counters.Get("faults")
+	c := &m.eng.Counters
+	prefetchHits := st.PrefetchHits - m.cacheStats0.PrefetchHits + c.InflightHits
+	issued, faults := c.PrefetchIssued, c.Faults
 
 	r := Result{
 		Makespan:       m.measuredMakespan(),
 		Latency:        m.eng.FaultLatency.Summarize(),
 		Faults:         faults,
-		ResidentHits:   m.eng.Counters.Get("resident_hits"),
+		ResidentHits:   c.ResidentHits,
 		CacheAdds:      st.Adds - m.cacheStats0.Adds,
-		CacheMisses:    m.eng.Counters.Get("cache_misses"),
+		CacheMisses:    c.CacheMisses,
 		PrefetchIssued: issued,
 		Pollution:      st.Pollution - m.cacheStats0.Pollution,
 	}

@@ -161,11 +161,6 @@ type Machine struct {
 	recording bool
 	// cacheStats0 snapshots cache counters at measurement start.
 	cacheStats0 pagecache.Stats
-
-	// Pre-resolved counter handles for the simulator-owned counters (the
-	// engine resolves its own).
-	cResidentHits *int64
-	cFaults       *int64
 }
 
 // NewMachine builds a machine with the given apps.
@@ -190,8 +185,6 @@ func NewMachine(cfg Config, apps []App) (*Machine, error) {
 		sched:     eventq.New(procLess),
 		recording: true,
 	}
-	m.cResidentHits = eng.Counters.Handle("resident_hits")
-	m.cFaults = eng.Counters.Handle("faults")
 	eng.OnInsert = func(p *proc) { p.res.Charged++ }
 	// Evictions cluster by process, so memoize the last pid→proc mapping
 	// instead of paying a map lookup per evicted page.
@@ -245,9 +238,8 @@ func (m *Machine) Path() *datapath.Path { return m.eng.Path() }
 // Device exposes the backing store.
 func (m *Machine) Device() storage.Device { return m.eng.Device() }
 
-// Counters exposes the fault-path counter set (cache_hits, cache_misses,
-// inflight_hits, prefetch_issued, faults, resident_hits, swapouts, ...).
-func (m *Machine) Counters() *metrics.Counters { return &m.eng.Counters }
+// Counters exposes the fault-path counters of the measured phase.
+func (m *Machine) Counters() *paging.Counters { return &m.eng.Counters }
 
 // FaultLatency exposes the all-process swap-in latency distribution.
 func (m *Machine) FaultLatency() *metrics.Histogram { return &m.eng.FaultLatency }
@@ -278,22 +270,6 @@ func (m *Machine) ProcLatency(pid PID) *metrics.Histogram {
 		return &p.Latency
 	}
 	return nil
-}
-
-// ProcTime reports pid's local virtual clock.
-func (m *Machine) ProcTime(pid PID) sim.Time {
-	if p, ok := m.byPID[pid]; ok {
-		return p.clock
-	}
-	return 0
-}
-
-// ProcFaults reports pid's fault count.
-func (m *Machine) ProcFaults(pid PID) int64 {
-	if p, ok := m.byPID[pid]; ok {
-		return p.faults
-	}
-	return 0
 }
 
 // FaultTrace reports pid's recorded fault addresses (virtual pages);
@@ -347,7 +323,7 @@ func (m *Machine) step(p *proc) sim.Duration {
 	// Resident: no fault, no cost beyond think time.
 	if p.res.Touch(page) {
 		if m.recording {
-			*m.cResidentHits++
+			eng.Counters.ResidentHits++
 		}
 		return 0
 	}
@@ -356,7 +332,7 @@ func (m *Machine) step(p *proc) sim.Duration {
 	// wait, or full miss through data path + device).
 	p.faults++
 	if m.recording {
-		*m.cFaults++
+		eng.Counters.Faults++
 		if m.cfg.CaptureFaults {
 			p.faultTrace = append(p.faultTrace, a.Page)
 		}

@@ -15,29 +15,10 @@ import (
 // coreConfig is the paper-default Leap predictor configuration.
 func coreConfig() core.Config { return core.Config{} }
 
-// leanLeap is the full Leap configuration: lean path, Leap prefetcher,
-// eager eviction.
-func leanLeap(seed uint64) Config {
-	p, _ := prefetch.New("leap")
-	return Config{
-		Path:        datapath.Config{Kind: datapath.Lean},
-		CachePolicy: pagecache.EvictEager,
-		Prefetcher:  p,
-		Seed:        seed,
-	}
-}
-
-// legacyLinux is the stock configuration: legacy path, read-ahead, lazy
-// eviction.
-func legacyLinux(seed uint64) Config {
-	p, _ := prefetch.New("readahead")
-	return Config{
-		Path:        datapath.Config{Kind: datapath.Legacy},
-		CachePolicy: pagecache.EvictLazy,
-		Prefetcher:  p,
-		Seed:        seed,
-	}
-}
+// leanLeap is the full Leap stack; legacyLinux the stock one (remote
+// memory on the legacy path, read-ahead, lazy eviction).
+func leanLeap(seed uint64) Config    { return SystemDVMMLeap.Config(seed) }
+func legacyLinux(seed uint64) Config { return SystemDVMM.Config(seed) }
 
 func TestMachineValidation(t *testing.T) {
 	if _, err := NewMachine(Config{}, nil); err == nil {
@@ -97,7 +78,7 @@ func TestResidentSetNeverExceedsLimit(t *testing.T) {
 			t.Fatalf("resident set %d exceeds limit 100", got)
 		}
 	}
-	if m.Counters().Get("swapouts") == 0 {
+	if m.Counters().Swapouts == 0 {
 		t.Fatal("no swap-outs recorded despite evictions")
 	}
 }
@@ -168,7 +149,7 @@ func TestInflightHitPaysRemainingTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Counters().Get("inflight_hits") == 0 {
+	if m.Counters().InflightHits == 0 {
 		t.Skip("no in-flight hits at this parameterization")
 	}
 	if res.Latency.P99 > 50*sim.Microsecond {
@@ -241,6 +222,35 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan || a.Faults != b.Faults || a.CacheAdds != b.CacheAdds {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestCountersConserved: in the measured phase every access is a resident
+// hit or a fault, and Fault finds each faulted page in exactly one place.
+func TestCountersConserved(t *testing.T) {
+	for _, sys := range []System{SystemDisk, SystemDVMM, SystemDVMMLeap} {
+		cfg := sys.Config(9)
+		cfg.RemoteQueueDepth = 4
+		m, res, err := Run(cfg, []App{
+			{PID: 1, Gen: workload.NewStride(1<<20, 10, 3), LimitPages: 512},
+			{PID: 2, Gen: workload.NewUniform(4000, 4), LimitPages: 256, PreloadPages: 256},
+		}, 1000, 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.Counters()
+		if sum := c.CacheHits + c.InflightHits + c.CacheMisses + c.ZtierHits; sum != c.Faults {
+			t.Errorf("%v: faults %d, but cache %d + in flight %d + misses %d + ztier %d = %d",
+				sys, c.Faults, c.CacheHits, c.InflightHits, c.CacheMisses, c.ZtierHits, sum)
+		}
+		var accesses int64
+		for _, p := range res.PerProc {
+			accesses += p.Accesses
+		}
+		if c.ResidentHits+c.Faults != accesses {
+			t.Errorf("%v: resident hits %d + faults %d != %d measured accesses",
+				sys, c.ResidentHits, c.Faults, accesses)
+		}
 	}
 }
 

@@ -48,11 +48,8 @@ import (
 	"fmt"
 
 	"leap/internal/core"
-	"leap/internal/datapath"
-	"leap/internal/pagecache"
 	"leap/internal/prefetch"
 	"leap/internal/remote"
-	"leap/internal/storage"
 	"leap/internal/vmm"
 	"leap/internal/workload"
 )
@@ -97,20 +94,20 @@ func PrefetcherNames() []string { return prefetch.Names() }
 
 // System selects a simulated configuration preset, mirroring the paper's
 // evaluation setups.
-type System int
+type System = vmm.System
 
 // Presets.
 const (
 	// SystemDisk swaps to local HDD through the stock kernel path.
-	SystemDisk System = iota
+	SystemDisk = vmm.SystemDisk
 	// SystemSSD swaps to local SSD through the stock kernel path.
-	SystemSSD
+	SystemSSD = vmm.SystemSSD
 	// SystemDVMM is Infiniswap-style remote paging on the default path
 	// (block layer, read-ahead, lazy eviction).
-	SystemDVMM
+	SystemDVMM = vmm.SystemDVMM
 	// SystemDVMMLeap is remote paging through the full Leap stack (lean
 	// path, majority-trend prefetcher, eager eviction).
-	SystemDVMMLeap
+	SystemDVMMLeap = vmm.SystemDVMMLeap
 )
 
 // Generator produces a deterministic page-access stream; build one with
@@ -157,7 +154,15 @@ type SimResult = vmm.Result
 // aggregate result (latency percentiles, cache statistics, accuracy and
 // coverage, per-process throughput).
 func Simulate(cfg SimConfig, workloads []Workload) (SimResult, error) {
-	mcfg := systemConfig(cfg)
+	if !cfg.System.Valid() {
+		return SimResult{}, fmt.Errorf("leap: unknown system %v", cfg.System)
+	}
+	mcfg := cfg.System.Config(cfg.Seed)
+	if cfg.Prefetcher != nil {
+		mcfg.Prefetcher = cfg.Prefetcher
+	}
+	mcfg.CacheCapacity = cfg.CacheCapacityPages
+	mcfg.RemoteQueueDepth = cfg.RemoteQueueDepth
 	apps := make([]vmm.App, 0, len(workloads))
 	for _, w := range workloads {
 		preload := w.PreloadPages
@@ -178,42 +183,6 @@ func Simulate(cfg SimConfig, workloads []Workload) (SimResult, error) {
 	}
 	_, res, err := vmm.Run(mcfg, apps, warmup, measured)
 	return res, err
-}
-
-// systemConfig maps a preset to a vmm configuration.
-func systemConfig(cfg SimConfig) vmm.Config {
-	var out vmm.Config
-	switch cfg.System {
-	case SystemDisk, SystemSSD, SystemDVMM:
-		pf, _ := prefetch.New("readahead")
-		out = vmm.Config{
-			Path:        datapath.Config{Kind: datapath.Legacy},
-			CachePolicy: pagecache.EvictLazy,
-			Prefetcher:  pf,
-			Seed:        cfg.Seed,
-		}
-		if cfg.System == SystemDisk {
-			out.Device = storage.NewHDD(newSeededRNG(cfg.Seed ^ 0xd15c))
-		}
-		if cfg.System == SystemSSD {
-			out.Device = storage.NewSSD(newSeededRNG(cfg.Seed ^ 0x55d))
-		}
-	case SystemDVMMLeap:
-		out = vmm.Config{
-			Path:        datapath.Config{Kind: datapath.Lean},
-			CachePolicy: pagecache.EvictEager,
-			Prefetcher:  prefetch.NewLeap(core.Config{}),
-			Seed:        cfg.Seed,
-		}
-	default:
-		out = vmm.Config{Seed: cfg.Seed}
-	}
-	if cfg.Prefetcher != nil {
-		out.Prefetcher = cfg.Prefetcher
-	}
-	out.CacheCapacity = cfg.CacheCapacityPages
-	out.RemoteQueueDepth = cfg.RemoteQueueDepth
-	return out
 }
 
 // NewSequentialWorkload scans pages linearly (the §2.2 Sequential

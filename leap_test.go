@@ -119,6 +119,14 @@ func TestSimulateCustomPrefetcher(t *testing.T) {
 	}
 }
 
+func TestSimulateRejectsUnknownSystem(t *testing.T) {
+	if _, err := Simulate(SimConfig{System: System(9)}, []Workload{{
+		PID: 1, Generator: NewSequentialWorkload(64, 1), MemoryLimitPages: 16,
+	}}); err == nil {
+		t.Fatal("Simulate ran System(9)")
+	}
+}
+
 func TestRemoteMemoryFacade(t *testing.T) {
 	agents := []*RemoteAgent{NewRemoteAgent(16, 0), NewRemoteAgent(16, 0)}
 	trs := []RemoteTransport{NewInProcTransport(agents[0]), NewInProcTransport(agents[1])}

@@ -103,10 +103,10 @@ func TestMemoryMatchesSimulator(t *testing.T) {
 	if st.PrefetchIssued != res.PrefetchIssued {
 		t.Errorf("prefetch issued: memory %d, simulator %d", st.PrefetchIssued, res.PrefetchIssued)
 	}
-	if got, want := st.InflightHits, m.Counters().Get("inflight_hits"); got != want {
+	if got, want := st.InflightHits, m.Counters().InflightHits; got != want {
 		t.Errorf("inflight hits: memory %d, simulator %d", got, want)
 	}
-	if got, want := st.CacheHits, m.Counters().Get("cache_hits"); got != want {
+	if got, want := st.CacheHits, m.Counters().CacheHits; got != want {
 		t.Errorf("cache hits: memory %d, simulator %d", got, want)
 	}
 	if st.Accuracy != res.Accuracy {
