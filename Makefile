@@ -69,7 +69,7 @@ race:
 # flight, the compressed tier, the control plane alone and wired into the
 # runtime, the ensemble selector under Advise traffic, and the wall-clock,
 # buffer-reuse, page-map-model and unacked-window tests of the wire path.
-STRESS = TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant
+STRESS = TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant
 stress:
 	$(GO) test -race -count 3 -run '$(STRESS)' . ./internal/runtime ./internal/remote ./internal/control
 

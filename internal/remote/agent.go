@@ -3,6 +3,7 @@ package remote
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -257,7 +258,9 @@ func (a *Agent) serveConn(conn net.Conn) {
 			if len(out) < trainBytes && requestBuffered(br) {
 				continue
 			}
-		} else if err != io.EOF { // a hang-up between requests is how a connection ends
+		} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			// A hang-up between requests is how a connection ends, and a close
+			// on this side (Serve's caller shutting down) how it is ended.
 			log.Printf("remote: agent request read: %v", err)
 		}
 		if len(out) > 0 { // on the way down too: owed to the requests before a malformed one

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"net"
 	"strconv"
 	"testing"
 
@@ -170,4 +171,55 @@ func BenchmarkTCPTrain(b *testing.B) {
 			b.ReportMetric(float64(writes-writes0)/float64(b.N), "writes/page")
 		})
 	}
+}
+
+// BenchmarkTCPHostScan is the host's side of a read scan over loopback TCP:
+// pages are read in order, three eight-page frames to a doorbell
+// (ReadPageAsync, then Submit), and their tickets waited for in order, so the
+// reaper lands each frame's pages out of the transport's receive buffer. ns/op
+// is per page, B/op the host's and agent's allocation per page; reads/page is
+// the socket reads the transport made for it.
+func BenchmarkTCPHostScan(b *testing.B) {
+	const pages, train = 1024, 24
+	conn, err := net.Dial("tcp", serveAgent(b, NewAgent(pages, 0), nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	counted := &countedConn{Conn: conn}
+	tr := newTCP(counted)
+	b.Cleanup(func() { tr.Close() })
+	h, err := NewHost(HostConfig{SlabPages: pages, Replicas: 1, QueueDepth: 8, Seed: 1}, []Transport{tr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for pg := 0; pg < pages; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	bufs, tickets := make([][]byte, train), make([]*Ticket, train)
+	for i := range bufs {
+		bufs[i] = make([]byte, PageSize)
+	}
+	pg := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	reads0 := counted.reads.Load()
+	for i := 0; i < b.N; i += train {
+		for j := range tickets {
+			tickets[j] = h.ReadPageAsync(core.PageID(pg), bufs[j])
+			pg = (pg + 1) % pages
+		}
+		if _, err := h.Submit(); err != nil {
+			b.Fatal(err)
+		}
+		for _, tk := range tickets {
+			if err := tk.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+	b.ReportMetric(float64(counted.reads.Load()-reads0)/float64(b.N), "reads/page")
 }

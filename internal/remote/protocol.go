@@ -96,6 +96,9 @@ type Response struct {
 	frame []byte
 	// home is the free list resp's buffer is from, nil for none (see release).
 	home *bufPool
+	// lender is the TCP transport whose receive buffer Payload was lent out
+	// of, nil for none; the loan may have been revoked since (see TCP.loan).
+	lender *TCP
 }
 
 // reqHeaderSize is magic+op+slab+pageoff+payloadlen.
@@ -118,10 +121,18 @@ const rangeHeadSize = 2 + 2
 // bytes). Decoders reject anything larger before allocating.
 const maxWirePayload = 4 + MaxBatchOps*(batchRefSize+rangeHeadSize+PageSize)
 
-// connBufSize sizes the bufio.Reader on each end of a TCP connection: one
-// header-sized read pulls in a whole single-page frame, and payloads beyond
-// it are read straight into their destination.
+// connBufSize sizes the agent's bufio.Reader on a connection: one
+// header-sized read pulls in a whole single-page request, and larger payloads
+// (write batches) are read straight into their buffer. The agent reads a
+// request and answers it before the next, so a larger buffer saves it little.
 const connBufSize = 16 << 10
+
+// recvBufSize sizes a TCP transport's receive buffer: one socket read takes
+// in a train of responses — the agent sends up to trainBytes in one write,
+// and a reader that is behind finds several — and the host's reaper lands its
+// own response straight out of it (TCP.loan). Larger payloads are read
+// straight into a buffer of their own.
+const recvBufSize = 256 << 10
 
 // batchOp reports whether op's payload packs per-page entries (batch.go) and
 // so may exceed a page.
@@ -267,11 +278,16 @@ func readResponse(r io.Reader, hdr []byte, pool *bufPool) (*Response, error) {
 	return resp, nil
 }
 
-// release hands resp's buffer back to the transport that owns it; nothing of
-// resp may be used afterwards. Only the host does, once a flight's response is
-// applied to its tickets (Host.reap, startNext's landing on the spot): a direct
-// Transport.Call's response has no owner who knows when it is dead, so none is.
+// release hands resp's buffer back to the transport that owns it, or gives
+// its loan back; nothing of resp may be used afterwards. Only the host does,
+// once a flight's response is applied to its tickets (Host.reap, startNext's
+// landing on the spot): a direct Transport.Call's response has no owner who
+// knows when it is dead, so none is.
 func (resp *Response) release() {
+	if resp != nil && resp.lender != nil {
+		resp.lender.giveBack(resp)
+		return
+	}
 	if resp == nil || resp.home == nil {
 		return
 	}

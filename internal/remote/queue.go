@@ -758,7 +758,10 @@ func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 }
 
 // collect waits for f's response and lands it, releasing h.mu for the wait —
-// Host.mu is never held across a blocking receive. When another goroutine is
+// Host.mu is never held across a blocking receive. f, its link's head (reap),
+// borrows its response where the transport lends it (TCP), so the pages land
+// straight out of the receive buffer; the loan is pinned before anything reads
+// it and given back by the release after landing. When another goroutine is
 // already waiting on f, it waits for that goroutine's landing instead. The
 // landing's write error, if any, goes to the goroutine that performed it, and
 // so does blocked: how long a read frame of the pipeline kept it waiting for
@@ -776,9 +779,14 @@ func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
 	if f.pages > 0 {
 		waitFrom = h.waitFor()
 	}
+	wait := f.pend.Wait
+	if p, ok := f.pend.(*tcpPending); ok {
+		wait = p.borrow
+	}
 	h.mu.Unlock()
-	resp, err := f.pend.Wait()
+	resp, err := wait()
 	h.mu.Lock()
+	resp.pin()
 	f.reaping = false
 	l := &h.links[f.idx]
 	if i := slices.Index(l.flights, f); i >= 0 { // the head, on a link that answers in order

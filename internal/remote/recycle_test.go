@@ -2,7 +2,10 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -132,4 +135,96 @@ func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 	if err != nil || !bytes.Equal(results[0].Page, stamp(4)) || !bytes.Equal(results[1].Page, stamp(5)) {
 		t.Errorf("a batch response fetched by direct Call was recycled under its holder (%v)", err)
 	}
+}
+
+// TestLentResponseRevoked: the host's reaper is lent its response out of the
+// transport's receive buffer, and while it waits for Host.mu to land it,
+// another goroutine holding Host.mu makes a direct Call on the same link, as
+// placement does. The Call must not wait for the loan — its holder waits for
+// the Call's goroutine — but revoke it: copy the lent bytes out and read on.
+// The reaper then lands the right bytes from the copy.
+func TestLentResponseRevoked(t *testing.T) {
+	const depth = 8
+	var gate sync.Mutex // locked: the agent's responses wait
+	tr := dialAgent(t, serveAgent(t, NewAgent(64, 0), func(c net.Conn) net.Conn { return gatedConn{c, &gate} }))
+	h, err := NewHost(HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: depth, Seed: 1}, []Transport{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < 2*depth; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bufs, tickets := make([][]byte, depth), make([]*Ticket, depth)
+	for pg := range tickets {
+		bufs[pg] = make([]byte, PageSize)
+		tickets[pg] = h.ReadPageAsync(core.PageID(pg), bufs[pg])
+	}
+	gate.Lock()
+	if flying, err := h.Submit(); err != nil || !flying {
+		t.Fatalf("Submit left nothing in flight (err %v)", err)
+	}
+	landed := make(chan error, 1)
+	go func() {
+		var err error
+		for _, tk := range tickets {
+			err = errors.Join(err, tk.Wait())
+		}
+		landed <- err
+	}()
+
+	var resp *Response
+	var callErr error
+	within(t, 10*time.Second, "a direct Call under Host.mu behind a lent response", func() {
+		// Host.mu is taken once the reaper has let go of it for the wait, and
+		// only then is the response let through: the loan cannot be pinned.
+		for {
+			h.mu.Lock()
+			if fl := h.links[0].flights; len(fl) > 0 && fl[0].reaping {
+				break
+			}
+			h.mu.Unlock()
+			runtime.Gosched()
+		}
+		defer h.mu.Unlock()
+		gate.Unlock()
+		for lent := false; !lent; runtime.Gosched() {
+			tr.mu.Lock()
+			lent = tr.loan != nil && !tr.pinned
+			tr.mu.Unlock()
+		}
+		resp, callErr = tr.Call(&Request{Op: OpRead, Slab: 0, PageOff: depth + 1})
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		if tr.loan != nil {
+			t.Error("the loan is still out after a Call read past it")
+		}
+	})
+	if callErr != nil || resp.Status != StatusOK || !bytes.Equal(resp.Payload, stamp(depth+1)) {
+		t.Errorf("the Call behind the loan: err %v, wrong bytes", callErr)
+	}
+	within(t, 10*time.Second, "the reaper's landing", func() {
+		if err := <-landed; err != nil {
+			t.Error(err)
+		}
+	})
+	for pg, buf := range bufs {
+		if !bytes.Equal(buf, stamp(pg)) {
+			t.Errorf("page %d: wrong bytes landed from a revoked loan", pg)
+		}
+	}
+}
+
+// gatedConn holds each Write until gate is unlocked.
+type gatedConn struct {
+	net.Conn
+	gate *sync.Mutex
+}
+
+func (c gatedConn) Write(b []byte) (int, error) {
+	c.gate.Lock()
+	c.gate.Unlock() //nolint:staticcheck // a turnstile, not a critical section
+	return c.Conn.Write(b)
 }

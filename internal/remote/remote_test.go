@@ -2,9 +2,12 @@ package remote
 
 import (
 	"bytes"
+	"log"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"leap/internal/core"
 )
@@ -321,5 +324,40 @@ func TestAgentStatsOp(t *testing.T) {
 	}
 	if resp.Payload[0] != 1 || resp.Payload[4] != 5 {
 		t.Fatalf("stats payload = %v", resp.Payload)
+	}
+}
+
+// TestAgentLocalCloseIsQuiet: an agent whose side of a connection is closed
+// locally, while its server loop waits for the next request, ends that loop
+// as it does on the peer's hang-up, without logging the read error.
+func TestAgentLocalCloseIsQuiet(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	tr := dialAgent(t, l.Addr().String())
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	prev := log.Writer()
+	defer log.SetOutput(prev)
+	log.SetOutput(&logged)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewAgent(16, 0).serveConn(conn)
+	}()
+	mustCall(t, tr, &Request{Op: OpPing}) // the loop is running
+	conn.Close()
+	within(t, 5*time.Second, "the agent's server loop after a local close", func() { <-done })
+	log.SetOutput(prev) // nothing writes to logged from here on
+	// Other tests' connections may log meanwhile: only this one's lines count.
+	for _, line := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(line, conn.LocalAddr().String()) {
+			t.Errorf("agent logged a locally closed connection: %s", line)
+		}
 	}
 }

@@ -10,11 +10,13 @@ import (
 	"time"
 )
 
-// countedConn counts the Writes made on a connection and, once failAfter is
-// positive, fails the Write that would take the bytes written past it — after
-// letting the bytes up to it through, as a connection reset mid-frame does.
+// countedConn counts the Reads and Writes made on a connection and, once
+// failAfter is positive, fails the Write that would take the bytes written past
+// it — after letting the bytes up to it through, as a connection reset
+// mid-frame does.
 type countedConn struct {
 	net.Conn
+	reads     atomic.Int64
 	writes    atomic.Int64
 	written   atomic.Int64
 	failAfter atomic.Int64
@@ -22,6 +24,11 @@ type countedConn struct {
 }
 
 var errCut = errors.New("connection cut mid-train")
+
+func (c *countedConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
 
 func (c *countedConn) Write(b []byte) (int, error) {
 	c.writes.Add(1)

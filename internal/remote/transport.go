@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -93,7 +94,8 @@ type bufPool struct {
 }
 
 // poisonReleased, set by this package's tests only, overwrites every released
-// buffer, so that bytes read through an alias kept past release are wrong.
+// buffer, and a loan's bytes when it is given back or revoked, so that bytes
+// read through an alias kept past release are wrong.
 var poisonReleased func([]byte)
 
 // take removes a buffer from the list: nil when it is empty, or p is nil.
@@ -195,12 +197,17 @@ var ErrTransportClosed = errors.New("remote: transport closed")
 // responses by a FIFO of outstanding requests — no request IDs, no receiver
 // goroutine. Whoever waits for the oldest outstanding response reads the
 // socket, completing pendings in order until its own is done; later waiters
-// queue behind it, and responses nobody waits for yet stay in the kernel's
-// socket buffer. A lone Call therefore runs its write and its read on the
-// calling goroutine. It moves trains (TrainStarter): a frame started with more
-// to follow is held, and the frame that ends the train takes everything held
-// out in one socket write; whoever waits for a held frame writes the train
+// queue behind it, and responses nobody waits for yet stay in the receive
+// buffer or the kernel's. A lone Call therefore runs its write and its read on
+// the calling goroutine. It moves trains (TrainStarter): a frame started with
+// more to follow is held, and the frame that ends the train takes everything
+// held out in one socket write; whoever waits for a held frame writes the train
 // first. The host opens one transport per agent.
+//
+// One socket read takes in a train of responses (recvBufSize). The host's
+// reaper is lent its own response there instead of a copy (see loan): the
+// reader role stays with the loan until the host has landed it, and a
+// goroutine that needs the socket before the holder has pinned it revokes it.
 //
 // Any I/O, framing or timeout error leaves the byte stream desynchronised,
 // so it poisons the connection: every outstanding and every later request,
@@ -223,12 +230,17 @@ type TCP struct {
 	writes, frames int64
 
 	// mu guards everything below. It is released around socket reads;
-	// reading marks the one goroutine doing them.
+	// reading marks the one goroutine doing them, or the loan that holds the
+	// role in its place.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	fifo    []*tcpPending // outstanding requests, oldest first; the held ones are its tail
 	reading bool
-	err     error // poison: set once, fails everything after
+	// loan is the response whose payload is lent out of br's buffer, nil for
+	// none; pinned says its holder is landing it.
+	loan   *Response
+	pinned bool
+	err    error // poison: set once, fails everything after
 }
 
 // tcpPending is one outstanding request on a TCP transport.
@@ -256,7 +268,7 @@ func DialTCP(addr string) (*TCP, error) {
 func newTCP(conn net.Conn) *TCP {
 	t := &TCP{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, connBufSize),
+		br:      bufio.NewReaderSize(conn, recvBufSize),
 		timeout: responseTimeout,
 		wbuf:    make([]byte, 0, reqHeaderSize+PageSize),
 	}
@@ -347,7 +359,7 @@ func (t *TCP) send(frames []byte) error {
 			err = t.poisonLocked(fmt.Errorf("remote: write request: %w", err))
 		} else if stalled {
 			if len(t.fifo) > 0 && !t.fifo[0].held {
-				t.awaitLocked(t.fifo[0])
+				t.awaitLocked(t.fifo[0], false)
 			}
 			err = t.err
 		}
@@ -366,7 +378,14 @@ func (t *TCP) doorbells() (writes, frames int64) {
 }
 
 // Wait implements Pending. Waiting for a held frame sends its train first.
-func (p *tcpPending) Wait() (*Response, error) {
+func (p *tcpPending) Wait() (*Response, error) { return p.wait(false) }
+
+// borrow is Wait for a caller that pins the response (Response.pin), under
+// Host.mu, before it reads the payload, and releases it once done: a payload
+// that fits the receive buffer is lent. Only the host's reaper borrows.
+func (p *tcpPending) borrow() (*Response, error) { return p.wait(true) }
+
+func (p *tcpPending) wait(lend bool) (*Response, error) {
 	t := p.t
 	t.mu.Lock()
 	if p.held && !p.done {
@@ -378,7 +397,7 @@ func (p *tcpPending) Wait() (*Response, error) {
 		t.wmu.Unlock()
 		t.mu.Lock()
 	}
-	t.awaitLocked(p)
+	t.awaitLocked(p, lend)
 	t.mu.Unlock()
 	return p.resp, p.err
 }
@@ -387,23 +406,26 @@ func (p *tcpPending) Wait() (*Response, error) {
 // it becomes the reader: it decodes responses, completing the FIFO's
 // pendings in order, until p's has arrived, each under a read deadline so
 // that a silent peer poisons the connection instead of hanging the waiter.
-// Otherwise it sleeps until the reader gets to p or hands the socket on.
-// Callers hold t.mu, which is released around reads.
-func (t *TCP) awaitLocked(p *tcpPending) {
+// With lend set p's own response may be lent, and the reader role goes with
+// it. Otherwise it sleeps until the reader gets to p or hands the socket on,
+// or takes the role from a loan not yet pinned. Callers hold t.mu, which is
+// released around reads.
+func (t *TCP) awaitLocked(p *tcpPending, lend bool) {
 	for !p.done {
-		if t.reading {
+		if t.reading && !t.revokeLocked() {
 			t.cond.Wait()
 			continue
 		}
 		t.reading = true
 		for !p.done {
+			own := lend && t.fifo[0] == p
 			t.mu.Unlock()
 			// A deadline left armed by the previous read needs no clearing:
 			// nothing reads the socket without arming its own.
 			err := t.conn.SetReadDeadline(time.Now().Add(t.timeout))
 			var resp *Response
 			if err == nil {
-				resp, err = readResponse(t.br, t.hdr[:], &t.bufs)
+				resp, err = t.receive(own)
 			}
 			t.mu.Lock()
 			if err != nil {
@@ -419,13 +441,102 @@ func (t *TCP) awaitLocked(p *tcpPending) {
 			t.fifo[last] = nil
 			t.fifo = t.fifo[:last]
 			head.resp, head.done = resp, true
+			if resp.lender != nil {
+				t.loan = resp
+			}
 			if head != p {
 				t.cond.Broadcast()
 			}
 		}
+		t.reading = t.loan != nil
+		t.cond.Broadcast()
+	}
+}
+
+// receive reads the next response off the socket. With lend set, a payload
+// that fits the receive buffer is left there and the response lent: its
+// payload is valid until the loan is given back or revoked, and no byte may be
+// read from br meanwhile. Anything else is read into one of t.bufs. Only the
+// reader calls it, without t.mu.
+func (t *TCP) receive(lend bool) (*Response, error) {
+	if !lend {
+		return readResponse(t.br, t.hdr[:], &t.bufs)
+	}
+	hdr, err := t.br.Peek(respHeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	n := respHeaderSize + int(binary.LittleEndian.Uint32(hdr[2:6]))
+	if hdr[0] != protoMagic || n == respHeaderSize || n > t.br.Size() {
+		return readResponse(t.br, t.hdr[:], &t.bufs)
+	}
+	frame, err := t.br.Peek(n)
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Status: frame[1], Payload: frame[respHeaderSize:], lender: t}, nil
+}
+
+// pin marks a lent response as being read by its holder, who from now on
+// waits for nothing until it gives the loan back; whoever needs the socket
+// meanwhile waits for that. A response revoked before it was pinned is in a
+// buffer of its own, and pin leaves it alone. The holder calls it, under
+// Host.mu, before it looks at the payload.
+func (resp *Response) pin() {
+	if resp == nil || resp.lender == nil {
+		return
+	}
+	t := resp.lender
+	t.mu.Lock()
+	if t.loan == resp {
+		t.pinned = true
+	}
+	t.mu.Unlock()
+}
+
+// revokeLocked takes the reader role from a loan its holder has not pinned:
+// the lent payload is copied into a buffer of t.bufs, the response repointed
+// at it, and the receive buffer moved past the frame. It reports whether it
+// did. Callers hold t.mu and become the reader when it returns true.
+func (t *TCP) revokeLocked() bool {
+	resp := t.loan
+	if resp == nil || t.pinned {
+		return false
+	}
+	lent := resp.Payload
+	resp.Payload, resp.home = sized(t.bufs.take(), len(lent)), &t.bufs
+	copy(resp.Payload, lent)
+	t.repayLocked(lent)
+	return true
+}
+
+// giveBack ends resp's loan: the receive buffer moves past the frame and the
+// reader role is free. A revoked response's buffer goes back to t.bufs.
+func (t *TCP) giveBack(resp *Response) {
+	t.mu.Lock()
+	lent := t.loan == resp
+	if lent {
+		t.repayLocked(resp.Payload)
 		t.reading = false
 		t.cond.Broadcast()
 	}
+	t.mu.Unlock()
+	resp.lender = nil
+	if lent {
+		*resp = Response{Status: resp.Status}
+	} else {
+		resp.release()
+	}
+}
+
+// repayLocked moves the receive buffer past the frame whose payload is lent,
+// and clears the loan. Callers hold t.mu and the reader role.
+func (t *TCP) repayLocked(lent []byte) {
+	if poisonReleased != nil {
+		poisonReleased(lent)
+	}
+	_, _ = t.br.Discard(respHeaderSize + len(lent)) // buffered: cannot fail
+	t.loan, t.pinned = nil, false
 }
 
 // poisonLocked fails every outstanding request with err, makes every later

@@ -11,7 +11,8 @@
 #   - the per-layer benchmarks that live in their layer's package
 #     (internal/pagemap: Get and Put+Delete at 16 k keys under churn;
 #     internal/remote: one TCP round trip, eight pipelined, read frames 1, 2
-#     and 4 to a socket write, and a store scan's host side over in-process
+#     and 4 to a socket write, a host's read scan over TCP with the socket
+#     reads a page took, and a store scan's host side over in-process
 #     agents, read + 64 B store + range writeback; internal/runtime: a scan over a link that
 #     answers 0, 50 us, 200 us and 1 ms late, with the pages the host keeps in
 #     flight at each, a store scan over two such links, 64 B and 4 KB stores,
