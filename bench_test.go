@@ -1,12 +1,7 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus the DESIGN.md ablations and microbenchmarks of the hot paths. Each
-// figure bench runs its experiment driver end to end and reports the
-// figure's headline quantities as custom metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// doubles as a compact reproduction report. cmd/leapbench prints the full
-// tables.
+// Benchmarks timing every table and figure of the paper's evaluation (one
+// BenchmarkFigures sub-benchmark per registered figure), plus
+// microbenchmarks of the hot paths. cmd/leapbench prints the figures
+// themselves.
 package leap
 
 import (
@@ -21,211 +16,19 @@ import (
 	"leap/internal/sim"
 )
 
-// benchScale keeps benches fast while preserving every qualitative shape.
-var benchScale = experiments.Small
-
-func BenchmarkFig1Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(benchScale, 42)
-		b.ReportMetric(r.Staging.Microseconds(), "staging-µs")
-		b.ReportMetric(r.RDMA.Microseconds(), "rdma-µs")
-		b.ReportMetric(r.LegacyMissMean.Microseconds(), "legacy-miss-µs")
-		b.ReportMetric(r.LeanMissMean.Microseconds(), "lean-miss-µs")
-	}
-}
-
-func BenchmarkFig2DefaultPathCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2(benchScale, 42)
-		b.ReportMetric(r.Stride["d-vmm"].P50.Microseconds(), "dvmm-stride-p50-µs")
-		b.ReportMetric(r.Stride["disk"].P50.Microseconds(), "disk-stride-p50-µs")
-	}
-}
-
-func BenchmarkFig3PatternMix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(benchScale, 42)
-		for _, row := range r.Rows {
-			if row.App == "powergraph" {
-				b.ReportMetric(row.MajorityW8.Sequential*100, "pg-majW8-seq-%")
-				b.ReportMetric(row.StrictW8.Sequential*100, "pg-strictW8-seq-%")
+// BenchmarkFigures runs every figure of the registry end to end at test
+// scale, seed 42, one sub-benchmark per figure: ns/op is the figure's wall
+// time. Its results are virtual-time model outputs that do not depend on
+// the machine; cmd/leapbench prints them.
+func BenchmarkFigures(b *testing.B) {
+	for _, name := range experiments.Figures() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.RunFigure(name, experiments.Small, 42); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}
-}
-
-func BenchmarkFig4EvictionWait(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(benchScale, 42)
-		b.ReportMetric(r.LazyWait.P50.Milliseconds(), "lazy-wait-p50-ms")
-		b.ReportMetric(r.EagerWait.Max.Microseconds(), "eager-wait-max-µs")
-	}
-}
-
-func BenchmarkTable1Matrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.RenderTable1()) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkFig7LeapCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7(benchScale, 42)
-		stride := r.Cells["d-vmm/stride-10"]
-		seq := r.Cells["d-vmm/sequential"]
-		b.ReportMetric(stride.MedianGain(), "stride-p50-gain-x")
-		b.ReportMetric(stride.TailGain(), "stride-p99-gain-x")
-		b.ReportMetric(seq.MedianGain(), "seq-p50-gain-x")
-	}
-}
-
-func BenchmarkFig8aBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8a(benchScale, 42)
-		b.ReportMetric(r.Full.P50.Microseconds(), "full-p50-µs")
-		b.ReportMetric(r.PathOnly.P50.Microseconds(), "path-p50-µs")
-	}
-}
-
-func BenchmarkFig8bSlowStorage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8b(benchScale, 42)
-		hdd, ssd := r.Gains()
-		b.ReportMetric(hdd, "hdd-gain-x")
-		b.ReportMetric(ssd, "ssd-gain-x")
-	}
-}
-
-func BenchmarkFig9CacheEffects(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(benchScale, 42)
-		leapRow, _ := r.Row("leap")
-		ra, _ := r.Row("readahead")
-		b.ReportMetric(float64(leapRow.CacheMiss), "leap-misses")
-		b.ReportMetric(float64(ra.CacheMiss), "readahead-misses")
-		b.ReportMetric(float64(leapRow.CacheAdds), "leap-adds")
-	}
-}
-
-func BenchmarkFig10PrefetcherQuality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig10(benchScale, 42)
-		leapRow, _ := r.Row("leap")
-		b.ReportMetric(leapRow.Coverage*100, "leap-coverage-%")
-		b.ReportMetric(leapRow.Accuracy*100, "leap-accuracy-%")
-		b.ReportMetric(leapRow.Timeliness.P50.Microseconds(), "leap-timeliness-p50-µs")
-	}
-}
-
-func BenchmarkFig11Applications(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11(benchScale, 42)
-		pgStock, _ := r.Cell("powergraph", "d-vmm", 0.5)
-		pgLeap, _ := r.Cell("powergraph", "d-vmm+leap", 0.5)
-		vdStock, _ := r.Cell("voltdb", "d-vmm", 0.5)
-		vdLeap, _ := r.Cell("voltdb", "d-vmm+leap", 0.5)
-		b.ReportMetric(float64(pgStock.Completion)/float64(pgLeap.Completion), "pg50-completion-gain-x")
-		b.ReportMetric(vdLeap.OpsPerSec/vdStock.OpsPerSec, "voltdb50-tps-gain-x")
-	}
-}
-
-func BenchmarkFig12CacheSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12(benchScale, 42)
-		unlimited, _ := r.Cell("powergraph", "no limit")
-		tiny, _ := r.Cell("powergraph", "3.2MB")
-		b.ReportMetric(
-			(float64(tiny.Completion)/float64(unlimited.Completion)-1)*100,
-			"pg-3.2MB-degradation-%")
-	}
-}
-
-func BenchmarkFig13Concurrent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig13(benchScale, 42)
-		var minGain, maxGain float64
-		for i, row := range r.Rows {
-			g := row.Gain()
-			if i == 0 || g < minGain {
-				minGain = g
-			}
-			if g > maxGain {
-				maxGain = g
-			}
-		}
-		b.ReportMetric(minGain, "min-gain-x")
-		b.ReportMetric(maxGain, "max-gain-x")
-	}
-}
-
-// --- DESIGN.md ablations ---
-
-func BenchmarkAblationMajorityVsStrict(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationMajorityVsStrict(benchScale, 42)
-		maj, _ := r.Row("majority")
-		strict, _ := r.Row("strict")
-		b.ReportMetric(maj.Coverage*100, "majority-coverage-%")
-		b.ReportMetric(strict.Coverage*100, "strict-coverage-%")
-	}
-}
-
-func BenchmarkAblationWindowDoubling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationWindowDoubling(benchScale, 42)
-		if len(r.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkAblationEviction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationEviction(benchScale, 42)
-		eager, _ := r.Row("eager")
-		lazy, _ := r.Row("lazy")
-		b.ReportMetric(float64(lazy.Completion)/float64(eager.Completion), "eager-gain-x")
-	}
-}
-
-func BenchmarkAblationIsolation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationIsolation(benchScale, 42)
-		iso, _ := r.Row("isolated")
-		sh, _ := r.Row("shared")
-		b.ReportMetric(iso.Coverage*100, "isolated-coverage-%")
-		b.ReportMetric(sh.Coverage*100, "shared-coverage-%")
-	}
-}
-
-func BenchmarkAblationHistorySize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationHistorySize(benchScale, 42)
-		if len(r.Rows) != 5 {
-			b.Fatal("missing sweep rows")
-		}
-	}
-}
-
-func BenchmarkAblationMaxWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationMaxWindow(benchScale, 42)
-		if len(r.Rows) != 5 {
-			b.Fatal("missing sweep rows")
-		}
-	}
-}
-
-func BenchmarkAblationThrottling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationThrottling(benchScale, 42)
-		leapRow, _ := r.Row("leap")
-		nnl, _ := r.Row("nextnline")
-		b.ReportMetric(float64(leapRow.Issued), "leap-issued")
-		b.ReportMetric(float64(nnl.Issued), "flood-issued")
-		b.ReportMetric(nnl.QueueDelayP99.Microseconds(), "flood-queue-p99-µs")
+		})
 	}
 }
 

@@ -58,24 +58,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var names []string
-	if strings.EqualFold(*fig, "all") {
-		names = known
-	} else {
-		for _, want := range strings.Split(strings.ToLower(*fig), ",") {
-			want = strings.TrimSpace(want)
-			found := false
-			for _, n := range known {
-				if n == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "leapbench: unknown figure %q\n", want)
-				os.Exit(2)
-			}
-			names = append(names, want)
+	names := known
+	if !strings.EqualFold(*fig, "all") {
+		names = nil
+		for _, name := range strings.Split(strings.ToLower(*fig), ",") {
+			names = append(names, strings.TrimSpace(name))
 		}
 	}
 
@@ -84,12 +71,16 @@ func main() {
 	n := 0
 	// Results stream in presentation order as each figure (and everything
 	// before it) completes, so long tail figures don't buffer earlier output.
-	experiments.ForEach(names, scale, *seed, *parallel, func(r experiments.FigureResult) {
+	err := experiments.ForEach(names, scale, *seed, *parallel, func(r experiments.FigureResult) {
 		fmt.Println(r.Output)
 		fmt.Printf("[%s done in %v]\n\n", r.Name, r.Elapsed.Round(time.Millisecond))
 		serial += r.Elapsed
 		n++
 	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "leapbench: %v\n", err)
+		os.Exit(2)
+	}
 	if n > 1 {
 		fmt.Printf("[%d figures in %v wall (%v of figure time, parallel=%d)]\n",
 			n, time.Since(start).Round(time.Millisecond),

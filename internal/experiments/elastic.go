@@ -41,29 +41,21 @@ const (
 	elasticGapMin     = 1700 * sim.Nanosecond
 )
 
-// ElasticRow is one run of the ramp: overall and windowed tail latency,
+// elasticRow is one run of the ramp: overall and windowed tail latency,
 // fault exposure, and the control actions taken.
-type ElasticRow struct {
-	Label   string
-	Ops     int64
-	P50     sim.Duration
-	P99     sim.Duration
-	PeakP99 sim.Duration // ops in the middle tenth of the ramp (peak load)
-	FaultP9 sim.Duration // p99 of ops inside the partition window
-	// Failover is the virtual time the run was exposed to the fault: for
+type elasticRow struct {
+	label    string
+	ops      int64
+	p50, p99 sim.Duration
+	peakP99  sim.Duration // ops in the middle tenth of the ramp (peak load)
+	faultP99 sim.Duration // ops inside the partition window
+	// exposure is the virtual time the run was exposed to the fault: for
 	// the control run, partition start → the detector's fail+repair action;
 	// for the static run, the whole partition window.
-	Failover sim.Duration
-	LiveEnd  int // live agents when the run ends
-	ScaleUps, ScaleDowns,
-	Fails, Recovers, HotAdds int
-}
-
-// ElasticResult is the `-fig elastic` output: the static baseline row and
-// the self-healing row over the identical workload.
-type ElasticResult struct {
-	Static  ElasticRow
-	Control ElasticRow
+	exposure sim.Duration
+	live     int // live agents when the run ends
+	scaleUps, scaleDowns,
+	fails, recovers, hotAdds int
 }
 
 // elasticLoop charges transport calls to the open-loop accounting model:
@@ -134,7 +126,7 @@ func (l *elasticLoop) observe(o remote.CallObservation) {
 // (detector thresholds tuned to the model's error and queue-delay scales);
 // without it the cluster is frozen at its initial size and the fault is
 // never routed around.
-func runElastic(withControl bool, ops int, seed uint64) ElasticRow {
+func runElastic(withControl bool, ops int, seed uint64) elasticRow {
 	base := sim.NewRNG(seed ^ 0xe1a5f1)
 	wire := rdma.Config{
 		Queues:      elasticMaxAgents,
@@ -145,22 +137,11 @@ func runElastic(withControl bool, ops int, seed uint64) ElasticRow {
 		fabric:   rdma.New(wire, base.Fork(1)),
 		bgFabric: rdma.New(wire, base.Fork(2)),
 	}
-	fts := make([]*remote.FaultTransport, 0, elasticMaxAgents)
-	transports := make([]remote.Transport, 0, elasticMinAgents)
-	for i := 0; i < elasticMinAgents; i++ {
-		ft := remote.NewFaultTransport(i, remote.NewInProc(remote.NewAgent(16, 0)), nil)
-		ft.SetObserver(loop.observe)
-		fts = append(fts, ft)
-		transports = append(transports, ft)
-	}
-	host, err := remote.NewHost(remote.HostConfig{
+	fts, host := cluster(elasticMinAgents, loop.observe, remote.HostConfig{
 		SlabPages: 16,
 		Replicas:  2,
 		Seed:      seed,
-	}, transports)
-	if err != nil {
-		panic(err)
-	}
+	})
 
 	var plane *control.Plane
 	var actions []control.Action
@@ -170,8 +151,7 @@ func runElastic(withControl bool, ops int, seed uint64) ElasticRow {
 				if len(fts) >= elasticMaxAgents {
 					return nil, false
 				}
-				ft := remote.NewFaultTransport(len(fts), remote.NewInProc(remote.NewAgent(16, 0)), nil)
-				ft.SetObserver(loop.observe)
+				ft := faultAgent(len(fts), 16, loop.observe)
 				fts = append(fts, ft)
 				return ft, true
 			},
@@ -285,77 +265,70 @@ func runElastic(withControl bool, ops int, seed uint64) ElasticRow {
 		}
 	}
 
-	row := ElasticRow{
-		Ops:     int64(ops),
-		P50:     all.Percentile(50),
-		P99:     all.Percentile(99),
-		PeakP99: peak.Percentile(99),
-		FaultP9: fault.Percentile(99),
-		LiveEnd: elasticMinAgents,
+	row := elasticRow{
+		ops:      int64(ops),
+		p50:      all.Percentile(50),
+		p99:      all.Percentile(99),
+		peakP99:  peak.Percentile(99),
+		faultP99: fault.Percentile(99),
+		live:     elasticMinAgents,
 	}
-	if withControl {
-		row.Label = "self-healing"
-		row.LiveEnd = plane.LiveAgents()
-		for _, a := range actions {
-			if a.Err != nil {
-				continue
-			}
-			switch a.Kind {
-			case control.ActScaleUp:
-				row.ScaleUps++
-			case control.ActScaleDown:
-				row.ScaleDowns++
-			case control.ActFail:
-				row.Fails++
-				if row.Failover == 0 {
-					row.Failover = a.At.Sub(faultAt)
-				}
-			case control.ActRecover:
-				row.Recovers++
-			case control.ActHotAdd:
-				row.HotAdds++
-			}
-		}
-	} else {
-		row.Label = "static"
+	if !withControl {
+		row.label = "static"
 		// Exposure is the whole window: nothing ever routes around the fault.
-		gapSum := sim.Duration(0)
 		for i := faultStart; i < faultEnd; i++ {
 			frac := float64(i) / float64(ops)
-			gapSum += elasticGapMax - sim.Duration(float64(elasticGapMax-elasticGapMin)*math.Sin(math.Pi*frac))
+			row.exposure += elasticGapMax - sim.Duration(float64(elasticGapMax-elasticGapMin)*math.Sin(math.Pi*frac))
 		}
-		row.Failover = gapSum
+		return row
+	}
+	row.label = "self-healing"
+	row.live = plane.LiveAgents()
+	for _, a := range actions {
+		if a.Err != nil {
+			continue
+		}
+		switch a.Kind {
+		case control.ActScaleUp:
+			row.scaleUps++
+		case control.ActScaleDown:
+			row.scaleDowns++
+		case control.ActFail:
+			row.fails++
+			if row.exposure == 0 {
+				row.exposure = a.At.Sub(faultAt)
+			}
+		case control.ActRecover:
+			row.recovers++
+		case control.ActHotAdd:
+			row.hotAdds++
+		}
 	}
 	return row
 }
 
-// Elastic runs the `-fig elastic` comparison.
-func Elastic(s Scale, seed uint64) ElasticResult {
+// elastic runs the ramp on the static cluster, then under the control loop.
+func elastic(s Scale, seed uint64) (static, ctl elasticRow) {
 	ops := int(s.Measured / 5)
-	return ElasticResult{
-		Static:  runElastic(false, ops, seed),
-		Control: runElastic(true, ops, seed),
-	}
+	return runElastic(false, ops, seed), runElastic(true, ops, seed)
 }
 
-// String renders the figure.
-func (r ElasticResult) String() string {
+func renderElastic(s Scale, seed uint64) string {
+	st, ctl := elastic(s, seed)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure E — elastic: diurnal ramp with a mid-ramp partition, static vs self-healing cluster (%d→%d agents)\n",
 		elasticMinAgents, elasticMaxAgents)
-	fmt.Fprintf(&b, "  %-13s %8s %10s %10s %10s %10s %12s %5s\n",
-		"cluster", "ops", "p50", "p99", "peak-p99", "fault-p99", "exposure", "live")
-	for _, row := range []ElasticRow{r.Static, r.Control} {
-		fmt.Fprintf(&b, "  %-13s %8d %10v %10v %10v %10v %12v %5d\n",
-			row.Label, row.Ops, row.P50, row.P99, row.PeakP99, row.FaultP9,
-			row.Failover, row.LiveEnd)
+	var rows [][]any
+	for _, r := range []elasticRow{st, ctl} {
+		rows = append(rows, []any{r.label, r.ops, r.p50, r.p99, r.peakP99, r.faultP99, r.exposure, r.live})
 	}
+	table(&b, "  ", []col{{"cluster", -13, ""}, {"ops", 8, ""}, {"p50", 10, ""}, {"p99", 10, ""}, {"peak-p99", 10, ""},
+		{"fault-p99", 10, ""}, {"exposure", 12, ""}, {"live", 5, ""}}, rows)
 	fmt.Fprintf(&b, "  control actions: scale-up=%d scale-down=%d fail=%d recover=%d hot-add=%d\n",
-		r.Control.ScaleUps, r.Control.ScaleDowns, r.Control.Fails,
-		r.Control.Recovers, r.Control.HotAdds)
-	if r.Static.P99 > 0 {
+		ctl.scaleUps, ctl.scaleDowns, ctl.fails, ctl.recovers, ctl.hotAdds)
+	if st.p99 > 0 {
 		fmt.Fprintf(&b, "  p99 %.2f× lower with the control loop; fault exposure %v → %v (detect+repair vs ride it out)\n",
-			float64(r.Static.P99)/float64(r.Control.P99), r.Static.Failover, r.Control.Failover)
+			float64(st.p99)/float64(ctl.p99), st.exposure, ctl.exposure)
 	}
 	fmt.Fprintf(&b, "  (open loop: arrivals follow the ramp regardless of completions; the static run pays the %v detection timeout per partitioned-primary read and saturates %d fabric queues at peak)\n",
 		elasticDetectCost, elasticMinAgents)

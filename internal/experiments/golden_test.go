@@ -13,8 +13,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // them, without the wall-clock lines: the per-figure timings and the
 // concurrency figure's "  measured" block.
 func figuresText(s Scale, seed uint64) string {
+	results, err := RunAll(Figures(), s, seed, 0)
+	if err != nil {
+		panic(err)
+	}
 	var b strings.Builder
-	for _, r := range RunAll(Figures(), s, seed, 0) {
+	for _, r := range results {
 		b.WriteString("== " + r.Name + " ==\n")
 		for _, line := range strings.SplitAfter(r.Output+"\n", "\n") {
 			if !strings.HasPrefix(line, "  measured") {

@@ -5,60 +5,20 @@ import (
 	"strings"
 
 	"leap/internal/chaos"
-	"leap/internal/sim"
 )
 
-// ResilienceRow is one chaos schedule's outcome: degraded-mode performance
-// and the invariant checks (which must all be zero violations).
-type ResilienceRow struct {
-	Schedule      string
-	Reads, Writes int64
-	ReadP50       sim.Duration
-	ReadP99       sim.Duration
-	Failovers     int64
-	FailoverP99   sim.Duration
-	RepairedSlabs int64
-	RepairTime    sim.Duration
-	DegradedReads int64
-	Violations    int64
-}
-
-// ResilienceResult reproduces the resilience suite: the remote-memory
-// service of §4.4–4.5 under the shipped chaos schedules — agent
-// crash/restart cycles, partitions, transient write failures, slow agents
-// and a background repair daemon — all on virtual time, so the entire
-// figure is a pure function of (Scale, seed).
-type ResilienceResult struct {
-	Rows []ResilienceRow
-	// FailoverCDF is the failover-read latency distribution under the
-	// crash-restart schedule (percentile, latency) — the cost of detecting
-	// a dead primary and retrying a replica.
-	FailoverCDF []struct {
-		Pct     float64
-		Latency sim.Duration
-	}
-}
-
-// resilienceConfig sizes the chaos runs from the experiment scale.
-func resilienceConfig(s Scale, seed uint64) chaos.Config {
-	cfg := chaos.Config{
-		Ops:   int(s.Measured / 5),
-		Pages: 256,
-		Seed:  seed,
-	}
-	// Background repair daemon: a few rounds per run, so repair traffic
-	// interferes with the workload through the shared fabric queues. The
-	// period stays longer than the schedules' crash→repair windows so the
-	// scheduled repair (not the daemon) is the first responder and the
-	// failover window stays observable.
+// resilience runs the remote-memory service of §4.4–4.5 under every shipped
+// chaos schedule — agent crash/restart cycles, partitions, transient write
+// failures, slow agents — with a background repair daemon, all on virtual
+// time, so the figure is a pure function of (Scale, seed). The daemon runs
+// a few rounds per run, so repair traffic interferes with the workload
+// through the shared fabric queues; its period stays longer than the
+// schedules' crash→repair windows, so the scheduled repair (not the daemon)
+// is the first responder and the failover window stays observable.
+func resilience(s Scale, seed uint64) []*chaos.Report {
+	cfg := chaos.Config{Ops: int(s.Measured / 5), Pages: 256, Seed: seed}
 	cfg.RepairEvery = cfg.Horizon() / 3
-	return cfg
-}
-
-// Resilience runs every shipped chaos schedule and collects the comparison.
-func Resilience(s Scale, seed uint64) ResilienceResult {
-	cfg := resilienceConfig(s, seed)
-	var out ResilienceResult
+	var reps []*chaos.Report
 	for _, sched := range chaos.Library(cfg.Horizon()) {
 		c, err := chaos.New(cfg)
 		if err != nil {
@@ -68,88 +28,52 @@ func Resilience(s Scale, seed uint64) ResilienceResult {
 		if err != nil {
 			panic(err)
 		}
-		out.Rows = append(out.Rows, ResilienceRow{
-			Schedule:      sched.Name,
-			Reads:         rep.Reads,
-			Writes:        rep.Writes,
-			ReadP50:       rep.ReadLatency.Percentile(50),
-			ReadP99:       rep.ReadLatency.Percentile(99),
-			Failovers:     rep.FailoverReads,
-			FailoverP99:   rep.FailoverLatency.Percentile(99),
-			RepairedSlabs: rep.RepairedSlabs,
-			RepairTime:    rep.RepairTime,
-			DegradedReads: rep.DegradedReads,
-			Violations:    rep.Violations(),
-		})
-		if sched.Name == "crash-restart" {
-			for _, p := range []float64{25, 50, 75, 90, 95, 99} {
-				out.FailoverCDF = append(out.FailoverCDF, struct {
-					Pct     float64
-					Latency sim.Duration
-				}{p, rep.FailoverLatency.Percentile(p)})
-			}
+		reps = append(reps, rep)
+	}
+	return reps
+}
+
+// schedule returns the report of the named schedule, or nil.
+func schedule(reps []*chaos.Report, name string) *chaos.Report {
+	for _, r := range reps {
+		if r.Schedule == name {
+			return r
 		}
 	}
-	return out
+	return nil
 }
 
-// Row fetches one schedule's row.
-func (r ResilienceResult) Row(schedule string) (ResilienceRow, bool) {
-	for _, row := range r.Rows {
-		if row.Schedule == schedule {
-			return row, true
-		}
-	}
-	return ResilienceRow{}, false
-}
-
-// Overhead reports a schedule's read-p99 inflation over the baseline
-// schedule (1.0 = no overhead).
-func (r ResilienceResult) Overhead(schedule string) float64 {
-	base, ok1 := r.Row("baseline")
-	row, ok2 := r.Row(schedule)
-	if !ok1 || !ok2 || base.ReadP99 == 0 {
-		return 0
-	}
-	return float64(row.ReadP99) / float64(base.ReadP99)
-}
-
-// TotalViolations sums invariant breaches across every schedule; the
-// resilience claim is exactly that this is zero.
-func (r ResilienceResult) TotalViolations() int64 {
-	var n int64
-	for _, row := range r.Rows {
-		n += row.Violations
-	}
-	return n
-}
-
-// String renders the figure.
-func (r ResilienceResult) String() string {
+func renderResilience(s Scale, seed uint64) string {
+	reps := resilience(s, seed)
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure R — resilience: remote-memory service under scheduled faults (virtual time)\n")
-	fmt.Fprintf(&b, "  %-16s %6s %6s %10s %10s %6s %12s %7s %10s %6s %5s\n",
-		"schedule", "reads", "writes", "read-p50", "read-p99", "f/over", "f/over-p99", "repairs", "rep-time", "degr", "viol")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-16s %6d %6d %10v %10v %6d %12v %7d %10v %6d %5d\n",
-			row.Schedule, row.Reads, row.Writes, row.ReadP50, row.ReadP99,
-			row.Failovers, row.FailoverP99, row.RepairedSlabs, row.RepairTime,
-			row.DegradedReads, row.Violations)
+	b.WriteString("Figure R — resilience: remote-memory service under scheduled faults (virtual time)\n")
+	var rows [][]any
+	var violations int64
+	for _, r := range reps {
+		rows = append(rows, []any{r.Schedule, r.Reads, r.Writes, r.ReadLatency.Percentile(50),
+			r.ReadLatency.Percentile(99), r.FailoverReads, r.FailoverLatency.Percentile(99),
+			r.RepairedSlabs, r.RepairTime, r.DegradedReads, r.Violations()})
+		violations += r.Violations()
 	}
-	fmt.Fprintf(&b, "  failover latency CDF (crash-restart):")
-	for _, pt := range r.FailoverCDF {
-		fmt.Fprintf(&b, "  p%g=%v", pt.Pct, pt.Latency)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "  fault-tolerance overhead (read-p99 vs baseline):")
-	for _, row := range r.Rows {
-		if row.Schedule == "baseline" {
-			continue
+	table(&b, "  ", []col{{"schedule", -16, ""}, {"reads", 6, ""}, {"writes", 6, ""}, {"read-p50", 10, ""},
+		{"read-p99", 10, ""}, {"f/over", 6, ""}, {"f/over-p99", 12, ""}, {"repairs", 7, ""},
+		{"rep-time", 10, ""}, {"degr", 6, ""}, {"viol", 5, ""}}, rows)
+	// The failover latency CDF is the cost of detecting a dead primary and
+	// retrying a replica.
+	b.WriteString("  failover latency CDF (crash-restart):")
+	if crash := schedule(reps, "crash-restart"); crash != nil {
+		for _, p := range []float64{25, 50, 75, 90, 95, 99} {
+			fmt.Fprintf(&b, "  p%g=%v", p, crash.FailoverLatency.Percentile(p))
 		}
-		fmt.Fprintf(&b, "  %s %.2f×", row.Schedule, r.Overhead(row.Schedule))
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "  (invariants: zero acked-write losses, replication factor restored after every repair window — total violations %d)\n",
-		r.TotalViolations())
+	b.WriteString("\n  fault-tolerance overhead (read-p99 vs baseline):")
+	base := schedule(reps, "baseline")
+	for _, r := range reps {
+		if r != base {
+			fmt.Fprintf(&b, "  %s %.2f×", r.Schedule, ratio(r.ReadLatency.Percentile(99), base.ReadLatency.Percentile(99)))
+		}
+	}
+	fmt.Fprintf(&b, "\n  (invariants: zero acked-write losses, replication factor restored after every repair window — total violations %d)\n",
+		violations)
 	return b.String()
 }

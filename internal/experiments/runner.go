@@ -24,49 +24,30 @@ type figureRunner struct {
 	run  func(Scale, uint64) string
 }
 
-// show adapts a figure driver to the registry: it renders the driver's
-// result with fmt.Sprint.
-func show[R any](fig func(Scale, uint64) R) func(Scale, uint64) string {
-	return func(s Scale, seed uint64) string { return fmt.Sprint(fig(s, seed)) }
-}
-
 // figureRegistry lists every figure in the paper's presentation order.
 var figureRegistry = []figureRunner{
-	{"1", "data-path latency breakdown: stock block layer vs Leap's lean path", show(Fig1)},
-	{"2", "4KB read latency CDFs across disaggregated VMM/VFS stacks", show(Fig2)},
-	{"3", "page-fault pattern mix (sequential/stride/irregular) per application", show(Fig3)},
-	{"4", "consumed-page wait time under lazy vs eager cache eviction", show(Fig4)},
-	{"table1", "majority-trend prefetching contrasted with prior prefetcher classes",
-		func(Scale, uint64) string { return RenderTable1() }},
-	{"7", "microbenchmark latency CDFs: default path vs Leap, sequential and stride", show(Fig7)},
-	{"8a", "benefit breakdown: Leap's components enabled one at a time on PowerGraph", show(Fig8a)},
-	{"8b", "Leap prefetcher vs read-ahead on slow storage (HDD, SSD)", show(Fig8b)},
-	{"9", "cache adds, cache misses and completion time per prefetcher", show(Fig9)},
-	{"10", "prefetcher accuracy, coverage and timeliness per prefetcher", show(Fig10)},
-	{"11", "application completion time and throughput at 100%/50%/25% memory", show(Fig11)},
-	{"12", "Leap under shrinking prefetch-cache budgets", show(Fig12)},
-	{"13", "multi-process isolation: per-process predictors vs global stream", show(Fig13)},
-	{"resilience", "chaos harness: scripted faults, failover latency, repair traffic", show(Resilience)},
-	{"scaling", "async ticket engine throughput over agents × queue-depth grid", show(Scaling)},
-	{"elastic", "self-healing control plane: diurnal ramp, static vs detector+autoscaler", show(Elastic)},
-	{"runtime", "end-to-end leap.Memory: prefetchers over a live in-proc remote cluster", show(Runtime)},
-	{"selfheal", "leap.Memory under mid-run agent faults: unsupervised vs WithControlPlane", show(Selfheal)},
-	{"concurrency", "multi-client leap.Memory: modeled throughput over goroutines × clients", show(Concurrency)},
-	{"ztier", "compressed victim tier: hit ratio, hit latency and compression ratio at equal RAM", show(Ztier)},
-	{"ensemble", "online per-client prefetcher selection vs every fixed policy, per application", show(Ensemble)},
-	{"ablations", "design-choice sweeps: majority vote, windows, eviction, isolation",
-		func(s Scale, seed uint64) string {
-			parts := []string{
-				fmt.Sprint(AblationMajorityVsStrict(s, seed)),
-				fmt.Sprint(AblationWindowDoubling(s, seed)),
-				fmt.Sprint(AblationEviction(s, seed)),
-				fmt.Sprint(AblationIsolation(s, seed)),
-				fmt.Sprint(AblationHistorySize(s, seed)),
-				fmt.Sprint(AblationMaxWindow(s, seed)),
-				fmt.Sprint(AblationThrottling(s, seed)),
-			}
-			return strings.Join(parts, "\n")
-		}},
+	{"1", "data-path latency breakdown: stock block layer vs Leap's lean path", renderFig1},
+	{"2", "4KB read latency CDFs across disaggregated VMM/VFS stacks", renderFig2},
+	{"3", "page-fault pattern mix (sequential/stride/irregular) per application", renderFig3},
+	{"4", "consumed-page wait time under lazy vs eager cache eviction", renderFig4},
+	{"table1", "majority-trend prefetching contrasted with prior prefetcher classes", renderTable1},
+	{"7", "microbenchmark latency CDFs: default path vs Leap, sequential and stride", renderFig7},
+	{"8a", "benefit breakdown: Leap's components enabled one at a time on PowerGraph", renderFig8a},
+	{"8b", "Leap prefetcher vs read-ahead on slow storage (HDD, SSD)", renderFig8b},
+	{"9", "cache adds, cache misses and completion time per prefetcher", renderFig9},
+	{"10", "prefetcher accuracy, coverage and timeliness per prefetcher", renderFig10},
+	{"11", "application completion time and throughput at 100%/50%/25% memory", renderFig11},
+	{"12", "Leap under shrinking prefetch-cache budgets", renderFig12},
+	{"13", "multi-process isolation: per-process predictors vs global stream", renderFig13},
+	{"resilience", "chaos harness: scripted faults, failover latency, repair traffic", renderResilience},
+	{"scaling", "async ticket engine throughput over agents × queue-depth grid", renderScaling},
+	{"elastic", "self-healing control plane: diurnal ramp, static vs detector+autoscaler", renderElastic},
+	{"runtime", "end-to-end leap.Memory: prefetchers over a live in-proc remote cluster", renderRuntime},
+	{"selfheal", "leap.Memory under mid-run agent faults: unsupervised vs WithControlPlane", renderSelfheal},
+	{"concurrency", "multi-client leap.Memory: modeled throughput over goroutines × clients", renderConcurrency},
+	{"ztier", "compressed victim tier: hit ratio, hit latency and compression ratio at equal RAM", renderZtier},
+	{"ensemble", "online per-client prefetcher selection vs every fixed policy, per application", renderEnsemble},
+	{"ablations", "design-choice sweeps: majority vote, windows, eviction, isolation", renderAblations},
 }
 
 // Figures reports the registered figure names in presentation order.
@@ -88,37 +69,59 @@ func Describe() string {
 	return b.String()
 }
 
-// RunFigure runs one named figure, reporting false for an unknown name.
-func RunFigure(name string, s Scale, seed uint64) (FigureResult, bool) {
+// lookup finds a registered figure: the one place a figure name is checked.
+func lookup(name string) (figureRunner, error) {
 	for _, r := range figureRegistry {
 		if r.name == name {
-			start := time.Now()
-			out := r.run(s, seed)
-			return FigureResult{Name: name, Output: out, Elapsed: time.Since(start)}, true
+			return r, nil
 		}
 	}
-	return FigureResult{}, false
+	return figureRunner{}, fmt.Errorf("unknown figure %q", name)
+}
+
+// RunFigure runs one named figure.
+func RunFigure(name string, s Scale, seed uint64) (FigureResult, error) {
+	r, err := lookup(name)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	return r.timed(s, seed), nil
+}
+
+// timed runs the figure, timing it on the wall clock.
+func (r figureRunner) timed(s Scale, seed uint64) FigureResult {
+	start := time.Now()
+	out := r.run(s, seed)
+	return FigureResult{Name: r.name, Output: out, Elapsed: time.Since(start)}
 }
 
 // RunAll runs the named figures with up to parallelism concurrent workers
 // and returns results in input order. Every driver owns its seed and
 // machines, so concurrency cannot perturb outputs: RunAll(names, s, seed, 8)
-// produces the same Output fields as running the names one at a time.
-// Unknown names produce a result whose Output is an error line, keeping
-// positions stable. parallelism < 1 means one worker per figure.
-func RunAll(names []string, s Scale, seed uint64, parallelism int) []FigureResult {
+// produces the same Output fields as running the names one at a time. An
+// unknown name fails the call before any figure runs. parallelism < 1 means
+// one worker per figure.
+func RunAll(names []string, s Scale, seed uint64, parallelism int) ([]FigureResult, error) {
 	results := make([]FigureResult, 0, len(names))
-	ForEach(names, s, seed, parallelism, func(r FigureResult) {
+	err := ForEach(names, s, seed, parallelism, func(r FigureResult) {
 		results = append(results, r)
 	})
-	return results
+	return results, err
 }
 
 // ForEach is RunAll with streaming: emit is called once per figure, in
 // input order, as soon as that figure and everything before it have
 // finished — so a long tail figure doesn't hold earlier output hostage.
 // emit runs on the caller's goroutine.
-func ForEach(names []string, s Scale, seed uint64, parallelism int, emit func(FigureResult)) {
+func ForEach(names []string, s Scale, seed uint64, parallelism int, emit func(FigureResult)) error {
+	runners := make([]figureRunner, len(names))
+	for i, name := range names {
+		r, err := lookup(name)
+		if err != nil {
+			return err
+		}
+		runners[i] = r
+	}
 	if parallelism < 1 || parallelism > len(names) {
 		parallelism = len(names)
 	}
@@ -131,14 +134,7 @@ func ForEach(names []string, s Scale, seed uint64, parallelism int, emit func(Fi
 	for w := 0; w < parallelism; w++ {
 		go func() {
 			for i := range work {
-				res, ok := RunFigure(names[i], s, seed)
-				if !ok {
-					res = FigureResult{
-						Name:   names[i],
-						Output: fmt.Sprintf("unknown figure %q", names[i]),
-					}
-				}
-				results[i] = res
+				results[i] = runners[i].timed(s, seed)
 				close(done[i])
 			}
 		}()
@@ -153,4 +149,5 @@ func ForEach(names []string, s Scale, seed uint64, parallelism int, emit func(Fi
 		<-done[i]
 		emit(results[i])
 	}
+	return nil
 }

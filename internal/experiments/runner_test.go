@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunnerRegistryComplete(t *testing.T) {
 	want := []string{"1", "2", "3", "4", "table1", "7", "8a", "8b", "9", "10", "11", "12", "13", "resilience", "scaling", "elastic", "runtime", "selfheal", "concurrency", "ztier", "ensemble", "ablations"}
@@ -15,31 +18,134 @@ func TestRunnerRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRunFigureUnknown: an unknown name is an error, from RunFigure and
+// from the runner before any figure runs.
 func TestRunFigureUnknown(t *testing.T) {
-	if _, ok := RunFigure("nope", Small, 1); ok {
+	if _, err := RunFigure("nope", Small, 1); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	ran := false
+	err := ForEach([]string{"table1", "nope"}, Small, 1, 1, func(FigureResult) { ran = true })
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "nope"`) {
+		t.Fatalf("ForEach error = %v, want unknown figure \"nope\"", err)
+	}
+	if ran {
+		t.Fatal("ForEach ran figures before rejecting an unknown name")
 	}
 }
 
+// TestParallelMatchesSequential is the reproducibility gate on every
+// figure: the whole registry runs at seed 42 on one worker and on four, and
+// each figure must render the same bytes both times — concurrency cannot
+// perturb an output. Measured wall-clock blocks are compared after
+// StripMeasured.
 func TestParallelMatchesSequential(t *testing.T) {
-	// The whole point of the parallel runner: concurrency must not change a
-	// single output byte. Use a subset that exercises vmm, vfs and the
-	// static table.
-	names := []string{"1", "7", "9", "table1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
+	names := Figures()
+	seq, err := RunAll(names, Small, 42, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunAll(names, Small, 42, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seq) != len(names) || len(par) != len(names) {
 		t.Fatalf("result lengths: seq=%d par=%d want %d", len(seq), len(par), len(names))
 	}
-	for i := range names {
-		if seq[i].Name != names[i] || par[i].Name != names[i] {
-			t.Fatalf("position %d: names %q/%q, want %q", i, seq[i].Name, par[i].Name, names[i])
+	for i, name := range names {
+		if seq[i].Name != name || par[i].Name != name {
+			t.Fatalf("position %d: names %q/%q, want %q", i, seq[i].Name, par[i].Name, name)
 		}
-		if seq[i].Output != par[i].Output {
-			t.Errorf("figure %s: parallel output differs from sequential", names[i])
+		a, b := StripMeasured(seq[i].Output), StripMeasured(par[i].Output)
+		if a == "" {
+			t.Errorf("figure %s: empty output", name)
 		}
-		if seq[i].Output == "" {
-			t.Errorf("figure %s: empty output", names[i])
+		if a != b {
+			t.Errorf("figure %s: parallel output differs from sequential:\n%s\n---\n%s", name, a, b)
+		}
+	}
+}
+
+// replayFigure runs one figure twice at seed 42 and fails unless both runs
+// render the same bytes outside any measured block. It returns the first
+// run's raw output for figure-specific checks.
+func replayFigure(t *testing.T, name string) string {
+	t.Helper()
+	a, err := RunFigure(name, Small, 42)
+	if err != nil {
+		t.Fatalf("%s figure not registered: %v", name, err)
+	}
+	b, err := RunFigure(name, Small, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Output == "" {
+		t.Fatalf("%s: empty output", name)
+	}
+	if StripMeasured(a.Output) != StripMeasured(b.Output) {
+		t.Fatalf("same-seed %s runs diverged:\n%s\n---\n%s", name, a.Output, b.Output)
+	}
+	return a.Output
+}
+
+func TestResilienceDeterministic(t *testing.T) { replayFigure(t, "resilience") }
+func TestScalingDeterministic(t *testing.T)    { replayFigure(t, "scaling") }
+func TestElasticDeterministic(t *testing.T)    { replayFigure(t, "elastic") }
+func TestRuntimeDeterministic(t *testing.T)    { replayFigure(t, "runtime") }
+func TestSelfhealDeterministic(t *testing.T)   { replayFigure(t, "selfheal") }
+func TestZtierDeterministic(t *testing.T)      { replayFigure(t, "ztier") }
+func TestEnsembleDeterministic(t *testing.T)   { replayFigure(t, "ensemble") }
+
+// TestConcurrencyDeterministic replays the concurrency figure and checks
+// that its measured real-goroutine block is present and that StripMeasured
+// removes it.
+func TestConcurrencyDeterministic(t *testing.T) {
+	out := replayFigure(t, "concurrency")
+	stripped := StripMeasured(out)
+	if !strings.Contains(stripped, "isolation") {
+		t.Fatal("figure output lost the §4.1 isolation block")
+	}
+	if !strings.Contains(out, "\n  measured") {
+		t.Fatal("figure output lost the measured real-goroutine block")
+	}
+	if strings.Contains(stripped, "measured") {
+		t.Fatal("StripMeasured left measured lines behind")
+	}
+}
+
+// TestDescribeGolden pins the -list inventory: every figure name appears
+// with a one-line description, in presentation order.
+func TestDescribeGolden(t *testing.T) {
+	const want = `1           data-path latency breakdown: stock block layer vs Leap's lean path
+2           4KB read latency CDFs across disaggregated VMM/VFS stacks
+3           page-fault pattern mix (sequential/stride/irregular) per application
+4           consumed-page wait time under lazy vs eager cache eviction
+table1      majority-trend prefetching contrasted with prior prefetcher classes
+7           microbenchmark latency CDFs: default path vs Leap, sequential and stride
+8a          benefit breakdown: Leap's components enabled one at a time on PowerGraph
+8b          Leap prefetcher vs read-ahead on slow storage (HDD, SSD)
+9           cache adds, cache misses and completion time per prefetcher
+10          prefetcher accuracy, coverage and timeliness per prefetcher
+11          application completion time and throughput at 100%/50%/25% memory
+12          Leap under shrinking prefetch-cache budgets
+13          multi-process isolation: per-process predictors vs global stream
+resilience  chaos harness: scripted faults, failover latency, repair traffic
+scaling     async ticket engine throughput over agents × queue-depth grid
+elastic     self-healing control plane: diurnal ramp, static vs detector+autoscaler
+runtime     end-to-end leap.Memory: prefetchers over a live in-proc remote cluster
+selfheal    leap.Memory under mid-run agent faults: unsupervised vs WithControlPlane
+concurrency multi-client leap.Memory: modeled throughput over goroutines × clients
+ztier       compressed victim tier: hit ratio, hit latency and compression ratio at equal RAM
+ensemble    online per-client prefetcher selection vs every fixed policy, per application
+ablations   design-choice sweeps: majority vote, windows, eviction, isolation
+`
+	if got := Describe(); got != want {
+		t.Fatalf("Describe() golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	// Belt and braces: the inventory must cover exactly Figures().
+	for _, name := range Figures() {
+		if !strings.Contains(Describe(), name+" ") && !strings.HasPrefix(Describe(), name+" ") {
+			t.Errorf("Describe() missing figure %q", name)
 		}
 	}
 }

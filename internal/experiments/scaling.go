@@ -12,33 +12,27 @@ import (
 	"leap/internal/sim"
 )
 
-// ScalingRow is one (agents, queue depth) point: closed-loop throughput and
-// per-op tail latency of the sharded remote-memory engine.
-type ScalingRow struct {
-	Agents     int
-	Depth      int
-	Ops        int64
-	Elapsed    sim.Duration
-	OpsPerSec  float64
-	P50        sim.Duration
-	P99        sim.Duration
-	Doorbells  int64
-	PagesPerDB float64
-}
+// The `-fig scaling` sweep drives the rendezvous-sharded, batched,
+// asynchronous remote-memory engine closed-loop at a pipeline window of
+// agents × depth outstanding operations per doorbell round — the fio-style
+// iodepth discipline. Throughput rises along both axes: deeper doorbells
+// amortize the per-submission dispatch cost and the wire round trip over
+// more pages (3PO's observation that prefetch benefit is bounded by how
+// fast the far-memory path drains), and more agents drain batches in
+// parallel behind independent fabric queues. Every latency distribution in
+// the sweep is configured deterministic (σ=0), so the figure is a pure
+// function of (Scale, seed) and the depth-1→8 throughput gain is
+// structural, not sampling noise.
 
-// ScalingResult is the `-fig scaling` sweep: the rendezvous-sharded,
-// batched, asynchronous remote-memory engine driven closed-loop at a
-// pipeline window of agents × depth outstanding operations per doorbell
-// round — the fio-style iodepth discipline. Throughput rises along both
-// axes: deeper doorbells amortize the per-submission dispatch cost and the
-// wire round trip over more pages (3PO's observation that prefetch benefit
-// is bounded by how fast the far-memory path drains), and more agents drain
-// batches in parallel behind independent fabric queues. Every latency
-// distribution in the sweep is configured deterministic (σ=0), so the
-// figure is a pure function of (Scale, seed) and the depth-1→8 throughput
-// gain is structural, not sampling noise.
-type ScalingResult struct {
-	Rows []ScalingRow
+// scalingRow is one (agents, queue depth) point: closed-loop throughput and
+// per-op tail latency of the sharded remote-memory engine.
+type scalingRow struct {
+	agents, depth int
+	ops           int64
+	opsPerSec     float64
+	p50, p99      sim.Duration
+	doorbells     int64
+	pagesPerDB    float64
 }
 
 // scalingAgents and scalingDepths are the sweep grid.
@@ -84,7 +78,7 @@ func deterministicPath(rng *sim.RNG) *datapath.Path {
 }
 
 // runScalingPoint measures one (agents, depth) grid point.
-func runScalingPoint(agents, depth, ops int, seed uint64) ScalingRow {
+func runScalingPoint(agents, depth, ops int, seed uint64) scalingRow {
 	base := sim.NewRNG(seed ^ uint64(agents)<<8 ^ uint64(depth))
 	loop := &scalingLoop{
 		fabric: rdma.New(rdma.Config{
@@ -93,25 +87,16 @@ func runScalingPoint(agents, depth, ops int, seed uint64) ScalingRow {
 		}, base.Fork(1)),
 		path: deterministicPath(base.Fork(2)),
 	}
-	transports := make([]remote.Transport, agents)
-	for i := 0; i < agents; i++ {
-		ft := remote.NewFaultTransport(i, remote.NewInProc(remote.NewAgent(64, 0)), nil)
-		ft.SetObserver(loop.observe)
-		transports[i] = ft
-	}
 	replicas := 2
 	if agents < 2 {
 		replicas = 1
 	}
-	host, err := remote.NewHost(remote.HostConfig{
+	_, host := cluster(agents, loop.observe, remote.HostConfig{
 		SlabPages:  64,
 		Replicas:   replicas,
 		QueueDepth: depth,
 		Seed:       seed,
-	}, transports)
-	if err != nil {
-		panic(err)
-	}
+	})
 
 	const pageCount = 1024
 	window := agents * depth // outstanding ops per doorbell round
@@ -182,75 +167,51 @@ func runScalingPoint(agents, depth, ops int, seed uint64) ScalingRow {
 	}
 	elapsed := clock.Sub(start)
 
-	row := ScalingRow{
-		Agents:    agents,
-		Depth:     depth,
-		Ops:       measured,
-		Elapsed:   elapsed,
-		P50:       hist.Percentile(50),
-		P99:       hist.Percentile(99),
-		Doorbells: loop.doorbell,
+	row := scalingRow{
+		agents:    agents,
+		depth:     depth,
+		ops:       measured,
+		p50:       hist.Percentile(50),
+		p99:       hist.Percentile(99),
+		doorbells: loop.doorbell,
 	}
 	if elapsed > 0 {
-		row.OpsPerSec = float64(measured) / elapsed.Seconds()
+		row.opsPerSec = float64(measured) / elapsed.Seconds()
 	}
 	if loop.doorbell > 0 {
-		row.PagesPerDB = float64(loop.pages) / float64(loop.doorbell)
+		row.pagesPerDB = float64(loop.pages) / float64(loop.doorbell)
 	}
 	return row
 }
 
-// Scaling runs the agents × depth sweep.
-func Scaling(s Scale, seed uint64) ScalingResult {
-	ops := int(s.Measured / 5)
-	var out ScalingResult
+// scaling runs the agents × depth sweep.
+func scaling(s Scale, seed uint64) []scalingRow {
+	var rows []scalingRow
 	for _, agents := range scalingAgents {
 		for _, depth := range scalingDepths {
-			out.Rows = append(out.Rows, runScalingPoint(agents, depth, ops, seed))
+			rows = append(rows, runScalingPoint(agents, depth, int(s.Measured/5), seed))
 		}
 	}
-	return out
+	return rows
 }
 
-// Row fetches one grid point.
-func (r ScalingResult) Row(agents, depth int) (ScalingRow, bool) {
-	for _, row := range r.Rows {
-		if row.Agents == agents && row.Depth == depth {
-			return row, true
-		}
-	}
-	return ScalingRow{}, false
-}
-
-// DepthGain reports throughput at the deepest queue over depth 1 for the
-// given agent count.
-func (r ScalingResult) DepthGain(agents int) float64 {
-	shallow, ok1 := r.Row(agents, scalingDepths[0])
-	deep, ok2 := r.Row(agents, scalingDepths[len(scalingDepths)-1])
-	if !ok1 || !ok2 || shallow.OpsPerSec == 0 {
-		return 0
-	}
-	return deep.OpsPerSec / shallow.OpsPerSec
-}
-
-// String renders the figure.
-func (r ScalingResult) String() string {
+func renderScaling(s Scale, seed uint64) string {
+	points := scaling(s, seed)
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure S — scaling: sharded+batched+async remote-memory engine (closed loop, window = agents×depth)\n")
-	fmt.Fprintf(&b, "  %6s %6s %8s %12s %10s %10s %10s %9s\n",
-		"agents", "depth", "ops", "Kops/s", "p50", "p99", "doorbells", "pages/db")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %6d %6d %8d %12.1f %10v %10v %10d %9.2f\n",
-			row.Agents, row.Depth, row.Ops, row.OpsPerSec/1e3,
-			row.P50, row.P99, row.Doorbells, row.PagesPerDB)
+	b.WriteString("Figure S — scaling: sharded+batched+async remote-memory engine (closed loop, window = agents×depth)\n")
+	var rows [][]any
+	for _, r := range points {
+		rows = append(rows, []any{r.agents, r.depth, r.ops, r.opsPerSec / 1e3, r.p50, r.p99, r.doorbells, r.pagesPerDB})
 	}
-	fmt.Fprintf(&b, "  queue-depth amortization (throughput ×, depth %d vs 1):",
-		scalingDepths[len(scalingDepths)-1])
-	for _, agents := range scalingAgents {
-		fmt.Fprintf(&b, "  %d-agent %.2f×", agents, r.DepthGain(agents))
+	table(&b, "  ", []col{{"agents", 6, ""}, {"depth", 6, ""}, {"ops", 8, ""}, {"Kops/s", 12, "%.1f"},
+		{"p50", 10, ""}, {"p99", 10, ""}, {"doorbells", 10, ""}, {"pages/db", 9, "%.2f"}}, rows)
+	deepest := scalingDepths[len(scalingDepths)-1]
+	fmt.Fprintf(&b, "  queue-depth amortization (throughput ×, depth %d vs 1):", deepest)
+	for i, agents := range scalingAgents {
+		row := points[i*len(scalingDepths) : (i+1)*len(scalingDepths)]
+		fmt.Fprintf(&b, "  %d-agent %.2f×", agents, ratio(row[len(row)-1].opsPerSec, row[0].opsPerSec))
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "  (deterministic σ=0 latencies; doorbell batching amortizes the %v dispatch and the wire round trip — the 3PO drain-rate bound)\n",
+	fmt.Fprintf(&b, "\n  (deterministic σ=0 latencies; doorbell batching amortizes the %v dispatch and the wire round trip — the 3PO drain-rate bound)\n",
 		2100*sim.Nanosecond)
 	return b.String()
 }

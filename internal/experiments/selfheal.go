@@ -39,23 +39,15 @@ const (
 	selfhealCache  = 32
 )
 
-// SelfhealRow is one run of the shared-tenant workload.
-type SelfhealRow struct {
-	Label    string
-	Ops      int64
-	P50, P99 sim.Duration
-	FaultP99 sim.Duration // p99 of ops inside the partition window
-	HitRatio float64
-	Live     int // serving agents at the end
-	Suspects, Clears, Fails, Recovers,
-	HotAdds int64
-}
-
-// SelfhealResult is the `-fig selfheal` output: the unsupervised baseline
-// and the control-plane row over the identical workload and fault timeline.
-type SelfhealResult struct {
-	Baseline SelfhealRow
-	Control  SelfhealRow
+// selfhealRow is one run of the shared-tenant workload.
+type selfhealRow struct {
+	label    string
+	ops      int64
+	p50, p99 sim.Duration
+	faultP99 sim.Duration // ops inside the partition window
+	// Stats is the Memory's at the end of the run: hit ratio, and the
+	// control plane's view and actions (zero-valued unsupervised).
+	runtime.Stats
 }
 
 // selfhealLoop is the harness's per-call accounting: virtual-time penalties
@@ -116,24 +108,14 @@ func (p *selfhealPattern) next() int64 {
 }
 
 // runSelfheal executes the workload once over a fresh cluster.
-func runSelfheal(withControl bool, ops int, seed uint64) SelfhealRow {
+func runSelfheal(withControl bool, ops int, seed uint64) selfhealRow {
 	loop := &selfhealLoop{}
-	fts := make([]*remote.FaultTransport, selfhealAgents)
-	transports := make([]remote.Transport, selfhealAgents)
-	for i := range fts {
-		ft := remote.NewFaultTransport(i, remote.NewInProc(remote.NewAgent(64, 0)), nil)
-		ft.SetObserver(loop.observe) // installed before Open: the runtime chains onto it
-		fts[i] = ft
-		transports[i] = ft
-	}
-	host, err := remote.NewHost(remote.HostConfig{
+	// The observer is installed before Open: the runtime chains onto it.
+	fts, host := cluster(selfhealAgents, loop.observe, remote.HostConfig{
 		SlabPages: 64,
 		Replicas:  2,
 		Seed:      seed,
-	}, transports)
-	if err != nil {
-		panic(err)
-	}
+	})
 
 	opts := []runtime.Option{
 		runtime.WithRemoteHost(host),
@@ -233,60 +215,48 @@ func runSelfheal(withControl bool, ops int, seed uint64) SelfhealRow {
 		}
 	}
 
-	st := mem.Stats()
-	row := SelfhealRow{
-		Ops:      int64(ops),
-		P50:      all.Percentile(50),
-		P99:      all.Percentile(99),
-		FaultP99: fault.Percentile(99),
-		HitRatio: st.HitRatio,
-		Live:     selfhealAgents,
+	row := selfhealRow{
+		label:    "unsupervised",
+		ops:      int64(ops),
+		p50:      all.Percentile(50),
+		p99:      all.Percentile(99),
+		faultP99: fault.Percentile(99),
+		Stats:    mem.Stats(),
 	}
 	if withControl {
-		row.Label = "control-plane"
-		row.Live = st.Control.Live
-		row.Suspects = st.Control.Suspects
-		row.Clears = st.Control.Clears
-		row.Fails = st.Control.Fails
-		row.Recovers = st.Control.Recovers
-		row.HotAdds = st.Control.HotAdds
-	} else {
-		row.Label = "unsupervised"
+		row.label = "control-plane"
 	}
 	return row
 }
 
-// Selfheal runs the `-fig selfheal` comparison.
-func Selfheal(s Scale, seed uint64) SelfhealResult {
-	ops := int(s.Measured / 4)
-	if ops < 4000 {
-		ops = 4000
-	}
-	return SelfhealResult{
-		Baseline: runSelfheal(false, ops, seed),
-		Control:  runSelfheal(true, ops, seed),
-	}
+// selfheal runs the workload unsupervised, then with the control plane.
+func selfheal(s Scale, seed uint64) (base, ctl selfhealRow) {
+	ops := int(perRun(s, 4, 4000))
+	return runSelfheal(false, ops, seed), runSelfheal(true, ops, seed)
 }
 
-// String renders the figure.
-func (r SelfhealResult) String() string {
+func renderSelfheal(s Scale, seed uint64) string {
+	base, ctl := selfheal(s, seed)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure S — selfheal: leap.Memory under mid-run agent faults, unsupervised vs WithControlPlane (%d agents, %d tenants)\n",
 		selfhealAgents, selfhealAgents)
-	fmt.Fprintf(&b, "  %-14s %8s %10s %10s %10s %7s %5s\n",
-		"runtime", "ops", "p50", "p99", "fault-p99", "hit", "live")
-	for _, row := range []SelfhealRow{r.Baseline, r.Control} {
-		fmt.Fprintf(&b, "  %-14s %8d %10v %10v %10v %6.1f%% %5d\n",
-			row.Label, row.Ops, row.P50, row.P99, row.FaultP99, 100*row.HitRatio, row.Live)
+	var rows [][]any
+	for _, r := range []selfhealRow{base, ctl} {
+		live := selfhealAgents
+		if r.Control.Enabled {
+			live = r.Control.Live
+		}
+		rows = append(rows, []any{r.label, r.ops, r.p50, r.p99, r.faultP99, 100 * r.HitRatio, live})
 	}
+	table(&b, "  ", []col{{"runtime", -14, ""}, {"ops", 8, ""}, {"p50", 10, ""}, {"p99", 10, ""},
+		{"fault-p99", 10, ""}, {"hit", 7, percent}, {"live", 5, ""}}, rows)
+	c := ctl.Control
 	fmt.Fprintf(&b, "  control actions: suspect=%d clear=%d fail=%d recover=%d hot-add=%d\n",
-		r.Control.Suspects, r.Control.Clears, r.Control.Fails,
-		r.Control.Recovers, r.Control.HotAdds)
-	if r.Control.P99 > 0 {
+		c.Suspects, c.Clears, c.Fails, c.Recovers, c.HotAdds)
+	if ctl.p99 > 0 {
 		fmt.Fprintf(&b, "  p99 %.2f× lower with the control plane; fault-window p99 %v → %v (fail+repair vs paying %v per dead-primary call)\n",
-			float64(r.Baseline.P99)/float64(r.Control.P99),
-			r.Baseline.FaultP99, r.Control.FaultP99, selfhealDetect)
+			float64(base.p99)/float64(ctl.p99), base.faultP99, ctl.faultP99, selfhealDetect)
 	}
-	fmt.Fprintf(&b, "  (real fault path end to end: predictor, prefetch windows, ticket engine and eviction all run; the control plane is the only variable)\n")
+	b.WriteString("  (real fault path end to end: predictor, prefetch windows, ticket engine and eviction all run; the control plane is the only variable)\n")
 	return b.String()
 }

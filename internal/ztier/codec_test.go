@@ -114,12 +114,12 @@ func TestDecompressRejectsCorruptInput(t *testing.T) {
 		"empty":            {},
 		"unknown mode":     {0x7F, 1, 2, 3},
 		"truncated":        enc[:len(enc)/2],
-		"offset zero":      {modeLZ, 0x04, 0x00, 0x00, 0x00},       // match before any output
-		"offset too far":   {modeLZ, 0x14, 'a', 0x09, 0x00},        // 1 literal, offset 9
-		"dangling match":   {modeLZ, 0x11},                         // stream ends inside a match
-		"truncated offset": {modeLZ, 0x11, 0x01},                   // 1 offset byte of 2
-		"length ext EOF":   {modeLZ, 0xF0},                         // literal ext never terminates
-		"literal overrun":  {modeLZ, 0x50, 'a', 'b'},               // 5 literals, 2 present
+		"offset zero":      {modeLZ, 0x04, 0x00, 0x00, 0x00}, // match before any output
+		"offset too far":   {modeLZ, 0x14, 'a', 0x09, 0x00},  // 1 literal, offset 9
+		"dangling match":   {modeLZ, 0x11},                   // stream ends inside a match
+		"truncated offset": {modeLZ, 0x11, 0x01},             // 1 offset byte of 2
+		"length ext EOF":   {modeLZ, 0xF0},                   // literal ext never terminates
+		"literal overrun":  {modeLZ, 0x50, 'a', 'b'},         // 5 literals, 2 present
 	}
 	for name, in := range cases {
 		if _, err := Decompress(nil, in, 4096); err == nil {

@@ -157,6 +157,10 @@ func Simulate(cfg SimConfig, workloads []Workload) (SimResult, error) {
 	if !cfg.System.Valid() {
 		return SimResult{}, fmt.Errorf("leap: unknown system %v", cfg.System)
 	}
+	if cfg.WarmupAccesses < 0 || cfg.MeasuredAccesses < 0 {
+		return SimResult{}, fmt.Errorf("leap: negative run length (warmup %d, measured %d accesses)",
+			cfg.WarmupAccesses, cfg.MeasuredAccesses)
+	}
 	mcfg := cfg.System.Config(cfg.Seed)
 	if cfg.Prefetcher != nil {
 		mcfg.Prefetcher = cfg.Prefetcher

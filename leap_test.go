@@ -153,4 +153,13 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(SimConfig{}, nil); err == nil {
 		t.Fatal("empty workload list accepted")
 	}
+	w := []Workload{{PID: 1, Generator: NewSequentialWorkload(64, 1), MemoryLimitPages: 16}}
+	for _, cfg := range []SimConfig{
+		{System: SystemDVMMLeap, WarmupAccesses: -5},
+		{System: SystemDVMMLeap, MeasuredAccesses: -5},
+	} {
+		if _, err := Simulate(cfg, w); err == nil {
+			t.Errorf("negative run length accepted: %+v", cfg)
+		}
+	}
 }

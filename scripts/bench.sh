@@ -5,9 +5,9 @@
 #
 # Three passes with different timing budgets:
 #   - hot-path microbenchmarks get a long -benchtime for stable ns/op;
-#   - figure/ablation drivers run one full iteration each (every iteration
-#     is a complete experiment, so 1x is already meaningful and keeps the
-#     suite fast);
+#   - BenchmarkFigures runs every registered figure once (one
+#     sub-benchmark per figure; every iteration is a complete experiment,
+#     so 1x is already meaningful and keeps the suite fast);
 #   - the per-layer benchmarks that live in their layer's package
 #     (internal/pagemap: Get and Put+Delete at 16 k keys under churn;
 #     internal/remote: one TCP round trip, eight pipelined, read frames 1, 2
@@ -34,7 +34,7 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
   . | tee "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 1x \
-  -bench 'BenchmarkFig|BenchmarkTable|BenchmarkAblation' \
+  -bench 'BenchmarkFigures' \
   . | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
