@@ -7,7 +7,7 @@ DOCS = README.md DESIGN.md EXPERIMENTS.md PAPER_MAP.md \
        examples/multitenant/README.md examples/kvcache/README.md \
        examples/graphanalytics/README.md
 
-.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress figures docs-check links-check
+.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress stress-check figures docs-check links-check
 
 all: vet build test docs-check links-check
 
@@ -68,10 +68,20 @@ race:
 # concurrent/sharded stress, read-your-writes properties and chaos, single-
 # flight, the compressed tier, the control plane alone and wired into the
 # runtime, the ensemble selector under Advise traffic, and the wall-clock,
-# buffer-reuse, page-map-model and unacked-window tests of the wire path.
-STRESS = TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant
+# buffer-reuse, page-map-model and unacked-window tests of the wire path, and
+# the scripted test link those are played on.
+STRESS = TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
+STRESS_PKGS = . ./internal/runtime ./internal/remote ./internal/control
 stress:
-	$(GO) test -race -count 3 -run '$(STRESS)' . ./internal/runtime ./internal/remote ./internal/control
+	$(GO) test -race -count 3 -run '$(STRESS)' $(STRESS_PKGS)
+
+# Fails when an alternative of STRESS matches no test of STRESS_PKGS: a test
+# renamed or deleted would otherwise silently stop being stressed.
+stress-check:
+	@names=$$($(GO) test -list '.*' $(STRESS_PKGS)) || exit 1; status=0; \
+	for alt in $$(echo '$(STRESS)' | tr '|' ' '); do \
+	  echo "$$names" | grep -Eq -- "$$alt" || { echo "STRESS: $$alt matches no test"; status=1; }; \
+	done; exit $$status
 
 # Regenerate every figure and table at full scale.
 figures:

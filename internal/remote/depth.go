@@ -146,19 +146,6 @@ func (h *Host) Pipeline() (depth, flying, bound int) {
 	return h.depth, h.flying, maxUnreaped / PageSize
 }
 
-// Unacked reports the write side of the pipeline: the write frames in the
-// air, and the page images the host holds for them — writes started and not
-// yet answered by every replica. A link carries at most unackedFrames of the
-// frames, so neither outgrows unackedFrames x QueueDepth per link.
-func (h *Host) Unacked() (frames, pages int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.links {
-		frames += h.links[i].writes
-	}
-	return frames, h.unacked
-}
-
 // Doorbells reports what the host's doorbells carried: the socket writes its
 // transports made for requests, and the frames those moved (TCP counts both;
 // a transport with no socket adds nothing).

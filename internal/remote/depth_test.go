@@ -2,86 +2,11 @@ package remote
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
 	"leap/internal/core"
 )
-
-// fakeClock is a wall clock that only the test and its links move.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-func (c *fakeClock) advanceTo(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
-	}
-}
-
-// timedLink is a split-phase transport over an in-process agent that plays a
-// link's time on a fake clock: the agent serves one request at a time, service
-// apiece, and a response is due delay after it has been served. Waiting for a
-// response moves the clock to when it is due, and taking it costs take on top,
-// as reading and decoding one does whether or not it had to be waited for.
-type timedLink struct {
-	inner                *InProc
-	clock                *fakeClock
-	delay, service, take time.Duration
-	free                 time.Time // when the agent is done with what it has been given
-}
-
-type timedPending struct {
-	l    *timedLink
-	due  time.Time
-	resp *Response
-	err  error
-}
-
-func (p timedPending) Wait() (*Response, error) {
-	p.l.clock.advanceTo(p.due)
-	p.l.clock.advance(p.l.take)
-	return p.resp, p.err
-}
-
-func (l *timedLink) Start(req *Request) (Pending, error) {
-	resp, err := l.inner.Call(req)
-	if now := l.clock.Now(); now.After(l.free) {
-		l.free = now
-	}
-	l.free = l.free.Add(l.service)
-	return timedPending{l, l.free.Add(l.delay), resp, err}, nil
-}
-
-func (l *timedLink) Call(req *Request) (*Response, error) {
-	p, _ := l.Start(req)
-	return p.Wait()
-}
-
-func (l *timedLink) Close() error { return nil }
-
-// timedTrains is a timedLink that says it moves trains, which is all the host
-// asks of a link before it issues in them: on a fake clock a frame costs the
-// same whenever it leaves.
-type timedTrains struct{ *timedLink }
-
-func (l timedTrains) StartTrain(req *Request, more bool) (Pending, error) { return l.Start(req) }
 
 // pipeReader reads a host's pages in frames of 8 the way a scan over the
 // runtime does: it keeps as many frames in flight as the host's headroom allows — and as its
@@ -92,7 +17,7 @@ func (l timedTrains) StartTrain(req *Request, more bool) (Pending, error) { retu
 type pipeReader struct {
 	t      *testing.T
 	h      *Host
-	clock  *fakeClock
+	clock  *FakeClock
 	pace   time.Duration
 	page   func(k int) core.PageID
 	limit  int // pages the reader itself lets be in flight, 0 for no limit
@@ -170,34 +95,38 @@ func (r *pipeReader) frames(n int) (blocked time.Duration, peak int) {
 			if pg := int(r.first(k)) + i; !bytes.Equal(bs[i], stamp(pg)) {
 				r.t.Fatalf("page %d: wrong bytes", pg)
 			}
-			r.clock.advance(r.pace)
+			r.clock.Advance(r.pace)
 		}
 	}
 	return blocked, peak
 }
 
-// timedHost returns a host on a fake clock over links (one agent each) holding
-// stamp(pg) in pages [0, pages), and a reader of it at pace a page.
-func timedHost(t *testing.T, pages int, pace time.Duration, links ...*timedLink) (*Host, *pipeReader) {
+// timed is a link's time: its delay, its agent's service time a frame, and the
+// take of a response (ScriptedLink.SetTiming).
+type timed struct{ delay, service, take time.Duration }
+
+// timedHost returns a host on a fake clock over links of mode, one agent each,
+// timed as given, holding stamp(pg) in pages [0, pages), and a reader of it at
+// pace a page.
+func timedHost(t *testing.T, pages int, pace time.Duration, mode Mode, timing ...timed) (*Host, *pipeReader, []*ScriptedLink) {
 	t.Helper()
-	clock := &fakeClock{now: time.Unix(1, 0)}
-	trs := make([]Transport, len(links))
-	for i, l := range links {
-		l.inner, l.clock = NewInProc(NewAgent(1024, 0)), clock
-		trs[i] = l
+	clock := NewFakeClock()
+	links := make([]*ScriptedLink, len(timing))
+	trs := make([]Transport, len(timing))
+	for i, tm := range timing {
+		links[i] = NewScriptedLink(NewInProc(NewAgent(1024, 0)), mode, clock, nil)
+		links[i].SetTiming(tm.delay, tm.service, tm.take)
+		trs[i] = links[i].Transport()
 	}
-	h, err := NewHost(HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.clock = clock.Now
+	h := newHost(t, HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1}, trs)
+	clock.Drive(h)
 	t.Cleanup(func() { h.Close() })
 	for pg := 0; pg < pages; pg++ {
 		if err := h.WritePage(core.PageID(pg), stamp(pg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return h, &pipeReader{t: t, h: h, clock: clock, pace: pace, least: 1 << 30}
+	return h, &pipeReader{t: t, h: h, clock: clock, pace: pace, least: 1 << 30}, links
 }
 
 // TestDepthCoversALinkThatGotSlower: a 200 us link under a reader that takes
@@ -219,14 +148,13 @@ func TestDepthCoversALinkThatGotSlower(t *testing.T) {
 		{"threefold", 3 * was, int(staleAfter * was / (8 * pace) * 3 / 2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			l := &timedLink{delay: was}
-			h, r := timedHost(t, 1<<17, pace, l)
+			h, r, l := timedHost(t, 1<<17, pace, Split, timed{delay: was})
 			r.frames(1024)
 			blocked, _ := r.frames(64)
 			if lat := h.FetchLatency()[0]; lat != was || blocked > 64*8*pace/20 {
 				t.Fatalf("at %v: link taken for %v, reader blocked %v over 64 frames", was, lat, blocked)
 			}
-			l.delay = c.slower
+			l[0].SetTiming(c.slower, 0, 0)
 			r.frames(c.within)
 			lat := h.FetchLatency()[0]
 			r.frames(256) // the pipeline deepens, and the leak finds its level
@@ -253,8 +181,8 @@ func TestDepthCoversALinkThatGotSlower(t *testing.T) {
 // and say a few frames are enough. That must not take away what the slow link
 // needs: depth is the most any link asks for, not what the last sampler did.
 func TestDepthIsTheSlowestLinks(t *testing.T) {
-	slow, fast := &timedLink{delay: time.Millisecond}, &timedLink{service: 100 * time.Microsecond}
-	h, r := timedHost(t, 16*1024, 4*time.Microsecond, slow, fast)
+	slow, fast := timed{delay: time.Millisecond}, timed{service: 100 * time.Microsecond}
+	h, r, _ := timedHost(t, 16*1024, 4*time.Microsecond, Split, slow, fast)
 	var on [2][]core.PageID // first pages of the slabs on each link
 	for slab := 0; slab < 16; slab++ {
 		h.mu.Lock()
@@ -312,11 +240,10 @@ func TestDepthIsTheSlowestLinks(t *testing.T) {
 // within 256 frames, telling the 10 us every reap costs from a wait.
 func TestDepthIsGivenBackToAFasterLink(t *testing.T) {
 	const pace = 4 * time.Microsecond
-	l := &timedLink{delay: time.Millisecond, take: 10 * time.Microsecond}
-	h, r := timedHost(t, 1<<16, pace, l)
+	h, r, l := timedHost(t, 1<<16, pace, Split, timed{delay: time.Millisecond, take: 10 * time.Microsecond})
 	r.frames(1024)
 	_, deep := r.frames(64)
-	l.delay = 50 * time.Microsecond
+	l[0].SetTiming(50*time.Microsecond, 0, 10*time.Microsecond)
 	r.frames(256)
 	blocked, peak := r.frames(64)
 	depth, _, _ := h.Pipeline()
@@ -353,9 +280,7 @@ func TestIssueMovesInTrains(t *testing.T) {
 		trains bool // at the limit
 	}{{"no limit", 0, 0, true}, {"a limit of half the product", 24, 16, false}, {"a limit of two trains", 48, 32, true}} {
 		t.Run(c.name, func(t *testing.T) {
-			l := &timedLink{delay: delay}
-			h, r := timedHost(t, 1<<16, pace, l)
-			h.transports[0] = timedTrains{l}
+			h, r, _ := timedHost(t, 1<<16, pace, Trains, timed{delay: delay})
 			r.limit = c.limit
 			r.frames(1024)
 			r.doorbells = 0

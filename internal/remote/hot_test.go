@@ -3,43 +3,11 @@ package remote
 import (
 	"bytes"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"leap/internal/core"
 )
-
-// opHookTransport wraps a Transport and runs hook once, on the first call
-// matching op after arming — the lever for injecting a concurrent client
-// write at an exact point inside a multi-call control-plane operation (e.g.
-// between ReplicateHot's source read and its target install).
-type opHookTransport struct {
-	inner Transport
-	op    uint8
-	mu    sync.Mutex
-	armed *bool // shared across wrappers so only the first matching call fires
-	hook  func()
-	after bool // run hook once the call has been made, not before
-}
-
-func (o *opHookTransport) Call(req *Request) (*Response, error) {
-	o.mu.Lock()
-	fire := req.Op == o.op && *o.armed
-	if fire {
-		*o.armed = false
-	}
-	o.mu.Unlock()
-	if fire && !o.after {
-		o.hook()
-	}
-	resp, err := o.inner.Call(req)
-	if fire && o.after {
-		o.hook()
-	}
-	return resp, err
-}
-
-func (o *opHookTransport) Close() error { return o.inner.Close() }
 
 // TestReplicateHotRacingWrite: a client write that lands between
 // ReplicateHot's source read and its install must not leave the new hot
@@ -62,19 +30,22 @@ func TestReplicateHotRacingWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	armed := false
-	hook := func() {
-		if err := h.WritePage(page, v2); err != nil {
-			t.Errorf("racing write: %v", err)
+	var armed atomic.Bool
+	racingWrite := func(req *Request) Verdict {
+		if req.Op == OpMapSlab && armed.CompareAndSwap(true, false) {
+			if err := h.WritePage(page, v2); err != nil {
+				t.Errorf("racing write: %v", err)
+			}
 		}
+		return Verdict{}
 	}
 	h.mu.Lock()
 	for i, tr := range h.transports {
-		h.transports[i] = &opHookTransport{inner: tr, op: OpMapSlab, armed: &armed, hook: hook}
+		h.transports[i] = NewScriptedLink(tr, CallOnly, nil, racingWrite).Transport()
 	}
 	h.mu.Unlock()
 
-	armed = true
+	armed.Store(true)
 	added, err := h.ReplicateHot(page, 1)
 	if err != nil {
 		t.Fatalf("ReplicateHot: %v", err)
@@ -82,7 +53,7 @@ func TestReplicateHotRacingWrite(t *testing.T) {
 	if added != 1 {
 		t.Fatalf("added = %d, want 1", added)
 	}
-	if armed {
+	if armed.Load() {
 		t.Fatal("ReplicateHot never mapped a target; the race was not exercised")
 	}
 
@@ -293,11 +264,8 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
 		trs[i] = inprocs[i]
 	}
-	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
+	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
 		Retry: RetryPolicy{HedgeReads: true}}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
 			t.Fatal(err)
@@ -363,11 +331,8 @@ func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
 		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
 		trs[i] = inprocs[i]
 	}
-	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
+	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
 		Retry: RetryPolicy{HedgeReads: true}}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v1, v2 := pageOf(1), pageOf(2)
 	const page = core.PageID(3)
 	if err := h.WritePage(page, v1); err != nil {

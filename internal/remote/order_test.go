@@ -10,14 +10,6 @@ import (
 	"leap/internal/core"
 )
 
-// recordingTransport is a Call-only transport that logs every round trip —
-// when it begins and how it ends — into a log shared by a host's agents.
-type recordingTransport struct {
-	idx   int
-	inner *InProc
-	log   *callLog
-}
-
 type callLog struct {
 	mu    sync.Mutex
 	lines []string
@@ -29,19 +21,20 @@ func (l *callLog) add(format string, args ...any) {
 	l.lines = append(l.lines, fmt.Sprintf(format, args...))
 }
 
-func (t *recordingTransport) Call(req *Request) (*Response, error) {
-	t.log.add("call a%d op%d x%d", t.idx, req.Op, BatchPages(req))
-	resp, err := t.inner.Call(req)
-	switch {
-	case err != nil:
-		t.log.add("done a%d err", t.idx)
-	default:
-		t.log.add("done a%d st%d %dB", t.idx, resp.Status, len(resp.Payload))
+// recording is a script that logs every round trip to agent idx — when it
+// begins and how it ends.
+func (l *callLog) recording(idx int) func(*Request) Verdict {
+	return func(req *Request) Verdict {
+		l.add("call a%d op%d x%d", idx, req.Op, BatchPages(req))
+		return Verdict{Then: func(resp *Response, err error) {
+			if err != nil {
+				l.add("done a%d err", idx)
+			} else {
+				l.add("done a%d st%d %dB", idx, resp.Status, len(resp.Payload))
+			}
+		}}
 	}
-	return resp, err
 }
-
-func (t *recordingTransport) Close() error { return nil }
 
 // inlineOrderScenario drives the ticket engine and the synchronous paths
 // through batching, coalescing, dirty reads, failover, hedging and a
@@ -53,15 +46,12 @@ func inlineOrderScenario(t *testing.T) string {
 	trs := make([]Transport, 3)
 	for i := range trs {
 		inner[i] = NewInProc(NewAgent(16, 0))
-		trs[i] = &recordingTransport{idx: i, inner: inner[i], log: log}
+		trs[i] = NewScriptedLink(inner[i], CallOnly, nil, log.recording(i)).Transport()
 	}
-	h, err := NewHost(HostConfig{
+	h := newHost(t, HostConfig{
 		SlabPages: 16, Replicas: 2, QueueDepth: 4, Seed: 9,
 		Retry: RetryPolicy{HedgeReads: true},
 	}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	page := func(pg int) []byte {
 		b := make([]byte, PageSize)
 		for i := range b {

@@ -80,6 +80,16 @@ func mustCall(t testing.TB, tr Transport, req *Request) *Response {
 	return resp
 }
 
+// newHost returns a host over trs and fails the test if there is none.
+func newHost(t testing.TB, cfg HostConfig, trs []Transport) *Host {
+	t.Helper()
+	h, err := NewHost(cfg, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // within fails the test when f has not returned after d: the tests below
 // exist to catch hangs.
 func within(t *testing.T, d time.Duration, what string, f func()) {
@@ -402,11 +412,8 @@ func TestTCPSilentPeerFailsOver(t *testing.T) {
 	tr0, tr1 := dialAgent(t, live0), dialAgent(t, live1)
 	dead := dialAgent(t, silent.Addr().String())
 	dead.timeout = 100 * time.Millisecond
-	sw := &switchTransport{Transport: tr0}
-	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 2, Seed: 1}, []Transport{sw, tr1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := NewScriptedLink(tr0, Split, nil, nil)
+	h := newHost(t, HostConfig{SlabPages: 1, Replicas: 2, Seed: 1}, []Transport{sw.Transport(), tr1})
 	// One page per slab, so both agents are the preferred holder of some.
 	const pages = 16
 	for pg := 0; pg < pages; pg++ {
@@ -414,7 +421,7 @@ func TestTCPSilentPeerFailsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sw.set(dead)
+	sw.SetInner(dead)
 
 	buf := make([]byte, PageSize)
 	within(t, 10*time.Second, "reads with one silent replica", func() {
@@ -442,188 +449,49 @@ func TestTCPSilentPeerFailsOver(t *testing.T) {
 	}
 }
 
-// switchTransport forwards to a transport that can be swapped, split-phase
-// when the current one is.
-type switchTransport struct {
-	mu sync.Mutex
-	Transport
+// gate is a split-phase link over an in-process agent (or a transport that
+// fronts one) whose responses the test holds back (Hold, Release).
+type gate struct {
+	*ScriptedLink
+	started chan uint8 // op of every frame sent; buffered, never blocks
 }
 
-func (s *switchTransport) set(tr Transport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.Transport = tr
+// newGate returns a gate of mode over inner that logs to started.
+func newGate(inner Transport, mode Mode, started chan uint8) gate {
+	return gate{NewScriptedLink(inner, mode, nil, func(req *Request) Verdict {
+		op := req.Op
+		return Verdict{Then: func(*Response, error) { started <- op }}
+	}), started}
 }
 
-func (s *switchTransport) cur() Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Transport
-}
+// gateSet is a host's gates, one an agent.
+type gateSet []gate
 
-func (s *switchTransport) Call(req *Request) (*Response, error) { return s.cur().Call(req) }
-
-func (s *switchTransport) Start(req *Request) (Pending, error) {
-	return s.cur().(Starter).Start(req)
-}
-
-// gateTransport is a split-phase transport over an in-process agent (or a
-// transport that fronts one) whose responses are held back until the gate
-// opens: Start hands the request to the agent at once (in order) and Wait
-// blocks on the gate. It also watches the order its pendings are waited for in:
-// a link answers in order, and the host is to land a link's flights in the
-// order it started them (Host.reap).
-type gateTransport struct {
-	inner   Transport
-	mu      sync.Mutex
-	open    chan struct{}
-	started chan uint8 // op of every request started; buffered, never blocks
-	// issued numbers the pendings Start gave out, and every one below waited has
-	// been waited for; skipped counts the Waits that passed over an older one.
-	issued, waited, skipped int
-}
-
-func newGate(a *Agent) *gateTransport {
-	g := &gateTransport{inner: NewInProc(a), open: make(chan struct{}), started: make(chan uint8, 1024)}
-	return g
-}
-
-// release opens the gate for everything started so far and from now on.
-func (g *gateTransport) release() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	select {
-	case <-g.open:
-	default:
-		close(g.open)
+// hold holds every gate's responses back from now on, and empties their logs.
+func (gs gateSet) hold() {
+	for _, g := range gs {
+		g.Hold()
+		startedOps(g)
 	}
 }
 
-// hold closes the gate again.
-func (g *gateTransport) hold() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.open = make(chan struct{})
-}
-
-// outOfOrder reports how many Waits passed over an older pending of a Start.
-func (g *gateTransport) outOfOrder() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.skipped
-}
-
-type gatePending struct {
-	g    *gateTransport
-	seq  int // -1: a Call's, which waits where it starts
-	open <-chan struct{}
-	resp *Response
-	err  error
-}
-
-func (p gatePending) Wait() (*Response, error) {
-	if g := p.g; p.seq >= 0 {
-		g.mu.Lock()
-		switch {
-		case p.seq == g.waited:
-			g.waited++
-		case p.seq > g.waited:
-			g.skipped++
-		}
-		g.mu.Unlock()
+// release lets every gate's responses through.
+func (gs gateSet) release() {
+	for _, g := range gs {
+		g.Release()
 	}
-	<-p.open
-	return p.resp, p.err
-}
-
-func (g *gateTransport) begin(req *Request, split bool) gatePending {
-	resp, err := g.inner.Call(req)
-	g.mu.Lock()
-	p := gatePending{g, -1, g.open, resp, err}
-	if split {
-		p.seq = g.issued
-		g.issued++
-	}
-	g.mu.Unlock()
-	g.started <- req.Op
-	return p
-}
-
-func (g *gateTransport) Start(req *Request) (Pending, error) { return g.begin(req, true), nil }
-
-func (g *gateTransport) Call(req *Request) (*Response, error) { return g.begin(req, false).Wait() }
-
-func (g *gateTransport) Close() error { return nil }
-
-// trainGate is a gateTransport that moves trains: a frame started with more to
-// follow is kept — a copy, the host encodes its next frame over the request —
-// and reaches the agent only when its train leaves, with the next frame started
-// without more, a Call, or the first Wait for a frame of it.
-type trainGate struct {
-	*gateTransport
-	tmu  sync.Mutex
-	held []*trainPending
-}
-
-type trainPending struct {
-	g    *trainGate
-	req  *Request
-	sent *gatePending // nil while held
-}
-
-func (g *trainGate) StartTrain(req *Request, more bool) (Pending, error) {
-	g.tmu.Lock()
-	defer g.tmu.Unlock()
-	p := &trainPending{g: g, req: &Request{Op: req.Op, Slab: req.Slab, PageOff: req.PageOff, Payload: bytes.Clone(req.Payload)}}
-	g.held = append(g.held, p)
-	if !more {
-		g.send()
-	}
-	return p, nil
-}
-
-// send hands the held frames to the agent, in order. Callers hold g.tmu.
-func (g *trainGate) send() {
-	for _, p := range g.held {
-		sent := g.begin(p.req, true)
-		p.sent = &sent
-	}
-	g.held = nil
-}
-
-func (p *trainPending) Wait() (*Response, error) {
-	p.g.tmu.Lock()
-	if p.sent == nil {
-		p.g.send()
-	}
-	p.g.tmu.Unlock()
-	return p.sent.Wait()
-}
-
-func (g *trainGate) Start(req *Request) (Pending, error) { return g.StartTrain(req, false) }
-
-func (g *trainGate) Call(req *Request) (*Response, error) {
-	g.tmu.Lock()
-	g.send()
-	g.tmu.Unlock()
-	return g.gateTransport.Call(req)
 }
 
 // gatedHost builds a host over n gated in-process agents, gates open.
-func gatedHost(t *testing.T, n int, cfg HostConfig) (*Host, []*gateTransport) {
+func gatedHost(t *testing.T, n int, cfg HostConfig) (*Host, gateSet) {
 	t.Helper()
-	gates := make([]*gateTransport, n)
+	gates := make(gateSet, n)
 	trs := make([]Transport, n)
 	for i := range trs {
-		gates[i] = newGate(NewAgent(cfg.SlabPages, 0))
-		gates[i].release()
-		trs[i] = gates[i]
+		gates[i] = newGate(NewInProc(NewAgent(cfg.SlabPages, 0)), Split, make(chan uint8, 1024))
+		trs[i] = gates[i].Transport()
 	}
-	h, err := NewHost(cfg, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h, gates
+	return newHost(t, cfg, trs), gates
 }
 
 // TestSubmitThenTicketWaitFromTwoGoroutines: Submit returns with the reads
@@ -638,9 +506,7 @@ func TestSubmitThenTicketWaitFromTwoGoroutines(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range gates {
-		g.hold()
-	}
+	gates.hold()
 	bufs := make([][]byte, pages)
 	tickets := make([]*Ticket, pages)
 	for pg := range tickets {
@@ -657,9 +523,7 @@ func TestSubmitThenTicketWaitFromTwoGoroutines(t *testing.T) {
 			t.Fatalf("ticket %d complete before any response arrived", pg)
 		}
 	}
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -695,9 +559,7 @@ func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range gates {
-		g.hold()
-	}
+	gates.hold()
 	bufs := make([][]byte, 8)
 	var tickets []*Ticket
 	for pg := range bufs {
@@ -716,9 +578,7 @@ func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
 		t.Fatalf("Flush returned (%v) with every response still held back", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	select {
 	case err := <-flushed:
 		if err != nil {
@@ -745,17 +605,19 @@ func TestDemandReadsRunOutsideHostLock(t *testing.T) {
 	// Each agent holds its first read after arming inside Call until release.
 	release := make(chan struct{})
 	var entered [2]chan struct{}
-	var armed [2]bool
+	var armed [2]atomic.Bool
 	trs := make([]Transport, len(entered))
 	for i := range trs {
 		entered[i] = make(chan struct{})
-		trs[i] = &opHookTransport{inner: NewInProc(NewAgent(1, 0)), op: OpRead, armed: &armed[i],
-			hook: func() { entered[i] <- struct{}{}; <-release }}
+		trs[i] = NewScriptedLink(NewInProc(NewAgent(1, 0)), CallOnly, nil, func(req *Request) Verdict {
+			if req.Op == OpRead && armed[i].CompareAndSwap(true, false) {
+				entered[i] <- struct{}{}
+				<-release
+			}
+			return Verdict{}
+		}).Transport()
 	}
-	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 1, Seed: 5}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHost(t, HostConfig{SlabPages: 1, Replicas: 1, Seed: 5}, trs)
 	// One page per slab, one holder per page: two pages on each agent.
 	var on [2][]core.PageID
 	for pg := core.PageID(0); len(on[0]) < 2 || len(on[1]) < 2; pg++ {
@@ -765,7 +627,8 @@ func TestDemandReadsRunOutsideHostLock(t *testing.T) {
 		holder := h.AckedReplicas(pg)[0]
 		on[holder] = append(on[holder], pg)
 	}
-	armed = [2]bool{true, true}
+	armed[0].Store(true)
+	armed[1].Store(true)
 
 	var wg sync.WaitGroup
 	for i := range trs {
@@ -805,12 +668,7 @@ func TestWriteBehindInFlightWriteKeepsNewestBytes(t *testing.T) {
 	if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
 		t.Fatal(err)
 	}
-	for _, g := range gates {
-		g.hold()
-		for len(g.started) > 0 {
-			<-g.started
-		}
-	}
+	gates.hold()
 	first := h.WritePageAsync(3, stamp(1))
 	flushed := make(chan error, 1)
 	go func() { flushed <- h.Flush() }()
@@ -821,9 +679,7 @@ func TestWriteBehindInFlightWriteKeepsNewestBytes(t *testing.T) {
 	if err := h.ReadPage(3, buf); err != nil || !bytes.Equal(buf, stamp(2)) {
 		t.Fatalf("read-your-writes across an in-flight write: %v", err)
 	}
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +690,7 @@ func TestWriteBehindInFlightWriteKeepsNewestBytes(t *testing.T) {
 		t.Fatal("write tickets incomplete after Flush")
 	}
 	for i, g := range gates {
-		resp, err := g.inner.Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
+		resp, err := g.Inner().Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
 		if err != nil || !bytes.Equal(resp.Payload, stamp(2)) {
 			t.Fatalf("replica %d does not hold the newest write", i)
 		}
@@ -859,10 +715,7 @@ func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
 	for name, write := range writes {
 		t.Run(name, func(t *testing.T) {
 			tr := dialAgent(t, serveAgent(t, NewAgent(64, 0), nil))
-			h, err := NewHost(HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5}, []Transport{tr})
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := newHost(t, HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5}, []Transport{tr})
 			if err := h.WritePage(3, stamp(0)); err != nil {
 				t.Fatal(err)
 			}
@@ -905,12 +758,7 @@ func TestWriteTicketWaitWhileFlushReapsItsFlight(t *testing.T) {
 		if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
 			t.Fatal(err)
 		}
-		for _, g := range gates {
-			g.hold()
-			for len(g.started) > 0 {
-				<-g.started
-			}
-		}
+		gates.hold()
 		wt := h.WritePageAsync(3, stamp(1))
 		flushed := make(chan error, 1)
 		go func() { flushed <- h.Flush() }()
@@ -923,9 +771,7 @@ func TestWriteTicketWaitWhileFlushReapsItsFlight(t *testing.T) {
 			t.Fatalf("Wait returned (%v) before the write's response", err)
 		case <-time.After(50 * time.Millisecond):
 		}
-		for _, g := range gates {
-			g.release()
-		}
+		gates.release()
 		for _, c := range []chan error{waited, flushed} {
 			select {
 			case err := <-c:
@@ -949,7 +795,7 @@ func TestDetachedBufferIsNotWritten(t *testing.T) {
 	if err := h.WritePage(5, stamp(5)); err != nil {
 		t.Fatal(err)
 	}
-	gates[0].hold()
+	gates[0].Hold()
 	gone, kept := make([]byte, PageSize), make([]byte, PageSize)
 	t1 := h.ReadPageAsync(5, gone)
 	t2 := h.ReadPageAsync(5, kept)
@@ -958,7 +804,7 @@ func TestDetachedBufferIsNotWritten(t *testing.T) {
 	}
 	t1.Detach()
 	copy(gone, stamp(99)) // the buffer's next life
-	gates[0].release()
+	gates[0].Release()
 	if err := t2.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -1030,7 +876,7 @@ func TestOneWritePerFrame(t *testing.T) {
 
 // populated builds a gated host over two agents, both replicas of everything,
 // with stamp(pg) flushed to pages [0, pages), and empties the gates' logs.
-func populated(t *testing.T, pages int, cfg HostConfig) (*Host, []*gateTransport) {
+func populated(t *testing.T, pages int, cfg HostConfig) (*Host, gateSet) {
 	t.Helper()
 	h, gates := gatedHost(t, 2, cfg)
 	for pg := 0; pg < pages; pg++ {
@@ -1046,7 +892,7 @@ func populated(t *testing.T, pages int, cfg HostConfig) (*Host, []*gateTransport
 }
 
 // startedOps empties g's log of started requests.
-func startedOps(g *gateTransport) (ops []uint8) {
+func startedOps(g gate) (ops []uint8) {
 	for len(g.started) > 0 {
 		ops = append(ops, <-g.started)
 	}
@@ -1054,13 +900,24 @@ func startedOps(g *gateTransport) (ops []uint8) {
 }
 
 // inOrder fails the test if a gate saw a flight landed ahead of an older one.
-func inOrder(t *testing.T, gates []*gateTransport) {
+func inOrder(t *testing.T, gates gateSet) {
 	t.Helper()
 	for i, g := range gates {
-		if n := g.outOfOrder(); n > 0 {
+		if n := g.OutOfOrder(); n > 0 {
 			t.Errorf("link %d: %d flights were waited for ahead of an older one", i, n)
 		}
 	}
+}
+
+// unacked reports the write frames in the air and the page images the host
+// holds for them: writes started and not yet answered by every replica.
+func unacked(h *Host) (frames, pages int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.links {
+		frames += h.links[i].writes
+	}
+	return frames, h.unacked
 }
 
 // TestWriteFramesStayInFlight: the doorbell puts a write's frames on both
@@ -1069,9 +926,7 @@ func inOrder(t *testing.T, gates []*gateTransport) {
 // reads back from the image the host keeps.
 func TestWriteFramesStayInFlight(t *testing.T) {
 	h, gates := populated(t, 8, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
-	for _, g := range gates {
-		g.hold()
-	}
+	gates.hold()
 	fresh := h.WritePageAsync(20, stamp(20)) // never written: no replica has acked it
 	again := h.WritePageAsync(3, stamp(33))
 	within(t, 5*time.Second, "Submit with the acks held back", func() {
@@ -1084,8 +939,8 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 			t.Fatalf("agent %d was sent ops %v, want one write frame", i, ops)
 		}
 	}
-	if frames, pages := h.Unacked(); frames != 2 || pages != 2 {
-		t.Fatalf("Unacked() = %d frames, %d pages; want 2 and 2", frames, pages)
+	if frames, pages := unacked(h); frames != 2 || pages != 2 {
+		t.Fatalf("unacked = %d frames, %d pages; want 2 and 2", frames, pages)
 	}
 	if fresh.Done() || again.Done() {
 		t.Fatal("a write ticket completed with no response landed")
@@ -1106,9 +961,7 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 		t.Errorf("%d of 2 reads were served from the images the host keeps", got)
 	}
 
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	if fresh.Done() || len(h.AckedReplicas(20)) != 0 {
 		t.Fatal("a response nobody landed acked its write")
 	}
@@ -1121,8 +974,8 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 	if !again.Done() { // the same two frames carried it
 		t.Error("page 3's write still open with both its frames landed")
 	}
-	if frames, pages := h.Unacked(); frames != 0 || pages != 0 {
-		t.Errorf("Unacked() = %d frames, %d pages after landing", frames, pages)
+	if frames, pages := unacked(h); frames != 0 || pages != 0 {
+		t.Errorf("unacked = %d frames, %d pages after landing", frames, pages)
 	}
 	inOrder(t, gates)
 }
@@ -1134,12 +987,10 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 func TestUnackedWindowBlocksWriter(t *testing.T) {
 	const depth = 4
 	h, gates := populated(t, 64, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: depth, Seed: 5})
-	for _, g := range gates {
-		g.hold()
-	}
+	gates.hold()
 	bounded := func(when string) (frames, pages int) {
 		t.Helper()
-		frames, pages = h.Unacked()
+		frames, pages = unacked(h)
 		if frames > len(gates)*unackedFrames || pages > unackedFrames*depth {
 			t.Fatalf("%s: %d frames and %d pages unacked, over %d frames a link of %d pages",
 				when, frames, pages, unackedFrames, depth)
@@ -1182,9 +1033,7 @@ func TestUnackedWindowBlocksWriter(t *testing.T) {
 		}
 	}
 	bounded("window full")
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	within(t, 5*time.Second, "Submit once the acks arrive", func() {
 		if err := <-rung; err != nil {
 			t.Error(err)
@@ -1197,8 +1046,8 @@ func TestUnackedWindowBlocksWriter(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if frames, pages := h.Unacked(); frames != 0 || pages != 0 {
-		t.Errorf("Unacked() = %d frames, %d pages after Flush", frames, pages)
+	if frames, pages := unacked(h); frames != 0 || pages != 0 {
+		t.Errorf("unacked = %d frames, %d pages after Flush", frames, pages)
 	}
 	buf := make([]byte, PageSize)
 	for i := 0; i < pg; i++ {
@@ -1250,7 +1099,7 @@ func TestLandingLandsOlderFlightsOfItsLink(t *testing.T) {
 	if !ahead.Done() {
 		t.Error("the older read flight of the link was not landed in passing")
 	}
-	if frames, _ := h.Unacked(); frames != 1 {
+	if frames, _ := unacked(h); frames != 1 {
 		t.Errorf("%d write frames in the air, want only the other link's", frames)
 	}
 	if wt.Done() || other.Done() {
@@ -1277,16 +1126,11 @@ func TestWriteFailureSurfacesAtNextDoorbell(t *testing.T) {
 	trs := make([]Transport, 2)
 	for i := range trs {
 		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(1, 0)), sim.NewRNG(uint64(i)+1))
-		g := &gateTransport{inner: faults[i], open: make(chan struct{}), started: make(chan uint8, 1024)}
-		g.release()
-		trs[i] = g
+		trs[i] = NewScriptedLink(faults[i], Split, nil, nil).Transport()
 	}
 	// One page per slab, so both agents are the preferred holder of some.
 	const pages = 16
-	h, err := NewHost(HostConfig{SlabPages: 1, Replicas: 2, QueueDepth: 4, Seed: 5}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHost(t, HostConfig{SlabPages: 1, Replicas: 2, QueueDepth: 4, Seed: 5}, trs)
 	for pg := 0; pg < pages; pg++ {
 		h.WritePageAsync(core.PageID(pg), stamp(pg))
 	}

@@ -31,13 +31,14 @@ import (
 // released for the wait. Read and write frames alike are left in flight: a
 // read window shares its round trip with the demand read started ahead of it
 // and with the frames of other agents, and a writeback costs its sender a
-// frame, not a wait — the pendingWrite keeps the image, as its page's dirty
-// write, until every replica has answered. Two rules bound what is in the air
-// and collect it. A link carries at most depthQuanta write frames: the writer that would
-// start one more lands the oldest first (startNext). And landing a flight
-// first lands every older flight of its link (reap): the connection answers
-// in order, so their responses have arrived by then, and that is how acks,
-// and read frames nobody came for, are collected in passing. On a transport
+// frame, not a wait — the page's record keeps the image, as its dirty write,
+// until every replica has answered. Two rules bound what is in the air and
+// collect it. A link carries at most unackedFrames write frames, two trains'
+// worth: the writer that would start one more lands the oldest first
+// (unackedFull, from startNext). And landing a flight first lands every older
+// flight of its link (reap): the connection answers in order, so their
+// responses have arrived by then, and that is how acks, and read frames nobody
+// came for, are collected in passing. On a transport
 // that cannot start without finishing (anything that is not a Starter) every
 // frame lands the moment it is started, under h.mu, which makes the engine
 // deterministic there: agents are visited in index order, queues are FIFO,

@@ -165,49 +165,10 @@ func TestFaultTransportFailsRangeFrames(t *testing.T) {
 	}
 }
 
-// frameLog is a Call-only transport that notes the shape of every write frame
-// its agent is sent: "a1 range 64 4096" is an OpWriteRanges to agent 1 of a
-// 64-byte range and a whole page.
-type frameLog struct {
-	idx   int
-	inner Transport
-	mu    *sync.Mutex
-	lines *[]string
-}
-
-func (l *frameLog) Call(req *Request) (*Response, error) {
-	var line string
-	switch req.Op {
-	case OpWrite:
-		line = "page"
-	case OpWriteBatch:
-		line = fmt.Sprintf("batch x%d", BatchPages(req))
-		if payloadCompressed(req.Payload) {
-			line += " compressed"
-		}
-	case OpWriteRanges:
-		ranges, err := decodeWriteRanges(req, nil)
-		if err != nil {
-			line = "range " + err.Error()
-		} else {
-			line = "range"
-			for _, r := range ranges {
-				line += fmt.Sprint(" ", len(r.Data))
-			}
-		}
-	}
-	if line != "" {
-		l.mu.Lock()
-		*l.lines = append(*l.lines, fmt.Sprintf("a%d %s", l.idx, line))
-		l.mu.Unlock()
-	}
-	return l.inner.Call(req)
-}
-
-func (l *frameLog) Close() error { return nil }
-
-// loggedHost builds a host over n in-process agents behind frameLogs; frames
-// returns, and forgets, the write frames sent since it was last called.
+// loggedHost builds a host over n in-process agents whose Call-only links note
+// the shape of every write frame an agent is sent: "a1 range 64 4096" is an
+// OpWriteRanges to agent 1 of a 64-byte range and a whole page. frames returns,
+// and forgets, the write frames sent since it was last called.
 func loggedHost(t *testing.T, n int, cfg HostConfig) (h *Host, inner []*InProc, frames func() string) {
 	t.Helper()
 	var mu sync.Mutex
@@ -216,12 +177,36 @@ func loggedHost(t *testing.T, n int, cfg HostConfig) (h *Host, inner []*InProc, 
 	inner = make([]*InProc, n)
 	for i := range trs {
 		inner[i] = NewInProc(NewAgent(cfg.SlabPages, 0))
-		trs[i] = &frameLog{idx: i, inner: inner[i], mu: &mu, lines: &lines}
+		trs[i] = NewScriptedLink(inner[i], CallOnly, nil, func(req *Request) Verdict {
+			var line string
+			switch req.Op {
+			case OpWrite:
+				line = "page"
+			case OpWriteBatch:
+				line = fmt.Sprintf("batch x%d", BatchPages(req))
+				if payloadCompressed(req.Payload) {
+					line += " compressed"
+				}
+			case OpWriteRanges:
+				ranges, err := decodeWriteRanges(req, nil)
+				if err != nil {
+					line = "range " + err.Error()
+				} else {
+					line = "range"
+					for _, r := range ranges {
+						line += fmt.Sprint(" ", len(r.Data))
+					}
+				}
+			}
+			if line != "" {
+				mu.Lock()
+				lines = append(lines, fmt.Sprintf("a%d %s", i, line))
+				mu.Unlock()
+			}
+			return Verdict{}
+		}).Transport()
 	}
-	h, err := NewHost(cfg, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h = newHost(t, cfg, trs)
 	return h, inner, func() string {
 		mu.Lock()
 		defer mu.Unlock()
@@ -343,12 +328,7 @@ func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
 	if err := h.WritePage(3, img); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range gates {
-		g.hold()
-		for len(g.started) > 0 {
-			<-g.started
-		}
-	}
+	gates.hold()
 	img[0]++
 	h.WritePageRangeAsync(3, img, 0, 1)
 	flushed := make(chan error, 1)
@@ -358,9 +338,7 @@ func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
 	}
 	img[9]++
 	h.WritePageRangeAsync(3, img, 9, 10)
-	for _, g := range gates {
-		g.release()
-	}
+	gates.release()
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +354,7 @@ func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
 		t.Errorf("second write reached agent 0 as op %d, want a page", op)
 	}
 	for i, g := range gates {
-		resp, err := g.inner.Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
+		resp, err := g.Inner().Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
 		if err != nil || !bytes.Equal(resp.Payload, img) {
 			t.Errorf("agent %d does not hold the newest image", i)
 		}
@@ -416,7 +394,7 @@ type rangeModel struct {
 	h      *Host
 	agents []*Agent
 	faults []*FaultTransport
-	gates  []*gateTransport
+	gates  gateSet
 	// started is every gate's: the op of each frame put on any wire.
 	started chan uint8
 	oracle  map[core.PageID]*[PageSize]byte
@@ -432,12 +410,13 @@ func newRangeModel(t *testing.T, seed int64, trains bool) *rangeModel {
 	for i := range trs {
 		a := NewAgent(8, 0)
 		ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(uint64(seed)*31+uint64(i)))
-		g := &gateTransport{inner: ft, open: make(chan struct{}), started: m.started}
-		g.release()
-		m.agents, m.faults, m.gates = append(m.agents, a), append(m.faults, ft), append(m.gates, g)
-		if trs[i] = g; trains {
-			trs[i] = &trainGate{gateTransport: g}
+		mode := Split
+		if trains {
+			mode = Trains
 		}
+		g := newGate(ft, mode, m.started)
+		m.agents, m.faults, m.gates = append(m.agents, a), append(m.faults, ft), append(m.gates, g)
+		trs[i] = g.Transport()
 	}
 	var err error
 	if m.h, err = NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: uint64(seed)}, trs); err != nil {
@@ -542,9 +521,7 @@ func (m *rangeModel) repair(what string) {
 // behindStarted holds a write frame of page on the wire and queues more writes
 // behind it, of that page among others.
 func (m *rangeModel) behindStarted(page core.PageID) {
-	for _, g := range m.gates {
-		g.hold()
-	}
+	m.gates.hold()
 	m.write(page)
 	flushed := make(chan error, 1)
 	go func() { flushed <- m.h.Flush() }()
@@ -552,9 +529,7 @@ func (m *rangeModel) behindStarted(page core.PageID) {
 	m.write(page)
 	m.writes(3)
 	m.write(page)
-	for _, g := range m.gates {
-		g.release()
-	}
+	m.gates.release()
 	if err := <-flushed; err != nil {
 		m.t.Fatalf("behind started: flush: %v", err)
 	}
@@ -598,9 +573,7 @@ func (m *rangeModel) readThrough(idx int) (core.PageID, bool) {
 // page reads back from the image the host keeps.
 func (m *rangeModel) outOfStep(page core.PageID) {
 	m.t.Helper()
-	for _, g := range m.gates {
-		g.hold()
-	}
+	m.gates.hold()
 	m.write(page)
 	m.writes(3)
 	if flying, err := m.h.Submit(); err != nil || !flying {
@@ -609,7 +582,7 @@ func (m *rangeModel) outOfStep(page core.PageID) {
 	m.readBack("out of step: acks held back", page)
 	for _, idx := range m.rng.Perm(len(m.gates)) {
 		what := fmt.Sprint("out of step: agent ", idx, " answered")
-		m.gates[idx].release()
+		m.gates[idx].Release()
 		if clean, ok := m.readThrough(idx); ok {
 			m.readBack(what, clean)
 			m.h.mu.Lock()

@@ -2,34 +2,12 @@ package remote
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"leap/internal/core"
 )
-
-// flaky wraps a Transport and fails every nth call — transient network
-// faults, as opposed to InProc's hard kill.
-type flaky struct {
-	inner Transport
-	mu    sync.Mutex
-	n     int
-	count int
-}
-
-func (f *flaky) Call(req *Request) (*Response, error) {
-	f.mu.Lock()
-	f.count++
-	fail := f.n > 0 && f.count%f.n == 0
-	f.mu.Unlock()
-	if fail {
-		return nil, fmt.Errorf("remote: transient fault (injected)")
-	}
-	return f.inner.Call(req)
-}
-
-func (f *flaky) Close() error { return f.inner.Close() }
 
 func buildCluster(t testing.TB, n, slabPages int, seed uint64) (*Host, []*InProc) {
 	t.Helper()
@@ -39,10 +17,7 @@ func buildCluster(t testing.TB, n, slabPages int, seed uint64) (*Host, []*InProc
 		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
 		trs[i] = inprocs[i]
 	}
-	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: seed}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: seed}, trs)
 	return h, inprocs
 }
 
@@ -166,12 +141,15 @@ func TestFlakyTransportWritesSurvive(t *testing.T) {
 	// Transient faults on one replica: writes succeed via the other; reads
 	// fail over. No data is lost as long as one call path works.
 	agents := []*Agent{NewAgent(16, 0), NewAgent(16, 0)}
-	fl := &flaky{inner: NewInProc(agents[0]), n: 3} // every 3rd call fails
-	trs := []Transport{fl, NewInProc(agents[1])}
-	h, err := NewHost(HostConfig{SlabPages: 16, Replicas: 2, Seed: 29}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	calls := 0 // every 3rd call fails
+	flaky := NewScriptedLink(NewInProc(agents[0]), CallOnly, nil, func(*Request) Verdict {
+		if calls++; calls%3 == 0 {
+			return Verdict{Err: errors.New("remote: transient fault (injected)")}
+		}
+		return Verdict{}
+	})
+	trs := []Transport{flaky.Transport(), NewInProc(agents[1])}
+	h := newHost(t, HostConfig{SlabPages: 16, Replicas: 2, Seed: 29}, trs)
 	for p := core.PageID(0); p < 64; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
 			t.Fatalf("write %d under flaky transport: %v", p, err)
@@ -194,11 +172,8 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 	// every future repair barrier with un-actionable re-push work.
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
 	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
-	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
+	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
 		[]Transport{inprocs[0], inprocs[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := h.WritePage(1, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -277,25 +252,24 @@ func TestRepushLeavesPageToWriteInFlight(t *testing.T) {
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
 	faults := make([]*FaultTransport, len(agents))
 	trs := make([]Transport, len(agents))
-	armed := false
+	var armed atomic.Bool
 	var h *Host
 	var inAir *Ticket
 	for i, a := range agents {
 		faults[i] = NewFaultTransport(i, NewInProc(a), nil)
-		hooked := &opHookTransport{inner: faults[i], op: OpRead, armed: &armed, after: true, hook: func() {
-			inAir = h.WritePageAsync(racing, pageOf(3))
-			if flying, err := h.Submit(); err != nil || !flying {
-				t.Errorf("Submit inside the repush = flying %v, %v", flying, err)
+		trs[i] = NewScriptedLink(faults[i], Split, nil, func(req *Request) Verdict {
+			if req.Op != OpRead || !armed.CompareAndSwap(true, false) {
+				return Verdict{}
 			}
-		}}
-		g := &gateTransport{inner: hooked, open: make(chan struct{}), started: make(chan uint8, 1024)}
-		g.release()
-		trs[i] = g
+			return Verdict{Then: func(*Response, error) {
+				inAir = h.WritePageAsync(racing, pageOf(3))
+				if flying, err := h.Submit(); err != nil || !flying {
+					t.Errorf("Submit inside the repush = flying %v, %v", flying, err)
+				}
+			}}
+		}).Transport()
 	}
-	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h = newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 3}, trs)
 	for _, pg := range []core.PageID{early, racing} {
 		if err := h.WritePage(pg, pageOf(1)); err != nil {
 			t.Fatal(err)
@@ -318,11 +292,11 @@ func TestRepushLeavesPageToWriteInFlight(t *testing.T) {
 	if flying, err := h.Submit(); err != nil || !flying {
 		t.Fatalf("Submit = flying %v, %v; want the write in the air", flying, err)
 	}
-	armed = true
+	armed.Store(true)
 	if _, err := h.RepairSlabs(); err != nil {
 		t.Fatal(err)
 	}
-	if armed || inAir == nil {
+	if armed.Load() || inAir == nil {
 		t.Fatal("the repush never read a source; the race was not exercised")
 	}
 	if !wt.Done() || wt.Err() != nil {

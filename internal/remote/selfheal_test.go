@@ -5,65 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"leap/internal/core"
 	"leap/internal/sim"
 )
-
-// failAfter wraps a Transport and starts failing every call once limit
-// successful calls have gone through — a link that dies mid-migration.
-type failAfter struct {
-	inner Transport
-	mu    sync.Mutex
-	calls int
-	limit int // -1 = never fail
-}
-
-func (f *failAfter) Call(req *Request) (*Response, error) {
-	f.mu.Lock()
-	f.calls++
-	fail := f.limit >= 0 && f.calls > f.limit
-	f.mu.Unlock()
-	if fail {
-		return nil, fmt.Errorf("remote: link down (injected)")
-	}
-	return f.inner.Call(req)
-}
-
-func (f *failAfter) Close() error { return f.inner.Close() }
-
-func (f *failAfter) heal() {
-	f.mu.Lock()
-	f.limit = -1
-	f.mu.Unlock()
-}
-
-// hookTransport wraps a Transport and runs hook once, on the first call
-// after arm() — the lever for injecting a state change (e.g. MarkRecovered)
-// in the middle of a multi-call repair pass.
-type hookTransport struct {
-	inner Transport
-	mu    sync.Mutex
-	armed *bool // shared across wrappers so only the first call fires
-	hook  func()
-}
-
-func (h *hookTransport) Call(req *Request) (*Response, error) {
-	h.mu.Lock()
-	fire := *h.armed
-	if fire {
-		*h.armed = false
-	}
-	h.mu.Unlock()
-	if fire {
-		h.hook()
-	}
-	return h.inner.Call(req)
-}
-
-func (h *hookTransport) Close() error { return h.inner.Close() }
 
 // checkFresh asserts every page in [0, pages) reads back want(p) through the
 // host, and that every agent in the page's ack set actually serves those
@@ -116,8 +63,14 @@ func TestRebalanceMidMigrationFailure(t *testing.T) {
 
 	// A fourth agent joins behind a link that dies after 15 calls: one full
 	// slab copy (map + 8 page writes) lands, the second dies mid-slab.
-	fa := &failAfter{inner: NewInProc(NewAgent(slabPages, 0)), limit: 15}
-	newIdx := h.AddAgent(fa)
+	var calls atomic.Int64
+	var healed atomic.Bool
+	newIdx := h.AddAgent(NewScriptedLink(NewInProc(NewAgent(slabPages, 0)), CallOnly, nil, func(*Request) Verdict {
+		if calls.Add(1) > 15 && !healed.Load() {
+			return Verdict{Err: errors.New("remote: link down (injected)")}
+		}
+		return Verdict{}
+	}).Transport())
 
 	moved, err := h.Rebalance()
 	if err == nil {
@@ -153,7 +106,7 @@ func TestRebalanceMidMigrationFailure(t *testing.T) {
 	// Heal and rerun: the remaining share migrates, a further run is a
 	// no-op, and every acked copy — including those on the newcomer — is
 	// byte-fresh.
-	fa.heal()
+	healed.Store(true)
 	if _, err := h.Rebalance(); err != nil {
 		t.Fatalf("rebalance after heal: %v", err)
 	}
@@ -337,11 +290,8 @@ func TestTicketFailureContexts(t *testing.T) {
 				inprocs[i] = NewInProc(NewAgent(8, 0))
 				trs[i] = inprocs[i]
 			}
-			h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 11, Retry: tc.retry}, trs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = tc.run(t, h, inprocs)
+			h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 11, Retry: tc.retry}, trs)
+			err := tc.run(t, h, inprocs)
 			if !tc.wantErr {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -392,10 +342,7 @@ func TestTicketFailureKeepsTransportCause(t *testing.T) {
 		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(8, 0)), sim.NewRNG(uint64(i)+1))
 		trs[i] = faults[i]
 	}
-	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 11}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 11}, trs)
 	if err := h.WritePage(page, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -424,15 +371,12 @@ func TestRecoverDuringRepair(t *testing.T) {
 	const slabPages, pages = 8, 64
 	inprocs := make([]*InProc, 4)
 	trs := make([]Transport, 4)
-	armed := false
+	var armed atomic.Bool
 	for i := range inprocs {
 		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
 		trs[i] = inprocs[i]
 	}
-	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
 	// Wrap the survivors so the first repair-pass transport call un-fails
 	// agent 0 mid-pass.
 	hook := func() {
@@ -443,7 +387,12 @@ func TestRecoverDuringRepair(t *testing.T) {
 	}
 	h.mu.Lock()
 	for i := 1; i < 4; i++ {
-		h.transports[i] = &hookTransport{inner: trs[i], armed: &armed, hook: hook}
+		h.transports[i] = NewScriptedLink(trs[i], CallOnly, nil, func(*Request) Verdict {
+			if armed.CompareAndSwap(true, false) {
+				hook()
+			}
+			return Verdict{}
+		}).Transport()
 	}
 	h.mu.Unlock()
 
@@ -458,11 +407,11 @@ func TestRecoverDuringRepair(t *testing.T) {
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
-	armed = true
+	armed.Store(true)
 	if _, err := h.RepairSlabs(); err != nil {
 		t.Fatalf("repair with mid-pass recovery: %v", err)
 	}
-	if armed {
+	if armed.Load() {
 		t.Fatal("repair pass made no transport calls; recovery never fired")
 	}
 	if got := h.FailedAgents(); len(got) != 0 {

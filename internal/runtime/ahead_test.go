@@ -75,7 +75,7 @@ func TestScanKeepsPipelineFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, ramped := m.Stats(), len(g.readFrames())
-			g.hold()
+			g.holding.Store(true)
 			var held []int
 			stop := g.pump(func(int) int { return 0 }, func(n int) { held = append(held, n) })
 			for i := 0; i < scan; i++ {
@@ -192,17 +192,16 @@ func TestRunAheadCapIsHalfTheBudget(t *testing.T) {
 		{"trains at a 128-page budget", 128, 24},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			l := &delayedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0))}
-			trains := &delayedTrains{delayedLink: l}
-			var tr remote.Transport = l
+			mode := remote.Split
 			if c.train > 8 {
-				tr = trains
+				mode = remote.Trains
 			}
-			h, next := delayedScan(t, l, tr, time.Millisecond, c.capacity, 4096)
+			l := delayedLink(mode)
+			h, next := delayedScan(t, l, time.Millisecond, c.capacity, 4096)
 			for range 1024 {
 				next()
 			}
-			writes0, frames0 := trains.writes.Load(), trains.frames.Load()
+			writes0, frames0, _ := l.Traffic()
 			var p pipelineMeans
 			for range 2048 {
 				next()
@@ -216,8 +215,9 @@ func TestRunAheadCapIsHalfTheBudget(t *testing.T) {
 				t.Errorf("%.0f pages in flight on average at a depth of %.0f, want more than the old cap of %d",
 					p.meanFlying(), p.meanDepth(), oldCap)
 			}
-			if tr == trains {
-				perWrite := float64(trains.frames.Load()-frames0) / float64(trains.writes.Load()-writes0)
+			if mode == remote.Trains {
+				writes, frames, _ := l.Traffic()
+				perWrite := float64(frames-frames0) / float64(writes-writes0)
 				t.Logf("%.2f frames a write", perWrite)
 				if perWrite < 2 {
 					t.Errorf("%.2f frames a write at the cap, want trains of at least 2", perWrite)
@@ -272,9 +272,9 @@ func stamp(pg core.PageID, v int) []byte {
 func runPipelinedCase(t *testing.T, seed int64, writers int, span core.PageID, opts ...Option) float64 {
 	t.Helper()
 	const scanFrom = 192 // the writers own [0, scanFrom), the scanner reads the rest
-	gates := []*batchGate{newBatchGate(64), newBatchGate(64)}
+	gates := []*batchGate{newBatchGate(64, remote.Split), newBatchGate(64, remote.Split)}
 	h, err := remote.NewHost(remote.HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 8, Seed: uint64(seed)},
-		[]remote.Transport{gates[0], gates[1]})
+		[]remote.Transport{gates[0].Transport(), gates[1].Transport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func runPipelinedCase(t *testing.T, seed int64, writers int, span core.PageID, o
 	m.SetRecording(true)
 	var stops []func()
 	for i, g := range gates {
-		g.hold()
+		g.holding.Store(true)
 		rng := rand.New(rand.NewSource(seed*2 + int64(i)))
 		stops = append(stops, g.pump(rng.Intn, func(int) {}))
 	}

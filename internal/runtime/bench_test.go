@@ -10,91 +10,25 @@ import (
 	"leap/internal/remote"
 )
 
-// delayedLink is a split-phase transport over an in-process agent whose
-// responses are due a fixed delay after their request was started: the agent
-// answers at once and Wait sleeps out the rest, so requests outstanding
-// together wait together — a link's propagation delay, with no socket.
-type delayedLink struct {
-	inner *remote.InProc
-	delay atomic.Int64 // nanoseconds
-	// wire is the bytes its frames would take on a socket, both ways: payloads
-	// and the wire protocol's 18- and 6-byte headers.
-	wire atomic.Int64
+// delayedLink returns a link of mode over an in-process agent on the wall
+// clock: its responses are due the link's delay after their request was
+// started, the agent answering at once and Wait sleeping out the rest, so
+// requests outstanding together wait together — a link's propagation delay,
+// with no socket.
+func delayedLink(mode remote.Mode) *remote.ScriptedLink {
+	return remote.NewScriptedLink(remote.NewInProc(remote.NewAgent(1024, 0)), mode, nil, nil)
 }
 
-type delayedPending struct {
-	due  time.Time
-	resp *remote.Response
-	err  error
-}
-
-func (p delayedPending) Wait() (*remote.Response, error) {
-	time.Sleep(time.Until(p.due))
-	return p.resp, p.err
-}
-
-func (l *delayedLink) Start(req *remote.Request) (remote.Pending, error) {
-	due := time.Now().Add(time.Duration(l.delay.Load()))
-	resp, err := l.inner.Call(req)
-	if err == nil {
-		l.wire.Add(int64(18 + len(req.Payload) + 6 + len(resp.Payload)))
-	}
-	return delayedPending{due, resp, err}, nil
-}
-
-func (l *delayedLink) Call(req *remote.Request) (*remote.Response, error) {
-	p, _ := l.Start(req)
-	return p.Wait()
-}
-
-func (l *delayedLink) Close() error { return nil }
-
-// delayedTrains is a delayedLink that moves trains and counts them: a frame
-// started with more to follow joins the train, which leaves — one socket write
-// on a real link — with the first frame started without. The agent answers
-// every frame at once all the same.
-type delayedTrains struct {
-	*delayedLink
-	writes, frames atomic.Int64
-}
-
-func (l *delayedTrains) StartTrain(req *remote.Request, more bool) (remote.Pending, error) {
-	l.frames.Add(1)
-	if !more {
-		l.writes.Add(1)
-	}
-	return l.Start(req)
-}
-
-// delayedScan opens a Memory with a budget of capacity pages over tr, a
-// delayedLink l or a wrapper of it, stores image(pg) in pages [0, pages) and
-// scans them: a lap undelayed, which settles the predictor and pushes out
-// populate's dirty residue, then a quarter lap delayed by delay, which lets the
-// host measure the link. It returns the host and the scan's next access. Memory
-// and host are closed with the test.
-func delayedScan(tb testing.TB, l *delayedLink, tr remote.Transport, delay time.Duration, capacity, pages int) (*remote.Host, func()) {
+// delayedScan opens a Memory with a budget of capacity pages over the delayed
+// link l, stores image(pg) in pages [0, pages) and scans them: a lap undelayed,
+// which settles the predictor and pushes out populate's dirty residue, then a
+// quarter lap delayed by delay, which lets the host measure the link. It
+// returns the host and the scan's next access. Memory and host are closed with
+// the test.
+func delayedScan(tb testing.TB, l *remote.ScriptedLink, delay time.Duration, capacity, pages int) (*remote.Host, func()) {
 	tb.Helper()
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1},
-		[]remote.Transport{tr})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithSeed(1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() {
-		m.Close()
-		h.Close()
-	})
-	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		tb.Fatal(err)
-	}
+	m, h := memoryOver(tb, remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1}, []remote.Transport{l.Transport()},
+		nil, pages, WithCacheCapacity(capacity), WithSeed(1))
 	buf, pg := make([]byte, remote.PageSize), core.PageID(0)
 	next := func() {
 		if err := m.getInto(0, pg, buf); err != nil {
@@ -106,7 +40,7 @@ func delayedScan(tb testing.TB, l *delayedLink, tr remote.Transport, delay time.
 	}
 	for i := 0; i < pages+pages/4; i++ {
 		if i == pages {
-			l.delay.Store(int64(delay))
+			l.SetTiming(delay, 0, 0)
 		}
 		next()
 	}
@@ -132,8 +66,7 @@ func BenchmarkScanDelayedLink(b *testing.B) {
 }
 
 func benchScanDelayedLink(b *testing.B, delay time.Duration) {
-	l := &delayedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0))}
-	h, next := delayedScan(b, l, l, delay, 1024, 8192)
+	h, next := delayedScan(b, delayedLink(remote.Split), delay, 1024, 8192)
 	b.ReportAllocs()
 	var p pipelineMeans
 	for b.Loop() {
@@ -183,33 +116,11 @@ func BenchmarkStoreScanDelayedLink(b *testing.B) {
 // replicatedOverDelayedLinks opens a Memory with a budget of 1024 pages over
 // two delayed links, both replicas of everything, stores image(pg) in pages
 // [0, pages) and flushes. Memory and host are closed with the benchmark.
-func replicatedOverDelayedLinks(b *testing.B, pages int) (*Memory, []*delayedLink) {
+func replicatedOverDelayedLinks(b *testing.B, pages int) (*Memory, []*remote.ScriptedLink) {
 	b.Helper()
-	links := []*delayedLink{
-		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
-		{inner: remote.NewInProc(remote.NewAgent(1024, 0))},
-	}
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1},
-		[]remote.Transport{links[0], links[1]})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(1024), WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		m.Close()
-		h.Close()
-	})
-	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		b.Fatal(err)
-	}
+	links := []*remote.ScriptedLink{delayedLink(remote.Split), delayedLink(remote.Split)}
+	m, _ := memoryOver(b, remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1},
+		[]remote.Transport{links[0].Transport(), links[1].Transport()}, nil, pages, WithCacheCapacity(1024), WithSeed(1))
 	return m, links
 }
 
@@ -230,18 +141,23 @@ func benchStoreScanDelayedLink(b *testing.B, delay time.Duration, size int) {
 	for i := 0; i < pages+pages/4; i++ {
 		if i == pages {
 			for _, l := range links {
-				l.delay.Store(int64(delay))
+				l.SetTiming(delay, 0, 0)
 			}
 		}
 		store()
 	}
 	b.ReportAllocs()
-	wire0 := links[0].wire.Load() + links[1].wire.Load()
+	wire := func() int64 {
+		_, _, w0 := links[0].Traffic()
+		_, _, w1 := links[1].Traffic()
+		return w0 + w1
+	}
+	wire0 := wire()
 	for b.Loop() {
 		store()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-	b.ReportMetric(float64(links[0].wire.Load()+links[1].wire.Load()-wire0)/float64(b.N), "wire-B/page")
+	b.ReportMetric(float64(wire()-wire0)/float64(b.N), "wire-B/page")
 }
 
 // BenchmarkMixDelayedLink is the two scans side by side (ROADMAP item 1(d)):
@@ -285,7 +201,7 @@ func benchMixDelayedLink(b *testing.B, delay time.Duration) {
 	for i := 0; i < half+half/4; i++ {
 		if i == half {
 			for _, l := range links {
-				l.delay.Store(int64(delay))
+				l.SetTiming(delay, 0, 0)
 			}
 		}
 		read()
@@ -330,27 +246,8 @@ func loopbackCluster(tb testing.TB, pages, capacity int) (*Memory, *remote.Host)
 			tb.Fatal(err)
 		}
 	}
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1}, transports)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithQueueDepth(8), WithSeed(1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() {
-		m.Close()
-		h.Close()
-	})
-	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-	return m, h
+	return memoryOver(tb, remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 1}, transports,
+		nil, pages, WithCacheCapacity(capacity), WithQueueDepth(8), WithSeed(1))
 }
 
 // BenchmarkScanLoopbackTCP is bench/'s seq_read inside the tree: one goroutine

@@ -15,7 +15,7 @@ import (
 	"leap/internal/sim"
 )
 
-// batchGate is a split-phase transport over an in-process agent for driving
+// batchGate is the script state of a link over an in-process agent for driving
 // the runtime's pending-fill paths: every request reaches the agent at once
 // and in order, but the response of a read batch — a prefetch window — can be
 // held back, until release lets everything through or a pump lets responses
@@ -24,263 +24,75 @@ import (
 // unless the gate was told to hold acks, and then it is write frames whose
 // responses are held, and read batches answer at once, or to gate demand
 // reads, and then single reads are held (and failed) in place of read batches.
-// The gate also keeps the pages of every read batch it was handed, and watches
-// the order its pendings are waited for in: a link answers in order, and the
-// host is to land a link's flights in the order it started them.
+// The gate also keeps the pages of every read batch it was handed.
 type batchGate struct {
-	inner     *remote.InProc
+	*remote.ScriptedLink
 	slabPages int
-	acks      bool // hold write frames' responses, not read batches'
-	both      bool // with acks: hold read batches' as well
-	demand    bool // hold and fail single reads, not read batches
+	acks      bool        // hold write frames' responses, not read batches'
+	both      bool        // with acks: hold read batches' as well
+	demand    bool        // hold and fail single reads, not read batches
+	holding   atomic.Bool // hold the gated frames' responses
+	fail      atomic.Bool // fail the gated frames at Wait
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	holding bool
-	fail    bool
-	held    []*gatePending // frames whose response is held back, oldest first
-	waiting int            // goroutines in Wait on a held response
-	frames  [][]core.PageID
-	// issued numbers the pendings Start gave out, and every one below waited has
-	// been waited for; skipped counts the Waits that passed over an older one.
-	issued, waited, skipped int
+	mu     sync.Mutex
+	frames [][]core.PageID
 }
 
-func newBatchGate(slabPages int) *batchGate {
-	g := &batchGate{inner: remote.NewInProc(remote.NewAgent(slabPages, 0)), slabPages: slabPages}
-	g.cond = sync.NewCond(&g.mu)
+// newBatchGate returns a gate over a link of mode (Split or Trains).
+func newBatchGate(slabPages int, mode remote.Mode) *batchGate {
+	g := &batchGate{slabPages: slabPages}
+	g.ScriptedLink = remote.NewScriptedLink(remote.NewInProc(remote.NewAgent(slabPages, 0)), mode, nil, g.verdict)
 	return g
 }
 
-// hold holds read-batch responses back from now on.
-func (g *batchGate) hold() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.holding = true
-}
+var errGate = errors.New("batch gate: injected read-batch failure")
 
-// release lets every held response through, and those of later batches too.
-func (g *batchGate) release() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.holding = false
-	for len(g.held) > 0 {
-		g.letGo(0)
-	}
-}
-
-// letGo lets the i-th oldest held response through. Callers hold g.mu.
-func (g *batchGate) letGo(i int) {
-	p := g.held[i]
-	g.held = slices.Delete(g.held, i, i+1)
-	p.held = false
-	g.waiting -= p.waiters
-	g.cond.Broadcast()
-}
-
-// pump plays the link while the gate holds: whenever a goroutine waits for a
-// held response it lets one through — the pick(n)-th oldest of the n held, so
-// a constant 0 is a FIFO link and a seeded draw delivers in any order — after
-// telling observe how many were held. The returned stop ends the pump and
-// releases the gate.
-func (g *batchGate) pump(pick func(n int) int, observe func(held int)) (stop func()) {
-	stopped, done := false, make(chan struct{})
-	go func() {
-		defer close(done)
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		for {
-			for !stopped && (g.waiting == 0 || len(g.held) == 0) {
-				g.cond.Wait()
-			}
-			if stopped {
-				return
-			}
-			observe(len(g.held))
-			g.letGo(pick(len(g.held)))
+func (g *batchGate) verdict(req *remote.Request) (v remote.Verdict) {
+	gated := req.Op == remote.OpReadBatch
+	if gated {
+		refs, _ := remote.DecodeReadBatch(req)
+		pages := make([]core.PageID, len(refs))
+		for i, r := range refs {
+			pages[i] = core.PageID(int(r.Slab)*g.slabPages + int(r.PageOff))
 		}
-	}()
-	return func() {
 		g.mu.Lock()
-		stopped = true
-		g.cond.Broadcast()
+		g.frames = append(g.frames, pages)
 		g.mu.Unlock()
-		<-done
+	}
+	if g.demand {
+		gated = req.Op == remote.OpRead
+	}
+	if gated && g.fail.Load() {
+		v.Err = errGate
+	}
+	if g.acks {
+		gated = g.both && gated || req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
+	}
+	v.Hold = gated && g.holding.Load()
+	return v
+}
+
+// release lets every held response through, and those of later frames too.
+func (g *batchGate) release() {
+	g.holding.Store(false)
+	g.Release()
+}
+
+// pump is the link's Pump, whose stop releases the gate.
+func (g *batchGate) pump(pick func(n int) int, observe func(held int)) (stop func()) {
+	pumping := g.Pump(pick, observe)
+	return func() {
+		pumping()
 		g.release()
 	}
 }
 
-// awaitWaiters returns once n goroutines are waiting for held responses.
-func (g *batchGate) awaitWaiters(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.waiting < n {
-		g.cond.Wait()
-	}
-}
-
-// failBatches makes read batches (single reads, on a gate of demand reads)
-// fail at Wait.
-func (g *batchGate) failBatches(on bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.fail = on
-}
-
-// readFrames returns the pages of every read batch started so far, in order.
+// readFrames returns the pages of every read batch sent so far, in order.
 func (g *batchGate) readFrames() [][]core.PageID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return slices.Clone(g.frames)
 }
-
-type gatePending struct {
-	g    *batchGate
-	seq  int // its number among the gate's Starts
-	resp *remote.Response
-	err  error
-	// held and waiters (goroutines in Wait while held) are guarded by g.mu.
-	held    bool
-	waiters int
-}
-
-func (p *gatePending) Wait() (*remote.Response, error) {
-	g := p.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	switch {
-	case p.seq == g.waited:
-		g.waited++
-	case p.seq > g.waited:
-		g.skipped++
-	}
-	if p.held {
-		p.waiters++
-		g.waiting++
-		g.cond.Broadcast()
-		for p.held {
-			g.cond.Wait()
-		}
-	}
-	return p.resp, p.err
-}
-
-var errGate = errors.New("batch gate: injected read-batch failure")
-
-func (g *batchGate) Start(req *remote.Request) (remote.Pending, error) {
-	resp, err := g.inner.Call(req)
-	p := &gatePending{g: g, resp: resp, err: err}
-	var pages []core.PageID
-	if req.Op == remote.OpReadBatch {
-		refs, derr := remote.DecodeReadBatch(req)
-		if derr != nil {
-			return nil, derr
-		}
-		pages = make([]core.PageID, len(refs))
-		for i, r := range refs {
-			pages[i] = core.PageID(int(r.Slab)*g.slabPages + int(r.PageOff))
-		}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	p.seq = g.issued
-	g.issued++
-	gated := req.Op == remote.OpReadBatch
-	if gated {
-		g.frames = append(g.frames, pages)
-	}
-	if g.demand {
-		gated = req.Op == remote.OpRead
-	}
-	if gated && g.fail {
-		p.resp, p.err = nil, errGate
-	}
-	if g.acks {
-		gated = g.both && gated || req.Op == remote.OpWrite || req.Op == remote.OpWriteBatch || req.Op == remote.OpWriteRanges
-	}
-	if gated && g.holding {
-		p.held = true
-		g.held = append(g.held, p)
-	}
-	return p, nil
-}
-
-// Call is a round trip of its own, outside the order of the Starts: the agent
-// is called directly.
-func (g *batchGate) Call(req *remote.Request) (*remote.Response, error) {
-	return g.inner.Call(req)
-}
-
-// trainGate is a batchGate that moves trains: a frame started with more to
-// follow is kept — a copy, the host encodes its next frame over the request —
-// and reaches the agent only when its train leaves, with the next frame started
-// without more, a Call, or the first Wait for a frame of it.
-type trainGate struct {
-	*batchGate
-	tmu  sync.Mutex
-	held []*trainPending
-}
-
-type trainPending struct {
-	g    *trainGate
-	req  *remote.Request
-	sent remote.Pending // nil while held
-}
-
-func (g *trainGate) StartTrain(req *remote.Request, more bool) (remote.Pending, error) {
-	g.tmu.Lock()
-	defer g.tmu.Unlock()
-	p := &trainPending{g: g, req: &remote.Request{Op: req.Op, Slab: req.Slab, PageOff: req.PageOff, Payload: bytes.Clone(req.Payload)}}
-	g.held = append(g.held, p)
-	if !more {
-		g.send()
-	}
-	return p, nil
-}
-
-// send hands the held frames to the agent, in order. Callers hold g.tmu.
-func (g *trainGate) send() {
-	for _, p := range g.held {
-		var err error
-		if p.sent, err = g.batchGate.Start(p.req); err != nil {
-			p.sent = failedPending{err}
-		}
-	}
-	g.held = nil
-}
-
-type failedPending struct{ err error }
-
-func (p failedPending) Wait() (*remote.Response, error) { return nil, p.err }
-
-func (p *trainPending) Wait() (*remote.Response, error) {
-	p.g.tmu.Lock()
-	if p.sent == nil {
-		p.g.send()
-	}
-	p.g.tmu.Unlock()
-	return p.sent.Wait()
-}
-
-func (g *trainGate) Start(req *remote.Request) (remote.Pending, error) {
-	return g.StartTrain(req, false)
-}
-
-func (g *trainGate) Call(req *remote.Request) (*remote.Response, error) {
-	g.tmu.Lock()
-	g.send()
-	g.tmu.Unlock()
-	return g.batchGate.Call(req)
-}
-
-// outOfOrder reports how many Waits passed over an older pending.
-func (g *batchGate) outOfOrder() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.skipped
-}
-
-func (g *batchGate) Close() error { return nil }
 
 // image is the page image the tests below store in page pg.
 func image(pg core.PageID) []byte {
@@ -297,31 +109,42 @@ func image(pg core.PageID) []byte {
 // what the host makes of it must not depend on how long that took.
 func gatedMemory(t *testing.T, pages int, opts ...Option) (*Memory, *batchGate) {
 	t.Helper()
-	g := newBatchGate(64)
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 8, Seed: 3},
-		[]remote.Transport{g})
+	g := newBatchGate(64, remote.Split)
+	m, _ := memoryOver(t, remote.HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 8, Seed: 3}, []remote.Transport{g.Transport()},
+		remote.NewFakeClock(), pages, append([]Option{WithCacheCapacity(64), WithSeed(11)}, opts...)...)
+	t.Cleanup(g.release)
+	return m, g
+}
+
+// memoryOver opens a Memory with opts over a host of cfg on trs, its depth
+// estimator on clock when that is not nil, stores image(pg) in pages
+// [0, pages) and flushes. Memory and host are closed with the test.
+func memoryOver(tb testing.TB, cfg remote.HostConfig, trs []remote.Transport, clock *remote.FakeClock, pages int, opts ...Option) (*Memory, *remote.Host) {
+	tb.Helper()
+	h, err := remote.NewHost(cfg, trs)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	setHostClock(h, newFakeClock().Now)
-	m, err := Open(append([]Option{WithRemoteHost(h), WithCacheCapacity(64), WithSeed(11)}, opts...)...)
+	if clock != nil {
+		clock.Drive(h)
+	}
+	m, err := Open(append([]Option{WithRemoteHost(h)}, opts...)...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() {
-		g.release()
+	tb.Cleanup(func() {
 		m.Close()
 		h.Close()
 	})
 	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
 		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := m.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return m, g
+	return m, h
 }
 
 // checkPage reads pg through the fault path and compares it with image(pg).
@@ -343,7 +166,7 @@ func checkPage(t *testing.T, m *Memory, pg core.PageID) {
 // the frames' new contents, and must still fill the rest of the window.
 func TestRecycledFrameIsNotFilledLate(t *testing.T) {
 	m, g := gatedMemory(t, 192)
-	g.hold()
+	g.holding.Store(true)
 	if err := m.Client(0).Advise(AdviseWillNeed, 20, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +232,7 @@ func TestRecycledFrameIsNotFilledLate(t *testing.T) {
 // counters still add up.
 func TestFailedWindowFillFallsBackToDemand(t *testing.T) {
 	m, g := gatedMemory(t, 192)
-	g.failBatches(true)
+	g.fail.Store(true)
 	before := m.Stats()
 	if err := m.Client(0).Advise(AdviseWillNeed, 30, 8); err != nil {
 		t.Fatal(err)
@@ -423,7 +246,7 @@ func TestFailedWindowFillFallsBackToDemand(t *testing.T) {
 	for pg := core.PageID(34); pg < 38; pg++ {
 		checkPage(t, m, pg)
 	}
-	g.failBatches(false)
+	g.fail.Store(false)
 	if err := m.Flush(); err != nil {
 		t.Fatalf("a failed prefetch read latched the Memory: %v", err)
 	}
@@ -456,7 +279,7 @@ func singleFlight(t *testing.T, m *Memory, g *batchGate) <-chan error {
 	if err := m.Client(0).Advise(AdviseRandom, 0, 192); err != nil {
 		t.Fatal(err)
 	}
-	g.hold()
+	g.holding.Store(true)
 	before := m.Stats()
 	done := make(chan error, 3)
 	access := func() {
@@ -468,7 +291,7 @@ func singleFlight(t *testing.T, m *Memory, g *batchGate) <-chan error {
 		done <- err
 	}
 	go access()
-	g.awaitWaiters(1)
+	g.AwaitWaiters(1)
 	go access()
 	go access()
 	for m.Stats().DemandWaits-before.DemandWaits < 2 {
@@ -512,7 +335,7 @@ func TestSingleFlightSleepsOnFaulting(t *testing.T) {
 func TestSingleFlightWaitersWakeOnUnwind(t *testing.T) {
 	m, g := gatedMemory(t, 192)
 	g.demand = true
-	g.failBatches(true)
+	g.fail.Store(true)
 	done := singleFlight(t, m, g)
 	g.release()
 	for i := 0; i < 3; i++ {
@@ -520,7 +343,7 @@ func TestSingleFlightWaitersWakeOnUnwind(t *testing.T) {
 			t.Errorf("access %d: %v, want the injected read failure", i, err)
 		}
 	}
-	g.failBatches(false)
+	g.fail.Store(false)
 	checkPage(t, m, 5)
 	if err := m.Flush(); err != nil {
 		t.Fatalf("a failed demand read latched the Memory: %v", err)

@@ -1,52 +1,12 @@
 package runtime
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"leap/internal/core"
 	"leap/internal/remote"
 )
-
-// fakeClock is a wall clock that only the test moves.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-func (c *fakeClock) advanceTo(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
-	}
-}
-
-// setHostClock has h's depth estimator read now instead of time.Now. The
-// clock is an unexported field of remote.Host on purpose — it is no setting —
-// and this package's tests are the one place outside it that must play a
-// link's time, so they reach in. Call it before the host is used.
-func setHostClock(h *remote.Host, now func() time.Time) {
-	f := reflect.ValueOf(h).Elem().FieldByName("clock")
-	*(*func() time.Time)(unsafe.Pointer(f.UnsafeAddr())) = now
-}
 
 // scanner scans a Memory's pages in order, wrapping, a frame of 8 at a time,
 // every page verified.
@@ -87,32 +47,10 @@ func (s *scanner) frames(n int) (peak int, took time.Duration) {
 // newScanner stores image(pg) in pages [0, pages) of a Memory over tr with a
 // budget of capacity pages, and scans them once to settle the predictor and
 // push out populate's dirty residue.
-func newScanner(t *testing.T, tr remote.Transport, clock func() time.Time, pages, capacity int) *scanner {
+func newScanner(t *testing.T, tr remote.Transport, clock *remote.FakeClock, pages, capacity int) *scanner {
 	t.Helper()
-	h, err := remote.NewHost(remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1},
-		[]remote.Transport{tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clock != nil {
-		setHostClock(h, clock)
-	}
-	m, err := Open(WithRemoteHost(h), WithCacheCapacity(capacity), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		m.Close()
-		h.Close()
-	})
-	for pg := core.PageID(0); pg < core.PageID(pages); pg++ {
-		if _, err := m.WriteAt(image(pg), int64(pg)*remote.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	m, h := memoryOver(t, remote.HostConfig{SlabPages: 1024, Replicas: 1, QueueDepth: 8, Seed: 1}, []remote.Transport{tr},
+		clock, pages, WithCacheCapacity(capacity), WithSeed(1))
 	s := &scanner{t: t, m: m, h: h, pages: core.PageID(pages)}
 	s.frames(pages / 8)
 	return s
@@ -129,15 +67,15 @@ func newScanner(t *testing.T, tr remote.Transport, clock func() time.Time, pages
 // same is asked; and once each ramp is over the scan takes no full miss. The bound on unread responses holds throughout
 // (scanner.frames), and every page read is verified.
 func TestPipelineDepthFollowsTheLink(t *testing.T) {
-	l := &delayedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0))}
+	l := delayedLink(remote.Split)
 	// A budget of 512 pages lets a stream run 128 ahead: more than a
 	// millisecond needs at any rate below 128 k pages/s, which holds the
 	// reader to it.
-	s := newScanner(t, l, nil, 8192, 512)
+	s := newScanner(t, l.Transport(), nil, 8192, 512)
 	near, _ := s.frames(64)
 
 	for _, delay := range []time.Duration{200 * time.Microsecond, 600 * time.Microsecond, time.Millisecond} {
-		l.delay.Store(int64(delay))
+		l.SetTiming(delay, 0, 0)
 		ramp, _ := s.frames(64)
 		before := s.m.Stats()
 		settled, took := s.frames(192)
@@ -153,7 +91,7 @@ func TestPipelineDepthFollowsTheLink(t *testing.T) {
 		}
 	}
 
-	l.delay.Store(0)
+	l.SetTiming(0, 0, 0)
 	s.frames(256)
 	before := s.m.Stats()
 	back, _ := s.frames(64)
@@ -171,49 +109,6 @@ func TestPipelineDepthFollowsTheLink(t *testing.T) {
 	}
 }
 
-// servedLink is a split-phase transport with no propagation delay whose agent
-// is the bottleneck: responses come out one service time apart at best, each
-// after the one before it, on a clock the link and the test advance. It is the
-// loopback trap — a reader that waits because the agent has not got to its
-// frame yet — made deterministic.
-type servedLink struct {
-	inner   *remote.InProc
-	clock   *fakeClock
-	service time.Duration
-	mu      sync.Mutex
-	free    time.Time // when the agent is done with what it has been given
-}
-
-type servedPending struct {
-	l     *servedLink
-	ready time.Time
-	resp  *remote.Response
-	err   error
-}
-
-func (p servedPending) Wait() (*remote.Response, error) {
-	p.l.clock.advanceTo(p.ready)
-	return p.resp, p.err
-}
-
-func (l *servedLink) Start(req *remote.Request) (remote.Pending, error) {
-	resp, err := l.inner.Call(req)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if now := l.clock.Now(); now.After(l.free) {
-		l.free = now
-	}
-	l.free = l.free.Add(l.service)
-	return servedPending{l, l.free, resp, err}, nil
-}
-
-func (l *servedLink) Call(req *remote.Request) (*remote.Response, error) {
-	p, _ := l.Start(req)
-	return p.Wait()
-}
-
-func (l *servedLink) Close() error { return nil }
-
 // TestServiceBoundLinkKeepsPipelineShallow: an agent that takes 100 us a
 // frame, in front of a reader that takes 40, makes the reader wait at every
 // frame whatever is in flight. The estimator must not answer those waits with
@@ -223,15 +118,17 @@ func (l *servedLink) Close() error { return nil }
 // budget and the 1024 the host's bound would let it reach — where a rule that
 // deepens on every blocked wait ends up.
 func TestServiceBoundLinkKeepsPipelineShallow(t *testing.T) {
-	clock := newFakeClock()
-	l := &servedLink{inner: remote.NewInProc(remote.NewAgent(1024, 0)), clock: clock}
-	s := newScanner(t, l, clock.Now, 8192, 1024)
-	s.step = func() { clock.advance(5 * time.Microsecond) }
+	// An agent with no propagation delay in front of it, whose responses come
+	// out one service time apart at best, each after the one before it: the
+	// loopback trap — a reader that waits because the agent has not got to its
+	// frame yet — made deterministic.
+	clock := remote.NewFakeClock()
+	l := remote.NewScriptedLink(remote.NewInProc(remote.NewAgent(1024, 0)), remote.Split, clock, nil)
+	s := newScanner(t, l.Transport(), clock, 8192, 1024)
+	s.step = func() { clock.Advance(5 * time.Microsecond) }
 	instant, _ := s.frames(64)
 
-	l.mu.Lock()
-	l.service = 100 * time.Microsecond
-	l.mu.Unlock()
+	l.SetTiming(0, 100*time.Microsecond, 0)
 	before := s.m.Stats()
 	served, _ := s.frames(512)
 	st := s.m.Stats()

@@ -168,14 +168,14 @@ func TestStoreModel(t *testing.T) {
 							continue
 						}
 						if link == "held" || link == "trains" {
-							g := newBatchGate(modelSlab)
-							g.acks = true
-							g.hold()
-							pick := func(int) int { return 0 }
-							if transports[i] = g; link == "trains" {
-								g.both, pick = true, rand.New(rand.NewSource(int64(i))).Intn
-								transports[i] = &trainGate{batchGate: g}
+							mode, pick := remote.Split, func(int) int { return 0 }
+							if link == "trains" {
+								mode, pick = remote.Trains, rand.New(rand.NewSource(int64(i))).Intn
 							}
+							g := newBatchGate(modelSlab, mode)
+							g.acks, g.both = true, link == "trains"
+							g.holding.Store(true)
+							transports[i] = g.Transport()
 							defer g.pump(pick, func(int) {})()
 							gates = append(gates, g)
 							continue
@@ -218,7 +218,7 @@ func TestStoreModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, g := range gates {
-						if n := g.outOfOrder(); n > 0 {
+						if n := g.OutOfOrder(); n > 0 {
 							t.Errorf("link %d: %d flights were waited for ahead of an older one", i, n)
 						}
 					}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,40 +91,6 @@ func TestMemoryTransientOutageRecovers(t *testing.T) {
 	}
 }
 
-// gateTransport wraps an agent transport for the head-of-line test: it can
-// fail every batch read (so prefetch tickets error and are abandoned) and
-// block the synchronous read of one specific page until released, while
-// every other call passes straight through.
-type gateTransport struct {
-	inner remote.Transport
-
-	mu        sync.Mutex
-	failBatch bool
-	blockSlab remote.SlabID
-	blockOff  uint32
-	blocking  bool
-	arrived   chan struct{} // closed when the blocked read arrives
-	release   chan struct{} // receiver unblocks when this closes
-}
-
-func (g *gateTransport) Call(req *remote.Request) (*remote.Response, error) {
-	g.mu.Lock()
-	failBatch, blocking := g.failBatch, g.blocking
-	slab, off := g.blockSlab, g.blockOff
-	arrived, release := g.arrived, g.release
-	g.mu.Unlock()
-	if failBatch && req.Op == remote.OpReadBatch {
-		return nil, remote.ErrInjected
-	}
-	if blocking && req.Op == remote.OpRead && req.Slab == slab && req.PageOff == off {
-		close(arrived)
-		<-release
-	}
-	return g.inner.Call(req)
-}
-
-func (g *gateTransport) Close() error { return g.inner.Close() }
-
 // TestMemoryConcurrentSlowReplica pins the head-of-line fix in the prefetch
 // path: with one replica serving and batch reads failing, a demand fetch
 // stuck on the wire must not hold the fault-path lock — other clients'
@@ -132,13 +98,23 @@ func (g *gateTransport) Close() error { return g.inner.Close() }
 // failed tickets synchronously under the lock, so one slow agent stalled
 // every client.
 func TestMemoryConcurrentSlowReplica(t *testing.T) {
-	gate := &gateTransport{
-		arrived: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	gate.inner = remote.NewInProc(remote.NewAgent(64, 0))
+	// The link can fail every batch read (so prefetch tickets error and are
+	// abandoned) and block the demand read of page 0 (slab 0, offset 0) until
+	// released, while every other call passes straight through.
+	var failBatch, blocking atomic.Bool
+	arrived, release := make(chan struct{}), make(chan struct{})
+	gate := remote.NewScriptedLink(remote.NewInProc(remote.NewAgent(64, 0)), remote.CallOnly, nil, func(req *remote.Request) remote.Verdict {
+		if failBatch.Load() && req.Op == remote.OpReadBatch {
+			return remote.Verdict{Err: remote.ErrInjected}
+		}
+		if blocking.Load() && req.Op == remote.OpRead && req.Slab == 0 && req.PageOff == 0 {
+			close(arrived)
+			<-release
+		}
+		return remote.Verdict{}
+	})
 	host, err := NewRemoteHost(RemoteHostConfig{SlabPages: 64, Replicas: 1, Seed: 3},
-		[]RemoteTransport{gate})
+		[]RemoteTransport{gate.Transport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +137,17 @@ func TestMemoryConcurrentSlowReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Arm the gate: batch reads fail, and the demand read of page 0 (slab 0,
-	// offset 0) parks on the wire until released.
-	gate.mu.Lock()
-	gate.failBatch = true
-	gate.blocking = true
-	gate.mu.Unlock()
+	// Arm the gate: batch reads fail, and the demand read of page 0 parks on
+	// the wire until released.
+	failBatch.Store(true)
+	blocking.Store(true)
 
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := mem.Client(1).Get(0)
 		slowDone <- err
 	}()
-	<-gate.arrived // the demand fetch of page 0 is now stuck on the wire
+	<-arrived // the demand fetch of page 0 is now stuck on the wire
 
 	// A different client faults a page in another slab. If the stuck fetch
 	// (or a synchronous prefetch retry) held the fault-path lock, this would
@@ -192,14 +166,12 @@ func TestMemoryConcurrentSlowReplica(t *testing.T) {
 		t.Fatal("Get(70) blocked behind a stuck demand fetch: head-of-line regression")
 	}
 
-	close(gate.release)
+	close(release)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("blocked Get(0) after release: %v", err)
 	}
-	gate.mu.Lock()
-	gate.failBatch = false
-	gate.blocking = false
-	gate.mu.Unlock()
+	failBatch.Store(false)
+	blocking.Store(false)
 
 	// Abandoned prefetch tickets were read failures: nothing latched, and
 	// both pages carry the right bytes.
