@@ -1,15 +1,9 @@
 package leap
 
 import (
-	"fmt"
-	"os"
-	"strconv"
-	"sync"
 	"testing"
 
-	"leap/internal/core"
 	"leap/internal/load"
-	"leap/internal/remote"
 )
 
 // TestEnsembleOneArmMatchesFixed is the parity oracle: an ensemble pinned
@@ -101,144 +95,6 @@ func TestMemoryEnsembleOffIsIdentical(t *testing.T) {
 	}
 }
 
-// adviseStamp writes a page image derived from (pg, v) — the same stamp the
-// verifying read recomputes.
-func adviseStamp(pg PageID, v uint64, buf []byte) {
-	x := uint64(pg)*0x9E3779B97F4A7C15 + v | 1
-	for i := range buf {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		buf[i] = byte(x)
-	}
-}
-
-// runAdviseReadYourWritesCase executes one seeded property case: three
-// clients interleave stamped writes, verified reads, and seed-derived
-// Advise calls (all four advices, arbitrary ranges) over a runtime whose
-// shape (budget, queue depth, shard count, compressed tier) derives from
-// the seed, with the ensemble selecting per client underneath. Every read
-// must return the last stamp written to that page — no hint may ever
-// surface stale bytes, whatever evict/seal/fault cycle the page is in.
-func runAdviseReadYourWritesCase(t *testing.T, seed uint64) {
-	t.Helper()
-	qdepths := []int{1, 2, 8}
-	shardCounts := []int{1, 2, 4}
-	opts := []Option{
-		WithSeed(seed*0x9E3779B97F4A7C15 + 7),
-		WithCacheCapacity(64 + int(seed%3)*32),
-		WithQueueDepth(qdepths[seed%uint64(len(qdepths))]),
-		WithCompressedTier(int64(16+seed%48) * remote.PageSize),
-		WithEnsemble(EnsembleConfig{EpochFaults: 16, SwitchStreak: 1}),
-	}
-	if n := shardCounts[(seed/7)%uint64(len(shardCounts))]; n > 1 {
-		opts = append(opts, WithShards(n))
-	}
-	mem, err := Open(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-
-	const span = 256
-	clients := []*MemoryClient{mem.Client(1), mem.Client(2), mem.Client(3)}
-	oracle := make(map[PageID]uint64)
-	var written []PageID
-	buf := make([]byte, RemotePageSize)
-	want := make([]byte, RemotePageSize)
-	rnd := seed*2862933555777941757 + 3037000493
-	next := func(n uint64) uint64 {
-		rnd ^= rnd << 13
-		rnd ^= rnd >> 7
-		rnd ^= rnd << 17
-		return rnd % n
-	}
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Fatalf("case seed %#x: %s\nreplay with LEAP_SEED=%#x go test -run TestMemoryAdviseReadYourWritesProperty",
-			seed, fmt.Sprintf(format, args...), seed)
-	}
-	for op := 0; op < 900; op++ {
-		c := clients[next(uint64(len(clients)))]
-		switch next(10) {
-		case 0, 1: // advise: all four kinds, seed-derived ranges
-			a := Advice(next(4))
-			start := PageID(next(span))
-			n := int(next(40)) + 1
-			if err := c.Advise(a, start, n); err != nil {
-				fail("Advise(%d, %d, %d): %v", a, start, n, err)
-			}
-		case 2, 3, 4: // stamped write
-			pg := PageID(next(span))
-			v := rnd
-			adviseStamp(pg, v, buf)
-			if _, err := c.WriteAt(buf, int64(pg)*RemotePageSize); err != nil {
-				fail("WriteAt(%d): %v", pg, err)
-			}
-			if _, seen := oracle[pg]; !seen {
-				written = append(written, pg)
-			}
-			oracle[pg] = v
-		default: // verified read (read-your-writes, whatever tier the page is in)
-			if len(written) == 0 {
-				continue
-			}
-			pg := written[next(uint64(len(written)))]
-			got, err := c.Get(pg)
-			if err != nil {
-				fail("Get(%d): %v", pg, err)
-			}
-			adviseStamp(pg, oracle[pg], want)
-			for i := range want {
-				if got[i] != want[i] {
-					fail("page %d byte %d = %#x, want %#x (stale image surfaced)", pg, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	if err := mem.Flush(); err != nil {
-		fail("Flush: %v", err)
-	}
-	for _, pg := range written {
-		if _, err := mem.ReadAt(buf, int64(pg)*RemotePageSize); err != nil {
-			fail("final ReadAt(%d): %v", pg, err)
-		}
-		adviseStamp(pg, oracle[pg], want)
-		for i := range want {
-			if buf[i] != want[i] {
-				fail("final image of page %d diverged at byte %d", pg, i)
-			}
-		}
-	}
-	if err := mem.CheckShardInvariants(span); err != nil {
-		fail("shard invariants: %v", err)
-	}
-	if st := mem.Stats(); !st.Ensemble.Enabled || st.Ensemble.Clients == 0 {
-		fail("ensemble never engaged: %+v", st.Ensemble)
-	}
-}
-
-// TestMemoryAdviseReadYourWritesProperty is the hint-API safety gate:
-// madvise-style hints may steer prefetch issue, never data. A failure
-// prints its case seed; replay exactly that case with LEAP_SEED=<seed>.
-func TestMemoryAdviseReadYourWritesProperty(t *testing.T) {
-	if env := os.Getenv("LEAP_SEED"); env != "" {
-		seed, err := strconv.ParseUint(env, 0, 64)
-		if err != nil {
-			t.Fatalf("bad LEAP_SEED: %v", err)
-		}
-		runAdviseReadYourWritesCase(t, seed)
-		return
-	}
-	cases := 25
-	if testing.Short() {
-		cases = 8
-	}
-	for i := 0; i < cases; i++ {
-		runAdviseReadYourWritesCase(t, 0xAD5E<<16|uint64(i))
-	}
-}
-
 // TestMemoryAdviseDeterminism pins the determinism property: the same seed
 // drives the same advise/write/read interleave to bit-identical Stats and
 // selection histories across runs.
@@ -291,65 +147,6 @@ func TestMemoryAdviseDeterminism(t *testing.T) {
 	}
 	if len(h1) == 0 {
 		t.Fatal("no selection history recorded under WithEnsemble")
-	}
-}
-
-// TestMemoryEnsembleStress is the race-enabled selector stress gate:
-// concurrent clients hammer a sharded ensemble runtime while another
-// goroutine streams Advise calls at the same ranges, so hint-table writes,
-// WillNeed prefetches and selector epochs race the fault path. Run it under
-// `go test -race` (the CI race job repeats it).
-func TestMemoryEnsembleStress(t *testing.T) {
-	cfg := load.Config{Clients: 6, Goroutines: 6, OpsPerClient: 1000, PagesPerClient: 64, Seed: 83}
-	if testing.Short() {
-		cfg.Clients, cfg.Goroutines, cfg.OpsPerClient = 4, 4, 400
-	}
-	mem, err := Open(
-		WithSeed(29), WithCacheCapacity(96), WithQueueDepth(8),
-		WithShards(4),
-		WithEnsemble(EnsembleConfig{EpochFaults: 32, SwitchStreak: 1}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := mem.Client(2)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			a := Advice(i % 4)
-			if err := c.Advise(a, PageID(i%128), 1+i%32); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	res, err := load.Drive(mem, cfg)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := load.VerifyFinal(mem, cfg, res.Streams); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.CheckShardInvariants(core.PageID(cfg.Span())); err != nil {
-		t.Fatal(err)
-	}
-	st := mem.Stats()
-	if !st.Ensemble.Enabled || st.Ensemble.Clients == 0 || st.Ensemble.Epochs == 0 {
-		t.Errorf("stress run never exercised the selector: %+v", st.Ensemble)
 	}
 }
 

@@ -511,7 +511,8 @@ func (e *Engine[O]) CancelPrefetch(page core.PageID) bool {
 // unconsumed prefetches, which is where a flooding prefetcher churns its own
 // pages — then falls back to evicting the owner's LRU pages. Fresh
 // prefetches get a 2ms grace so pressure cannot cancel a prefetch that is
-// about to be consumed.
+// about to be consumed. Cache charges squeeze the resident set down to
+// min(16, Limit) pages, never below, so it never outgrows Limit.
 func (e *Engine[O]) MapIn(o O, res *Resident, cpu int, page core.PageID, now sim.Time) {
 	en := e.newResEntry(page)
 	res.m.Put(page, en)
@@ -527,7 +528,7 @@ func (e *Engine[O]) MapIn(o O, res *Resident, cpu int, page core.PageID, now sim
 		e.cache.ReclaimAged(int(over), 2*sim.Millisecond, now)
 	}
 	budget := res.Limit - res.Charged
-	if floor := int64(16); budget < floor {
+	if floor := min(16, res.Limit); budget < floor {
 		budget = floor
 	}
 	for int64(res.m.Len()) > budget && res.tail != nil {

@@ -193,7 +193,9 @@ func WithRemoteHost(h *remote.Host) Option { return func(o *memOptions) { o.host
 // (default 1024 pages = 4MB). With WithShards the budget is striped
 // statically: each shard gets capacity/shards pages (the remainder goes to
 // the low shards), so the global budget is exact while every shard admits
-// and evicts under only its own lock.
+// and evicts under only its own lock. The resident frames never outgrow
+// it (paging.Engine.MapIn; CheckShardInvariants holds each stripe to its
+// share).
 func WithCacheCapacity(pages int) Option { return func(o *memOptions) { o.capacity = pages } }
 
 // WithQueueDepth bounds the async ticket engine's doorbell batches: up to

@@ -606,8 +606,10 @@ func (s *shard) unwindDemand(pg core.PageID, f *frame, advance sim.Duration, err
 	return fmt.Errorf("leap: page %d unreachable: %w", pg, err)
 }
 
-// CheckShardInvariants verifies the single-owner contract of the sharded
-// fault path over every page in [0, span): a page may appear in a shard's
+// CheckShardInvariants verifies that every stripe's resident set is within
+// its budget — so the whole set is within WithCacheCapacity — and the
+// single-owner contract of the sharded fault path over every page in
+// [0, span): a page may appear in a shard's
 // residency set, page cache, frame table, written set, faulting set or
 // compressed tier only if that shard owns the page's stripe — which implies
 // no page is resident (or cached, or sealed) in two shards at once. Within the owning stripe it additionally verifies
@@ -619,6 +621,10 @@ func (s *shard) unwindDemand(pg core.PageID, f *frame, advance sim.Duration, err
 func (m *Memory) CheckShardInvariants(span core.PageID) error {
 	for _, s := range m.shards {
 		s.mu.Lock()
+		if n := s.res.Len(); int64(n) > s.res.Limit {
+			s.mu.Unlock()
+			return fmt.Errorf("leap: shard %d holds %d resident pages over its budget of %d", s.idx, n, s.res.Limit)
+		}
 		for pg := core.PageID(0); pg < span; pg++ {
 			if m.shardFor(pg) == s {
 				if s.ztier != nil && s.ztier.Contains(pg) &&

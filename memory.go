@@ -108,7 +108,7 @@ func WithRemoteHost(h *RemoteHost) Option { return runtime.WithRemoteHost(h) }
 
 // WithCacheCapacity sets the local memory budget in pages — the cgroup
 // limit resident frames plus the prefetch cache are charged against
-// (default 1024 pages = 4MB).
+// (default 1024 pages = 4MB); the resident frames never outgrow it.
 func WithCacheCapacity(pages int) Option { return runtime.WithCacheCapacity(pages) }
 
 // WithQueueDepth bounds the async ticket engine's doorbell batches: up to

@@ -349,14 +349,15 @@ func planeSelfHealScenario(t *testing.T, extra ...Option) {
 func TestMemoryPlaneSelfHeals(t *testing.T) { planeSelfHealScenario(t) }
 
 // deadlockWatchdog arms a wall-clock timer that dumps every goroutine's
-// stack and panics if the caller has not stopped it within d — turning a
-// lock-order deadlock into a diagnosable failure instead of a test-binary
-// timeout. Stop the returned timer when the scenario completes.
-func deadlockWatchdog(d time.Duration) *time.Timer {
+// stack and panics, naming what it watched, if the caller has not stopped it
+// within d — turning a lock-order deadlock into a diagnosable failure
+// instead of a test-binary timeout. Stop the returned timer when the
+// scenario completes.
+func deadlockWatchdog(d time.Duration, what string) *time.Timer {
 	return time.AfterFunc(d, func() {
 		buf := make([]byte, 1<<20)
 		n := goruntime.Stack(buf, true)
-		panic(fmt.Sprintf("deadlock watchdog fired after %v:\n%s", d, buf[:n]))
+		panic(fmt.Sprintf("%s: deadlock watchdog fired after %v:\n%s", what, d, buf[:n]))
 	})
 }
 
@@ -368,7 +369,7 @@ func deadlockWatchdog(d time.Duration) *time.Timer {
 // acked-write loss, detector/scaler cycle) is asserted by the scenario
 // itself.
 func TestMemoryPlaneSelfHealsSharded(t *testing.T) {
-	wd := deadlockWatchdog(120 * time.Second)
+	wd := deadlockWatchdog(120*time.Second, t.Name())
 	defer wd.Stop()
 	planeSelfHealScenario(t, WithShards(4))
 }

@@ -2,15 +2,11 @@ package leap
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"leap/internal/core"
 	"leap/internal/load"
 	"leap/internal/remote"
-	"leap/internal/sim"
 )
 
 // shardParityRun executes one deterministic mixed read/write trace
@@ -124,159 +120,6 @@ func TestShardedOneMatchesSerial(t *testing.T) {
 	}
 	if sharded.DemandWaits != 0 {
 		t.Errorf("single-goroutine sharded run recorded %d demand waits", sharded.DemandWaits)
-	}
-}
-
-// runShardedInvariantCase executes one seeded property case over a sharded
-// Memory whose whole shape (stripe count, cache budget, queue depth)
-// derives from the seed: a deterministic pseudo-random interleave of per-client streams with read-your-writes verified on every
-// read, the single-owner shard invariant checked every 64 operations — a
-// page must never be resident (or cached, or in flight) outside its owning
-// stripe, including across eviction at shard boundaries — and the final
-// image checked against the sequential oracle.
-func runShardedInvariantCase(t *testing.T, seed uint64) {
-	t.Helper()
-	shardCounts := []int{2, 4, 8}
-	qdepths := []int{1, 2, 8}
-	fail := func(err error) {
-		t.Fatalf("case seed %#x: %v\nreplay with LEAP_SEED=%#x go test -run TestMemoryShardedInvariantsProperty",
-			seed, err, seed)
-	}
-	mem, err := Open(
-		WithSeed(seed*0x9E3779B97F4A7C15+1),
-		WithShards(shardCounts[seed%uint64(len(shardCounts))]),
-		// A small budget keeps eviction constant, so frames cross the
-		// resident/cached boundary (and leave) on every stripe.
-		WithCacheCapacity(32+int(seed%3)*48),
-		WithQueueDepth(qdepths[(seed/3)%uint64(len(qdepths))]),
-	)
-	if err != nil {
-		fail(err)
-	}
-	defer mem.Close()
-
-	cfg := load.Config{Clients: 3, OpsPerClient: 250, PagesPerClient: 48, Seed: seed}
-	span := core.PageID(cfg.Span())
-	streams := make([]*load.Stream, cfg.Clients)
-	ios := make([]*MemoryClient, cfg.Clients)
-	for i := range streams {
-		streams[i] = load.NewStream(i, cfg)
-		ios[i] = mem.Client(i)
-	}
-	// The same seeded interleave load.Sequential uses, unrolled so the shard
-	// invariant can be checked mid-run, not only at the end.
-	sched := sim.NewRNG(cfg.Seed ^ 0xC0FFEE)
-	remaining := cfg.Clients
-	ops := 0
-	for remaining > 0 {
-		c := sched.Intn(cfg.Clients)
-		s := streams[c]
-		if s.Done() {
-			continue
-		}
-		if err := s.Step(ios[c]); err != nil {
-			fail(err)
-		}
-		if s.Done() {
-			remaining--
-		}
-		if ops++; ops%64 == 0 {
-			if err := mem.CheckShardInvariants(span); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if err := mem.Flush(); err != nil {
-		fail(err)
-	}
-	if err := load.VerifyFinal(mem, cfg, streams); err != nil {
-		fail(err)
-	}
-	if err := mem.CheckShardInvariants(span); err != nil {
-		fail(err)
-	}
-	if st := mem.Stats(); st.DemandWaits != 0 {
-		fail(fmt.Errorf("single-goroutine case recorded %d demand waits", st.DemandWaits))
-	}
-}
-
-// TestMemoryShardedInvariantsProperty is the seeded-schedule property test
-// for the sharded fault path: across random stripe counts, budgets and
-// overlap bounds, no page ever appears outside its owning shard (checked
-// mid-run and after eviction churn), read-your-writes holds through
-// shard-boundary eviction, and the final state matches the sequential
-// oracle. A failure prints its case seed; replay exactly that case with
-// LEAP_SEED=<seed>.
-func TestMemoryShardedInvariantsProperty(t *testing.T) {
-	if env := os.Getenv("LEAP_SEED"); env != "" {
-		seed, err := strconv.ParseUint(env, 0, 64)
-		if err != nil {
-			t.Fatalf("bad LEAP_SEED: %v", err)
-		}
-		runShardedInvariantCase(t, seed)
-		return
-	}
-	cases := 40
-	if testing.Short() {
-		cases = 12
-	}
-	for i := 0; i < cases; i++ {
-		runShardedInvariantCase(t, 0x51AD<<16|uint64(i))
-	}
-}
-
-// TestMemoryShardedStress extends the race-enabled stress gate across the
-// shards × clients × goroutines matrix: real goroutines hammer a sharded
-// Memory through per-client handles, with exact access accounting (one page
-// touch per op, none lost or duplicated across stripes), the final-image
-// oracle, and the single-owner shard invariant checked once the dust
-// settles. Run it under `go test -race`.
-func TestMemoryShardedStress(t *testing.T) {
-	grid := []struct{ shards, clients, goroutines int }{
-		{2, 4, 4},
-		{4, 8, 8},
-		{8, 8, 8},
-	}
-	if testing.Short() {
-		grid = grid[:2]
-	}
-	for _, g := range grid {
-		g := g
-		t.Run(fmt.Sprintf("shards=%d_clients=%d_goroutines=%d", g.shards, g.clients, g.goroutines), func(t *testing.T) {
-			cfg := load.Config{
-				Clients: g.clients, Goroutines: g.goroutines,
-				OpsPerClient: 1000, PagesPerClient: 64, Seed: 47 + uint64(g.shards),
-			}
-			if testing.Short() {
-				cfg.OpsPerClient = 400
-			}
-			mem, err := Open(WithSeed(17+uint64(g.shards)), WithShards(g.shards),
-				WithCacheCapacity(128), WithQueueDepth(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mem.Close()
-			res, err := load.Drive(mem, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mem.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			st := mem.Stats()
-			if want := int64(cfg.Clients) * int64(cfg.OpsPerClient); st.Accesses != want {
-				t.Errorf("accesses %d, want exactly %d (one page touch per op, none lost or duplicated)", st.Accesses, want)
-			}
-			if st.Faults == 0 || st.Host.Reads == 0 || st.Host.Writes == 0 {
-				t.Errorf("stress run produced no remote traffic: %+v", st)
-			}
-			if err := load.VerifyFinal(mem, cfg, res.Streams); err != nil {
-				t.Fatal(err)
-			}
-			if err := mem.CheckShardInvariants(core.PageID(cfg.Span())); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
