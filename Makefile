@@ -67,10 +67,11 @@ race:
 # The suites whose interleavings want more than one roll, three times over:
 # the Memory model (stress, read-your-writes and chaos over the option
 # cross-product) and its per-feature slices, single-flight, the compressed
-# tier, the control plane alone and wired into the runtime, and the wall-clock,
-# buffer-reuse, page-map-model and unacked-window tests of the wire path, and
-# the scripted test link those are played on.
-STRESS = TestMemoryModel|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
+# tier, the control plane alone and wired into the runtime, the host model
+# (op tapes against a page map) and its slices, the wall-clock, buffer-reuse,
+# page-map-model and unacked-window tests of the wire path, and the scripted
+# test link those are played on.
+STRESS = TestMemoryModel|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestHostModel|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
 STRESS_PKGS = . ./internal/runtime ./internal/remote ./internal/control
 stress:
 	$(GO) test -race -count 3 -run '$(STRESS)' $(STRESS_PKGS)

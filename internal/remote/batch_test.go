@@ -279,52 +279,6 @@ func TestDepthOneAsyncMatchesSync(t *testing.T) {
 	}
 }
 
-// TestBatchedReadsReturnSameBytes: the same read set through depth-8
-// batched frames and through one-at-a-time sync reads must return
-// identical bytes from the same cluster.
-func TestBatchedReadsReturnSameBytes(t *testing.T) {
-	trs := make([]Transport, 3)
-	for i := range trs {
-		trs[i] = NewInProc(NewAgent(8, 0))
-	}
-	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 8, Seed: 5}, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pages = 64
-	for p := core.PageID(0); p < pages; p++ {
-		data := pageOf(byte(p * 3))
-		data[1000] = byte(p)
-		if err := h.WritePage(p, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	asyncBufs := make([][]byte, pages)
-	tickets := make([]*Ticket, pages)
-	for p := range asyncBufs {
-		asyncBufs[p] = make([]byte, PageSize)
-		tickets[p] = h.ReadPageAsync(core.PageID(p), asyncBufs[p])
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	syncBuf := make([]byte, PageSize)
-	for p := core.PageID(0); p < pages; p++ {
-		if err := tickets[p].Err(); err != nil {
-			t.Fatalf("async read %d: %v", p, err)
-		}
-		if err := h.ReadPage(p, syncBuf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(asyncBufs[p], syncBuf) {
-			t.Fatalf("page %d: batched bytes differ from one-at-a-time bytes", p)
-		}
-	}
-	if st := h.Stats(); st.BatchCalls == 0 {
-		t.Fatalf("depth-8 read sweep never batched: %+v", st)
-	}
-}
-
 // TestCoalescedAndDirtyReads exercises the engine's two local-completion
 // paths directly.
 func TestCoalescedAndDirtyReads(t *testing.T) {

@@ -494,109 +494,6 @@ func gatedHost(t *testing.T, n int, cfg HostConfig) (*Host, gateSet) {
 	return newHost(t, cfg, trs), gates
 }
 
-// TestSubmitThenTicketWaitFromTwoGoroutines: Submit returns with the reads
-// on the wire and none complete; two goroutines then wait for tickets of the
-// same flight and of different flights, and everyone gets the right bytes.
-func TestSubmitThenTicketWaitFromTwoGoroutines(t *testing.T) {
-	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
-	const pages = 16
-	for pg := 0; pg < pages; pg++ {
-		h.WritePageAsync(core.PageID(pg), stamp(pg))
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	gates.hold()
-	bufs := make([][]byte, pages)
-	tickets := make([]*Ticket, pages)
-	for pg := range tickets {
-		bufs[pg] = make([]byte, PageSize)
-		tickets[pg] = h.ReadPageAsync(core.PageID(pg), bufs[pg])
-	}
-	within(t, 5*time.Second, "Submit", func() {
-		if _, err := h.Submit(); err != nil {
-			t.Error(err)
-		}
-	})
-	for pg, tk := range tickets {
-		if tk.Done() {
-			t.Fatalf("ticket %d complete before any response arrived", pg)
-		}
-	}
-	gates.release()
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Goroutine 0 walks up, goroutine 1 down: they meet on shared
-			// flights from both sides.
-			for i := 0; i < pages; i++ {
-				pg := i
-				if g == 1 {
-					pg = pages - 1 - i
-				}
-				if err := tickets[pg].Wait(); err != nil {
-					t.Errorf("ticket %d: %v", pg, err)
-				}
-				if !bytes.Equal(bufs[pg], stamp(pg)) {
-					t.Errorf("page %d: wrong bytes after Wait", pg)
-				}
-			}
-		}()
-	}
-	within(t, 5*time.Second, "Ticket.Wait from two goroutines", wg.Wait)
-}
-
-// TestFlushIsABarrierWithFlightsOutstanding: with submitted reads in the
-// air, Flush must not return before they have landed (and must push the
-// write queued behind them).
-func TestFlushIsABarrierWithFlightsOutstanding(t *testing.T) {
-	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
-	for pg := 0; pg < 8; pg++ {
-		h.WritePageAsync(core.PageID(pg), stamp(pg))
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	gates.hold()
-	bufs := make([][]byte, 8)
-	var tickets []*Ticket
-	for pg := range bufs {
-		bufs[pg] = make([]byte, PageSize)
-		tickets = append(tickets, h.ReadPageAsync(core.PageID(pg), bufs[pg]))
-	}
-	if _, err := h.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	wt := h.WritePageAsync(20, stamp(20))
-
-	flushed := make(chan error, 1)
-	go func() { flushed <- h.Flush() }()
-	select {
-	case err := <-flushed:
-		t.Fatalf("Flush returned (%v) with every response still held back", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	gates.release()
-	select {
-	case err := <-flushed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Flush still blocked after the responses were released")
-	}
-	for pg, tk := range tickets {
-		if !tk.Done() || tk.Err() != nil || !bytes.Equal(bufs[pg], stamp(pg)) {
-			t.Fatalf("read %d not landed by the barrier", pg)
-		}
-	}
-	if !wt.Done() || wt.Err() != nil || len(h.AckedReplicas(20)) != 2 {
-		t.Fatal("write queued behind the flights not pushed by the barrier")
-	}
-}
-
 // TestDemandReadsRunOutsideHostLock pins the lock rule of a launched frame:
 // over transports that finish what they start, two goroutines' StartReads to
 // different agents are inside Call at the same time, and neither keeps a
@@ -657,163 +554,6 @@ func TestDemandReadsRunOutsideHostLock(t *testing.T) {
 	})
 	close(release)
 	within(t, 5*time.Second, "the demand reads", wg.Wait)
-}
-
-// TestWriteBehindInFlightWriteKeepsNewestBytes: a write to a page whose
-// earlier write is already on the wire must not be folded into it (the frame
-// has left with the old bytes) — it queues behind, and the page ends up with
-// the newest bytes on every replica.
-func TestWriteBehindInFlightWriteKeepsNewestBytes(t *testing.T) {
-	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 64, Replicas: 2, QueueDepth: 4, Seed: 5})
-	if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
-		t.Fatal(err)
-	}
-	gates.hold()
-	first := h.WritePageAsync(3, stamp(1))
-	flushed := make(chan error, 1)
-	go func() { flushed <- h.Flush() }()
-	<-gates[0].started // the first write's frame is out, its response held back
-
-	second := h.WritePageAsync(3, stamp(2))
-	buf := make([]byte, PageSize)
-	if err := h.ReadPage(3, buf); err != nil || !bytes.Equal(buf, stamp(2)) {
-		t.Fatalf("read-your-writes across an in-flight write: %v", err)
-	}
-	gates.release()
-	if err := <-flushed; err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !first.Done() || !second.Done() || first.Err() != nil || second.Err() != nil {
-		t.Fatal("write tickets incomplete after Flush")
-	}
-	for i, g := range gates {
-		resp, err := g.Inner().Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
-		if err != nil || !bytes.Equal(resp.Payload, stamp(2)) {
-			t.Fatalf("replica %d does not hold the newest write", i)
-		}
-	}
-}
-
-// TestReadAfterAckedWriteDoesNotJoinOlderRead: a read whose frame left before
-// a write to its page stays in flight past the write's acknowledgement (over
-// TCP its response waits in the socket buffer). A read issued after the
-// acknowledgement must not coalesce onto it and inherit the old bytes.
-func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
-	writes := map[string]func(h *Host, data []byte) error{
-		"async": func(h *Host, data []byte) error {
-			wt := h.WritePageAsync(3, data)
-			if _, err := h.Submit(); err != nil {
-				return err
-			}
-			return wt.Wait()
-		},
-		"sync": func(h *Host, data []byte) error { return h.WritePage(3, data) },
-	}
-	for name, write := range writes {
-		t.Run(name, func(t *testing.T) {
-			tr := dialAgent(t, serveAgent(t, NewAgent(64, 0), nil))
-			h := newHost(t, HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5}, []Transport{tr})
-			if err := h.WritePage(3, stamp(0)); err != nil {
-				t.Fatal(err)
-			}
-			before, after := make([]byte, PageSize), make([]byte, PageSize)
-			early := h.ReadPageAsync(3, before)
-			if _, err := h.Submit(); err != nil {
-				t.Fatal(err)
-			}
-			if early.Done() {
-				t.Fatal("the submitted read landed with nobody waiting for it")
-			}
-			if err := write(h, stamp(1)); err != nil {
-				t.Fatal(err)
-			}
-			within(t, 5*time.Second, "reads around an acknowledged write", func() {
-				if err := h.ReadPageAsync(3, after).Wait(); err != nil {
-					t.Error(err)
-				}
-				if err := early.Wait(); err != nil {
-					t.Error(err)
-				}
-			})
-			if !bytes.Equal(after, stamp(1)) {
-				t.Error("read issued after an acknowledged write returned the bytes from before it")
-			}
-			if !bytes.Equal(before, stamp(0)) {
-				t.Error("read sent ahead of the write did not keep its own bytes")
-			}
-		})
-	}
-}
-
-// TestWriteTicketWaitWhileFlushReapsItsFlight: Flush on one goroutine is
-// waiting (Host.mu released) for the response to a write frame when another
-// goroutine waits for that write's ticket. The waiter must sleep until the
-// landing, not spin with Host.mu held and keep the landing out.
-func TestWriteTicketWaitWhileFlushReapsItsFlight(t *testing.T) {
-	for _, replicas := range []int{1, 2} {
-		h, gates := gatedHost(t, replicas, HostConfig{SlabPages: 64, Replicas: replicas, QueueDepth: 4, Seed: 5})
-		if err := h.WritePage(3, stamp(0)); err != nil { // places the slab
-			t.Fatal(err)
-		}
-		gates.hold()
-		wt := h.WritePageAsync(3, stamp(1))
-		flushed := make(chan error, 1)
-		go func() { flushed <- h.Flush() }()
-		<-gates[0].started // the write's frame is out, its response held back
-
-		waited := make(chan error, 1)
-		go func() { waited <- wt.Wait() }()
-		select {
-		case err := <-waited:
-			t.Fatalf("Wait returned (%v) before the write's response", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		gates.release()
-		for _, c := range []chan error{waited, flushed} {
-			select {
-			case err := <-c:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("replicas=%d: write-ticket Wait and Flush still blocked after the responses were released", replicas)
-			}
-		}
-		if got := len(h.AckedReplicas(3)); got != replicas {
-			t.Fatalf("write acked by %d replicas, want %d", got, replicas)
-		}
-	}
-}
-
-// TestDetachedBufferIsNotWritten: after Detach the response of an in-flight
-// read must not touch the buffer, while a coalesced sibling still gets it.
-func TestDetachedBufferIsNotWritten(t *testing.T) {
-	h, gates := gatedHost(t, 1, HostConfig{SlabPages: 64, Replicas: 1, QueueDepth: 4, Seed: 5})
-	if err := h.WritePage(5, stamp(5)); err != nil {
-		t.Fatal(err)
-	}
-	gates[0].Hold()
-	gone, kept := make([]byte, PageSize), make([]byte, PageSize)
-	t1 := h.ReadPageAsync(5, gone)
-	t2 := h.ReadPageAsync(5, kept)
-	if _, err := h.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	t1.Detach()
-	copy(gone, stamp(99)) // the buffer's next life
-	gates[0].Release()
-	if err := t2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(kept, stamp(5)) {
-		t.Fatal("coalesced sibling lost its bytes")
-	}
-	if !t1.Done() || !bytes.Equal(gone, stamp(99)) {
-		t.Fatal("late response landed in a detached buffer")
-	}
 }
 
 // TestAgentConnectionReusesPayloadBuffer: the server loop's request decoder
@@ -965,9 +705,11 @@ func TestWriteFramesStayInFlight(t *testing.T) {
 	if fresh.Done() || len(h.AckedReplicas(20)) != 0 {
 		t.Fatal("a response nobody landed acked its write")
 	}
-	if err := fresh.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	within(t, 5*time.Second, "Wait for a write whose responses were let go", func() {
+		if err := fresh.Wait(); err != nil {
+			t.Error(err)
+		}
+	})
 	if acked := h.AckedReplicas(20); len(acked) != 2 {
 		t.Fatalf("page 20 acked by %v after landing, want both replicas", acked)
 	}

@@ -1,7 +1,7 @@
 // Package remote implements the remote-memory substrate of §4.4–4.5: a host
 // agent that maps fixed-size memory slabs onto one or more remote agents,
-// with power-of-two-choices placement for load balance and two-way
-// replication for fault tolerance.
+// with rendezvous-hashed placement for load balance and two-way replication
+// for fault tolerance.
 //
 // Unlike the latency *models* elsewhere in this repository, this package
 // moves real bytes: agents hold slab contents in memory, and the host reads

@@ -1132,7 +1132,7 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	} else {
 		delete(h.wholeNext, pw.page)
 		r.acks = append(r.acks[:0], pw.acked...)
-		if len(pw.acked) < h.cfg.Replicas {
+		if h.placedAcks(pw.page, pw.acked) < h.cfg.Replicas {
 			h.degraded[pw.page] = true
 		} else {
 			delete(h.degraded, pw.page)

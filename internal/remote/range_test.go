@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -380,319 +379,5 @@ func TestCompressedHostShipsWholePages(t *testing.T) {
 	}
 	if st := h.Stats(); st.RangeWrites != 0 {
 		t.Errorf("a compressing host sent %d ranges", st.RangeWrites)
-	}
-}
-
-// rangeModel is a host over four agents and the page map its writes must
-// leave behind. Each agent sits behind a fault injector behind a gate, so a
-// tape can fail one replica's writes and hold a frame on the wire; on links
-// that move trains the frames a doorbell starts also reach their agent
-// together, when the last of them is started or the first is waited for.
-type rangeModel struct {
-	t      *testing.T
-	rng    *rand.Rand
-	h      *Host
-	agents []*Agent
-	faults []*FaultTransport
-	gates  gateSet
-	// started is every gate's: the op of each frame put on any wire.
-	started chan uint8
-	oracle  map[core.PageID]*[PageSize]byte
-	issued  []*Ticket
-}
-
-const modelPages = 24 // three slabs of eight
-
-func newRangeModel(t *testing.T, seed int64, trains bool) *rangeModel {
-	m := &rangeModel{t: t, rng: rand.New(rand.NewSource(seed)), oracle: map[core.PageID]*[PageSize]byte{},
-		started: make(chan uint8, 1024)} // drained at every flush, which few frames separate
-	trs := make([]Transport, 4)
-	for i := range trs {
-		a := NewAgent(8, 0)
-		ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(uint64(seed)*31+uint64(i)))
-		mode := Split
-		if trains {
-			mode = Trains
-		}
-		g := newGate(ft, mode, m.started)
-		m.agents, m.faults, m.gates = append(m.agents, a), append(m.faults, ft), append(m.gates, g)
-		trs[i] = g.Transport()
-	}
-	var err error
-	if m.h, err = NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: uint64(seed)}, trs); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// write stores a random range of page — a byte, a page, or something between —
-// over the oracle's image of it, through the async engine.
-func (m *rangeModel) write(page core.PageID) {
-	img := m.oracle[page]
-	if img == nil {
-		img = new([PageSize]byte)
-		m.oracle[page] = img
-	}
-	lo, n := m.rng.Intn(PageSize), 1
-	switch m.rng.Intn(6) {
-	case 0:
-	case 1:
-		lo, n = 0, PageSize
-	default:
-		n = 1 + m.rng.Intn(min(PageSize-lo, 300))
-	}
-	for i := lo; i < lo+n; i++ {
-		img[i] += byte(1 + m.rng.Intn(255)) // every byte of the range changes
-	}
-	tk, _, _ := m.h.WritePageRangeAsync(page, img[:], lo, lo+n)
-	m.issued = append(m.issued, tk)
-}
-
-func (m *rangeModel) writes(n int) {
-	for i := 0; i < n; i++ {
-		m.write(core.PageID(m.rng.Intn(modelPages)))
-	}
-}
-
-// flush is the barrier the oracle is checked at: every write issued is
-// acknowledged, ReadPage returns the oracle's image of every page, and so does
-// every agent in the page's ack set, asked directly.
-func (m *rangeModel) flush(what string) {
-	m.t.Helper()
-	if err := m.h.Flush(); err != nil {
-		m.t.Fatalf("%s: flush: %v", what, err)
-	}
-	for _, tk := range m.issued {
-		if !tk.Done() || tk.Err() != nil {
-			m.t.Fatalf("%s: write ticket done=%v err=%v", what, tk.Done(), tk.Err())
-		}
-	}
-	m.issued = m.issued[:0]
-	for len(m.started) > 0 {
-		<-m.started
-	}
-	buf := make([]byte, PageSize)
-	for page, want := range m.oracle {
-		if err := m.h.ReadPage(page, buf); err != nil {
-			m.t.Fatalf("%s: page %d: %v", what, page, err)
-		}
-		if !bytes.Equal(buf, want[:]) {
-			m.t.Fatalf("%s: page %d: ReadPage differs from the oracle at byte %d", what, page, firstDiff(buf, want[:]))
-		}
-		acked := m.h.AckedReplicas(page)
-		if len(acked) == 0 {
-			m.t.Fatalf("%s: page %d has no acked replica", what, page)
-		}
-		slab, off := m.h.locate(page)
-		for _, idx := range acked {
-			resp := m.agents[idx].Handle(&Request{Op: OpRead, Slab: slab, PageOff: off})
-			if resp.Status != StatusOK {
-				m.t.Fatalf("%s: page %d: acked agent %d answers status %d", what, page, idx, resp.Status)
-			}
-			if !bytes.Equal(resp.Payload, want[:]) {
-				m.t.Fatalf("%s: page %d: acked agent %d differs from the oracle at byte %d",
-					what, page, idx, firstDiff(resp.Payload, want[:]))
-			}
-		}
-	}
-}
-
-func firstDiff(a, b []byte) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// repair brings every page back to full replication, so that the next fault
-// finds no page depending on a single holder.
-func (m *rangeModel) repair(what string) {
-	m.t.Helper()
-	if _, err := m.h.RepairSlabs(); err != nil {
-		m.t.Fatalf("%s: repair: %v", what, err)
-	}
-	if n := m.h.DegradedPages(); n != 0 {
-		m.t.Fatalf("%s: %d pages still degraded after repair", what, n)
-	}
-}
-
-// behindStarted holds a write frame of page on the wire and queues more writes
-// behind it, of that page among others.
-func (m *rangeModel) behindStarted(page core.PageID) {
-	m.gates.hold()
-	m.write(page)
-	flushed := make(chan error, 1)
-	go func() { flushed <- m.h.Flush() }()
-	<-m.started // the frame is out, whichever replica it went to first
-	m.write(page)
-	m.writes(3)
-	m.write(page)
-	m.gates.release()
-	if err := <-flushed; err != nil {
-		m.t.Fatalf("behind started: flush: %v", err)
-	}
-}
-
-// readBack holds ReadPage's image of page against the oracle's.
-func (m *rangeModel) readBack(what string, page core.PageID) {
-	m.t.Helper()
-	buf := make([]byte, PageSize)
-	if err := m.h.ReadPage(page, buf); err != nil {
-		m.t.Fatalf("%s: page %d: %v", what, page, err)
-	}
-	want := new([PageSize]byte) // a page of a mapped slab never written reads as zeros
-	if img := m.oracle[page]; img != nil {
-		want = img
-	}
-	if !bytes.Equal(buf, want[:]) {
-		m.t.Fatalf("%s: page %d: ReadPage differs from the oracle at byte %d", what, page, firstDiff(buf, want[:]))
-	}
-}
-
-// readThrough picks a page with no write pending that a read fetches from
-// agent idx, if there is one.
-func (m *rangeModel) readThrough(idx int) (core.PageID, bool) {
-	m.h.mu.Lock()
-	defer m.h.mu.Unlock()
-	for page := core.PageID(0); page < modelPages; page++ {
-		slab, _ := m.h.locate(page)
-		if r := m.h.rec(page); r.dirty() == nil && m.h.readOrder(page, r, m.h.placements[slab], nil) == idx {
-			return page, true
-		}
-	}
-	return 0, false
-}
-
-// outOfStep leaves writes of page, among others, in the air with every ack
-// held back, and lets the links answer one at a time in a drawn order, so that
-// a write's replicas answer out of step. A read through a link that has
-// answered lands the acks ahead of it there; the writes queued meanwhile take
-// what buffers the host has given up; and until its last replica has answered
-// page reads back from the image the host keeps.
-func (m *rangeModel) outOfStep(page core.PageID) {
-	m.t.Helper()
-	m.gates.hold()
-	m.write(page)
-	m.writes(3)
-	if flying, err := m.h.Submit(); err != nil || !flying {
-		m.t.Fatalf("out of step: Submit = flying %v, %v", flying, err)
-	}
-	m.readBack("out of step: acks held back", page)
-	for _, idx := range m.rng.Perm(len(m.gates)) {
-		what := fmt.Sprint("out of step: agent ", idx, " answered")
-		m.gates[idx].Release()
-		if clean, ok := m.readThrough(idx); ok {
-			m.readBack(what, clean)
-			m.h.mu.Lock()
-			left := m.h.links[idx].writes
-			m.h.mu.Unlock()
-			if left > 0 {
-				m.t.Fatalf("%s: %d write frames still in the air behind a read that landed", what, left)
-			}
-		}
-		m.writes(2) // queued: the other links' windows are not for this tape to fill
-		m.readBack(what, page)
-	}
-	inOrder(m.t, m.gates)
-}
-
-// TestRangeWriteModel plays seeded tapes of range writes against a page map:
-// superseded before the flush, queued behind a write on the wire, left in the
-// air while their replicas answer out of step, through one replica's write
-// failures, an outage with repair and recovery, hot copies and slab
-// migrations. At every flush each acked replica, read directly, and ReadPage
-// must hold the oracle's image — which no tape does once a range reaches a
-// replica that lacks its base, a hull is lost in a supersede, or an image is
-// given up before its last replica has answered.
-func TestRangeWriteModel(t *testing.T) {
-	for run := 0; run < 12; run++ {
-		seed, trains := int64(run%6+1), run >= 6 // the six tapes again, over links that move trains
-		name := fmt.Sprint("seed", seed)
-		if trains {
-			name += "/trains"
-		}
-		t.Run(name, func(t *testing.T) {
-			m := newRangeModel(t, seed, trains)
-			m.writes(modelPages)
-			m.flush("populate")
-			for round := 0; round < 40; round++ {
-				what := fmt.Sprint("round ", round)
-				victim := m.rng.Intn(len(m.agents))
-				page := core.PageID(m.rng.Intn(modelPages))
-				switch m.rng.Intn(8) {
-				case 0, 1:
-					m.writes(1 + m.rng.Intn(12))
-				case 7:
-					m.outOfStep(page)
-				case 2:
-					m.write(page) // superseded twice before the flush
-					m.write(page)
-					m.writes(2)
-					m.write(page)
-				case 3:
-					m.behindStarted(page)
-				case 4:
-					what += fmt.Sprint(": flaky agent ", victim)
-					m.faults[victim].SetMode(FaultMode{WriteFailProb: 0.5})
-					for i := 0; i < 3; i++ {
-						m.writes(6)
-						m.flush(what)
-					}
-					m.faults[victim].SetMode(FaultMode{})
-					m.repair(what)
-				case 5:
-					what += fmt.Sprint(": outage of agent ", victim)
-					m.faults[victim].SetMode(FaultMode{Partitioned: true})
-					m.writes(6)
-					m.flush(what)
-					if err := m.h.MarkFailed(victim); err != nil {
-						t.Fatal(err)
-					}
-					m.repair(what)
-					m.writes(6)
-					m.flush(what)
-					m.faults[victim].SetMode(FaultMode{})
-					if err := m.h.MarkRecovered(victim); err != nil {
-						t.Fatal(err)
-					}
-					m.repair(what)
-					if _, err := m.h.Rebalance(); err != nil { // its share migrates back
-						t.Fatalf("%s: rebalance: %v", what, err)
-					}
-				case 6:
-					what += fmt.Sprint(": hot copy of page ", page, ", agent ", victim, " drained")
-					m.flush(what)
-					if _, err := m.h.ReplicateHot(page, 1); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					m.write(page)
-					m.writes(4)
-					m.flush(what)
-					if err := m.h.Retire(victim); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := m.h.Rebalance(); err != nil {
-						t.Fatalf("%s: rebalance: %v", what, err)
-					}
-					m.write(page)
-					m.writes(4)
-					m.flush(what)
-					m.h.DropHot(page)
-					if err := m.h.Reinstate(victim); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := m.h.Rebalance(); err != nil {
-						t.Fatalf("%s: rebalance: %v", what, err)
-					}
-				}
-				m.flush(what)
-			}
-			st := m.h.Stats()
-			if st.RangeWrites == 0 || st.AsyncWrites == st.Writes || st.SlabsMoved == 0 || st.HotCopies == 0 {
-				t.Errorf("tape did not cover ranges, supersedes, migrations and hot copies: %+v", st)
-			}
-		})
 	}
 }

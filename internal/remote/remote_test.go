@@ -181,7 +181,7 @@ func TestHostWriteSurvivesOneReplicaFailure(t *testing.T) {
 }
 
 func TestHostPlacementBalance(t *testing.T) {
-	// Power-of-two-choices keeps slab load roughly even across agents.
+	// Rendezvous placement keeps slab load roughly even across agents.
 	n := 8
 	trs := make([]Transport, n)
 	for i := 0; i < n; i++ {

@@ -111,13 +111,13 @@ func (h *Host) FailedAgents() []int {
 
 // RepairSlabs restores the configured replication factor for every slab
 // that lost replicas (failed agents, purged restarts, or placements that
-// never reached the factor): each affected slab is re-placed on a healthy
-// agent (power-of-two-choices among the survivors) and its contents copied
-// from a surviving replica, page by page. It then re-pushes degraded pages
-// — pages whose latest write was acknowledged by fewer than Replicas agents
-// — from an acknowledged copy to the replicas that missed it (best effort:
-// unreachable targets stay degraded for the next round). It returns the
-// number of slabs repaired.
+// never reached the factor): each affected slab is re-placed on the healthy
+// agent rendezvous hashing ranks first among those not holding it, and its
+// contents copied from a surviving replica, page by page. It then re-pushes
+// degraded pages — pages whose latest write was acknowledged by fewer than
+// Replicas agents — from an acknowledged copy to the replicas that missed it
+// (best effort: unreachable targets stay degraded for the next round). It
+// returns the number of slabs repaired.
 //
 // This is the §4.5 re-replication path: after RepairSlabs, the failure of
 // the *other* original replica no longer loses data.
@@ -125,8 +125,8 @@ func (h *Host) RepairSlabs() (int, error) {
 	h.mu.Lock()
 	h.settleWrites() // which pages are degraded is settled only then
 	// Snapshot the work under the lock; copying happens outside it. Jobs
-	// are sorted by slab so the repair order (and therefore the placement
-	// RNG stream and any transport-level accounting) is deterministic.
+	// are sorted by slab so the repair order (and therefore any
+	// transport-level accounting) is deterministic.
 	type job struct {
 		slab      SlabID
 		survivors []int
@@ -213,7 +213,9 @@ func (h *Host) repairOne(slab SlabID, survivors []int) (int, error) {
 // holds stale bytes); unwritten pages copy as zeros, which is exactly their
 // state on the source. A copy certified fresh extends the page's ack set to
 // the target; a copy from a stale source does not, so reads never prefer
-// possibly-stale bytes.
+// possibly-stale bytes. Nor does a stale source overwrite a target already in
+// the page's ack set (an agent marked failed and recovered since the repair
+// began): the target holds the newest image, and the page is left as it is.
 func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 	h.mu.Lock()
 	dst := h.transports[target]
@@ -236,6 +238,10 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 				srcAcked = true
 				break
 			}
+		}
+		if !srcAcked && slices.Contains(r.acked(), target) {
+			h.mu.Unlock()
+			continue
 		}
 		gen := r.generation()
 		src := h.transports[srcIdx]
@@ -337,7 +343,7 @@ func (h *Host) repushDegraded() error {
 			}
 			// With no source or nothing to push, slab-level repair may already
 			// have restored full coverage (every live replica acked).
-			if len(r.acked()) >= h.cfg.Replicas {
+			if h.placedAcks(page, r.acked()) >= h.cfg.Replicas {
 				delete(h.degraded, page)
 			}
 		}
@@ -346,10 +352,21 @@ func (h *Host) repushDegraded() error {
 	return nil
 }
 
-// PageCount is a helper for tests: it reports how many distinct pages map
-// to slab under the current configuration (always SlabPages).
-func (h *Host) PageCount(slab SlabID) int64 {
-	return int64(h.cfg.SlabPages)
+// placedAcks counts the agents of acks that are in page's slab placement: a
+// hot holder's copy is extra, and does not stand in for a placement replica
+// that missed a write. Callers hold h.mu.
+func (h *Host) placedAcks(page core.PageID, acks []int) int {
+	if len(h.hot[page]) == 0 {
+		return len(acks)
+	}
+	slab, _ := h.locate(page)
+	n := 0
+	for _, idx := range acks {
+		if slices.Contains(h.placements[slab], idx) {
+			n++
+		}
+	}
+	return n
 }
 
 // SlabOf reports which slab a page belongs to.

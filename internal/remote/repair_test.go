@@ -1,9 +1,6 @@
 package remote
 
 import (
-	"bytes"
-	"errors"
-	"sync/atomic"
 	"testing"
 
 	"leap/internal/core"
@@ -66,37 +63,6 @@ func TestRepairRestoresReplication(t *testing.T) {
 	}
 }
 
-func TestRepairCopiesContentExactly(t *testing.T) {
-	h, inprocs := buildCluster(t, 3, 8, 13)
-	want := make(map[core.PageID][]byte)
-	for p := core.PageID(0); p < 32; p++ {
-		data := pageOf(byte(p * 7))
-		data[100] = byte(p)
-		want[p] = append([]byte(nil), data...)
-		if err := h.WritePage(p, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inprocs[2].SetFailed(true)
-	if err := h.MarkFailed(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.RepairSlabs(); err != nil {
-		t.Fatal(err)
-	}
-	// All remaining agents dead except repaired copies' hosts: verify by
-	// reading everything back.
-	buf := make([]byte, PageSize)
-	for p, data := range want {
-		if err := h.ReadPage(p, buf); err != nil {
-			t.Fatalf("read %d: %v", p, err)
-		}
-		if !bytes.Equal(buf, data) {
-			t.Fatalf("page %d content mismatch after repair", p)
-		}
-	}
-}
-
 func TestRepairNoHealthyAgent(t *testing.T) {
 	h, inprocs := buildCluster(t, 2, 8, 17)
 	if err := h.WritePage(0, pageOf(1)); err != nil {
@@ -134,35 +100,6 @@ func TestFailedAgentExcludedFromNewPlacements(t *testing.T) {
 	}
 	if load := h.SlabLoad(); load[0] != 0 {
 		t.Fatalf("dead agent received %d new slabs", load[0])
-	}
-}
-
-func TestFlakyTransportWritesSurvive(t *testing.T) {
-	// Transient faults on one replica: writes succeed via the other; reads
-	// fail over. No data is lost as long as one call path works.
-	agents := []*Agent{NewAgent(16, 0), NewAgent(16, 0)}
-	calls := 0 // every 3rd call fails
-	flaky := NewScriptedLink(NewInProc(agents[0]), CallOnly, nil, func(*Request) Verdict {
-		if calls++; calls%3 == 0 {
-			return Verdict{Err: errors.New("remote: transient fault (injected)")}
-		}
-		return Verdict{}
-	})
-	trs := []Transport{flaky.Transport(), NewInProc(agents[1])}
-	h := newHost(t, HostConfig{SlabPages: 16, Replicas: 2, Seed: 29}, trs)
-	for p := core.PageID(0); p < 64; p++ {
-		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
-			t.Fatalf("write %d under flaky transport: %v", p, err)
-		}
-	}
-	buf := make([]byte, PageSize)
-	for p := core.PageID(0); p < 64; p++ {
-		if err := h.ReadPage(p, buf); err != nil {
-			t.Fatalf("read %d under flaky transport: %v", p, err)
-		}
-		if buf[0] != byte(p) {
-			t.Fatalf("page %d corrupted under flaky transport", p)
-		}
 	}
 }
 
@@ -234,93 +171,5 @@ func TestSlabOfConsistentWithWrites(t *testing.T) {
 	}
 	if h.SlabOf(7) == h.SlabOf(8) {
 		t.Fatal("pages 7 and 8 should be in different slabs")
-	}
-	if h.PageCount(0) != 8 {
-		t.Fatalf("PageCount = %d", h.PageCount(0))
-	}
-}
-
-// TestRepushLeavesPageToWriteInFlight: RepairSlabs runs with writes of degraded
-// pages in the air on split-phase links. One was started before the repair,
-// which lands it first and finds the page healed. The other starts between the
-// repush's read of its source and the push — the copy in hand is the older
-// image, and the write's frame is already at the replica it would go to. The
-// repush must leave that page to its write: afterwards every agent in its ack
-// set, read directly, holds the newest bytes.
-func TestRepushLeavesPageToWriteInFlight(t *testing.T) {
-	const early, racing = core.PageID(1), core.PageID(2)
-	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	faults := make([]*FaultTransport, len(agents))
-	trs := make([]Transport, len(agents))
-	var armed atomic.Bool
-	var h *Host
-	var inAir *Ticket
-	for i, a := range agents {
-		faults[i] = NewFaultTransport(i, NewInProc(a), nil)
-		trs[i] = NewScriptedLink(faults[i], Split, nil, func(req *Request) Verdict {
-			if req.Op != OpRead || !armed.CompareAndSwap(true, false) {
-				return Verdict{}
-			}
-			return Verdict{Then: func(*Response, error) {
-				inAir = h.WritePageAsync(racing, pageOf(3))
-				if flying, err := h.Submit(); err != nil || !flying {
-					t.Errorf("Submit inside the repush = flying %v, %v", flying, err)
-				}
-			}}
-		}).Transport()
-	}
-	h = newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 3}, trs)
-	for _, pg := range []core.PageID{early, racing} {
-		if err := h.WritePage(pg, pageOf(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Both pages are rewritten while one replica is away: acked by one agent.
-	away := h.AckedReplicas(racing)[1]
-	faults[away].SetMode(FaultMode{Partitioned: true})
-	for _, pg := range []core.PageID{early, racing} {
-		if err := h.WritePage(pg, pageOf(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	faults[away].SetMode(FaultMode{})
-	if got := h.DegradedPages(); got != 2 {
-		t.Fatalf("DegradedPages = %d, want 2", got)
-	}
-
-	wt := h.WritePageAsync(early, pageOf(3))
-	if flying, err := h.Submit(); err != nil || !flying {
-		t.Fatalf("Submit = flying %v, %v; want the write in the air", flying, err)
-	}
-	armed.Store(true)
-	if _, err := h.RepairSlabs(); err != nil {
-		t.Fatal(err)
-	}
-	if armed.Load() || inAir == nil {
-		t.Fatal("the repush never read a source; the race was not exercised")
-	}
-	if !wt.Done() || wt.Err() != nil {
-		t.Fatalf("RepairSlabs left the write started before it in the air (done %v, err %v)", wt.Done(), wt.Err())
-	}
-	if inAir.Done() {
-		t.Fatal("the write started inside the repush landed with nobody waiting for it")
-	}
-	if err := h.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.DegradedPages(); got != 0 {
-		t.Errorf("DegradedPages = %d once both writes have landed, want 0", got)
-	}
-	for _, pg := range []core.PageID{early, racing} {
-		acked := h.AckedReplicas(pg)
-		if len(acked) != 2 {
-			t.Errorf("page %d acked by %v, want both replicas", pg, acked)
-		}
-		for _, idx := range acked {
-			resp := agents[idx].Handle(&Request{Op: OpRead, Slab: 0, PageOff: uint32(pg)})
-			if resp.Status != StatusOK || !bytes.Equal(resp.Payload, pageOf(3)) {
-				t.Errorf("page %d: acked agent %d does not hold the newest write", pg, idx)
-			}
-		}
 	}
 }

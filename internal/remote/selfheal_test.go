@@ -362,168 +362,6 @@ func TestTicketFailureKeepsTransportCause(t *testing.T) {
 	}
 }
 
-// TestRecoverDuringRepair: MarkRecovered landing in the middle of a
-// RepairSlabs pass (fired from inside a transport call, where the host lock
-// is released) must not corrupt bookkeeping — the pass completes, the
-// recovered agent rejoins placement via Rebalance with fresh copies only,
-// and no acked index ever points at stale bytes.
-func TestRecoverDuringRepair(t *testing.T) {
-	const slabPages, pages = 8, 64
-	inprocs := make([]*InProc, 4)
-	trs := make([]Transport, 4)
-	var armed atomic.Bool
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
-	}
-	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
-	// Wrap the survivors so the first repair-pass transport call un-fails
-	// agent 0 mid-pass.
-	hook := func() {
-		inprocs[0].SetFailed(false)
-		if err := h.MarkRecovered(0); err != nil {
-			t.Errorf("MarkRecovered mid-repair: %v", err)
-		}
-	}
-	h.mu.Lock()
-	for i := 1; i < 4; i++ {
-		h.transports[i] = NewScriptedLink(trs[i], CallOnly, nil, func(*Request) Verdict {
-			if armed.CompareAndSwap(true, false) {
-				hook()
-			}
-			return Verdict{}
-		}).Transport()
-	}
-	h.mu.Unlock()
-
-	latest := func(p core.PageID) []byte { return pageOf(byte(p)) }
-	for p := core.PageID(0); p < pages; p++ {
-		if err := h.WritePage(p, latest(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	inprocs[0].SetFailed(true)
-	if err := h.MarkFailed(0); err != nil {
-		t.Fatal(err)
-	}
-	armed.Store(true)
-	if _, err := h.RepairSlabs(); err != nil {
-		t.Fatalf("repair with mid-pass recovery: %v", err)
-	}
-	if armed.Load() {
-		t.Fatal("repair pass made no transport calls; recovery never fired")
-	}
-	if got := h.FailedAgents(); len(got) != 0 {
-		t.Fatalf("FailedAgents = %v after mid-pass recovery", got)
-	}
-	if n := h.UnderReplicated(); n != 0 {
-		t.Fatalf("%d slabs under-replicated after repair", n)
-	}
-	checkFresh(t, h, pages, latest)
-
-	// The recovered agent re-enters the rendezvous ranking: Rebalance moves
-	// its share back (copying only from current fresh holders — its own
-	// pre-failure copies are never trusted) and converges.
-	if _, err := h.Rebalance(); err != nil {
-		t.Fatalf("rebalance after recovery: %v", err)
-	}
-	if again, err := h.Rebalance(); err != nil || again != 0 {
-		t.Fatalf("rebalance did not converge: moved=%d err=%v", again, err)
-	}
-	checkFresh(t, h, pages, latest)
-}
-
-// TestPurgeWhileTicketsInFlight: purging an agent while the async engine
-// holds unflushed tickets that reference it (queued reads targeting it,
-// write fan-outs including it) must drain cleanly — reads fail over, writes
-// ack on the survivors — and a repair pass afterwards restores full
-// replication with no stale acked copy.
-func TestPurgeWhileTicketsInFlight(t *testing.T) {
-	const slabPages, pages, victim = 4, 16, 1
-	h, inprocs := buildCluster(t, 3, slabPages, 5)
-	old := func(p core.PageID) []byte { return pageOf(byte(p)) }
-	for p := core.PageID(0); p < pages; p++ {
-		if err := h.WritePage(p, old(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// In-flight work: queued reads for the top half, superseding writes for
-	// the bottom half. Nothing is flushed yet.
-	readBufs := make([][]byte, pages)
-	var reads, writes []*Ticket
-	for p := core.PageID(pages / 2); p < pages; p++ {
-		readBufs[p] = make([]byte, PageSize)
-		reads = append(reads, h.ReadPageAsync(p, readBufs[p]))
-	}
-	newVal := func(p core.PageID) []byte { return pageOf(byte(p) + 100) }
-	for p := core.PageID(0); p < pages/2; p++ {
-		writes = append(writes, h.WritePageAsync(p, newVal(p)))
-	}
-
-	// The victim restarts empty: its transport dies and the control plane
-	// purges it — with all those tickets still queued.
-	inprocs[victim].SetFailed(true)
-	if dropped, err := h.PurgeAgent(victim); err != nil || dropped == 0 {
-		t.Fatalf("purge: dropped=%d err=%v", dropped, err)
-	}
-
-	if err := h.Flush(); err != nil {
-		t.Fatalf("flush across the purge: %v", err)
-	}
-	for i, tk := range reads {
-		if !tk.Done() {
-			t.Fatalf("read ticket %d never completed", i)
-		}
-		p := core.PageID(pages/2 + i)
-		if err := tk.Err(); err != nil {
-			t.Fatalf("in-flight read of page %d failed: %v", p, err)
-		}
-		if !bytes.Equal(readBufs[p], old(p)) {
-			t.Fatalf("in-flight read of page %d returned stale bytes", p)
-		}
-	}
-	for i, tk := range writes {
-		if !tk.Done() {
-			t.Fatalf("write ticket %d never completed", i)
-		}
-		if err := tk.Err(); err != nil {
-			t.Fatalf("in-flight write of page %d failed despite a live replica: %v", i, err)
-		}
-	}
-	// The dead victim must not have re-entered any ack set during the drain.
-	for p := core.PageID(0); p < pages; p++ {
-		for _, idx := range h.AckedReplicas(p) {
-			if idx == victim {
-				t.Fatalf("page %d re-acked on purged agent %d", p, victim)
-			}
-		}
-	}
-
-	// Repair re-replicates onto the survivors and re-pushes the writes that
-	// missed a replica; everything must come back fully replicated and fresh.
-	if err := h.MarkFailed(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.RepairSlabs(); err != nil {
-		t.Fatalf("repair after purge: %v", err)
-	}
-	if n := h.UnderReplicated(); n != 0 {
-		t.Fatalf("%d slabs under-replicated after repair", n)
-	}
-	if n := h.DegradedPages(); n != 0 {
-		t.Fatalf("%d pages degraded after repair", n)
-	}
-	latest := func(p core.PageID) []byte {
-		if p < pages/2 {
-			return newVal(p)
-		}
-		return old(p)
-	}
-	checkFresh(t, h, pages, latest)
-}
-
 // TestRecoverPurgeEdgeOrdering: double MarkRecovered, double PurgeAgent and
 // recovering a never-failed agent are all harmless no-ops, in any order,
 // and the cluster converges afterwards.
