@@ -7,7 +7,7 @@ DOCS = README.md DESIGN.md EXPERIMENTS.md PAPER_MAP.md \
        examples/multitenant/README.md examples/kvcache/README.md \
        examples/graphanalytics/README.md
 
-.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress stress-check figures docs-check links-check
+.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress stress-check figures docs-check links-check examples
 
 all: vet build test docs-check links-check
 
@@ -97,3 +97,9 @@ docs-check:
 # must resolve.
 links-check:
 	python3 scripts/check_links.py $(DOCS)
+
+# Run every example: each one's output must equal its README's "Sample
+# output" block, except remoteswap's, which only has to exit 0
+# (scripts/check_examples.sh).
+examples:
+	GO=$(GO) scripts/check_examples.sh

@@ -85,12 +85,6 @@ func runLive() {
 			HotK:     8,
 			HotEvery: 4,
 		}),
-		// Bounded datapath retries with hedging on slow-hinted agents: the
-		// retry half of the self-healing story, wired to the same clock.
-		leap.WithRetryPolicy(leap.RemoteRetryPolicy{
-			MaxAttempts: 4,
-			HedgeReads:  true,
-		}),
 		leap.WithCacheCapacity(64),
 		leap.WithSeed(7),
 	)
@@ -141,7 +135,7 @@ func runLive() {
 	}
 
 	st := mem.Stats()
-	fmt.Println("live runtime: four tenants on one supervised leap.Memory (WithControlPlane + WithRetryPolicy):")
+	fmt.Println("live runtime: four tenants on one supervised leap.Memory (WithControlPlane):")
 	fmt.Printf("  hit ratio %.1f%%, agent phases [%s], control ticks %d\n",
 		100*st.HitRatio, st.Control.Phases, st.Control.Ticks)
 	fmt.Printf("  hot-page replicas: %d pages carrying extra copies (%d adds, %d drops) — driven by the natural fault stream of the hotspot tenant\n",

@@ -21,8 +21,8 @@
 //	   └── MarkRecovered + Rebalance ◀── probation (Probe-driven, ◀─────┘
 //	                                      flap damping lengthens it)
 //
-// A suspect agent is hinted slow to the host (reads order away from it and
-// hedge onto another acked holder); only a failed agent leaves placement.
+// A suspect agent is hinted slow to the host (reads order away from it to
+// another acked holder); only a failed agent leaves placement.
 // Recovery assumes the agent's memory survived the outage (a slow or
 // partitioned agent, the cases the detector can see). An agent that
 // restarted empty must go through PurgeAgent before rejoining — that is the

@@ -8,7 +8,6 @@ import (
 
 	"leap/internal/core"
 	"leap/internal/pagemap"
-	"leap/internal/sim"
 	"leap/internal/ztier"
 )
 
@@ -27,10 +26,6 @@ type HostConfig struct {
 	// Seed salts the rendezvous placement hash, so distinct hosts sharing
 	// agents spread slabs independently.
 	Seed uint64
-	// Retry bounds retries, deadlines, backoff and hedging of every read,
-	// demand reads included (see RetryPolicy). The zero value is the
-	// unlimited failover walk: each holder once.
-	Retry RetryPolicy
 	// Compress ships the async engine's batched doorbell frames with page
 	// images run through the deterministic ztier block codec: write batches
 	// go out compressed, and read batches ask the agent for compressed
@@ -58,7 +53,6 @@ func (c HostConfig) withDefaults() HostConfig {
 	if c.QueueDepth > MaxBatchOps {
 		c.QueueDepth = MaxBatchOps
 	}
-	c.Retry = c.Retry.withDefaults()
 	return c
 }
 
@@ -83,14 +77,8 @@ type HostStats struct {
 	// BatchCalls counts wire frames carrying more than one page;
 	// BatchedPages is the total pages those frames carried.
 	BatchCalls, BatchedPages int64
-	// Retries counts async reads requeued after a failed attempt;
-	// DeadlineFailed counts tickets failed by the per-ticket deadline.
-	Retries, DeadlineFailed int64
-	// HedgedReads counts duplicate reads issued to a second holder because
-	// the preferred target was hinted slow; HedgeWins are hedges whose
-	// duplicate completed first; HedgeDiscards are queue entries dropped
-	// unissued because the racing copy already completed.
-	HedgedReads, HedgeWins, HedgeDiscards int64
+	// Retries counts reads requeued on another holder after a failed attempt.
+	Retries int64
 	// HotCopies counts hot-page replica installs (ReplicateHot); HotReads
 	// counts reads served by a hot holder outside the slab placement.
 	HotCopies, HotReads int64
@@ -131,8 +119,7 @@ type Host struct {
 	// remaining fully live copy sources and read targets.
 	retired map[int]bool
 	// slow agents are hinted lagging by the control plane (SetAgentSlow):
-	// reads order away from them, and with RetryPolicy.HedgeReads a read
-	// forced onto one is duplicated to another acked holder.
+	// reads order away from them.
 	slow map[int]bool
 	// hot maps a page to extra read replicas beyond its slab placement —
 	// the control plane's top-K fault-frequency pages (ReplicateHot).
@@ -141,12 +128,6 @@ type Host struct {
 	// its caller names (distrust): nil until a write fails everywhere or a read
 	// is served by a holder outside the ack set.
 	wholeNext map[core.PageID]struct{}
-
-	// now is the virtual-time source for per-ticket deadlines; onBackoff
-	// receives retry pacing charges (both optional, see SetTimeSource /
-	// SetBackoffObserver).
-	now       func() sim.Time
-	onBackoff func(agent int, d sim.Duration)
 
 	// Async engine state: per-agent FIFO queues of pending operations (see
 	// queue.go). queued counts the pending writes not yet started on any
@@ -398,7 +379,7 @@ func (h *Host) UnderReplicated() int {
 }
 
 // ReadPage fetches one page into buf (len PageSize), trying the preferred
-// holder first and failing over to the others under the retry policy.
+// holder first and failing over to the others, each once.
 func (h *Host) ReadPage(page core.PageID, buf []byte) error {
 	return h.StartRead(page, buf).Wait()
 }

@@ -51,6 +51,7 @@ const (
 	opPartition     opKind = "partition"  // agent link fails every call
 	opFlaky         opKind = "flaky"      // agent link fails half its write frames
 	opHeal          opKind = "heal"       // agent link is reachable again
+	opSlow          opKind = "slow"       // hint agent link slow (SetAgentSlow), or with clear no longer
 	opMarkFailed    opKind = "mark-failed"
 	opMarkRecovered opKind = "mark-recovered"
 	opPurge         opKind = "purge" // agent link is partitioned, loses its memory (Agent.Reset) and is purged
@@ -66,8 +67,8 @@ const (
 // opKinds is every kind of step; the corpus must take each.
 var opKinds = []opKind{opWrite, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
 	opSubmit, opFlush, opFlushBG, opWait, opHold, opRelease, opPump, opTrigger, opPartition, opFlaky, opHeal,
-	opMarkFailed, opMarkRecovered, opPurge, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot, opDropHot,
-	opExpect}
+	opSlow, opMarkFailed, opMarkRecovered, opPurge, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot,
+	opDropHot, opExpect}
 
 type tapeOp struct {
 	kind   opKind
@@ -76,6 +77,7 @@ type tapeOp struct {
 	lo, hi int
 	link   int
 	frame  uint8
+	clear  bool // a slow step's
 	refs   []string
 	then   []tapeOp
 	check  func(*hostRun) bool // an expect's; name says what it expects
@@ -89,6 +91,7 @@ func at(kind opKind, page core.PageID) tapeOp { return tapeOp{kind: kind, page: 
 func on(kind opKind, link int) tapeOp         { return tapeOp{kind: kind, link: link} }
 func named(name string, op tapeOp) tapeOp     { op.name = name; return op }
 func wait(refs ...string) tapeOp              { return tapeOp{kind: opWait, refs: refs} }
+func slow(link int, on bool) tapeOp           { return tapeOp{kind: opSlow, link: link, clear: !on} }
 func expect(what string, check func(*hostRun) bool) tapeOp {
 	return tapeOp{kind: opExpect, name: what, check: check}
 }
@@ -231,6 +234,8 @@ var scenarios = map[string]scenario{
 	}},
 	// A replica failing half its writes, then partitioned and healed with no
 	// repair; a few pages rewritten all along, in ranges where it may lack a base.
+	// Healed, it is fast and stale where it missed writes, and every other agent
+	// is hinted slow for a while: reads go to the slow acked holders.
 	"flaky": {replicated, func(b *tapeBuilder) {
 		v, p, q := b.agent(), b.page(), b.page()
 		b.add(on(opFlaky, v))
@@ -239,16 +244,23 @@ var scenarios = map[string]scenario{
 			b.traffic(4)
 			b.add(flush)
 		}
-		b.add(on(opPartition, v), b.write(p), b.write(q), flush)
-		b.add(on(opHeal, v), b.write(p), b.write(q), flush, repair, flush)
+		b.add(on(opPartition, v), b.write(p), b.write(q), flush, on(opHeal, v))
+		b.slowAllBut(v, true)
+		b.add(at(opRead, p), at(opRead, q))
+		b.reads(2)
+		b.add(flush)
+		b.slowAllBut(v, false)
+		b.add(b.write(p), b.write(q), flush, repair, flush)
 	}},
+	// An agent partitioned, failed, repaired around and recovered, with some
+	// agent hinted slow throughout.
 	"outage": {outage, func(b *tapeBuilder) {
-		v := b.agent()
-		b.add(on(opPartition, v))
+		v, s := b.agent(), b.agent()
+		b.add(slow(s, true), on(opPartition, v))
 		b.traffic(6)
 		b.add(flush, on(opMarkFailed, v), repair)
 		b.traffic(6)
-		b.add(flush, on(opHeal, v), on(opMarkRecovered, v), repair, rebal, flush)
+		b.add(flush, on(opHeal, v), on(opMarkRecovered, v), repair, rebal, slow(s, false), flush)
 	}},
 	// An agent restarts empty with reads and writes queued for it.
 	"purge": {replicated, func(b *tapeBuilder) {
@@ -378,6 +390,15 @@ func (b *tapeBuilder) write(page core.PageID) tapeOp {
 func (b *tapeBuilder) writes(n int) {
 	for range n {
 		b.add(b.write(b.page()))
+	}
+}
+
+// slowAllBut hints every agent but v slow, or clears the hints.
+func (b *tapeBuilder) slowAllBut(v int, on bool) {
+	for i := range b.tp.agents {
+		if i != v {
+			b.add(slow(i, on))
+		}
 	}
 }
 
@@ -852,6 +873,8 @@ func (r *hostRun) do(op *tapeOp) error {
 	case opHeal:
 		s.down, s.flaky, s.purged = false, false, false
 		r.faults[op.link].SetMode(FaultMode{})
+	case opSlow:
+		err = h.SetAgentSlow(op.link, !op.clear)
 	case opMarkFailed:
 		s.failed, err = true, h.MarkFailed(op.link)
 	case opMarkRecovered:

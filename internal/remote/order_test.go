@@ -37,8 +37,8 @@ func (l *callLog) recording(idx int) func(*Request) Verdict {
 }
 
 // inlineOrderScenario drives the ticket engine and the synchronous paths
-// through batching, coalescing, dirty reads, failover, hedging and a
-// superseding write over Call-only transports, and returns the log of
+// through batching, coalescing, dirty reads, failover and a superseding
+// write over Call-only transports, and returns the log of
 // transport calls and ticket outcomes.
 func inlineOrderScenario(t *testing.T) string {
 	log := &callLog{}
@@ -48,10 +48,7 @@ func inlineOrderScenario(t *testing.T) string {
 		inner[i] = NewInProc(NewAgent(16, 0))
 		trs[i] = NewScriptedLink(inner[i], CallOnly, nil, log.recording(i)).Transport()
 	}
-	h := newHost(t, HostConfig{
-		SlabPages: 16, Replicas: 2, QueueDepth: 4, Seed: 9,
-		Retry: RetryPolicy{HedgeReads: true},
-	}, trs)
+	h := newHost(t, HostConfig{SlabPages: 16, Replicas: 2, QueueDepth: 4, Seed: 9}, trs)
 	page := func(pg int) []byte {
 		b := make([]byte, PageSize)
 		for i := range b {
@@ -118,19 +115,6 @@ func inlineOrderScenario(t *testing.T) string {
 	log.add("writepage %v", h.WritePage(16, page(216)))
 	outcome("degraded writes", ws)
 	inner[0].SetFailed(false)
-
-	// Hedging: slow hints on every agent duplicate reads onto the twin.
-	for i := range trs {
-		if err := h.SetAgentSlow(i, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs = rs[:0]
-	for i, pg := range []int{4, 12, 20, 28, 36} {
-		rs = append(rs, h.ReadPageAsync(core.PageID(pg), bufs[i]))
-	}
-	log.add("flush %v", h.Flush())
-	outcome("hedged reads", rs)
 	log.add("stats %+v", h.Stats())
 	return strings.Join(log.lines, "\n") + "\n"
 }

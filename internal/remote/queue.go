@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"leap/internal/core"
-	"leap/internal/sim"
 )
 
 // The ticket engine is the one way a page reaches the wire. ReadPageAsync and
@@ -23,7 +22,7 @@ import (
 // in-flight page rides the same wire request, unless a write to the page has
 // completed in between — see finishWrite), serves reads of not-yet-flushed
 // writes from the dirty buffer (read-your-writes), and fails reads over
-// across replicas under the retry policy (retryRead).
+// across replicas, each holder once (retryRead).
 //
 // The engine is split-phase: a frame is started on its agent's transport and
 // becomes a flight; landing the flight — applying its response to the
@@ -130,16 +129,17 @@ func (h *Host) await(t *Ticket) (blocked time.Duration) {
 // flight returns a frame in the air that carries t's operation, or nil when
 // there is none. Callers hold h.mu.
 func (t *Ticket) flight() *flight {
-	var carrying []*flight
-	switch {
-	case t.read != nil:
-		carrying = t.read.flights
-	case t.write != nil:
-		carrying = t.write.flights
-	}
-	for _, f := range carrying {
-		if !f.landed {
+	if t.read != nil {
+		if f := t.read.flight; f != nil && !f.landed {
 			return f
+		}
+		return nil
+	}
+	if t.write != nil {
+		for _, f := range t.write.flights {
+			if !f.landed {
+				return f
+			}
 		}
 	}
 	return nil
@@ -176,7 +176,8 @@ func (t *Ticket) Detach() {
 }
 
 // pendingRead is one queued page read, possibly serving several coalesced
-// tickets.
+// tickets. It is on one agent's queue or in one flight at a time: a failed
+// attempt requeues it on the next untried holder (retryRead).
 type pendingRead struct {
 	page core.PageID
 	slab SlabID
@@ -185,32 +186,19 @@ type pendingRead struct {
 	bufs    [][]byte
 	tickets []*Ticket
 	tried   []int // agents already attempted (failover history)
-	// flights are the frames left in the air with this read in them (two
-	// while a hedge races), landed ones included until the read is dropped.
-	flights []*flight
-	// The usual read has one buffer, one ticket and one flight: own is that
-	// ticket and the arrays back the three slices above, so that the read is
-	// one allocation.
+	// flight is the frame last put in the air with this read in it, landed or
+	// not; nil while the read has yet to leave its first queue.
+	flight *flight
+	// The usual read has one buffer and one ticket: own is that ticket and the
+	// arrays back the two slices above, so that the read is one allocation.
 	own     Ticket
 	buf0    [1][]byte
 	ticket0 [1]*Ticket
-	flight0 [1]*flight
 
-	// Retry/hedge state (see RetryPolicy). attempts counts transport
-	// attempts consumed; deadline (0 = none) is the absolute virtual-time
-	// budget; inflight counts entries referencing this read that are queued
-	// or in flight (2 while a hedge races); primary/twin are the hedge pair
-	// (twin is meaningful only when hedged), for hedge-win and failover
-	// attribution; done marks completion — entries still queued for a
-	// completed read are discarded unissued, and a response landing for one
-	// is dropped.
+	// attempts counts transport attempts consumed, for the failure's op
+	// context; primary is the agent the read is first queued on.
 	attempts int
-	deadline sim.Time
-	inflight int
 	primary  int
-	twin     int
-	hedged   bool
-	done     bool
 }
 
 // pendingWrite is one queued page write, fanned out to every replica of its
@@ -313,8 +301,8 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 // already when the dirty buffer serves it or it cannot be attempted, riding
 // another read's wire request when one is pending for the page. Otherwise the
 // read needs a request of its own, and newRead also returns the pendingRead
-// for the caller to queue on, or launch at, agent pr.primary; a hedge twin is
-// queued here. Callers hold h.mu.
+// for the caller to queue on, or launch at, agent pr.primary. Callers hold
+// h.mu.
 func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	fail := func(cause error) (*Ticket, *pendingRead) {
 		return &Ticket{host: h, done: true, err: opError(OpRead, -1, page, 0, cause)}, nil
@@ -348,35 +336,14 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	if target < 0 {
 		return fail(ErrNoReplica)
 	}
-	pr := &pendingRead{page: page, slab: slab, off: off, primary: target, inflight: 1}
+	pr := &pendingRead{page: page, slab: slab, off: off, primary: target}
 	t := &pr.own
 	t.host, t.read = h, pr
-	pr.bufs, pr.tickets, pr.flights = append(pr.buf0[:0], buf), append(pr.ticket0[:0], t), pr.flight0[:0]
-	pol := h.cfg.Retry
-	if pol.Deadline > 0 && h.now != nil {
-		pr.deadline = h.now().Add(pol.Deadline)
-	}
+	pr.bufs, pr.tickets = append(pr.buf0[:0], buf), append(pr.ticket0[:0], t)
 	if r == nil {
 		r = h.newRecord(page)
 	}
 	r.read = pr
-	if pol.HedgeReads && h.slow[target] {
-		// The best candidate is hinted slow: duplicate the read onto the
-		// next holder so the slow agent costs one extra frame, not a stall.
-		// Only a holder that acknowledged the latest write may serve as the
-		// twin — an unacked replica can hold stale bytes, and a winning
-		// hedge must be as fresh as the read it replaces. (The target being
-		// slow means every acked holder is slow, so the twin is too; racing
-		// two slow agents still beats stalling on one.) First completion
-		// wins; the loser is discarded unissued.
-		if second := h.readOrder(page, r, replicas, []int{target}); second >= 0 && slices.Contains(r.acks, second) {
-			h.queues[second] = append(h.queues[second], queueEntry{read: pr})
-			pr.inflight++
-			pr.hedged = true
-			pr.twin = second
-			h.stats.HedgedReads++
-		}
-	}
 	h.stats.Reads++
 	return t, pr
 }
@@ -566,9 +533,7 @@ func (h *Host) drain(barrier bool) error {
 // startNext cuts one batch (a contiguous run of same-kind entries, up to
 // QueueDepth) off agent idx's queue, starts its frame and leaves it in flight;
 // a frame on a transport that finishes what it starts is landed on the spot.
-// Reads that already completed elsewhere — the losing half of a hedge — are
-// discarded unissued: they consume no wire slot and charge no latency. It
-// returns any write error of a landing it performed. Callers hold h.mu.
+// It returns any write error of a landing it performed. Callers hold h.mu.
 func (h *Host) startNext(idx int) (werr error) {
 	note := func(err error) {
 		if werr == nil {
@@ -600,12 +565,6 @@ func (h *Host) startNext(idx int) (werr error) {
 	consumed := 0
 	for consumed < len(q) {
 		e := q[consumed]
-		if e.read != nil && e.read.done {
-			e.read.inflight--
-			h.stats.HedgeDiscards++
-			consumed++
-			continue
-		}
 		if len(batch) == 0 {
 			isRead = e.read != nil
 		} else if (e.read != nil) != isRead || len(batch) == h.cfg.QueueDepth {
@@ -624,7 +583,7 @@ func (h *Host) startNext(idx int) (werr error) {
 	if rest == 0 && cap(q) > 4*h.cfg.QueueDepth {
 		h.queues[idx] = nil
 	}
-	if len(batch) == 0 {
+	if len(batch) == 0 { // another goroutine cut the queue while this one made room
 		return werr
 	}
 
@@ -636,12 +595,8 @@ func (h *Host) startNext(idx int) (werr error) {
 	}
 	// A doorbell moves a train: while the queue holds another frame for this
 	// link the transport may keep this one back, and the link's last frame of
-	// the drain takes them out together. Only an entry sure to be cut into a
-	// frame counts: a hedged read may yet be discarded unissued.
-	more := slices.ContainsFunc(h.queues[idx], func(e queueEntry) bool {
-		return e.write != nil || !e.read.done && !e.read.hedged
-	})
-	f.pend = start(h.transports[idx], req, more, &f.done)
+	// the drain takes them out together.
+	f.pend = start(h.transports[idx], req, len(h.queues[idx]) > 0, &f.done)
 	if c, ok := f.pend.(*completed); ok {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
@@ -703,7 +658,7 @@ func (h *Host) fly(f *flight) {
 	}
 	for _, e := range f.batch {
 		if e.read != nil {
-			e.read.flights = append(e.read.flights, f)
+			e.read.flight = f
 		} else {
 			e.write.flights = append(e.write.flights, f)
 		}
@@ -852,9 +807,7 @@ func (h *Host) readFrame(f *flight) (*Request, error) {
 }
 
 // landReads lands a read frame's outcome: completed pages fill their
-// buffers, failed ones go through the retry policy. A read that completed
-// through its hedge twin while this frame was in flight keeps the twin's
-// bytes. Callers hold h.mu.
+// buffers, failed ones fail over (retryRead). Callers hold h.mu.
 func (h *Host) landReads(idx int, batch []queueEntry, resp *Response, err error) {
 	var one [1]BatchReadResult
 	var results []BatchReadResult
@@ -885,9 +838,7 @@ func (h *Host) landReads(idx int, batch []queueEntry, resp *Response, err error)
 	}
 	for i, e := range batch {
 		pr := e.read
-		pr.inflight--
 		switch {
-		case pr.done:
 		case err != nil:
 			h.retryRead(pr, idx, err, StatusOK)
 		case results[i].Status != StatusOK:
@@ -904,17 +855,8 @@ func (h *Host) completeRead(pr *pendingRead, idx int, data []byte) {
 	for _, buf := range pr.bufs {
 		copy(buf, data)
 	}
-	if pr.hedged && idx != pr.primary {
-		h.stats.HedgeWins++
-	}
-	// Failed attempts inside the hedge pair are the hedge doing its job, not
-	// failovers; Failovers counts only reads that walked past the pair, so
-	// the hedge and failover stats stay distinguishable.
-	for _, a := range pr.tried {
-		if !pr.hedged || (a != pr.primary && a != pr.twin) {
-			h.stats.Failovers++
-			break
-		}
+	if len(pr.tried) > 0 {
+		h.stats.Failovers++
 	}
 	if len(h.hot) > 0 && !slices.Contains(h.placements[pr.slab], idx) {
 		h.stats.HotReads++
@@ -941,10 +883,9 @@ func (h *Host) distrust(page core.PageID) {
 	h.wholeNext[page] = struct{}{}
 }
 
-// retireRead marks pr complete and closes it to coalescing, and lets go of a
-// record left holding nothing. Callers hold h.mu.
+// retireRead closes pr to coalescing and lets go of a record left holding
+// nothing. Callers hold h.mu.
 func (h *Host) retireRead(pr *pendingRead) {
-	pr.done = true
 	r := h.rec(pr.page)
 	if r.read != pr { // a write finished since, see finishWrite
 		return
@@ -955,54 +896,25 @@ func (h *Host) retireRead(pr *pendingRead) {
 	}
 }
 
-// retryRead handles a failed read attempt: under the retry policy it either
-// requeues on the next untried holder (charging backoff pacing through the
-// observer), defers to a still-racing hedge twin, or fails the tickets with
-// a uniform OpError carrying the last agent and the cause. Callers hold
-// h.mu.
+// retryRead handles a failed read attempt: it requeues the read on the next
+// untried holder, or, with none left, fails the tickets with a uniform OpError
+// carrying the last agent and the cause. Callers hold h.mu.
 func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 	pr.tried = append(pr.tried, idx)
-	lastErr := err
-	if lastErr == nil && status != StatusOK {
-		lastErr = statusError(OpRead, status)
-	}
-	if pr.inflight > 0 {
-		// A hedge twin is still queued on another agent: let it race before
-		// deciding this read's fate. The failed attempt is already charged to
-		// pr.attempts/pr.tried, so the deadline and MaxAttempts budgets are
-		// enforced the moment the twin resolves without completing the read.
-		return
-	}
-	fail := func(cause error) {
-		h.retireRead(pr)
-		ferr := opError(OpRead, idx, pr.page, pr.attempts, cause)
-		for _, t := range pr.tickets {
-			t.done = true
-			t.err = ferr
-		}
-	}
-	pol := h.cfg.Retry
-	if pr.deadline > 0 && h.now != nil && h.now() >= pr.deadline {
-		h.stats.DeadlineFailed++
-		fail(fmt.Errorf("%w (last: %w)", ErrDeadlineExceeded, lastErr))
-		return
-	}
-	if pol.MaxAttempts > 0 && pr.attempts >= pol.MaxAttempts {
-		fail(fmt.Errorf("%w (last: %w)", ErrAttemptsExhausted, lastErr))
-		return
-	}
-	replicas := h.placements[pr.slab]
-	next := h.readOrder(pr.page, h.rec(pr.page), replicas, pr.tried)
-	if next >= 0 {
-		if d := pol.backoffFor(pr.page, pr.attempts); d > 0 && h.onBackoff != nil {
-			h.onBackoff(next, d)
-		}
+	if next := h.readOrder(pr.page, h.rec(pr.page), h.placements[pr.slab], pr.tried); next >= 0 {
 		h.stats.Retries++
-		pr.inflight++
 		h.queues[next] = append(h.queues[next], queueEntry{read: pr})
 		return
 	}
-	fail(fmt.Errorf("%w: %w", ErrAllReplicasFailed, lastErr))
+	if err == nil {
+		err = statusError(OpRead, status)
+	}
+	h.retireRead(pr)
+	ferr := opError(OpRead, idx, pr.page, pr.attempts, fmt.Errorf("%w: %w", ErrAllReplicasFailed, err))
+	for _, t := range pr.tickets {
+		t.done = true
+		t.err = ferr
+	}
 }
 
 // writeFrame builds the request for f's write batch. The base-image rule

@@ -21,21 +21,20 @@ import (
 // responses that land much later, out of order and on other goroutines, while
 // buffers come back to the free list and go out again under them. Mixed in: a
 // detached ticket, a second reader coalesced onto a read queued and onto one
-// in flight, and a hedged read whose twin rides the other connection. Every
+// in flight, and a read issued while every holder is hinted slow. Every
 // page must come out as its image, every round; and a response fetched by a
 // direct Call, which nobody releases, must be left alone throughout.
 func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 	const (
 		depth, frames = 8, 64
 		pages         = depth * frames
-		hedged        = pages // one more page, read hedged
+		slowRead      = pages // one more page, read while every holder is slow
 	)
 	trs := make([]Transport, 2)
 	for i := range trs {
 		trs[i] = dialAgent(t, serveAgent(t, NewAgent(1024, 0), nil))
 	}
-	h, err := NewHost(HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: depth, Seed: 9,
-		Retry: RetryPolicy{HedgeReads: true}}, trs)
+	h, err := NewHost(HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: depth, Seed: 9}, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +71,10 @@ func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 			reads = append(reads, r)
 			return r
 		}
-		for _, idx := range []int{0, 1} { // every holder slow: the read is hedged
+		for _, idx := range []int{0, 1} {
 			h.SetAgentSlow(idx, true)
 		}
-		issue(hedged)
+		issue(slowRead)
 		for _, idx := range []int{0, 1} {
 			h.SetAgentSlow(idx, false)
 		}
@@ -120,12 +119,9 @@ func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 			}()
 		}
 		within(t, 10*time.Second, "Ticket.Wait from three goroutines", wg.Wait)
-		if err := h.Flush(); err != nil { // lands the hedge's losing half
-			t.Fatal(err)
-		}
 	}
-	if st := h.Stats(); st.HedgedReads != 3 || st.CoalescedReads != 6 {
-		t.Errorf("test premise: %d hedged and %d coalesced reads, want 3 and 6", st.HedgedReads, st.CoalescedReads)
+	if st := h.Stats(); st.CoalescedReads != 6 {
+		t.Errorf("test premise: %d coalesced reads, want 6", st.CoalescedReads)
 	}
 
 	if !bytes.Equal(kept.Payload, stamp(3)) {

@@ -136,9 +136,8 @@ func TestTicketFailureContexts(t *testing.T) {
 	}
 
 	cases := []struct {
-		name  string
-		retry RetryPolicy
-		run   func(t *testing.T, h *Host, inprocs []*InProc) error
+		name string
+		run  func(t *testing.T, h *Host, inprocs []*InProc) error
 
 		wantErr      bool
 		wantCause    error
@@ -177,55 +176,6 @@ func TestTicketFailureContexts(t *testing.T) {
 			wantOp: OpRead, wantAgent: -2, wantAttempts: 2,
 		},
 		{
-			name:  "read-deadline-exceeded",
-			retry: RetryPolicy{Deadline: 100 * sim.Microsecond},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
-				var now sim.Time
-				h.SetTimeSource(func() sim.Time { return now })
-				if err := h.WritePage(page, latest); err != nil {
-					t.Fatal(err)
-				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
-				}
-				tk := h.ReadPageAsync(page, make([]byte, PageSize))
-				now = now.Add(200 * sim.Microsecond) // budget elapses in flight
-				err := tk.Wait()
-				if got := h.Stats().DeadlineFailed; got != 1 {
-					t.Fatalf("DeadlineFailed = %d, want 1", got)
-				}
-				return err
-			},
-			wantErr: true, wantCause: ErrDeadlineExceeded,
-			wantOp: OpRead, wantAgent: -2, wantAttempts: 1,
-		},
-		{
-			name:  "read-attempts-exhausted",
-			retry: RetryPolicy{MaxAttempts: 1},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
-				if err := h.WritePage(page, latest); err != nil {
-					t.Fatal(err)
-				}
-				inprocs[holders(h)[0]].SetFailed(true)
-				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
-			},
-			wantErr: true, wantCause: ErrAttemptsExhausted,
-			wantOp: OpRead, wantAgent: -2, wantAttempts: 1,
-		},
-		{
-			name:  "demand-read-obeys-the-policy",
-			retry: RetryPolicy{MaxAttempts: 1},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
-				if err := h.WritePage(page, latest); err != nil {
-					t.Fatal(err)
-				}
-				inprocs[holders(h)[0]].SetFailed(true)
-				return h.ReadPage(page, make([]byte, PageSize))
-			},
-			wantErr: true, wantCause: ErrAttemptsExhausted,
-			wantOp: OpRead, wantAgent: -2, wantAttempts: 1,
-		},
-		{
 			name: "read-requeue-after-failover",
 			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
 				if err := h.WritePage(page, latest); err != nil {
@@ -242,26 +192,6 @@ func TestTicketFailureContexts(t *testing.T) {
 				st := h.Stats()
 				if st.Retries == 0 || st.Failovers == 0 {
 					t.Fatalf("failover not requeued: retries=%d failovers=%d", st.Retries, st.Failovers)
-				}
-				return nil
-			},
-		},
-		{
-			name:  "read-backoff-charged-on-requeue",
-			retry: RetryPolicy{MaxAttempts: 4, BackoffBase: 10 * sim.Microsecond},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
-				var paused sim.Duration
-				h.SetBackoffObserver(func(agent int, d sim.Duration) { paused += d })
-				if err := h.WritePage(page, latest); err != nil {
-					t.Fatal(err)
-				}
-				inprocs[holders(h)[0]].SetFailed(true)
-				buf := make([]byte, PageSize)
-				if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
-					return err
-				}
-				if paused <= 0 {
-					t.Fatal("retry requeued without charging backoff")
 				}
 				return nil
 			},
@@ -290,7 +220,7 @@ func TestTicketFailureContexts(t *testing.T) {
 				inprocs[i] = NewInProc(NewAgent(8, 0))
 				trs[i] = inprocs[i]
 			}
-			h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 11, Retry: tc.retry}, trs)
+			h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 11}, trs)
 			err := tc.run(t, h, inprocs)
 			if !tc.wantErr {
 				if err != nil {

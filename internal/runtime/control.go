@@ -35,18 +35,6 @@ func WithControlInterval(d sim.Duration) Option {
 	return func(o *memOptions) { o.planeEvery = d }
 }
 
-// WithRetryPolicy bounds retries, deadlines, backoff and hedging in the
-// private in-process cluster's ticket engine, and wires its per-ticket
-// deadlines to the runtime clock (remote.Host.SetTimeSource), so deadline
-// decisions are virtual-time-correct and replay bit-identically. A fault's
-// demand read obeys the policy like the window's reads. The zero policy is
-// the unlimited failover walk, bit-identical to a runtime without the
-// option. Incompatible with WithRemoteHost: a supplied host carries its own
-// policy via RemoteHostConfig.Retry.
-func WithRetryPolicy(p remote.RetryPolicy) Option {
-	return func(o *memOptions) { o.retry, o.retrySet = p, true }
-}
-
 // ControlStats is the Stats.Control block: the control plane's view of the
 // cluster plus the actions it has taken since Open. The zero value (Enabled
 // false) means no plane is attached.

@@ -147,8 +147,6 @@ type memOptions struct {
 	slabPages  int
 	planeCfg   *control.Config
 	planeEvery sim.Duration
-	retry      remote.RetryPolicy
-	retrySet   bool
 	ztierBytes int64
 	wireComp   bool
 }
@@ -295,9 +293,6 @@ func Open(opts ...Option) (*Memory, error) {
 	if o.capacity < nshards {
 		return nil, fmt.Errorf("leap: cache capacity %d pages < %d shards, need at least one page per shard", o.capacity, nshards)
 	}
-	if o.retrySet && o.host != nil {
-		return nil, fmt.Errorf("leap: WithRetryPolicy configures the private in-process cluster; set RemoteHostConfig.Retry (and SetTimeSource) on the host passed to WithRemoteHost instead")
-	}
 	if o.ztierBytes < 0 {
 		return nil, fmt.Errorf("leap: compressed tier budget %d bytes, need >= 0", o.ztierBytes)
 	}
@@ -329,7 +324,6 @@ func Open(opts ...Option) (*Memory, error) {
 			Replicas:   2,
 			QueueDepth: o.queueDepth,
 			Seed:       o.seed,
-			Retry:      o.retry,
 			Compress:   o.wireComp,
 		}, transports)
 		if err != nil {
@@ -337,11 +331,6 @@ func Open(opts ...Option) (*Memory, error) {
 		}
 		m.host = h
 		m.ownHost = true
-		if o.retrySet {
-			// Ticket deadlines measure virtual time off the runtime clock,
-			// which is atomic — race-free from any stripe.
-			h.SetTimeSource(m.clock.Now)
-		}
 	}
 	// Resolve one prefetcher per stripe up front, so factory and ensemble
 	// misconfigurations surface as Open errors rather than mid-fault.

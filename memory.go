@@ -3,7 +3,6 @@ package leap
 import (
 	"leap/internal/control"
 	"leap/internal/prefetch"
-	"leap/internal/remote"
 	"leap/internal/runtime"
 	"leap/internal/sim"
 )
@@ -160,11 +159,6 @@ type ControlAction = control.Action
 // cluster and per-kind counts of the actions it has taken.
 type MemoryControlStats = runtime.ControlStats
 
-// RemoteRetryPolicy bounds retries, deadlines, backoff and hedging for the
-// remote host's reads, demand reads included. The zero value is the
-// unlimited failover walk: every holder once.
-type RemoteRetryPolicy = remote.RetryPolicy
-
 // WithControlPlane attaches a self-healing control plane to the Memory: a
 // failure detector that routes around slow agents and excludes crashed
 // ones (re-replicating their slabs), probation that brings healed agents
@@ -179,14 +173,6 @@ func WithControlPlane(cfg ControlConfig) Option { return runtime.WithControlPlan
 // time (default runtime.DefaultControlInterval). Non-positive keeps the
 // default.
 func WithControlInterval(d Duration) Option { return runtime.WithControlInterval(d) }
-
-// WithRetryPolicy bounds retries, deadlines, backoff and hedging in the
-// private in-process cluster, with per-ticket deadlines read from the
-// runtime clock. The policy covers the demand read of a fault as well as the
-// prefetch window's reads; the zero policy walks every holder once, as a
-// demand read always has. Incompatible with WithRemoteHost — a supplied
-// host carries its own policy via RemoteHostConfig.Retry.
-func WithRetryPolicy(p RemoteRetryPolicy) Option { return runtime.WithRetryPolicy(p) }
 
 // MemoryZtierStats is the Stats.Ztier block: occupancy, hit/seal/overflow
 // counts and the realized compression ratio of the compressed victim tier.
