@@ -212,11 +212,11 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 // queues behind it); the read a read of the page may coalesce onto; the agents
 // that acknowledged its most recent write — a transiently failed replica write
 // leaves that copy stale, so reads prefer acked replicas and a range goes to
-// them alone (writeFrame); and gen, its completed writes. Paths that copy a page
-// with h.mu released (ReplicateHot, slab migration, repair) snapshot gen with
-// their source read and re-check it before certifying the copy into the ack
-// set: a bump in between means a write raced in and the copy is stale. A
-// record no write has completed on goes with its last read (retireRead).
+// them alone (writeFrame); and gen, its completed writes. copyPage, the one path
+// that copies a page between agents, snapshots gen with its source read; a bump
+// by the copy's write means a write raced in and the copy is stale: it is not
+// certified into the ack set, and not written at all on a holder of the page's
+// writes. A record no write has completed on goes with its last read (retireRead).
 type record struct {
 	write *pendingWrite
 	read  *pendingRead

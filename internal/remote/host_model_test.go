@@ -288,7 +288,7 @@ var scenarios = map[string]scenario{
 	"hot-race": {spare, func(b *tapeBuilder) {
 		p, trig, hot := b.page(), b.name(), b.name()
 		b.add(at(opDropHot, p),
-			tapeOp{kind: opTrigger, name: trig, link: -1, frame: OpMapSlab, then: []tapeOp{at(opWriteSync, p)}},
+			tapeOp{kind: opTrigger, name: trig, link: -1, frame: OpRead, then: []tapeOp{at(opWriteSync, p)}},
 			named(hot, at(opReplicateHot, p)), expect("the write raced the copy", fired(trig)),
 			expect("one hot holder added, and certified", func(r *hostRun) bool {
 				holders := r.h.HotHolders(p)
@@ -298,6 +298,11 @@ var scenarios = map[string]scenario{
 	"repush-race": {func(tp *hostTape) bool { return tp.agents == 2 && tp.replicas == 2 }, func(b *tapeBuilder) {
 		p := b.page()
 		b.add(repushRace(b.agent(), p, (p+1)%core.PageID(b.tp.pages), b.tp.mode != CallOnly)...)
+	}},
+	// A repair copies onto a page's hot holder, and a write of the page lands
+	// inside the copy's source read.
+	"repair-hot": {func(tp *hostTape) bool { return tp.agents == 3 && tp.replicas == 2 }, func(b *tapeBuilder) {
+		b.add(repairHot(b.tp, b.name(), b.rng.Intn(b.tp.pages/b.tp.slabPages), b.rng.Intn(2))...)
 	}},
 	// An agent recovers inside the repair that replaces it. A slab a page, so
 	// that the agent holds slabs, and the repair has work.
@@ -353,6 +358,31 @@ func repushRace(away int, early, racing core.PageID, split bool) []tapeOp {
 	return append(ops, flush,
 		expect("no page is degraded once both writes have landed", func(r *hostRun) bool { return r.h.DegradedPages() == 0 }),
 		expect("both replicas acked both pages", func(r *hostRun) bool { return acked(early, 2)(r) && acked(racing, 2)(r) }))
+}
+
+// repairHot: on three agents, the k-th of slab's two replicas fails, and the
+// repair puts the third agent, the hot holder of page, in its place. page is
+// the first of the lowest slab the failed agent holds, so the repair's first
+// source read is page's, and a write of page lands inside it: the write reaches
+// the holder before the copy's older bytes, which must not overwrite it.
+func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
+	ranked := (&Host{cfg: HostConfig{Seed: tp.seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
+	failed := ranked(SlabID(slab), nil)[k]
+	for s := range slab + 1 {
+		if slices.Contains(ranked(SlabID(s), nil)[:2], failed) {
+			slab = s
+			break
+		}
+	}
+	page, holder := core.PageID(slab*tp.slabPages), ranked(SlabID(slab), nil)[2]
+	return []tapeOp{rebal, at(opReplicateHot, page), on(opMarkFailed, failed),
+		{kind: opTrigger, name: trig, link: -1, frame: OpRead, then: []tapeOp{at(opWriteSync, page)}},
+		repair, expect("the write landed inside the copy's source read", fired(trig)),
+		expect("the repair put the hot holder in the failed agent's place", func(r *hostRun) bool {
+			r.h.mu.Lock()
+			defer r.h.mu.Unlock()
+			return slices.Contains(r.h.placements[SlabID(slab)], holder) && slices.Contains(r.h.hot[page], holder)
+		}), flush, on(opMarkRecovered, failed), rebal, flush}
 }
 
 // tapeBuilder draws steps onto a tape. While held, links are held: no step
@@ -466,7 +496,7 @@ func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 // hot holder's ack towards Replicas (the second), and whose copySlabTo also
 // copies onto a target in the page's ack set (the first).
 func hostCorpus() []uint64 {
-	seeds := []uint64{0x405704c6, 0x405707f3}
+	seeds := []uint64{0x4057055d, 0x405702cc}
 	for i := range uint64(36) {
 		seeds = append(seeds, 0x4057<<16|i)
 	}
@@ -504,7 +534,7 @@ func TestHostModel(t *testing.T) {
 			seen[a] = true
 		}
 	}
-	if want := len(opKinds) + 3 + len(modelModes) + len(modelAgents) + len(modelReplicas) + len(modelQueueDepths) +
+	if want := len(opKinds) + 2 + len(modelModes) + len(modelAgents) + len(modelReplicas) + len(modelQueueDepths) +
 		len(modelSlabs) + 2; len(seen) != want {
 		t.Errorf("the corpus takes %d of the %d steps, triggers and axis values: %v", len(seen), want, slices.Sorted(maps.Keys(seen)))
 	}
@@ -1079,6 +1109,9 @@ func TestReplicateHotRacingWrite(t *testing.T) { hostSlice(t, 3, "hot-race") }
 
 // TestPurgeWhileTicketsInFlight: a purge drains the tickets queued for the agent.
 func TestPurgeWhileTicketsInFlight(t *testing.T) { hostSlice(t, 3, "purge") }
+
+// TestRepairOntoHotHolder: a repair's copy onto a hot holder keeps a racing write's bytes.
+func TestRepairOntoHotHolder(t *testing.T) { hostSlice(t, 3, "repair-hot") }
 
 // TestRecoverDuringRepair: MarkRecovered inside a repair pass leaves it whole.
 func TestRecoverDuringRepair(t *testing.T) {

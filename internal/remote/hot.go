@@ -70,8 +70,8 @@ func (h *Host) writeTargets(page core.PageID, replicas []int) []int {
 	return targets
 }
 
-// maxHotStaleRetries bounds how many times one ReplicateHot call re-reads
-// its source after a concurrent write invalidated the bytes in hand — enough
+// maxHotStaleRetries bounds how many times one ReplicateHot call re-copies
+// onto a target after a concurrent write overtook the bytes in hand — enough
 // to make progress under sporadic writes without livelocking against a page
 // under constant write pressure (the control plane retries next refresh).
 const maxHotStaleRetries = 3
@@ -79,17 +79,13 @@ const maxHotStaleRetries = 3
 // ReplicateHot installs extra read replicas for page until it has up to
 // extra hot holders beyond its slab placement, choosing the best
 // rendezvous-ranked live agents not already holding a copy. The page bytes
-// are copied from a holder that acknowledged the latest write; with no live
-// acked source the call is a no-op (an uncertifiable copy could never be
-// read anyway). Unreachable targets are skipped best-effort. It reports how
-// many copies were installed.
-//
-// The source read and target writes run with h.mu released, so a client
-// write can land in between; the per-page write generation is snapshotted
-// with the source read and re-checked at install time, so a copy that a
-// concurrent write overtook is never certified into the ack set.
+// are copied (copyPage) from a holder that acknowledged the latest write, and
+// a copy joins the ack set only if no write overtook it; with no live acked
+// source the call is a no-op (an uncertifiable copy could never be read
+// anyway). Unreachable targets are skipped best-effort. It reports how many
+// copies were installed.
 func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) {
-	slab, off := h.locate(page)
+	slab, _ := h.locate(page)
 
 	h.mu.Lock()
 	h.settleWrites() // a write in the air does not know the new holder: its ack would leave the copy out
@@ -114,38 +110,33 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 	ranked := h.rendezvousRank(slab, exclude)
 	h.mu.Unlock()
 
-	payload, gen, err := h.hotSourceRead(page, slab, off)
-	if err != nil || payload == nil {
-		return 0, err
-	}
-
-	rereads := 0
-	for i := 0; i < len(ranked) && added < need; {
+	for i, rereads := 0, 0; i < len(ranked) && added < need; {
 		target := ranked[i]
 		h.mu.Lock()
-		tr := h.transports[target]
+		tr, sources := h.transports[target], h.liveAcked(page)
 		h.mu.Unlock()
-		if resp, err := tr.Call(&Request{Op: OpMapSlab, Slab: slab}); err != nil || resp.Status != StatusOK {
+		if len(sources) == 0 {
+			return added, nil
+		}
+		if resp, err := tr.Call(&Request{Op: OpMapSlab, Slab: slab}); callError(OpMapSlab, resp, err) != nil {
 			i++ // unreachable; try the next ranked agent
 			continue
 		}
-		if resp, err := tr.Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: payload}); err != nil || resp.Status != StatusOK {
+		readErr, writeErr := h.copyPage(page, sources[0], []int{target}, true)
+		if readErr != nil {
+			return added, readErr
+		}
+		if writeErr != nil {
 			i++
 			continue
 		}
 		h.mu.Lock()
-		r := h.rec(page)
-		if r.generation() != gen {
-			// A write completed after our source read: the bytes just pushed
-			// are stale and must not join the ack set. Nothing references
-			// them; re-read fresh bytes and retry this same target.
+		if !slices.Contains(h.rec(page).acked(), target) {
+			// A write completed after the source read: the bytes just pushed
+			// are stale and stay out of the ack set. Copy again.
 			h.mu.Unlock()
 			if rereads++; rereads > maxHotStaleRetries {
 				return added, nil
-			}
-			payload, gen, err = h.hotSourceRead(page, slab, off)
-			if err != nil || payload == nil {
-				return added, err
 			}
 			continue
 		}
@@ -153,9 +144,6 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			h.hot = make(map[core.PageID][]int)
 		}
 		h.hot[page] = append(h.hot[page], target)
-		if len(r.acked()) > 0 && !slices.Contains(r.acks, target) {
-			r.acks = append(r.acks, target)
-		}
 		h.stats.HotCopies++
 		h.mu.Unlock()
 		added++
@@ -164,38 +152,11 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 	return added, nil
 }
 
-// hotSourceRead snapshots page's write generation and reads its current
-// bytes from a live holder that acknowledged the latest write. A nil payload
-// with nil error means no live acked source exists (the caller gives up
-// without certifying anything). The transport read runs with h.mu released;
-// callers compare the returned generation against the page's under the lock
-// before trusting the payload as fresh.
-func (h *Host) hotSourceRead(page core.PageID, slab SlabID, off uint32) (payload []byte, gen uint64, err error) {
-	h.mu.Lock()
-	r := h.rec(page)
-	gen = r.generation()
-	srcIdx := -1
-	for _, idx := range r.acked() {
-		if !h.failed[idx] {
-			srcIdx = idx
-			break
-		}
-	}
-	if srcIdx < 0 {
-		h.mu.Unlock()
-		return nil, gen, nil
-	}
-	src := h.transports[srcIdx]
-	h.mu.Unlock()
-
-	rd, err := src.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
-	if err != nil {
-		return nil, gen, fmt.Errorf("remote: ReplicateHot(%d) read source: %w", page, err)
-	}
-	if rd.Status != StatusOK {
-		return nil, gen, statusError(OpRead, rd.Status)
-	}
-	return rd.Payload, gen, nil
+// liveAcked returns the agents not marked failed that acknowledged page's
+// latest write: the sources a copy of it can be certified from. Callers hold
+// h.mu.
+func (h *Host) liveAcked(page core.PageID) []int {
+	return slices.DeleteFunc(slices.Clone(h.rec(page).acked()), func(a int) bool { return h.failed[a] })
 }
 
 // DropHot demotes page back to its plain slab placement: hot holders leave
@@ -207,12 +168,26 @@ func (h *Host) hotSourceRead(page core.PageID, slab SlabID, off uint32) (payload
 // the last write), demoting as-is would abandon the only certified copies
 // while readers silently fall back to stale placement bytes. Instead the
 // page is first copied from a hot holder back onto its live placement
-// replicas; if none can take it (or a write to the page is in flight),
-// DropHot refuses and reports false so the caller retries later.
+// replicas; if none can take it (or a write to the page is pending), DropHot
+// refuses and reports false so the caller retries later.
 func (h *Host) DropHot(page core.PageID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	holders := h.hot[page]
+	if r := h.rec(page); len(holders) > 0 && r.dirty() == nil && len(r.acked()) > 0 &&
+		!slices.ContainsFunc(r.acks, func(a int) bool { return !slices.Contains(holders, a) }) {
+		slab, _ := h.locate(page)
+		sources := h.liveAcked(page)
+		targets := slices.DeleteFunc(slices.Clone(h.placements[slab]), func(a int) bool { return h.failed[a] })
+		h.mu.Unlock()
+		for _, src := range sources {
+			if readErr, _ := h.copyPage(page, src, targets, true); readErr == nil {
+				break // the replicas that took the copy are in the ack set
+			}
+		}
+		h.mu.Lock()
+		holders = h.hot[page]
+	}
 	if len(holders) == 0 {
 		return true
 	}
@@ -221,16 +196,7 @@ func (h *Host) DropHot(page core.PageID) bool {
 			return slices.Contains(holders, a)
 		})
 		if len(rest) == 0 {
-			// With a write in flight the copy-back below could overwrite the
-			// write's fresher bytes on a placement replica that then acks it
-			// — defer; the next attempt sees the write's own ack set.
-			if r.write != nil {
-				return false
-			}
-			rest = h.restoreAckedLocked(page, r.acks)
-			if len(rest) == 0 {
-				return false
-			}
+			return false // the copy-back reached no replica, or a write is pending
 		}
 		r.acks = rest
 		if len(rest) < h.cfg.Replicas {
@@ -244,40 +210,6 @@ func (h *Host) DropHot(page core.PageID) bool {
 	}
 	delete(h.hot, page)
 	return true
-}
-
-// restoreAckedLocked copies page's latest bytes from a live acked holder
-// onto the live placement replicas and returns the replicas that accepted —
-// the certified set that lets DropHot demote without losing the last acked
-// write. Callers hold h.mu, and it stays held across the transport calls, so
-// no new write to the page can begin mid-copy.
-func (h *Host) restoreAckedLocked(page core.PageID, sources []int) []int {
-	slab, off := h.locate(page)
-	var payload []byte
-	for _, src := range sources {
-		if h.failed[src] {
-			continue
-		}
-		rd, err := h.transports[src].Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
-		if err == nil && rd.Status == StatusOK {
-			payload = rd.Payload
-			break
-		}
-	}
-	if payload == nil {
-		return nil
-	}
-	var restored []int
-	for _, idx := range h.placements[slab] {
-		if h.failed[idx] {
-			continue
-		}
-		wr, err := h.transports[idx].Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: payload})
-		if err == nil && wr.Status == StatusOK {
-			restored = append(restored, idx)
-		}
-	}
-	return restored
 }
 
 // HotPages reports the pages currently carrying hot extra replicas, sorted.

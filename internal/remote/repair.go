@@ -1,7 +1,9 @@
 package remote
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"leap/internal/core"
@@ -167,9 +169,7 @@ func (h *Host) RepairSlabs() (int, error) {
 		}
 		repaired++
 	}
-	if err := h.repushDegraded(); err != nil {
-		return repaired, err
-	}
+	h.repushDegraded()
 	return repaired, nil
 }
 
@@ -207,70 +207,34 @@ func (h *Host) repairOne(slab SlabID, survivors []int) (int, error) {
 }
 
 // copySlabTo maps slab on the target agent and copies every page from the
-// given source replicas, page by page — the re-replication machinery shared
-// by RepairSlabs and Rebalance. For each page it prefers a source that
-// acknowledged the page's most recent write (a replica that missed a write
-// holds stale bytes); unwritten pages copy as zeros, which is exactly their
-// state on the source. A copy certified fresh extends the page's ack set to
-// the target; a copy from a stale source does not, so reads never prefer
-// possibly-stale bytes. Nor does a stale source overwrite a target already in
-// the page's ack set (an agent marked failed and recovered since the repair
-// began): the target holds the newest image, and the page is left as it is.
+// given source replicas — the re-replication machinery shared by RepairSlabs
+// and Rebalance. For each page it prefers a source that acknowledged the
+// page's most recent write, and certifies the copy only from such a source (a
+// replica that missed a write holds stale bytes); unwritten pages copy as
+// zeros, which is exactly their state on the source. Nor does a stale source
+// overwrite a target already in the page's ack set (an agent marked failed and
+// recovered since the repair began): the target holds the newest image, and
+// the page is left as it is.
 func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 	h.mu.Lock()
 	dst := h.transports[target]
 	h.mu.Unlock()
-
-	if resp, err := dst.Call(&Request{Op: OpMapSlab, Slab: slab}); err != nil {
+	resp, err := dst.Call(&Request{Op: OpMapSlab, Slab: slab})
+	if err = callError(OpMapSlab, resp, err); err != nil {
 		return fmt.Errorf("remote: repair map slab %d: %w", slab, err)
-	} else if resp.Status != StatusOK {
-		return statusError(OpMapSlab, resp.Status)
 	}
-	for off := uint32(0); off < uint32(h.cfg.SlabPages); off++ {
-		page := core.PageID(int64(slab)*int64(h.cfg.SlabPages) + int64(off))
+	first, targets := core.PageID(int64(slab)*int64(h.cfg.SlabPages)), []int{target}
+	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
 		h.mu.Lock()
-		r := h.rec(page)
-		srcIdx := sources[0]
-		srcAcked := false
-		for _, s := range sources {
-			if slices.Contains(r.acked(), s) {
-				srcIdx = s
-				srcAcked = true
-				break
-			}
-		}
-		if !srcAcked && slices.Contains(r.acked(), target) {
-			h.mu.Unlock()
+		acked := h.rec(page).acked()
+		i := slices.IndexFunc(sources, func(s int) bool { return slices.Contains(acked, s) })
+		skip := i < 0 && slices.Contains(acked, target)
+		h.mu.Unlock()
+		if skip {
 			continue
 		}
-		gen := r.generation()
-		src := h.transports[srcIdx]
-		h.mu.Unlock()
-
-		rd, err := src.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
-		if err != nil {
-			return fmt.Errorf("remote: repair read slab %d off %d: %w", slab, off, err)
-		}
-		if rd.Status != StatusOK {
-			return statusError(OpRead, rd.Status)
-		}
-		wr, err := dst.Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: rd.Payload})
-		if err != nil {
-			return fmt.Errorf("remote: repair write slab %d off %d: %w", slab, off, err)
-		}
-		if wr.Status != StatusOK {
-			return statusError(OpWrite, wr.Status)
-		}
-		if srcAcked {
-			h.mu.Lock()
-			// Certify the copy only if no write completed since the source
-			// read (the copy would be stale); the target still holds usable
-			// bytes, it just stays out of the ack set like any replica that
-			// missed a write.
-			if r = h.rec(page); len(r.acked()) > 0 && r.gen == gen && !slices.Contains(r.acks, target) {
-				r.acks = append(r.acks, target)
-			}
-			h.mu.Unlock()
+		if readErr, writeErr := h.copyPage(page, sources[max(i, 0)], targets, i >= 0); readErr != nil || writeErr != nil {
+			return cmp.Or(readErr, writeErr)
 		}
 	}
 	return nil
@@ -280,76 +244,34 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 // and copies the fresh bytes from an acknowledged replica to the live
 // replicas that missed the write. Unreachable targets are skipped (the page
 // stays degraded); a page with no live acknowledged copy is beyond saving
-// by this path and is left for slab-level repair.
-//
-// The source read runs with h.mu released, so like ReplicateHot and slab
-// migration it snapshots the page's write generation with it. Unlike theirs,
-// its targets are replicas the page's own writes go to: a write frame and the
-// older image copied here could meet on one in either order, and the write's
-// ack would vouch for whichever came last. So the push runs under h.mu (as
-// DropHot's copy-back does), where no write of the page can start, and only
-// while none is queued or in the air and none has completed since the source
-// read; otherwise the page is left to that write, or to the next round.
-func (h *Host) repushDegraded() error {
+// by this path and is left for slab-level repair. Its targets are replicas
+// the page's own writes go to, so copyPage pushes under h.mu, and leaves a
+// page with a write pending or landed since the source read to that write.
+func (h *Host) repushDegraded() {
 	h.mu.Lock()
-	pages := make([]core.PageID, 0, len(h.degraded))
-	for page := range h.degraded {
-		pages = append(pages, page)
-	}
+	pages := slices.Sorted(maps.Keys(h.degraded))
 	h.mu.Unlock()
-	slices.Sort(pages)
 
 	for _, page := range pages {
-		slab, off := h.locate(page)
+		slab, _ := h.locate(page)
 		h.mu.Lock()
-		r := h.rec(page)
-		gen, acked := r.generation(), r.acked()
-		var src Transport
-		for _, idx := range acked {
-			if !h.failed[idx] && slices.Contains(h.placements[slab], idx) {
-				src = h.transports[idx]
-				break
-			}
+		acked, replicas, src := h.rec(page).acked(), h.placements[slab], -1
+		if i := slices.IndexFunc(acked, func(a int) bool { return !h.failed[a] && slices.Contains(replicas, a) }); i >= 0 {
+			src = acked[i]
 		}
-		targets := 0
-		for _, idx := range h.placements[slab] {
-			if !h.failed[idx] && !slices.Contains(acked, idx) {
-				targets++
-			}
-		}
+		targets := slices.DeleteFunc(slices.Clone(replicas), func(a int) bool { return h.failed[a] || slices.Contains(acked, a) })
 		h.mu.Unlock()
-
-		var payload []byte
-		if src != nil && targets > 0 {
-			rd, err := src.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
-			if err != nil || rd.Status != StatusOK {
-				continue // source unreachable this round; retry next repair
-			}
-			payload = rd.Payload
+		if src >= 0 && len(targets) > 0 {
+			_, _ = h.copyPage(page, src, targets, true) // what took the copy is in the ack set
 		}
 		h.mu.Lock()
-		if r = h.rec(page); r.dirty() == nil && r.generation() == gen {
-			for _, idx := range h.placements[slab] {
-				if payload == nil || len(r.acked()) == 0 {
-					break // nothing to push, or its source was purged meanwhile
-				}
-				if h.failed[idx] || slices.Contains(r.acks, idx) {
-					continue
-				}
-				wr, err := h.transports[idx].Call(&Request{Op: OpWrite, Slab: slab, PageOff: off, Payload: payload})
-				if err == nil && wr.Status == StatusOK {
-					r.acks = append(r.acks, idx)
-				} // else target unreachable; page stays degraded
-			}
-			// With no source or nothing to push, slab-level repair may already
-			// have restored full coverage (every live replica acked).
-			if h.placedAcks(page, r.acked()) >= h.cfg.Replicas {
-				delete(h.degraded, page)
-			}
+		// With no source or nothing to push, slab-level repair may already
+		// have restored full coverage (every live replica acked).
+		if r := h.rec(page); r.dirty() == nil && h.placedAcks(page, r.acked()) >= h.cfg.Replicas {
+			delete(h.degraded, page)
 		}
 		h.mu.Unlock()
 	}
-	return nil
 }
 
 // placedAcks counts the agents of acks that are in page's slab placement: a
