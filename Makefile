@@ -71,7 +71,7 @@ race:
 # (op tapes against a page map) and its slices, the wall-clock, buffer-reuse,
 # page-map-model and unacked-window tests of the wire path, and the scripted
 # test link those are played on.
-STRESS = TestMemoryModel|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestHostModel|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestRepairOntoHotHolder|TestReplicateHotRacingWrite|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
+STRESS = TestMemoryModel|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryTransientOutageRecovers|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestHostModel|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestRepairOntoHotHolder|TestDropHotAfterRepairOntoHolder|TestWritebackHandoffNoAlias|TestReplicateHotRacingWrite|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
 STRESS_PKGS = . ./internal/runtime ./internal/remote ./internal/control
 stress:
 	$(GO) test -race -count 3 -run '$(STRESS)' $(STRESS_PKGS)

@@ -111,28 +111,48 @@ func BenchmarkHostRangeWriteback(b *testing.B) {
 // costs the host one object, the pendingWrite that carries its ticket, replica
 // set, ack set and flight list, and its share of the frames it rides in, whose
 // flights carry their batches; the ack set the write leaves in its page's
-// record reuses the record's.
+// record reuses the record's. A handed-off writeback costs its frames alone: its
+// pendingWrite and its image come off the host's free lists.
 func TestRangeWritebackAllocatesOncePerPage(t *testing.T) {
 	const pages = 256
-	h := storeHost(t, pages)
-	buf := make([]byte, PageSize)
-	page := core.PageID(0)
-	writeFrame := func() {
-		for i := 0; i < h.cfg.QueueDepth; i++ {
-			if err := storeAt(h, page, buf); err != nil {
-				t.Fatal(err)
+	for _, handoff := range []bool{false, true} {
+		h := storeHost(t, pages)
+		img, buf := make([]byte, PageSize), make([]byte, PageSize)
+		page := core.PageID(0)
+		writeFrame := func() {
+			for i := 0; i < h.cfg.QueueDepth; i++ {
+				lo := int(page) % (PageSize / 64) * 64
+				img[lo]++
+				var backlog int
+				if handoff {
+					copy(buf, img)
+					buf, backlog, _ = h.HandOffPageRange(page, buf, lo, lo+64)
+				} else {
+					_, backlog, _ = h.WritePageRangeAsync(page, img, lo, lo+64)
+				}
+				if backlog >= h.cfg.QueueDepth {
+					if _, err := h.Submit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				page = (page + 1) % pages
 			}
-			page = (page + 1) % pages
 		}
-	}
-	for i := 0; i < 2*pages/h.cfg.QueueDepth; i++ {
-		writeFrame()
-	}
-	perPage := testing.AllocsPerRun(50, writeFrame) / float64(h.cfg.QueueDepth)
-	// A pendingWrite a page, and over a frame's worth of pages two frames, one
-	// per replica, each a flight and the in-process agent's response.
-	if want := 1 + 2*2/float64(h.cfg.QueueDepth); perPage > want {
-		t.Errorf("a range writeback allocates %.2f objects a page, want at most %.2f", perPage, want)
+		for i := 0; i < 2*pages/h.cfg.QueueDepth; i++ {
+			writeFrame()
+		}
+		perPage := testing.AllocsPerRun(50, writeFrame) / float64(h.cfg.QueueDepth)
+		// A pendingWrite a page, unless handed off, and over a frame's worth of
+		// pages two frames, one per replica, each a flight and the in-process
+		// agent's response.
+		want := 2 * 2 / float64(h.cfg.QueueDepth)
+		if !handoff {
+			want++
+		}
+		t.Logf("handoff %v: %.3f objects a page", handoff, perPage)
+		if perPage > want {
+			t.Errorf("a range writeback (handoff %v) allocates %.2f objects a page, want at most %.2f", handoff, perPage, want)
+		}
 	}
 }
 

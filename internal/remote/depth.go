@@ -105,10 +105,11 @@ const (
 	// eight more pages over depth and as many more images unacked a link.
 	trainFrames = depthQuanta
 	// unackedFrames is the unacked window: the write frames a link carries
-	// before a writer waits for the oldest. Writebacks leave in a stream's
-	// trains (WritePageRangeAsync), a frame to a link for each read frame — a
-	// page in evicts a page — and the window holds two trains, so that a writer
+	// before a writer waits for the oldest, two trains' worth, so that a writer
 	// waits for the train before the last and not for the one just gone.
+	// Writebacks leave in a stream's trains, a frame to a link for each read
+	// frame — a page in evicts a page — and their backlog rides the stream's
+	// doorbells until it would fill the window (WritePageRangeAsync).
 	unackedFrames = 2 * trainFrames
 )
 

@@ -136,7 +136,10 @@ type Host struct {
 	queues  [][]queueEntry
 	queued  int
 	unacked int
-	bufFree [][]byte // recycled page buffers for pending writes
+	// bufFree and writeFree are the recycled page buffers and handed-off
+	// pendingWrites of writes that have landed everywhere.
+	bufFree   [][]byte
+	writeFree []*pendingWrite
 	// landed (on mu) wakes goroutines waiting for another's landing of a
 	// flight; the flights themselves are on their links' FIFOs (links[i].flights).
 	landed *sync.Cond
@@ -326,11 +329,11 @@ func (h *Host) WritePage(page core.PageID, data []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.rec(page).dirty() != nil {
-		t := h.writeAsyncLocked(page, data, 0, PageSize)
+		t, _ := h.writeAsyncLocked(page, data, 0, PageSize, false)
 		h.keepFor(t, h.drain(true))
 		return t.err
 	}
-	t, pw := h.newWrite(page, data, 0, PageSize)
+	t, pw, _ := h.newWrite(page, data, 0, PageSize, false)
 	if pw != nil {
 		for _, idx := range pw.replicas {
 			_, err := h.reap(h.launch(idx, queueEntry{write: pw}))

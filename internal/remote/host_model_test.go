@@ -33,6 +33,7 @@ type opKind string
 // a trigger or a result — for later steps to refer to.
 const (
 	opWrite         opKind = "write"      // WritePageRangeAsync of [lo,hi)
+	opHandOff       opKind = "hand-off"   // HandOffPageRange of [lo,hi), the spare scribbled over and handed off next
 	opWritePage     opKind = "write-page" // WritePageAsync
 	opWriteSync     opKind = "write-sync" // WritePage
 	opRead          opKind = "read"       // ReadPage
@@ -65,7 +66,7 @@ const (
 )
 
 // opKinds is every kind of step; the corpus must take each.
-var opKinds = []opKind{opWrite, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
+var opKinds = []opKind{opWrite, opHandOff, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
 	opSubmit, opFlush, opFlushBG, opWait, opHold, opRelease, opPump, opTrigger, opPartition, opFlaky, opHeal,
 	opSlow, opMarkFailed, opMarkRecovered, opPurge, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot,
 	opDropHot, opExpect}
@@ -364,7 +365,9 @@ func repushRace(away int, early, racing core.PageID, split bool) []tapeOp {
 // repair puts the third agent, the hot holder of page, in its place. page is
 // the first of the lowest slab the failed agent holds, so the repair's first
 // source read is page's, and a write of page lands inside it: the write reaches
-// the holder before the copy's older bytes, which must not overwrite it.
+// the holder before the copy's older bytes, which must not overwrite it. The
+// holder is a placement replica then, and no longer a hot one: DropHot leaves
+// the page's ack set and degraded flag alone.
 func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
 	ranked := (&Host{cfg: HostConfig{Seed: tp.seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
 	failed := ranked(SlabID(slab), nil)[k]
@@ -381,8 +384,14 @@ func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
 		expect("the repair put the hot holder in the failed agent's place", func(r *hostRun) bool {
 			r.h.mu.Lock()
 			defer r.h.mu.Unlock()
-			return slices.Contains(r.h.placements[SlabID(slab)], holder) && slices.Contains(r.h.hot[page], holder)
-		}), flush, on(opMarkRecovered, failed), rebal, flush}
+			return slices.Contains(r.h.placements[SlabID(slab)], holder) && !slices.Contains(r.h.hot[page], holder)
+		}), flush, at(opDropHot, page), expect("DropHot left the page undegraded, acked by its placement", func(r *hostRun) bool {
+			r.h.mu.Lock()
+			defer r.h.mu.Unlock()
+			return len(r.h.degraded) == 0 && !slices.ContainsFunc(r.h.placements[SlabID(slab)], func(a int) bool {
+				return !slices.Contains(r.h.rec(page).acked(), a)
+			})
+		}), on(opMarkRecovered, failed), rebal, flush}
 }
 
 // tapeBuilder draws steps onto a tape. While held, links are held: no step
@@ -402,15 +411,17 @@ func (b *tapeBuilder) hold() tapeOp      { b.held = true; return on(opHold, -1) 
 func (b *tapeBuilder) release() tapeOp   { b.held = false; return on(opRelease, -1) }
 
 // write is a write of page: mostly a range — a byte, up to 300 bytes or the
-// page — else a whole page, async or, with the links open, WritePage.
+// page — with a ticket or handed off, else a whole page, async or, with the
+// links open, WritePage.
 func (b *tapeBuilder) write(page core.PageID) tapeOp {
 	switch k := b.rng.Intn(10); {
 	case k < 6:
+		op := tapeOp{kind: []opKind{opWrite, opHandOff}[b.rng.Intn(2)], page: page, lo: 0, hi: PageSize}
 		lo := b.rng.Intn(PageSize)
 		if hi := min(PageSize, lo+1+b.rng.Intn(300)*b.rng.Intn(2)); b.rng.Intn(6) > 0 {
-			return tapeOp{kind: opWrite, page: page, lo: lo, hi: hi}
+			op.lo, op.hi = lo, hi
 		}
-		return tapeOp{kind: opWrite, page: page, lo: 0, hi: PageSize}
+		return op
 	case k < 8 || b.held:
 		return at(opWritePage, page)
 	}
@@ -491,16 +502,62 @@ func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 	return tp
 }
 
-// hostCorpus is TestHostModel's fixed set of tape seeds: 36 in a row, and two
-// that end in a stale read after a repair on a host whose finishWrite counts a
-// hot holder's ack towards Replicas (the second), and whose copySlabTo also
-// copies onto a target in the page's ack set (the first).
+// hostCorpus is TestHostModel's fixed set of tape seeds: 36 in a row.
 func hostCorpus() []uint64 {
-	seeds := []uint64{0x4057055d, 0x405702cc}
+	var seeds []uint64
 	for i := range uint64(36) {
 		seeds = append(seeds, 0x4057<<16|i)
 	}
 	return seeds
+}
+
+// hostRegressions are TestHostModel's literal tapes, each named by its seed: a
+// seed's drawn tape that caught a defect, cut down to the steps it needs and
+// frozen, so that no new scenario or draw can re-draw it into one that does not.
+func hostRegressions() []hostTape { return []hostTape{hotAckCounted(), staleCopyOntoAcked()} }
+
+// missedByPlacement is a tape's expectation that page's last write missed a
+// placement replica and was acked by a hot holder.
+func missedByPlacement(page core.PageID) tapeOp {
+	return expect("the write missed a placement replica, and the hot holder acked it", func(r *hostRun) bool {
+		h := r.h
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		slab, _ := h.locate(page)
+		acks := h.rec(page).acked()
+		return h.placedAcks(page, acks) < len(acks) && h.placedAcks(page, acks) < len(h.placements[slab])
+	})
+}
+
+// hotAckCounted (tape 0x405702cc, frozen): a rewrite of hot page 5 misses a
+// placement replica of its slab on a flaky agent, so the page is degraded however
+// many acks the hot holder makes up. The holder is purged, and a repair re-pushes
+// the page to the replica that missed it before the other replica fails and the
+// next repair copies the slab from that one. Where finishWrite counted the
+// holder's ack towards Replicas, the page was never degraded nor re-pushed, and
+// the copy was stale.
+func hotAckCounted() hostTape {
+	tp := hostTape{seed: 0x405702cc, replay: "^TestHostModel$/^0x405702cc$", mode: CallOnly, agents: 3, replicas: 2,
+		depth: 2, slabPages: 1, compress: true, pages: 8}
+	tp.ops = []tapeOp{at(opWritePage, 2), at(opWritePage, 5), flush, at(opReplicateHot, 5), on(opFlaky, 0),
+		at(opWritePage, 0), submit, at(opWritePage, 5), flush, missedByPlacement(5), on(opHeal, 0),
+		on(opPurge, 1), on(opHeal, 1), repair, on(opMarkFailed, 2), repair}
+	return tp
+}
+
+// staleCopyOntoAcked (tape 0x4057055d, frozen): a range rewrite of hot page 7
+// misses a placement replica on a flaky agent and is acked by the other and the
+// hot holder. The other fails, and the repair puts the holder in its place with
+// the stale replica as the only source: the holder keeps its newer bytes. Where
+// copySlabTo copied onto a target in the page's ack set, the holder stayed acked
+// with the stale bytes.
+func staleCopyOntoAcked() hostTape {
+	tp := hostTape{seed: 0x4057055d, replay: "^TestHostModel$/^0x4057055d$", mode: CallOnly, agents: 3,
+		replicas: 2, depth: 1, slabPages: 1, pages: 8}
+	tp.ops = []tapeOp{{kind: opWrite, page: 7, lo: 1773, hi: 1802}, at(opWritePage, 8), flush, at(opReplicateHot, 7),
+		on(opFlaky, 0), {kind: opWrite, page: 7, lo: 1043, hi: 1227}, flush, missedByPlacement(7), on(opHeal, 0),
+		on(opMarkFailed, 2), repair}
+	return tp
 }
 
 // leapSeed is the tape seed LEAP_SEED names, if it is set.
@@ -522,8 +579,11 @@ func TestHostModel(t *testing.T) {
 		return
 	}
 	seen := map[string]bool{}
+	tapes := hostRegressions()
 	for _, seed := range hostCorpus() {
-		tp := drawTape(seed)
+		tapes = append(tapes, drawTape(seed))
+	}
+	for _, tp := range tapes {
 		for _, op := range tp.ops {
 			seen[string(op.kind)] = true
 			if op.kind == opTrigger {
@@ -540,6 +600,9 @@ func TestHostModel(t *testing.T) {
 	}
 	for _, seed := range hostCorpus() {
 		t.Run(fmt.Sprintf("%#x", seed), func(t *testing.T) { runHostModel(t, drawTape(seed)) })
+	}
+	for _, tp := range hostRegressions() {
+		t.Run(fmt.Sprintf("%#x", tp.seed), func(t *testing.T) { runHostModel(t, tp) })
 	}
 }
 
@@ -600,7 +663,8 @@ type hostRun struct {
 	bg      map[string]chan error // steps running on goroutines of their own
 	results map[string]int        // what steps returned, and 1 for a trigger fired
 	trigErr error
-	ooo     []int // each link's OutOfOrder at the last barrier
+	ooo     []int  // each link's OutOfOrder at the last barrier
+	spare   []byte // the buffer the last hand-off gave back, scribbled over
 	// racy: since the last barrier a frame was launched while a goroutine of
 	// the tape's could start one, so that a link's order is their race.
 	racy bool
@@ -624,7 +688,8 @@ type tapeTicket struct {
 	from int
 }
 
-// cutByte is what the tape writes into a detached buffer.
+// cutByte is what the tape writes into a detached buffer, and into the buffer
+// a hand-off gave back.
 const cutByte = 0xA5
 
 func newHostRun(t *testing.T, tape *hostTape) *hostRun {
@@ -697,8 +762,12 @@ func runHostModel(t *testing.T, tape hostTape) {
 			err = fmt.Errorf("still blocked after %v", opTimeout)
 		}
 		if err != nil {
-			t.Fatalf("tape %#x (%s): op %d (%s): %v\nreplay with LEAP_SEED=%#x go test -run '%s' ./internal/remote",
-				tape.seed, strings.Join(tape.axes(), " "), i, ops[i], err, tape.seed, tape.replay)
+			replay := fmt.Sprintf("LEAP_SEED=%#x go test -run '%s'", tape.seed, tape.replay)
+			if strings.Contains(tape.replay, "/") { // a literal tape of TestHostModel's
+				replay = fmt.Sprintf("go test -run '%s'", tape.replay)
+			}
+			t.Fatalf("tape %#x (%s): op %d (%s): %v\nreplay with %s ./internal/remote",
+				tape.seed, strings.Join(tape.axes(), " "), i, ops[i], err, replay)
 		}
 	}
 }
@@ -804,6 +873,14 @@ func (r *hostRun) do(op *tapeOp) error {
 		}
 		t, _, _ := h.WritePageRangeAsync(op.page, r.issue(op.page, op.lo, op.hi), op.lo, op.hi)
 		r.track(op.name, t, op.page, nil)
+	case opHandOff: // the image goes out in the buffer the last hand-off gave back
+		buf := r.spare
+		if buf == nil {
+			buf = make([]byte, PageSize)
+		}
+		copy(buf, r.issue(op.page, op.lo, op.hi))
+		r.spare, _, _ = h.HandOffPageRange(op.page, buf, op.lo, op.hi)
+		copy(r.spare, bytes.Repeat([]byte{cutByte}, PageSize)) // the buffer's next life
 	case opWriteSync:
 		r.racy = r.racy || len(r.bg) > 0
 		err = h.WritePage(op.page, r.issue(op.page, 0, PageSize))
@@ -980,7 +1057,52 @@ func (r *hostRun) standing() error {
 	if h.unacked > len(h.links)*unackedFrames*h.cfg.QueueDepth {
 		return fmt.Errorf("%d pages unacked, over %d frames of %d pages a link", h.unacked, unackedFrames, h.cfg.QueueDepth)
 	}
-	return nil
+	return r.freeListsUnreachable()
+}
+
+// freeListsUnreachable: nothing the host can still reach — a queue, a flight in
+// the air, a page's record — holds a pendingWrite or an image on its free
+// lists, nor does the buffer the tape was handed back. Callers hold h.mu.
+func (r *hostRun) freeListsUnreachable() error {
+	h := r.h
+	free, bufs := map[*pendingWrite]bool{}, map[*byte]bool{}
+	for _, pw := range h.writeFree {
+		free[pw] = true
+	}
+	for _, b := range h.bufFree {
+		bufs[&b[0]] = true
+	}
+	if r.spare != nil && bufs[&r.spare[0]] {
+		return fmt.Errorf("the buffer a hand-off gave back is on the host's free list")
+	}
+	check := func(pw *pendingWrite, where string) error {
+		switch {
+		case pw == nil:
+		case free[pw]:
+			return fmt.Errorf("a write of page %d %s is on the host's free list", pw.page, where)
+		case bufs[&pw.data[0]], r.spare != nil && &pw.data[0] == &r.spare[0]:
+			return fmt.Errorf("the image of a write of page %d %s has been given out", pw.page, where)
+		}
+		return nil
+	}
+	var err error
+	for i, q := range h.queues {
+		for _, e := range q {
+			err = cmp.Or(err, check(e.write, fmt.Sprint("queued for agent ", i)))
+		}
+	}
+	for i := range h.links {
+		for _, f := range h.links[i].flights {
+			for _, e := range f.batch {
+				err = cmp.Or(err, check(e.write, fmt.Sprint("in the air to agent ", i)))
+			}
+		}
+	}
+	h.records.Range(func(_ core.PageID, rec *record) bool {
+		err = cmp.Or(err, check(rec.write, "pending"))
+		return err == nil
+	})
+	return err
 }
 
 // barrier is Flush and the checks it entitles the tape to.
@@ -1112,6 +1234,15 @@ func TestPurgeWhileTicketsInFlight(t *testing.T) { hostSlice(t, 3, "purge") }
 
 // TestRepairOntoHotHolder: a repair's copy onto a hot holder keeps a racing write's bytes.
 func TestRepairOntoHotHolder(t *testing.T) { hostSlice(t, 3, "repair-hot") }
+
+// TestDropHotAfterRepairOntoHolder: a repair that makes a page's hot holder a
+// placement replica takes it out of the hot set, so that a DropHot of the page
+// strips no placement replica from its ack set, on every link mode.
+func TestDropHotAfterRepairOntoHolder(t *testing.T) {
+	for _, mode := range modelModes {
+		hostSlice(t, 1, "repair-hot", func(tp *hostTape) { tp.mode = mode })
+	}
+}
 
 // TestRecoverDuringRepair: MarkRecovered inside a repair pass leaves it whole.
 func TestRecoverDuringRepair(t *testing.T) {

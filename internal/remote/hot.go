@@ -231,8 +231,32 @@ func (h *Host) HotHolders(page core.PageID) []int {
 	return slices.Clone(h.hot[page])
 }
 
-// dropAgentFromHotLocked removes agent idx from every hot holder set — the
-// scrub shared by PurgeAgent and slab migration. A page whose hot set
+// scrubHot takes out of the hot sets of slab's pages the agents of its
+// placement — a holder that became a replica by repair or migration holds a
+// full placement copy now, not an extra one (DropHot would strip it from the
+// ack set) — and the agents of gone, whose copies are being freed. Callers
+// hold h.mu and have installed the slab's new placement.
+func (h *Host) scrubHot(slab SlabID, gone []int) {
+	if len(h.hot) == 0 {
+		return
+	}
+	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
+	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
+		if holders, ok := h.hot[page]; ok {
+			rest := slices.DeleteFunc(slices.Clone(holders), func(r int) bool {
+				return slices.Contains(gone, r) || slices.Contains(h.placements[slab], r)
+			})
+			if len(rest) == 0 {
+				delete(h.hot, page)
+			} else {
+				h.hot[page] = rest
+			}
+		}
+	}
+}
+
+// dropAgentFromHotLocked removes agent idx from every hot holder set —
+// PurgeAgent's scrub (slab moves use scrubHot). A page whose hot set
 // empties is demoted (its entry is deleted); the ack-set scrub is the
 // caller's responsibility (purge and migration already handle acked).
 // Callers hold h.mu.

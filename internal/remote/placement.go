@@ -264,20 +264,8 @@ func (h *Host) migrateSlab(slab SlabID, current, desired []int) error {
 				delete(h.degraded, page)
 			}
 		}
-		if holders, ok := h.hot[page]; ok {
-			// A leaver's slab copy is being freed, and a newcomer's hot copy
-			// is now a full placement replica: neither belongs in the hot
-			// extra set any longer.
-			rest := slices.DeleteFunc(slices.Clone(holders), func(r int) bool {
-				return slices.Contains(leavers, r) || slices.Contains(desired, r)
-			})
-			if len(rest) == 0 {
-				delete(h.hot, page)
-			} else {
-				h.hot[page] = rest
-			}
-		}
 	}
+	h.scrubHot(slab, leavers) // a leaver's slab copy is being freed
 	leaverTransports := make([]Transport, len(leavers))
 	for i, idx := range leavers {
 		leaverTransports[i] = h.transports[idx]

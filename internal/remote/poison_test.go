@@ -1,16 +1,8 @@
 package remote
 
-// Every test of this package runs with released response buffers poisoned,
-// and lent bytes too, as their loan is given back or revoked: whatever still
-// reads a response through an alias after the host gave its buffer or loan
-// back reads this byte, and the read-your-writes, pipeline and chaos tests,
-// which compare every page with its image, fail.
-const poisonByte = 0xDB
-
-func init() {
-	poisonReleased = func(buf []byte) {
-		for i := range buf {
-			buf[i] = poisonByte
-		}
-	}
-}
+// Every test of this package runs with released buffers poisoned — responses,
+// lent bytes as their loan is given back or revoked, and landed writes' images:
+// whatever still reads one through an alias after the host let it go reads
+// poisonByte, and the read-your-writes, pipeline and chaos tests, which compare
+// every page with its image, fail.
+func init() { PoisonReleased(true) }

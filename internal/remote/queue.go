@@ -226,13 +226,17 @@ type pendingWrite struct {
 	acked    []int
 	lastErr  error
 	lastIdx  int // agent behind lastErr, for the failure's op context
-	ticket   *Ticket
+	// ticket completes with the write's outcome; nil for a handed-off write
+	// (HandOffPageRange) that no ticketed write has superseded, which nobody
+	// waits for and which goes back to the host's free list once it has landed
+	// everywhere (clearBatch).
+	ticket *Ticket
 	// superseded holds tickets of earlier writes to the same page that this
 	// write replaced before the flush; they complete with its outcome.
 	superseded []*Ticket
 	// The usual write goes to two replicas, in a frame each: own is its ticket
 	// and the arrays back replicas, acked and flights, so that the write is one
-	// allocation.
+	// allocation, or none off the free list.
 	own      Ticket
 	replica0 [2]int
 	acked0   [2]int
@@ -370,37 +374,77 @@ func (h *Host) WritePageAsync(page core.PageID, data []byte) *Ticket {
 // backlog rides, needing no doorbell of its own: read frames are in the air
 // over links that move trains, so a stream is running whose next doorbell takes
 // the queued writes along in the same socket write per link, and they are
-// fewer than half the unacked window holds, which is for two trains.
+// fewer than the unacked window holds.
 func (h *Host) WritePageRangeAsync(page core.PageID, data []byte, lo, hi int) (t *Ticket, backlog int, rides bool) {
-	if len(data) != PageSize || lo < 0 || lo >= hi || hi > PageSize {
-		return &Ticket{host: h, done: true,
-			err: fmt.Errorf("remote: WritePageRangeAsync with %d bytes, range [%d,%d), want %d and a range within them",
-				len(data), lo, hi, PageSize)}, 0, false
+	if err := checkWrite(data, lo, hi); err != nil {
+		return &Ticket{host: h, done: true, err: err}, 0, false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stats.AsyncWrites++
-	t = h.writeAsyncLocked(page, data, lo, hi)
-	return t, h.queued, h.flying > 0 && h.queued < unackedFrames*h.cfg.QueueDepth/2 && h.movesTrains()
+	t, _ = h.writeAsyncLocked(page, data, lo, hi, false)
+	return t, h.queued, h.rides()
+}
+
+// HandOffPageRange is WritePageRangeAsync from a caller that is done with data,
+// such as an eviction freeing the page's frame: the host keeps data itself as
+// the write's image instead of a copy and gives back spare, a page buffer of
+// its own, for the caller to use in data's place. (A write that supersedes a
+// queued one in place is copied into that one's image, and spare is data.)
+// There is no ticket: a write that fails on every replica is reported by the
+// next Submit or Flush.
+func (h *Host) HandOffPageRange(page core.PageID, data []byte, lo, hi int) (spare []byte, backlog int, rides bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := checkWrite(data, lo, hi); err != nil {
+		h.keep(err)
+		return data, h.queued, h.rides()
+	}
+	h.stats.AsyncWrites++
+	t, spare := h.writeAsyncLocked(page, data, lo, hi, true)
+	if t != nil { // the write failed before it was queued
+		h.keep(t.err)
+	}
+	return spare, h.queued, h.rides()
+}
+
+// checkWrite validates an asynchronous write's image and range.
+func checkWrite(data []byte, lo, hi int) error {
+	if len(data) != PageSize || lo < 0 || lo >= hi || hi > PageSize {
+		return fmt.Errorf("remote: asynchronous write with %d bytes, range [%d,%d), want %d and a range within them",
+			len(data), lo, hi, PageSize)
+	}
+	return nil
+}
+
+// rides reports whether the write backlog leaves with a running stream's next
+// doorbell (WritePageRangeAsync). Callers hold h.mu.
+func (h *Host) rides() bool {
+	return h.flying > 0 && h.queued < unackedFrames*h.cfg.QueueDepth && h.movesTrains()
 }
 
 // writeAsyncLocked enqueues a write of data (len PageSize) to page, changed
-// within [lo,hi). Callers hold h.mu.
-func (h *Host) writeAsyncLocked(page core.PageID, data []byte, lo, hi int) *Ticket {
-	t, pw := h.newWrite(page, data, lo, hi)
+// within [lo,hi): a copy of data, with a ticket, or data itself, handed off,
+// for the spare it returns. Callers hold h.mu.
+func (h *Host) writeAsyncLocked(page core.PageID, data []byte, lo, hi int, handoff bool) (*Ticket, []byte) {
+	t, pw, spare := h.newWrite(page, data, lo, hi, handoff)
 	if pw != nil {
 		for _, idx := range pw.replicas {
 			h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
 		}
 	}
-	return t
+	return t, spare
 }
 
 // newWrite opens a write of data (len PageSize) to page, changed within
 // [lo,hi), and returns its ticket. A write that needs frames of its own comes
 // back as a pendingWrite too, already the page's dirty entry, for the caller to
-// queue on, or launch at, each of pw.replicas. Callers hold h.mu.
-func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pendingWrite) {
+// queue on, or launch at, each of pw.replicas. A handoff keeps data as the
+// write's image and takes no ticket, and spare is the buffer its caller gets in
+// data's place: data itself where the write was copied after all (it superseded
+// a queued one in place, or failed before it was queued, with a ticket that
+// says why). Callers hold h.mu.
+func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int, handoff bool) (t *Ticket, pw *pendingWrite, spare []byte) {
 	r := h.rec(page)
 	prev := r.dirty()
 	if _, ok := h.wholeNext[page]; ok || (prev != nil && prev.started) {
@@ -416,31 +460,52 @@ func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int) (*Ticket, *pe
 		// replicas hold and this one's from its image, so the union covers
 		// both. A write already cut into a frame cannot take new bytes — the
 		// new write queues behind it below.
-		pw := prev
-		copy(pw.data, data)
-		pw.lo, pw.hi = min(pw.lo, lo), max(pw.hi, hi)
-		pw.superseded = append(pw.superseded, pw.ticket)
-		pw.ticket = &Ticket{host: h, write: pw}
-		return pw.ticket, nil
+		copy(prev.data, data)
+		prev.lo, prev.hi = min(prev.lo, lo), max(prev.hi, hi)
+		if handoff {
+			return nil, nil, data
+		}
+		if prev.ticket != nil {
+			prev.superseded = append(prev.superseded, prev.ticket)
+		}
+		prev.ticket = &Ticket{host: h, write: prev}
+		return prev.ticket, nil, nil
 	}
 	slab, off := h.locate(page)
 	replicas, err := h.placement(slab)
 	if err != nil {
-		return &Ticket{host: h, done: true, err: opError(OpWrite, -1, page, 0, err)}, nil
+		return &Ticket{host: h, done: true, err: opError(OpWrite, -1, page, 0, err)}, nil, data
 	}
-	pw := &pendingWrite{page: page, slab: slab, off: off, data: h.pageBuf(), lo: lo, hi: hi, lastIdx: -1}
-	copy(pw.data, data)
+	pw = h.freshWrite()
+	pw.page, pw.slab, pw.off, pw.lo, pw.hi, pw.lastIdx = page, slab, off, lo, hi, -1
 	pw.replicas = append(pw.replica0[:0], h.writeTargets(page, replicas)...)
 	pw.acked, pw.flights = pw.acked0[:0], pw.flight0[:0]
-	pw.ticket = &pw.own
-	pw.own.host, pw.own.write = h, pw
+	if handoff {
+		pw.data, spare = data, h.pageBuf()
+	} else {
+		pw.data, pw.ticket = h.pageBuf(), &pw.own
+		pw.own.host, pw.own.write = h, pw
+		copy(pw.data, data)
+	}
 	if r == nil {
 		r = h.newRecord(page)
 	}
 	r.write = pw
 	h.queued++
 	h.stats.Writes++
-	return pw.ticket, pw
+	return pw.ticket, pw, spare
+}
+
+// freshWrite takes a zeroed pendingWrite off the free list, or allocates one.
+// Callers hold h.mu.
+func (h *Host) freshWrite() *pendingWrite {
+	n := len(h.writeFree)
+	if n == 0 {
+		return &pendingWrite{}
+	}
+	pw := h.writeFree[n-1]
+	h.writeFree = h.writeFree[:n-1]
+	return pw
 }
 
 // begin marks pw started, the first time a sub-operation of it is cut into a
@@ -576,11 +641,12 @@ func (h *Host) startNext(idx int) (werr error) {
 		batch = append(batch, e)
 		consumed++
 	}
-	// The rest is copied down and the array kept, unless a burst grew it large.
+	// The rest is copied down and the array kept, unless a burst grew it past
+	// the unacked window, which a backlog riding a stream may fill (rides).
 	rest := copy(q, q[consumed:])
 	clear(q[rest:])
 	h.queues[idx] = q[:rest]
-	if rest == 0 && cap(q) > 4*h.cfg.QueueDepth {
+	if rest == 0 && cap(q) > (unackedFrames+trainFrames)*h.cfg.QueueDepth {
 		h.queues[idx] = nil
 	}
 	if len(batch) == 0 { // another goroutine cut the queue while this one made room
@@ -600,6 +666,7 @@ func (h *Host) startNext(idx int) (werr error) {
 	if c, ok := f.pend.(*completed); ok {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
+		h.clearBatch(f)
 		return werr
 	}
 	if isRead {
@@ -757,8 +824,25 @@ func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
 	werr = h.land(f, resp, err)
 	resp.release()
 	f.landed = true
+	h.clearBatch(f)
 	h.landed.Broadcast()
 	return blocked, werr
+}
+
+// clearBatch lets go of a landed flight's operations, and takes back to the
+// free list each handed-off write it was the last to carry: nothing reaches
+// such a write any more — no ticket was handed out for it, its record has
+// moved on (finishWrite), and every other flight that carried it has landed
+// and been cleared before this one. Callers hold h.mu.
+func (h *Host) clearBatch(f *flight) {
+	for _, e := range f.batch {
+		if pw := e.write; pw != nil && pw.ticket == nil && pw.resolved == len(pw.replicas) {
+			*pw = pendingWrite{}
+			h.writeFree = append(h.writeFree, pw)
+		}
+	}
+	clear(f.batch)
+	f.batch = nil
 }
 
 // land applies the outcome of f's round trip to the operations it carried.
@@ -1050,10 +1134,13 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 			delete(h.degraded, pw.page)
 		}
 	}
+	poison(pw.data)
 	h.bufFree = append(h.bufFree, pw.data)
 	pw.data = nil
-	pw.ticket.done = true
-	pw.ticket.err = err
+	if pw.ticket != nil {
+		pw.ticket.done = true
+		pw.ticket.err = err
+	}
 	for _, t := range pw.superseded {
 		t.done = true
 		t.err = err

@@ -200,6 +200,7 @@ func (h *Host) repairOne(slab SlabID, survivors []int) (int, error) {
 	// Install the new replica set: survivors plus the repaired copy.
 	newSet := append(slices.Clone(survivors), target)
 	h.placements[slab] = newSet
+	h.scrubHot(slab, nil)
 	h.slabLoad[target]++
 	h.stats.Repairs++
 	h.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -93,10 +94,26 @@ type bufPool struct {
 	n    int
 }
 
-// poisonReleased, set by this package's tests only, overwrites every released
-// buffer, and a loan's bytes when it is given back or revoked, so that bytes
-// read through an alias kept past release are wrong.
-var poisonReleased func([]byte)
+// poisonByte is what PoisonReleased overwrites a released buffer with.
+const poisonByte = 0xDB
+
+var poisoning atomic.Bool
+
+// PoisonReleased turns on, or off, the overwriting of every buffer the package
+// lets go of — a response buffer, a loan's bytes when it is given back or
+// revoked, the image of a write that has landed everywhere — with poisonByte,
+// so that bytes read through an alias kept past release are wrong. It is for
+// tests: call it while no host is in use.
+func PoisonReleased(on bool) { poisoning.Store(on) }
+
+// poison overwrites buf, just released, while PoisonReleased is on.
+func poison(buf []byte) {
+	if poisoning.Load() {
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
+}
 
 // take removes a buffer from the list: nil when it is empty, or p is nil.
 func (p *bufPool) take() []byte {
@@ -116,9 +133,7 @@ func (p *bufPool) take() []byte {
 
 // put enters buf into the list, or drops it when the list is full.
 func (p *bufPool) put(buf []byte) {
-	if poisonReleased != nil {
-		poisonReleased(buf[:cap(buf)])
-	}
+	poison(buf[:cap(buf)])
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n < len(p.free) && cap(buf) > 0 {
@@ -532,9 +547,7 @@ func (t *TCP) giveBack(resp *Response) {
 // repayLocked moves the receive buffer past the frame whose payload is lent,
 // and clears the loan. Callers hold t.mu and the reader role.
 func (t *TCP) repayLocked(lent []byte) {
-	if poisonReleased != nil {
-		poisonReleased(lent)
-	}
+	poison(lent)
 	_, _ = t.br.Discard(respHeaderSize + len(lent)) // buffered: cannot fail
 	t.loan, t.pinned = nil, false
 }

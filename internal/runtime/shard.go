@@ -190,10 +190,11 @@ func (s *shard) cacheEvicted(page core.PageID) {
 // page cache still references the page, which owns the bytes then) the
 // legacy path runs: dirty bytes go to the remote host through the async
 // ticket engine behind the bounded dirty backlog, and the hook returns true
-// so the engine prices the writeback. The async engine copies bytes on
-// enqueue and keeps them until the replicas have answered, so frames recycle
-// immediately. A clean page that was never
-// written is dropped either way — it re-materializes as zeros for free.
+// so the engine prices the writeback. The host keeps the image until the
+// replicas have answered: a frame about to be freed hands it its buffer
+// uncopied and takes a spare one back (remote.Host.HandOffPageRange), and a
+// frame the page cache still holds has its bytes copied. A clean page that was
+// never written is dropped either way — it re-materializes as zeros for free.
 func (s *shard) evictResident(page core.PageID) bool {
 	f, ok := s.frames.Get(page)
 	if !ok {
@@ -212,11 +213,8 @@ func (s *shard) evictResident(page core.PageID) bool {
 	}
 	if f.dirty {
 		s.written.Put(page, struct{}{})
-		full := s.writeBack(page, f.data, int(f.lo), int(f.hi))
+		f.data = s.writeBack(page, f.data, int(f.lo), int(f.hi), !cached)
 		f.clean() // the image queued is the page's remote one now
-		if full {
-			s.ringWriteback()
-		}
 	}
 	if !cached {
 		s.frames.Delete(page)
@@ -237,35 +235,37 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 		return
 	}
 	s.written.Put(page, struct{}{})
-	full := s.writeBack(page, raw, 0, remote.PageSize) // the tier keeps no hull
+	s.writeBack(page, raw, 0, remote.PageSize, false) // the tier keeps no hull
 	s.eng.QueueWriteback(0, page, s.m.clock.Now())
-	if full {
-		s.ringWriteback()
-	}
-}
-
-// ringWriteback is the eviction doorbell: the queued writebacks leave as
-// frames and the evicting access goes on without waiting for the replicas
-// (§4.3) — the host keeps the images until they have answered, and holds a
-// writer up only at its unacked window. It rings on its own only while no
-// stream's doorbell will do it (writeBack). A writeback that failed on every
-// replica, landed since the last doorbell by whoever came across its frame,
-// is reported here.
-func (s *shard) ringWriteback() {
-	_, err := s.m.host.Submit()
-	s.m.latchWriteback(err)
 }
 
 // writeBack hands the host page's image, dirty within [lo,hi), through the
-// async ticket engine, and reports whether the dirty backlog the enqueue
-// leaves has reached the queue depth and does not ride a stream's next
-// doorbell: time for the caller to ring one.
-func (s *shard) writeBack(page core.PageID, data []byte, lo, hi int) (full bool) {
-	_, backlog, rides := s.m.host.WritePageRangeAsync(page, data, lo, hi)
+// async ticket engine: data itself with give, for the spare buffer returned in
+// its place, or else a copy, and data is returned. Once the dirty backlog has
+// reached the queue depth and does not ride a stream's next doorbell — no
+// stream is running, or the backlog fills the unacked window — it rings the
+// eviction doorbell: the queued writebacks leave as frames and the evicting
+// access goes on without waiting for the replicas (§4.3), the host holding a
+// writer up only at its unacked window. A writeback that failed on every
+// replica, landed since the last doorbell by whoever came across its frame, is
+// reported there.
+func (s *shard) writeBack(page core.PageID, data []byte, lo, hi int, give bool) []byte {
+	host := s.m.host
+	var backlog int
+	var rides bool
+	if give {
+		data, backlog, rides = host.HandOffPageRange(page, data, lo, hi)
+	} else {
+		_, backlog, rides = host.WritePageRangeAsync(page, data, lo, hi)
+	}
 	if s.eng.Recording() {
 		s.nWritebacks++
 	}
-	return backlog >= s.m.qdepth && !rides
+	if backlog >= s.m.qdepth && !rides {
+		_, err := host.Submit()
+		s.m.latchWriteback(err)
+	}
+	return data
 }
 
 // fetchPrefetches is the engine's prefetch-issue hook: the window's pages
