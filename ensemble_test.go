@@ -59,42 +59,6 @@ func TestEnsembleOneArmMatchesFixed(t *testing.T) {
 	}
 }
 
-// TestMemoryEnsembleOffIsIdentical pins the compatibility bar: a runtime
-// without WithEnsemble must be field-for-field identical to the pre-selector
-// runtime, and its Stats.Ensemble block must stay zero.
-func TestMemoryEnsembleOffIsIdentical(t *testing.T) {
-	run := func(extra ...Option) MemoryStats {
-		opts := append([]Option{
-			WithSeed(311), WithCacheCapacity(96), WithQueueDepth(8),
-		}, extra...)
-		mem, err := Open(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mem.Close()
-		cfg := load.Config{Clients: 3, OpsPerClient: 300, PagesPerClient: 48, Seed: 19}
-		res, err := load.Sequential(mem, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := load.VerifyFinal(mem, cfg, res.Streams); err != nil {
-			t.Fatal(err)
-		}
-		return mem.Stats()
-	}
-	base := run()
-	factory := run(WithPrefetcherFactory(func() Prefetcher { return NewLeapPrefetcher(PredictorConfig{}) }))
-	if base != factory {
-		t.Fatalf("WithPrefetcherFactory(leap) diverged from the default runtime:\n%+v\n---\n%+v", base, factory)
-	}
-	if base.Ensemble != (MemoryEnsembleStats{}) {
-		t.Fatalf("ensemble-off run reports selector activity: %+v", base.Ensemble)
-	}
-}
-
 // TestMemoryAdviseDeterminism pins the determinism property: the same seed
 // drives the same advise/write/read interleave to bit-identical Stats and
 // selection histories across runs.

@@ -39,13 +39,6 @@ type Config struct {
 	// period — the background repair daemon whose traffic interferes with
 	// the workload through the shared fabric queues.
 	RepairEvery sim.Duration
-	// QueueDepth selects the datapath: 1 (the default) issues every page
-	// operation synchronously; >1 groups up to QueueDepth operations
-	// through the host's async ticket engine and drains them with one
-	// doorbell per agent (batched wire frames). Fault events still fire
-	// between enqueues, so crashes land while batches are in flight — the
-	// invariants must hold regardless.
-	QueueDepth int
 	// Seed drives everything: workload, placement, fault decisions, fabric
 	// jitter.
 	Seed uint64
@@ -77,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailDetect <= 0 {
 		c.FailDetect = 30 * sim.Microsecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1
 	}
 	return c
 }
@@ -184,8 +174,7 @@ type Cluster struct {
 	rng    *sim.RNG // workload stream
 	fabric *rdma.Fabric
 	host   *remote.Host
-	agents []*remote.Agent // nil entries when transports are external
-	faults []*remote.FaultTransport
+	rig    *Applier
 
 	// Per-op virtual-time cursor, advanced by the transport observer.
 	cursor    sim.Time
@@ -198,43 +187,11 @@ type Cluster struct {
 	buf        []byte
 	ran        bool
 
-	// Elastic state: the RNG feeding fault transports of agents provisioned
-	// mid-run (created lazily off a dedicated seed so static schedules keep
-	// their exact historical RNG streams), the agents drained out of the
-	// pool, and the active gradual-slowdown ramps.
+	// scaleRNG feeds the fault transports of agents provisioned mid-run,
+	// created lazily off a dedicated seed so static schedules keep their
+	// exact historical RNG streams.
 	scaleRNG *sim.RNG
-	drained  map[int]bool
-	ramps    []rampState
-
-	// Batched-mode state (QueueDepth > 1): the open doorbell group, its
-	// per-page bookkeeping, and a read-buffer pool.
-	group       []groupOp
-	groupWrites map[core.PageID]uint32 // page → version queued in this group
-	groupReads  map[core.PageID]bool
-	bufPool     [][]byte
-	doneBuf     []sim.Time
-}
-
-// rampDuration is the virtual time a SlowRamp takes to reach its peak
-// latency; shorter windows simply stop partway up.
-const rampDuration = 1 * sim.Millisecond
-
-// rampState is one in-progress SlowRamp.
-type rampState struct {
-	agent int
-	peak  sim.Duration
-	start sim.Time
-}
-
-// groupOp is one enqueued-but-unflushed operation in batched mode.
-type groupOp struct {
-	page    core.PageID
-	isWrite bool
-	version uint32 // writes: queued version; reads: expected version
-	buf     []byte // reads: destination
-	ticket  *remote.Ticket
-	dirty   bool // read served immediately from a queued write's buffer
-	isNew   bool // writes: page had never been written before
+	doneBuf  []sim.Time
 }
 
 // New builds a cluster of cfg.Agents in-process agents behind fault
@@ -251,9 +208,14 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.agents = agents
+	c.rig.Agents = agents
 	return c, nil
 }
+
+// hostQueueDepth is the chaos host's doorbell depth: one page operation a
+// frame, which every figure built on the harness was measured at (the host's
+// default is 8).
+const hostQueueDepth = 1
 
 // NewWithTransports builds a cluster over caller-supplied transports (e.g.
 // TCP connections to real agent processes), wrapping each in a
@@ -266,34 +228,42 @@ func NewWithTransports(cfg Config, inner []remote.Transport) (*Cluster, error) {
 	}
 	base := sim.NewRNG(cfg.Seed)
 	c := &Cluster{
-		cfg:         cfg,
-		clock:       &sim.Clock{},
-		rng:         base.Fork(1),
-		fabric:      rdma.New(cfg.Fabric, base.Fork(2)),
-		agents:      make([]*remote.Agent, cfg.Agents),
-		faults:      make([]*remote.FaultTransport, cfg.Agents),
-		model:       make(map[core.PageID]*pageState),
-		buf:         make([]byte, remote.PageSize),
-		groupWrites: make(map[core.PageID]uint32),
-		groupReads:  make(map[core.PageID]bool),
+		cfg:    cfg,
+		clock:  &sim.Clock{},
+		rng:    base.Fork(1),
+		fabric: rdma.New(cfg.Fabric, base.Fork(2)),
+		model:  make(map[core.PageID]*pageState),
+		buf:    make([]byte, remote.PageSize),
+	}
+	c.rig = &Applier{
+		Faults:    make([]*remote.FaultTransport, cfg.Agents),
+		Agents:    make([]*remote.Agent, cfg.Agents),
+		Replicas:  cfg.Replicas,
+		Provision: c.provision,
+		Timed: func(f func() error) error {
+			_, _, err := c.timed(f)
+			return err
+		},
+		Now: c.clock.Now,
 	}
 	transports := make([]remote.Transport, cfg.Agents)
 	for i, tr := range inner {
 		ft := remote.NewFaultTransport(i, tr, base.Fork(0x100+uint64(i)))
 		ft.SetObserver(c.observe)
-		c.faults[i] = ft
+		c.rig.Faults[i] = ft
 		transports[i] = ft
 	}
 	host, err := remote.NewHost(remote.HostConfig{
 		SlabPages:  cfg.SlabPages,
 		Replicas:   cfg.Replicas,
-		QueueDepth: cfg.QueueDepth,
+		QueueDepth: hostQueueDepth,
 		Seed:       base.Uint64(),
 	}, transports)
 	if err != nil {
 		return nil, err
 	}
 	c.host = host
+	c.rig.Host = host
 	return c, nil
 }
 
@@ -301,7 +271,7 @@ func NewWithTransports(cfg Config, inner []remote.Transport) (*Cluster, error) {
 func (c *Cluster) Host() *remote.Host { return c.host }
 
 // Faults exposes the per-agent fault transports (for custom scripting).
-func (c *Cluster) Faults() []*remote.FaultTransport { return c.faults }
+func (c *Cluster) Faults() []*remote.FaultTransport { return c.rig.Faults }
 
 // observe charges one transport call to the fabric (or the failure-detect
 // timeout) on the current op's virtual-time cursor. A batched frame is one
@@ -360,7 +330,7 @@ func fresh(buf []byte, page core.PageID, version uint32) bool {
 // bytes is currently reachable.
 func (c *Cluster) holderReachable(st *pageState) bool {
 	for _, idx := range st.holders {
-		if c.faults[idx].Reachable() {
+		if c.rig.Faults[idx].Reachable() {
 			return true
 		}
 	}
@@ -375,166 +345,44 @@ func (c *Cluster) refreshHolders() {
 	}
 }
 
-// apply executes one schedule event at the (already advanced) clock.
+// apply executes one schedule event at the (already advanced) clock. A
+// Repair is the harness's own, so that a barrier is checked; every other
+// event is the Applier's, after which the holder sets are re-derived where
+// the event moved pages.
 func (c *Cluster) apply(e Event) error {
-	if e.Kind != Repair && e.Kind != ScaleUp && (e.Agent < 0 || e.Agent >= len(c.faults)) {
-		return fmt.Errorf("chaos: event %q targets agent %d of %d", e, e.Agent, len(c.faults))
+	if e.Kind == Repair {
+		c.runRepair()
+		return nil
 	}
-	// Fault dimensions compose per-field, so overlapping windows on one
-	// agent (e.g. a flaky phase inside a slow phase) end independently.
-	// Crash and Restart are the exceptions: a crashed process takes its
-	// slowness/flakiness down with it, and a restarted one comes back clean.
-	update := func(agent int, f func(*remote.FaultMode)) {
-		m := c.faults[agent].Mode()
-		f(&m)
-		c.faults[agent].SetMode(m)
+	if err := c.rig.Apply(e); err != nil {
+		return err
 	}
 	switch e.Kind {
-	case Crash:
-		c.faults[e.Agent].SetMode(remote.FaultMode{Crashed: true})
-		return c.host.MarkFailed(e.Agent)
-	case Restart:
-		return c.restart(e.Agent)
-	case Partition:
-		update(e.Agent, func(m *remote.FaultMode) { m.Partitioned = true })
-	case Heal:
-		update(e.Agent, func(m *remote.FaultMode) { m.Partitioned = false })
-	case SlowStart:
-		update(e.Agent, func(m *remote.FaultMode) { m.ExtraLatency = e.Extra })
-	case SlowEnd:
-		c.dropRamp(e.Agent)
-		update(e.Agent, func(m *remote.FaultMode) { m.ExtraLatency = 0 })
-	case SlowRamp:
-		c.dropRamp(e.Agent)
-		c.ramps = append(c.ramps, rampState{agent: e.Agent, peak: e.Extra, start: c.clock.Now()})
-	case FlakyStart:
-		update(e.Agent, func(m *remote.FaultMode) { m.WriteFailProb = e.Prob })
-	case FlakyEnd:
-		update(e.Agent, func(m *remote.FaultMode) { m.WriteFailProb = 0 })
-	case Repair:
-		c.runRepair()
 	case ScaleUp:
-		return c.scaleUp()
+		c.report.ScaleUps++
 	case ScaleDown:
-		return c.scaleDown(e.Agent)
+		c.report.ScaleDowns++
+	case Restart:
+	default:
+		return nil
 	}
+	c.refreshHolders()
 	return nil
 }
 
-// scaleUp provisions a fresh in-process agent at the next free index, adds
-// it to the host's placement pool and rebalances its rendezvous share onto
-// it under virtual-time accounting. The new agent's fault-decision RNG comes
-// from a dedicated stream (seeded off Config.Seed) so provisioning never
-// perturbs the workload, fabric or static-agent streams — static schedules
-// replay bit-identically whether or not the elastic machinery exists.
-func (c *Cluster) scaleUp() error {
-	idx := len(c.faults)
+// provision builds the in-process agent a scale-up adds as agent idx. Its
+// fault-decision RNG comes from a dedicated stream (seeded off Config.Seed)
+// so provisioning never perturbs the workload, fabric or static-agent
+// streams — static schedules replay bit-identically whether or not the
+// elastic machinery exists.
+func (c *Cluster) provision(idx int) (*remote.Agent, *remote.FaultTransport, remote.Transport) {
 	if c.scaleRNG == nil {
 		c.scaleRNG = sim.NewRNG(c.cfg.Seed ^ 0xe1a57ec)
 	}
 	ag := remote.NewAgent(c.cfg.SlabPages, 0)
 	ft := remote.NewFaultTransport(idx, remote.NewInProc(ag), c.scaleRNG.Fork(uint64(idx)))
 	ft.SetObserver(c.observe)
-	c.agents = append(c.agents, ag)
-	c.faults = append(c.faults, ft)
-	if got := c.host.AddAgent(ft); got != idx {
-		return fmt.Errorf("chaos: scale-up expected index %d, host assigned %d", idx, got)
-	}
-	_, _, err := c.timed(func() error {
-		_, rerr := c.host.Rebalance()
-		return rerr
-	})
-	c.refreshHolders()
-	c.report.ScaleUps++
-	return err
-}
-
-// scaleDown gracefully drains agent idx: Retire it out of the rendezvous
-// ranking, Rebalance its slabs onto the survivors (the retiree stays a live
-// copy source throughout, so no fresh copy is ever lost), then PurgeAgent.
-// A drain that would leave fewer live agents than the replication factor is
-// a schedule error.
-func (c *Cluster) scaleDown(idx int) error {
-	if c.drained[idx] {
-		return fmt.Errorf("chaos: scaledown %d: agent already drained", idx)
-	}
-	live := 0
-	for i, ft := range c.faults {
-		if i != idx && !c.drained[i] && !ft.Mode().Crashed {
-			live++
-		}
-	}
-	if live < c.cfg.Replicas {
-		return fmt.Errorf("chaos: scaledown %d would leave %d live agents for %d replicas",
-			idx, live, c.cfg.Replicas)
-	}
-	if err := c.host.Retire(idx); err != nil {
-		return err
-	}
-	_, _, err := c.timed(func() error {
-		_, rerr := c.host.Rebalance()
-		return rerr
-	})
-	if err != nil {
-		// Roll the drain back: the agent still holds everything it held.
-		_ = c.host.Reinstate(idx)
-		return fmt.Errorf("chaos: scaledown %d: rebalance: %w", idx, err)
-	}
-	if _, err := c.host.PurgeAgent(idx); err != nil {
-		return err
-	}
-	if c.drained == nil {
-		c.drained = make(map[int]bool)
-	}
-	c.drained[idx] = true
-	c.refreshHolders()
-	c.report.ScaleDowns++
-	return nil
-}
-
-// dropRamp removes agent idx's active ramp, if any.
-func (c *Cluster) dropRamp(idx int) {
-	for i, r := range c.ramps {
-		if r.agent == idx {
-			c.ramps = append(c.ramps[:i], c.ramps[i+1:]...)
-			return
-		}
-	}
-}
-
-// stepRamps advances every active SlowRamp to the latency its elapsed time
-// calls for: peak × min(1, elapsed/rampDuration). Called once per workload
-// op; with no ramps active it is a no-op, so non-elastic runs are untouched.
-func (c *Cluster) stepRamps() {
-	now := c.clock.Now()
-	for _, r := range c.ramps {
-		frac := float64(now.Sub(r.start)) / float64(rampDuration)
-		if frac > 1 {
-			frac = 1
-		}
-		target := sim.Duration(float64(r.peak) * frac)
-		m := c.faults[r.agent].Mode()
-		if m.ExtraLatency != target {
-			m.ExtraLatency = target
-			c.faults[r.agent].SetMode(m)
-		}
-	}
-}
-
-// restart brings a crashed agent back empty and rejoins it.
-func (c *Cluster) restart(idx int) error {
-	if c.agents[idx] != nil {
-		c.agents[idx].Reset()
-	}
-	if _, err := c.host.PurgeAgent(idx); err != nil {
-		return err
-	}
-	if err := c.host.MarkRecovered(idx); err != nil {
-		return err
-	}
-	c.faults[idx].SetMode(remote.FaultMode{})
-	c.refreshHolders()
-	return nil
+	return ag, ft, ft
 }
 
 // runRepair invokes the host's repair path under virtual-time accounting
@@ -542,7 +390,7 @@ func (c *Cluster) restart(idx int) error {
 // replication factor and page freshness were fully restored.
 func (c *Cluster) runRepair() {
 	healthy := true
-	for _, ft := range c.faults {
+	for _, ft := range c.rig.Faults {
 		m := ft.Mode()
 		if m.Crashed || m.Partitioned || m.WriteFailProb > 0 {
 			healthy = false
@@ -623,120 +471,6 @@ func (c *Cluster) doRead(page core.PageID) {
 	}
 }
 
-// readBuf takes a page buffer off the pool.
-func (c *Cluster) readBuf() []byte {
-	if n := len(c.bufPool); n > 0 {
-		buf := c.bufPool[n-1]
-		c.bufPool = c.bufPool[:n-1]
-		return buf
-	}
-	return make([]byte, remote.PageSize)
-}
-
-// enqueueWrite queues one model-checked write into the open doorbell group.
-// A second write to a page already queued supersedes it (last writer wins),
-// exactly as the host engine promises.
-func (c *Cluster) enqueueWrite(page core.PageID) {
-	st := c.model[page]
-	version := uint32(1)
-	if st != nil {
-		version = st.version + 1
-	}
-	if v, ok := c.groupWrites[page]; ok {
-		version = v + 1
-	}
-	fill(c.buf, page, version)
-	t := c.host.WritePageAsync(page, c.buf)
-	c.group = append(c.group, groupOp{
-		page: page, isWrite: true, version: version, ticket: t, isNew: st == nil,
-	})
-	c.groupWrites[page] = version
-	c.report.Writes++
-}
-
-// enqueueRead queues one model-checked read. A read of a page with a queued
-// write in the same group completes immediately from the dirty buffer
-// (read-your-writes); its expectation is the queued version.
-func (c *Cluster) enqueueRead(page core.PageID) {
-	op := groupOp{page: page, buf: c.readBuf()}
-	if v, ok := c.groupWrites[page]; ok {
-		op.version = v
-		op.dirty = true
-	} else {
-		op.version = c.model[page].version
-	}
-	op.ticket = c.host.ReadPageAsync(page, op.buf)
-	c.group = append(c.group, op)
-	c.groupReads[page] = true
-	c.report.Reads++
-}
-
-// flushGroup rings the doorbell: it drains the host's queues under
-// virtual-time accounting and resolves every queued operation against the
-// model. The whole group shares one measured latency (the ops complete
-// together at doorbell completion); failover counting uses the host's own
-// counter delta across the flush.
-func (c *Cluster) flushGroup() {
-	if len(c.group) == 0 {
-		return
-	}
-	failovers0 := c.host.Stats().Failovers
-	lat, _, _ := c.timed(func() error { return c.host.Flush() })
-
-	// Writes first: bring the model's versions and holder sets up to date
-	// before judging reads.
-	for _, op := range c.group {
-		if !op.isWrite {
-			continue
-		}
-		if err := op.ticket.Err(); err != nil {
-			c.report.WriteFailures++
-			continue
-		}
-		st := c.model[op.page]
-		if st == nil {
-			st = &pageState{}
-			c.model[op.page] = st
-			c.written = append(c.written, op.page)
-		}
-		if op.version > st.version {
-			st.version = op.version
-		}
-		st.holders = c.host.AckedReplicas(op.page)
-		c.report.WriteLatency.Observe(lat)
-	}
-	for _, op := range c.group {
-		if op.isWrite {
-			continue
-		}
-		st := c.model[op.page]
-		err := op.ticket.Err()
-		ok := err == nil && fresh(op.buf, op.page, op.version)
-		switch {
-		case ok:
-			c.report.ReadLatency.Observe(lat)
-		case op.dirty:
-			// A dirty read is served host-locally; it cannot legitimately
-			// miss its own queued bytes.
-			c.report.FreshnessViolations++
-		case st != nil && c.holderReachable(st):
-			c.report.FreshnessViolations++
-		default:
-			c.report.DegradedReads++
-		}
-		c.bufPool = append(c.bufPool, op.buf)
-	}
-	if d := c.host.Stats().Failovers - failovers0; d > 0 {
-		c.report.FailoverReads += d
-		for i := int64(0); i < d; i++ {
-			c.report.FailoverLatency.Observe(lat)
-		}
-	}
-	c.group = c.group[:0]
-	clear(c.groupWrites)
-	clear(c.groupReads)
-}
-
 // Run executes the workload under the schedule and returns the report. The
 // run ends with a full heal + repair barrier and a complete readback, so
 // "zero acked-write losses" is checked against every page ever written.
@@ -757,7 +491,6 @@ func (c *Cluster) Run(sched Schedule) (*Report, error) {
 	}
 	c.ran = true
 	c.report = Report{Schedule: sched.Name}
-	batched := c.cfg.QueueDepth > 1
 	events := sched.sorted()
 	ei := 0
 	for op := 0; op < c.cfg.Ops; op++ {
@@ -765,52 +498,24 @@ func (c *Cluster) Run(sched Schedule) (*Report, error) {
 		next := c.clock.Now().Add(gap)
 		for ei < len(events) && sim.Time(0).Add(events[ei].At) <= next {
 			c.clock.AdvanceTo(sim.Time(0).Add(events[ei].At))
-			// Fault events deliberately land between enqueues — a crash
-			// here hits a batch in flight. Repair is host maintenance, so
-			// it drains the doorbell first.
-			if events[ei].Kind == Repair {
-				c.flushGroup()
-			}
 			if err := c.apply(events[ei]); err != nil {
 				return nil, err
 			}
 			ei++
 		}
 		c.clock.AdvanceTo(next)
-		if len(c.ramps) > 0 {
-			c.stepRamps()
-		}
+		c.rig.stepRamps()
 		if c.cfg.RepairEvery > 0 && c.clock.Now().Sub(c.lastRepair) >= c.cfg.RepairEvery {
-			c.flushGroup()
 			c.runRepair()
 		}
 		c.report.Ops++
 		page := core.PageID(c.rng.Int63n(c.cfg.Pages))
 		if len(c.written) == 0 || c.rng.Float64() < c.cfg.WriteFrac {
-			if !batched {
-				c.doWrite(page)
-			} else {
-				// A write behind a queued wire read of the same page would
-				// make the read's expected version ambiguous (flush order
-				// vs failover order); draining first keeps the model exact.
-				if c.groupReads[page] {
-					c.flushGroup()
-				}
-				c.enqueueWrite(page)
-			}
+			c.doWrite(page)
 		} else {
-			target := c.written[c.rng.Intn(len(c.written))]
-			if !batched {
-				c.doRead(target)
-			} else {
-				c.enqueueRead(target)
-			}
-		}
-		if batched && len(c.group) >= c.cfg.QueueDepth {
-			c.flushGroup()
+			c.doRead(c.written[c.rng.Intn(len(c.written))])
 		}
 	}
-	c.flushGroup()
 	// Drain any schedule tail, then close with a full heal + barrier.
 	for ; ei < len(events); ei++ {
 		c.clock.AdvanceTo(sim.Time(0).Add(events[ei].At))
@@ -818,14 +523,8 @@ func (c *Cluster) Run(sched Schedule) (*Report, error) {
 			return nil, err
 		}
 	}
-	for i, ft := range c.faults {
-		if ft.Mode().Crashed {
-			if err := c.restart(i); err != nil {
-				return nil, err
-			}
-		} else {
-			ft.SetMode(remote.FaultMode{})
-		}
+	if err := c.rig.HealAll(); err != nil {
+		return nil, err
 	}
 	c.runRepair()
 	// Final verification: every page ever acked must read back its last

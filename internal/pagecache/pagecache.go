@@ -170,6 +170,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Len reports the number of resident entries.
 func (c *Cache) Len() int { return c.entries.Len() }
 
+// Pages calls yield for every cached page until yield returns false.
+func (c *Cache) Pages(yield func(PageID) bool) { c.entries.Keys(yield) }
+
 // Contains reports whether page is resident without touching LRU state.
 func (c *Cache) Contains(page PageID) bool {
 	return c.entries.Contains(page)

@@ -160,6 +160,12 @@ func (m *Map[V]) Range(yield func(k core.PageID, v V) bool) {
 	}
 }
 
+// Keys calls yield for every live key, in Range's order, until yield returns
+// false.
+func (m *Map[V]) Keys(yield func(core.PageID) bool) {
+	m.Range(func(k core.PageID, _ V) bool { return yield(k) })
+}
+
 // rehash rebuilds the table, growing when live entries (not tombstones)
 // justify it. Rebuilding walks slots in array order, so layout stays a pure
 // function of the operation history.

@@ -39,6 +39,9 @@ func NewResident(hint int) *Resident {
 // Len reports the number of resident pages.
 func (r *Resident) Len() int { return r.m.Len() }
 
+// Pages calls yield for every resident page until yield returns false.
+func (r *Resident) Pages(yield func(core.PageID) bool) { r.m.Keys(yield) }
+
 // Contains reports residency without touching LRU order.
 func (r *Resident) Contains(page core.PageID) bool { return r.m.Contains(page) }
 

@@ -55,7 +55,9 @@ const (
 	opSlow          opKind = "slow"       // hint agent link slow (SetAgentSlow), or with clear no longer
 	opMarkFailed    opKind = "mark-failed"
 	opMarkRecovered opKind = "mark-recovered"
-	opPurge         opKind = "purge" // agent link is partitioned, loses its memory (Agent.Reset) and is purged
+	opPurge         opKind = "purge"   // agent link is partitioned, loses its memory (Agent.Reset) and is purged
+	opCrash         opKind = "crash"   // agent link's process dies (FaultMode.Crashed) and the host is told (MarkFailed)
+	opRestart       opKind = "restart" // agent link comes back empty: Agent.Reset, PurgeAgent, MarkRecovered
 	opRepair        opKind = "repair"
 	opRebalance     opKind = "rebalance"
 	opRetire        opKind = "retire"
@@ -68,7 +70,7 @@ const (
 // opKinds is every kind of step; the corpus must take each.
 var opKinds = []opKind{opWrite, opHandOff, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
 	opSubmit, opFlush, opFlushBG, opWait, opHold, opRelease, opPump, opTrigger, opPartition, opFlaky, opHeal,
-	opSlow, opMarkFailed, opMarkRecovered, opPurge, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot,
+	opSlow, opMarkFailed, opMarkRecovered, opPurge, opCrash, opRestart, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot,
 	opDropHot, opExpect}
 
 type tapeOp struct {
@@ -275,6 +277,38 @@ var scenarios = map[string]scenario{
 			b.add(on(opMarkFailed, v), repair, flush)
 		}
 		b.add(on(opHeal, v), on(opMarkRecovered, v), repair, rebal, flush)
+	}},
+	// An agent crashes with frames to it in the air, or on a link that
+	// finishes what it starts queued, and the host is told; traffic goes on
+	// around it, and it restarts empty, to be repaired onto.
+	"crash": {replicated, func(b *tapeBuilder) {
+		v, held := b.agent(), split(b.tp)
+		if held {
+			b.add(b.hold())
+		}
+		b.writes(2 + b.rng.Intn(4))
+		if held {
+			b.reads(b.rng.Intn(3))
+			b.add(submit)
+		}
+		b.add(on(opCrash, v))
+		if held && b.rng.Intn(2) == 0 {
+			// It restarts with the frames still in the air, which the purge
+			// lands first: an ack of its old memory must not outlive it.
+			b.add(on(opPump, -1), on(opRestart, v), b.release(), flush)
+			b.traffic(6)
+			b.add(repair, rebal, flush)
+			return
+		}
+		if held {
+			b.add(b.release())
+		}
+		b.traffic(6)
+		b.add(flush)
+		if spare(b.tp) {
+			b.add(repair, flush)
+		}
+		b.add(on(opRestart, v), repair, rebal, flush)
 	}},
 	// A hot copy, its slab migrated off a retired agent, the copy dropped.
 	"hot": {spare, func(b *tapeBuilder) {
@@ -965,15 +999,21 @@ func (r *hostRun) do(op *tapeOp) error {
 		if op.kind == opPurge { // which must drop the agent from every placement it is in
 			r.agents[op.link].Reset()
 			s.purged = true
-			h.mu.Lock()
-			placed := len(slices.DeleteFunc(slices.Collect(maps.Values(h.placements)), func(reps []int) bool {
-				return !slices.Contains(reps, op.link)
-			}))
-			h.mu.Unlock()
-			if n, e := h.PurgeAgent(op.link); e != nil || n != placed {
-				err = fmt.Errorf("PurgeAgent dropped %d of its %d placements (%v)", n, placed, e)
-			}
+			err = r.purge(op.link)
 		}
+	case opCrash:
+		r.faults[op.link].SetMode(FaultMode{Crashed: true})
+		if !s.down {
+			s.down, s.since = true, r.written
+		}
+		s.failed, err = true, h.MarkFailed(op.link)
+	case opRestart:
+		r.agents[op.link].Reset()
+		if err = r.purge(op.link); err == nil {
+			err = h.MarkRecovered(op.link)
+		}
+		r.faults[op.link].SetMode(FaultMode{})
+		*s = agentState{retired: s.retired}
 	case opFlaky:
 		s.flaky = true
 		r.faults[op.link].SetMode(FaultMode{WriteFailProb: 0.5})
@@ -1007,6 +1047,21 @@ func (r *hostRun) do(op *tapeOp) error {
 	}
 	r.trig.Store(nil) // a trigger is armed for the step after it alone
 	return err
+}
+
+// purge has the host purge agent idx, which must drop it from every placement
+// it is in.
+func (r *hostRun) purge(idx int) error {
+	h := r.h
+	h.mu.Lock()
+	placed := len(slices.DeleteFunc(slices.Collect(maps.Values(h.placements)), func(reps []int) bool {
+		return !slices.Contains(reps, idx)
+	}))
+	h.mu.Unlock()
+	if n, err := h.PurgeAgent(idx); err != nil || n != placed {
+		return fmt.Errorf("PurgeAgent dropped %d of its %d placements (%v)", n, placed, err)
+	}
+	return nil
 }
 
 // pick is the pumps' release order.

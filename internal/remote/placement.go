@@ -240,6 +240,7 @@ func (h *Host) migrateSlab(slab SlabID, current, desired []int) error {
 	h.placements[slab] = slices.Clone(desired)
 	for _, idx := range desired {
 		if !slices.Contains(current, idx) {
+			h.joinWrites(slab, idx)
 			h.slabLoad[idx]++
 		}
 	}

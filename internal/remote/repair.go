@@ -200,6 +200,7 @@ func (h *Host) repairOne(slab SlabID, survivors []int) (int, error) {
 	// Install the new replica set: survivors plus the repaired copy.
 	newSet := append(slices.Clone(survivors), target)
 	h.placements[slab] = newSet
+	h.joinWrites(slab, target)
 	h.scrubHot(slab, nil)
 	h.slabLoad[target]++
 	h.stats.Repairs++
@@ -239,6 +240,21 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 		}
 	}
 	return nil
+}
+
+// joinWrites has the writes of slab still pending go to target too, now in its
+// placement: each was cut for the replicas the slab had when it was issued,
+// and landing on those alone would leave its page degraded past the repair or
+// migration that added target. target's copy of the page is done by now, so
+// the write reaches it after the copy. Callers hold h.mu.
+func (h *Host) joinWrites(slab SlabID, target int) {
+	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
+	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
+		if pw := h.rec(page).dirty(); pw != nil && !slices.Contains(pw.replicas, target) {
+			pw.replicas = append(pw.replicas, target)
+			h.queues[target] = append(h.queues[target], queueEntry{write: pw})
+		}
+	}
 }
 
 // repushDegraded walks the pages whose latest write is under-acknowledged

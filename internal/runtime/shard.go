@@ -609,54 +609,57 @@ func (s *shard) unwindDemand(pg core.PageID, f *frame, advance sim.Duration, err
 // CheckShardInvariants verifies that every stripe's resident set is within
 // its budget — so the whole set is within WithCacheCapacity — and the
 // single-owner contract of the sharded fault path over every page in
-// [0, span): a page may appear in a shard's
-// residency set, page cache, frame table, written set, faulting set or
-// compressed tier only if that shard owns the page's stripe — which implies
-// no page is resident (or cached, or sealed) in two shards at once. Within the owning stripe it additionally verifies
+// [0, span): a page may appear in a shard's residency set, page cache, frame
+// table, written set, faulting set or compressed tier only if that shard owns
+// the page's stripe — which implies no page is resident (or cached, or sealed)
+// in two shards at once. Within the owning stripe it additionally verifies
 // exclusivity between the compressed tier and the live fault path: a sealed
 // page must not simultaneously be resident, cached or hold a frame (Take is
-// exclusive, seal happens only after the frame is dropped). It is a test
-// hook: call it only while no operations are in flight. The first violation
-// found is returned; nil means the invariants hold across the span.
+// exclusive, seal happens only after the frame is dropped). It walks what each
+// stripe holds, not the span. It is a test hook: call it only while no
+// operations are in flight. The first violation found is returned; nil means
+// the invariants hold across the span.
 func (m *Memory) CheckShardInvariants(span core.PageID) error {
 	for _, s := range m.shards {
 		s.mu.Lock()
-		if n := s.res.Len(); int64(n) > s.res.Limit {
-			s.mu.Unlock()
-			return fmt.Errorf("leap: shard %d holds %d resident pages over its budget of %d", s.idx, n, s.res.Limit)
-		}
-		for pg := core.PageID(0); pg < span; pg++ {
-			if m.shardFor(pg) == s {
-				if s.ztier != nil && s.ztier.Contains(pg) &&
-					(s.res.Contains(pg) || s.eng.Cache().Contains(pg) || s.frames.Contains(pg)) {
-					s.mu.Unlock()
-					return fmt.Errorf("leap: page %d is sealed in shard %d's compressed tier while also live in its fault path",
-						pg, s.idx)
-				}
-				continue
-			}
-			var where string
-			switch {
-			case s.res.Contains(pg):
-				where = "residency set"
-			case s.eng.Cache().Contains(pg):
-				where = "page cache"
-			case s.frames.Contains(pg):
-				where = "frame table"
-			case s.written.Contains(pg):
-				where = "written set"
-			case s.faulting.Contains(pg):
-				where = "faulting set"
-			case s.ztier != nil && s.ztier.Contains(pg):
-				where = "compressed tier"
-			default:
-				continue
-			}
-			s.mu.Unlock()
-			return fmt.Errorf("leap: page %d found in shard %d's %s (owner is shard %d of %d)",
-				pg, s.idx, where, uint64(pg)&m.mask, len(m.shards))
-		}
+		err := s.checkInvariants(span)
 		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkInvariants is CheckShardInvariants for one stripe. Callers hold s.mu.
+func (s *shard) checkInvariants(span core.PageID) error {
+	if n := s.res.Len(); int64(n) > s.res.Limit {
+		return fmt.Errorf("leap: shard %d holds %d resident pages over its budget of %d", s.idx, n, s.res.Limit)
+	}
+	type set struct {
+		where string
+		pages func(func(core.PageID) bool)
+	}
+	sets := []set{{"residency set", s.res.Pages}, {"page cache", s.eng.Cache().Pages}, {"frame table", s.frames.Keys},
+		{"written set", s.written.Keys}, {"faulting set", s.faulting.Keys}}
+	if s.ztier != nil {
+		sets = append(sets, set{"compressed tier", s.ztier.Pages})
+	}
+	for _, set := range sets {
+		for pg := range set.pages {
+			if pg < span && s.m.shardFor(pg) != s {
+				return fmt.Errorf("leap: page %d found in shard %d's %s (owner is shard %d of %d)",
+					pg, s.idx, set.where, uint64(pg)&s.m.mask, len(s.m.shards))
+			}
+		}
+	}
+	if s.ztier != nil {
+		for pg := range s.ztier.Pages {
+			if pg < span && (s.res.Contains(pg) || s.eng.Cache().Contains(pg) || s.frames.Contains(pg)) {
+				return fmt.Errorf("leap: page %d is sealed in shard %d's compressed tier while also live in its fault path",
+					pg, s.idx)
+			}
+		}
 	}
 	return nil
 }

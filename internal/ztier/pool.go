@@ -86,6 +86,9 @@ func (p *Pool) Len() int { return p.idx.Len() }
 // UsedBytes reports the current budget charge.
 func (p *Pool) UsedBytes() int64 { return p.used }
 
+// Pages calls yield for every sealed page until yield returns false.
+func (p *Pool) Pages(yield func(core.PageID) bool) { p.idx.Keys(yield) }
+
 // Contains reports whether page is sealed in the pool.
 func (p *Pool) Contains(page core.PageID) bool { return p.idx.Contains(page) }
 

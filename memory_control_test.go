@@ -14,83 +14,6 @@ import (
 	"leap/internal/sim"
 )
 
-// TestMemoryTransientOutageRecovers pins the failed-demand-fetch unwind: a
-// total outage makes Get return an error (not wedge), the virtual clock
-// still advances by the fault's charged latency (the device model already
-// ran), repeated attempts keep failing cleanly, and once the outage heals
-// the very same page faults through with correct bytes. Read-path failures
-// must not latch the Memory into a permanent error either: Flush stays nil
-// throughout.
-func TestMemoryTransientOutageRecovers(t *testing.T) {
-	const agents = 2
-	faults := make([]*remote.FaultTransport, agents)
-	transports := make([]RemoteTransport, agents)
-	for i := range transports {
-		faults[i] = remote.NewFaultTransport(i, remote.NewInProc(remote.NewAgent(64, 0)), nil)
-		transports[i] = faults[i]
-	}
-	host, err := NewRemoteHost(RemoteHostConfig{SlabPages: 64, Replicas: 2, Seed: 3}, transports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	mem, err := Open(WithRemoteHost(host), WithSeed(11), WithCacheCapacity(16), WithQueueDepth(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-
-	buf := make([]byte, RemotePageSize)
-	for pg := PageID(0); pg < 128; pg++ {
-		fillPage(pg, buf)
-		if _, err := mem.WriteAt(buf, int64(pg)*RemotePageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mem.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Page 0 was evicted long ago (cache holds 16 frames); every replica is
-	// now unreachable, so its demand fetch must fail — and keep failing —
-	// while the clock keeps moving.
-	for i := range faults {
-		faults[i].SetMode(remote.FaultMode{Partitioned: true})
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		before := mem.Now()
-		if _, err := mem.Get(0); err == nil {
-			t.Fatalf("attempt %d: Get(0) succeeded with every replica partitioned", attempt)
-		} else if !strings.Contains(err.Error(), "unreachable") {
-			t.Fatalf("attempt %d: error %q does not name the page unreachable", attempt, err)
-		}
-		if mem.Now() <= before {
-			t.Fatalf("attempt %d: clock did not advance across a failed fault", attempt)
-		}
-	}
-
-	// Heal. The page was never mapped in, so the retry is a clean fault.
-	for i := range faults {
-		faults[i].SetMode(remote.FaultMode{})
-	}
-	got, err := mem.Get(0)
-	if err != nil {
-		t.Fatalf("Get(0) after heal: %v", err)
-	}
-	fillPage(0, buf)
-	if !bytes.Equal(got, buf) {
-		t.Fatal("page 0 corrupted after outage")
-	}
-	// The outage was read-only trouble: nothing may have latched.
-	if err := mem.Flush(); err != nil {
-		t.Fatalf("flush after read-only outage: %v", err)
-	}
-	st := mem.Stats()
-	if st.Control.Enabled {
-		t.Fatal("control stats enabled without WithControlPlane")
-	}
-}
-
 // TestMemoryConcurrentSlowReplica pins the head-of-line fix in the prefetch
 // path: with one replica serving and batch reads failing, a demand fetch
 // stuck on the wire must not hold the fault-path lock — other clients'

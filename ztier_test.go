@@ -7,47 +7,6 @@ import (
 	"leap/internal/remote"
 )
 
-// TestMemoryZtierOffIsIdentical pins the compatibility bar: explicitly
-// disabling the tier and wire compression must be indistinguishable —
-// equal Stats block, field for field — from a runtime that never heard of
-// them. This is what keeps every pre-tier figure byte-identical.
-func TestMemoryZtierOffIsIdentical(t *testing.T) {
-	run := func(extra ...Option) MemoryStats {
-		opts := append([]Option{
-			WithSeed(311), WithCacheCapacity(96), WithQueueDepth(8),
-		}, extra...)
-		mem, err := Open(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mem.Close()
-		cfg := load.Config{Clients: 3, OpsPerClient: 300, PagesPerClient: 48, Seed: 19}
-		res, err := load.Sequential(mem, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := load.VerifyFinal(mem, cfg, res.Streams); err != nil {
-			t.Fatal(err)
-		}
-		return mem.Stats()
-	}
-	base := run()
-	off := run(WithCompressedTier(0), WithWireCompression(false))
-	if base != off {
-		t.Fatalf("tier-off runtime diverged from default:\n%+v\n---\n%+v", base, off)
-	}
-	if base.Evictions == 0 || base.WritebackPages == 0 {
-		t.Fatalf("eviction counters never moved (evictions=%d writebacks=%d) — the satellite counters are dead",
-			base.Evictions, base.WritebackPages)
-	}
-	if base.Ztier != (MemoryZtierStats{}) {
-		t.Fatalf("tier-off run reports tier activity: %+v", base.Ztier)
-	}
-}
-
 // TestMemoryWireCompressionIntegrity checks the on-wire leg end to end.
 // Phase one: the stamped (incompressible) load must survive compressed
 // batch frames exactly — stored-fallback framing, worst case for the
