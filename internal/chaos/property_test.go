@@ -156,17 +156,29 @@ func TestPropertyCasesAreNotVacuous(t *testing.T) {
 }
 
 // TestRandomScheduleRoundTrips checks that generated schedules — whose
-// event times have nanosecond precision — and the shipped elastic ones
-// survive String→Parse exactly, so a printed failing schedule is a faithful
-// reproduction.
+// event times have nanosecond precision — survive String→Parse exactly, so a
+// printed failing schedule is a faithful reproduction.
 func TestRandomScheduleRoundTrips(t *testing.T) {
+	roundTrips(t, GenConfig{Agents: 4, Horizon: 10 * sim.Millisecond, MaxWindows: 4})
+}
+
+// TestElasticScheduleRoundTrips extends the round trip to elastic schedules,
+// whose grammar adds the agentless scaleup verb and the slowramp latency
+// parameter, and to the shipped elastic library.
+func TestElasticScheduleRoundTrips(t *testing.T) {
+	roundTrips(t, GenConfig{Agents: 5, Horizon: 10 * sim.Millisecond, MaxWindows: 5, Elastic: true},
+		ElasticLibrary(10*sim.Millisecond)...)
+}
+
+// roundTrips re-parses the printed form of g's schedules for seeds 0–49 and
+// of extra, and fails on the first that does not come back event for event.
+func roundTrips(t *testing.T, g GenConfig, extra ...Schedule) {
+	t.Helper()
 	var scheds []Schedule
 	for seed := uint64(0); seed < 50; seed++ {
-		scheds = append(scheds,
-			RandomSchedule(seed, GenConfig{Agents: 4, Horizon: 10 * sim.Millisecond, MaxWindows: 4}),
-			RandomSchedule(seed, GenConfig{Agents: 5, Horizon: 10 * sim.Millisecond, MaxWindows: 5, Elastic: true}))
+		scheds = append(scheds, RandomSchedule(seed, g))
 	}
-	for _, s := range append(scheds, ElasticLibrary(10*sim.Millisecond)...) {
+	for _, s := range append(scheds, extra...) {
 		again, err := Parse(s.Name, s.String())
 		if err != nil {
 			t.Fatalf("%s: re-parse: %v\n%s", s.Name, err, s)

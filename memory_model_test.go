@@ -360,7 +360,7 @@ func memCorpus() []uint64 {
 
 // memRegressions are TestMemoryModel's literal tapes, each run by name.
 func memRegressions() []memTape {
-	return []memTape{allReplicasDown(), agentCrashRepair(), queuedThroughRepair()}
+	return []memTape{agentCrashRepair(), queuedThroughRepair()}
 }
 
 // TestMemoryModel plays the corpus and the literal tapes, after checking that
@@ -610,12 +610,19 @@ func fault(k chaos.Kind, agent int) memStep {
 	return memStep{op: mFault, event: chaos.Event{Kind: k, Agent: agent}}
 }
 
+// TestMemoryAllReplicasDown plays the all-down tape with one frame in flight
+// a link.
+func TestMemoryAllReplicasDown(t *testing.T) { runMemTape(t, allReplicasDown(1)) }
+
+// TestMemoryTransientOutageRecovers plays the all-down tape with four.
+func TestMemoryTransientOutageRecovers(t *testing.T) { runMemTape(t, allReplicasDown(4)) }
+
 // allReplicasDown: both agents, and so every replica of every slab, are
 // partitioned: a demand read of an evicted page fails, names the page
 // unreachable and advances the clock, attempt after attempt; the outage was
 // read-only trouble, so Flush stays nil; healed, every page reads back intact.
-func allReplicasDown() memTape {
-	tp := memTape{name: "all-replicas-down", seed: 3, link: "inproc", agents: 2, shards: 1, depth: 4, capacity: 16,
+func allReplicasDown(depth int) memTape {
+	tp := memTape{name: "all-replicas-down", seed: 3, link: "inproc", agents: 2, shards: 1, depth: depth, capacity: 16,
 		load: load.Config{Clients: 1, PagesPerClient: 1}}
 	for i := range 128 {
 		tp.steps = append(tp.steps, memStep{op: mWrite, page: tp.dataPage(i)})
@@ -857,7 +864,7 @@ func playMemTape(t *testing.T, tape *memTape, off bool) MemoryStats {
 		t.Helper()
 		replay := fmt.Sprintf("LEAP_SEED=%#x go test -run '%s' .", tape.seed, tape.replay)
 		if tape.name != "" {
-			replay = fmt.Sprintf("go test -run '^TestMemoryModel$/^%s$' .", tape.name)
+			replay = fmt.Sprintf("go test -run '^%s$' .", strings.ReplaceAll(t.Name(), "/", "$/^"))
 		}
 		t.Fatalf("%s\ntape %#x: step %d (%s): %v\nreplay with %s", tape, tape.seed, i, step, err, replay)
 	}
