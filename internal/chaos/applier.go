@@ -102,6 +102,17 @@ func (a *Applier) Apply(e Event) error {
 	return nil
 }
 
+// Healthy reports whether every agent is up, reachable and takes every write:
+// a repair then must succeed and leave nothing under-replicated.
+func (a *Applier) Healthy() bool {
+	for _, ft := range a.Faults {
+		if m := ft.Mode(); m.Crashed || m.Partitioned || m.WriteFailProb > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // restart brings a crashed agent back empty and rejoins it.
 func (a *Applier) restart(idx int) error {
 	if a.Agents[idx] != nil {

@@ -389,14 +389,7 @@ func (c *Cluster) provision(idx int) (*remote.Agent, *remote.FaultTransport, rem
 // and, when the whole cluster is healthy (a barrier), asserts that the
 // replication factor and page freshness were fully restored.
 func (c *Cluster) runRepair() {
-	healthy := true
-	for _, ft := range c.rig.Faults {
-		m := ft.Mode()
-		if m.Crashed || m.Partitioned || m.WriteFailProb > 0 {
-			healthy = false
-			break
-		}
-	}
+	healthy := c.rig.Healthy()
 	var repaired int
 	lat, _, err := c.timed(func() error {
 		var rerr error

@@ -120,6 +120,9 @@ type memTape struct {
 	steps                      []memStep
 	dataPages, storeOps, loads int    // a draw's
 	name                       string // a literal tape's
+	// offReplay replays the tape with every option it leaves off given
+	// explicitly off; the two runs' Stats must be equal.
+	offReplay bool
 }
 
 func onOff(b bool) string { return map[bool]string{false: "off", true: "on"}[b] }
@@ -378,7 +381,6 @@ func TestMemoryModel(t *testing.T) {
 		for _, a := range tp.axes() {
 			seen[a] = true
 		}
-		seen["off replay"] = seen["off replay"] || tp.replaysOff()
 		for _, s := range tp.steps {
 			seen[string(s.op)] = true
 			if s.op == mFault {
@@ -391,8 +393,8 @@ func TestMemoryModel(t *testing.T) {
 	}
 	// Every link, stripe count and depth, both values of six on/off axes,
 	// every step, the kinds of fault that act on a Memory's host, a fault
-	// during a load, and a tape replayed with its options off.
-	want := []string{"fault during a load", "off replay"}
+	// during a load.
+	want := []string{"fault during a load"}
 	for _, l := range memLinks {
 		want = append(want, "link="+l)
 	}
@@ -483,11 +485,21 @@ func withTier(tp *memTape) { tp.tierPages = max(tp.tierPages, 32) }
 
 func shards(n int) func(*memTape) { return func(tp *memTape) { tp.shards = n } }
 
-// crashRestart runs the shipped crash → repair → restart → repair schedule on
-// in-process agents behind fault transports.
+// crashRestart crashes agent 0 of four in-process agents, repairs, restarts it
+// empty and repairs again, at 15, 40, 57 and 66 % of the tape, under the least
+// budget a draw takes and no tier, so that writebacks have placed slabs on it
+// before it crashes; a closing check wants a trace of the crash: slabs it held
+// re-replicated, reads failed over past it, or calls to it failed.
 func crashRestart(tp *memTape) {
-	tp.link, tp.agents = "inproc", 4
-	tp.sched, _ = chaos.Scenario("crash-restart", faultHorizon)
+	tp.link, tp.agents, tp.capacity, tp.tierPages = "inproc", 4, 32, 0
+	tp.sched, _ = chaos.Parse("crash-repair-restart", "1500µs crash 0\n4ms repair\n5700µs restart 0\n6600µs repair")
+	tp.steps = append(tp.steps, memStep{op: mExpect, what: "the crash of agent 0 left a trace", check: func(r *memRun) error {
+		_, injected := r.rig.Faults[0].Stats()
+		if st := r.host.Stats(); injected == 0 && st.Failovers == 0 && st.Repairs == 0 {
+			return errors.New("no slab re-replicated, no failovers, no injected failures")
+		}
+		return nil
+	}})
 }
 
 // TestMemoryReadYourWritesProperty: on one goroutine and one stripe, every
@@ -510,18 +522,26 @@ func TestMemoryShardedInvariantsProperty(t *testing.T) {
 	modelSlice(t, 2, oneGoroutine, func(tp *memTape) { tp.shards = max(tp.shards, 4) })
 }
 
+// offReplay pins a tape to the private cluster on one goroutine with no
+// control plane, where it is deterministic, and replays it with the options it
+// leaves off given explicitly off.
+func offReplay(tp *memTape) {
+	oneGoroutine(tp)
+	tp.link, tp.control, tp.offReplay = "private", false, true
+}
+
 // TestMemoryZtierOffIsIdentical: tapes with no tier nor wire compression
 // replay with WithCompressedTier(0) and WithWireCompression(false) to equal
 // Stats, and report no tier activity.
 func TestMemoryZtierOffIsIdentical(t *testing.T) {
-	modelSlice(t, 2, oneGoroutine, func(tp *memTape) { tp.link, tp.control, tp.tierPages, tp.wire = "private", false, 0, false })
+	modelSlice(t, 2, offReplay, func(tp *memTape) { tp.tierPages, tp.wire = 0, false })
 }
 
 // TestMemoryEnsembleOffIsIdentical: tapes with no ensemble replay with
 // WithPrefetcherFactory(leap) to equal Stats, and report no selector
 // activity.
 func TestMemoryEnsembleOffIsIdentical(t *testing.T) {
-	modelSlice(t, 2, oneGoroutine, func(tp *memTape) { tp.link, tp.control, tp.ensemble = "private", false, false })
+	modelSlice(t, 2, offReplay, func(tp *memTape) { tp.ensemble = false })
 }
 
 // TestMemoryConcurrentStress: goroutines through per-client handles on one
@@ -573,11 +593,23 @@ func TestMemoryShardedChaosCrashRepair(t *testing.T) {
 	modelSlice(t, 1, onGoroutines, shards(4), crashRestart)
 }
 
+// outages is a schedule that partitions agent 0 n times, each time for one
+// (2n+1)th of the tape, and repairs nothing: the agent misses writes while it
+// is out and must be sent whole pages when it is back.
+func outages(n int) chaos.Schedule {
+	s, gap := chaos.Schedule{Name: fmt.Sprintf("%d-outages", n)}, faultHorizon/sim.Duration(2*n+1)
+	for k := range sim.Duration(n) {
+		s.Events = append(s.Events, chaos.Event{At: (2*k + 1) * gap, Kind: chaos.Partition}, chaos.Event{At: (2*k + 2) * gap, Kind: chaos.Heal})
+	}
+	return s
+}
+
 // TestStoreModel: stores of random sizes read back against the page map on one
 // goroutine, under a budget that turns nearly every access into an eviction —
 // dirty hulls written back as ranges, refaulted from the dirty backlog and
 // superseded there, through the compressed tier (which keeps no hull) — over 1
-// and 4 stripes, two agents, and every kind of link with fault transports.
+// and 4 stripes, two agents, and every kind of link with fault transports,
+// while the first agent drops out a dozen times and comes back unrepaired.
 func TestStoreModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, tier := range []int{0, 24} {
@@ -585,14 +617,12 @@ func TestStoreModel(t *testing.T) {
 				t.Run(fmt.Sprintf("shards%d/tier%dK/%s", shards, tier*RemotePageSize>>10, link), func(t *testing.T) {
 					modelSlice(t, 1, oneGoroutine, func(tp *memTape) {
 						tp.link, tp.shards, tp.tierPages, tp.agents, tp.capacity, tp.depth = link, shards, tier, 2, 64, 8
-						tp.wire, tp.ensemble, tp.advise, tp.storeOps = false, false, false, 400
+						tp.wire, tp.ensemble, tp.advise, tp.storeOps, tp.sched = false, false, false, 400, outages(12)
 						tp.load.OpsPerClient = 60
-					}, func(tp *memTape) {
 						if tier == 0 {
 							tp.steps = append(tp.steps, memStep{op: mExpect, what: "the tape covered ranges, dirty refaults and supersedes",
 								check: func(r *memRun) error {
-									st := r.mem.Stats().Host
-									if st.RangeWrites == 0 || st.DirtyReads == 0 || st.AsyncWrites == st.Writes {
+									if st := r.mem.Stats().Host; st.RangeWrites == 0 || st.DirtyReads == 0 || st.AsyncWrites == st.Writes {
 										return fmt.Errorf("%+v", st)
 									}
 									return nil
@@ -645,7 +675,18 @@ func allReplicasDown(depth int) memTape {
 				}
 				return nil
 			}},
-		memStep{op: mFlush}, fault(chaos.Heal, 0), fault(chaos.Heal, 1), memStep{op: mRead, page: tp.dataPage(0)})
+		memStep{op: mFlush}, fault(chaos.Heal, 0), fault(chaos.Heal, 1),
+		memStep{op: mExpect, what: "healed, the same Get faults the page in intact",
+			check: func(r *memRun) error {
+				pg, faults := r.tape.dataPage(0), r.mem.Stats().Faults
+				r.accesses++
+				if got, err := r.mem.Get(pg); err != nil || r.mem.Stats().Faults == faults || !bytes.Equal(got, r.images[pg][:]) {
+					return fmt.Errorf("Get of page %d after heal: a fault %v, error %v, bytes intact %v", pg,
+						r.mem.Stats().Faults > faults, err, err == nil && bytes.Equal(got, r.images[pg][:]))
+				}
+				return nil
+			}},
+		memStep{op: mRead, page: tp.dataPage(0)})
 	return tp
 }
 
@@ -837,23 +878,16 @@ func (r *memRun) provision(idx int) (*remote.Agent, *remote.FaultTransport, remo
 }
 
 // runMemTape plays tape, each step followed by the standing checks, and closes
-// it with every fault healed, a repair and the final checks; with the tape
-// replayed with every option it leaves off given explicitly off, where its
-// Stats can be compared.
+// it with every fault healed, a repair and the final checks; then, where the
+// tape asks for it, replays it with every option it leaves off given
+// explicitly off, to equal Stats.
 func runMemTape(t *testing.T, tape memTape) {
 	st := playMemTape(t, &tape, false)
-	if tape.replaysOff() {
+	if tape.offReplay {
 		if off := playMemTape(t, &tape, true); off != st {
 			t.Fatalf("%s\nwith the options it leaves off given explicitly off, the tape's Stats differ:\n%+v\n---\n%+v", &tape, st, off)
 		}
 	}
-}
-
-// replaysOff reports whether the tape is replayed with the options it leaves
-// off given explicitly off: on one goroutine over the private cluster, with
-// no control plane, a tape is deterministic.
-func (tp *memTape) replaysOff() bool {
-	return tp.link == "private" && tp.load.Goroutines == 0 && !tp.control
 }
 
 func playMemTape(t *testing.T, tape *memTape, off bool) MemoryStats {
@@ -926,21 +960,13 @@ func (r *memRun) do(s memStep) error {
 		}
 		// A repair with an agent down may find no spare agent to copy onto;
 		// one with every agent healthy must not fail.
-		if err := r.rig.Apply(s.event); err != nil && (s.event.Kind != chaos.Repair || r.healthy()) {
+		if err := r.rig.Apply(s.event); err != nil && (s.event.Kind != chaos.Repair || r.rig.Healthy()) {
 			return err
 		}
 	case mExpect:
 		return s.check(r)
 	}
 	return nil
-}
-
-// healthy reports whether every agent is reachable and takes every write.
-func (r *memRun) healthy() bool {
-	return !slices.ContainsFunc(r.rig.Faults, func(ft *remote.FaultTransport) bool {
-		m := ft.Mode()
-		return m.Crashed || m.Partitioned || m.WriteFailProb > 0
-	})
 }
 
 // store writes n random bytes at off through client's handle, and into the
