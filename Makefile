@@ -74,7 +74,7 @@ race:
 # of its own: under the race detector it takes about as long as the rest of
 # the root package's list, and each go test binary has its own timeout.
 STRESS_MODEL = TestMemoryModel
-STRESS = TestMemoryTransientOutageRecovers|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestHostModel|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestRepairOntoHotHolder|TestDropHotAfterRepairOntoHolder|TestWritebackHandoffNoAlias|TestReplicateHotRacingWrite|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
+STRESS = TestMemoryTransientOutageRecovers|TestMemoryConcurrent|TestMemoryReadYourWrites|TestMemorySharded|TestSharded|TestSingleFlight|TestMemoryZtier|TestMemoryWireCompression|TestMemoryPlaneSelfHeals|TestMemoryEnsembleStress|TestMemoryAdviseReadYourWritesProperty|TestPipelineDepthFollowsTheLink|TestTCPNoDeadlockWithSmallSocketBuffers|TestResponseBufferNotReusedBeforeLanding|TestLentResponseRevoked|TestHostModel|TestRangeWriteModel|TestStoreModel|TestWriteFramesStayInFlight|TestUnackedWindowBlocksWriter|TestLandingLandsOlderFlightsOfItsLink|TestWriteFailureSurfacesAtNextDoorbell|TestRepushLeavesPageToWriteInFlight|TestRepairOntoHotHolder|TestRepairFinishesItsRound|TestRebalanceOffFailedAgent|TestDropHotAfterRepairOntoHolder|TestWritebackHandoffNoAlias|TestReplicateHotRacingWrite|TestTrainOnTCP|TestIssueMovesInTrains|TestRunAheadCapIsHalfTheBudget|TestDetector|TestAutoscaler|TestHotPageReplication|TestActionStream|TestObserveDuringTick|TestOnActionReentrant|TestScriptedLink
 STRESS_PKGS = . ./internal/runtime ./internal/remote ./internal/control
 stress:
 	$(GO) test -race -count 3 -run '^$(STRESS_MODEL)$$' .

@@ -7,6 +7,7 @@ package leap
 import (
 	"fmt"
 	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -30,6 +31,44 @@ func BenchmarkFigures(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- reference rows ---
+//
+// The box's yardstick, recorded in the same run as every other row: a 4 KB
+// copy (memory bandwidth), an uncontended mutex (atomics) and a fixed-length
+// integer hash loop (the core's clock). A row compared across ledgers
+// recorded on different boxes means something only against these.
+
+func BenchmarkRefCopy4K(b *testing.B) {
+	src, dst := make([]byte, 4096), make([]byte, 4096)
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		copy(dst, src)
+	}
+}
+
+func BenchmarkRefMutex(b *testing.B) {
+	var mu sync.Mutex
+	for i := 0; i < b.N; i++ {
+		mu.Lock()
+		mu.Unlock() //nolint:staticcheck // the empty section is what is timed
+	}
+}
+
+// refSink keeps BenchmarkRefHash's result live.
+var refSink uint64
+
+func BenchmarkRefHash(b *testing.B) {
+	var x uint64
+	for i := 0; i < b.N; i++ {
+		x += uint64(i)
+		for range 64 {
+			x ^= x >> 33
+			x *= 0xff51afd7ed558ccd
+		}
+	}
+	refSink = x
 }
 
 // --- hot-path microbenchmarks ---

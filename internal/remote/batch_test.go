@@ -341,9 +341,9 @@ func TestCoalescedAndDirtyReads(t *testing.T) {
 // TestAsyncFailover: a crashed primary mid-queue must fail reads over to
 // the replica during the flush, like the sync path does.
 func TestAsyncFailover(t *testing.T) {
-	inprocs := []*InProc{NewInProc(NewAgent(8, 0)), NewInProc(NewAgent(8, 0))}
+	faults := []*FaultTransport{NewFaultTransport(0, NewInProc(NewAgent(8, 0)), nil), NewFaultTransport(1, NewInProc(NewAgent(8, 0)), nil)}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 13},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{faults[0], faults[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestAsyncFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[0].SetFailed(true)
+	faults[0].SetMode(FaultMode{Partitioned: true})
 	bufs := make([][]byte, 16)
 	tickets := make([]*Ticket, 16)
 	for p := range bufs {
@@ -374,7 +374,7 @@ func TestAsyncFailover(t *testing.T) {
 		t.Fatal("no failovers recorded — agent 0 held no primaries?")
 	}
 	// Both replicas dead: tickets must carry errors, not hang or panic.
-	inprocs[1].SetFailed(true)
+	faults[1].SetMode(FaultMode{Partitioned: true})
 	buf := make([]byte, PageSize)
 	tk := h.ReadPageAsync(5, buf)
 	if err := tk.Wait(); err == nil {
@@ -478,11 +478,11 @@ func TestRebalanceMovesOnlyTheShare(t *testing.T) {
 // remove-an-agent path; the failed agent's share must migrate to survivors
 // and reads keep working with the failed agent dark.
 func TestRebalanceAfterFailureRestoresPlacement(t *testing.T) {
-	inprocs := make([]*InProc, 4)
+	faults := make([]*FaultTransport, 4)
 	trs := make([]Transport, 4)
 	for i := range trs {
-		inprocs[i] = NewInProc(NewAgent(4, 0))
-		trs[i] = inprocs[i]
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(4, 0)), nil)
+		trs[i] = faults[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: 4, Replicas: 2, Seed: 17}, trs)
 	if err != nil {
@@ -493,7 +493,7 @@ func TestRebalanceAfterFailureRestoresPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[1].SetFailed(true)
+	faults[1].SetMode(FaultMode{Partitioned: true})
 	if err := h.MarkFailed(1); err != nil {
 		t.Fatal(err)
 	}

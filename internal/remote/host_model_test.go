@@ -58,7 +58,7 @@ const (
 	opPurge         opKind = "purge"   // agent link is partitioned, loses its memory (Agent.Reset) and is purged
 	opCrash         opKind = "crash"   // agent link's process dies (FaultMode.Crashed) and the host is told (MarkFailed)
 	opRestart       opKind = "restart" // agent link comes back empty: Agent.Reset, PurgeAgent, MarkRecovered
-	opRepair        opKind = "repair"
+	opRepair        opKind = "repair"  // RepairSlabs; a named one keeps its error for the tape to judge
 	opRebalance     opKind = "rebalance"
 	opRetire        opKind = "retire"
 	opReinstate     opKind = "reinstate"
@@ -339,6 +339,20 @@ var scenarios = map[string]scenario{
 	"repair-hot": {func(tp *hostTape) bool { return tp.agents == 3 && tp.replicas == 2 }, func(b *tapeBuilder) {
 		b.add(repairHot(b.tp, b.name(), b.rng.Intn(b.tp.pages/b.tp.slabPages), b.rng.Intn(2))...)
 	}},
+	// A repair that meets a slab it cannot restore restores the rest.
+	"stranded": {func(tp *hostTape) bool { return tp.agents == 4 && tp.replicas == 2 }, func(b *tapeBuilder) {
+		b.add(strandedRepair(b.tp, b.name())...)
+	}},
+	// An agent failed and its slabs moved off by a rebalance, with no repair
+	// between, then healed, recovered and rebalanced back.
+	"fail-rebalance": {outage, func(b *tapeBuilder) {
+		v := b.agent()
+		b.add(on(opPartition, v))
+		b.traffic(4)
+		b.add(flush, on(opMarkFailed, v), rebal, flush)
+		b.traffic(4)
+		b.add(flush, on(opHeal, v), on(opMarkRecovered, v), rebal, flush)
+	}},
 	// An agent recovers inside the repair that replaces it. A slab a page, so
 	// that the agent holds slabs, and the repair has work.
 	"recover-race": {func(tp *hostTape) bool { return outage(tp) && tp.slabPages == 1 }, func(b *tapeBuilder) {
@@ -426,6 +440,52 @@ func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
 				return !slices.Contains(r.h.rec(page).acked(), a)
 			})
 		}), on(opMarkRecovered, failed), rebal, flush}
+}
+
+// strandedRepair: on four agents, x, slab 0's first replica, is partitioned and
+// failed, and y, its second, partitioned but not marked failed, so that slab
+// 0's only survivor cannot be read: the repair meets an error there, before any
+// other slab. Page d, the first of the first slab neither holds, was rewritten
+// while that slab's second replica was partitioned, so it is degraded with its
+// acked holder live. The repair must still restore every slab it can and
+// re-push d.
+func strandedRepair(tp *hostTape, name string) []tapeOp {
+	ranked := (&Host{cfg: HostConfig{Seed: tp.seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
+	x, y, d := ranked(0, nil)[0], ranked(0, nil)[1], core.PageID(-1)
+	ops := []tapeOp{rebal}
+	for s := range tp.pages / tp.slabPages {
+		if top := ranked(SlabID(s), nil)[:2]; !slices.Contains(top, x) && !slices.Contains(top, y) {
+			d = core.PageID(s * tp.slabPages)
+			ops = append(ops, on(opPartition, top[1]), at(opWriteSync, d), on(opHeal, top[1]))
+			break
+		}
+	}
+	ops = append(ops, on(opPartition, x), on(opMarkFailed, x), on(opPartition, y), named(name, repair),
+		expect("the repair returned an error", func(r *hostRun) bool { return r.errs[name] != nil }),
+		expect("every slab with a reachable survivor and a reachable first choice is back at Replicas", func(r *hostRun) bool {
+			h := r.h
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			down := func(a int) bool { return r.state[a].down }
+			for slab, replicas := range h.placements {
+				live := slices.DeleteFunc(slices.Clone(replicas), func(a int) bool { return h.failed[a] })
+				if len(live) == 0 || len(live) >= h.cfg.Replicas || slices.ContainsFunc(live, down) {
+					continue
+				}
+				holders := map[int]bool{}
+				for _, a := range live {
+					holders[a] = true
+				}
+				if first := h.rendezvousRank(slab, holders); len(first) > 0 && !down(first[0]) {
+					return false
+				}
+			}
+			return true
+		}))
+	if d >= 0 {
+		ops = append(ops, expect("the degraded page was re-pushed", acked(d, 2)))
+	}
+	return append(ops, on(opHeal, y), on(opHeal, x), on(opMarkRecovered, x), repair, rebal, flush)
 }
 
 // tapeBuilder draws steps onto a tape. While held, links are held: no step
@@ -696,6 +756,7 @@ type hostRun struct {
 	cut     []*tapeTicket         // detached, their buffers reused
 	bg      map[string]chan error // steps running on goroutines of their own
 	results map[string]int        // what steps returned, and 1 for a trigger fired
+	errs    map[string]error      // what named repairs returned
 	trigErr error
 	ooo     []int  // each link's OutOfOrder at the last barrier
 	spare   []byte // the buffer the last hand-off gave back, scribbled over
@@ -739,6 +800,7 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 		tickets: map[string]*tapeTicket{},
 		bg:      map[string]chan error{},
 		results: map[string]int{},
+		errs:    map[string]error{},
 	}
 	trs := make([]Transport, n)
 	for i := range trs {
@@ -1031,7 +1093,9 @@ func (r *hostRun) do(op *tapeOp) error {
 	case opReinstate:
 		s.retired, err = false, h.Reinstate(op.link)
 	case opRepair:
-		if r.results[op.name], err = h.RepairSlabs(); err == nil {
+		if r.results[op.name], err = h.RepairSlabs(); op.name != "" {
+			r.errs[op.name], err = err, nil
+		} else if err == nil {
 			err = r.checkRepaired()
 		}
 	case opRebalance:
@@ -1335,6 +1399,14 @@ func recoverOntoAcked(seed uint64) hostTape {
 		}), flush)
 	return tp
 }
+
+// TestRepairFinishesItsRound: a repair that meets a slab whose only survivor
+// cannot be read restores every other slab it can and re-pushes degraded pages.
+func TestRepairFinishesItsRound(t *testing.T) { hostSlice(t, 3, "stranded") }
+
+// TestRebalanceOffFailedAgent: a rebalance moves a failed agent's slabs off it
+// with no repair first, and back once it has recovered.
+func TestRebalanceOffFailedAgent(t *testing.T) { hostSlice(t, 3, "fail-rebalance") }
 
 // TestFlakyTransportWritesSurvive: writes survive a replica failing half of them.
 func TestFlakyTransportWritesSurvive(t *testing.T) { hostSlice(t, 3, "flaky") }

@@ -15,7 +15,7 @@ import (
 func TestDropHotRestoresCertification(t *testing.T) {
 	const slabPages, pages = 8, 64
 	const page = core.PageID(5)
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, faults := buildCluster(t, 4, slabPages, 11)
 	v1, v2 := pageOf(1), pageOf(2)
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -36,7 +36,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	replicas := slices.Clone(h.placements[slab])
 	h.mu.Unlock()
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(true)
+		faults[idx].SetMode(FaultMode{Partitioned: true})
 	}
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
@@ -76,7 +76,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	// Placement heals: the drop now copies the bytes back, re-certifies the
 	// placement replicas, and demotes cleanly.
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(false)
+		faults[idx].SetMode(FaultMode{})
 	}
 	if !h.DropHot(page) {
 		t.Fatal("DropHot refused with placement reachable")
@@ -120,7 +120,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 	const slabPages, pages = 8, 64
 	const page = core.PageID(5)
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, faults := buildCluster(t, 4, slabPages, 11)
 	v2 := pageOf(2)
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -135,13 +135,13 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 	replicas := slices.Clone(h.placements[slab])
 	h.mu.Unlock()
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(true)
+		faults[idx].SetMode(FaultMode{Partitioned: true})
 	}
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
 	// Only one placement replica comes back: the drop restores what it can.
-	inprocs[replicas[0]].SetFailed(false)
+	faults[replicas[0]].SetMode(FaultMode{})
 	if !h.DropHot(page) {
 		t.Fatal("DropHot refused with a reachable placement replica")
 	}
@@ -152,7 +152,7 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 		t.Fatalf("DegradedPages = %d after partial restore, want 1", n)
 	}
 	// Repair finishes the re-push once the other replica heals.
-	inprocs[replicas[1]].SetFailed(false)
+	faults[replicas[1]].SetMode(FaultMode{})
 	if _, err := h.RepairSlabs(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 // one failover.
 func TestHedgeWinIsNotAFailover(t *testing.T) {
 	const slabPages, page = 8, core.PageID(3)
-	inprocs := make([]*InProc, 3)
+	faults := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+	for i := range faults {
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = faults[i]
 	}
 	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
 	if err := h.WritePage(page, pageOf(7)); err != nil {
@@ -200,7 +200,7 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[primary].SetFailed(true)
+	faults[primary].SetMode(FaultMode{Partitioned: true})
 
 	buf := make([]byte, PageSize)
 	if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
@@ -220,11 +220,11 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 // replica, which would return its old bytes as fresh.
 func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
 	const slabPages, pages = 8, 64
-	inprocs := make([]*InProc, 3)
+	faults := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+	for i := range faults {
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = faults[i]
 	}
 	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
 	v1, v2 := pageOf(1), pageOf(2)
@@ -238,11 +238,11 @@ func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
 	h.mu.Unlock()
 
 	// replicas[1] misses the second write: it still holds v1.
-	inprocs[replicas[1]].SetFailed(true)
+	faults[replicas[1]].SetMode(FaultMode{Partitioned: true})
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
-	inprocs[replicas[1]].SetFailed(false)
+	faults[replicas[1]].SetMode(FaultMode{})
 	if err := h.SetAgentSlow(replicas[0], true); err != nil {
 		t.Fatal(err)
 	}

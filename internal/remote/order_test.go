@@ -42,10 +42,10 @@ func (l *callLog) recording(idx int) func(*Request) Verdict {
 // transport calls and ticket outcomes.
 func inlineOrderScenario(t *testing.T) string {
 	log := &callLog{}
-	inner := make([]*InProc, 3)
+	inner := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
 	for i := range trs {
-		inner[i] = NewInProc(NewAgent(16, 0))
+		inner[i] = NewFaultTransport(i, NewInProc(NewAgent(16, 0)), nil)
 		trs[i] = NewScriptedLink(inner[i], CallOnly, nil, log.recording(i)).Transport()
 	}
 	h := newHost(t, HostConfig{SlabPages: 16, Replicas: 2, QueueDepth: 4, Seed: 9}, trs)
@@ -97,7 +97,7 @@ func inlineOrderScenario(t *testing.T) string {
 	outcome("reads", rs)
 
 	// Failover: one agent down, async and sync reads walk to the replica.
-	inner[0].SetFailed(true)
+	inner[0].SetMode(FaultMode{Partitioned: true})
 	rs = rs[:0]
 	for i, pg := range []int{0, 4, 12, 16, 32, 36} {
 		rs = append(rs, h.ReadPageAsync(core.PageID(pg), bufs[i]))
@@ -114,7 +114,7 @@ func inlineOrderScenario(t *testing.T) string {
 	}
 	log.add("writepage %v", h.WritePage(16, page(216)))
 	outcome("degraded writes", ws)
-	inner[0].SetFailed(false)
+	inner[0].SetMode(FaultMode{})
 	log.add("stats %+v", h.Stats())
 	return strings.Join(log.lines, "\n") + "\n"
 }

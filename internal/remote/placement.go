@@ -3,8 +3,6 @@ package remote
 import (
 	"fmt"
 	"slices"
-
-	"leap/internal/core"
 )
 
 // Slab placement uses rendezvous (highest-random-weight) hashing: every
@@ -153,130 +151,19 @@ func (h *Host) RetiredAgents() []int {
 }
 
 // Rebalance converges every placed slab onto its rendezvous target set —
-// the minimal-disruption migration run after AddAgent or MarkFailed. For
-// each slab whose current replica set differs from the rendezvous ranking
-// it copies the slab (page by page, preferring acknowledged sources, the
-// same machinery RepairSlabs uses) onto the agents that should now hold it,
-// then frees the copies on agents that should not. It reports how many
-// slabs moved. Rebalance expects the target agents to be reachable; a copy
-// failure aborts with an error, leaving already-migrated slabs in place
-// (Rebalance is idempotent — rerun it after healing).
+// the minimal-disruption migration run after AddAgent, Retire or MarkFailed:
+// each slab whose replica list differs from the rendezvous ranking's top
+// Replicas is moved there by moveSlabs, as RepairSlabs moves a slab, copied
+// onto the agents that should now hold it and freed from the live ones that
+// should not. It reports how many slabs moved and the first error met in slab
+// order (a slab with no live replica to copy from, or a copy that failed);
+// that slab stays where it was, every other slab moves all the same, and
+// Rebalance is idempotent — rerun it after healing.
 func (h *Host) Rebalance() (moved int, err error) {
-	h.mu.Lock()
-	// An ack landing after a slab has moved would name its leavers, and count
-	// them towards the replication factor.
-	h.settleWrites()
-	type job struct {
-		slab    SlabID
-		current []int
-		desired []int
-	}
-	var jobs []job
-	for slab, replicas := range h.placements {
-		desired := h.desiredPlacement(slab)
-		if slices.Equal(replicas, desired) {
-			continue
+	return h.moveSlabs(&h.stats.SlabsMoved, func(slab SlabID, replicas []int) ([]int, error) {
+		if desired := h.desiredPlacement(slab); !slices.Equal(replicas, desired) {
+			return desired, nil
 		}
-		jobs = append(jobs, job{slab, slices.Clone(replicas), desired})
-	}
-	h.mu.Unlock()
-	slices.SortFunc(jobs, func(a, b job) int {
-		switch {
-		case a.slab < b.slab:
-			return -1
-		case a.slab > b.slab:
-			return 1
-		}
-		return 0
+		return nil, nil
 	})
-
-	for _, j := range jobs {
-		if err := h.migrateSlab(j.slab, j.current, j.desired); err != nil {
-			return moved, err
-		}
-		moved++
-		h.mu.Lock()
-		h.stats.SlabsMoved++
-		h.mu.Unlock()
-	}
-	return moved, nil
-}
-
-// migrateSlab moves one slab from its current replica set to the desired
-// one: copy to the newcomers (from acknowledged survivors where possible),
-// install the new placement, then free the leavers' copies.
-func (h *Host) migrateSlab(slab SlabID, current, desired []int) error {
-	// Copy sources: the current holders that are still reachable. Live
-	// leavers stay eligible while copying, so a page whose only acked
-	// holder is a leaver still has its fresh copy available as the source;
-	// failed holders cannot serve reads and are skipped.
-	h.mu.Lock()
-	sources := make([]int, 0, len(current))
-	for _, idx := range current {
-		if !h.failed[idx] {
-			sources = append(sources, idx)
-		}
-	}
-	h.mu.Unlock()
-	if len(sources) == 0 {
-		return fmt.Errorf("remote: rebalance slab %d: no live replica to copy from", slab)
-	}
-	for _, target := range desired {
-		if slices.Contains(current, target) {
-			continue
-		}
-		if err := h.copySlabTo(slab, sources, target); err != nil {
-			return fmt.Errorf("remote: rebalance slab %d: %w", slab, err)
-		}
-	}
-
-	h.mu.Lock()
-	var leavers []int
-	for _, idx := range current {
-		if !slices.Contains(desired, idx) {
-			leavers = append(leavers, idx)
-		}
-	}
-	h.placements[slab] = slices.Clone(desired)
-	for _, idx := range desired {
-		if !slices.Contains(current, idx) {
-			h.joinWrites(slab, idx)
-			h.slabLoad[idx]++
-		}
-	}
-	for _, idx := range leavers {
-		if h.slabLoad[idx] > 0 {
-			h.slabLoad[idx]--
-		}
-	}
-	// The leavers' copies are going away: drop them from every page ack set
-	// in this slab so reads never prefer a freed copy.
-	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
-	for off := int64(0); off < int64(h.cfg.SlabPages); off++ {
-		page := first + core.PageID(off)
-		if r := h.rec(page); len(r.acked()) > 0 {
-			r.acks = slices.DeleteFunc(r.acks, func(a int) bool {
-				return slices.Contains(leavers, a)
-			})
-			if len(r.acks) == 0 {
-				// Every acked holder was a leaver and the copy could not
-				// certify freshness: the write is no longer recoverable
-				// as-acked, so drop the bookkeeping as PurgeAgent does.
-				delete(h.degraded, page)
-			}
-		}
-	}
-	h.scrubHot(slab, leavers) // a leaver's slab copy is being freed
-	leaverTransports := make([]Transport, len(leavers))
-	for i, idx := range leavers {
-		leaverTransports[i] = h.transports[idx]
-	}
-	h.mu.Unlock()
-
-	for _, tr := range leaverTransports {
-		// Best effort: an unreachable leaver keeps a stale copy, but it is
-		// no longer in the placement (or any ack set), so nothing reads it.
-		_, _ = tr.Call(&Request{Op: OpFreeSlab, Slab: slab})
-	}
-	return nil
 }

@@ -25,11 +25,11 @@ func TestHostConcurrentReadWrite(t *testing.T) {
 		pagesPerGor  = 24
 		opsPerWriter = 300
 	)
-	inprocs := make([]*InProc, agents)
+	faults := make([]*FaultTransport, agents)
 	trs := make([]Transport, agents)
 	for i := range trs {
-		inprocs[i] = NewInProc(NewAgent(8, 0))
-		trs[i] = inprocs[i]
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(8, 0)), nil)
+		trs[i] = faults[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 99}, trs)
 	if err != nil {
@@ -53,9 +53,9 @@ func TestHostConcurrentReadWrite(t *testing.T) {
 	go func() {
 		defer background.Done()
 		for i := 0; !stop.Load(); i++ {
-			inprocs[3].SetFailed(i%2 == 0)
+			faults[3].SetMode(FaultMode{Partitioned: i%2 == 0})
 		}
-		inprocs[3].SetFailed(false)
+		faults[3].SetMode(FaultMode{})
 	}()
 
 	// Repair loop: exercises MarkFailed/RepairSlabs/MarkRecovered

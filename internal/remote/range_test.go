@@ -168,14 +168,14 @@ func TestFaultTransportFailsRangeFrames(t *testing.T) {
 // the shape of every write frame an agent is sent: "a1 range 64 4096" is an
 // OpWriteRanges to agent 1 of a 64-byte range and a whole page. frames returns,
 // and forgets, the write frames sent since it was last called.
-func loggedHost(t *testing.T, n int, cfg HostConfig) (h *Host, inner []*InProc, frames func() string) {
+func loggedHost(t *testing.T, n int, cfg HostConfig) (h *Host, inner []*FaultTransport, frames func() string) {
 	t.Helper()
 	var mu sync.Mutex
 	var lines []string
 	trs := make([]Transport, n)
-	inner = make([]*InProc, n)
+	inner = make([]*FaultTransport, n)
 	for i := range trs {
-		inner[i] = NewInProc(NewAgent(cfg.SlabPages, 0))
+		inner[i] = NewFaultTransport(i, NewInProc(NewAgent(cfg.SlabPages, 0)), nil)
 		trs[i] = NewScriptedLink(inner[i], CallOnly, nil, func(req *Request) Verdict {
 			var line string
 			switch req.Op {
@@ -253,10 +253,10 @@ func TestBaseImageRule(t *testing.T) {
 	store(2, 0, PageSize)
 	step("a frame of whole pages is the batch it always was", "a0 batch x2; a1 batch x2")
 
-	inner[1].SetFailed(true)
+	inner[1].SetMode(FaultMode{Partitioned: true})
 	store(0, 30, 40)
 	step("one replica down (its frame is noted, and fails)", "a0 range 10; a1 range 10")
-	inner[1].SetFailed(false)
+	inner[1].SetMode(FaultMode{})
 	store(0, 50, 60)
 	step("the replica that missed a write is sent the page", "a0 range 10; a1 page")
 	store(0, 50, 60)
@@ -267,15 +267,15 @@ func TestBaseImageRule(t *testing.T) {
 	}
 	step("WritePage ships the page, in placement order", "a1 page; a0 page")
 
-	inner[0].SetFailed(true)
-	inner[1].SetFailed(true)
+	inner[0].SetMode(FaultMode{Partitioned: true})
+	inner[1].SetMode(FaultMode{Partitioned: true})
 	img[70]++
 	tk, _, _ := h.WritePageRangeAsync(0, img, 70, 71)
 	if err := h.Flush(); err == nil || tk.Err() == nil {
 		t.Fatal("a write no replica took reported no error")
 	}
-	inner[0].SetFailed(false)
-	inner[1].SetFailed(false)
+	inner[0].SetMode(FaultMode{})
+	inner[1].SetMode(FaultMode{})
 	frames()
 	store(0, 70, 71)
 	step("after a write lost everywhere nobody's image is known", "a0 page; a1 page")
@@ -284,18 +284,18 @@ func TestBaseImageRule(t *testing.T) {
 
 	// A read that every acked holder failed is served by whoever answers, whose
 	// image may be an older one: a range measured from those bytes has no base.
-	inner[1].SetFailed(true)
+	inner[1].SetMode(FaultMode{Partitioned: true})
 	store(0, 80, 81) // acked: agent 0 alone
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	inner[1].SetFailed(false)
-	inner[0].SetFailed(true)
+	inner[1].SetMode(FaultMode{})
+	inner[0].SetMode(FaultMode{Partitioned: true})
 	stale := make([]byte, PageSize)
 	if err := h.ReadPage(0, stale); err != nil {
 		t.Fatal(err)
 	}
-	inner[0].SetFailed(false)
+	inner[0].SetMode(FaultMode{})
 	frames()
 	stale[90]++
 	if tk, _, _ := h.WritePageRangeAsync(0, stale, 90, 91); tk.Err() != nil {
@@ -305,7 +305,7 @@ func TestBaseImageRule(t *testing.T) {
 	copy(img, stale)
 
 	// An agent that lost its slabs fails a range as it fails a page.
-	inner[1].agent.Reset()
+	inner[1].inner.(*InProc).agent.Reset()
 	store(0, 1, 2)
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)

@@ -140,9 +140,9 @@ func TestHostWriteReadThroughInProc(t *testing.T) {
 
 func TestHostReplicationFailover(t *testing.T) {
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	faults := []*FaultTransport{NewFaultTransport(0, NewInProc(agents[0]), nil), NewFaultTransport(1, NewInProc(agents[1]), nil)}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{faults[0], faults[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestHostReplicationFailover(t *testing.T) {
 	}
 	// Kill agent 0; the read must fail over to the replica regardless of
 	// which agent is primary.
-	inprocs[0].SetFailed(true)
+	faults[0].SetMode(FaultMode{Partitioned: true})
 	buf := make([]byte, PageSize)
 	if err := h.ReadPage(5, buf); err != nil {
 		t.Fatalf("read with one dead agent: %v", err)
@@ -160,7 +160,7 @@ func TestHostReplicationFailover(t *testing.T) {
 		t.Fatal("failover returned wrong data")
 	}
 	// Both dead: the read fails.
-	inprocs[1].SetFailed(true)
+	faults[1].SetMode(FaultMode{Partitioned: true})
 	if err := h.ReadPage(5, buf); err == nil {
 		t.Fatal("read succeeded with all agents dead")
 	}
@@ -168,13 +168,13 @@ func TestHostReplicationFailover(t *testing.T) {
 
 func TestHostWriteSurvivesOneReplicaFailure(t *testing.T) {
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	faults := []*FaultTransport{NewFaultTransport(0, NewInProc(agents[0]), nil), NewFaultTransport(1, NewInProc(agents[1]), nil)}
 	h, _ := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{faults[0], faults[1]})
 	if err := h.WritePage(1, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	inprocs[1].SetFailed(true)
+	faults[1].SetMode(FaultMode{Partitioned: true})
 	if err := h.WritePage(1, pageOf(2)); err != nil {
 		t.Fatalf("write with one dead replica: %v", err)
 	}

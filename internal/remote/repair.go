@@ -10,9 +10,10 @@ import (
 )
 
 // MarkFailed records that the agent at index idx is considered dead: it is
-// excluded from future placements. Existing placements keep the index so
-// reads keep failing over; call RepairSlabs to restore the replication
-// factor.
+// excluded from future placements and is no copy source. Existing placements
+// keep the index so reads keep failing over; call RepairSlabs (or Rebalance)
+// to move its slabs onto live agents, which leaves it its copies and acks. It
+// returns an error only for an index out of range.
 func (h *Host) MarkFailed(idx int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -113,104 +114,155 @@ func (h *Host) FailedAgents() []int {
 
 // RepairSlabs restores the configured replication factor for every slab
 // that lost replicas (failed agents, purged restarts, or placements that
-// never reached the factor): each affected slab is re-placed on the healthy
-// agent rendezvous hashing ranks first among those not holding it, and its
-// contents copied from a surviving replica, page by page. It then re-pushes
-// degraded pages — pages whose latest write was acknowledged by fewer than
-// Replicas agents — from an acknowledged copy to the replicas that missed it
-// (best effort: unreachable targets stay degraded for the next round). It
-// returns the number of slabs repaired.
+// never reached the factor): each such slab keeps its live replicas, in
+// placement order, and gains the healthy agents rendezvous hashing ranks
+// first among those not holding it, which moveSlabs copies it onto. It then
+// re-pushes degraded pages — pages whose latest write was acknowledged by
+// fewer than Replicas agents — from an acknowledged copy to the replicas that
+// missed it (best effort: unreachable targets stay degraded for the next
+// round). It returns the number of slabs repaired and the first error met in
+// slab order: a slab with no healthy agent left to take a replica, or a copy
+// that failed (that slab keeps its placement). An error does not end the
+// round: every other slab is repaired and degraded pages re-pushed all the
+// same, and a later call retries what failed.
 //
 // This is the §4.5 re-replication path: after RepairSlabs, the failure of
 // the *other* original replica no longer loses data.
 func (h *Host) RepairSlabs() (int, error) {
-	h.mu.Lock()
-	h.settleWrites() // which pages are degraded is settled only then
-	// Snapshot the work under the lock; copying happens outside it. Jobs
-	// are sorted by slab so the repair order (and therefore any
-	// transport-level accounting) is deterministic.
-	type job struct {
-		slab      SlabID
-		survivors []int
-		missing   int
-	}
-	var jobs []job
-	for slab, replicas := range h.placements {
-		alive := make([]int, 0, len(replicas))
-		for _, idx := range replicas {
-			if !h.failed[idx] {
-				alive = append(alive, idx)
-			}
+	repaired, err := h.moveSlabs(&h.stats.Repairs, func(slab SlabID, replicas []int) (to []int, err error) {
+		live := slices.DeleteFunc(slices.Clone(replicas), func(idx int) bool { return h.failed[idx] })
+		missing := h.cfg.Replicas - len(live)
+		if len(live) == 0 || missing <= 0 {
+			return nil, nil
 		}
-		if len(alive) > 0 && len(alive) < h.cfg.Replicas {
-			jobs = append(jobs, job{slab: slab, survivors: alive, missing: h.cfg.Replicas - len(alive)})
+		holders := make(map[int]bool, len(live))
+		for _, idx := range live {
+			holders[idx] = true
 		}
-	}
-	h.mu.Unlock()
-	slices.SortFunc(jobs, func(a, b job) int {
-		switch {
-		case a.slab < b.slab:
-			return -1
-		case a.slab > b.slab:
-			return 1
+		picks := h.rendezvousRank(slab, holders)
+		if len(picks) < missing {
+			err = fmt.Errorf("remote: no healthy agent available to repair slab %d", slab)
 		}
-		return 0
+		if len(picks) == 0 {
+			return nil, err
+		}
+		return append(live, picks[:min(missing, len(picks))]...), err
 	})
-
-	repaired := 0
-	for _, j := range jobs {
-		survivors := j.survivors
-		for k := 0; k < j.missing; k++ {
-			target, err := h.repairOne(j.slab, survivors)
-			if err != nil {
-				return repaired, err
-			}
-			survivors = append(survivors, target)
-		}
-		repaired++
-	}
 	h.repushDegraded()
-	return repaired, nil
+	return repaired, err
 }
 
-// repairOne adds one replica to slab, copying contents from survivors, and
-// returns the agent index chosen.
-func (h *Host) repairOne(slab SlabID, survivors []int) (int, error) {
+// moveSlabs is the one job runner of RepairSlabs and Rebalance. Once the
+// writes in the air have landed — an ack landing after a slab has moved would
+// name its leavers, and count them towards the replication factor — it takes
+// the placed slabs in slab order, so that the order of the copies (and any
+// transport-level accounting) is deterministic, and moves each to the replica
+// list plan gives it. plan is asked under h.mu just before the slab's move,
+// so an agent marked failed or recovered while the round runs is planned for
+// as it is then; it returns nil for a slab to leave as it is, and an error for
+// one it cannot give the list it should have. Each slab moved counts in
+// tally. A move that fails leaves its slab as it was and the round goes on: it
+// returns the slabs moved and the first error met.
+func (h *Host) moveSlabs(tally *int64, plan func(slab SlabID, replicas []int) ([]int, error)) (moved int, err error) {
 	h.mu.Lock()
-	// Choose the best-ranked healthy agent not already holding the slab —
-	// the same rendezvous ordering placement uses, so a later Rebalance has
-	// nothing left to move whenever the top-ranked agents are alive.
-	exclude := make(map[int]bool, len(survivors))
-	for _, idx := range survivors {
-		exclude[idx] = true
-	}
-	ranked := h.rendezvousRank(slab, exclude)
-	if len(ranked) == 0 {
+	h.settleWrites()
+	slabs := slices.Sorted(maps.Keys(h.placements))
+	h.mu.Unlock()
+	for _, slab := range slabs {
+		h.mu.Lock()
+		from, to, planErr := h.placements[slab], []int(nil), error(nil)
+		if from != nil {
+			to, planErr = plan(slab, from)
+		}
 		h.mu.Unlock()
-		return -1, fmt.Errorf("remote: no healthy agent available to repair slab %d", slab)
+		err = cmp.Or(err, planErr)
+		if to == nil {
+			continue
+		}
+		if moveErr := h.moveSlab(slab, from, to); moveErr != nil {
+			err = cmp.Or(err, moveErr)
+			continue
+		}
+		moved++
+		h.mu.Lock()
+		*tally++
+		h.mu.Unlock()
 	}
-	target := ranked[0]
-	h.mu.Unlock()
+	return moved, err
+}
 
-	if err := h.copySlabTo(slab, survivors, target); err != nil {
-		return -1, err
+// moveSlab moves slab from the replica list from to the list to, the one way a
+// slab changes agents. Each agent that joins (in to, not in from) gets a copy
+// of the slab from from's live agents (copySlabTo) and the slab's pending
+// writes (joinWrites); then to is installed, and each agent that leaves (in
+// from, not in to) gives up its share of the slab load. A leaver live when the
+// move began has its copy freed and leaves the slab's ack and hot sets; a
+// failed one is unreachable and keeps its copy and its acks, which
+// copySlabTo's skip rule needs should it come back from a partition holding a
+// page's newest image. A copy that fails leaves the slab as it was.
+func (h *Host) moveSlab(slab SlabID, from, to []int) error {
+	h.mu.Lock()
+	live := slices.DeleteFunc(slices.Clone(from), func(idx int) bool { return h.failed[idx] })
+	h.mu.Unlock()
+	if len(live) == 0 {
+		return fmt.Errorf("remote: move slab %d: no live replica to copy from", slab)
+	}
+	joining := slices.DeleteFunc(slices.Clone(to), func(idx int) bool { return slices.Contains(from, idx) })
+	for _, idx := range joining {
+		if err := h.copySlabTo(slab, live, idx); err != nil {
+			return err
+		}
 	}
 
 	h.mu.Lock()
-	// Install the new replica set: survivors plus the repaired copy.
-	newSet := append(slices.Clone(survivors), target)
-	h.placements[slab] = newSet
-	h.joinWrites(slab, target)
-	h.scrubHot(slab, nil)
-	h.slabLoad[target]++
-	h.stats.Repairs++
+	h.placements[slab] = to
+	for _, idx := range joining {
+		h.joinWrites(slab, idx)
+		h.slabLoad[idx]++
+	}
+	var freed []int
+	for _, idx := range from {
+		if slices.Contains(to, idx) {
+			continue
+		}
+		if h.slabLoad[idx] > 0 {
+			h.slabLoad[idx]--
+		}
+		if slices.Contains(live, idx) {
+			freed = append(freed, idx)
+		}
+	}
+	// The freed copies are going away: drop them from every page ack set in
+	// this slab so reads never prefer one.
+	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
+	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
+		if r := h.rec(page); len(r.acked()) > 0 {
+			r.acks = slices.DeleteFunc(r.acks, func(a int) bool { return slices.Contains(freed, a) })
+			if len(r.acks) == 0 {
+				// Every acked holder left and the copy could not certify
+				// freshness: the write is no longer recoverable as acked, so
+				// drop the bookkeeping as PurgeAgent does.
+				delete(h.degraded, page)
+			}
+		}
+	}
+	h.scrubHot(slab, freed)
+	trs := make([]Transport, len(freed))
+	for i, idx := range freed {
+		trs[i] = h.transports[idx]
+	}
 	h.mu.Unlock()
-	return target, nil
+
+	for _, tr := range trs {
+		// Best effort: a leaver that fails to free keeps a stale copy, but it
+		// is in no placement nor ack set, so nothing reads it.
+		_, _ = tr.Call(&Request{Op: OpFreeSlab, Slab: slab})
+	}
+	return nil
 }
 
 // copySlabTo maps slab on the target agent and copies every page from the
-// given source replicas — the re-replication machinery shared by RepairSlabs
-// and Rebalance. For each page it prefers a source that acknowledged the
+// given source replicas — moveSlab's copy onto an agent that joins. For each page it prefers a source that acknowledged the
 // page's most recent write, and certifies the copy only from such a source (a
 // replica that missed a write holds stale bytes); unwritten pages copy as
 // zeros, which is exactly their state on the source. Nor does a stale source
@@ -223,7 +275,7 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
 	h.mu.Unlock()
 	resp, err := dst.Call(&Request{Op: OpMapSlab, Slab: slab})
 	if err = callError(OpMapSlab, resp, err); err != nil {
-		return fmt.Errorf("remote: repair map slab %d: %w", slab, err)
+		return fmt.Errorf("remote: map slab %d on agent %d: %w", slab, target, err)
 	}
 	first, targets := core.PageID(int64(slab)*int64(h.cfg.SlabPages)), []int{target}
 	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {

@@ -6,20 +6,20 @@ import (
 	"leap/internal/core"
 )
 
-func buildCluster(t testing.TB, n, slabPages int, seed uint64) (*Host, []*InProc) {
+func buildCluster(t testing.TB, n, slabPages int, seed uint64) (*Host, []*FaultTransport) {
 	t.Helper()
-	inprocs := make([]*InProc, n)
+	faults := make([]*FaultTransport, n)
 	trs := make([]Transport, n)
 	for i := 0; i < n; i++ {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+		faults[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = faults[i]
 	}
 	h := newHost(t, HostConfig{SlabPages: slabPages, Replicas: 2, Seed: seed}, trs)
-	return h, inprocs
+	return h, faults
 }
 
 func TestRepairRestoresReplication(t *testing.T) {
-	h, inprocs := buildCluster(t, 4, 16, 11)
+	h, faults := buildCluster(t, 4, 16, 11)
 	// Write 8 slabs' worth of pages.
 	for p := core.PageID(0); p < 128; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -28,7 +28,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 	}
 
 	// Kill agent 0 for good.
-	inprocs[0].SetFailed(true)
+	faults[0].SetMode(FaultMode{Partitioned: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 	// time and verifying data stays readable: with repair done, each slab
 	// again has two live replicas, so any single additional failure is
 	// survivable.
-	inprocs[1].SetFailed(true)
+	faults[1].SetMode(FaultMode{Partitioned: true})
 	buf := make([]byte, PageSize)
 	for p := core.PageID(0); p < 128; p++ {
 		if err := h.ReadPage(p, buf); err != nil {
@@ -64,11 +64,11 @@ func TestRepairRestoresReplication(t *testing.T) {
 }
 
 func TestRepairNoHealthyAgent(t *testing.T) {
-	h, inprocs := buildCluster(t, 2, 8, 17)
+	h, faults := buildCluster(t, 2, 8, 17)
 	if err := h.WritePage(0, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	inprocs[0].SetFailed(true)
+	faults[0].SetMode(FaultMode{Partitioned: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestMarkFailedValidation(t *testing.T) {
 }
 
 func TestFailedAgentExcludedFromNewPlacements(t *testing.T) {
-	h, inprocs := buildCluster(t, 3, 8, 23)
-	inprocs[0].SetFailed(true)
+	h, faults := buildCluster(t, 3, 8, 23)
+	faults[0].SetMode(FaultMode{Partitioned: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +108,9 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 	// the degraded flag must go with the acked entry, or the page wedges
 	// every future repair barrier with un-actionable re-push work.
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	faults := []*FaultTransport{NewFaultTransport(0, NewInProc(agents[0]), nil), NewFaultTransport(1, NewInProc(agents[1]), nil)}
 	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{faults[0], faults[1]})
 	if err := h.WritePage(1, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 		t.Fatalf("setup: acked = %v", acked)
 	}
 	down := acked[1]
-	inprocs[down].SetFailed(true)
+	faults[down].SetMode(FaultMode{Partitioned: true})
 	if err := h.WritePage(1, pageOf(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 	}
 	// Crash the sole holder and purge it: the write is lost, and the
 	// degraded flag must not survive as permanent un-repairable backlog.
-	inprocs[down].SetFailed(false)
+	faults[down].SetMode(FaultMode{})
 	if _, err := h.PurgeAgent(sole[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestTicketFailureContexts(t *testing.T) {
 
 	cases := []struct {
 		name string
-		run  func(t *testing.T, h *Host, inprocs []*InProc) error
+		run  func(t *testing.T, h *Host, faults []*FaultTransport) error
 
 		wantErr      bool
 		wantCause    error
@@ -147,7 +147,7 @@ func TestTicketFailureContexts(t *testing.T) {
 	}{
 		{
 			name: "read-never-written",
-			run: func(t *testing.T, h *Host, _ []*InProc) error {
+			run: func(t *testing.T, h *Host, _ []*FaultTransport) error {
 				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
 			},
 			wantErr: true, wantCause: ErrNeverWritten,
@@ -155,7 +155,7 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-bad-buffer",
-			run: func(t *testing.T, h *Host, _ []*InProc) error {
+			run: func(t *testing.T, h *Host, _ []*FaultTransport) error {
 				return h.ReadPageAsync(page, make([]byte, 8)).Wait()
 			},
 			wantErr: true,
@@ -163,12 +163,12 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-all-holders-down",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, faults []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
+				for _, p := range faults {
+					p.SetMode(FaultMode{Partitioned: true})
 				}
 				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
 			},
@@ -177,11 +177,11 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-requeue-after-failover",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, faults []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				inprocs[holders(h)[0]].SetFailed(true)
+				faults[holders(h)[0]].SetMode(FaultMode{Partitioned: true})
 				buf := make([]byte, PageSize)
 				if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
 					return err
@@ -198,12 +198,12 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "write-all-replicas-down",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, faults []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
+				for _, p := range faults {
+					p.SetMode(FaultMode{Partitioned: true})
 				}
 				return h.WritePageAsync(page, pageOf(9)).Wait()
 			},
@@ -214,14 +214,14 @@ func TestTicketFailureContexts(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inprocs := make([]*InProc, 3)
+			faults := make([]*FaultTransport, 3)
 			trs := make([]Transport, 3)
-			for i := range inprocs {
-				inprocs[i] = NewInProc(NewAgent(8, 0))
-				trs[i] = inprocs[i]
+			for i := range faults {
+				faults[i] = NewFaultTransport(i, NewInProc(NewAgent(8, 0)), nil)
+				trs[i] = faults[i]
 			}
 			h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, Seed: 11}, trs)
-			err := tc.run(t, h, inprocs)
+			err := tc.run(t, h, faults)
 			if !tc.wantErr {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -297,7 +297,7 @@ func TestTicketFailureKeepsTransportCause(t *testing.T) {
 // and the cluster converges afterwards.
 func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 	const slabPages, pages = 8, 64
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, faults := buildCluster(t, 4, slabPages, 11)
 	latest := func(p core.PageID) []byte { return pageOf(byte(p)) }
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, latest(p)); err != nil {
@@ -305,7 +305,7 @@ func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 		}
 	}
 
-	inprocs[2].SetFailed(true)
+	faults[2].SetMode(FaultMode{Partitioned: true})
 	if err := h.MarkFailed(2); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 		t.Fatalf("double purge not a no-op: dropped=%d err=%v", dropped, err)
 	}
 
-	inprocs[2].SetFailed(false)
+	faults[2].SetMode(FaultMode{})
 	if err := h.MarkRecovered(2); err != nil {
 		t.Fatal(err)
 	}

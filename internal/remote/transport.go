@@ -143,33 +143,18 @@ func (p *bufPool) put(buf []byte) {
 }
 
 // InProc is a Transport that invokes an Agent directly — the zero-cost path
-// used by simulations and unit tests.
+// used by simulations and unit tests. It never fails a call: put a
+// FaultTransport in front of it to take the agent down.
 type InProc struct {
 	agent *Agent
 	bufs  bufPool
-	// Fail simulates a crashed agent when true (for failover tests).
-	mu   sync.Mutex
-	fail bool
 }
 
 // NewInProc returns an in-process transport bound to agent.
 func NewInProc(agent *Agent) *InProc { return &InProc{agent: agent} }
 
-// SetFailed toggles simulated failure.
-func (t *InProc) SetFailed(fail bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fail = fail
-}
-
 // Call implements Transport.
 func (t *InProc) Call(req *Request) (*Response, error) {
-	t.mu.Lock()
-	failed := t.fail
-	t.mu.Unlock()
-	if failed {
-		return nil, fmt.Errorf("remote: agent unreachable (simulated)")
-	}
 	buf := t.bufs.take()
 	resp := t.agent.handle(req, buf)
 	if resp.frame != nil {

@@ -4,7 +4,10 @@
 # future PRs append to (BENCH_2.json, ...).
 #
 # Three passes with different timing budgets:
-#   - hot-path microbenchmarks get a long -benchtime for stable ns/op;
+#   - hot-path microbenchmarks get a long -benchtime for stable ns/op, and
+#     beside them the three reference rows (BenchmarkRef*: a 4 KB copy, an
+#     uncontended mutex, a fixed hash loop), the box's yardstick; the record
+#     also names the CPU, nproc and GOMAXPROCS (scripts/bench2json.py);
 #   - BenchmarkFigures runs every registered figure once (one
 #     sub-benchmark per figure; every iteration is a complete experiment,
 #     so 1x is already meaningful and keeps the suite fast);
@@ -30,7 +33,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' -benchmem -count 1 -benchtime 2s \
-  -bench 'BenchmarkSimulatorThroughput|BenchmarkPredictorFaultPath|BenchmarkFindTrend|BenchmarkMajorityVote|BenchmarkPrefetcherComparison|BenchmarkMemoryGetHit|BenchmarkMemoryConcurrentGet|BenchmarkMemoryGetZtierHit' \
+  -bench 'BenchmarkRef|BenchmarkSimulatorThroughput|BenchmarkPredictorFaultPath|BenchmarkFindTrend|BenchmarkMajorityVote|BenchmarkPrefetcherComparison|BenchmarkMemoryGetHit|BenchmarkMemoryConcurrentGet|BenchmarkMemoryGetZtierHit' \
   . | tee "$TMP"
 
 go test -run '^$' -benchmem -count 1 -benchtime 1x \

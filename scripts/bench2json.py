@@ -16,15 +16,23 @@ import sys
 
 
 def parse(stream):
-    benches = []
+    """Returns the benchmark rows, the `cpu:` line go test prints and the
+    GOMAXPROCS the rows ran at (their names' -N suffix)."""
+    benches, cpu, procs = [], None, None
     for line in stream:
         line = line.strip()
+        if line.startswith("cpu:") and cpu is None:
+            cpu = line[len("cpu:"):].strip()
         if not line.startswith("Benchmark"):
             continue
         fields = line.split()
         if len(fields) < 4 or not fields[1].isdigit():
             continue
-        name = fields[0].rsplit("-", 1)[0] if "-" in fields[0] else fields[0]
+        name, _, suffix = fields[0].rpartition("-")
+        if name and suffix.isdigit():
+            procs = procs or int(suffix)
+        else:
+            name = fields[0]
         entry = {"name": name, "iterations": int(fields[1]), "metrics": {}}
         pairs = fields[2:]
         for value, unit in zip(pairs[0::2], pairs[1::2]):
@@ -33,16 +41,25 @@ def parse(stream):
             except ValueError:
                 pass
         benches.append(entry)
-    return benches
+    return benches, cpu, procs
 
 
 def main():
     goversion = subprocess.run(
         ["go", "version"], capture_output=True, text=True
     ).stdout.strip()
-    # nproc travels with the numbers: the parallel benchmarks mean nothing
-    # without the core count they ran on.
-    out = {"go": goversion, "nproc": os.cpu_count(), "benchmarks": parse(sys.stdin)}
+    benches, cpu, procs = parse(sys.stdin)
+    # The box travels with the numbers: the parallel benchmarks mean nothing
+    # without the core count they ran on, and no row compares across boxes
+    # without the CPU it ran on (the root package's BenchmarkRef* rows are
+    # the same run's yardstick).
+    out = {
+        "go": goversion,
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "gomaxprocs": procs or int(os.environ.get("GOMAXPROCS") or os.cpu_count()),
+        "benchmarks": benches,
+    }
     json.dump(out, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
 
