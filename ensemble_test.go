@@ -1,24 +1,51 @@
 package leap
 
 import (
+	"slices"
 	"testing"
 
 	"leap/internal/load"
+	"leap/internal/prefetch"
 )
 
+// selectors is a prefetcher factory of online selectors of one config that
+// keeps the instances it builds, one a stripe in stripe order, for their
+// accounting.
+type selectors struct {
+	cfg   prefetch.EnsembleConfig
+	built []*prefetch.Ensemble
+}
+
+func (s *selectors) factory() Prefetcher {
+	e, err := prefetch.NewEnsemble(s.cfg)
+	if err != nil {
+		panic(err)
+	}
+	s.built = append(s.built, e)
+	return e
+}
+
+// totals sums the instances' accounting: clients, epochs closed and switches.
+func (s *selectors) totals() (clients int, epochs, switches int64) {
+	for _, e := range s.built {
+		c, ep, sw, _ := e.Totals()
+		clients, epochs, switches = clients+c, epochs+ep, switches+sw
+	}
+	return clients, epochs, switches
+}
+
 // TestEnsembleOneArmMatchesFixed is the parity oracle: an ensemble pinned
-// to a single arm must be indistinguishable — equal Stats, field for field,
-// once the Ensemble block itself is zeroed — from running that arm as the
-// fixed policy via WithPrefetcherFactory. This is what pins "the selected
+// to a single arm must be indistinguishable — equal Stats, field for field —
+// from running that arm as the fixed policy. This is what pins "the selected
 // arm sees the real engine feedback": any skew in the OnAccess or
 // OnPrefetchHit stream the arm observes shows up as diverging counters.
 func TestEnsembleOneArmMatchesFixed(t *testing.T) {
 	for _, arm := range []string{"leap", "ghb", "stride", "readahead", "nextnline"} {
 		t.Run(arm, func(t *testing.T) {
-			run := func(extra Option) MemoryStats {
+			run := func(f func() Prefetcher) MemoryStats {
 				mem, err := Open(
 					WithSeed(613), WithCacheCapacity(96), WithQueueDepth(8), WithShards(2),
-					extra,
+					WithPrefetcherFactory(f),
 				)
 				if err != nil {
 					t.Fatal(err)
@@ -37,21 +64,18 @@ func TestEnsembleOneArmMatchesFixed(t *testing.T) {
 				}
 				return mem.Stats()
 			}
-			fixed := run(WithPrefetcherFactory(func() Prefetcher {
+			fixed := run(func() Prefetcher {
 				p, err := NewPrefetcher(arm)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return p
-			}))
-			ens := run(WithEnsemble(EnsembleConfig{Arms: []string{arm}}))
-			if !ens.Ensemble.Enabled || ens.Ensemble.Switches != 0 {
-				t.Fatalf("one-arm ensemble block off or switching: %+v", ens.Ensemble)
+			})
+			sel := &selectors{cfg: prefetch.EnsembleConfig{Arms: []string{arm}}}
+			ens := run(sel.factory)
+			if clients, _, switches := sel.totals(); len(sel.built) != 2 || clients == 0 || switches != 0 {
+				t.Fatalf("one-arm ensemble off or switching: %d instances, %d clients, %d switches", len(sel.built), clients, switches)
 			}
-			if fixed.Ensemble != (MemoryEnsembleStats{}) {
-				t.Fatalf("fixed policy reports ensemble activity: %+v", fixed.Ensemble)
-			}
-			ens.Ensemble = MemoryEnsembleStats{}
 			if fixed != ens {
 				t.Fatalf("one-arm ensemble diverged from fixed %s:\n%+v\n---\n%+v", arm, fixed, ens)
 			}
@@ -61,12 +85,13 @@ func TestEnsembleOneArmMatchesFixed(t *testing.T) {
 
 // TestMemoryAdviseDeterminism pins the determinism property: the same seed
 // drives the same advise/write/read interleave to bit-identical Stats and
-// selection histories across runs.
+// per-stripe selection histories across runs.
 func TestMemoryAdviseDeterminism(t *testing.T) {
-	run := func() (MemoryStats, []SelectionEvent) {
+	run := func() (MemoryStats, [][]prefetch.Selection) {
+		sel := &selectors{cfg: prefetch.EnsembleConfig{EpochFaults: 16, SwitchStreak: 1}}
 		mem, err := Open(
 			WithSeed(1009), WithCacheCapacity(64), WithQueueDepth(4), WithShards(2),
-			WithEnsemble(EnsembleConfig{EpochFaults: 16, SwitchStreak: 1}),
+			WithPrefetcherFactory(sel.factory),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -94,36 +119,29 @@ func TestMemoryAdviseDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return mem.Stats(), c.SelectionHistory()
+		var hist [][]prefetch.Selection
+		for _, e := range sel.built {
+			hist = append(hist, e.History(PID(c.ID())))
+		}
+		return mem.Stats(), hist
 	}
 	s1, h1 := run()
 	s2, h2 := run()
 	if s1 != s2 {
 		t.Fatalf("same seed produced different Stats:\n%+v\n---\n%+v", s1, s2)
 	}
-	if len(h1) != len(h2) {
+	if !slices.EqualFunc(h1, h2, slices.Equal) {
 		t.Fatalf("selection histories diverged: %+v vs %+v", h1, h2)
 	}
-	for i := range h1 {
-		if h1[i] != h2[i] {
-			t.Fatalf("selection histories diverged at %d: %+v vs %+v", i, h1[i], h2[i])
-		}
-	}
-	if len(h1) == 0 {
-		t.Fatal("no selection history recorded under WithEnsemble")
+	if len(slices.Concat(h1...)) == 0 {
+		t.Fatal("no selection history recorded under the ensemble")
 	}
 }
 
-// TestMemoryEnsembleOptionValidation pins the option- and hint-misuse
+// TestMemoryEnsembleOptionValidation pins the factory- and hint-misuse
 // errors.
 func TestMemoryEnsembleOptionValidation(t *testing.T) {
 	factory := func() Prefetcher { p, _ := NewPrefetcher("stride"); return p }
-	if _, err := Open(WithEnsemble(EnsembleConfig{}), WithPrefetcherFactory(factory)); err == nil {
-		t.Fatal("WithEnsemble accepted alongside WithPrefetcherFactory")
-	}
-	if _, err := Open(WithEnsemble(EnsembleConfig{Arms: []string{"bogus"}})); err == nil {
-		t.Fatal("unknown ensemble arm accepted")
-	}
 	if _, err := Open(WithPrefetcherFactory(func() Prefetcher { return nil })); err == nil {
 		t.Fatal("nil-returning prefetcher factory accepted")
 	}
@@ -208,7 +226,7 @@ func TestMemoryAdviseSteersIssue(t *testing.T) {
 func BenchmarkMemoryEnsembleGetHit(b *testing.B) {
 	mem, err := Open(
 		WithSeed(42), WithCacheCapacity(256), WithQueueDepth(8),
-		WithEnsemble(EnsembleConfig{}),
+		WithPrefetcherFactory(func() Prefetcher { p, _ := NewPrefetcher("ensemble"); return p }),
 	)
 	if err != nil {
 		b.Fatal(err)

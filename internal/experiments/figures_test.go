@@ -333,8 +333,8 @@ func TestEnsembleBeatsFixedPolicies(t *testing.T) {
 			if c.label == "" {
 				t.Fatalf("missing %s cell for %s", policy, app)
 			}
-			if c.Ensemble.Enabled || c.arm != "" {
-				t.Fatalf("%s/%s: fixed policy reports selector activity: %+v, arm %q", app, policy, c.Ensemble, c.arm)
+			if c.switches != 0 || c.arm != "" {
+				t.Fatalf("%s/%s: fixed policy reports selector activity: %d switches, arm %q", app, policy, c.switches, c.arm)
 			}
 			if c.HitRatio > best {
 				best, bestName = c.HitRatio, policy

@@ -34,13 +34,15 @@ type memCase struct {
 }
 
 // memCell is a memCase's outcome: Stats at the end of the measured phase,
-// Stats at its start, and the arm the driving client's prefetches ended on
-// ("" without an ensemble).
+// Stats at its start and, under the online selector, the switches it took in
+// the measured phase and the arm the driving client's prefetches ended on
+// ("" without a selector).
 type memCell struct {
 	label string
 	runtime.Stats
-	before runtime.Stats
-	arm    string
+	before   runtime.Stats
+	switches int64
+	arm      string
 }
 
 func (c memCell) key() string { return c.label }
@@ -79,11 +81,22 @@ func memRun(c memCase) memCell {
 	}
 	get(c.warmup)
 	mem.SetRecording(true)
-	cell := memCell{label: c.label, before: mem.Stats()}
+	// The online selector keeps its own accounting: read it off the one
+	// stripe's instance.
+	ens, _ := mem.Prefetcher().(*prefetch.Ensemble)
+	switches := func() int64 {
+		if ens == nil {
+			return 0
+		}
+		_, _, n, _ := ens.Totals()
+		return n
+	}
+	cell := memCell{label: c.label, before: mem.Stats(), switches: -switches()}
 	get(c.measured)
 	cell.Stats = mem.Stats()
-	if h := client.SelectionHistory(); len(h) > 0 {
-		cell.arm = h[len(h)-1].Arm
+	cell.switches += switches()
+	if ens != nil {
+		cell.arm, _ = ens.Selected(prefetch.PID(client.ID()))
 	}
 	return cell
 }
@@ -195,9 +208,10 @@ const ztierFramePages = 2048
 
 // ztierFig runs every application with and without the compressed victim
 // tier at equal RAM, labelled "<app>/off" and "<app>/tier"; the tier run
-// also compresses batched frames on the wire. Pages carry
-// semi-compressible records, so the tier's effective capacity — and with it
-// the hit ratio — depends on the realized compression ratio.
+// also compresses batched frames on the wire, over a cluster like Open's
+// private one. Pages carry semi-compressible records, so the tier's
+// effective capacity — and with it the hit ratio — depends on the realized
+// compression ratio.
 func ztierFig(s Scale, seed uint64) []memCell {
 	accesses := perRun(s, 4, 2000)
 	var cells []memCell
@@ -207,10 +221,12 @@ func ztierFig(s Scale, seed uint64) []memCell {
 			opts := []runtime.Option{runtime.WithSeed(cellSeed), runtime.WithQueueDepth(8)}
 			if mode == "tier" {
 				reserve := ztierFramePages / 4
+				_, host := cluster(3, nil, remote.HostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: cellSeed,
+					Compress: true})
 				opts = append(opts,
 					runtime.WithCacheCapacity(ztierFramePages-reserve),
 					runtime.WithCompressedTier(int64(reserve)*remote.PageSize),
-					runtime.WithWireCompression(true))
+					runtime.WithRemoteHost(host))
 			} else {
 				opts = append(opts, runtime.WithCacheCapacity(ztierFramePages))
 			}
@@ -289,19 +305,14 @@ func ensembleFig(s Scale, seed uint64) []memCell {
 	for ai, p := range scaledApps() {
 		cellSeed := seed + uint64(ai)*977
 		for _, policy := range ensemblePolicies {
-			opts := []runtime.Option{
-				runtime.WithSeed(cellSeed),
-				runtime.WithQueueDepth(8),
-				runtime.WithCacheCapacity(ensembleFramePages),
-			}
-			if policy == "ensemble" {
-				opts = append(opts, runtime.WithEnsemble(prefetch.EnsembleConfig{}))
-			} else {
-				opts = append(opts, runtime.WithPrefetcherFactory(func() prefetch.Prefetcher { return mustPrefetcher(policy) }))
-			}
 			cells = append(cells, memRun(memCase{
-				label:    p.AppName + "/" + policy,
-				opts:     opts,
+				label: p.AppName + "/" + policy,
+				opts: []runtime.Option{
+					runtime.WithSeed(cellSeed),
+					runtime.WithQueueDepth(8),
+					runtime.WithCacheCapacity(ensembleFramePages),
+					runtime.WithPrefetcherFactory(func() prefetch.Prefetcher { return mustPrefetcher(policy) }),
+				},
 				populate: min(hotPages(p), 3*ensembleFramePages),
 				stride:   1,
 				next:     appStream(p, cellSeed),
@@ -322,11 +333,8 @@ func renderEnsemble(s Scale, seed uint64) string {
 	for _, c := range ensembleFig(s, seed) {
 		app, policy, _ := strings.Cut(c.label, "/")
 		switches, final := any("-"), "-"
-		if c.Ensemble.Enabled {
-			switches = c.Ensemble.Switches - c.before.Ensemble.Switches
-		}
 		if c.arm != "" {
-			final = c.arm
+			switches, final = c.switches, c.arm
 		}
 		rows = append(rows, []any{app, policy, 100 * c.HitRatio, 100 * c.Accuracy, 100 * c.Coverage,
 			c.Latency.P50, c.Latency.P99, switches, final})

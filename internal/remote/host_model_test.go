@@ -460,8 +460,13 @@ func strandedRepair(tp *hostTape, name string) []tapeOp {
 			break
 		}
 	}
-	ops = append(ops, on(opPartition, x), on(opMarkFailed, x), on(opPartition, y), named(name, repair),
+	var before []string
+	ops = append(ops, on(opPartition, x), on(opMarkFailed, x), on(opPartition, y),
+		expect("", func(r *hostRun) bool { before = r.strays(); return true }), named(name, repair),
 		expect("the repair returned an error", func(r *hostRun) bool { return r.errs[name] != nil }),
+		expect("the failed moves left no live agent a slab or an ack outside the placements", func(r *hostRun) bool {
+			return !slices.ContainsFunc(r.strays(), func(s string) bool { return !slices.Contains(before, s) })
+		}),
 		expect("every slab with a reachable survivor and a reachable first choice is back at Replicas", func(r *hostRun) bool {
 			h := r.h
 			h.mu.Lock()
@@ -486,6 +491,45 @@ func strandedRepair(tp *hostTape, name string) []tapeOp {
 		ops = append(ops, expect("the degraded page was re-pushed", acked(d, 2)))
 	}
 	return append(ops, on(opHeal, y), on(opHeal, x), on(opMarkRecovered, x), repair, rebal, flush)
+}
+
+// strays lists what the live agents — neither failed nor down — hold outside
+// the placements: a slab one maps that no placement names for it, a slab one
+// lacks that a placement does, a page one acks that neither its slab's
+// placement nor its hot set names it for.
+func (r *hostRun) strays() []string {
+	h := r.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	live := func(a int) bool { return !h.failed[a] && !r.state[a].down }
+	var out []string
+	for i, ag := range r.agents {
+		if !live(i) {
+			continue
+		}
+		ag.mu.Lock()
+		mapped := maps.Clone(ag.slabs)
+		ag.mu.Unlock()
+		for slab := range mapped {
+			if !slices.Contains(h.placements[slab], i) {
+				out = append(out, fmt.Sprintf("agent %d maps slab %d", i, slab))
+			}
+		}
+		for slab, replicas := range h.placements {
+			if _, ok := mapped[slab]; !ok && slices.Contains(replicas, i) {
+				out = append(out, fmt.Sprintf("agent %d lacks slab %d", i, slab))
+			}
+		}
+	}
+	for page := range core.PageID(r.tape.pages) {
+		slab, _ := h.locate(page)
+		for _, a := range h.rec(page).acked() {
+			if live(a) && !slices.Contains(h.placements[slab], a) && !slices.Contains(h.hot[page], a) {
+				out = append(out, fmt.Sprintf("agent %d acks page %d", a, page))
+			}
+		}
+	}
+	return out
 }
 
 // tapeBuilder draws steps onto a tape. While held, links are held: no step
@@ -1401,8 +1445,35 @@ func recoverOntoAcked(seed uint64) hostTape {
 }
 
 // TestRepairFinishesItsRound: a repair that meets a slab whose only survivor
-// cannot be read restores every other slab it can and re-pushes degraded pages.
-func TestRepairFinishesItsRound(t *testing.T) { hostSlice(t, 3, "stranded") }
+// cannot be read restores every other slab it can and re-pushes degraded
+// pages; a move cut short takes back what it put on its joiner.
+func TestRepairFinishesItsRound(t *testing.T) {
+	hostSlice(t, 3, "stranded")
+	runHostModel(t, copyCut(9))
+}
+
+// copyCut: slab 0's first replica a fails, and the repair copies the slab from
+// b onto c; b is partitioned once c has taken the first page, so the copy of
+// the second fails. c took the first page from b's acknowledged copy, and the
+// copy put it in the page's ack set: the failed move must take it out again,
+// and free the slab on c, which no placement names.
+func copyCut(seed uint64) hostTape {
+	tp := hostTape{seed: seed, replay: "^TestRepairFinishesItsRound$", mode: CallOnly, agents: 3, replicas: 2, depth: 4,
+		slabPages: 8, pages: 16}
+	ranked := (&Host{cfg: HostConfig{Seed: seed}, transports: make([]Transport, tp.agents)}).rendezvousRank(0, nil)
+	a, b, c := ranked[0], ranked[1], ranked[2]
+	for q := range core.PageID(tp.pages) {
+		tp.ops = append(tp.ops, at(opWriteSync, q))
+	}
+	tp.ops = append(tp.ops, on(opMarkFailed, a),
+		tapeOp{kind: opTrigger, name: "cut", link: c, frame: OpWrite, then: []tapeOp{on(opPartition, b)}},
+		named("repair", repair), expect("the copy onto c was cut after its first page", fired("cut")),
+		expect("the repair returned an error", func(r *hostRun) bool { return r.errs["repair"] != nil }),
+		expect("no live agent holds a slab or an ack outside the placements", func(r *hostRun) bool {
+			return len(r.strays()) == 0
+		}), on(opHeal, b), on(opMarkRecovered, a), repair, rebal, flush)
+	return tp
+}
 
 // TestRebalanceOffFailedAgent: a rebalance moves a failed agent's slabs off it
 // with no repair first, and back once it has recovered.

@@ -199,7 +199,9 @@ func (h *Host) moveSlabs(tally *int64, plan func(slab SlabID, replicas []int) ([
 // move began has its copy freed and leaves the slab's ack and hot sets; a
 // failed one is unreachable and keeps its copy and its acks, which
 // copySlabTo's skip rule needs should it come back from a partition holding a
-// page's newest image. A copy that fails leaves the slab as it was.
+// page's newest image. A copy that fails leaves the slab as it was: the
+// joiners copied onto so far leave the ack sets this move's copies put them
+// in, and give the slab up as a leaver does where nothing else holds them there.
 func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 	h.mu.Lock()
 	live := slices.DeleteFunc(slices.Clone(from), func(idx int) bool { return h.failed[idx] })
@@ -208,8 +210,14 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 		return fmt.Errorf("remote: move slab %d: no live replica to copy from", slab)
 	}
 	joining := slices.DeleteFunc(slices.Clone(to), func(idx int) bool { return slices.Contains(from, idx) })
-	for _, idx := range joining {
-		if err := h.copySlabTo(slab, live, idx); err != nil {
+	certified := make([][]core.PageID, len(joining))
+	for i, idx := range joining {
+		var err error
+		if certified[i], err = h.copySlabTo(slab, live, idx); err != nil {
+			h.mu.Lock()
+			trs := h.release(slab, joining[:i+1], certified)
+			h.mu.Unlock()
+			freeSlab(slab, trs)
 			return err
 		}
 	}
@@ -232,12 +240,28 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 			freed = append(freed, idx)
 		}
 	}
-	// The freed copies are going away: drop them from every page ack set in
-	// this slab so reads never prefer one.
+	h.scrubHot(slab, freed)
+	trs := h.release(slab, freed, nil)
+	h.mu.Unlock()
+	freeSlab(slab, trs)
+	return nil
+}
+
+// release takes agents out of the ack sets of slab's pages so that reads never
+// prefer their copies: agents[i] out of those of the pages certified[i] lists,
+// or with certified nil, out of every one. It returns the transports of the
+// agents then left in no ack or hot set of the slab, whose copy nothing reads:
+// the caller frees the slab on them, with h.mu released. Callers hold h.mu.
+func (h *Host) release(slab SlabID, agents []int, certified [][]core.PageID) []Transport {
+	held := make([]bool, len(agents))
 	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
 	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
-		if r := h.rec(page); len(r.acked()) > 0 {
-			r.acks = slices.DeleteFunc(r.acks, func(a int) bool { return slices.Contains(freed, a) })
+		r := h.rec(page)
+		if len(r.acked()) > 0 {
+			r.acks = slices.DeleteFunc(r.acks, func(a int) bool {
+				i := slices.Index(agents, a)
+				return i >= 0 && (certified == nil || slices.Contains(certified[i], page))
+			})
 			if len(r.acks) == 0 {
 				// Every acked holder left and the copy could not certify
 				// freshness: the write is no longer recoverable as acked, so
@@ -245,20 +269,25 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 				delete(h.degraded, page)
 			}
 		}
+		for i, a := range agents {
+			held[i] = held[i] || slices.Contains(r.acked(), a) || slices.Contains(h.hot[page], a)
+		}
 	}
-	h.scrubHot(slab, freed)
-	trs := make([]Transport, len(freed))
-	for i, idx := range freed {
-		trs[i] = h.transports[idx]
+	var trs []Transport
+	for i, a := range agents {
+		if !held[i] {
+			trs = append(trs, h.transports[a])
+		}
 	}
-	h.mu.Unlock()
+	return trs
+}
 
+// freeSlab frees slab on trs, best effort: an agent that fails to free keeps a
+// stale copy, but it is in no placement nor ack set, so nothing reads it.
+func freeSlab(slab SlabID, trs []Transport) {
 	for _, tr := range trs {
-		// Best effort: a leaver that fails to free keeps a stale copy, but it
-		// is in no placement nor ack set, so nothing reads it.
 		_, _ = tr.Call(&Request{Op: OpFreeSlab, Slab: slab})
 	}
-	return nil
 }
 
 // copySlabTo maps slab on the target agent and copies every page from the
@@ -268,30 +297,39 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 // zeros, which is exactly their state on the source. Nor does a stale source
 // overwrite a target already in the page's ack set (an agent marked failed and
 // recovered since the repair began): the target holds the newest image, and
-// the page is left as it is.
-func (h *Host) copySlabTo(slab SlabID, sources []int, target int) error {
+// the page is left as it is. It returns the pages whose ack set the copy put
+// target in, as far as it got.
+func (h *Host) copySlabTo(slab SlabID, sources []int, target int) (certified []core.PageID, err error) {
 	h.mu.Lock()
 	dst := h.transports[target]
 	h.mu.Unlock()
 	resp, err := dst.Call(&Request{Op: OpMapSlab, Slab: slab})
 	if err = callError(OpMapSlab, resp, err); err != nil {
-		return fmt.Errorf("remote: map slab %d on agent %d: %w", slab, target, err)
+		return nil, fmt.Errorf("remote: map slab %d on agent %d: %w", slab, target, err)
 	}
 	first, targets := core.PageID(int64(slab)*int64(h.cfg.SlabPages)), []int{target}
 	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
 		h.mu.Lock()
 		acked := h.rec(page).acked()
 		i := slices.IndexFunc(sources, func(s int) bool { return slices.Contains(acked, s) })
-		skip := i < 0 && slices.Contains(acked, target)
+		had := slices.Contains(acked, target)
 		h.mu.Unlock()
-		if skip {
+		if i < 0 && had {
 			continue
 		}
-		if readErr, writeErr := h.copyPage(page, sources[max(i, 0)], targets, i >= 0); readErr != nil || writeErr != nil {
-			return cmp.Or(readErr, writeErr)
+		readErr, writeErr := h.copyPage(page, sources[max(i, 0)], targets, i >= 0)
+		if i >= 0 && !had {
+			h.mu.Lock()
+			if slices.Contains(h.rec(page).acked(), target) {
+				certified = append(certified, page)
+			}
+			h.mu.Unlock()
+		}
+		if readErr != nil || writeErr != nil {
+			return certified, cmp.Or(readErr, writeErr)
 		}
 	}
-	return nil
+	return certified, nil
 }
 
 // joinWrites has the writes of slab still pending go to target too, now in its

@@ -65,32 +65,17 @@ func (c *Client) Get(pg core.PageID) ([]byte, error) {
 }
 
 // PredictorStats reports this client's predictor statistics, when the
-// Memory runs the Leap prefetcher — directly, or as an arm of the
-// WithEnsemble selector (the client's private "leap" arm is consulted
-// then). ok is false for other policies, or before the client's first
-// fault created a predictor. With WithShards beyond 1 each stripe owns a
-// separate predictor for this client; the counts are summed across stripes
-// (core.Stats fields are additive tallies).
+// Memory runs the Leap prefetcher. ok is false for other policies, or before
+// the client's first fault created a predictor. With WithShards beyond 1
+// each stripe owns a separate predictor for this client; the counts are
+// summed across stripes (core.Stats fields are additive tallies).
 func (c *Client) PredictorStats() (st core.Stats, ok bool) {
 	for _, s := range c.m.shards {
 		s.mu.Lock()
 		lp, isLeap := s.eng.Prefetcher().(*prefetch.Leap)
 		if !isLeap {
-			if s.ens == nil {
-				s.mu.Unlock()
-				return core.Stats{}, false
-			}
-			arm, found := s.ens.ClientArm(c.pid, "leap")
-			if !found {
-				// Client unseen on this stripe, or no leap arm configured.
-				s.mu.Unlock()
-				continue
-			}
-			lp, _ = arm.(*prefetch.Leap)
-			if lp == nil {
-				s.mu.Unlock()
-				continue
-			}
+			s.mu.Unlock()
+			return core.Stats{}, false
 		}
 		ps, found := lp.ProcessStats()[c.pid]
 		s.mu.Unlock()
@@ -191,37 +176,4 @@ func (c *Client) Advise(a Advice, start core.PageID, pages int) error {
 	default:
 		return fmt.Errorf("leap: unknown advice %d", a)
 	}
-}
-
-// SelectionEvent is one entry of a client's ensemble selection history: on
-// stripe Shard, Arm took over at the client's Fault-th miss there (Fault 0
-// is the initial selection).
-type SelectionEvent struct {
-	// Shard is the stripe whose selector recorded the event.
-	Shard int
-	// Fault is the client's cumulative miss count on that stripe when the
-	// arm took over.
-	Fault int64
-	// Arm is the selected prefetcher's registered name.
-	Arm string
-}
-
-// SelectionHistory reports this client's per-stripe ensemble selection
-// history — the initial arm plus every hysteresis-approved switch, in
-// stripe order then fault order. Nil without WithEnsemble, or before the
-// client's first fault. Safe to call concurrently with operations.
-func (c *Client) SelectionHistory() []SelectionEvent {
-	var out []SelectionEvent
-	for _, s := range c.m.shards {
-		if s.ens == nil {
-			return nil
-		}
-		s.mu.Lock()
-		h := s.ens.History(c.pid)
-		s.mu.Unlock()
-		for _, ev := range h {
-			out = append(out, SelectionEvent{Shard: s.idx, Fault: ev.Fault, Arm: ev.Arm})
-		}
-	}
-	return out
 }

@@ -137,7 +137,6 @@ func (f *frame) clean() { f.dirty, f.lo, f.hi = false, 0, 0 }
 // memOptions collects Open's functional options.
 type memOptions struct {
 	pfFactory  func() prefetch.Prefetcher
-	ensCfg     *prefetch.EnsembleConfig
 	host       *remote.Host
 	capacity   int
 	queueDepth int
@@ -148,7 +147,6 @@ type memOptions struct {
 	planeCfg   *control.Config
 	planeEvery sim.Duration
 	ztierBytes int64
-	wireComp   bool
 }
 
 // Option configures Open.
@@ -161,29 +159,17 @@ type Option func(*memOptions)
 // any policy runs sharded. The factory must return independent instances
 // (stripe state is never shared); at WithShards(1) it is called exactly once,
 // so a closure over one instance the caller keeps for its statistics is fine
-// there. Mutually exclusive with WithEnsemble.
+// there. The online selector is one more such policy
+// (NewPrefetcher("ensemble")); read its accounting off the instances f built.
 func WithPrefetcherFactory(f func() prefetch.Prefetcher) Option {
 	return func(o *memOptions) { o.pfFactory = f }
-}
-
-// WithEnsemble replaces the fixed prefetching policy with the online
-// per-client selector (prefetch.Ensemble): each client's arms — private
-// instances of the configured prefetchers — shadow-score the client's
-// fault stream, and live prefetch decisions route to the current winner
-// with hysteresis. Deterministic given the seed: selection is a pure
-// function of the access stream. Each stripe owns an independent selector
-// (per-stripe fault streams, like every predictor here); Stats.Ensemble
-// aggregates them and Client.SelectionHistory exposes per-client switches.
-// Mutually exclusive with WithPrefetcherFactory. The zero EnsembleConfig
-// takes the documented defaults.
-func WithEnsemble(cfg prefetch.EnsembleConfig) Option {
-	return func(o *memOptions) { o.ensCfg = &cfg }
 }
 
 // WithRemoteHost runs the Memory over an existing host — typically one
 // dialed to TCP agents (cmd/leapagent). The caller keeps ownership: Close
 // flushes but does not close it. Without this option Open builds a private
-// three-agent in-process cluster with two-way replication.
+// three-agent in-process cluster with two-way replication. Batched frames
+// travel compressed when the host's config sets Compress.
 func WithRemoteHost(h *remote.Host) Option { return func(o *memOptions) { o.host = h } }
 
 // WithCacheCapacity sets the local memory budget in pages — the cgroup
@@ -234,15 +220,6 @@ const DefaultDecompressLatency = 1500 * sim.Nanosecond
 // appear. Zero keeps the fault path bit-identical to the tierless runtime.
 func WithCompressedTier(bytes int64) Option { return func(o *memOptions) { o.ztierBytes = bytes } }
 
-// WithWireCompression ships the private cluster's batched doorbell frames
-// with per-page compressed payloads (default false): write batches go out
-// compressed and read batches ask agents for compressed responses, end to
-// end through any transport. The codec is deterministic, so replay is
-// unchanged — the realized wire ratio shows up in Stats.Host's Wire*
-// counters, not the latency model. Incompatible with WithRemoteHost: set
-// RemoteHostConfig.Compress on the supplied host instead.
-func WithWireCompression(on bool) Option { return func(o *memOptions) { o.wireComp = on } }
-
 // WithSeed seeds the latency models (fabric jitter, data-path stage draws).
 // Equal seeds and equal access sequences replay bit-identically.
 func WithSeed(seed uint64) Option { return func(o *memOptions) { o.seed = seed } }
@@ -287,17 +264,11 @@ func Open(opts ...Option) (*Memory, error) {
 	for nshards < o.shards {
 		nshards <<= 1
 	}
-	if o.ensCfg != nil && o.pfFactory != nil {
-		return nil, fmt.Errorf("leap: WithEnsemble supplies its own per-stripe selector and is mutually exclusive with WithPrefetcherFactory")
-	}
 	if o.capacity < nshards {
 		return nil, fmt.Errorf("leap: cache capacity %d pages < %d shards, need at least one page per shard", o.capacity, nshards)
 	}
 	if o.ztierBytes < 0 {
 		return nil, fmt.Errorf("leap: compressed tier budget %d bytes, need >= 0", o.ztierBytes)
-	}
-	if o.wireComp && o.host != nil {
-		return nil, fmt.Errorf("leap: WithWireCompression configures the private in-process cluster; set RemoteHostConfig.Compress on the host passed to WithRemoteHost instead")
 	}
 	m := &Memory{
 		clock:     &sim.Clock{},
@@ -324,7 +295,6 @@ func Open(opts ...Option) (*Memory, error) {
 			Replicas:   2,
 			QueueDepth: o.queueDepth,
 			Seed:       o.seed,
-			Compress:   o.wireComp,
 		}, transports)
 		if err != nil {
 			return nil, err
@@ -332,25 +302,14 @@ func Open(opts ...Option) (*Memory, error) {
 		m.host = h
 		m.ownHost = true
 	}
-	// Resolve one prefetcher per stripe up front, so factory and ensemble
-	// misconfigurations surface as Open errors rather than mid-fault.
+	// Resolve one prefetcher per stripe up front, so a factory's
+	// misconfiguration surfaces as an Open error rather than mid-fault.
 	pfs := make([]prefetch.Prefetcher, nshards)
 	for i := range pfs {
-		switch {
-		case o.ensCfg != nil:
-			en, err := prefetch.NewEnsemble(*o.ensCfg)
-			if err != nil {
-				return nil, fmt.Errorf("leap: WithEnsemble: %w", err)
-			}
-			pfs[i] = en
-		case o.pfFactory != nil:
-			p := o.pfFactory()
-			if p == nil {
-				return nil, fmt.Errorf("leap: WithPrefetcherFactory returned nil for stripe %d", i)
-			}
-			pfs[i] = p
-		default:
+		if o.pfFactory == nil {
 			pfs[i] = prefetch.NewLeap(core.Config{})
+		} else if pfs[i] = o.pfFactory(); pfs[i] == nil {
+			return nil, fmt.Errorf("leap: WithPrefetcherFactory returned nil for stripe %d", i)
 		}
 	}
 	m.shards = make([]*shard, nshards)
@@ -365,8 +324,8 @@ func Open(opts ...Option) (*Memory, error) {
 
 // newShard builds stripe idx of nshards: its own engine (latency models
 // seeded per stripe, stripe 0 keeping the user seed), the stripe's
-// prefetcher pf (resolved by Open — default Leap, one factory-built instance
-// per stripe, or an ensemble selector), cache, residency budget and frame
+// prefetcher pf (resolved by Open — default Leap, or one factory-built
+// instance per stripe), cache, residency budget and frame
 // pool. The global capacity is striped statically — capacity/nshards pages
 // each, remainder to the low stripes.
 func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetcher) *shard {
@@ -382,7 +341,6 @@ func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetche
 		faulting: pagemap.New[struct{}](0),
 	}
 	s.faulted.L = &s.mu
-	s.ens, _ = pf.(*prefetch.Ensemble)
 	// The full Leap stack of §4: lean data path, eager cache eviction, and
 	// (unless overridden) majority-trend prefetching — the same
 	// configuration Simulate's SystemDVMMLeap preset builds, so a Memory
@@ -716,28 +674,6 @@ type Stats struct {
 	// Ztier is the compressed victim tier's accounting (zero-valued
 	// without WithCompressedTier).
 	Ztier ZtierStats
-	// Ensemble is the online prefetcher selector's accounting (zero-valued
-	// without WithEnsemble).
-	Ensemble EnsembleStats
-}
-
-// EnsembleStats is the online prefetcher selector's accounting, summed
-// across stripes. The zero value (Enabled false) means no selector is
-// attached; every field is a plain comparable scalar, so Stats stays
-// comparable with == (the ZtierStats discipline). Per-client selection
-// detail lives on Client.SelectionHistory.
-type EnsembleStats struct {
-	// Enabled reports whether WithEnsemble attached the selector.
-	Enabled bool
-	// Clients counts (client, stripe) selector states created — a client
-	// faulting on every stripe counts once per stripe.
-	Clients int
-	// Epochs counts selection epochs closed; Switches counts arm changes
-	// taken after hysteresis.
-	Epochs, Switches int64
-	// Regret is the cumulative bandit regret in prefetch hits: per epoch,
-	// the best arm's scored hits beyond the selected arm's.
-	Regret int64
 }
 
 // ZtierStats is the compressed victim tier's accounting, summed across
@@ -805,14 +741,6 @@ func (m *Memory) Stats() Stats {
 			s.Ztier.OverflowWritebacks += zs.OverflowDirty
 			s.Ztier.RawBytes += zs.RawBytes
 			s.Ztier.CompressedBytes += zs.CompressedBytes
-		}
-		if sh.ens != nil {
-			clients, epochs, switches, regret := sh.ens.Totals()
-			s.Ensemble.Enabled = true
-			s.Ensemble.Clients += clients
-			s.Ensemble.Epochs += epochs
-			s.Ensemble.Switches += switches
-			s.Ensemble.Regret += regret
 		}
 		lat.Merge(&sh.eng.FaultLatency)
 		prefetchHits += cs.PrefetchHits - sh.cacheStats0.PrefetchHits

@@ -42,11 +42,6 @@ type shard struct {
 	eng *paging.Engine[*shard]
 	res *paging.Resident
 
-	// ens is this stripe's ensemble selector when WithEnsemble is on — the
-	// same object as eng.Prefetcher(), kept typed for stats and selection-
-	// history reads under mu. Nil otherwise.
-	ens *prefetch.Ensemble
-
 	// hints holds madvise-style access hints per client, newest last (see
 	// Client.Advise). Nil until the first range hint, so unhinted runtimes
 	// pay a single nil check per fault. Every stripe stores the full

@@ -72,25 +72,14 @@ type Predictor = core.Predictor
 // NewPredictor returns a Predictor for one process's fault stream.
 func NewPredictor(cfg PredictorConfig) *Predictor { return core.NewPredictor(cfg) }
 
-// MajorityVote exposes the Boyer–Moore majority vote the trend detector is
-// built on: it reports the element occurring more than half the time, if
-// one exists.
-func MajorityVote(xs []int64) (int64, bool) { return core.MajorityVote(xs) }
-
-// Prefetcher is the pluggable prefetching interface of the paging path; see
-// PrefetcherNames for available implementations.
+// Prefetcher is the pluggable prefetching interface of the paging path; build
+// one with NewPrefetcher.
 type Prefetcher = prefetch.Prefetcher
 
 // NewPrefetcher builds a prefetcher by name: "leap", "readahead", "stride",
-// "nextnline", or "none".
+// "nextnline", "ghb", "none", or "ensemble" (the online per-client selector
+// over the others).
 func NewPrefetcher(name string) (Prefetcher, error) { return prefetch.New(name) }
-
-// NewLeapPrefetcher builds the Leap prefetcher with an explicit predictor
-// configuration (per-process isolation included).
-func NewLeapPrefetcher(cfg PredictorConfig) *prefetch.Leap { return prefetch.NewLeap(cfg) }
-
-// PrefetcherNames lists the registered prefetcher implementations.
-func PrefetcherNames() []string { return prefetch.Names() }
 
 // System selects a simulated configuration preset, mirroring the paper's
 // evaluation setups.

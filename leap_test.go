@@ -3,6 +3,8 @@ package leap
 import (
 	"strings"
 	"testing"
+
+	"leap/internal/prefetch"
 )
 
 func TestPredictorFacade(t *testing.T) {
@@ -16,16 +18,10 @@ func TestPredictorFacade(t *testing.T) {
 	}
 }
 
-func TestMajorityVoteFacade(t *testing.T) {
-	if v, ok := MajorityVote([]int64{3, 3, 5, 3}); !ok || v != 3 {
-		t.Fatalf("MajorityVote = (%d, %v)", v, ok)
-	}
-}
-
 func TestPrefetcherFacade(t *testing.T) {
-	names := PrefetcherNames()
+	names := prefetch.Names()
 	if len(names) != 7 {
-		t.Fatalf("PrefetcherNames = %v", names)
+		t.Fatalf("prefetch.Names = %v", names)
 	}
 	for _, n := range names {
 		p, err := NewPrefetcher(n)
@@ -35,10 +31,6 @@ func TestPrefetcherFacade(t *testing.T) {
 	}
 	if _, err := NewPrefetcher("bogus"); err == nil {
 		t.Fatal("bogus prefetcher accepted")
-	}
-	lp := NewLeapPrefetcher(PredictorConfig{HistorySize: 16})
-	if lp.Name() != "leap" {
-		t.Fatal("leap prefetcher misnamed")
 	}
 }
 

@@ -2,7 +2,6 @@ package leap
 
 import (
 	"leap/internal/control"
-	"leap/internal/prefetch"
 	"leap/internal/runtime"
 	"leap/internal/sim"
 )
@@ -55,21 +54,10 @@ func Open(opts ...Option) (*Memory, error) { return runtime.Open(opts...) }
 // once per fault-path stripe, so every stripe owns a private instance and no
 // predictor state is shared across shard locks; at WithShards(1) that is
 // once in all, and f may return an instance the caller keeps to read its
-// statistics.
+// statistics. The online per-client selector is one more policy:
+// NewPrefetcher("ensemble") runs every arm in shadow and routes each client's
+// prefetches to its best one; read its accounting off the instances f built.
 func WithPrefetcherFactory(f func() Prefetcher) Option { return runtime.WithPrefetcherFactory(f) }
-
-// EnsembleConfig tunes the WithEnsemble selector: the candidate arms (in
-// priority order), the scoring epoch length in misses, the hysteresis
-// margin and streak that debounce switching, the shadow window bounding
-// parked counterfactual predictions, the pollution penalty in the score,
-// and the per-client selection-history cap. The zero value of every field
-// selects its documented default.
-type EnsembleConfig = prefetch.EnsembleConfig
-
-// MemoryEnsembleStats is the Stats.Ensemble block: clients tracked, epochs
-// scored, selection switches taken, and cumulative regret (in prefetch
-// hits) across all stripes.
-type MemoryEnsembleStats = runtime.EnsembleStats
 
 // Advice is an madvise-style access-pattern hint for MemoryClient.Advise:
 // AdviseNormal, AdviseSequential, AdviseRandom declare sticky per-range
@@ -84,25 +72,11 @@ const (
 	AdviseWillNeed   = runtime.AdviseWillNeed
 )
 
-// SelectionEvent is one entry of MemoryClient.SelectionHistory: on stripe
-// Shard, Arm took over at the client's Fault-th miss there.
-type SelectionEvent = runtime.SelectionEvent
-
-// WithEnsemble routes every client's prefetching through an online
-// per-client selector over the named arms (default: leap, ghb, stride,
-// readahead, nextnline). All arms observe each client's fault stream; only
-// the current winner's predictions are issued, the rest run as shadows
-// scored against later accesses, and the selection switches when a
-// challenger sustainably out-scores the incumbent (hysteresis + streak).
-// Selection is deterministic given the seed. Incompatible with
-// WithPrefetcherFactory; read the accounting from Stats.Ensemble and
-// MemoryClient.SelectionHistory.
-func WithEnsemble(cfg EnsembleConfig) Option { return runtime.WithEnsemble(cfg) }
-
 // WithRemoteHost runs the Memory over an existing host — typically one
 // dialed to TCP agents (cmd/leapagent). The caller keeps ownership: Close
 // flushes but does not close it. Without this option Open builds a private
-// three-agent in-process cluster with two-way replication.
+// three-agent in-process cluster with two-way replication. Batched frames
+// travel compressed when RemoteHostConfig.Compress is set.
 func WithRemoteHost(h *RemoteHost) Option { return runtime.WithRemoteHost(h) }
 
 // WithCacheCapacity sets the local memory budget in pages — the cgroup
@@ -187,11 +161,3 @@ type MemoryZtierStats = runtime.ZtierStats
 // written back through the async engine. bytes <= 0 disables the tier
 // (the default), which is bit-identical to the legacy runtime.
 func WithCompressedTier(bytes int64) Option { return runtime.WithCompressedTier(bytes) }
-
-// WithWireCompression ships the private cluster's batched doorbell frames
-// with page images compressed end-to-end (deterministic block codec,
-// stored-block fallback for incompressible pages). The savings surface in
-// Stats.Host.WireRawBytes / WireCompressedBytes; simulated timings are
-// unchanged. Incompatible with WithRemoteHost — set
-// RemoteHostConfig.Compress on the supplied host instead.
-func WithWireCompression(on bool) Option { return runtime.WithWireCompression(on) }

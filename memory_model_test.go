@@ -23,6 +23,7 @@ import (
 	"leap/internal/chaos"
 	"leap/internal/core"
 	"leap/internal/load"
+	"leap/internal/prefetch"
 	"leap/internal/remote"
 	"leap/internal/sim"
 )
@@ -191,6 +192,9 @@ func drawMemTape(seed uint64, pins ...func(*memTape)) memTape {
 	windows := rng.Intn(4)
 	for _, pin := range pins {
 		pin(&tp)
+	}
+	if tp.link == "private" { // Compress is a host's, and only a host passed in has one to set
+		tp.wire = false
 	}
 	tp.load.Seed = seed
 	if tp.capacity == 0 {
@@ -530,11 +534,10 @@ func offReplay(tp *memTape) {
 	tp.link, tp.control, tp.offReplay = "private", false, true
 }
 
-// TestMemoryZtierOffIsIdentical: tapes with no tier nor wire compression
-// replay with WithCompressedTier(0) and WithWireCompression(false) to equal
-// Stats, and report no tier activity.
+// TestMemoryZtierOffIsIdentical: tapes with no tier replay with
+// WithCompressedTier(0) to equal Stats, and report no tier activity.
 func TestMemoryZtierOffIsIdentical(t *testing.T) {
-	modelSlice(t, 2, offReplay, func(tp *memTape) { tp.tierPages, tp.wire = 0, false })
+	modelSlice(t, 2, offReplay, func(tp *memTape) { tp.tierPages = 0 })
 }
 
 // TestMemoryEnsembleOffIsIdentical: tapes with no ensemble replay with
@@ -763,6 +766,7 @@ type memRun struct {
 	streams []*load.Stream
 	ios     []load.IO
 	rng     *rand.Rand
+	sel     selectors // the ensemble's, when the tape runs one
 	// churnAt is where the next churn reads, cycling through a window of
 	// never-stored pages above the data pages.
 	churnAt, churnBase, churnSpan core.PageID
@@ -785,7 +789,7 @@ func newMemRun(t *testing.T, tape *memTape, off bool) *memRun {
 	r.churnAt = r.churnBase
 	opts := []Option{WithSeed(tape.seed*0x9E3779B97F4A7C15 + 1), WithShards(tape.shards), WithCacheCapacity(tape.capacity),
 		WithQueueDepth(tape.depth)}
-	opts = append(opts, tape.options(off)...)
+	opts = append(opts, r.options(off)...)
 	if tape.link != "private" {
 		r.rig = &chaos.Applier{Replicas: 2, Provision: r.provision, Now: func() sim.Time { return r.mem.Now() }}
 		var trs []RemoteTransport
@@ -820,18 +824,18 @@ func newMemRun(t *testing.T, tape *memTape, off bool) *memRun {
 
 // options are the Memory options the tape's configuration asks for, beyond
 // its sizes and link; with off, also every option it leaves off, explicitly.
-func (tp *memTape) options(off bool) []Option {
+// The ensemble is a prefetcher factory whose selectors r keeps.
+func (r *memRun) options(off bool) []Option {
 	var opts []Option
+	tp := r.tape
 	if tp.tierPages > 0 || off {
 		opts = append(opts, WithCompressedTier(int64(tp.tierPages)*RemotePageSize))
 	}
 	if tp.ensemble {
-		opts = append(opts, WithEnsemble(EnsembleConfig{EpochFaults: 8, SwitchStreak: 1}))
+		r.sel.cfg = prefetch.EnsembleConfig{EpochFaults: 8, SwitchStreak: 1}
+		opts = append(opts, WithPrefetcherFactory(r.sel.factory))
 	} else if off {
-		opts = append(opts, WithPrefetcherFactory(func() Prefetcher { return NewLeapPrefetcher(PredictorConfig{}) }))
-	}
-	if tp.link == "private" && (tp.wire || off) {
-		opts = append(opts, WithWireCompression(tp.wire))
+		opts = append(opts, WithPrefetcherFactory(func() Prefetcher { return prefetch.NewLeap(PredictorConfig{}) }))
 	}
 	if tp.control {
 		opts = append(opts, WithControlPlane(ControlConfig{}))
@@ -1270,11 +1274,11 @@ func (r *memRun) final() error {
 	if tp.tierPages == 0 && st.Ztier != (MemoryZtierStats{}) {
 		return fmt.Errorf("a tape with no tier reports tier activity: %+v", st.Ztier)
 	}
-	if tp.ensemble && (!st.Ensemble.Enabled || st.Ensemble.Clients == 0 || tp.load.Goroutines > 0 && st.Ensemble.Epochs == 0) {
-		return fmt.Errorf("the ensemble never engaged: %+v", st.Ensemble)
+	if _, ens := r.mem.Prefetcher().(*prefetch.Ensemble); ens != tp.ensemble {
+		return fmt.Errorf("the Memory runs a selector: %v, on a tape whose ensemble is %s", ens, onOff(tp.ensemble))
 	}
-	if !tp.ensemble && st.Ensemble != (MemoryEnsembleStats{}) {
-		return fmt.Errorf("a tape with no ensemble reports selector activity: %+v", st.Ensemble)
+	if clients, epochs, _ := r.sel.totals(); tp.ensemble && (clients == 0 || tp.load.Goroutines > 0 && epochs == 0) {
+		return fmt.Errorf("the ensemble never engaged: %d clients, %d epochs", clients, epochs)
 	}
 	if st.Control.Enabled != tp.control {
 		return fmt.Errorf("control stats enabled %v on a tape whose control plane is %s", st.Control.Enabled, onOff(tp.control))

@@ -77,7 +77,7 @@ func TestMemoryMatchesSimulator(t *testing.T) {
 
 	// Runtime run: same seed, same budget, same prefetcher configuration,
 	// depth 1 (the simulator run above is unbatched).
-	memPf := NewLeapPrefetcher(PredictorConfig{})
+	memPf := prefetch.NewLeap(PredictorConfig{})
 	mem, err := Open(WithSeed(seed), WithCacheCapacity(limit),
 		WithQueueDepth(1), WithPrefetcherFactory(func() Prefetcher { return memPf }))
 	if err != nil {
@@ -130,7 +130,7 @@ func TestMemoryMatchesSimulator(t *testing.T) {
 // sequential phase, smooth shrink to suspension on random traffic, and the
 // transition counters that prove both happened.
 func TestMemoryWindowAdaptation(t *testing.T) {
-	lp := NewLeapPrefetcher(PredictorConfig{})
+	lp := prefetch.NewLeap(PredictorConfig{})
 	mem, err := Open(WithSeed(21), WithCacheCapacity(128),
 		WithPrefetcherFactory(func() Prefetcher { return lp }))
 	if err != nil {

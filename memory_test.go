@@ -173,7 +173,7 @@ func TestMemoryDeterminism(t *testing.T) {
 // through the runtime's fault path: the window must grow under sequential
 // hits (NoteHit feedback) and the predictor must have seen trends.
 func TestMemorySharedLeapPrefetcher(t *testing.T) {
-	lp := NewLeapPrefetcher(PredictorConfig{})
+	lp := prefetch.NewLeap(PredictorConfig{})
 	mem, err := Open(WithSeed(5), WithCacheCapacity(128),
 		WithPrefetcherFactory(func() Prefetcher { return lp }))
 	if err != nil {

@@ -13,12 +13,21 @@ SAME machine, which makes the thresholds meaningful on any hardware.
 The gate applies to the headline hot-path benchmarks (--headline overrides
 the default list):
 
-  - ns/op more than --threshold (default 15%) above baseline fails;
+  - ns/op (or its ratio, below) more than --threshold (default 15%) above
+    baseline fails;
   - ANY allocs/op increase fails (the hot path is allocation-free by
     construction; one alloc per op is how it regresses silently);
   - any fresh benchmark whose name starts with a --zero-alloc prefix must
     report 0 allocs/op, baseline or not (this is how brand-new hit-path
     benchmarks are gated before a baseline containing them exists).
+
+Where both files carry the three reference rows (BenchmarkRefCopy4K,
+BenchmarkRefMutex, BenchmarkRefHash: a 4 KB copy, an uncontended mutex, a
+fixed hash loop, which scripts/bench.sh records with the others), each row is
+compared as its ns/op over the geometric mean of its own file's reference
+rows, so that a change of box moves both sides alike; the threshold applies
+to that ratio. Where either file lacks them (BENCH_1.json ... BENCH_45.json)
+the comparison falls back to raw ns/op, and the output says which mode ran.
 
 A headline benchmark missing from either file is WARNED about and skipped
 rather than fatal: an A/B baseline built from an older commit predates
@@ -31,9 +40,11 @@ Exit status: 0 clean, 1 regression, 2 usage/data error.
 """
 import argparse
 import json
+import math
 import sys
 
 HEADLINE = ["BenchmarkSimulatorThroughput", "BenchmarkPredictorFaultPath"]
+REFERENCE = ["BenchmarkRefCopy4K", "BenchmarkRefMutex", "BenchmarkRefHash"]
 
 
 def load(path):
@@ -64,12 +75,22 @@ def load(path):
     return out
 
 
+def reference(rows):
+    """The geometric mean of the reference rows' ns/op, or None when a
+    reference row is missing."""
+    vals = [rows.get(n, {}).get("ns/op") for n in REFERENCE]
+    if any(v is None or v <= 0 for v in vals):
+        return None
+    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=0.15,
-                    help="allowed fractional ns/op growth on headline benchmarks")
+                    help="allowed fractional growth of ns/op (or of its ratio "
+                         "to the reference rows) on headline benchmarks")
     ap.add_argument("--headline", default=",".join(HEADLINE),
                     help="comma-separated gated benchmark names "
                          "(default: %(default)s)")
@@ -93,8 +114,23 @@ def main():
               "nothing to gate on", file=sys.stderr)
         sys.exit(2)
 
+    bref, fref = reference(base), reference(fresh)
+    if bref and fref:
+        unit = "ratio"
+        print(f"mode: ratio - each row's ns/op over the geometric mean of "
+              f"its file's {', '.join(REFERENCE)} (baseline {bref:.4g} ns, "
+              f"fresh {fref:.4g} ns)")
+    else:
+        bref = fref = 1.0
+        unit = "ns/op"
+        lacking = " and ".join(p for p, ref in ((args.baseline, reference(base)),
+                                                (args.fresh, reference(fresh)))
+                               if ref is None)
+        print(f"mode: raw ns/op - {lacking} lacks the reference rows "
+              f"{', '.join(REFERENCE)}")
+
     failures = []
-    print(f"{'benchmark':<42} {'base ns/op':>12} {'fresh ns/op':>12} "
+    print(f"{'benchmark':<42} {'base ' + unit:>12} {'fresh ' + unit:>12} "
           f"{'delta':>8}  {'allocs':>13}")
     for name in sorted(set(base) & set(fresh)):
         b, f = base[name], fresh[name]
@@ -102,12 +138,13 @@ def main():
         ba, fa = b.get("allocs/op", 0.0), f.get("allocs/op", 0.0)
         if bn is None or fn is None:
             continue
+        bn, fn = bn / bref, fn / fref
         delta = (fn - bn) / bn if bn else 0.0
         gate = name in gated
         verdict = ""
         if gate:
             if delta > args.threshold:
-                verdict = f"FAIL ns/op +{delta:.1%} > {args.threshold:.0%}"
+                verdict = f"FAIL {unit} +{delta:.1%} > {args.threshold:.0%}"
             if fa > ba:
                 verdict = (verdict + "; " if verdict else "") + \
                     f"FAIL allocs/op {ba:g} -> {fa:g}"
@@ -137,7 +174,7 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
-    print(f"\nOK: headline benchmarks within {args.threshold:.0%} ns/op, "
+    print(f"\nOK: headline benchmarks within {args.threshold:.0%} {unit}, "
           "no allocs/op growth")
 
 

@@ -7,13 +7,22 @@ import (
 	"leap/internal/remote"
 )
 
-// TestMemoryWireCompressionIntegrity checks the on-wire leg end to end.
-// Phase one: the stamped (incompressible) load must survive compressed
-// batch frames exactly — stored-fallback framing, worst case for the
-// codec. Phase two: semi-compressible record pages must actually save wire
-// bytes.
+// TestMemoryWireCompressionIntegrity checks the on-wire leg end to end, over
+// a host with Compress on. Phase one: the stamped (incompressible) load must
+// survive compressed batch frames exactly — stored-fallback framing, worst
+// case for the codec. Phase two: semi-compressible record pages must
+// actually save wire bytes.
 func TestMemoryWireCompressionIntegrity(t *testing.T) {
-	mem, err := Open(WithSeed(59), WithCacheCapacity(48), WithQueueDepth(8), WithWireCompression(true))
+	var trs []RemoteTransport
+	for range 3 {
+		trs = append(trs, NewInProcTransport(NewRemoteAgent(1024, 0)))
+	}
+	host, err := NewRemoteHost(RemoteHostConfig{SlabPages: 1024, Replicas: 2, QueueDepth: 8, Seed: 59, Compress: true}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	mem, err := Open(WithSeed(59), WithCacheCapacity(48), WithQueueDepth(8), WithRemoteHost(host))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +73,9 @@ func TestMemoryWireCompressionIntegrity(t *testing.T) {
 	}
 }
 
-// TestMemoryZtierOptionValidation pins the option-misuse errors.
+// TestMemoryZtierOptionValidation pins the option-misuse error.
 func TestMemoryZtierOptionValidation(t *testing.T) {
 	if _, err := Open(WithCompressedTier(-1)); err == nil {
 		t.Fatal("negative tier budget accepted")
-	}
-	host, err := remote.NewHost(remote.HostConfig{}, []remote.Transport{
-		remote.NewInProc(remote.NewAgent(64, 0)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(WithRemoteHost(host), WithWireCompression(true)); err == nil {
-		t.Fatal("WithWireCompression accepted alongside WithRemoteHost (the host's own Compress field governs)")
 	}
 }
