@@ -25,10 +25,11 @@ bench:
 	scripts/bench.sh
 
 # Regression gate: A/B the gated hot-path benchmarks — baseline ref
-# (BENCH_AB_BASE, default HEAD~1) in a throwaway worktree vs the working
-# tree, both on THIS machine — and fail on >15% ns/op growth, any
-# allocs/op increase, or any allocation on the Memory hit paths
-# (scripts/bench_ab.sh).
+# (BENCH_AB_BASE, default HEAD~1) exported by git archive into a throwaway
+# directory vs the working tree, both on THIS machine — and fail on >15%
+# ns/op growth, any allocs/op increase, or any allocation on the Memory hit
+# paths; a second pass holds the loopback data-path layers to 25% and the
+# read scans to zero allocations (scripts/bench_ab.sh).
 bench-check:
 	scripts/bench_ab.sh
 

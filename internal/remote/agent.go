@@ -77,41 +77,45 @@ func (a *Agent) Ops() (reads, writes int64) {
 // Handle processes one request and returns the response. This is the
 // transport-independent core used by both the in-process transport and the
 // TCP server loop.
-func (a *Agent) Handle(req *Request) *Response { return a.handle(req, nil) }
+func (a *Agent) Handle(req *Request) *Response {
+	resp := a.handle(req, nil)
+	return &resp
+}
 
 // handle is Handle laying a response's payload out in buf when its capacity
-// suffices (the response then has its frame set). A connection's server loop
-// passes its reusable buffer: nothing retains a written response. nil allocates.
-func (a *Agent) handle(req *Request, buf []byte) *Response {
+// suffices (the response then has its frame set), and returning the response
+// itself: a connection's server loop keeps it on its stack and passes its
+// reusable buffer, for nothing retains a written response. nil allocates.
+func (a *Agent) handle(req *Request, buf []byte) Response {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	switch req.Op {
 	case OpPing:
-		return &Response{Status: StatusOK}
+		return Response{Status: StatusOK}
 
 	case OpMapSlab:
 		if _, ok := a.slabs[req.Slab]; ok {
-			return &Response{Status: StatusOK} // idempotent
+			return Response{Status: StatusOK} // idempotent
 		}
 		if a.maxSlabs > 0 && len(a.slabs) >= a.maxSlabs {
-			return &Response{Status: StatusNoSpace}
+			return Response{Status: StatusNoSpace}
 		}
 		a.slabs[req.Slab] = make([]byte, a.slabPages*PageSize)
-		return &Response{Status: StatusOK}
+		return Response{Status: StatusOK}
 
 	case OpFreeSlab:
 		delete(a.slabs, req.Slab)
-		return &Response{Status: StatusOK}
+		return Response{Status: StatusOK}
 
 	case OpRead:
 		page, status := a.page(req.Slab, req.PageOff)
 		if status != StatusOK {
-			return &Response{Status: status}
+			return Response{Status: status}
 		}
 		a.reads++
 		frame := headroom(buf, respHeaderSize, PageSize)
 		copy(frame[respHeaderSize:], page)
-		return &Response{Status: StatusOK, Payload: frame[respHeaderSize:], frame: frame}
+		return Response{Status: StatusOK, Payload: frame[respHeaderSize:], frame: frame}
 
 	case OpWrite:
 		page, status := a.page(req.Slab, req.PageOff)
@@ -119,22 +123,22 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 			status = StatusBadBound
 		}
 		if status != StatusOK {
-			return &Response{Status: status}
+			return Response{Status: status}
 		}
 		a.writes++
 		copy(page, req.Payload)
-		return &Response{Status: StatusOK}
+		return Response{Status: StatusOK}
 
 	case OpStats:
 		payload := make([]byte, 8)
 		binary.LittleEndian.PutUint32(payload[0:4], uint32(len(a.slabs)))
 		binary.LittleEndian.PutUint32(payload[4:8], uint32(a.maxSlabs))
-		return &Response{Status: StatusOK, Payload: payload}
+		return Response{Status: StatusOK, Payload: payload}
 
 	case OpReadBatch:
 		refs, err := decodeReadBatch(req, a.refs)
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		results := sized(a.results, len(refs))
 		a.refs, a.results = refs, results
@@ -145,21 +149,21 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 			}
 			results[i] = BatchReadResult{Status: status, Page: page}
 		}
-		var resp *Response
+		var resp Response
 		if ReadBatchCompressed(req) {
 			resp, err = encodeReadBatchResponseCompressed(results, &a.comp, buf)
 		} else {
 			resp, err = encodeReadBatchResponse(results, buf)
 		}
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		return resp
 
 	case OpWriteBatch:
 		refs, pages, err := decodeWriteBatch(req, a.refs, a.pages)
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		statuses := sized(a.statuses, len(refs))
 		a.refs, a.pages, a.statuses = refs, pages, statuses
@@ -172,14 +176,14 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		}
 		resp, err := encodeWriteBatchResponse(statuses, buf)
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		return resp
 
 	case OpWriteRanges:
 		ranges, err := decodeWriteRanges(req, a.ranges)
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		statuses := sized(a.statuses, len(ranges))
 		a.ranges, a.statuses = ranges, statuses
@@ -192,12 +196,12 @@ func (a *Agent) handle(req *Request, buf []byte) *Response {
 		}
 		resp, err := encodeWriteBatchResponse(statuses, buf)
 		if err != nil {
-			return &Response{Status: StatusBadFrame}
+			return Response{Status: StatusBadFrame}
 		}
 		return resp
 
 	default:
-		return &Response{Status: StatusBadOp}
+		return Response{Status: StatusBadOp}
 	}
 }
 
@@ -249,7 +253,8 @@ func (a *Agent) serveConn(conn net.Conn) {
 	for {
 		if in, err = readRequest(br, &req, in); err == nil {
 			room := out[len(out):]
-			frame := a.handle(&req, room).wire(room)
+			resp := a.handle(&req, room)
+			frame := resp.wire(room)
 			if cap(room) > 0 && &frame[0] == &room[:1][0] {
 				out = out[:len(out)+len(frame)] // built where it goes
 			} else {

@@ -149,21 +149,30 @@ func decodeReadBatch(req *Request, refs []BatchRef) ([]BatchRef, error) {
 // EncodeReadBatchResponse packs per-page results into an OpReadBatch
 // response. Each OK result must carry exactly PageSize bytes.
 func EncodeReadBatchResponse(results []BatchReadResult) (*Response, error) {
-	return encodeReadBatchResponse(results, nil)
+	return boxed(encodeReadBatchResponse(results, nil))
+}
+
+// boxed is an encoder's response, for an exported caller: on the heap, nil
+// with an error.
+func boxed(resp Response, err error) (*Response, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // encodeReadBatchResponse is EncodeReadBatchResponse building the frame in
 // buf when its capacity suffices (a connection's reusable response buffer).
-func encodeReadBatchResponse(results []BatchReadResult, buf []byte) (*Response, error) {
+func encodeReadBatchResponse(results []BatchReadResult, buf []byte) (Response, error) {
 	if len(results) == 0 || len(results) > MaxBatchOps {
-		return nil, fmt.Errorf("remote: read batch response of %d ops", len(results))
+		return Response{}, fmt.Errorf("remote: read batch response of %d ops", len(results))
 	}
 	size := 4
 	for _, r := range results {
 		size++
 		if r.Status == StatusOK {
 			if len(r.Page) != PageSize {
-				return nil, fmt.Errorf("remote: OK read result with %dB page", len(r.Page))
+				return Response{}, fmt.Errorf("remote: OK read result with %dB page", len(r.Page))
 			}
 			size += PageSize
 		}
@@ -180,7 +189,7 @@ func encodeReadBatchResponse(results []BatchReadResult, buf []byte) (*Response, 
 			off += PageSize
 		}
 	}
-	return &Response{Status: StatusOK, Payload: payload, frame: frame}, nil
+	return Response{Status: StatusOK, Payload: payload, frame: frame}, nil
 }
 
 // EncodeReadBatchResponseCompressed packs per-page results into an
@@ -188,14 +197,14 @@ func encodeReadBatchResponse(results []BatchReadResult, buf []byte) (*Response, 
 // (u8 status, u16 clen, clen bytes) per entry. The codec's stored fallback
 // bounds clen, so the frame always fits maxWirePayload.
 func EncodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Compressor) (*Response, error) {
-	return encodeReadBatchResponseCompressed(results, comp, nil)
+	return boxed(encodeReadBatchResponseCompressed(results, comp, nil))
 }
 
 // encodeReadBatchResponseCompressed is EncodeReadBatchResponseCompressed
 // building the frame in buf when its capacity suffices.
-func encodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Compressor, buf []byte) (*Response, error) {
+func encodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Compressor, buf []byte) (Response, error) {
 	if len(results) == 0 || len(results) > MaxBatchOps {
-		return nil, fmt.Errorf("remote: read batch response of %d ops", len(results))
+		return Response{}, fmt.Errorf("remote: read batch response of %d ops", len(results))
 	}
 	// Sized for the worst case up front, so the appends below never move the
 	// payload off the frame's header room.
@@ -208,14 +217,14 @@ func encodeReadBatchResponseCompressed(results []BatchReadResult, comp *ztier.Co
 			continue
 		}
 		if len(r.Page) != PageSize {
-			return nil, fmt.Errorf("remote: OK read result with %dB page", len(r.Page))
+			return Response{}, fmt.Errorf("remote: OK read result with %dB page", len(r.Page))
 		}
 		lenPos := len(payload)
 		payload = append(payload, 0, 0) // clen backfilled below
 		payload = comp.Compress(payload, r.Page)
 		binary.LittleEndian.PutUint16(payload[lenPos:], uint16(len(payload)-lenPos-2))
 	}
-	return &Response{Status: StatusOK, Payload: payload, frame: frame[:respHeaderSize+len(payload)]}, nil
+	return Response{Status: StatusOK, Payload: payload, frame: frame[:respHeaderSize+len(payload)]}, nil
 }
 
 // DecodeReadBatchResponse unpacks an OpReadBatch response, raw or
@@ -299,15 +308,28 @@ func encodeWriteBatch(req *Request, refs []BatchRef, pages [][]byte, buf []byte)
 // OpWriteBatch request with every page run through the ztier codec:
 // (u64 slab, u32 off, u16 clen, clen bytes) per entry.
 func EncodeWriteBatchCompressed(refs []BatchRef, pages [][]byte, comp *ztier.Compressor) (*Request, error) {
-	return encodeWriteBatchCompressed(new(Request), refs, pages, comp, nil)
+	encs := make([][]byte, len(pages))
+	buf := make([]byte, 0, len(pages)*ztier.MaxEncodedLen(PageSize))
+	for i, p := range pages {
+		if len(p) != PageSize {
+			return nil, fmt.Errorf("remote: write batch page %d has %dB", i, len(p))
+		}
+		n := len(buf)
+		buf = comp.Compress(buf, p)
+		encs[i] = buf[n:]
+	}
+	return encodeWriteBatchCompressed(new(Request), refs, encs, nil)
 }
 
-func encodeWriteBatchCompressed(req *Request, refs []BatchRef, pages [][]byte, comp *ztier.Compressor, buf []byte) (*Request, error) {
+// encodeWriteBatchCompressed lays out an OpWriteBatch request of pages already
+// through the codec (encs; Host.encoded), building the frame in buf when its
+// capacity suffices.
+func encodeWriteBatchCompressed(req *Request, refs []BatchRef, encs [][]byte, buf []byte) (*Request, error) {
 	if len(refs) == 0 || len(refs) > MaxBatchOps {
 		return nil, fmt.Errorf("remote: write batch of %d ops (want 1..%d)", len(refs), MaxBatchOps)
 	}
-	if len(pages) != len(refs) {
-		return nil, fmt.Errorf("remote: write batch with %d refs but %d pages", len(refs), len(pages))
+	if len(encs) != len(refs) {
+		return nil, fmt.Errorf("remote: write batch with %d refs but %d pages", len(refs), len(encs))
 	}
 	// Capacity covers the worst case, so the appends below never move the
 	// payload off the frame's header room.
@@ -315,17 +337,15 @@ func encodeWriteBatchCompressed(req *Request, refs []BatchRef, pages [][]byte, c
 	payload := frame[reqHeaderSize : reqHeaderSize+4]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(refs))|batchCompressFlag)
 	for i, r := range refs {
-		if len(pages[i]) != PageSize {
-			return nil, fmt.Errorf("remote: write batch page %d has %dB", i, len(pages[i]))
+		if len(encs[i]) > ztier.MaxEncodedLen(PageSize) {
+			return nil, fmt.Errorf("remote: write batch page %d encodes to %dB", i, len(encs[i]))
 		}
 		var ref [batchRefSize]byte
 		binary.LittleEndian.PutUint64(ref[0:8], uint64(r.Slab))
 		binary.LittleEndian.PutUint32(ref[8:12], r.PageOff)
 		payload = append(payload, ref[:]...)
-		lenPos := len(payload)
-		payload = append(payload, 0, 0) // clen backfilled below
-		payload = comp.Compress(payload, pages[i])
-		binary.LittleEndian.PutUint16(payload[lenPos:], uint16(len(payload)-lenPos-2))
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(encs[i])))
+		payload = append(payload, encs[i]...)
 	}
 	*req = Request{Op: OpWriteBatch, Payload: payload, frame: frame[:reqHeaderSize+len(payload)]}
 	return req, nil
@@ -449,18 +469,18 @@ func decodeWriteRanges(req *Request, ranges []writeRange) ([]writeRange, error) 
 // EncodeWriteBatchResponse packs per-page statuses into an OpWriteBatch (or
 // OpWriteRanges) response.
 func EncodeWriteBatchResponse(statuses []uint8) (*Response, error) {
-	return encodeWriteBatchResponse(statuses, nil)
+	return boxed(encodeWriteBatchResponse(statuses, nil))
 }
 
-func encodeWriteBatchResponse(statuses []uint8, buf []byte) (*Response, error) {
+func encodeWriteBatchResponse(statuses []uint8, buf []byte) (Response, error) {
 	if len(statuses) == 0 || len(statuses) > MaxBatchOps {
-		return nil, fmt.Errorf("remote: write batch response of %d ops", len(statuses))
+		return Response{}, fmt.Errorf("remote: write batch response of %d ops", len(statuses))
 	}
 	frame := headroom(buf, respHeaderSize, 4+len(statuses))
 	payload := frame[respHeaderSize:]
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(statuses)))
 	copy(payload[4:], statuses)
-	return &Response{Status: StatusOK, Payload: payload, frame: frame}, nil
+	return Response{Status: StatusOK, Payload: payload, frame: frame}, nil
 }
 
 // DecodeWriteBatchResponse unpacks an OpWriteBatch response.

@@ -195,8 +195,9 @@ func BenchmarkTCPTrain(b *testing.B) {
 
 // BenchmarkTCPHostScan is the host's side of a read scan over loopback TCP:
 // pages are read in order, three eight-page frames to a doorbell
-// (ReadPageAsync, then Submit), and their tickets waited for in order, so the
-// reaper lands each frame's pages out of the transport's receive buffer. ns/op
+// (ReadPageAsync, then Submit), and their tickets waited for in order and
+// released, so the reaper lands each frame's pages out of the transport's
+// receive buffer and the host recycles the reads. ns/op
 // is per page, B/op the host's and agent's allocation per page; reads/page is
 // the socket reads the transport made for it.
 func BenchmarkTCPHostScan(b *testing.B) {
@@ -238,6 +239,7 @@ func BenchmarkTCPHostScan(b *testing.B) {
 			if err := tk.Wait(); err != nil {
 				b.Fatal(err)
 			}
+			tk.Release()
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")

@@ -136,10 +136,14 @@ type Host struct {
 	queues  [][]queueEntry
 	queued  int
 	unacked int
-	// bufFree and writeFree are the recycled page buffers and handed-off
-	// pendingWrites of writes that have landed everywhere.
-	bufFree   [][]byte
-	writeFree []*pendingWrite
+	// The free lists: page buffers and encoded images (pendingWrite.enc) of
+	// writes that have landed everywhere, handed-off pendingWrites of such
+	// writes, done reads no hold is left on (recycleRead), landed flights.
+	bufFree    [][]byte
+	encFree    [][]byte
+	writeFree  []*pendingWrite
+	readFree   []*pendingRead
+	flightFree []*flight
 	// landed (on mu) wakes goroutines waiting for another's landing of a
 	// flight; the flights themselves are on their links' FIFOs (links[i].flights).
 	landed *sync.Cond
@@ -384,7 +388,10 @@ func (h *Host) UnderReplicated() int {
 // ReadPage fetches one page into buf (len PageSize), trying the preferred
 // holder first and failing over to the others, each once.
 func (h *Host) ReadPage(page core.PageID, buf []byte) error {
-	return h.StartRead(page, buf).Wait()
+	t := h.StartRead(page, buf)
+	err := t.Wait()
+	t.Release()
+	return err
 }
 
 // StartRead is ReadPage in split-phase form, for a caller with work to

@@ -40,11 +40,11 @@ const (
 	opReadAsync     opKind = "read-async" // ReadPageAsync
 	opStartRead     opKind = "start-read" // StartRead and its Wait, from a goroutine of its own
 	opReadVia       opKind = "read-via"   // ReadPage of a clean page through link, which lands what is older there
-	opDetach        opKind = "detach"     // Detach read tickets, then reuse their buffers
+	opDetach        opKind = "detach"     // Detach read tickets and release them, then reuse their buffers
 	opSubmit        opKind = "submit"     // Submit; its result is 1 when frames are left flying
 	opFlush         opKind = "flush"      // Flush, and the barrier's checks
 	opFlushBG       opKind = "flush-bg"   // Flush from a goroutine of its own
-	opWait          opKind = "wait"       // Ticket.Wait of tickets, in order, from a second goroutine
+	opWait          opKind = "wait"       // Ticket.Wait of tickets, in order, from a second goroutine holding them
 	opHold          opKind = "hold"       // hold link's responses (on CallOnly, read frames'); link -1 is every link
 	opRelease       opKind = "release"    // let them go, and stop the link's pump
 	opPump          opKind = "pump"       // let held responses go as they are waited for, in the tape's release order
@@ -181,6 +181,10 @@ var scenarios = map[string]scenario{
 		}
 		b.add(flush, expect("the sweep went in batches", func(r *hostRun) bool {
 			return r.h.cfg.QueueDepth == 1 || r.h.Stats().BatchCalls > before
+		}), expect("its reads and flights, released and landed, are recycled", func(r *hostRun) bool {
+			r.h.mu.Lock()
+			defer r.h.mu.Unlock()
+			return len(r.h.readFree) > 0 && len(r.h.flightFree) > 0
 		}))
 	}},
 	// A write of p on the wire, its response held; more queued behind it.
@@ -205,12 +209,14 @@ var scenarios = map[string]scenario{
 		}
 		b.add(b.release(), flush)
 	}},
-	// A read detached in the air; its coalesced sibling still gets the page.
+	// A read detached and released in the air while a second goroutine waits
+	// for it: the waiter's hold keeps the read, which completes, and its
+	// coalesced sibling still gets the page.
 	"detach": {split, func(b *tapeBuilder) {
 		p, gone, kept := b.page(), b.name(), b.name()
 		b.add(b.hold(), named(gone, at(opReadAsync, p)), named(kept, at(opReadAsync, p)), submit,
-			tapeOp{kind: opDetach, refs: []string{gone}}, b.release(), named(b.name(), wait(kept)), flush,
-			expect("the detached read completes", done(true, gone)))
+			named(b.name(), wait(gone)), tapeOp{kind: opDetach, refs: []string{gone}}, b.release(),
+			named(b.name(), wait(kept)), flush)
 	}},
 	// Held reads waited for from two goroutines, up and down, as a pump lets go.
 	"ticket-waits": {split, func(b *tapeBuilder) {
@@ -652,7 +658,9 @@ func hostCorpus() []uint64 {
 // hostRegressions are TestHostModel's literal tapes, each named by its seed: a
 // seed's drawn tape that caught a defect, cut down to the steps it needs and
 // frozen, so that no new scenario or draw can re-draw it into one that does not.
-func hostRegressions() []hostTape { return []hostTape{hotAckCounted(), staleCopyOntoAcked()} }
+func hostRegressions() []hostTape {
+	return []hostTape{hotAckCounted(), staleCopyOntoAcked(), repairBesideHandOff()}
+}
 
 // missedByPlacement is a tape's expectation that page's last write missed a
 // placement replica and was acked by a hot holder.
@@ -695,6 +703,23 @@ func staleCopyOntoAcked() hostTape {
 	tp.ops = []tapeOp{{kind: opWrite, page: 7, lo: 1773, hi: 1802}, at(opWritePage, 8), flush, at(opReplicateHot, 7),
 		on(opFlaky, 0), {kind: opWrite, page: 7, lo: 1043, hi: 1227}, flush, missedByPlacement(7), on(opHeal, 0),
 		on(opMarkFailed, 2), repair}
+	return tp
+}
+
+// repairBesideHandOff (tape 0x4056ff34, frozen): agent 0 crashes and restarts
+// empty, so a rewrite of page 10 is acked by agent 1 alone and the page is
+// degraded; a hand-off of the page is queued, and a repair puts agent 0 back
+// in the slab's placement. The page stays degraded until the queued write has
+// landed on both (repushDegraded leaves a page with a write pending to it).
+// Where checkRepaired took "no write pending" to mean "no write ticket
+// pending", the hand-off, which has no ticket, failed the repair's check.
+func repairBesideHandOff() hostTape {
+	tp := hostTape{seed: 0x4056ff34, replay: "^TestHostModel$/^0x4056ff34$", mode: Split, agents: 2, replicas: 2,
+		depth: 8, slabPages: 8, pages: 24}
+	tp.ops = []tapeOp{at(opWritePage, 10), flush, on(opCrash, 0), on(opRestart, 0), at(opWritePage, 10), flush,
+		{kind: opHandOff, page: 10, lo: 687, hi: 798}, repair,
+		expect("the page waits for its queued write to be re-acked", func(r *hostRun) bool { return r.h.DegradedPages() == 1 }),
+		flush, expect("the write's landing on both replicas clears it", func(r *hostRun) bool { return r.h.DegradedPages() == 0 })}
 	return tp
 }
 
@@ -1032,7 +1057,11 @@ func (r *hostRun) do(op *tapeOp) error {
 	case opStartRead:
 		r.racy = r.racy || len(r.bg) > 0
 		tt := r.track(op.name, nil, op.page, make([]byte, PageSize))
-		err = r.spawn(op.name, r.holding(), func() error { return h.StartRead(op.page, tt.buf).Wait() })
+		err = r.spawn(op.name, r.holding(), func() error {
+			t := h.StartRead(op.page, tt.buf)
+			defer t.Release()
+			return t.Wait()
+		})
 	case opReadVia: // the first page with no write nor read pending whose read goes to link
 		page := -1
 		h.mu.Lock()
@@ -1050,6 +1079,7 @@ func (r *hostRun) do(op *tapeOp) error {
 		for _, ref := range op.refs {
 			tt := r.tickets[ref]
 			tt.t.Detach()
+			tt.t.Release()
 			copy(tt.buf, bytes.Repeat([]byte{cutByte}, PageSize)) // the buffer's next life
 			r.cut = append(r.cut, tt)
 			r.open = slices.DeleteFunc(r.open, func(o *tapeTicket) bool { return o == tt })
@@ -1066,11 +1096,14 @@ func (r *hostRun) do(op *tapeOp) error {
 	case opWait:
 		var tks []*Ticket
 		for _, ref := range op.refs {
-			tks = append(tks, r.tickets[ref].t)
+			t := r.tickets[ref].t
+			t.Hold() // the tape may release it while this goroutine waits
+			tks = append(tks, t)
 		}
 		err = r.spawn(op.name, false, func() (err error) {
 			for _, t := range tks {
 				err = cmp.Or(err, t.Wait())
+				t.Release()
 			}
 			return err
 		})
@@ -1178,8 +1211,8 @@ func (r *hostRun) pick(n int) int {
 }
 
 // checkRepaired: after a repair with every agent healthy or marked failed,
-// enough of them left and no write pending, no slab lacks a replica and no
-// page an ack.
+// enough of them left and no write pending — ticketed or handed off, queued or
+// in the air — no slab lacks a replica and no page an ack.
 func (r *hostRun) checkRepaired() error {
 	live := 0
 	for _, s := range r.state {
@@ -1190,7 +1223,10 @@ func (r *hostRun) checkRepaired() error {
 			live++
 		}
 	}
-	if live < r.tape.replicas || slices.ContainsFunc(r.open, func(tt *tapeTicket) bool { return tt.buf == nil && !tt.t.Done() }) {
+	r.h.mu.Lock()
+	pending := r.h.queued + r.h.unacked
+	r.h.mu.Unlock()
+	if live < r.tape.replicas || pending > 0 {
 		return nil
 	}
 	if n, m := r.h.UnderReplicated(), r.h.DegradedPages(); n != 0 || m != 0 {
@@ -1224,47 +1260,76 @@ func (r *hostRun) standing() error {
 }
 
 // freeListsUnreachable: nothing the host can still reach — a queue, a flight in
-// the air, a page's record — holds a pendingWrite or an image on its free
-// lists, nor does the buffer the tape was handed back. Callers hold h.mu.
+// the air, a page's record, a ticket of the tape's it has not released — holds
+// a pendingWrite, a pendingRead, a flight, an image or an encoded image on the
+// host's free lists, nor does the buffer the tape was handed back. Callers hold
+// h.mu.
 func (r *hostRun) freeListsUnreachable() error {
 	h := r.h
-	free, bufs := map[*pendingWrite]bool{}, map[*byte]bool{}
-	for _, pw := range h.writeFree {
-		free[pw] = true
-	}
-	for _, b := range h.bufFree {
-		bufs[&b[0]] = true
+	bufs := map[*byte]bool{}
+	for _, b := range slices.Concat(h.bufFree, h.encFree) {
+		bufs[&b[:1][0]] = true
 	}
 	if r.spare != nil && bufs[&r.spare[0]] {
 		return fmt.Errorf("the buffer a hand-off gave back is on the host's free list")
 	}
-	check := func(pw *pendingWrite, where string) error {
+	flown := func(f *flight, where string) error {
+		if slices.Contains(h.flightFree, f) {
+			return fmt.Errorf("a flight to agent %d %s is on the host's free list", f.idx, where)
+		}
+		return nil
+	}
+	check := func(e queueEntry, where string) error {
+		if pr := e.read; pr != nil {
+			if slices.Contains(h.readFree, pr) {
+				return fmt.Errorf("a read of page %d %s is on the host's free list", pr.page, where)
+			}
+			if pr.flight != nil {
+				return flown(pr.flight, fmt.Sprint("carrying a read of page ", pr.page, " ", where))
+			}
+			return nil
+		}
+		pw := e.write
 		switch {
 		case pw == nil:
-		case free[pw]:
+		case slices.Contains(h.writeFree, pw):
 			return fmt.Errorf("a write of page %d %s is on the host's free list", pw.page, where)
 		case bufs[&pw.data[0]], r.spare != nil && &pw.data[0] == &r.spare[0]:
 			return fmt.Errorf("the image of a write of page %d %s has been given out", pw.page, where)
+		case pw.enc != nil && bufs[&pw.enc[:1][0]]:
+			return fmt.Errorf("the encoded image of a write of page %d %s has been given out", pw.page, where)
+		default:
+			for _, f := range pw.flights {
+				if err := flown(f, fmt.Sprint("carrying a write of page ", pw.page, " ", where)); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
 	var err error
 	for i, q := range h.queues {
 		for _, e := range q {
-			err = cmp.Or(err, check(e.write, fmt.Sprint("queued for agent ", i)))
+			err = cmp.Or(err, check(e, fmt.Sprint("queued for agent ", i)))
 		}
 	}
 	for i := range h.links {
 		for _, f := range h.links[i].flights {
+			err = cmp.Or(err, flown(f, "in the air"))
 			for _, e := range f.batch {
-				err = cmp.Or(err, check(e.write, fmt.Sprint("in the air to agent ", i)))
+				err = cmp.Or(err, check(e, fmt.Sprint("in the air to agent ", i)))
 			}
 		}
 	}
 	h.records.Range(func(_ core.PageID, rec *record) bool {
-		err = cmp.Or(err, check(rec.write, "pending"))
+		err = cmp.Or(err, check(queueEntry{write: rec.write}, "pending"), check(queueEntry{read: rec.read}, "pending"))
 		return err == nil
 	})
+	for _, tt := range r.open {
+		if tt.t != nil && tt.t.read != nil {
+			err = cmp.Or(err, check(queueEntry{read: tt.t.read}, "held by an unreleased ticket"))
+		}
+	}
 	return err
 }
 
@@ -1288,6 +1353,9 @@ func (r *hostRun) barrier() error {
 			if err := r.checkRead(tt); err != nil {
 				return err
 			}
+		}
+		if tt.t != nil {
+			tt.t.Release()
 		}
 	}
 	r.open = r.open[:0]

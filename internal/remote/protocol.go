@@ -99,6 +99,9 @@ type Response struct {
 	// lender is the TCP transport whose receive buffer Payload was lent out
 	// of, nil for none; the loan may have been revoked since (see TCP.loan).
 	lender *TCP
+	// pend is the TCP pending resp is stored in, which release recycles; nil
+	// for a response of its own.
+	pend *tcpPending
 }
 
 // reqHeaderSize is magic+op+slab+pageoff+payloadlen.
@@ -251,52 +254,63 @@ func EncodeResponse(w io.Writer, resp *Response) error {
 
 // DecodeResponse reads one response from r into a freshly allocated payload.
 func DecodeResponse(r io.Reader) (*Response, error) {
-	return readResponse(r, make([]byte, respHeaderSize), nil)
-}
-
-// readResponse reads one response from r: the header through hdr (a local
-// array would escape through the io.Reader), the payload into one of pool's
-// buffers; a nil pool, or one with no buffer large enough, allocates.
-func readResponse(r io.Reader, hdr []byte, pool *bufPool) (*Response, error) {
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	resp := new(Response)
+	if err := readResponse(r, make([]byte, respHeaderSize), nil, resp); err != nil {
 		return nil, err
-	}
-	if hdr[0] != protoMagic {
-		return nil, fmt.Errorf("remote: bad magic 0x%02x", hdr[0])
-	}
-	resp := &Response{Status: hdr[1]}
-	n := binary.LittleEndian.Uint32(hdr[2:6])
-	if n > maxWirePayload {
-		return nil, fmt.Errorf("remote: oversized payload %d", n)
-	}
-	if n > 0 {
-		resp.Payload, resp.home = sized(pool.take(), int(n)), pool
-		if _, err := io.ReadFull(r, resp.Payload); err != nil {
-			return nil, fmt.Errorf("remote: read payload: %w", err)
-		}
 	}
 	return resp, nil
 }
 
+// readResponse reads one response from r into resp: the header through hdr (a
+// local array would escape through the io.Reader), the payload into one of
+// pool's buffers; a nil pool, or one with no buffer large enough, allocates.
+func readResponse(r io.Reader, hdr []byte, pool *bufPool, resp *Response) error {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return err
+	}
+	if hdr[0] != protoMagic {
+		return fmt.Errorf("remote: bad magic 0x%02x", hdr[0])
+	}
+	*resp = Response{Status: hdr[1]}
+	n := binary.LittleEndian.Uint32(hdr[2:6])
+	if n > maxWirePayload {
+		return fmt.Errorf("remote: oversized payload %d", n)
+	}
+	if n > 0 {
+		resp.Payload, resp.home = sized(pool.take(), int(n)), pool
+		if _, err := io.ReadFull(r, resp.Payload); err != nil {
+			return fmt.Errorf("remote: read payload: %w", err)
+		}
+	}
+	return nil
+}
+
 // release hands resp's buffer back to the transport that owns it, or gives
-// its loan back; nothing of resp may be used afterwards. Only the host does,
-// once a flight's response is applied to its tickets (Host.reap, startNext's
-// landing on the spot): a direct Transport.Call's response has no owner who
-// knows when it is dead, so none is.
+// its loan back, and a response stored in a TCP pending recycles the pending
+// with it; nothing of resp may be used afterwards. Only the host does, once a
+// flight's response is applied to its tickets (Host.reap, startNext's landing
+// on the spot): a direct Transport.Call's response has no owner who knows when
+// it is dead, so none is.
 func (resp *Response) release() {
-	if resp != nil && resp.lender != nil {
+	if resp == nil {
+		return
+	}
+	p := resp.pend
+	resp.pend = nil
+	switch {
+	case resp.lender != nil:
 		resp.lender.giveBack(resp)
-		return
+	case resp.home != nil:
+		buf, home := resp.frame, resp.home
+		if buf == nil {
+			buf = resp.Payload
+		}
+		*resp = Response{Status: resp.Status}
+		home.put(buf)
 	}
-	if resp == nil || resp.home == nil {
-		return
+	if p != nil {
+		p.t.recycle(p)
 	}
-	buf, home := resp.frame, resp.home
-	if buf == nil {
-		buf = resp.Payload
-	}
-	*resp = Response{Status: resp.Status}
-	home.put(buf)
 }
 
 // statusError converts a non-OK status into an error.

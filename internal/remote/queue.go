@@ -53,6 +53,14 @@ import (
 // Ticket is the completion handle of one asynchronous page operation. A
 // ticket completes when the flight carrying its operation lands; Err is
 // meaningful only once Done reports true.
+//
+// A read ticket is a hold on its read: the host recycles a read once it has
+// landed and every hold on it is released. A caller that Releases its ticket
+// lets the read go back to the host's free list; one that never does leaves it
+// to the garbage collector. Every method may be called until Release and none
+// after it. A goroutine that waits for a ticket another goroutine may release
+// meanwhile takes a hold of its own (Hold) before the two can race, and
+// releases it when its wait is over.
 type Ticket struct {
 	host *Host
 	done bool
@@ -100,11 +108,52 @@ func (t *Ticket) Collect() (blocked time.Duration, err error) {
 }
 
 // Landed is a prefetch hit's one visit to the host: the stream's headroom at
-// this moment, whether t has completed, and its outcome if it has.
+// this moment, whether t has completed, and its outcome if it has. A completed
+// t is released with the visit (Release), and the caller must not use it
+// again.
 func (t *Ticket) Landed() (ahead Headroom, done bool, err error) {
+	h := t.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if done, err = t.done, t.err; done {
+		h.letGo(t)
+	}
+	return h.ahead(), done, err
+}
+
+// Hold takes one more hold on t, for a wait by a goroutine other than the one
+// that will release t: t stays valid until Release is called once for the
+// ticket and once for each Hold.
+func (t *Ticket) Hold() {
 	t.host.mu.Lock()
 	defer t.host.mu.Unlock()
-	return t.host.ahead(), t.done, t.err
+	if t.read != nil {
+		t.read.holds++
+	}
+}
+
+// Release gives up a hold on t: the caller will not use t again, nor look at
+// its buffer for the read's bytes if t has not completed — Detach first where
+// the buffer is to be reused before then. A read is recycled once it has
+// landed and its last hold is released; a Release beyond the holds taken
+// panics. Releasing a write ticket does nothing.
+func (t *Ticket) Release() {
+	t.host.mu.Lock()
+	defer t.host.mu.Unlock()
+	t.host.letGo(t)
+}
+
+// letGo is Release for callers that hold h.mu. A release beyond the holds
+// taken would put the read on the free list twice, for two later reads to
+// share: it panics instead.
+func (h *Host) letGo(t *Ticket) {
+	if pr := t.read; pr != nil {
+		if pr.holds == 0 {
+			panic("remote: ticket released more times than it was held")
+		}
+		pr.holds--
+		h.recycleRead(pr)
+	}
 }
 
 // await blocks until t completes and returns how long read frames in flight
@@ -129,18 +178,11 @@ func (h *Host) await(t *Ticket) (blocked time.Duration) {
 // flight returns a frame in the air that carries t's operation, or nil when
 // there is none. Callers hold h.mu.
 func (t *Ticket) flight() *flight {
-	if t.read != nil {
-		if f := t.read.flight; f != nil && !f.landed {
-			return f
-		}
-		return nil
-	}
-	if t.write != nil {
-		for _, f := range t.write.flights {
-			if !f.landed {
-				return f
-			}
-		}
+	switch {
+	case t.read != nil:
+		return t.read.flight
+	case t.write != nil && len(t.write.flights) > 0:
+		return t.write.flights[0]
 	}
 	return nil
 }
@@ -186,11 +228,15 @@ type pendingRead struct {
 	bufs    [][]byte
 	tickets []*Ticket
 	tried   []int // agents already attempted (failover history)
-	// flight is the frame last put in the air with this read in it, landed or
-	// not; nil while the read has yet to leave its first queue.
+	// flight is the frame in the air with this read in it, nil while the read
+	// is queued or done: the landing drops it (clearBatch).
 	flight *flight
+	// holds counts the holds of its tickets' holders not yet released (Ticket):
+	// a read done with none left goes back to the host's free list.
+	holds int
 	// The usual read has one buffer and one ticket: own is that ticket and the
-	// arrays back the two slices above, so that the read is one allocation.
+	// arrays back the two slices above, so that the read is one allocation, or
+	// none off the free list.
 	own     Ticket
 	buf0    [1][]byte
 	ticket0 [1]*Ticket
@@ -219,8 +265,12 @@ type pendingWrite struct {
 	// to the page must queue behind this one instead of superseding it in
 	// place. From then until finishWrite the write is unacked.
 	started bool
-	// flights are the frames put in the air with a sub-operation of this
-	// write in them, landed ones included until the write is dropped.
+	// enc is data through the wire codec, under HostConfig.Compress: encoded
+	// for the first batch frame that carries the write and reused by the other
+	// replicas' (writeFrame), nil until then.
+	enc []byte
+	// flights are the frames in the air with a sub-operation of this write in
+	// them, oldest first: a landing drops its own (clearBatch).
 	flights  []*flight
 	resolved int // replica sub-operations completed (ok or failed)
 	acked    []int
@@ -252,16 +302,18 @@ type queueEntry struct {
 
 // flight is one wire frame started on agent idx's transport and not yet
 // landed: a run of same-kind queue entries and the pending of the request
-// that carries them.
+// that carries them. A landed flight goes back to the host's free list.
 type flight struct {
 	idx   int
 	batch []queueEntry
 	pend  Pending
 	// reaping marks a goroutine starting or waiting on pend with h.mu
-	// released; landed is set, and h.landed broadcast, once the response has
-	// been applied.
+	// released; gen counts the landings of this struct, h.landed broadcast at
+	// each. Whoever keeps a flight across a release of h.mu — it may land and
+	// go out again as another frame meanwhile — knows it landed by a gen moved
+	// on from the one it saw (reap, collect).
 	reaping bool
-	landed  bool
+	gen     uint32
 	// entries backs a batch of up to DefaultQueueDepth operations, req is the
 	// frame's request (a batch's lies in the host's wire), and done the pending
 	// of a frame whose outcome was known when it started (start): none of them
@@ -327,6 +379,7 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 		t := &Ticket{host: h, read: pr, slot: len(pr.bufs)}
 		pr.bufs = append(pr.bufs, buf)
 		pr.tickets = append(pr.tickets, t)
+		pr.holds++
 		h.stats.CoalescedReads++
 		h.stats.Reads++
 		return t, nil
@@ -340,7 +393,8 @@ func (h *Host) newRead(page core.PageID, buf []byte) (*Ticket, *pendingRead) {
 	if target < 0 {
 		return fail(ErrNoReplica)
 	}
-	pr := &pendingRead{page: page, slab: slab, off: off, primary: target}
+	pr := h.freshRead()
+	pr.page, pr.slab, pr.off, pr.primary, pr.holds = page, slab, off, target, 1
 	t := &pr.own
 	t.host, t.read = h, pr
 	pr.bufs, pr.tickets = append(pr.buf0[:0], buf), append(pr.ticket0[:0], t)
@@ -496,6 +550,36 @@ func (h *Host) newWrite(page core.PageID, data []byte, lo, hi int, handoff bool)
 	return pw.ticket, pw, spare
 }
 
+// freshRead takes a zeroed pendingRead off the free list, or allocates one.
+// Callers hold h.mu.
+func (h *Host) freshRead() *pendingRead {
+	n := len(h.readFree)
+	if n == 0 {
+		return &pendingRead{}
+	}
+	pr := h.readFree[n-1]
+	h.readFree = h.readFree[:n-1]
+	*pr = pendingRead{}
+	return pr
+}
+
+// recycleRead takes pr back to the free list once nothing reaches it any
+// more: it is done — so no record, queue or flight has it (its landing
+// retired it, and clearBatch follows every landing under the same h.mu) —
+// and no hold on its tickets is left. While PoisonReleased is on, its ticket
+// reads as failed with errReleased, and one more Release of it panics, until
+// it goes out again. Callers hold h.mu.
+func (h *Host) recycleRead(pr *pendingRead) {
+	if pr.holds > 0 || !pr.own.done {
+		return
+	}
+	*pr = pendingRead{}
+	if poisoning.Load() {
+		pr.own = Ticket{host: h, done: true, err: errReleased, read: pr}
+	}
+	h.readFree = append(h.readFree, pr)
+}
+
 // freshWrite takes a zeroed pendingWrite off the free list, or allocates one.
 // Callers hold h.mu.
 func (h *Host) freshWrite() *pendingWrite {
@@ -621,7 +705,7 @@ func (h *Host) startNext(idx int) (werr error) {
 	}
 
 	q := h.queues[idx]
-	f := &flight{idx: idx}
+	f := h.freshFlight(idx)
 	batch := f.entries[:0]
 	if n := min(len(q), h.cfg.QueueDepth); n > len(f.entries) {
 		batch = make([]queueEntry, 0, n)
@@ -650,6 +734,7 @@ func (h *Host) startNext(idx int) (werr error) {
 		h.queues[idx] = nil
 	}
 	if len(batch) == 0 { // another goroutine cut the queue while this one made room
+		h.flightFree = append(h.flightFree, f)
 		return werr
 	}
 
@@ -667,6 +752,7 @@ func (h *Host) startNext(idx int) (werr error) {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
 		h.clearBatch(f)
+		h.flightFree = append(h.flightFree, f)
 		return werr
 	}
 	if isRead {
@@ -674,6 +760,20 @@ func (h *Host) startNext(idx int) (werr error) {
 	}
 	h.fly(f)
 	return werr
+}
+
+// freshFlight takes a flight to agent idx off the free list, or allocates one.
+// A recycled flight keeps its gen, which tells its past holders that it
+// landed. Callers hold h.mu.
+func (h *Host) freshFlight(idx int) *flight {
+	n := len(h.flightFree)
+	if n == 0 {
+		return &flight{idx: idx}
+	}
+	f := h.flightFree[n-1]
+	h.flightFree = h.flightFree[:n-1]
+	*f = flight{idx: idx, gen: f.gen}
+	return f
 }
 
 // inTheWay returns a flight to land before the next frame starts, or nil: the
@@ -739,8 +839,8 @@ func (h *Host) fly(f *flight) {
 // with the flight marked reaping meanwhile, so that nobody else waits on a
 // pending it does not have yet. Callers hold h.mu.
 func (h *Host) launch(idx int, e queueEntry) *flight {
-	f := &flight{idx: idx, reaping: true}
-	f.batch = append(f.entries[:0], e)
+	f := h.freshFlight(idx)
+	f.reaping, f.batch = true, append(f.entries[:0], e)
 	if e.write != nil {
 		h.begin(e.write)
 	}
@@ -766,7 +866,7 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 // what collect does, summed, and the first write error. Callers hold h.mu.
 func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 	_, ordered := h.transports[f.idx].(Starter)
-	for !f.landed {
+	for gen := f.gen; f.gen == gen; {
 		next := f
 		if ordered {
 			next = h.links[f.idx].flights[0]
@@ -789,12 +889,13 @@ func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 // landing's write error, if any, goes to the goroutine that performed it, and
 // so does blocked: how long a read frame of the pipeline kept it waiting for
 // a response that had not arrived (touchDown). Callers hold h.mu and go
-// through reap.
+// through reap, with f in the air.
 func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
-	for f.reaping {
+	gen := f.gen
+	for f.reaping && f.gen == gen {
 		h.landed.Wait()
 	}
-	if f.landed {
+	if f.gen != gen {
 		return 0, nil
 	}
 	f.reaping = true
@@ -823,20 +924,33 @@ func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
 	}
 	werr = h.land(f, resp, err)
 	resp.release()
-	f.landed = true
+	f.gen++
 	h.clearBatch(f)
+	h.flightFree = append(h.flightFree, f)
 	h.landed.Broadcast()
 	return blocked, werr
 }
 
-// clearBatch lets go of a landed flight's operations, and takes back to the
-// free list each handed-off write it was the last to carry: nothing reaches
-// such a write any more — no ticket was handed out for it, its record has
-// moved on (finishWrite), and every other flight that carried it has landed
-// and been cleared before this one. Callers hold h.mu.
+// clearBatch lets go of a landed flight's operations and drops their pointers
+// to it, then takes back to the free lists each read it finished that no hold
+// is left on (recycleRead), and each handed-off write it was the last to
+// carry: nothing reaches such a write any more — no ticket was handed out for
+// it, its record has moved on (finishWrite), and every other flight that
+// carried it has landed and been cleared before this one. Callers hold h.mu.
 func (h *Host) clearBatch(f *flight) {
 	for _, e := range f.batch {
-		if pw := e.write; pw != nil && pw.ticket == nil && pw.resolved == len(pw.replicas) {
+		if pr := e.read; pr != nil {
+			if pr.flight == f {
+				pr.flight = nil
+			}
+			h.recycleRead(pr)
+			continue
+		}
+		pw := e.write
+		if i := slices.Index(pw.flights, f); i >= 0 {
+			pw.flights = slices.Delete(pw.flights, i, i+1)
+		}
+		if pw.ticket == nil && pw.resolved == len(pw.replicas) {
 			*pw = pendingWrite{}
 			h.writeFree = append(h.writeFree, pw)
 		}
@@ -1038,7 +1152,10 @@ func (h *Host) writeFrame(f *flight) (req *Request, err error) {
 			h.refs[i], h.pages[i] = r.BatchRef, r.Data
 		}
 		if h.cfg.Compress {
-			req, err = encodeWriteBatchCompressed(&f.req, h.refs, h.pages, &h.comp, h.wire)
+			for i, e := range batch {
+				h.pages[i] = h.encoded(e.write)
+			}
+			req, err = encodeWriteBatchCompressed(&f.req, h.refs, h.pages, h.wire)
 		} else {
 			req, err = encodeWriteBatch(&f.req, h.refs, h.pages, h.wire)
 		}
@@ -1059,6 +1176,20 @@ func (h *Host) writeFrame(f *flight) (req *Request, err error) {
 	h.stats.RangeWrites += int64(ranged)
 	h.stats.WriteWireBytes += int64(len(req.Payload))
 	return req, nil
+}
+
+// encoded returns pw's image through the wire codec, encoding it for the
+// first frame that asks: every replica is sent the same bytes. Callers hold
+// h.mu.
+func (h *Host) encoded(pw *pendingWrite) []byte {
+	if pw.enc == nil {
+		var buf []byte
+		if n := len(h.encFree); n > 0 {
+			buf, h.encFree = h.encFree[n-1], h.encFree[:n-1]
+		}
+		pw.enc = h.comp.Compress(buf, pw.data)
+	}
+	return pw.enc
 }
 
 // landWrites resolves the per-replica sub-operations a write frame to agent
@@ -1137,6 +1268,11 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	poison(pw.data)
 	h.bufFree = append(h.bufFree, pw.data)
 	pw.data = nil
+	if pw.enc != nil {
+		poison(pw.enc)
+		h.encFree = append(h.encFree, pw.enc[:0])
+		pw.enc = nil
+	}
 	if pw.ticket != nil {
 		pw.ticket.done = true
 		pw.ticket.err = err

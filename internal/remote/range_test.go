@@ -360,6 +360,64 @@ func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
 	}
 }
 
+// TestCompressedWriteEncodesOnce: under HostConfig.Compress a write's image
+// goes through the codec once, for the first batch frame that carries it, and
+// the other replica's frame lays out the same encoded bytes (Host.encoded).
+// Between the two frames the test swaps each cached encoding for another
+// image's, which the second frame must carry; once the writes have landed
+// everywhere their encodings are back on the host's free list.
+func TestCompressedWriteEncodesOnce(t *testing.T) {
+	trs := []Transport{NewInProc(NewAgent(8, 0)), NewInProc(NewAgent(8, 0))}
+	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 1, Compress: true}, trs)
+	for pg := 0; pg < 2; pg++ {
+		h.WritePageAsync(core.PageID(pg), stamp(pg))
+	}
+	h.mu.Lock()
+	frame := func(idx int) [][]byte { // what agent idx's frame would carry, decoded
+		req, err := h.writeFrame(&flight{idx: idx, batch: slices.Clone(h.queues[idx])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pages, err := decodeWriteBatch(req, nil, nil)
+		if err != nil || !payloadCompressed(req.Payload) {
+			t.Fatalf("agent %d: a compressed batch of 2 was wanted (%v)", idx, err)
+		}
+		return pages
+	}
+	first, swap := frame(0), stamp(7)
+	for _, e := range h.queues[0] {
+		e.write.enc = h.comp.Compress(nil, swap)
+	}
+	second := frame(1)
+	for _, e := range h.queues[0] {
+		e.write.enc = nil // the frames that go out encode afresh
+	}
+	h.mu.Unlock()
+	for pg := range first {
+		if !bytes.Equal(first[pg], stamp(pg)) {
+			t.Errorf("page %d: the first replica's frame does not carry its image", pg)
+		}
+		if !bytes.Equal(second[pg], swap) {
+			t.Errorf("page %d: the second replica's frame ran the image through the codec again", pg)
+		}
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range trs {
+		for pg := 0; pg < 2; pg++ {
+			if resp := mustCall(t, tr, &Request{Op: OpRead, Slab: 0, PageOff: uint32(pg)}); !bytes.Equal(resp.Payload, stamp(pg)) {
+				t.Errorf("agent %d does not hold page %d", i, pg)
+			}
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if n := len(h.encFree); n != 2 {
+		t.Errorf("%d encodings on the free list once both writes landed, want 2", n)
+	}
+}
+
 // TestCompressedHostShipsWholePages: HostConfig.Compress frames are whole
 // pages through the codec, whatever range the caller names.
 func TestCompressedHostShipsWholePages(t *testing.T) {

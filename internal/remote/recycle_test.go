@@ -22,8 +22,10 @@ import (
 // buffers come back to the free list and go out again under them. Mixed in: a
 // detached ticket, a second reader coalesced onto a read queued and onto one
 // in flight, and a read issued while every holder is hinted slow. Every
-// page must come out as its image, every round; and a response fetched by a
-// direct Call, which nobody releases, must be left alone throughout.
+// ticket is released after its Wait, so reads, flights and transport pendings
+// are recycled under the waiters of the next rounds. Every page must come out
+// as its image, every round; and a response fetched by a direct Call, which
+// nobody releases, must be left alone throughout.
 func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 	const (
 		depth, frames = 8, 64
@@ -115,6 +117,7 @@ func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
 					if !bytes.Equal(r.buf, want) {
 						t.Errorf("round %d page %d (detached %v): wrong bytes after Wait", round, r.pg, r.detach)
 					}
+					r.ticket.Release()
 				}
 			}()
 		}
@@ -223,4 +226,41 @@ func (c gatedConn) Write(b []byte) (int, error) {
 	c.gate.Lock()
 	c.gate.Unlock() //nolint:staticcheck // a turnstile, not a critical section
 	return c.Conn.Write(b)
+}
+
+// TestReleaseTwicePanics: a read ticket released once more than it was held —
+// its own ticket or a second reader's coalesced onto the read — panics, where
+// it would otherwise put the read on the host's free list a second time for
+// two later reads to share.
+func TestReleaseTwicePanics(t *testing.T) {
+	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 1, QueueDepth: 4, Seed: 1}, []Transport{NewInProc(NewAgent(8, 0))})
+	if err := h.WritePage(0, stamp(0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []string{"own", "coalesced"} {
+		own := h.ReadPageAsync(0, make([]byte, PageSize))
+		second := h.ReadPageAsync(0, make([]byte, PageSize))
+		if own.read == nil || second.read != own.read {
+			t.Fatal("the second read did not coalesce onto the first")
+		}
+		if err := errors.Join(own.Wait(), second.Wait()); err != nil {
+			t.Fatal(err)
+		}
+		own.Release()
+		second.Release()
+		tk := map[string]*Ticket{"own": own, "coalesced": second}[stale]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s ticket: a second Release did not panic", stale)
+				}
+			}()
+			tk.Release()
+		}()
+		h.mu.Lock()
+		if n := len(h.readFree); n != 1 {
+			t.Errorf("%s ticket: %d reads on the free list, want the one", stale, n)
+		}
+		h.mu.Unlock()
+	}
 }

@@ -24,7 +24,9 @@ type Transport interface {
 // Pending is the completion handle of a request begun with Starter.Start.
 type Pending interface {
 	// Wait blocks until the response has arrived and returns it. It may be
-	// called from any goroutine, any number of times.
+	// called from any goroutine, any number of times, until the response is
+	// released: the host releases a flight's once it has landed it, and the
+	// transport may then recycle the pending.
 	Wait() (*Response, error)
 }
 
@@ -102,9 +104,15 @@ var poisoning atomic.Bool
 // PoisonReleased turns on, or off, the overwriting of every buffer the package
 // lets go of — a response buffer, a loan's bytes when it is given back or
 // revoked, the image of a write that has landed everywhere — with poisonByte,
-// so that bytes read through an alias kept past release are wrong. It is for
-// tests: call it while no host is in use.
+// so that bytes read through an alias kept past release are wrong; and of
+// every read and TCP pending it recycles, so that a ticket kept past its
+// release fails with errReleased and a pending answers with poisonByte for a
+// status. It is for tests: call it while no host is in use.
 func PoisonReleased(on bool) { poisoning.Store(on) }
+
+// errReleased is the outcome a ticket or pending recycled while
+// PoisonReleased is on reports to a holder that kept it past its release.
+var errReleased = errors.New("remote: used after release")
 
 // poison overwrites buf, just released, while PoisonReleased is on.
 func poison(buf []byte) {
@@ -162,7 +170,7 @@ func (t *InProc) Call(req *Request) (*Response, error) {
 	} else {
 		t.bufs.put(buf)
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 // Close implements Transport.
@@ -235,6 +243,7 @@ type TCP struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	fifo    []*tcpPending // outstanding requests, oldest first; the held ones are its tail
+	free    []*tcpPending // pendings whose responses have been released
 	reading bool
 	// loan is the response whose payload is lent out of br's buffer, nil for
 	// none; pinned says its holder is landing it.
@@ -243,11 +252,13 @@ type TCP struct {
 	err    error // poison: set once, fails everything after
 }
 
-// tcpPending is one outstanding request on a TCP transport.
+// tcpPending is one outstanding request on a TCP transport. Its response is
+// stored in it, and releasing the response recycles the pending
+// (Response.release).
 type tcpPending struct {
 	t    *TCP
 	done bool
-	resp *Response
+	resp Response
 	err  error
 	// held: the frame is in t.train and not all of it on the wire, where it
 	// ends at byte end. Nothing reads the socket for a held pending.
@@ -303,10 +314,12 @@ func (t *TCP) StartTrain(req *Request, more bool) (Pending, error) {
 		t.train = append(t.train, out...)
 		out = t.train
 	}
-	p := &tcpPending{t: t, held: true, end: len(out)}
+	var p *tcpPending
 	t.mu.Lock()
 	err := t.err
 	if err == nil {
+		p = t.pending()
+		p.held, p.end = true, len(out)
 		t.fifo = append(t.fifo, p)
 	}
 	t.mu.Unlock()
@@ -370,6 +383,31 @@ func (t *TCP) send(frames []byte) error {
 	}
 }
 
+// pending takes a pending off t.free, or allocates one. Callers hold t.mu.
+func (t *TCP) pending() *tcpPending {
+	n := len(t.free)
+	if n == 0 {
+		return &tcpPending{t: t}
+	}
+	p := t.free[n-1]
+	t.free = t.free[:n-1]
+	*p = tcpPending{t: t}
+	return p
+}
+
+// recycle takes back p, whose response its holder has released. While
+// PoisonReleased is on, whoever waits for p after that reads a response with
+// poisonByte for its status.
+func (t *TCP) recycle(p *tcpPending) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	*p = tcpPending{t: t}
+	if poisoning.Load() {
+		p.done, p.resp.Status = true, poisonByte
+	}
+	t.free = append(t.free, p)
+}
+
 // doorbells reports the socket writes made for requests and their frames.
 func (t *TCP) doorbells() (writes, frames int64) {
 	t.wmu.Lock()
@@ -398,8 +436,12 @@ func (p *tcpPending) wait(lend bool) (*Response, error) {
 		t.mu.Lock()
 	}
 	t.awaitLocked(p, lend)
+	err := p.err
 	t.mu.Unlock()
-	return p.resp, p.err
+	if err != nil {
+		return nil, err
+	}
+	return &p.resp, nil
 }
 
 // awaitLocked returns once p is done. If no goroutine is reading the socket
@@ -423,9 +465,9 @@ func (t *TCP) awaitLocked(p *tcpPending, lend bool) {
 			// A deadline left armed by the previous read needs no clearing:
 			// nothing reads the socket without arming its own.
 			err := t.conn.SetReadDeadline(time.Now().Add(t.timeout))
-			var resp *Response
+			var resp Response
 			if err == nil {
-				resp, err = t.receive(own)
+				err = t.receive(own, &resp)
 			}
 			t.mu.Lock()
 			if err != nil {
@@ -441,8 +483,9 @@ func (t *TCP) awaitLocked(p *tcpPending, lend bool) {
 			t.fifo[last] = nil
 			t.fifo = t.fifo[:last]
 			head.resp, head.done = resp, true
+			head.resp.pend = head
 			if resp.lender != nil {
-				t.loan = resp
+				t.loan = &head.resp
 			}
 			if head != p {
 				t.cond.Broadcast()
@@ -453,28 +496,29 @@ func (t *TCP) awaitLocked(p *tcpPending, lend bool) {
 	}
 }
 
-// receive reads the next response off the socket. With lend set, a payload
-// that fits the receive buffer is left there and the response lent: its
-// payload is valid until the loan is given back or revoked, and no byte may be
-// read from br meanwhile. Anything else is read into one of t.bufs. Only the
-// reader calls it, without t.mu.
-func (t *TCP) receive(lend bool) (*Response, error) {
+// receive reads the next response off the socket into resp. With lend set, a
+// payload that fits the receive buffer is left there and the response lent:
+// its payload is valid until the loan is given back or revoked, and no byte
+// may be read from br meanwhile. Anything else is read into one of t.bufs.
+// Only the reader calls it, without t.mu.
+func (t *TCP) receive(lend bool, resp *Response) error {
 	if !lend {
-		return readResponse(t.br, t.hdr[:], &t.bufs)
+		return readResponse(t.br, t.hdr[:], &t.bufs, resp)
 	}
 	hdr, err := t.br.Peek(respHeaderSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := respHeaderSize + int(binary.LittleEndian.Uint32(hdr[2:6]))
 	if hdr[0] != protoMagic || n == respHeaderSize || n > t.br.Size() {
-		return readResponse(t.br, t.hdr[:], &t.bufs)
+		return readResponse(t.br, t.hdr[:], &t.bufs, resp)
 	}
 	frame, err := t.br.Peek(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Response{Status: frame[1], Payload: frame[respHeaderSize:], lender: t}, nil
+	*resp = Response{Status: frame[1], Payload: frame[respHeaderSize:], lender: t}
+	return nil
 }
 
 // pin marks a lent response as being read by its holder, who from now on

@@ -14,9 +14,11 @@ import (
 // allocates per page — fault path, host engine, transport, and both agents,
 // which are served in this process over loopback TCP — to a ceiling on the
 // three access patterns of bench/: a page costs its copies and its syscalls,
-// not a buffer. (Before the wire path recycled its buffers the three read
-// 5.6 KB, 4.9 KB and 15.7 KB; the store scan read 767 B while an eviction
-// copied its page into a pendingWrite of its own.) And its share of a syscall
+// not a buffer, nor a read, a flight, a pending or a response, which are
+// recycled (remote.Ticket). What is left is a free list or a map growing to a
+// new high-water mark now and then. (Before the wire path recycled its buffers
+// the three read 5.6 KB, 4.9 KB and 15.7 KB; before it recycled its reads,
+// flights, pendings and responses, 294 B, 679 B and 436 B.) And its share of a syscall
 // at that: on the two scans a socket write carries a train of frames
 // (remote.Host.Doorbells), the store scan's writebacks riding the read stream's
 // trains, where a random read's demand frame leaves alone and at once.
@@ -51,9 +53,9 @@ func TestScanSteadyStateAllocBytes(t *testing.T) {
 		train   float64 // frames a socket write carries, at least
 		access  func(i int)
 	}{
-		{"sequential read", 1024, 1.8, func(i int) { read(core.PageID(i % pages)) }},
-		{"random read", 1024, 1, func(int) { read(core.PageID(rng.Intn(pages))) }},
-		{"sequential 64-byte store", 640, 3.5, func(i int) { store(core.PageID(i % pages)) }},
+		{"sequential read", 256, 1.8, func(i int) { read(core.PageID(i % pages)) }},
+		{"random read", 8, 1, func(int) { read(core.PageID(rng.Intn(pages))) }},
+		{"sequential 64-byte store", 48, 3.5, func(i int) { store(core.PageID(i % pages)) }},
 	} {
 		// A lap to settle the predictor, the pipeline depth and every free
 		// list on this pattern; two to measure.

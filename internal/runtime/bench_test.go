@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -261,6 +262,27 @@ func BenchmarkScanLoopbackTCP(b *testing.B) { benchLoopbackTCP(b, false) }
 // BenchmarkStoreScanLoopbackTCP is bench/'s seq_write: a 64-byte store into
 // every page, so that each access faults a page in and evicts a dirty one.
 func BenchmarkStoreScanLoopbackTCP(b *testing.B) { benchLoopbackTCP(b, true) }
+
+// BenchmarkRandLoopbackTCP is bench/'s rand_read: reads of pages drawn
+// uniformly from the 16384, so that nearly every access is a demand miss
+// paying one round trip, with no prefetch or batch frame to share it.
+func BenchmarkRandLoopbackTCP(b *testing.B) {
+	const pages = 16384
+	m, _ := loopbackCluster(b, pages, 1024)
+	buf, rng := make([]byte, remote.PageSize), rand.New(rand.NewSource(1))
+	for i := 0; i < pages/2; i++ { // settles the free lists
+		if err := m.getInto(0, core.PageID(rng.Intn(pages)), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := m.getInto(0, core.PageID(rng.Intn(pages)), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+}
 
 func benchLoopbackTCP(b *testing.B, store bool) {
 	const pages = 16384

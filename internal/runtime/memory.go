@@ -113,7 +113,10 @@ type Memory struct {
 // handed to an accessor, mapped resident or given to the compressed tier
 // only with fill nil — the fault path reaps the fill first — and is recycled
 // only through freeFrame, which detaches data from an unfinished fill so a
-// late response is dropped instead of landing in the frame's next page.
+// late response is dropped instead of landing in the frame's next page. The
+// frame holds fill (remote.Ticket) until it drops it: a hit that finds the
+// read landed (reapFill), fetchPrefetches when it landed at once, or
+// freeFrame releases it, and the host recycles the read.
 //
 // The hull: [lo,hi) covers every byte of data that differs from the page's
 // remote image (the one the host gave, or took at the last writeback), and an

@@ -151,11 +151,12 @@ func (s *shard) newFrame() *frame {
 }
 
 // freeFrame returns a frame to the shard's pool. A fill still outstanding is
-// detached first: its response, whenever it arrives, no longer has a buffer
-// to land in (the fill invariant, see frame).
+// detached first — its response, whenever it arrives, no longer has a buffer
+// to land in (the fill invariant, see frame) — and released.
 func (s *shard) freeFrame(f *frame) {
 	if f.fill != nil {
 		f.fill.Detach()
+		f.fill.Release()
 		f.fill = nil
 	}
 	f.next = s.frameFree
@@ -301,13 +302,11 @@ func (s *shard) fetchPrefetches(pages []core.PageID) {
 		return
 	}
 	for i, f := range s.fills {
-		t := f.fill
-		if !t.Done() {
-			continue
-		}
-		f.fill = nil
-		if t.Err() != nil {
-			s.abandonPrefetch(s.fillPages[i])
+		if _, done, err := f.fill.Landed(); done { // which released the fill
+			f.fill = nil
+			if err != nil {
+				s.abandonPrefetch(s.fillPages[i])
+			}
 		}
 	}
 }
@@ -361,13 +360,18 @@ func (s *shard) abandonPrefetch(page core.PageID) {
 // that has not arrived, and the caller must then re-check everything — the
 // frame may have been evicted and recycled meanwhile. A failed fill abandons
 // the prefetch, so the access falls through to a demand miss on its own
-// failover budget. A hit whose page has arrived visits the host once.
+// failover budget. A hit whose page has arrived visits the host once, which
+// releases the fill. A wait holds the fill for its own account (Ticket.Hold),
+// taken before the stripe lock is released: the frame's hold may be released
+// meanwhile (freeFrame), and the read recycled under the wait.
 func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, ahead remote.Headroom, held bool) {
 	t := f.fill
 	ahead, done, err := t.Landed()
 	if !done {
+		t.Hold()
 		s.mu.Unlock()
 		blocked, _ = t.Collect()
+		t.Release()
 		s.mu.Lock()
 		return blocked, ahead, false
 	}
@@ -378,13 +382,15 @@ func (s *shard) reapFill(pg core.PageID, f *frame) (blocked time.Duration, ahead
 	return 0, ahead, true
 }
 
-// collectDemand waits for pg's demand read with the stripe lock released and
-// lets the prefetch dedup see pg again. The ticket is always collected here,
-// whoever landed it: the window's own Submit, or another goroutine's doorbell,
-// may have completed a read that a failover had requeued.
+// collectDemand waits for pg's demand read with the stripe lock released,
+// releases its ticket and lets the prefetch dedup see pg again. The ticket is
+// always collected here, whoever landed it: the window's own Submit, or
+// another goroutine's doorbell, may have completed a read that a failover had
+// requeued.
 func (s *shard) collectDemand(pg core.PageID, demand *remote.Ticket) error {
 	s.mu.Unlock()
 	err := demand.Wait()
+	demand.Release()
 	s.mu.Lock()
 	s.eng.UnblockPrefetch(pg)
 	return err

@@ -21,7 +21,8 @@
 #     flight at each, a store scan over two such links, 64 B and 4 KB stores,
 #     with the wire bytes a page costs, the two scans side by side on two
 #     goroutines, and bench/'s read and store scans over loopback TCP with the
-#     frames a socket write carried and the late prefetch wait per page; the
+#     frames a socket write carried and the late prefetch wait per page, and
+#     its random reads there; the
 #     scans also report the mean depth the host allowed beside the mean pages
 #     in flight). That pass runs three times: its rows spread with the box,
 #     and scripts/bench_compare.py takes the best of them.
@@ -49,7 +50,7 @@ go test -run '^$' -benchmem -count 1 -benchtime 2s \
   ./internal/remote | tee -a "$TMP"
 
 go test -run '^$' -benchmem -count 3 -benchtime 2s \
-  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink|BenchmarkMixDelayedLink|BenchmarkScanLoopbackTCP|BenchmarkStoreScanLoopbackTCP' \
+  -bench 'BenchmarkScanDelayedLink|BenchmarkStoreScanDelayedLink|BenchmarkMixDelayedLink|BenchmarkScanLoopbackTCP|BenchmarkStoreScanLoopbackTCP|BenchmarkRandLoopbackTCP' \
   ./internal/runtime | tee -a "$TMP"
 
 python3 scripts/bench2json.py < "$TMP" > "$OUT"
