@@ -7,7 +7,7 @@ DOCS = README.md DESIGN.md EXPERIMENTS.md PAPER_MAP.md \
        examples/multitenant/README.md examples/kvcache/README.md \
        examples/graphanalytics/README.md
 
-.PHONY: all build vet test bench bench-check bench-check-recorded bench-smoke bench-e2e smoke race stress stress-check figures docs-check links-check examples
+.PHONY: all build vet test bench bench-check bench-smoke bench-e2e smoke race stress stress-check figures docs-check links-check examples
 
 all: vet build test docs-check links-check
 
@@ -20,27 +20,17 @@ vet:
 test:
 	$(GO) test ./...
 
-# Record the benchmark baseline to BENCH_1.json (see scripts/bench.sh).
+# Record a new benchmark ledger, BENCH_OUT=BENCH_<n>.json: scripts/bench.sh
+# refuses to write over one that exists.
 bench:
 	scripts/bench.sh
 
-# Regression gate: A/B the gated hot-path benchmarks — baseline ref
-# (BENCH_AB_BASE, default HEAD~1) exported by git archive into a throwaway
-# directory vs the working tree, both on THIS machine — and fail on >15%
-# ns/op growth, any allocs/op increase, or any allocation on the Memory hit
-# paths; a second pass holds the loopback data-path layers to 25% and the
-# read scans to zero allocations (scripts/bench_ab.sh).
+# Perf gate: alternating pairs of the gated benchmarks' test binaries, built
+# once at BENCH_AB_BASE (default HEAD~1) and at the working tree; each row
+# fails on its median per-pair ns/op ratio or on a count (allocs/op, the
+# rows' work units) that grows (scripts/bench_ab.sh).
 bench-check:
 	scripts/bench_ab.sh
-
-# The old recorded-baseline gate: rerun the headline benchmarks and diff
-# against BENCH_1.json. Only meaningful on the machine that recorded the
-# baseline; bench-check (A/B at HEAD) is the portable gate.
-bench-check-recorded:
-	$(GO) test -run '^$$' -benchmem -count 1 -benchtime 2s \
-	  -bench 'BenchmarkSimulatorThroughput$$|BenchmarkPredictorFaultPath$$' . \
-	  | python3 scripts/bench2json.py > /tmp/leap_bench_fresh.json
-	python3 scripts/bench_compare.py BENCH_1.json /tmp/leap_bench_fresh.json
 
 # bench/ is a module of its own (the end-to-end benchmark, see
 # bench/README.md), so `go test ./...` never reaches its tests: the smoke

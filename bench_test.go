@@ -157,24 +157,44 @@ func BenchmarkMemoryGetZtierHit(b *testing.B) {
 	// The compressed-tier hit path — the Get an application pays when its
 	// page was sealed into the local victim tier rather than shipped
 	// remote: pagemap miss, one decompress into a recycled frame, LRU
-	// insert, one victim sealed back in its place. Gated A/B by
-	// scripts/bench_ab.sh (recorded in BENCH_9.json) and must stay
-	// allocation-free in steady state, like the resident hit path.
+	// insert, one victim sealed back in its place. Recorded in BENCH_9.json;
+	// TestHitPathsAllocateNothing holds it allocation-free in steady state,
+	// like the resident hit path.
+	mem := ztierHitMemory(b)
+	defer mem.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := mem.Get(PageID(i % ztierSpan))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = data
+	}
+}
+
+// ztierSpan is ztierHitMemory's page span: 3× its frame budget, so that
+// every Get of a scan over the span misses residency.
+const ztierSpan = 192
+
+// ztierHitMemory opens a Memory whose pages 0..ztierSpan-1 are each either
+// resident or sealed in the compressed tier, with the frame and tier-entry
+// free lists populated: a Get of any of them is a compressed-tier hit or a
+// resident one.
+func ztierHitMemory(tb testing.TB) *Memory {
 	const frames = 64
-	const span = 192 // 3× the frame budget: every Get below misses residency
 	mem, err := Open(
 		WithSeed(42), WithCacheCapacity(frames), WithQueueDepth(8),
-		WithCompressedTier(int64(span)*RemotePageSize),
+		WithCompressedTier(int64(ztierSpan)*RemotePageSize),
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer mem.Close()
 	buf := make([]byte, RemotePageSize)
-	for pg := int64(0); pg < span; pg++ {
+	for pg := int64(0); pg < ztierSpan; pg++ {
 		// Semi-compressible record pages: the codec takes its LZ path, so
-		// the benchmark times real compression work, not the stored
-		// fallback memcpy.
+		// the hit does real compression work, not the stored fallback
+		// memcpy.
 		const record = "record-deadbeef!"
 		x := uint64(pg)*0x9E3779B97F4A7C15 + 1
 		for off := 0; off+len(record) <= len(buf); off += len(record) {
@@ -183,24 +203,72 @@ func BenchmarkMemoryGetZtierHit(b *testing.B) {
 			buf[off+12] = byte(x >> 33)
 		}
 		if _, err := mem.WriteAt(buf, pg*RemotePageSize); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	// One warm scan settles the steady state: every page resident or
 	// sealed, frame and tier-entry free lists populated.
-	for pg := int64(0); pg < span; pg++ {
+	for pg := int64(0); pg < ztierSpan; pg++ {
 		if _, err := mem.Get(PageID(pg)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := mem.Get(PageID(i % span))
-		if err != nil {
-			b.Fatal(err)
+	return mem
+}
+
+// TestHitPathsAllocateNothing holds each hit path at zero heap allocations
+// a read, steady state: a resident hit takes its stripe's lock, touches the
+// LRU and copies bytes, a compressed-tier hit decompresses into a recycled
+// frame, and routing through the ensemble adds nothing, since a hit never
+// consults the prefetcher. Each row reads its pages by Get and by ReadAt.
+func TestHitPathsAllocateNothing(t *testing.T) {
+	ensemble := WithPrefetcherFactory(func() Prefetcher { p, _ := NewPrefetcher("ensemble"); return p })
+	resident := func(pages int, opts ...Option) func(testing.TB) (*Memory, int) {
+		return func(tb testing.TB) (*Memory, int) {
+			mem, err := Open(append([]Option{WithSeed(42), WithQueueDepth(8)}, opts...)...)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			buf := make([]byte, RemotePageSize)
+			for pg := int64(0); pg < int64(pages); pg++ {
+				if _, err := mem.WriteAt(buf, pg*RemotePageSize); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			return mem, pages
 		}
-		_ = data
+	}
+	for _, tc := range []struct {
+		name string
+		open func(testing.TB) (*Memory, int)
+	}{
+		{"resident/shards=1", resident(64, WithCacheCapacity(256))},
+		{"resident/shards=4", resident(128, WithShards(4), WithCacheCapacity(512))},
+		{"ztier", func(tb testing.TB) (*Memory, int) { return ztierHitMemory(tb), ztierSpan }},
+		{"ensemble", resident(64, WithCacheCapacity(256), ensemble)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem, pages := tc.open(t)
+			defer mem.Close()
+			buf := make([]byte, RemotePageSize)
+			var pg int64
+			var rerr error
+			allocs := testing.AllocsPerRun(400, func() {
+				pg = (pg + 1) % int64(pages)
+				if _, err := mem.Get(PageID(pg)); err != nil {
+					rerr = err
+				}
+				if _, err := mem.ReadAt(buf, pg*RemotePageSize); err != nil {
+					rerr = err
+				}
+			})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if allocs != 0 {
+				t.Errorf("%s hit: %.1f allocations a Get and ReadAt, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 
@@ -241,8 +309,8 @@ func BenchmarkMemoryGetHitParallel(b *testing.B) {
 	// The sharded hit path under real parallelism: a GOMAXPROCS sweep over
 	// {1, 2, 4, 8} with the runtime split WithShards(8), so each worker's
 	// Get takes only its stripe's lock. This is the measured multicore
-	// scaling curve of the fault path — recorded in BENCH_8.json and gated
-	// A/B by scripts/bench_ab.sh — and every sweep point must stay
+	// scaling curve of the fault path — recorded in BENCH_8.json, procs=8
+	// gated by scripts/bench_ab.sh — and every sweep point must stay
 	// allocation-free, exactly like the serialized hit path above. Procs
 	// beyond the machine's cores degenerate to the core count; the sweep
 	// still records them so the curve's flat tail is visible in the data.

@@ -218,34 +218,3 @@ func TestMemoryAdviseSteersIssue(t *testing.T) {
 		t.Fatalf("WillNeed did not warm the scan: %d misses vs %d un-advised", warm.Misses, cold.Misses)
 	}
 }
-
-// BenchmarkMemoryEnsembleGetHit is the selector's zero-allocation gate on
-// the resident-hit path: a hit never consults the prefetcher, so routing
-// through the ensemble must add nothing — gated A/B by
-// scripts/bench_ab.sh --zero-alloc, like the fixed-policy hit path.
-func BenchmarkMemoryEnsembleGetHit(b *testing.B) {
-	mem, err := Open(
-		WithSeed(42), WithCacheCapacity(256), WithQueueDepth(8),
-		WithPrefetcherFactory(func() Prefetcher { p, _ := NewPrefetcher("ensemble"); return p }),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mem.Close()
-	buf := make([]byte, RemotePageSize)
-	const hot = 64 // well inside the budget: every Get below is a hit
-	for pg := int64(0); pg < hot; pg++ {
-		if _, err := mem.WriteAt(buf, pg*RemotePageSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := mem.Get(PageID(i % hot))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = data
-	}
-}

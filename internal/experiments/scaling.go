@@ -142,6 +142,7 @@ func runScalingPoint(agents, depth, ops int, seed uint64) scalingRow {
 	start := clock
 	kinds := make([]bool, window) // true = write
 	targets := make([]core.PageID, window)
+	reads := make([]*remote.Ticket, 0, window)
 	for measured < int64(ops) {
 		n := window
 		for i := 0; i < n; i++ {
@@ -156,10 +157,16 @@ func runScalingPoint(agents, depth, ops int, seed uint64) scalingRow {
 		}
 		for i := 0; i < n; i++ {
 			if !kinds[i] {
-				host.ReadPageAsync(targets[i], bufs[i])
+				reads = append(reads, host.ReadPageAsync(targets[i], bufs[i]))
 			}
 		}
 		lat := flushGroup()
+		// Every read has landed: each ticket, a coalesced one too, gives
+		// up its own hold, and the host recycles the reads.
+		for _, t := range reads {
+			t.Release()
+		}
+		reads = reads[:0]
 		for i := 0; i < n; i++ {
 			hist.Observe(lat)
 		}

@@ -229,70 +229,6 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
 }
 
-// Reservoir keeps an exact, bounded sample of observations for computations
-// that need exact order statistics (e.g. validating Histogram's
-// interpolation). When more than Cap samples arrive, uniform reservoir
-// sampling keeps an unbiased subset.
-type Reservoir struct {
-	Cap     int
-	samples []sim.Duration
-	seen    uint64
-	rng     rngSource
-}
-
-// rngSource is the minimal deterministic randomness the reservoir needs,
-// decoupled from sim.RNG to avoid a dependency cycle in tests.
-type rngSource struct{ state uint64 }
-
-func (r *rngSource) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// NewReservoir returns a reservoir holding at most cap samples.
-func NewReservoir(cap int) *Reservoir {
-	if cap <= 0 {
-		cap = 1024
-	}
-	return &Reservoir{Cap: cap, rng: rngSource{state: uint64(cap)}}
-}
-
-// Observe records one sample.
-func (r *Reservoir) Observe(v sim.Duration) {
-	r.seen++
-	if len(r.samples) < r.Cap {
-		r.samples = append(r.samples, v)
-		return
-	}
-	if j := r.rng.next() % r.seen; j < uint64(r.Cap) {
-		r.samples[j] = v
-	}
-}
-
-// Percentile reports the exact p-th percentile of the retained samples.
-func (r *Reservoir) Percentile(p float64) sim.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	s := make([]sim.Duration, len(r.samples))
-	copy(s, r.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	idx := int(p / 100 * float64(len(s)-1))
-	return s[idx]
-}
-
-// Count reports the total number of observations seen (not retained).
-func (r *Reservoir) Count() uint64 { return r.seen }
-
 // RenderCDFTable renders a set of named CDFs side by side as an ASCII table,
 // one row per probability step — the textual analogue of the paper's CDF
 // plots.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,16 +48,17 @@ func TestHistogramPercentileAccuracy(t *testing.T) {
 	// Percentiles of a log-bucketed histogram must be within the bucket
 	// relative error (~1/32) of exact order statistics.
 	var h Histogram
-	r := NewReservoir(1 << 20)
+	exact := make([]sim.Duration, 0, 100000)
 	rng := sim.NewRNG(99)
 	for i := 0; i < 100000; i++ {
 		// Latencies spanning 100ns .. ~1ms, log-uniform.
 		v := sim.Duration(100 * math.Exp(rng.Float64()*math.Log(10000)))
 		h.Observe(v)
-		r.Observe(v)
+		exact = append(exact, v)
 	}
+	sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
 	for _, p := range []float64{10, 25, 50, 75, 90, 99, 99.9} {
-		hp, rp := float64(h.Percentile(p)), float64(r.Percentile(p))
+		hp, rp := float64(h.Percentile(p)), float64(exact[int(p/100*float64(len(exact)-1))])
 		if rp == 0 {
 			continue
 		}
@@ -186,35 +188,6 @@ func TestSummaryString(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "n=100") {
 		t.Fatalf("Summary.String missing count: %s", s)
-	}
-}
-
-func TestReservoirExactSmall(t *testing.T) {
-	r := NewReservoir(1000)
-	for i := 1; i <= 100; i++ {
-		r.Observe(sim.Duration(i))
-	}
-	if got := r.Percentile(50); got != 50 {
-		t.Fatalf("P50 = %d, want 50 (index interpolation)", got)
-	}
-	if got := r.Percentile(0); got != 1 {
-		t.Fatalf("P0 = %d, want 1", got)
-	}
-	if got := r.Percentile(100); got != 100 {
-		t.Fatalf("P100 = %d, want 100", got)
-	}
-}
-
-func TestReservoirSubsamples(t *testing.T) {
-	r := NewReservoir(128)
-	for i := 0; i < 10000; i++ {
-		r.Observe(sim.Duration(i))
-	}
-	if r.Count() != 10000 {
-		t.Fatalf("Count = %d, want 10000", r.Count())
-	}
-	if len(r.samples) != 128 {
-		t.Fatalf("retained %d, want 128", len(r.samples))
 	}
 }
 

@@ -322,20 +322,6 @@ func (c *Cache) Tick(now sim.Time) {
 	}
 }
 
-// ReclaimLRU evicts up to n entries under external memory pressure (the
-// kswapd path driven by cgroup charge in the VMM layer) and reports how
-// many were reclaimed. Victims follow the policy: eager reclaims the
-// prefetch FIFO first, lazy walks the global LRU tail — where consumed
-// pages linger, which is precisely the Figure 4 waste.
-func (c *Cache) ReclaimLRU(n int, now sim.Time) int {
-	freed := 0
-	for freed < n && c.entries.Len() > 0 {
-		c.evictOne(now)
-		freed++
-	}
-	return freed
-}
-
 // ReclaimAged evicts up to n pressure-eligible entries: consumed pages
 // (immediately reclaimable) and unconsumed pages older than minAge — the
 // one-trip-through-the-inactive-list grace real reclaim gives freshly

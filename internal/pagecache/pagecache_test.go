@@ -380,19 +380,6 @@ func TestReclaimAgedBounded(t *testing.T) {
 	}
 }
 
-func TestReclaimLRUDrains(t *testing.T) {
-	c := New(Config{Policy: EvictLazy})
-	for i := 0; i < 5; i++ {
-		c.Insert(PageID(i), true, 0)
-	}
-	if freed := c.ReclaimLRU(100, 1); freed != 5 {
-		t.Fatalf("freed = %d, want 5", freed)
-	}
-	if c.Len() != 0 {
-		t.Fatal("cache not drained")
-	}
-}
-
 func TestOnEvictCallback(t *testing.T) {
 	c := New(Config{Capacity: 2, Policy: EvictLazy})
 	var evicted []PageID

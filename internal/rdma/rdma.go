@@ -93,13 +93,6 @@ func (f *Fabric) Submit(core int, now sim.Time) (done sim.Time) {
 	return start.Add(f.cfg.OpLatency.Sample(f.rng))
 }
 
-// SubmitAsync books queue occupancy for a background operation (prefetch or
-// writeback) without a waiting requester; the returned time is when the data
-// lands.
-func (f *Fabric) SubmitAsync(core int, now sim.Time) (done sim.Time) {
-	return f.Submit(core, now)
-}
-
 // SubmitBatch enqueues n 4KB operations as one doorbell on core's dispatch
 // queue: the batch waits for the queue once, pays the per-op setup
 // (ServiceTime) once, streams the remaining ops at wire rate (StreamTime),
@@ -126,18 +119,6 @@ func (f *Fabric) SubmitBatch(core, n int, now sim.Time, done []sim.Time) []sim.T
 		done[i] = first.Add(sim.Duration(i) * f.cfg.StreamTime)
 	}
 	return done
-}
-
-// Utilization reports the fraction of queues still busy at time now — a
-// coarse congestion probe used by tests.
-func (f *Fabric) Utilization(now sim.Time) float64 {
-	busy := 0
-	for _, t := range f.freeAt {
-		if t > now {
-			busy++
-		}
-	}
-	return float64(busy) / float64(len(f.freeAt))
 }
 
 // MeanOpLatency reports the configured unloaded mean op latency.

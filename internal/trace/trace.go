@@ -204,12 +204,3 @@ func (g *Replay) Next() workload.Access {
 	g.pos = (g.pos + 1) % len(g.records)
 	return workload.Access{Page: r.Page, Think: r.Think}
 }
-
-// SplitByPID partitions records by process.
-func SplitByPID(records []Record) map[prefetch.PID][]Record {
-	out := make(map[prefetch.PID][]Record)
-	for _, r := range records {
-		out[r.PID] = append(out[r.PID], r)
-	}
-	return out
-}

@@ -158,16 +158,6 @@ func TestReplayMetadata(t *testing.T) {
 	}
 }
 
-func TestSplitByPID(t *testing.T) {
-	recs := []Record{
-		{PID: 1, Page: 1}, {PID: 2, Page: 2}, {PID: 1, Page: 3},
-	}
-	m := SplitByPID(recs)
-	if len(m) != 2 || len(m[1]) != 2 || len(m[2]) != 1 {
-		t.Fatalf("split = %v", m)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(pids []uint8, pages []int32, thinks []uint16) bool {
 		n := len(pids)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Benchmark baseline: runs the benchmark suite and records the numbers to
-# BENCH_1.json (override with BENCH_OUT), seeding the perf trajectory that
-# future PRs append to (BENCH_2.json, ...).
+# Benchmark ledger: runs the benchmark suite and records the numbers to a new
+# BENCH_<n>.json (BENCH_OUT, default BENCH_1.json), the perf trajectory across
+# PRs. It refuses to write over a file that exists, and names the next free
+# one to pass instead.
 #
 # Three passes with different timing budgets:
 #   - hot-path microbenchmarks get a long -benchtime for stable ns/op, and
@@ -24,12 +25,16 @@
 #     frames a socket write carried and the late prefetch wait per page, and
 #     its random reads there; the
 #     scans also report the mean depth the host allowed beside the mean pages
-#     in flight). That pass runs three times: its rows spread with the box,
-#     and scripts/bench_compare.py takes the best of them.
+#     in flight). That pass runs three times: its rows spread with the box.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_1.json}"
+if [ -e "$OUT" ]; then
+  last=$(ls BENCH_*.json | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -1)
+  echo "bench.sh: $OUT exists; record to a new file: BENCH_OUT=BENCH_$((last + 1)).json" >&2
+  exit 2
+fi
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 

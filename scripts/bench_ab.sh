@@ -1,74 +1,53 @@
 #!/usr/bin/env bash
-# A/B perf gate: benchmark the gated hot paths at a baseline ref (default
-# HEAD~1), exported into a throwaway directory, AND at the current working
-# tree, then compare the two runs with scripts/bench_compare.py. Two passes:
+# A/B perf gate: the gated benchmarks at a baseline ref, exported with git
+# archive into a throwaway directory, against the working tree, both on this
+# machine. Each side's test binaries are built once; then PAIRS pairs run
+# them, each row on one side right after the other, so that both see the box
+# in the same state, with the side that goes first swapping from one pair to
+# the next. scripts/bench_compare.py gates every row on its median per-pair
+# ns/op ratio and on its counts (allocs/op and the work units rows report).
 #
-#   - the root package's hot paths (simulator, predictor, Memory hits);
-#   - the data path's layer benchmarks over loopback TCP in internal/remote
-#     and internal/runtime: the read scan, store scan and random reads through
-#     a Memory, the host's read scan, one round trip and eight pipelined. The
-#     three read rows must allocate nothing (--zero-alloc). Its rows share
-#     the box's cores with the agents they talk to and spread more than the
-#     hot paths: their ns/op threshold is 25%.
-#
-# Unlike the recorded BENCH_1.json baseline — numbers from the machine of
-# record, useless as a gate anywhere else — both sides here run back to
-# back on the SAME machine, so the 15% ns/op threshold and the allocs/op
-# gate hold on laptops and CI runners alike. Benchmarks the baseline commit
-# doesn't have yet (e.g. a just-added sweep) are warned about and skipped
-# by the comparator; the --zero-alloc prefix still gates them on the fresh
-# side. The script exits non-zero if either pass fails.
-#
-#   BENCH_AB_BASE   baseline git ref            (default HEAD~1)
-#   BENCH_AB_TIME   -benchtime for both sides   (default 1s)
-#   BENCH_AB_COUNT  -count repetitions per side (default 3; the comparator
-#                   takes best-of-N ns/op, worst-of-N allocs/op)
+#   BENCH_AB_BASE   baseline git ref (default HEAD~1)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASE_REF="${BENCH_AB_BASE:-HEAD~1}"
-BENCHTIME="${BENCH_AB_TIME:-1s}"
-COUNT="${BENCH_AB_COUNT:-3}"
-# The gated hot paths only — figure drivers are too noisy to A/B.
-PATTERN='BenchmarkSimulatorThroughput|BenchmarkPredictorFaultPath|BenchmarkMemoryGetHit|BenchmarkMemoryConcurrentGet|BenchmarkMemoryGetZtierHit|BenchmarkMemoryEnsembleGetHit'
-HEADLINE='BenchmarkSimulatorThroughput,BenchmarkPredictorFaultPath,BenchmarkMemoryGetHit,BenchmarkMemoryConcurrentGet,BenchmarkMemoryGetHitParallel/procs=8,BenchmarkMemoryGetZtierHit,BenchmarkMemoryEnsembleGetHit'
-LAYERS='BenchmarkScanLoopbackTCP,BenchmarkStoreScanLoopbackTCP,BenchmarkRandLoopbackTCP,BenchmarkTCPHostScan,BenchmarkTCPCall,BenchmarkTCPPipelined8'
-LAYER_PATTERN="^(${LAYERS//,/|})\$"
-
-run_bench() { # $1 = source dir, $2 = output json
-  (cd "$1" && go test -run '^$' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
-    -bench "$PATTERN" .) | python3 scripts/bench2json.py > "$2"
-}
-
-run_layers() { # $1 = source dir, $2 = output json
-  (cd "$1" && go test -run '^$' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
-    -bench "$LAYER_PATTERN" ./internal/remote ./internal/runtime) | python3 scripts/bench2json.py > "$2"
-}
+PAIRS=36
+BENCHTIME=100ms
+# The gated rows, one list per package: the hot paths of the simulator and
+# the Memory hit paths, and the data path's layers over loopback TCP.
+declare -A ROWS=(
+  [.]='BenchmarkSimulatorThroughput BenchmarkPredictorFaultPath BenchmarkMemoryGetHit
+       BenchmarkMemoryGetHitParallel/procs=8 BenchmarkMemoryConcurrentGet BenchmarkMemoryGetZtierHit'
+  [internal/remote]='BenchmarkTCPHostScan BenchmarkTCPCall BenchmarkTCPPipelined8'
+  [internal/runtime]='BenchmarkScanLoopbackTCP BenchmarkStoreScanLoopbackTCP BenchmarkRandLoopbackTCP'
+)
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-
-echo "== A side: $BASE_REF =="
-mkdir "$TMP/base"
+mkdir "$TMP/base" "$TMP/pairs"
 git archive "$BASE_REF" | tar -x -C "$TMP/base"
-run_bench "$TMP/base" "$TMP/base.json"
-run_layers "$TMP/base" "$TMP/base_layers.json"
 
-echo "== B side: working tree =="
-run_bench . "$TMP/head.json"
-run_layers . "$TMP/head_layers.json"
+side_dir() { if [ "$1" = base ]; then echo "$TMP/base"; else pwd; fi; }
 
-status=0
-echo "== hot paths =="
-python3 scripts/bench_compare.py "$TMP/base.json" "$TMP/head.json" \
-  --headline "$HEADLINE" \
-  --zero-alloc BenchmarkMemoryGetHit \
-  --zero-alloc BenchmarkMemoryGetZtierHit \
-  --zero-alloc BenchmarkMemoryEnsembleGetHit || status=$?
-echo "== data path layers =="
-python3 scripts/bench_compare.py "$TMP/base_layers.json" "$TMP/head_layers.json" \
-  --headline "$LAYERS" --threshold 0.25 \
-  --zero-alloc BenchmarkScanLoopbackTCP \
-  --zero-alloc BenchmarkTCPHostScan \
-  --zero-alloc BenchmarkRandLoopbackTCP || status=$?
-exit "$status"
+echo "== building $BASE_REF and the working tree =="
+for side in base head; do
+  for pkg in "${!ROWS[@]}"; do
+    (cd "$(side_dir "$side")" && go test -c -o "$TMP/$side.${pkg//\//_}.test" "./$pkg")
+  done
+done
+
+for ((i = 1; i <= PAIRS; i++)); do
+  echo "== pair $i of $PAIRS =="
+  order="base head"
+  if ((i % 2 == 0)); then order="head base"; fi
+  for pkg in "${!ROWS[@]}"; do
+    for row in ${ROWS[$pkg]}; do
+      for side in $order; do
+        (cd "$(side_dir "$side")/$pkg" && "$TMP/$side.${pkg//\//_}.test" -test.run '^$' -test.timeout 2m \
+          -test.benchmem -test.benchtime "$BENCHTIME" -test.bench "^$row\$") >> "$TMP/pairs/$i.$side"
+      done
+    done
+  done
+done
+python3 scripts/bench_compare.py "$TMP/pairs"
