@@ -24,7 +24,7 @@ import (
 func (h *Host) copyPage(page core.PageID, src int, targets []int, certify bool) (readErr, writeErr error) {
 	slab, off := h.locate(page)
 	h.mu.Lock()
-	gen, tr := h.rec(page).generation(), h.transports[src]
+	gen, tr := h.rec(page).generation(), h.links[src].tr
 	h.mu.Unlock()
 	rd, err := tr.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
 	if err = callError(OpRead, rd, err); err != nil {
@@ -37,7 +37,7 @@ func (h *Host) copyPage(page core.PageID, src int, targets []int, certify bool) 
 			h.mu.Unlock()
 			continue
 		}
-		dst := h.transports[idx]
+		dst := h.links[idx].tr
 		if !held {
 			h.mu.Unlock()
 		}

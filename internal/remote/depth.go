@@ -113,31 +113,6 @@ const (
 	unackedFrames = 2 * trainFrames
 )
 
-// link is the host's state for one agent link: the frames in the air on it
-// and the estimator's books.
-type link struct {
-	// flights are the frames started on the link and not yet landed, reads and
-	// writes, in start order — the order the connection answers in, and the
-	// order they land in (reap). writes counts the write frames among them:
-	// the link's unacked window, unackedFrames at most (unackedFull).
-	flights []*flight
-	writes  int
-	// latency is the least fetch latency measured since the link was last
-	// probed, 0 until a blocked wait on the empty link gives the first, and
-	// taken is when it was last set. need is latency x rate in pages as of the
-	// link's last sample, less what has leaked since.
-	latency time.Duration
-	taken   time.Time
-	need    int
-	// doubts counts the waits longer than latency since a sample last fell
-	// within depthGain of it. probing: the pipeline drains, and the next
-	// flight started with nothing ahead of it on the link is the estimate.
-	doubts  int
-	probing bool
-	// flying is the pages of the read frames in the air on this link.
-	flying int
-}
-
 // Pipeline reports the read pipeline as the depth estimator has it: the pages
 // it lets readers keep in flight ahead of themselves, the pages of read frames
 // in flight now, and the bound on both that maxUnreaped sets.
@@ -153,8 +128,8 @@ func (h *Host) Pipeline() (depth, flying, bound int) {
 func (h *Host) Doorbells() (writes, frames int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, tr := range h.transports {
-		if c, ok := tr.(interface{ doorbells() (int64, int64) }); ok {
+	for _, l := range h.links {
+		if c, ok := l.tr.(interface{ doorbells() (int64, int64) }); ok {
 			w, f := c.doorbells()
 			writes, frames = writes+w, frames+f
 		}
@@ -168,8 +143,8 @@ func (h *Host) FetchLatency() []time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	latency := make([]time.Duration, len(h.links))
-	for i := range h.links {
-		latency[i] = h.links[i].latency
+	for i, l := range h.links {
+		latency[i] = l.latency
 	}
 	return latency
 }
@@ -192,7 +167,7 @@ type Headroom struct {
 func (h *Host) ahead() Headroom {
 	frame := h.cfg.QueueDepth
 	a := Headroom{Frame: frame, Train: frame, Depth: h.depth}
-	if h.movesTrains() {
+	if h.trains {
 		a.Train = min(trainFrames*frame, maxUnreaped/PageSize-h.depth+frame)
 		a.Depth += a.Train
 	}
@@ -200,18 +175,6 @@ func (h *Host) ahead() Headroom {
 		a.Room = h.depth - frame + a.Train - h.flying
 	}
 	return a
-}
-
-// movesTrains reports whether a doorbell's frames leave in one write on any of
-// the host's links: where none can hold a frame for the next, a train saves
-// nothing for the pages and images it keeps in the air. Callers hold h.mu.
-func (h *Host) movesTrains() bool {
-	for _, tr := range h.transports {
-		if _, ok := tr.(TrainStarter); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // waitedBy reports the time up to now during which some reaper was waiting
@@ -226,7 +189,7 @@ func (h *Host) waitedBy(now time.Time) time.Duration {
 // takeOff enters read frame f, about to be left in the air, into the
 // estimator's books. Callers hold h.mu.
 func (h *Host) takeOff(f *flight) {
-	l := &h.links[f.idx]
+	l := h.links[f.idx]
 	f.pages = len(f.batch)
 	f.started = h.clock()
 	f.landed0 = h.landedPages
@@ -258,7 +221,7 @@ func (h *Host) touchDown(f *flight, waitFrom time.Time, ok bool) (blocked time.D
 	if h.waiters--; h.waiters == 0 {
 		h.waited += now.Sub(h.waitSince)
 	}
-	l := &h.links[f.idx]
+	l := h.links[f.idx]
 	l.flying -= f.pages
 	h.flying -= f.pages
 	consumed := h.landedPages - f.landed0
@@ -334,12 +297,12 @@ func (h *Host) sized(l *link, consumed int64, busy time.Duration) {
 	}
 	h.peak = h.flying
 	need := 0
-	for i := range h.links {
-		if h.links[i].probing && h.links[i].flying > 0 {
+	for _, l := range h.links {
+		if l.probing && l.flying > 0 {
 			h.depth = h.cfg.QueueDepth // the pipeline is draining for it
 			return
 		}
-		need = max(need, h.links[i].need)
+		need = max(need, l.need)
 	}
 	h.depth = min(depthGain*need+depthQuanta*h.cfg.QueueDepth, maxUnreaped/PageSize)
 }
@@ -364,7 +327,7 @@ func (h *Host) leak(pages int) {
 	}
 	h.depth = max(h.depth-max(step, frame), quanta)
 	h.peak, h.unblocked = h.flying, 0
-	for i := range h.links {
-		h.links[i].need = min(h.links[i].need, (h.depth-quanta)/depthGain)
+	for _, l := range h.links {
+		l.need = min(l.need, (h.depth-quanta)/depthGain)
 	}
 }

@@ -104,23 +104,15 @@ type HostStats struct {
 type Host struct {
 	cfg HostConfig
 
-	mu         sync.Mutex
-	transports []Transport
-	slabLoad   []int            // slabs placed per agent
+	mu sync.Mutex
+	// links holds each agent's record, by agent index (link.go).
+	links      []*link
 	placements map[SlabID][]int // slab → agent indices, primary first
-	failed     map[int]bool     // agents marked dead (excluded from placement)
 	// records holds the host's state of each page it has read or written.
 	records *pagemap.Map[*record]
 	// degraded tracks pages whose most recent write was acknowledged by
 	// fewer than Replicas agents; RepairSlabs re-pushes them.
 	degraded map[core.PageID]bool
-	// retired agents are draining for graceful scale-down: excluded from
-	// rendezvous ranking (so Rebalance migrates their share away) while
-	// remaining fully live copy sources and read targets.
-	retired map[int]bool
-	// slow agents are hinted lagging by the control plane (SetAgentSlow):
-	// reads order away from them.
-	slow map[int]bool
 	// hot maps a page to extra read replicas beyond its slab placement —
 	// the control plane's top-K fault-frequency pages (ReplicateHot).
 	hot map[core.PageID][]int
@@ -129,13 +121,11 @@ type Host struct {
 	// is served by a holder outside the ack set.
 	wholeNext map[core.PageID]struct{}
 
-	// Async engine state: per-agent FIFO queues of pending operations (see
-	// queue.go). queued counts the pending writes not yet started on any
-	// replica, the backlog a doorbell clears; unacked those started and not
-	// yet answered by every replica.
-	queues  [][]queueEntry
-	queued  int
-	unacked int
+	// queued counts the pending writes not yet started on any replica, the
+	// backlog a doorbell clears (the queues themselves are the links').
+	queued int
+	// trains is set once some link moves trains (TrainStarter).
+	trains bool
 	// The free lists: page buffers and encoded images (pendingWrite.enc) of
 	// writes that have landed everywhere, handed-off pendingWrites of such
 	// writes, done reads no hold is left on (recycleRead), landed flights.
@@ -145,10 +135,10 @@ type Host struct {
 	readFree   []*pendingRead
 	flightFree []*flight
 	// landed (on mu) wakes goroutines waiting for another's landing of a
-	// flight; the flights themselves are on their links' FIFOs (links[i].flights).
+	// flight; the flights themselves are on their links' FIFOs (link.flights).
 	landed *sync.Cond
-	// The depth estimator's books (depth.go): its state per agent link; the
-	// pages readers may keep in flight ahead of themselves; the pages of read
+	// The depth estimator's books (depth.go), beside those it keeps per link:
+	// the pages readers may keep in flight ahead of themselves; the pages of read
 	// frames in the air, the most of them since depth last moved, and those
 	// landed so far; the pages landed without a wait since depth last moved,
 	// and the pages in flight when a reader last found the pipeline short;
@@ -156,7 +146,6 @@ type Host struct {
 	// time.Now (a field so tests can play the link's time themselves); it is
 	// read only for read frames left in flight, which a transport that
 	// finishes what it starts never has.
-	links       []link
 	depth       int
 	flying      int
 	peak        int
@@ -199,15 +188,14 @@ func NewHost(cfg HostConfig, transports []Transport) (*Host, error) {
 	}
 	h := &Host{
 		cfg:        cfg,
-		transports: transports,
-		slabLoad:   make([]int, len(transports)),
 		placements: make(map[SlabID][]int),
 		records:    pagemap.New[*record](0),
 		degraded:   make(map[core.PageID]bool),
-		queues:     make([][]queueEntry, len(transports)),
-		links:      make([]link, len(transports)),
 		depth:      maxUnreaped / PageSize,
 		clock:      time.Now,
+	}
+	for _, tr := range transports {
+		h.addLink(tr)
 	}
 	h.landed = sync.NewCond(&h.mu)
 	return h, nil
@@ -281,8 +269,10 @@ func (h *Host) Stats() HostStats {
 func (h *Host) SlabLoad() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]int, len(h.slabLoad))
-	copy(out, h.slabLoad)
+	out := make([]int, len(h.links))
+	for i, l := range h.links {
+		out[i] = l.slabs
+	}
 	return out
 }
 
@@ -305,10 +295,10 @@ func (h *Host) placement(slab SlabID) ([]int, error) {
 		if len(replicas) == h.cfg.Replicas {
 			break
 		}
-		resp, err := h.transports[idx].Call(&Request{Op: OpMapSlab, Slab: slab})
+		resp, err := h.links[idx].tr.Call(&Request{Op: OpMapSlab, Slab: slab})
 		if err == nil && resp.Status == StatusOK {
 			replicas = append(replicas, idx)
-			h.slabLoad[idx]++
+			h.links[idx].slabs++
 		}
 	}
 	if len(replicas) == 0 {
@@ -374,7 +364,7 @@ func (h *Host) UnderReplicated() int {
 	for _, replicas := range h.placements {
 		alive := 0
 		for _, idx := range replicas {
-			if !h.failed[idx] {
+			if !h.links[idx].failed {
 				alive++
 			}
 		}
@@ -420,8 +410,8 @@ func (h *Host) Close() error {
 	h.drain(true)
 	h.mu.Unlock()
 	var first error
-	for _, tr := range h.transports {
-		if err := tr.Close(); err != nil && first == nil {
+	for _, l := range h.links {
+		if err := l.tr.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

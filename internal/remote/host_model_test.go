@@ -62,6 +62,7 @@ const (
 	opRebalance     opKind = "rebalance"
 	opRetire        opKind = "retire"
 	opReinstate     opKind = "reinstate"
+	opAddAgent      opKind = "add-agent"     // AddAgent of a fresh agent on a link of the tape's mode
 	opReplicateHot  opKind = "replicate-hot" // one extra holder for page
 	opDropHot       opKind = "drop-hot"
 	opExpect        opKind = "expect" // the tape's own assertion
@@ -70,8 +71,8 @@ const (
 // opKinds is every kind of step; the corpus must take each.
 var opKinds = []opKind{opWrite, opHandOff, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
 	opSubmit, opFlush, opFlushBG, opWait, opHold, opRelease, opPump, opTrigger, opPartition, opFlaky, opHeal,
-	opSlow, opMarkFailed, opMarkRecovered, opPurge, opCrash, opRestart, opRepair, opRebalance, opRetire, opReinstate, opReplicateHot,
-	opDropHot, opExpect}
+	opSlow, opMarkFailed, opMarkRecovered, opPurge, opCrash, opRestart, opRepair, opRebalance, opRetire, opReinstate, opAddAgent,
+	opReplicateHot, opDropHot, opExpect}
 
 type tapeOp struct {
 	kind   opKind
@@ -134,7 +135,13 @@ type hostTape struct {
 	// A draw's pages in play, and the scenarios it plays, cycles times each.
 	pages, cycles int
 	mix           []string
+	// grown counts the agents its add-agent steps add.
+	grown int
 }
+
+// pool is the agents a tape's steps play on once its add-agent steps have run,
+// or, while it is drawn, as those drawn so far leave it.
+func (tp *hostTape) pool() int { return tp.agents + tp.grown }
 
 // The axes a tape's configuration is drawn from, and compression on or off.
 var (
@@ -161,7 +168,7 @@ type scenario struct {
 func always(*hostTape) bool        { return true }
 func split(tp *hostTape) bool      { return tp.mode != CallOnly } // responses may be held while the tape goes on
 func replicated(tp *hostTape) bool { return tp.replicas == 2 }    // a replica may fail
-func spare(tp *hostTape) bool      { return tp.agents > tp.replicas }
+func spare(tp *hostTape) bool      { return tp.pool() > tp.replicas }
 func outage(tp *hostTape) bool     { return replicated(tp) && spare(tp) }
 
 var scenarios = map[string]scenario{
@@ -202,7 +209,7 @@ var scenarios = map[string]scenario{
 		b.add(named(flying, submit), expect("Submit leaves the writes flying", func(r *hostRun) bool {
 			return r.results[flying] == 1
 		}), at(opRead, p))
-		for _, i := range b.rng.Perm(b.tp.agents) {
+		for _, i := range b.rng.Perm(b.tp.pool()) {
 			b.add(on(opRelease, i), on(opReadVia, i))
 			b.writes(2)
 			b.add(at(opRead, p))
@@ -336,17 +343,17 @@ var scenarios = map[string]scenario{
 				return r.results[hot] == 1 && len(holders) == 1 && slices.Contains(r.h.AckedReplicas(p), holders[0])
 			}), flush)
 	}},
-	"repush-race": {func(tp *hostTape) bool { return tp.agents == 2 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"repush-race": {func(tp *hostTape) bool { return tp.pool() == 2 && tp.replicas == 2 }, func(b *tapeBuilder) {
 		p := b.page()
 		b.add(repushRace(b.agent(), p, (p+1)%core.PageID(b.tp.pages), b.tp.mode != CallOnly)...)
 	}},
 	// A repair copies onto a page's hot holder, and a write of the page lands
 	// inside the copy's source read.
-	"repair-hot": {func(tp *hostTape) bool { return tp.agents == 3 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"repair-hot": {func(tp *hostTape) bool { return tp.pool() == 3 && tp.replicas == 2 }, func(b *tapeBuilder) {
 		b.add(repairHot(b.tp, b.name(), b.rng.Intn(b.tp.pages/b.tp.slabPages), b.rng.Intn(2))...)
 	}},
 	// A repair that meets a slab it cannot restore restores the rest.
-	"stranded": {func(tp *hostTape) bool { return tp.agents == 4 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"stranded": {func(tp *hostTape) bool { return tp.pool() == 4 && tp.replicas == 2 }, func(b *tapeBuilder) {
 		b.add(strandedRepair(b.tp, b.name())...)
 	}},
 	// An agent failed and its slabs moved off by a rebalance, with no repair
@@ -359,17 +366,40 @@ var scenarios = map[string]scenario{
 		b.traffic(4)
 		b.add(flush, on(opHeal, v), on(opMarkRecovered, v), rebal, flush)
 	}},
-	// An agent recovers inside the repair that replaces it. A slab a page, so
-	// that the agent holds slabs, and the repair has work.
+	// An agent recovers inside the repair that replaces it. A slab a page, and
+	// the slabs rebalanced first (the agent may have joined with none), so that
+	// the agent holds slabs, and the repair has work.
 	"recover-race": {func(tp *hostTape) bool { return outage(tp) && tp.slabPages == 1 }, func(b *tapeBuilder) {
 		v, trig, again := b.agent(), b.name(), b.name()
-		b.add(on(opPartition, v), on(opMarkFailed, v),
+		b.add(rebal, on(opPartition, v), on(opMarkFailed, v),
 			tapeOp{kind: opTrigger, name: trig, link: -1, then: []tapeOp{on(opHeal, v), on(opMarkRecovered, v)}},
 			repair, expect("the agent recovered inside the repair", func(r *hostRun) bool {
 				return r.results[trig] == 1 && len(r.h.FailedAgents()) == 0
 			}),
 			on(opHeal, v), on(opMarkRecovered, v), flush, rebal, named(again, rebal),
 			expect("Rebalance converged", func(r *hostRun) bool { return r.results[again] == 0 }), flush)
+	}},
+	// An agent joins while goroutines wait for held responses — a Flush and
+	// ticket waits, or on a link that finishes what it starts a StartRead
+	// inside Call — and sometimes a rebalance moves its share onto it.
+	"add-agent": {always, func(b *tapeBuilder) {
+		b.add(b.hold())
+		if split(b.tp) {
+			reads := b.reads(1 + b.rng.Intn(4))
+			b.writes(1 + b.rng.Intn(3))
+			b.add(submit, named(b.name(), tapeOp{kind: opFlushBG}), named(b.name(), wait(reads...)))
+		} else {
+			b.add(named(b.name(), at(opStartRead, b.page())))
+		}
+		b.tp.grown++
+		b.add(tapeOp{kind: opAddAgent})
+		b.writes(2)
+		b.add(b.release(), flush)
+		if b.rng.Intn(2) == 0 {
+			b.add(rebal, flush)
+		}
+		b.traffic(6)
+		b.add(flush)
 	}},
 }
 
@@ -415,6 +445,16 @@ func repushRace(away int, early, racing core.PageID, split bool) []tapeOp {
 		expect("both replicas acked both pages", func(r *hostRun) bool { return acked(early, 2)(r) && acked(racing, 2)(r) }))
 }
 
+// rankOf returns the rendezvous ranking of a host of the given seed and agents,
+// none failed or retired.
+func rankOf(seed uint64, agents int) func(SlabID, []int) []int {
+	h := &Host{cfg: HostConfig{Seed: seed}}
+	for range agents {
+		h.addLink(nil)
+	}
+	return h.rendezvousRank
+}
+
 // repairHot: on three agents, the k-th of slab's two replicas fails, and the
 // repair puts the third agent, the hot holder of page, in its place. page is
 // the first of the lowest slab the failed agent holds, so the repair's first
@@ -423,7 +463,7 @@ func repushRace(away int, early, racing core.PageID, split bool) []tapeOp {
 // holder is a placement replica then, and no longer a hot one: DropHot leaves
 // the page's ack set and degraded flag alone.
 func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
-	ranked := (&Host{cfg: HostConfig{Seed: tp.seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
+	ranked := rankOf(tp.seed, tp.pool())
 	failed := ranked(SlabID(slab), nil)[k]
 	for s := range slab + 1 {
 		if slices.Contains(ranked(SlabID(s), nil)[:2], failed) {
@@ -456,7 +496,7 @@ func repairHot(tp *hostTape, trig string, slab, k int) []tapeOp {
 // acked holder live. The repair must still restore every slab it can and
 // re-push d.
 func strandedRepair(tp *hostTape, name string) []tapeOp {
-	ranked := (&Host{cfg: HostConfig{Seed: tp.seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
+	ranked := rankOf(tp.seed, tp.pool())
 	x, y, d := ranked(0, nil)[0], ranked(0, nil)[1], core.PageID(-1)
 	ops := []tapeOp{rebal}
 	for s := range tp.pages / tp.slabPages {
@@ -479,15 +519,11 @@ func strandedRepair(tp *hostTape, name string) []tapeOp {
 			defer h.mu.Unlock()
 			down := func(a int) bool { return r.state[a].down }
 			for slab, replicas := range h.placements {
-				live := slices.DeleteFunc(slices.Clone(replicas), func(a int) bool { return h.failed[a] })
+				live := h.live(replicas)
 				if len(live) == 0 || len(live) >= h.cfg.Replicas || slices.ContainsFunc(live, down) {
 					continue
 				}
-				holders := map[int]bool{}
-				for _, a := range live {
-					holders[a] = true
-				}
-				if first := h.rendezvousRank(slab, holders); len(first) > 0 && !down(first[0]) {
+				if first := h.rendezvousRank(slab, live); len(first) > 0 && !down(first[0]) {
 					return false
 				}
 			}
@@ -507,7 +543,7 @@ func (r *hostRun) strays() []string {
 	h := r.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	live := func(a int) bool { return !h.failed[a] && !r.state[a].down }
+	live := func(a int) bool { return !h.links[a].failed && !r.state[a].down }
 	var out []string
 	for i, ag := range r.agents {
 		if !live(i) {
@@ -549,7 +585,7 @@ type tapeBuilder struct {
 
 func (b *tapeBuilder) add(ops ...tapeOp) { b.tp.ops = append(b.tp.ops, ops...) }
 func (b *tapeBuilder) page() core.PageID { return core.PageID(b.rng.Intn(b.tp.pages)) }
-func (b *tapeBuilder) agent() int        { return b.rng.Intn(b.tp.agents) }
+func (b *tapeBuilder) agent() int        { return b.rng.Intn(b.tp.pool()) }
 func (b *tapeBuilder) name() string      { b.names++; return fmt.Sprint("s", b.names) }
 func (b *tapeBuilder) hold() tapeOp      { b.held = true; return on(opHold, -1) }
 func (b *tapeBuilder) release() tapeOp   { b.held = false; return on(opRelease, -1) }
@@ -580,7 +616,7 @@ func (b *tapeBuilder) writes(n int) {
 
 // slowAllBut hints every agent but v slow, or clears the hints.
 func (b *tapeBuilder) slowAllBut(v int, on bool) {
-	for i := range b.tp.agents {
+	for i := range b.tp.pool() {
 		if i != v {
 			b.add(slow(i, on))
 		}
@@ -610,7 +646,8 @@ func (b *tapeBuilder) traffic(n int) {
 // low digits, so consecutive seeds cross them, and the rest of the
 // configuration, the release order and the steps from an RNG it seeds; pins
 // then fix what a slice of the model is about. The tape writes every page in
-// play, then plays each scenario the configuration admits in a drawn order.
+// play, then plays the scenarios in a drawn order, each that the configuration
+// admits as the steps before it leave the pool.
 func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 	rng := sim.NewRNG(seed)
 	tp := hostTape{
@@ -637,10 +674,12 @@ func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 		b.add(b.write(core.PageID(p)))
 	}
 	b.add(flush)
-	eligible := slices.DeleteFunc(slices.Sorted(slices.Values(tp.mix)), func(s string) bool { return !scenarios[s].ok(&tp) })
+	mix := slices.Sorted(slices.Values(tp.mix))
 	for range tp.cycles {
-		for _, i := range rng.Perm(len(eligible)) {
-			scenarios[eligible[i]].gen(b)
+		for _, i := range rng.Perm(len(mix)) {
+			if s := scenarios[mix[i]]; s.ok(&tp) {
+				s.gen(b)
+			}
 		}
 	}
 	return tp
@@ -857,13 +896,9 @@ type tapeTicket struct {
 const cutByte = 0xA5
 
 func newHostRun(t *testing.T, tape *hostTape) *hostRun {
-	n := tape.agents
 	r := &hostRun{
 		tape:    tape,
-		state:   make([]agentState, n),
-		holds:   make([]atomic.Bool, n),
-		pumps:   make([]func(), n),
-		ooo:     make([]int, n),
+		holds:   make([]atomic.Bool, tape.pool()), // the links' scripts read them: never moved
 		images:  map[core.PageID][]*[PageSize]byte{},
 		seqs:    map[core.PageID]int{},
 		tickets: map[string]*tapeTicket{},
@@ -871,18 +906,26 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 		results: map[string]int{},
 		errs:    map[string]error{},
 	}
-	trs := make([]Transport, n)
+	trs := make([]Transport, tape.agents)
 	for i := range trs {
-		a := NewAgent(tape.slabPages, 0)
-		ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(tape.seed*31+uint64(i)))
-		l := NewScriptedLink(ft, tape.mode, nil, r.script(i))
-		r.agents, r.faults, r.links = append(r.agents, a), append(r.faults, ft), append(r.links, l)
-		trs[i] = l.Transport()
+		trs[i] = r.join()
 	}
 	r.h = newHost(t, HostConfig{SlabPages: tape.slabPages, Replicas: tape.replicas, QueueDepth: tape.depth,
 		Seed: tape.seed, Compress: tape.compress}, trs)
 	t.Cleanup(func() { r.do(&tapeOp{kind: opRelease, link: -1}) })
 	return r
+}
+
+// join makes the next agent, behind a fault transport and a link of the
+// tape's mode, and returns the transport the host is to reach it by.
+func (r *hostRun) join() Transport {
+	i := len(r.agents)
+	a := NewAgent(r.tape.slabPages, 0)
+	ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(r.tape.seed*31+uint64(i)))
+	l := NewScriptedLink(ft, r.tape.mode, nil, r.script(i))
+	r.agents, r.faults, r.links = append(r.agents, a), append(r.faults, ft), append(r.links, l)
+	r.state, r.pumps, r.ooo = append(r.state, agentState{}), append(r.pumps, nil), append(r.ooo, 0)
+	return l.Transport()
 }
 
 // script is link i's: it holds what the tape holds there — on a CallOnly link
@@ -1169,6 +1212,10 @@ func (r *hostRun) do(op *tapeOp) error {
 		s.retired, err = true, h.Retire(op.link)
 	case opReinstate:
 		s.retired, err = false, h.Reinstate(op.link)
+	case opAddAgent:
+		if i := h.AddAgent(r.join()); i != len(r.agents)-1 {
+			err = fmt.Errorf("AddAgent gave agent %d index %d", len(r.agents)-1, i)
+		}
 	case opRepair:
 		if r.results[op.name], err = h.RepairSlabs(); op.name != "" {
 			r.errs[op.name], err = err, nil
@@ -1212,7 +1259,7 @@ func (r *hostRun) pick(n int) int {
 
 // checkRepaired: after a repair with every agent healthy or marked failed,
 // enough of them left and no write pending — ticketed or handed off, queued or
-// in the air — no slab lacks a replica and no page an ack.
+// in the air on any link — no slab lacks a replica and no page an ack.
 func (r *hostRun) checkRepaired() error {
 	live := 0
 	for _, s := range r.state {
@@ -1224,9 +1271,11 @@ func (r *hostRun) checkRepaired() error {
 		}
 	}
 	r.h.mu.Lock()
-	pending := r.h.queued + r.h.unacked
+	pending := slices.ContainsFunc(r.h.links, func(l *link) bool {
+		return l.writes > 0 || slices.ContainsFunc(l.queue, func(e queueEntry) bool { return e.write != nil })
+	})
 	r.h.mu.Unlock()
-	if live < r.tape.replicas || pending > 0 {
+	if live < r.tape.replicas || pending {
 		return nil
 	}
 	if n, m := r.h.UnderReplicated(), r.h.DegradedPages(); n != 0 || m != 0 {
@@ -1248,13 +1297,19 @@ func (r *hostRun) standing() error {
 	h := r.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.links {
-		if n := h.links[i].writes; n > unackedFrames {
-			return fmt.Errorf("link %d carries %d write frames, over its window of %d", i, n, unackedFrames)
+	for i, l := range h.links {
+		if l.writes > unackedFrames {
+			return fmt.Errorf("link %d carries %d write frames, over its window of %d", i, l.writes, unackedFrames)
 		}
-	}
-	if h.unacked > len(h.links)*unackedFrames*h.cfg.QueueDepth {
-		return fmt.Errorf("%d pages unacked, over %d frames of %d pages a link", h.unacked, unackedFrames, h.cfg.QueueDepth)
+		pages := 0
+		for _, f := range l.flights {
+			if f.isWrite() {
+				pages += len(f.batch)
+			}
+		}
+		if pages > unackedFrames*h.cfg.QueueDepth {
+			return fmt.Errorf("link %d carries %d pages unacked, over %d frames of %d pages", i, pages, unackedFrames, h.cfg.QueueDepth)
+		}
 	}
 	return r.freeListsUnreachable()
 }
@@ -1308,13 +1363,11 @@ func (r *hostRun) freeListsUnreachable() error {
 		return nil
 	}
 	var err error
-	for i, q := range h.queues {
-		for _, e := range q {
+	for i, l := range h.links {
+		for _, e := range l.queue {
 			err = cmp.Or(err, check(e, fmt.Sprint("queued for agent ", i)))
 		}
-	}
-	for i := range h.links {
-		for _, f := range h.links[i].flights {
+		for _, f := range l.flights {
 			err = cmp.Or(err, flown(f, "in the air"))
 			for _, e := range f.batch {
 				err = cmp.Or(err, check(e, fmt.Sprint("in the air to agent ", i)))
@@ -1360,7 +1413,7 @@ func (r *hostRun) barrier() error {
 	}
 	r.open = r.open[:0]
 	h.mu.Lock()
-	unlanded := slices.IndexFunc(h.links, func(l link) bool { return len(l.flights) > 0 })
+	unlanded := slices.IndexFunc(h.links, func(l *link) bool { return len(l.flights) > 0 })
 	h.mu.Unlock()
 	if unlanded >= 0 {
 		return fmt.Errorf("link %d has flights unlanded after Flush", unlanded)
@@ -1488,7 +1541,7 @@ func TestRecoverDuringRepair(t *testing.T) {
 func recoverOntoAcked(seed uint64) hostTape {
 	tp := hostTape{seed: seed, replay: "^TestRecoverDuringRepair$", mode: Split, agents: 3, replicas: 2, depth: 4,
 		slabPages: 1, pages: 8}
-	ranked := (&Host{cfg: HostConfig{Seed: seed}, transports: make([]Transport, tp.agents)}).rendezvousRank
+	ranked := rankOf(seed, tp.agents)
 	a, b, p := ranked(0, nil)[0], -1, core.PageID(1)
 	for ; ; p++ {
 		if top := ranked(SlabID(p), nil)[:2]; slices.Contains(top, a) {
@@ -1528,7 +1581,7 @@ func TestRepairFinishesItsRound(t *testing.T) {
 func copyCut(seed uint64) hostTape {
 	tp := hostTape{seed: seed, replay: "^TestRepairFinishesItsRound$", mode: CallOnly, agents: 3, replicas: 2, depth: 4,
 		slabPages: 8, pages: 16}
-	ranked := (&Host{cfg: HostConfig{Seed: seed}, transports: make([]Transport, tp.agents)}).rendezvousRank(0, nil)
+	ranked := rankOf(seed, tp.agents)(0, nil)
 	a, b, c := ranked[0], ranked[1], ranked[2]
 	for q := range core.PageID(tp.pages) {
 		tp.ops = append(tp.ops, at(opWriteSync, q))

@@ -30,7 +30,7 @@ func (h *Host) readOrder(page core.PageID, r *record, replicas, tried []int) int
 			// A hot holder that placement lists too is met twice, to no effect.
 			for _, cands := range [2][]int{replicas, extra} {
 				for _, idx := range cands {
-					if slices.Contains(acked, idx) == wantAcked && h.slow[idx] == wantSlow && !slices.Contains(tried, idx) {
+					if slices.Contains(acked, idx) == wantAcked && h.links[idx].slow == wantSlow && !slices.Contains(tried, idx) {
 						return idx
 					}
 				}
@@ -100,20 +100,13 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 		h.mu.Unlock()
 		return 0, nil
 	}
-	exclude := make(map[int]bool, len(replicas)+len(have))
-	for _, idx := range replicas {
-		exclude[idx] = true
-	}
-	for _, idx := range have {
-		exclude[idx] = true
-	}
-	ranked := h.rendezvousRank(slab, exclude)
+	ranked := h.rendezvousRank(slab, slices.Concat(replicas, have))
 	h.mu.Unlock()
 
 	for i, rereads := 0, 0; i < len(ranked) && added < need; {
 		target := ranked[i]
 		h.mu.Lock()
-		tr, sources := h.transports[target], h.liveAcked(page)
+		tr, sources := h.links[target].tr, h.live(h.rec(page).acked())
 		h.mu.Unlock()
 		if len(sources) == 0 {
 			return added, nil
@@ -152,11 +145,10 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 	return added, nil
 }
 
-// liveAcked returns the agents not marked failed that acknowledged page's
-// latest write: the sources a copy of it can be certified from. Callers hold
-// h.mu.
-func (h *Host) liveAcked(page core.PageID) []int {
-	return slices.DeleteFunc(slices.Clone(h.rec(page).acked()), func(a int) bool { return h.failed[a] })
+// live returns the agents of agents not marked failed, in a slice of its own.
+// Callers hold h.mu.
+func (h *Host) live(agents []int) []int {
+	return slices.DeleteFunc(slices.Clone(agents), func(a int) bool { return h.links[a].failed })
 }
 
 // DropHot demotes page back to its plain slab placement: hot holders leave
@@ -177,8 +169,7 @@ func (h *Host) DropHot(page core.PageID) bool {
 	if r := h.rec(page); len(holders) > 0 && r.dirty() == nil && len(r.acked()) > 0 &&
 		!slices.ContainsFunc(r.acks, func(a int) bool { return !slices.Contains(holders, a) }) {
 		slab, _ := h.locate(page)
-		sources := h.liveAcked(page)
-		targets := slices.DeleteFunc(slices.Clone(h.placements[slab]), func(a int) bool { return h.failed[a] })
+		sources, targets := h.live(r.acked()), h.live(h.placements[slab])
 		h.mu.Unlock()
 		for _, src := range sources {
 			if readErr, _ := h.copyPage(page, src, targets, true); readErr == nil {

@@ -96,7 +96,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	}
 	for _, idx := range replicas {
 		h.mu.Lock()
-		tr := h.transports[idx]
+		tr := h.links[idx].tr
 		h.mu.Unlock()
 		resp, err := tr.Call(&Request{Op: OpRead, Slab: slab, PageOff: off})
 		if err != nil || resp.Status != StatusOK {

@@ -650,14 +650,22 @@ func inOrder(t *testing.T, gates gateSet) {
 }
 
 // unacked reports the write frames in the air and the page images the host
-// holds for them: writes started and not yet answered by every replica.
+// holds for them: the writes those frames carry, each counted once.
 func unacked(h *Host) (frames, pages int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.links {
-		frames += h.links[i].writes
+	writes := map[*pendingWrite]bool{}
+	for _, l := range h.links {
+		frames += l.writes
+		for _, f := range l.flights {
+			for _, e := range f.batch {
+				if e.write != nil {
+					writes[e.write] = true
+				}
+			}
+		}
 	}
-	return frames, h.unacked
+	return frames, len(writes)
 }
 
 // TestWriteFramesStayInFlight: the doorbell puts a write's frames on both

@@ -1,9 +1,6 @@
 package remote
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Slab placement uses rendezvous (highest-random-weight) hashing: every
 // (slab, agent) pair gets a deterministic pseudo-random score, and a slab
@@ -31,14 +28,14 @@ func hrwScore(seed uint64, slab SlabID, idx int) uint64 {
 // rendezvousRank returns the live (not failed, not retired, not excluded)
 // agent indices ordered by descending rendezvous score for slab, ties
 // broken by index. Callers hold h.mu.
-func (h *Host) rendezvousRank(slab SlabID, exclude map[int]bool) []int {
+func (h *Host) rendezvousRank(slab SlabID, exclude []int) []int {
 	type scored struct {
 		idx   int
 		score uint64
 	}
-	ranked := make([]scored, 0, len(h.transports))
-	for i := range h.transports {
-		if h.failed[i] || h.retired[i] || exclude[i] {
+	ranked := make([]scored, 0, len(h.links))
+	for i, l := range h.links {
+		if l.failed || l.retired || slices.Contains(exclude, i) {
 			continue
 		}
 		ranked = append(ranked, scored{i, hrwScore(h.cfg.Seed, slab, i)})
@@ -81,11 +78,7 @@ func (h *Host) desiredPlacement(slab SlabID) []int {
 func (h *Host) AddAgent(tr Transport) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.transports = append(h.transports, tr)
-	h.slabLoad = append(h.slabLoad, 0)
-	h.queues = append(h.queues, nil)
-	h.links = append(h.links, link{})
-	return len(h.transports) - 1
+	return h.addLink(tr)
 }
 
 // Agents reports the current number of transports in the pool (live or
@@ -93,7 +86,7 @@ func (h *Host) AddAgent(tr Transport) int {
 func (h *Host) Agents() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.transports)
+	return len(h.links)
 }
 
 // Transports reports the agent transports in index order (a copy of the
@@ -103,8 +96,10 @@ func (h *Host) Agents() int {
 func (h *Host) Transports() []Transport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]Transport, len(h.transports))
-	copy(out, h.transports)
+	out := make([]Transport, len(h.links))
+	for i, l := range h.links {
+		out[i] = l.tr
+	}
 	return out
 }
 
@@ -115,39 +110,17 @@ func (h *Host) Transports() []Transport {
 // fresh copies. The scale-down sequence is Retire → Rebalance →
 // PurgeAgent; call Reinstate to roll a drain back.
 func (h *Host) Retire(idx int) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return fmt.Errorf("remote: Retire(%d) out of range", idx)
-	}
-	if h.retired == nil {
-		h.retired = make(map[int]bool)
-	}
-	h.retired[idx] = true
-	return nil
+	return h.setStanding("Retire", idx, func(l *link) { l.retired = true })
 }
 
 // Reinstate cancels a Retire: the agent rejoins the rendezvous ranking.
 func (h *Host) Reinstate(idx int) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return fmt.Errorf("remote: Reinstate(%d) out of range", idx)
-	}
-	delete(h.retired, idx)
-	return nil
+	return h.setStanding("Reinstate", idx, func(l *link) { l.retired = false })
 }
 
 // RetiredAgents reports the indices currently draining, sorted.
 func (h *Host) RetiredAgents() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.retired))
-	for i := range h.retired {
-		out = append(out, i)
-	}
-	slices.Sort(out)
-	return out
+	return h.agentsWhere(func(l *link) bool { return l.retired })
 }
 
 // Rebalance converges every placed slab onto its rendezvous target set —

@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"leap/internal/core"
 )
@@ -66,30 +65,10 @@ func opError(op uint8, agent int, page core.PageID, attempts int, err error) *Op
 // advisory: they never exclude an agent from placement (that is MarkFailed's
 // job).
 func (h *Host) SetAgentSlow(idx int, slow bool) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return fmt.Errorf("remote: SetAgentSlow(%d) out of range", idx)
-	}
-	if slow {
-		if h.slow == nil {
-			h.slow = make(map[int]bool)
-		}
-		h.slow[idx] = true
-	} else {
-		delete(h.slow, idx)
-	}
-	return nil
+	return h.setStanding("SetAgentSlow", idx, func(l *link) { l.slow = slow })
 }
 
 // SlowAgents reports the currently slow-hinted agent indices, sorted.
 func (h *Host) SlowAgents() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.slow))
-	for i := range h.slow {
-		out = append(out, i)
-	}
-	slices.Sort(out)
-	return out
+	return h.agentsWhere(func(l *link) bool { return l.slow })
 }

@@ -348,7 +348,8 @@ func (h *Host) ReadPageAsync(page core.PageID, buf []byte) *Ticket {
 	h.stats.AsyncReads++
 	t, pr := h.newRead(page, buf)
 	if pr != nil {
-		h.queues[pr.primary] = append(h.queues[pr.primary], queueEntry{read: pr})
+		l := h.links[pr.primary]
+		l.queue = append(l.queue, queueEntry{read: pr})
 	}
 	return t
 }
@@ -474,7 +475,7 @@ func checkWrite(data []byte, lo, hi int) error {
 // rides reports whether the write backlog leaves with a running stream's next
 // doorbell (WritePageRangeAsync). Callers hold h.mu.
 func (h *Host) rides() bool {
-	return h.flying > 0 && h.queued < unackedFrames*h.cfg.QueueDepth && h.movesTrains()
+	return h.flying > 0 && h.queued < unackedFrames*h.cfg.QueueDepth && h.trains
 }
 
 // writeAsyncLocked enqueues a write of data (len PageSize) to page, changed
@@ -484,7 +485,8 @@ func (h *Host) writeAsyncLocked(page core.PageID, data []byte, lo, hi int, hando
 	t, pw, spare := h.newWrite(page, data, lo, hi, handoff)
 	if pw != nil {
 		for _, idx := range pw.replicas {
-			h.queues[idx] = append(h.queues[idx], queueEntry{write: pw})
+			l := h.links[idx]
+			l.queue = append(l.queue, queueEntry{write: pw})
 		}
 	}
 	return t, spare
@@ -599,7 +601,6 @@ func (h *Host) begin(pw *pendingWrite) {
 	if !pw.started {
 		pw.started = true
 		h.queued--
-		h.unacked++
 	}
 }
 
@@ -630,8 +631,8 @@ func (h *Host) Submit() (flying bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	err = h.drain(false)
-	for i := range h.links {
-		flying = flying || len(h.links[i].flights) > 0
+	for _, l := range h.links {
+		flying = flying || len(l.flights) > 0
 	}
 	return flying, err
 }
@@ -662,16 +663,16 @@ func (h *Host) drain(barrier bool) error {
 	}
 	for active := true; active; {
 		active = false
-		for idx := range h.queues {
-			if len(h.queues[idx]) > 0 {
+		for idx := range h.links {
+			if len(h.links[idx].queue) > 0 {
 				active = true
 				note(h.startNext(idx))
 			}
 		}
 		for idx := 0; barrier && idx < len(h.links); idx++ {
-			for len(h.links[idx].flights) > 0 {
+			for l := h.links[idx]; len(l.flights) > 0; {
 				active = true
-				_, err := h.reap(h.links[idx].flights[0])
+				_, err := h.reap(l.flights[0])
 				note(err)
 			}
 		}
@@ -692,10 +693,11 @@ func (h *Host) startNext(idx int) (werr error) {
 	// Make room first: landing a flight releases h.mu, and the queue must not
 	// change between cutting a batch and starting it (two writes of one page
 	// would reach the agent in the wrong order).
+	l := h.links[idx]
 	for {
 		f := h.inTheWay()
 		if f == nil {
-			f = h.unackedFull(idx)
+			f = l.unackedFull()
 		}
 		if f == nil {
 			break
@@ -704,7 +706,7 @@ func (h *Host) startNext(idx int) (werr error) {
 		note(err)
 	}
 
-	q := h.queues[idx]
+	q := l.queue
 	f := h.freshFlight(idx)
 	batch := f.entries[:0]
 	if n := min(len(q), h.cfg.QueueDepth); n > len(f.entries) {
@@ -729,9 +731,9 @@ func (h *Host) startNext(idx int) (werr error) {
 	// the unacked window, which a backlog riding a stream may fill (rides).
 	rest := copy(q, q[consumed:])
 	clear(q[rest:])
-	h.queues[idx] = q[:rest]
+	l.queue = q[:rest]
 	if rest == 0 && cap(q) > (unackedFrames+trainFrames)*h.cfg.QueueDepth {
-		h.queues[idx] = nil
+		l.queue = nil
 	}
 	if len(batch) == 0 { // another goroutine cut the queue while this one made room
 		h.flightFree = append(h.flightFree, f)
@@ -747,7 +749,7 @@ func (h *Host) startNext(idx int) (werr error) {
 	// A doorbell moves a train: while the queue holds another frame for this
 	// link the transport may keep this one back, and the link's last frame of
 	// the drain takes them out together.
-	f.pend = start(h.transports[idx], req, len(h.queues[idx]) > 0, &f.done)
+	f.pend = l.start(req, len(l.queue) > 0, &f.done)
 	if c, ok := f.pend.(*completed); ok {
 		note(h.land(f, c.resp, c.err))
 		c.resp.release()
@@ -783,22 +785,20 @@ func (h *Host) inTheWay() *flight {
 	if (h.flying+h.cfg.QueueDepth)*PageSize <= maxUnreaped {
 		return nil
 	}
-	most := &h.links[0]
-	for i := range h.links {
-		if h.links[i].flying > most.flying {
-			most = &h.links[i]
+	most := h.links[0]
+	for _, l := range h.links {
+		if l.flying > most.flying {
+			most = l
 		}
 	}
 	return most.flights[0]
 }
 
-// unackedFull returns the oldest write frame in the air on agent idx's link
-// when the next frame there is a write and the link already carries
-// unackedFrames of them — the unacked window, which is what a writer waits
-// for — and nil otherwise. Callers hold h.mu.
-func (h *Host) unackedFull(idx int) *flight {
-	l, q := &h.links[idx], h.queues[idx]
-	if l.writes < unackedFrames || len(q) == 0 || q[0].write == nil {
+// unackedFull returns the oldest write frame in the air on l when the next
+// frame there is a write and l already carries unackedFrames of them — the
+// unacked window, which is what a writer waits for — and nil otherwise.
+func (l *link) unackedFull() *flight {
+	if l.writes < unackedFrames || len(l.queue) == 0 || l.queue[0].write == nil {
 		return nil
 	}
 	return l.oldestWrite()
@@ -818,7 +818,7 @@ func (l *link) oldestWrite() *flight {
 // barriers and the bounds, and on each operation it carries, for Ticket.Wait
 // to find. Callers hold h.mu.
 func (h *Host) fly(f *flight) {
-	l := &h.links[f.idx]
+	l := h.links[f.idx]
 	l.flights = append(l.flights, f)
 	if f.isWrite() {
 		l.writes++
@@ -846,9 +846,9 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 	}
 	req, _ := h.frame(f) // a single-op frame has nothing to encode
 	h.fly(f)
-	tr := h.transports[idx]
+	l := h.links[idx]
 	h.mu.Unlock()
-	f.pend = start(tr, req, false, &f.done)
+	f.pend = l.start(req, false, &f.done)
 	h.mu.Lock()
 	f.reaping = false
 	h.landed.Broadcast()
@@ -865,13 +865,13 @@ func (h *Host) launch(idx int, e queueEntry) *flight {
 // landed alone, so that one stuck call holds up nobody else's.) It returns
 // what collect does, summed, and the first write error. Callers hold h.mu.
 func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
-	_, ordered := h.transports[f.idx].(Starter)
+	l := h.links[f.idx]
 	for gen := f.gen; f.gen == gen; {
 		next := f
-		if ordered {
-			next = h.links[f.idx].flights[0]
+		if l.starter != nil {
+			next = l.flights[0]
 		}
-		waited, err := h.collect(next)
+		waited, err := h.collect(l, next)
 		blocked += waited
 		if werr == nil {
 			werr = err
@@ -889,8 +889,8 @@ func (h *Host) reap(f *flight) (blocked time.Duration, werr error) {
 // landing's write error, if any, goes to the goroutine that performed it, and
 // so does blocked: how long a read frame of the pipeline kept it waiting for
 // a response that had not arrived (touchDown). Callers hold h.mu and go
-// through reap, with f in the air.
-func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
+// through reap, with f in the air on l.
+func (h *Host) collect(l *link, f *flight) (blocked time.Duration, werr error) {
 	gen := f.gen
 	for f.reaping && f.gen == gen {
 		h.landed.Wait()
@@ -912,7 +912,6 @@ func (h *Host) collect(f *flight) (blocked time.Duration, werr error) {
 	h.mu.Lock()
 	resp.pin()
 	f.reaping = false
-	l := &h.links[f.idx]
 	if i := slices.Index(l.flights, f); i >= 0 { // the head, on a link that answers in order
 		l.flights = slices.Delete(l.flights, i, i+1)
 		if f.isWrite() {
@@ -1101,7 +1100,8 @@ func (h *Host) retryRead(pr *pendingRead, idx int, err error, status uint8) {
 	pr.tried = append(pr.tried, idx)
 	if next := h.readOrder(pr.page, h.rec(pr.page), h.placements[pr.slab], pr.tried); next >= 0 {
 		h.stats.Retries++
-		h.queues[next] = append(h.queues[next], queueEntry{read: pr})
+		l := h.links[next]
+		l.queue = append(l.queue, queueEntry{read: pr})
 		return
 	}
 	if err == nil {
@@ -1248,7 +1248,6 @@ func (h *Host) finishWrite(pw *pendingWrite) error {
 	if r.write == pw { // else a newer write queued behind this one
 		r.write = nil
 	}
-	h.unacked--
 	r.gen++
 	r.read = nil
 	var err error

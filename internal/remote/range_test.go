@@ -374,7 +374,7 @@ func TestCompressedWriteEncodesOnce(t *testing.T) {
 	}
 	h.mu.Lock()
 	frame := func(idx int) [][]byte { // what agent idx's frame would carry, decoded
-		req, err := h.writeFrame(&flight{idx: idx, batch: slices.Clone(h.queues[idx])})
+		req, err := h.writeFrame(&flight{idx: idx, batch: slices.Clone(h.links[idx].queue)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,11 +385,11 @@ func TestCompressedWriteEncodesOnce(t *testing.T) {
 		return pages
 	}
 	first, swap := frame(0), stamp(7)
-	for _, e := range h.queues[0] {
+	for _, e := range h.links[0].queue {
 		e.write.enc = h.comp.Compress(nil, swap)
 	}
 	second := frame(1)
-	for _, e := range h.queues[0] {
+	for _, e := range h.links[0].queue {
 		e.write.enc = nil // the frames that go out encode afresh
 	}
 	h.mu.Unlock()

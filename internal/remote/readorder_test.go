@@ -24,12 +24,12 @@ func legacyReadCandidates(h *Host, page core.PageID, replicas []int) []int {
 	order := make([]int, 0, len(cands))
 	appendGroup := func(wantAcked, wantSlow bool) {
 		for _, idx := range cands {
-			if slices.Contains(acked, idx) == wantAcked && h.slow[idx] == wantSlow {
+			if slices.Contains(acked, idx) == wantAcked && h.links[idx].slow == wantSlow {
 				order = append(order, idx)
 			}
 		}
 	}
-	if len(h.slow) == 0 {
+	if !slices.ContainsFunc(h.links, func(l *link) bool { return l.slow }) {
 		appendGroup(true, false)
 		appendGroup(false, false)
 		return order
@@ -41,9 +41,13 @@ func legacyReadCandidates(h *Host, page core.PageID, replicas []int) []int {
 	return order
 }
 
-// orderHost is a host with just the state the read order consults.
+// orderHost is a host of four agents with just the state the read order
+// consults.
 func orderHost(page core.PageID, acked, hot, slow []int) *Host {
 	h := &Host{records: pagemap.New[*record](0), hot: map[core.PageID][]int{}}
+	for range 4 {
+		h.links = append(h.links, &link{})
+	}
 	if acked != nil {
 		h.newRecord(page).acks = acked
 	}
@@ -51,10 +55,7 @@ func orderHost(page core.PageID, acked, hot, slow []int) *Host {
 		h.hot[page] = hot
 	}
 	for _, idx := range slow {
-		if h.slow == nil {
-			h.slow = map[int]bool{}
-		}
-		h.slow[idx] = true
+		h.links[idx].slow = true
 	}
 	return h
 }

@@ -15,29 +15,14 @@ import (
 // to move its slabs onto live agents, which leaves it its copies and acks. It
 // returns an error only for an index out of range.
 func (h *Host) MarkFailed(idx int) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return fmt.Errorf("remote: MarkFailed(%d) out of range", idx)
-	}
-	if h.failed == nil {
-		h.failed = make(map[int]bool)
-	}
-	h.failed[idx] = true
-	return nil
+	return h.setStanding("MarkFailed", idx, func(l *link) { l.failed = true })
 }
 
 // MarkRecovered clears a MarkFailed verdict: the agent rejoins the placement
 // pool. If the agent came back empty (process restart), call PurgeAgent
 // first so stale placements do not point at its wiped memory.
 func (h *Host) MarkRecovered(idx int) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return fmt.Errorf("remote: MarkRecovered(%d) out of range", idx)
-	}
-	delete(h.failed, idx)
-	return nil
+	return h.setStanding("MarkRecovered", idx, func(l *link) { l.failed = false })
 }
 
 // PurgeAgent removes agent idx from every placement and acknowledgment set:
@@ -49,8 +34,9 @@ func (h *Host) MarkRecovered(idx int) error {
 func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if idx < 0 || idx >= len(h.transports) {
-		return 0, fmt.Errorf("remote: PurgeAgent(%d) out of range", idx)
+	l, err := h.agent("PurgeAgent", idx)
+	if err != nil {
+		return 0, err
 	}
 	h.settleWrites() // an ack from idx landing after the purge would put it back
 	for slab, replicas := range h.placements {
@@ -80,7 +66,7 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 		}
 		return true
 	})
-	h.slabLoad[idx] = 0
+	l.slabs = 0
 	return dropped, nil
 }
 
@@ -92,8 +78,8 @@ func (h *Host) PurgeAgent(idx int) (dropped int, err error) {
 // failure landed here is the next doorbell's to report. Callers hold h.mu,
 // which is released for the waits.
 func (h *Host) settleWrites() {
-	for idx := range h.links {
-		for f := h.links[idx].oldestWrite(); f != nil; f = h.links[idx].oldestWrite() {
+	for _, l := range h.links {
+		for f := l.oldestWrite(); f != nil; f = l.oldestWrite() {
 			_, err := h.reap(f)
 			h.keep(err)
 		}
@@ -102,14 +88,7 @@ func (h *Host) settleWrites() {
 
 // FailedAgents reports the indices currently marked failed, sorted.
 func (h *Host) FailedAgents() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.failed))
-	for i := range h.failed {
-		out = append(out, i)
-	}
-	slices.Sort(out)
-	return out
+	return h.agentsWhere(func(l *link) bool { return l.failed })
 }
 
 // RepairSlabs restores the configured replication factor for every slab
@@ -130,16 +109,12 @@ func (h *Host) FailedAgents() []int {
 // the *other* original replica no longer loses data.
 func (h *Host) RepairSlabs() (int, error) {
 	repaired, err := h.moveSlabs(&h.stats.Repairs, func(slab SlabID, replicas []int) (to []int, err error) {
-		live := slices.DeleteFunc(slices.Clone(replicas), func(idx int) bool { return h.failed[idx] })
+		live := h.live(replicas)
 		missing := h.cfg.Replicas - len(live)
 		if len(live) == 0 || missing <= 0 {
 			return nil, nil
 		}
-		holders := make(map[int]bool, len(live))
-		for _, idx := range live {
-			holders[idx] = true
-		}
-		picks := h.rendezvousRank(slab, holders)
+		picks := h.rendezvousRank(slab, live)
 		if len(picks) < missing {
 			err = fmt.Errorf("remote: no healthy agent available to repair slab %d", slab)
 		}
@@ -204,7 +179,7 @@ func (h *Host) moveSlabs(tally *int64, plan func(slab SlabID, replicas []int) ([
 // in, and give the slab up as a leaver does where nothing else holds them there.
 func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 	h.mu.Lock()
-	live := slices.DeleteFunc(slices.Clone(from), func(idx int) bool { return h.failed[idx] })
+	live := h.live(from)
 	h.mu.Unlock()
 	if len(live) == 0 {
 		return fmt.Errorf("remote: move slab %d: no live replica to copy from", slab)
@@ -226,15 +201,15 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 	h.placements[slab] = to
 	for _, idx := range joining {
 		h.joinWrites(slab, idx)
-		h.slabLoad[idx]++
+		h.links[idx].slabs++
 	}
 	var freed []int
 	for _, idx := range from {
 		if slices.Contains(to, idx) {
 			continue
 		}
-		if h.slabLoad[idx] > 0 {
-			h.slabLoad[idx]--
+		if l := h.links[idx]; l.slabs > 0 {
+			l.slabs--
 		}
 		if slices.Contains(live, idx) {
 			freed = append(freed, idx)
@@ -276,7 +251,7 @@ func (h *Host) release(slab SlabID, agents []int, certified [][]core.PageID) []T
 	var trs []Transport
 	for i, a := range agents {
 		if !held[i] {
-			trs = append(trs, h.transports[a])
+			trs = append(trs, h.links[a].tr)
 		}
 	}
 	return trs
@@ -301,7 +276,7 @@ func freeSlab(slab SlabID, trs []Transport) {
 // target in, as far as it got.
 func (h *Host) copySlabTo(slab SlabID, sources []int, target int) (certified []core.PageID, err error) {
 	h.mu.Lock()
-	dst := h.transports[target]
+	dst := h.links[target].tr
 	h.mu.Unlock()
 	resp, err := dst.Call(&Request{Op: OpMapSlab, Slab: slab})
 	if err = callError(OpMapSlab, resp, err); err != nil {
@@ -342,7 +317,8 @@ func (h *Host) joinWrites(slab SlabID, target int) {
 	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
 		if pw := h.rec(page).dirty(); pw != nil && !slices.Contains(pw.replicas, target) {
 			pw.replicas = append(pw.replicas, target)
-			h.queues[target] = append(h.queues[target], queueEntry{write: pw})
+			l := h.links[target]
+			l.queue = append(l.queue, queueEntry{write: pw})
 		}
 	}
 }
@@ -363,10 +339,10 @@ func (h *Host) repushDegraded() {
 		slab, _ := h.locate(page)
 		h.mu.Lock()
 		acked, replicas, src := h.rec(page).acked(), h.placements[slab], -1
-		if i := slices.IndexFunc(acked, func(a int) bool { return !h.failed[a] && slices.Contains(replicas, a) }); i >= 0 {
+		if i := slices.IndexFunc(acked, func(a int) bool { return !h.links[a].failed && slices.Contains(replicas, a) }); i >= 0 {
 			src = acked[i]
 		}
-		targets := slices.DeleteFunc(slices.Clone(replicas), func(a int) bool { return h.failed[a] || slices.Contains(acked, a) })
+		targets := slices.DeleteFunc(h.live(replicas), func(a int) bool { return slices.Contains(acked, a) })
 		h.mu.Unlock()
 		if src >= 0 && len(targets) > 0 {
 			_, _ = h.copyPage(page, src, targets, true) // what took the copy is in the ack set

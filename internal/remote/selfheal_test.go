@@ -31,7 +31,7 @@ func checkFresh(t *testing.T, h *Host, pages int, want func(p core.PageID) []byt
 		acked := append([]int(nil), h.rec(p).acked()...)
 		trs := make([]Transport, len(acked))
 		for i, idx := range acked {
-			trs[i] = h.transports[idx]
+			trs[i] = h.links[idx].tr
 		}
 		h.mu.Unlock()
 		for i, tr := range trs {

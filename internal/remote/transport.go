@@ -34,7 +34,7 @@ type Pending interface {
 // request on the wire and returns without waiting for the response, so a
 // caller can have several requests outstanding and do other work before it
 // collects them. Responses arrive in Start order. A Transport without it is
-// driven by Call at the point where Start would be (see start).
+// driven by Call at the point where Start would be (link.start).
 type Starter interface {
 	Start(req *Request) (Pending, error)
 }
@@ -58,31 +58,6 @@ func (c completed) Wait() (*Response, error) { return c.resp, c.err }
 type TrainStarter interface {
 	Starter
 	StartTrain(req *Request, more bool) (Pending, error)
-}
-
-// start begins req on tr; more says that the caller's next frame for tr
-// follows at once. A split-phase transport returns with the request
-// outstanding; any other transport runs the whole round trip right here and
-// yields the completed pending c, filled in, so code written against start
-// executes a Call-only transport's calls in exactly the order it would have
-// made them with Call. A start that fails outright yields c too.
-func start(tr Transport, req *Request, more bool, c *completed) Pending {
-	var p Pending
-	var err error
-	switch s := tr.(type) {
-	case TrainStarter:
-		p, err = s.StartTrain(req, more)
-	case Starter:
-		p, err = s.Start(req)
-	default:
-		c.resp, c.err = tr.Call(req)
-		return c
-	}
-	if err != nil {
-		c.err = err
-		return c
-	}
-	return p
 }
 
 // bufPool is a transport's free list of response buffers: a payload is read
