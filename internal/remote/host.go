@@ -97,9 +97,10 @@ type HostStats struct {
 // Host is the machine-local agent of §4.4: it maps the swap address space
 // onto remote slabs, placing each slab on its rendezvous-hashed agents and
 // replicating it for fault tolerance. Every page moves through the ticket
-// engine (queue.go): queued and batched into doorbell-style frames
-// (ReadPageAsync/WritePageAsync/Flush), or as a single-op frame launched at
-// once (ReadPage/StartRead/WritePage, one round trip per page and replica).
+// engine (queue.go, its per-link part in link.go): queued and batched into
+// doorbell-style frames (ReadPageAsync/WritePageAsync/Flush), or as a single-op
+// frame launched at once (ReadPage/StartRead/WritePage, one round trip per page
+// and replica).
 // Safe for concurrent use.
 type Host struct {
 	cfg HostConfig
@@ -124,7 +125,7 @@ type Host struct {
 	// queued counts the pending writes not yet started on any replica, the
 	// backlog a doorbell clears (the queues themselves are the links').
 	queued int
-	// trains is set once some link moves trains (TrainStarter).
+	// trains is set once some link moves trains (its transport is a TrainStarter).
 	trains bool
 	// The free lists: page buffers and encoded images (pendingWrite.enc) of
 	// writes that have landed everywhere, handed-off pendingWrites of such

@@ -145,7 +145,7 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 	return added, nil
 }
 
-// live returns the agents of agents not marked failed, in a slice of its own.
+// live returns, in a slice of its own, those of agents not marked failed.
 // Callers hold h.mu.
 func (h *Host) live(agents []int) []int {
 	return slices.DeleteFunc(slices.Clone(agents), func(a int) bool { return h.links[a].failed })

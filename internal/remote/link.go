@@ -105,7 +105,7 @@ func (h *Host) setStanding(op string, idx int, set func(*link)) error {
 	return err
 }
 
-// agentsWhere reports, in index order, the agents whose link has is.
+// agentsWhere reports, in index order, the agents whose link satisfies is.
 func (h *Host) agentsWhere(is func(*link) bool) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -8,21 +8,21 @@ import (
 	"leap/internal/core"
 )
 
-// The ticket engine is the one way a page reaches the wire. ReadPageAsync and
-// WritePageAsync enqueue page operations onto per-agent request queues and
-// return tickets; Flush, Submit or Ticket.Wait ring the doorbell, cutting each
-// queue into batched wire frames of up to HostConfig.QueueDepth operations. A
-// doorbell moves a train: the frames it starts on one link leave in one socket
-// write where the transport can hold a frame for the next (TrainStarter), which
-// is why run-ahead issues several frames to a doorbell (depth.go) and queued
-// writebacks wait for a stream's next one (WritePageRangeAsync).
-// The synchronous calls are the same operations with their single-op frames
-// launched at once instead of queued (StartRead, ReadPage, WritePage). The
-// engine coalesces duplicate pending reads (a second read of a queued or
-// in-flight page rides the same wire request, unless a write to the page has
-// completed in between — see finishWrite), serves reads of not-yet-flushed
-// writes from the dirty buffer (read-your-writes), and fails reads over
-// across replicas, each holder once (retryRead).
+// The ticket engine is the one way a page reaches the wire; what it does on one
+// agent's link is in link.go. ReadPageAsync and WritePageAsync enqueue page
+// operations onto per-agent request queues and return tickets; Flush, Submit or
+// Ticket.Wait ring the doorbell, cutting each queue into batched wire frames of
+// up to HostConfig.QueueDepth operations. A doorbell moves a train: the frames
+// it starts on one link leave in one socket write where the transport can hold
+// a frame for the next (a TrainStarter), which is why run-ahead issues several
+// frames to a doorbell (depth.go) and queued writebacks wait for a stream's
+// next one (WritePageRangeAsync). The synchronous calls are the same operations
+// with their single-op frames launched at once instead of queued (StartRead,
+// ReadPage, WritePage). The engine coalesces duplicate pending reads (a second
+// read of a queued or in-flight page rides the same wire request, unless a
+// write to the page has completed in between — see finishWrite), serves reads
+// of not-yet-flushed writes from the dirty buffer (read-your-writes), and fails
+// reads over across replicas, each holder once (retryRead).
 //
 // The engine is split-phase: a frame is started on its agent's transport and
 // becomes a flight; landing the flight — applying its response to the

@@ -175,14 +175,14 @@ const trainKeep = 256 << 10
 var ErrTransportClosed = errors.New("remote: transport closed")
 
 // TCP is a Transport over a single TCP connection with the binary wire
-// protocol. It is split-phase (Starter): requests are pipelined on the
+// protocol. It is split-phase (a Starter): requests are pipelined on the
 // connection and, because the agent answers strictly in order, matched to
 // responses by a FIFO of outstanding requests — no request IDs, no receiver
 // goroutine. Whoever waits for the oldest outstanding response reads the
 // socket, completing pendings in order until its own is done; later waiters
 // queue behind it, and responses nobody waits for yet stay in the receive
 // buffer or the kernel's. A lone Call therefore runs its write and its read on
-// the calling goroutine. It moves trains (TrainStarter): a frame started with
+// the calling goroutine. It moves trains (a TrainStarter): a frame started with
 // more to follow is held, and the frame that ends the train takes everything
 // held out in one socket write; whoever waits for a held frame writes the train
 // first. The host opens one transport per agent.
