@@ -1301,15 +1301,9 @@ func (r *hostRun) standing() error {
 		if l.writes > unackedFrames {
 			return fmt.Errorf("link %d carries %d write frames, over its window of %d", i, l.writes, unackedFrames)
 		}
-		pages := 0
-		for _, f := range l.flights {
-			if f.isWrite() {
-				pages += len(f.batch)
-			}
-		}
-		if pages > unackedFrames*h.cfg.QueueDepth {
-			return fmt.Errorf("link %d carries %d pages unacked, over %d frames of %d pages", i, pages, unackedFrames, h.cfg.QueueDepth)
-		}
+	}
+	if n := startedWrites(h); n > len(h.links)*unackedFrames*h.cfg.QueueDepth {
+		return fmt.Errorf("%d pages unacked, over %d frames of %d pages a link", n, unackedFrames, h.cfg.QueueDepth)
 	}
 	return r.freeListsUnreachable()
 }

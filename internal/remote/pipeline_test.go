@@ -650,22 +650,40 @@ func inOrder(t *testing.T, gates gateSet) {
 }
 
 // unacked reports the write frames in the air and the page images the host
-// holds for them: the writes those frames carry, each counted once.
+// holds for them: writes started and not yet answered by every replica.
 func unacked(h *Host) (frames, pages int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	writes := map[*pendingWrite]bool{}
 	for _, l := range h.links {
 		frames += l.writes
-		for _, f := range l.flights {
-			for _, e := range f.batch {
-				if e.write != nil {
-					writes[e.write] = true
-				}
-			}
+	}
+	return frames, startedWrites(h)
+}
+
+// startedWrites counts, each once, the writes the host has started (begin)
+// and not finished (finishWrite): those in a flight, those still queued for
+// another replica, and any a page's record holds. Callers hold h.mu.
+func startedWrites(h *Host) int {
+	writes := map[*pendingWrite]bool{}
+	held := func(pw *pendingWrite) {
+		if pw != nil && pw.started {
+			writes[pw] = true
 		}
 	}
-	return frames, len(writes)
+	for _, l := range h.links {
+		for _, f := range l.flights {
+			for _, e := range f.batch {
+				held(e.write)
+			}
+		}
+		for _, e := range l.queue {
+			held(e.write)
+		}
+	}
+	for _, r := range h.records.Range {
+		held(r.write)
+	}
+	return len(writes)
 }
 
 // TestWriteFramesStayInFlight: the doorbell puts a write's frames on both
