@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -40,67 +42,57 @@ func TestRunFigureUnknown(t *testing.T) {
 // perturb an output. Measured wall-clock blocks are compared after
 // StripMeasured.
 func TestParallelMatchesSequential(t *testing.T) {
-	names := Figures()
-	seq, err := RunAll(names, Small, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAll(names, Small, 42, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(names) || len(par) != len(names) {
-		t.Fatalf("result lengths: seq=%d par=%d want %d", len(seq), len(par), len(names))
-	}
-	for i, name := range names {
-		if seq[i].Name != name || par[i].Name != name {
-			t.Fatalf("position %d: names %q/%q, want %q", i, seq[i].Name, par[i].Name, name)
-		}
-		a, b := StripMeasured(seq[i].Output), StripMeasured(par[i].Output)
-		if a == "" {
-			t.Errorf("figure %s: empty output", name)
-		}
-		if a != b {
-			t.Errorf("figure %s: parallel output differs from sequential:\n%s\n---\n%s", name, a, b)
-		}
+	for _, name := range Figures() {
+		sameSeed(t, name)
 	}
 }
 
-// replayFigure runs one figure twice at seed 42 and fails unless both runs
-// render the same bytes outside any measured block. It returns the first
-// run's raw output for figure-specific checks.
-func replayFigure(t *testing.T, name string) string {
+// sameSeedRuns is the registry run at seed 42 on one worker and on four, once
+// for every test that reads it.
+var sameSeedRuns = sync.OnceValues(func() (runs [2][]FigureResult, err error) {
+	for i, workers := range []int{1, 4} {
+		if runs[i], err = RunAll(Figures(), Small, 42, workers); err != nil {
+			break
+		}
+	}
+	return runs, err
+})
+
+// sameSeed fails unless figure name rendered the same bytes outside any
+// measured block in both of sameSeedRuns, and returns its sequential output.
+func sameSeed(t *testing.T, name string) string {
 	t.Helper()
-	a, err := RunFigure(name, Small, 42)
-	if err != nil {
-		t.Fatalf("%s figure not registered: %v", name, err)
-	}
-	b, err := RunFigure(name, Small, 42)
+	runs, err := sameSeedRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Output == "" {
-		t.Fatalf("%s: empty output", name)
+	i := slices.Index(Figures(), name)
+	if len(runs[0]) != len(Figures()) || len(runs[1]) != len(Figures()) || runs[0][i].Name != name || runs[1][i].Name != name {
+		t.Fatalf("figure %s: the runs hold %d and %d results, not every figure in order", name, len(runs[0]), len(runs[1]))
 	}
-	if StripMeasured(a.Output) != StripMeasured(b.Output) {
-		t.Fatalf("same-seed %s runs diverged:\n%s\n---\n%s", name, a.Output, b.Output)
+	a, b := StripMeasured(runs[0][i].Output), StripMeasured(runs[1][i].Output)
+	if a == "" {
+		t.Errorf("figure %s: empty output", name)
 	}
-	return a.Output
+	if a != b {
+		t.Errorf("figure %s: parallel output differs from sequential:\n%s\n---\n%s", name, a, b)
+	}
+	return runs[0][i].Output
 }
 
-func TestResilienceDeterministic(t *testing.T) { replayFigure(t, "resilience") }
-func TestScalingDeterministic(t *testing.T)    { replayFigure(t, "scaling") }
-func TestElasticDeterministic(t *testing.T)    { replayFigure(t, "elastic") }
-func TestRuntimeDeterministic(t *testing.T)    { replayFigure(t, "runtime") }
-func TestSelfhealDeterministic(t *testing.T)   { replayFigure(t, "selfheal") }
-func TestZtierDeterministic(t *testing.T)      { replayFigure(t, "ztier") }
-func TestEnsembleDeterministic(t *testing.T)   { replayFigure(t, "ensemble") }
+// The figures that had replays of their own: slices of the same check.
+func TestResilienceDeterministic(t *testing.T) { sameSeed(t, "resilience") }
+func TestScalingDeterministic(t *testing.T)    { sameSeed(t, "scaling") }
+func TestElasticDeterministic(t *testing.T)    { sameSeed(t, "elastic") }
+func TestRuntimeDeterministic(t *testing.T)    { sameSeed(t, "runtime") }
+func TestSelfhealDeterministic(t *testing.T)   { sameSeed(t, "selfheal") }
+func TestZtierDeterministic(t *testing.T)      { sameSeed(t, "ztier") }
+func TestEnsembleDeterministic(t *testing.T)   { sameSeed(t, "ensemble") }
 
-// TestConcurrencyDeterministic replays the concurrency figure and checks
-// that its measured real-goroutine block is present and that StripMeasured
-// removes it.
+// TestConcurrencyDeterministic checks that the concurrency figure's measured
+// real-goroutine block is present and that StripMeasured removes it.
 func TestConcurrencyDeterministic(t *testing.T) {
-	out := replayFigure(t, "concurrency")
+	out := sameSeed(t, "concurrency")
 	stripped := StripMeasured(out)
 	if !strings.Contains(stripped, "isolation") {
 		t.Fatal("figure output lost the §4.1 isolation block")

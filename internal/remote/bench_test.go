@@ -3,6 +3,7 @@ package remote
 import (
 	"net"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"leap/internal/core"
@@ -154,6 +155,30 @@ func TestRangeWritebackAllocatesOncePerPage(t *testing.T) {
 			t.Errorf("a range writeback (handoff %v) allocates %.2f objects a page, want at most %.2f", handoff, perPage, want)
 		}
 	}
+}
+
+// readFrame is an eight-page read batch of slab 1 from page first on.
+func readFrame(tb testing.TB, first int) *Request {
+	refs := make([]BatchRef, 8)
+	for i := range refs {
+		refs[i] = BatchRef{Slab: 1, PageOff: uint32(first + i)}
+	}
+	req, err := EncodeReadBatch(refs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return req
+}
+
+// countedConn counts the Reads made on a connection.
+type countedConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countedConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
 }
 
 // BenchmarkTCPTrain moves eight-page read frames over loopback k to a socket

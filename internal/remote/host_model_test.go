@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"net"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,7 +23,8 @@ import (
 
 // The host model is the ticket engine's executable specification: a tape — a
 // host configuration, steps and a release order — played against a Host whose
-// agents sit behind FaultTransports behind ScriptedLinks, and checked after
+// agents sit behind FaultTransports behind ScriptedLinks, or across loopback TCP
+// (host_wire_test.go), and checked after
 // every step against a page map of every image issued for each page: reads
 // (checkRead), the unacked window and detached buffers (standing), repairs
 // (checkRepaired); and at every Flush, tickets, landing order, ack sets and
@@ -66,13 +69,19 @@ const (
 	opReplicateHot  opKind = "replicate-hot" // one extra holder for page
 	opDropHot       opKind = "drop-hot"
 	opExpect        opKind = "expect" // the tape's own assertion
+	// The connection steps of TCP links. The first three break link's
+	// connection, which nothing mends: its agent is down from then on.
+	opTruncate   opKind = "truncate"    // the agent's next response is cut mid-frame, and the connection with it
+	opReset      opKind = "reset"       // the agent's end is reset under whatever is outstanding
+	opStall      opKind = "stall"       // no byte reaches the host from now on: the peer is silent
+	opSlowReader opKind = "slow-reader" // the link's socket buffers hold lo bytes each way, or with clear enough
 )
 
 // opKinds is every kind of step; the corpus must take each.
 var opKinds = []opKind{opWrite, opHandOff, opWritePage, opWriteSync, opRead, opReadAsync, opStartRead, opReadVia, opDetach,
 	opSubmit, opFlush, opFlushBG, opWait, opHold, opRelease, opPump, opTrigger, opPartition, opFlaky, opHeal,
 	opSlow, opMarkFailed, opMarkRecovered, opPurge, opCrash, opRestart, opRepair, opRebalance, opRetire, opReinstate, opAddAgent,
-	opReplicateHot, opDropHot, opExpect}
+	opReplicateHot, opDropHot, opExpect, opTruncate, opReset, opStall, opSlowReader}
 
 type tapeOp struct {
 	kind   opKind
@@ -81,7 +90,7 @@ type tapeOp struct {
 	lo, hi int
 	link   int
 	frame  uint8
-	clear  bool // a slow step's
+	clear  bool // a slow or slow-reader step's
 	refs   []string
 	then   []tapeOp
 	check  func(*hostRun) bool // an expect's; name says what it expects
@@ -113,8 +122,15 @@ func done(want bool, names ...string) func(*hostRun) bool {
 	}
 }
 
+// acked: page is acked by n replicas, less those of its slab whose connections are broken.
 func acked(page core.PageID, n int) func(*hostRun) bool {
-	return func(r *hostRun) bool { return len(r.h.AckedReplicas(page)) >= n }
+	return func(r *hostRun) bool {
+		r.h.mu.Lock()
+		slab, _ := r.h.locate(page)
+		lost := len(slices.DeleteFunc(slices.Clone(r.h.placements[slab]), func(a int) bool { return !r.state[a].lost }))
+		r.h.mu.Unlock()
+		return len(r.h.AckedReplicas(page)) >= n-lost
+	}
 }
 
 func fired(trigger string) func(*hostRun) bool {
@@ -127,7 +143,7 @@ func fired(trigger string) func(*hostRun) bool {
 type hostTape struct {
 	seed                               uint64
 	replay                             string
-	mode                               Mode
+	mode                               linkMode
 	agents, replicas, depth, slabPages int
 	compress                           bool
 	ops                                []tapeOp
@@ -135,9 +151,20 @@ type hostTape struct {
 	// A draw's pages in play, and the scenarios it plays, cycles times each.
 	pages, cycles int
 	mix           []string
-	// grown counts the agents its add-agent steps add.
-	grown int
+	// grown counts the agents its add-agent steps add, lost those whose
+	// connections it breaks, played the scenarios it plays.
+	grown, played int
+	lost          []int
+	// sockBuf, where set, is the slow-reader steps' socket buffer size; coda is
+	// played after the drawn steps.
+	sockBuf int
+	coda    []tapeOp
 }
+
+// linkMode is what a tape's agents sit behind: ScriptedLinks of a Mode, or TCP.
+type linkMode int
+
+const callLinks, splitLinks, trainLinks, tcpLinks = linkMode(CallOnly), linkMode(Split), linkMode(Trains), linkMode(Trains) + 1
 
 // pool is the agents a tape's steps play on once its add-agent steps have run,
 // or, while it is drawn, as those drawn so far leave it.
@@ -145,7 +172,7 @@ func (tp *hostTape) pool() int { return tp.agents + tp.grown }
 
 // The axes a tape's configuration is drawn from, and compression on or off.
 var (
-	modelModes       = []Mode{CallOnly, Split, Trains}
+	modelModes       = []linkMode{callLinks, splitLinks, trainLinks, tcpLinks}
 	modelAgents      = []int{2, 3, 4}
 	modelReplicas    = []int{1, 2}
 	modelQueueDepths = []int{1, 2, 4, 8}
@@ -153,7 +180,7 @@ var (
 )
 
 func (tp *hostTape) axes() []string {
-	return []string{"mode=" + []string{"CallOnly", "Split", "Trains"}[tp.mode], fmt.Sprint("agents=", tp.agents),
+	return []string{"mode=" + []string{"CallOnly", "Split", "Trains", "TCP"}[tp.mode], fmt.Sprint("agents=", tp.agents),
 		fmt.Sprint("replicas=", tp.replicas), fmt.Sprint("depth=", tp.depth), fmt.Sprint("slab=", tp.slabPages),
 		fmt.Sprint("compress=", tp.compress)}
 }
@@ -166,10 +193,18 @@ type scenario struct {
 }
 
 func always(*hostTape) bool        { return true }
-func split(tp *hostTape) bool      { return tp.mode != CallOnly } // responses may be held while the tape goes on
-func replicated(tp *hostTape) bool { return tp.replicas == 2 }    // a replica may fail
-func spare(tp *hostTape) bool      { return tp.pool() > tp.replicas }
+func split(tp *hostTape) bool      { return tp.mode != callLinks } // responses may be held while the tape goes on
+func tcp(tp *hostTape) bool        { return tp.mode == tcpLinks }
+func intact(tp *hostTape) bool     { return len(tp.lost) == 0 }              // no connection broken for good
+func replicated(tp *hostTape) bool { return tp.replicas == 2 && intact(tp) } // a replica may fail
+func spare(tp *hostTape) bool      { return tp.pool() > tp.replicas && intact(tp) }
 func outage(tp *hostTape) bool     { return replicated(tp) && spare(tp) }
+
+// breakable: a connection may break for good, each page keeping a replica
+// that the repair after it can copy from.
+func breakable(tp *hostTape) bool {
+	return tcp(tp) && tp.replicas == 2 && (intact(tp) || tp.pool()-len(tp.lost) > tp.replicas)
+}
 
 var scenarios = map[string]scenario{
 	"traffic": {always, func(b *tapeBuilder) { b.traffic(4 + b.rng.Intn(12)); b.add(flush) }},
@@ -245,7 +280,7 @@ var scenarios = map[string]scenario{
 				return len(r.bg[f]) == 0 && len(r.bg[wt]) == 0
 			}), b.release(), flush, expect("the write is acked", acked(p, b.tp.replicas)))
 	}},
-	"dirty-race": {func(tp *hostTape) bool { return tp.mode == CallOnly }, func(b *tapeBuilder) {
+	"dirty-race": {func(tp *hostTape) bool { return tp.mode == callLinks }, func(b *tapeBuilder) {
 		b.add(dirtyRace(b.page(), b.rng.Intn(2) == 0)...)
 	}},
 	// A replica failing half its writes, then partitioned and healed with no
@@ -338,22 +373,24 @@ var scenarios = map[string]scenario{
 		b.add(at(opDropHot, p),
 			tapeOp{kind: opTrigger, name: trig, link: -1, frame: OpRead, then: []tapeOp{at(opWriteSync, p)}},
 			named(hot, at(opReplicateHot, p)), expect("the write raced the copy", fired(trig)),
+			// Over TCP the write runs beside the copy, and may outlast its rereads.
 			expect("one hot holder added, and certified", func(r *hostRun) bool {
-				holders := r.h.HotHolders(p)
-				return r.results[hot] == 1 && len(holders) == 1 && slices.Contains(r.h.AckedReplicas(p), holders[0])
+				holders, n := r.h.HotHolders(p), r.results[hot]
+				return (n == 1 || n == 0 && tcp(r.tape)) && len(holders) == n &&
+					(n == 0 || slices.Contains(r.h.AckedReplicas(p), holders[0]))
 			}), flush)
 	}},
-	"repush-race": {func(tp *hostTape) bool { return tp.pool() == 2 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"repush-race": {func(tp *hostTape) bool { return tp.pool() == 2 && replicated(tp) }, func(b *tapeBuilder) {
 		p := b.page()
-		b.add(repushRace(b.agent(), p, (p+1)%core.PageID(b.tp.pages), b.tp.mode != CallOnly)...)
+		b.add(repushRace(b.agent(), p, (p+1)%core.PageID(b.tp.pages), split(b.tp))...)
 	}},
 	// A repair copies onto a page's hot holder, and a write of the page lands
 	// inside the copy's source read.
-	"repair-hot": {func(tp *hostTape) bool { return tp.pool() == 3 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"repair-hot": {func(tp *hostTape) bool { return tp.pool() == 3 && replicated(tp) }, func(b *tapeBuilder) {
 		b.add(repairHot(b.tp, b.name(), b.rng.Intn(b.tp.pages/b.tp.slabPages), b.rng.Intn(2))...)
 	}},
 	// A repair that meets a slab it cannot restore restores the rest.
-	"stranded": {func(tp *hostTape) bool { return tp.pool() == 4 && tp.replicas == 2 }, func(b *tapeBuilder) {
+	"stranded": {func(tp *hostTape) bool { return tp.pool() == 4 && replicated(tp) }, func(b *tapeBuilder) {
 		b.add(strandedRepair(b.tp, b.name())...)
 	}},
 	// An agent failed and its slabs moved off by a rebalance, with no repair
@@ -401,6 +438,75 @@ var scenarios = map[string]scenario{
 		b.traffic(6)
 		b.add(flush)
 	}},
+	// An agent's connection cut inside a response, a demand read's or a burst's.
+	"truncate": {breakable, func(b *tapeBuilder) {
+		v := b.agent()
+		b.add(on(opTruncate, v), on(opReadVia, v))
+		b.burst()
+		b.broken(v)
+	}},
+	// An agent's connection reset under frames held in the air, and a burst
+	// started on it before anything has read the reset: a train's write fails.
+	"reset": {breakable, func(b *tapeBuilder) {
+		v := b.agent()
+		b.outstanding()
+		b.add(on(opReset, v), b.release())
+		b.burst()
+		b.broken(v)
+	}},
+	// An agent gone silent under frames held in the air.
+	"stall": {breakable, func(b *tapeBuilder) {
+		v := b.agent()
+		b.outstanding()
+		b.add(on(opStall, v), b.release(), flush)
+		b.broken(v)
+	}},
+	// A burst through small socket buffers: responses nobody reaps yet fill the
+	// way back, the agent stops reading, and the host's request writes stall.
+	"slow-reader": {tcp, func(b *tapeBuilder) {
+		v := b.agent()
+		b.add(tapeOp{kind: opSlowReader, link: v, lo: cmp.Or(b.tp.sockBuf, []int{4 << 10, 16 << 10}[b.rng.Intn(2)])})
+		b.burst()
+		b.add(tapeOp{kind: opSlowReader, link: v, clear: true})
+	}},
+}
+
+// outstanding holds the links and leaves a few reads and writes in the air.
+func (b *tapeBuilder) outstanding() {
+	b.add(b.hold())
+	b.reads(1 + b.rng.Intn(3))
+	b.writes(1 + b.rng.Intn(2))
+	b.add(submit)
+}
+
+// burst reads every page and then writes each whole, one doorbell for all.
+func (b *tapeBuilder) burst() {
+	for p := range b.tp.pages {
+		b.add(at(opReadAsync, core.PageID(p)))
+	}
+	for p := range b.tp.pages {
+		b.add(at(opWritePage, core.PageID(p)))
+	}
+	b.add(submit, flush)
+}
+
+// broken: agent v's connection is broken for good. The tape checks that it
+// stays so, tells the host, and repairs around it where the agents left can
+// hold every slab.
+func (b *tapeBuilder) broken(v int) {
+	b.tp.lost = append(b.tp.lost, v)
+	b.add(expect("the broken connection fails a frame with the error that broke it", func(r *hostRun) bool {
+		tr := r.wires[v].tr
+		_, err := tr.Call(&Request{Op: OpPing})
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return err != nil && err == tr.err
+	}), on(opMarkFailed, v))
+	if b.tp.pool()-len(b.tp.lost) >= b.tp.replicas {
+		b.add(repair)
+	}
+	b.traffic(4)
+	b.add(flush)
 }
 
 // dirtyRace: an early read of page held inside Call, the page rewritten and
@@ -585,10 +691,18 @@ type tapeBuilder struct {
 
 func (b *tapeBuilder) add(ops ...tapeOp) { b.tp.ops = append(b.tp.ops, ops...) }
 func (b *tapeBuilder) page() core.PageID { return core.PageID(b.rng.Intn(b.tp.pages)) }
-func (b *tapeBuilder) agent() int        { return b.rng.Intn(b.tp.pool()) }
 func (b *tapeBuilder) name() string      { b.names++; return fmt.Sprint("s", b.names) }
 func (b *tapeBuilder) hold() tapeOp      { b.held = true; return on(opHold, -1) }
 func (b *tapeBuilder) release() tapeOp   { b.held = false; return on(opRelease, -1) }
+
+// agent draws an agent whose connection is whole.
+func (b *tapeBuilder) agent() int {
+	for {
+		if a := b.rng.Intn(b.tp.pool()); !slices.Contains(b.tp.lost, a) {
+			return a
+		}
+	}
+}
 
 // write is a write of page: mostly a range — a byte, up to 300 bytes or the
 // page — with a ticket or handed off, else a whole page, async or, with the
@@ -653,8 +767,8 @@ func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 	tp := hostTape{
 		seed:      seed,
 		replay:    "^TestHostModel$",
-		mode:      modelModes[seed%3],
-		agents:    modelAgents[seed/3%3],
+		mode:      modelModes[seed%4],
+		agents:    modelAgents[seed/4%3],
 		replicas:  modelReplicas[rng.Intn(2)],
 		depth:     modelQueueDepths[rng.Intn(4)],
 		slabPages: modelSlabs[rng.Intn(2)],
@@ -678,17 +792,19 @@ func drawTape(seed uint64, pins ...func(*hostTape)) hostTape {
 	for range tp.cycles {
 		for _, i := range rng.Perm(len(mix)) {
 			if s := scenarios[mix[i]]; s.ok(&tp) {
+				tp.played++
 				s.gen(b)
 			}
 		}
 	}
+	b.add(tp.coda...)
 	return tp
 }
 
-// hostCorpus is TestHostModel's fixed set of tape seeds: 36 in a row.
+// hostCorpus is TestHostModel's fixed set of tape seeds: 48 in a row.
 func hostCorpus() []uint64 {
 	var seeds []uint64
-	for i := range uint64(36) {
+	for i := range uint64(48) {
 		seeds = append(seeds, 0x4057<<16|i)
 	}
 	return seeds
@@ -698,7 +814,7 @@ func hostCorpus() []uint64 {
 // seed's drawn tape that caught a defect, cut down to the steps it needs and
 // frozen, so that no new scenario or draw can re-draw it into one that does not.
 func hostRegressions() []hostTape {
-	return []hostTape{hotAckCounted(), staleCopyOntoAcked(), repairBesideHandOff()}
+	return []hostTape{hotAckCounted(), staleCopyOntoAcked(), repairBesideHandOff(), hotBesidePendingWrite()}
 }
 
 // missedByPlacement is a tape's expectation that page's last write missed a
@@ -722,7 +838,7 @@ func missedByPlacement(page core.PageID) tapeOp {
 // holder's ack towards Replicas, the page was never degraded nor re-pushed, and
 // the copy was stale.
 func hotAckCounted() hostTape {
-	tp := hostTape{seed: 0x405702cc, replay: "^TestHostModel$/^0x405702cc$", mode: CallOnly, agents: 3, replicas: 2,
+	tp := hostTape{seed: 0x405702cc, replay: "^TestHostModel$/^0x405702cc$", mode: callLinks, agents: 3, replicas: 2,
 		depth: 2, slabPages: 1, compress: true, pages: 8}
 	tp.ops = []tapeOp{at(opWritePage, 2), at(opWritePage, 5), flush, at(opReplicateHot, 5), on(opFlaky, 0),
 		at(opWritePage, 0), submit, at(opWritePage, 5), flush, missedByPlacement(5), on(opHeal, 0),
@@ -737,7 +853,7 @@ func hotAckCounted() hostTape {
 // copySlabTo copied onto a target in the page's ack set, the holder stayed acked
 // with the stale bytes.
 func staleCopyOntoAcked() hostTape {
-	tp := hostTape{seed: 0x4057055d, replay: "^TestHostModel$/^0x4057055d$", mode: CallOnly, agents: 3,
+	tp := hostTape{seed: 0x4057055d, replay: "^TestHostModel$/^0x4057055d$", mode: callLinks, agents: 3,
 		replicas: 2, depth: 1, slabPages: 1, pages: 8}
 	tp.ops = []tapeOp{{kind: opWrite, page: 7, lo: 1773, hi: 1802}, at(opWritePage, 8), flush, at(opReplicateHot, 7),
 		on(opFlaky, 0), {kind: opWrite, page: 7, lo: 1043, hi: 1227}, flush, missedByPlacement(7), on(opHeal, 0),
@@ -753,12 +869,29 @@ func staleCopyOntoAcked() hostTape {
 // Where checkRepaired took "no write pending" to mean "no write ticket
 // pending", the hand-off, which has no ticket, failed the repair's check.
 func repairBesideHandOff() hostTape {
-	tp := hostTape{seed: 0x4056ff34, replay: "^TestHostModel$/^0x4056ff34$", mode: Split, agents: 2, replicas: 2,
+	tp := hostTape{seed: 0x4056ff34, replay: "^TestHostModel$/^0x4056ff34$", mode: splitLinks, agents: 2, replicas: 2,
 		depth: 8, slabPages: 8, pages: 24}
 	tp.ops = []tapeOp{at(opWritePage, 10), flush, on(opCrash, 0), on(opRestart, 0), at(opWritePage, 10), flush,
 		{kind: opHandOff, page: 10, lo: 687, hi: 798}, repair,
 		expect("the page waits for its queued write to be re-acked", func(r *hostRun) bool { return r.h.DegradedPages() == 1 }),
 		flush, expect("the write's landing on both replicas clears it", func(r *hostRun) bool { return r.h.DegradedPages() == 0 })}
+	return tp
+}
+
+// hotBesidePendingWrite (found by tape 0x40570003 on TCP links, where the write
+// a hot-race starts inside the copy's source read was still in the air at the
+// install; cut down to a queued write, and frozen): ReplicateHot certified its
+// copy with a write of the page pending whose replica set was fixed before the
+// target joined, and that write's landing left the new hot holder out of the
+// ack set, with older bytes. A pending write now has ReplicateHot copy again.
+func hotBesidePendingWrite() hostTape {
+	tp := hostTape{seed: 0x4057f003, replay: "^TestHostModel$/^0x4057f003$", mode: callLinks, agents: 3, replicas: 2,
+		depth: 1, slabPages: 1, pages: 8}
+	tp.ops = []tapeOp{at(opWriteSync, 0), at(opWritePage, 0), at(opReplicateHot, 0), flush,
+		expect("every hot holder is in the ack set", func(r *hostRun) bool {
+			acks := r.h.AckedReplicas(0)
+			return !slices.ContainsFunc(r.h.HotHolders(0), func(a int) bool { return !slices.Contains(acks, a) })
+		})}
 	return tp
 }
 
@@ -821,8 +954,8 @@ func FuzzHostModel(f *testing.F) {
 }
 
 // hostSlice plays n tapes drawn with scenario alone in play, from seeds of the
-// test's own whose configuration, pins applied, admits it; LEAP_SEED=<seed> go
-// test -run '^<test>$' ./internal/remote replays one.
+// test's own whose draw, pins applied, plays it; LEAP_SEED=<seed> go test -run
+// '^<test>$' ./internal/remote replays one.
 func hostSlice(t *testing.T, n int, scenario string, pins ...func(*hostTape)) {
 	pins = append([]func(*hostTape){func(tp *hostTape) {
 		tp.mix, tp.cycles, tp.replay = []string{scenario}, 2, "^"+t.Name()+"$"
@@ -834,7 +967,7 @@ func hostSlice(t *testing.T, n int, scenario string, pins ...func(*hostTape)) {
 	h := fnv.New64a()
 	h.Write([]byte(t.Name()))
 	for seed := h.Sum64() << 8; n > 0; seed++ {
-		if tp := drawTape(seed, pins...); scenarios[scenario].ok(&tp) {
+		if tp := drawTape(seed, pins...); tp.played > 0 {
 			runHostModel(t, tp)
 			n--
 		}
@@ -844,16 +977,22 @@ func hostSlice(t *testing.T, n int, scenario string, pins ...func(*hostTape)) {
 // hostRun is a tape being played: the host, its agents and links, the page
 // map, and what the tape has made.
 type hostRun struct {
+	t      testing.TB
 	tape   *hostTape
 	h      *Host
 	agents []*Agent
 	faults []*FaultTransport
-	links  []*ScriptedLink
+	links  []*ScriptedLink // nil on TCP
+	wires  []*wire         // nil but on TCP
 	state  []agentState
 	holds  []atomic.Bool
 	trig   atomic.Pointer[tapeOp]
-	pumps  []func() // a running pump's stop, per link
-	picked atomic.Int64
+	// trigger is the trigger armed for the step being played, and fired takes
+	// word from its steps, played inside the frame it fired at, that they are done.
+	trigger *tapeOp
+	fired   chan struct{}
+	pumps   []func() // a running pump's stop, per link
+	picked  atomic.Int64
 	// images is the page map: every image the tape has issued for a page,
 	// newest last; seqs the writes issued up to the newest.
 	images  map[core.PageID][]*[PageSize]byte
@@ -873,10 +1012,11 @@ type hostRun struct {
 	racy bool
 }
 
-// agentState is what the tape did to an agent; since: writes issued when it went down.
+// agentState is what the tape did to an agent; since: writes issued when it
+// went down; lost: its connection is broken for good.
 type agentState struct {
-	down, purged, failed, flaky, retired bool
-	since                                int
+	down, purged, failed, flaky, retired, lost bool
+	since                                      int
 }
 
 // opTimeout is the watchdog: a step still running after it fails the tape.
@@ -897,7 +1037,9 @@ const cutByte = 0xA5
 
 func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 	r := &hostRun{
+		t:       t,
 		tape:    tape,
+		fired:   make(chan struct{}, 1),
 		holds:   make([]atomic.Bool, tape.pool()), // the links' scripts read them: never moved
 		images:  map[core.PageID][]*[PageSize]byte{},
 		seqs:    map[core.PageID]int{},
@@ -908,7 +1050,10 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 	}
 	trs := make([]Transport, tape.agents)
 	for i := range trs {
-		trs[i] = r.join()
+		var err error
+		if trs[i], err = r.join(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r.h = newHost(t, HostConfig{SlabPages: tape.slabPages, Replicas: tape.replicas, QueueDepth: tape.depth,
 		Seed: tape.seed, Compress: tape.compress}, trs)
@@ -917,41 +1062,80 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 }
 
 // join makes the next agent, behind a fault transport and a link of the
-// tape's mode, and returns the transport the host is to reach it by.
-func (r *hostRun) join() Transport {
+// tape's mode, and returns the transport the host is to reach it by. On TCP the
+// fault transport only decides which frames fail: the agent is over the wire.
+func (r *hostRun) join() (Transport, error) {
 	i := len(r.agents)
 	a := NewAgent(r.tape.slabPages, 0)
-	ft := NewFaultTransport(i, NewInProc(a), sim.NewRNG(r.tape.seed*31+uint64(i)))
-	l := NewScriptedLink(ft, r.tape.mode, nil, r.script(i))
-	r.agents, r.faults, r.links = append(r.agents, a), append(r.faults, ft), append(r.links, l)
-	r.state, r.pumps, r.ooo = append(r.state, agentState{}), append(r.pumps, nil), append(r.ooo, 0)
-	return l.Transport()
+	r.agents, r.state, r.pumps, r.ooo = append(r.agents, a), append(r.state, agentState{}), append(r.pumps, nil), append(r.ooo, 0)
+	rng := sim.NewRNG(r.tape.seed*31 + uint64(i))
+	if r.tape.mode == tcpLinks {
+		ft := NewFaultTransport(i, NewInProc(NewAgent(1, 0)), rng)
+		w, err := r.dial(i, a, ft)
+		if err != nil {
+			return nil, err
+		}
+		r.faults, r.links, r.wires = append(r.faults, ft), append(r.links, nil), append(r.wires, w)
+		return w.tr, nil
+	}
+	ft := NewFaultTransport(i, NewInProc(a), rng)
+	l := NewScriptedLink(ft, Mode(r.tape.mode), nil, r.script(i))
+	r.faults, r.links, r.wires = append(r.faults, ft), append(r.links, l), append(r.wires, nil)
+	return l.Transport(), nil
 }
 
 // script is link i's: it holds what the tape holds there — on a CallOnly link
 // read frames alone, for a held write would hold the tape inside Call — and
-// runs an armed trigger's steps inside the frame it fires at.
+// fires an armed trigger inside the frame it fires at.
 func (r *hostRun) script(i int) func(*Request) Verdict {
 	return func(req *Request) (v Verdict) {
-		v.Hold = r.holds[i].Load() && (r.tape.mode != CallOnly || req.Op == OpRead || req.Op == OpReadBatch)
-		if op := r.trig.Load(); op != nil && (op.link < 0 || op.link == i) && (op.frame == 0 || op.frame == req.Op) &&
-			r.trig.CompareAndSwap(op, nil) {
-			v.Then = func(*Response, error) {
-				r.results[op.name] = 1
-				for k := range op.then {
-					if err := r.do(&op.then[k]); err != nil && r.trigErr == nil {
-						r.trigErr = fmt.Errorf("%s, inside the frame: %w", op.then[k], err)
-					}
-				}
-			}
+		v.Hold = r.holds[i].Load() && (r.tape.mode != callLinks || req.Op == OpRead || req.Op == OpReadBatch)
+		if op := r.fire(i, req.Op, false); op != nil {
+			v.Then = func(*Response, error) { r.inside(op) }
 		}
 		return v
 	}
 }
 
+// fire takes the armed trigger if it fires at link i's frame of op. On TCP it
+// fires on the agent's side (async), where its steps run on a goroutine of
+// their own while the host goes on; the step that armed it waits for them.
+func (r *hostRun) fire(i int, frame uint8, async bool) *tapeOp {
+	op := r.trig.Load()
+	if op == nil || op.link >= 0 && op.link != i || op.frame != 0 && op.frame != frame || !r.trig.CompareAndSwap(op, nil) {
+		return nil
+	}
+	if async {
+		go r.inside(op)
+	}
+	return op
+}
+
+// inside plays a fired trigger's steps.
+func (r *hostRun) inside(op *tapeOp) {
+	for k := range op.then {
+		if err := r.step(&op.then[k]); err != nil && r.trigErr == nil {
+			r.trigErr = fmt.Errorf("%s, inside the frame: %w", op.then[k], err)
+		}
+	}
+	r.fired <- struct{}{}
+}
+
+// settle ends the step the trigger was armed for: if the trigger fired it
+// waits for its steps, and marks it fired.
+func (r *hostRun) settle() {
+	if op := r.trigger; op != nil {
+		if r.trigger = nil; r.trig.Swap(nil) == nil {
+			<-r.fired
+			r.results[op.name] = 1
+		}
+	}
+}
+
 // runHostModel plays tape, each step under the watchdog and followed by the
 // standing checks, and closes it with every link let go and a barrier.
-func runHostModel(t *testing.T, tape hostTape) {
+func runHostModel(t *testing.T, tape hostTape, more ...tapeOp) {
+	tape.ops = append(tape.ops, more...)
 	r := newHostRun(t, &tape)
 	ops := append(tape.ops, on(opRelease, -1), flush)
 	for i := range ops {
@@ -971,7 +1155,7 @@ func runHostModel(t *testing.T, tape hostTape) {
 		}
 		if err != nil {
 			replay := fmt.Sprintf("LEAP_SEED=%#x go test -run '%s'", tape.seed, tape.replay)
-			if strings.Contains(tape.replay, "/") { // a literal tape of TestHostModel's
+			if strings.Contains(tape.replay, "/^") { // a literal tape of a subtest's
 				replay = fmt.Sprintf("go test -run '%s'", tape.replay)
 			}
 			t.Fatalf("tape %#x (%s): op %d (%s): %v\nreplay with %s ./internal/remote",
@@ -1036,10 +1220,14 @@ func (r *hostRun) readPage(page core.PageID) error {
 // (a Ticket.Wait behind a Flush, a goroutine under a pump).
 func (r *hostRun) spawn(name string, park bool, f func() error) error {
 	parked := func() (n int) {
-		for _, l := range r.links {
-			l.mu.Lock()
-			n += l.waiting
-			l.mu.Unlock()
+		for i, l := range r.links {
+			if l != nil {
+				l.mu.Lock()
+				n += l.waiting
+				l.mu.Unlock()
+			} else {
+				r.wires[i].host.set(func() { n += r.wires[i].host.waiting })
+			}
 		}
 		return n
 	}
@@ -1069,10 +1257,22 @@ func (r *hostRun) holding() bool {
 	return false
 }
 
-// do plays one step.
+// do plays one step of the tape.
 func (r *hostRun) do(op *tapeOp) error {
+	err := r.step(op)
+	if op.kind != opTrigger {
+		r.settle()
+	}
+	return err
+}
+
+// step plays one step: the tape's, or a trigger's inside a frame.
+func (r *hostRun) step(op *tapeOp) error {
 	h := r.h
 	s := &r.state[max(op.link, 0)] // the agent of an agent's step
+	if s.lost && (op.kind == opHeal || op.kind == opRestart || op.kind == opMarkRecovered) {
+		return fmt.Errorf("agent %d's connection is broken: nothing mends it", op.link)
+	}
 	var err error
 	switch op.kind {
 	case opWrite, opWritePage:
@@ -1154,6 +1354,10 @@ func (r *hostRun) do(op *tapeOp) error {
 		for i := range r.links {
 			switch {
 			case op.link >= 0 && op.link != i:
+			case r.wires[i] != nil: // a FIFO link: a pump lets every response go in order
+				c, kind := r.wires[i].host, op.kind
+				r.holds[i].Store(kind == opHold || kind == opPump && r.holds[i].Load())
+				c.set(func() { c.held, c.pumped = r.holds[i].Load(), kind == opPump })
 			case op.kind == opHold:
 				r.holds[i].Store(true)
 			case op.kind == opPump && r.pumps[i] == nil:
@@ -1172,6 +1376,7 @@ func (r *hostRun) do(op *tapeOp) error {
 			return fmt.Errorf("a trigger needs the tape to itself: %d goroutines of its own are running", len(r.bg))
 		}
 		r.trig.Store(op)
+		r.trigger = op
 		return nil
 	case opPartition, opPurge:
 		r.faults[op.link].SetMode(FaultMode{Partitioned: true})
@@ -1213,27 +1418,56 @@ func (r *hostRun) do(op *tapeOp) error {
 	case opReinstate:
 		s.retired, err = false, h.Reinstate(op.link)
 	case opAddAgent:
-		if i := h.AddAgent(r.join()); i != len(r.agents)-1 {
-			err = fmt.Errorf("AddAgent gave agent %d index %d", len(r.agents)-1, i)
+		var tr Transport
+		if tr, err = r.join(); err == nil {
+			if i := h.AddAgent(tr); i != len(r.agents)-1 {
+				err = fmt.Errorf("AddAgent gave agent %d index %d", len(r.agents)-1, i)
+			}
 		}
 	case opRepair:
-		if r.results[op.name], err = h.RepairSlabs(); op.name != "" {
+		var n int
+		n, err = h.RepairSlabs()
+		if r.settle(); op.name != "" {
 			r.errs[op.name], err = err, nil
 		} else if err == nil {
 			err = r.checkRepaired()
 		}
+		r.results[op.name] = n
 	case opRebalance:
 		r.results[op.name], err = h.Rebalance()
 	case opReplicateHot:
-		r.results[op.name], err = h.ReplicateHot(op.page, 1)
+		var n int
+		n, err = h.ReplicateHot(op.page, 1)
+		r.settle()
+		r.results[op.name] = n
 	case opDropHot:
 		h.DropHot(op.page)
 	case opExpect:
 		if !op.check(r) {
 			err = fmt.Errorf("expected: %s", op.name)
 		}
+	case opTruncate, opReset, opStall:
+		w := r.wires[op.link]
+		switch op.kind {
+		case opTruncate:
+			w.agent.cut.Store(true)
+		case opReset: // unread bytes dropped
+			w.agent.Conn.(*net.TCPConn).SetLinger(0)
+			w.agent.Conn.Close()
+		case opStall:
+			w.host.set(func() { w.host.stalled = true })
+		}
+		if !s.down {
+			s.down, s.since = true, r.written
+		}
+		s.lost = true
+	case opSlowReader:
+		c, narrow := r.wires[op.link].host, op.lo
+		if op.clear {
+			narrow = 0
+		}
+		c.set(func() { c.narrow, c.inReq, c.inResp = narrow, 0, 0 })
 	}
-	r.trig.Store(nil) // a trigger is armed for the step after it alone
 	return err
 }
 
@@ -1282,6 +1516,32 @@ func (r *hostRun) checkRepaired() error {
 		return fmt.Errorf("after a repair with every agent healthy: %d slabs under-replicated, %d pages degraded", n, m)
 	}
 	return nil
+}
+
+// startedWrites counts, each once, the writes the host has started (begin)
+// and not finished (finishWrite): those in a flight, those still queued for
+// another replica, and any a page's record holds. Callers hold h.mu.
+func startedWrites(h *Host) int {
+	writes := map[*pendingWrite]bool{}
+	held := func(pw *pendingWrite) {
+		if pw != nil && pw.started {
+			writes[pw] = true
+		}
+	}
+	for _, l := range h.links {
+		for _, f := range l.flights {
+			for _, e := range f.batch {
+				held(e.write)
+			}
+		}
+		for _, e := range l.queue {
+			held(e.write)
+		}
+	}
+	for _, r := range h.records.Range {
+		held(r.write)
+	}
+	return len(writes)
 }
 
 // standing runs the checks that hold after every step.
@@ -1413,8 +1673,11 @@ func (r *hostRun) barrier() error {
 		return fmt.Errorf("link %d has flights unlanded after Flush", unlanded)
 	}
 	for i, l := range r.links {
+		if l == nil {
+			continue // a connection answers in order
+		}
 		n := l.OutOfOrder()
-		if r.tape.mode != CallOnly && !r.racy && n != r.ooo[i] {
+		if r.tape.mode != callLinks && !r.racy && n != r.ooo[i] {
 			return fmt.Errorf("link %d: %d flights were waited for ahead of an older one", i, n-r.ooo[i])
 		}
 		r.ooo[i] = n
@@ -1452,9 +1715,9 @@ func TestRangeWriteModel(t *testing.T) {
 	if seed, ok := leapSeed(t); ok {
 		seeds = []uint64{seed}
 	}
-	for _, mode := range []Mode{Split, Trains} {
+	for _, mode := range []linkMode{splitLinks, trainLinks} {
 		for _, seed := range seeds {
-			t.Run(fmt.Sprint("seed", seed, map[Mode]string{Trains: "/trains"}[mode]), func(t *testing.T) {
+			t.Run(fmt.Sprint("seed", seed, map[linkMode]string{trainLinks: "/trains"}[mode]), func(t *testing.T) {
 				tp := drawTape(seed, func(tp *hostTape) {
 					tp.mode, tp.agents, tp.replicas, tp.depth, tp.slabPages, tp.compress = mode, 4, 2, 4, 8, false
 					tp.mix = []string{"traffic", "supersede", "behind", "out-of-step", "flaky", "outage", "hot"}
@@ -1475,7 +1738,7 @@ func TestRangeWriteModel(t *testing.T) {
 func TestReadAfterAckedWriteDoesNotJoinOlderRead(t *testing.T) {
 	for name, sync := range map[string]bool{"async": false, "sync": true} {
 		t.Run(name, func(t *testing.T) {
-			runHostModel(t, hostTape{mode: CallOnly, agents: 1, replicas: 1, depth: 4, slabPages: 64, seed: 5,
+			runHostModel(t, hostTape{mode: callLinks, agents: 1, replicas: 1, depth: 4, slabPages: 64, seed: 5,
 				replay: "^TestReadAfterAckedWriteDoesNotJoinOlderRead$",
 				ops:    append([]tapeOp{at(opWriteSync, 3)}, dirtyRace(3, sync)...)})
 		})
@@ -1533,7 +1796,7 @@ func TestRecoverDuringRepair(t *testing.T) {
 // frame, at slab 0, and later picks it to replace itself in p's slab. Copying
 // b's older bytes onto a, which stays in p's ack set, would be a stale read.
 func recoverOntoAcked(seed uint64) hostTape {
-	tp := hostTape{seed: seed, replay: "^TestRecoverDuringRepair$", mode: Split, agents: 3, replicas: 2, depth: 4,
+	tp := hostTape{seed: seed, replay: "^TestRecoverDuringRepair$", mode: splitLinks, agents: 3, replicas: 2, depth: 4,
 		slabPages: 1, pages: 8}
 	ranked := rankOf(seed, tp.agents)
 	a, b, p := ranked(0, nil)[0], -1, core.PageID(1)
@@ -1573,7 +1836,7 @@ func TestRepairFinishesItsRound(t *testing.T) {
 // copy put it in the page's ack set: the failed move must take it out again,
 // and free the slab on c, which no placement names.
 func copyCut(seed uint64) hostTape {
-	tp := hostTape{seed: seed, replay: "^TestRepairFinishesItsRound$", mode: CallOnly, agents: 3, replicas: 2, depth: 4,
+	tp := hostTape{seed: seed, replay: "^TestRepairFinishesItsRound$", mode: callLinks, agents: 3, replicas: 2, depth: 4,
 		slabPages: 8, pages: 16}
 	ranked := rankOf(seed, tp.agents)(0, nil)
 	a, b, c := ranked[0], ranked[1], ranked[2]
@@ -1603,4 +1866,163 @@ func TestRepairCopiesContentExactly(t *testing.T) { hostSlice(t, 3, "outage") }
 // TestBatchedReadsReturnSameBytes: batched reads return what single reads do.
 func TestBatchedReadsReturnSameBytes(t *testing.T) {
 	hostSlice(t, 3, "sweep", func(tp *hostTape) { tp.depth = 8 })
+}
+
+// The tests below drove TCP links and the pipeline by hand; each is now a slice
+// of the model or a literal tape.
+
+// onTCP pins a slice to TCP links.
+func onTCP(tp *hostTape) { tp.mode = tcpLinks }
+
+// coda pins ops to the end of a slice's tapes.
+func coda(ops ...tapeOp) func(*hostTape) { return func(tp *hostTape) { tp.coda = ops } }
+
+// buffered pins the slow-reader steps' socket buffers, the queue depth and the
+// pages, with frames uncompressed.
+func buffered(buf, depth, pages int) func(*hostTape) {
+	return func(tp *hostTape) { tp.sockBuf, tp.depth, tp.pages, tp.compress = buf, depth, pages, false }
+}
+
+// stalls counts the request writes that timed out on the tape's TCP links: the
+// writeStall rule at work.
+func (r *hostRun) stalls() (n int64) {
+	for _, w := range r.wires {
+		n += w.host.stalls.Load()
+	}
+	return n
+}
+
+// TestTCPTransportEndToEnd: traffic through a host over loopback TCP.
+func TestTCPTransportEndToEnd(t *testing.T) { hostSlice(t, 1, "traffic", onTCP) }
+
+// TestTCPPipelinedCallsMatchFIFO: held reads on one connection each, waited
+// for from two goroutines, up and down, each returning its own page.
+func TestTCPPipelinedCallsMatchFIFO(t *testing.T) { hostSlice(t, 3, "ticket-waits", onTCP) }
+
+// TestTCPPoisonFailsOutstandingAndLater: a response cut mid-frame fails every
+// frame outstanding behind it, over to the other replica, and every later one.
+func TestTCPPoisonFailsOutstandingAndLater(t *testing.T) { hostSlice(t, 3, "truncate", onTCP) }
+
+// TestTCPSilentPeerFailsOver: a silent peer's read deadline poisons its
+// connection, and the reads held on it fail over.
+func TestTCPSilentPeerFailsOver(t *testing.T) { hostSlice(t, 2, "stall", onTCP) }
+
+// TestTCPNoDeadlockWithSmallSocketBuffers: bursts of frames several times the
+// socket buffers pass by the writeStall rule; at the read pipeline's bound the
+// rule has next to nothing to do.
+func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
+	t.Run("buf32K_depth256", func(t *testing.T) {
+		hostSlice(t, 1, "slow-reader", onTCP, buffered(32<<10, MaxBatchOps, 64))
+	})
+	t.Run("buf4K_depth16", func(t *testing.T) { hostSlice(t, 1, "slow-reader", onTCP, buffered(4<<10, 16, 32)) })
+	t.Run("reads_at_the_bound", func(t *testing.T) {
+		tp := hostTape{seed: 1, replay: "^TestTCPNoDeadlockWithSmallSocketBuffers$/^reads_at_the_bound$", mode: tcpLinks,
+			agents: 1, replicas: 1, depth: DefaultQueueDepth, slabPages: 64, pages: maxUnreaped / PageSize}
+		for p := range core.PageID(tp.pages) {
+			tp.ops = append(tp.ops, at(opWritePage, p))
+		}
+		tp.ops = append(tp.ops, flush, tapeOp{kind: opSlowReader, lo: 32 << 10})
+		for p := range core.PageID(tp.pages) {
+			tp.ops = append(tp.ops, at(opReadAsync, p))
+		}
+		runHostModel(t, tp, flush, expect("writeStall unstuck 8 request writes at most", func(r *hostRun) bool {
+			return r.stalls() <= 8
+		}))
+	})
+}
+
+// TestTrainOnTCP: what the transport promises of a train, over the host's
+// doorbells.
+func TestTrainOnTCP(t *testing.T) {
+	t.Run("one write", func(t *testing.T) {
+		hostSlice(t, 2, "slow-reader", onTCP, buffered(1<<20, 8, 24), coda(expect("the doorbells moved trains", func(r *hostRun) bool {
+			writes, frames := r.h.Doorbells()
+			return writes < frames
+		})))
+	})
+	t.Run("order under waiters and a launch", func(t *testing.T) { hostSlice(t, 2, "add-agent", onTCP) })
+	t.Run("a waiter sends the train", func(t *testing.T) { hostSlice(t, 2, "slow-reader", onTCP, buffered(32<<10, 1, 24)) })
+	t.Run("a failed write poisons the train", func(t *testing.T) { hostSlice(t, 2, "reset", onTCP) })
+	t.Run("writeStall unsticks a train", func(t *testing.T) {
+		hostSlice(t, 1, "slow-reader", onTCP, buffered(32<<10, 8, 32), func(tp *hostTape) { tp.agents = 1 }, coda(expect("writeStall fired", func(r *hostRun) bool {
+			return r.stalls() > 0
+		})))
+	})
+}
+
+// TestDemandReadsRunOutsideHostLock: over links that finish what they start, a
+// demand read's Call runs with Host.mu released: inside it, a demand read of
+// the other agent's and a ReadPageAsync + Submit of its own agent's complete.
+func TestDemandReadsRunOutsideHostLock(t *testing.T) {
+	tp := hostTape{seed: 5, replay: "^TestDemandReadsRunOutsideHostLock$", mode: callLinks, agents: 2, replicas: 1,
+		depth: 4, slabPages: 1, pages: 8}
+	var on [2][]core.PageID
+	for p := range core.PageID(tp.pages) {
+		a := rankOf(tp.seed, 2)(SlabID(p), nil)[0]
+		on[a] = append(on[a], p)
+		tp.ops = append(tp.ops, at(opWriteSync, p))
+	}
+	runHostModel(t, tp, tapeOp{kind: opTrigger, name: "in", link: 0, frame: OpRead, then: []tapeOp{at(opRead, on[1][0]),
+		named("w", at(opReadAsync, on[0][1])), submit, expect("the read completed beside the demand read", done(true, "w"))}},
+		at(opRead, on[0][0]), expect("the demand read's Call took them in", fired("in")))
+}
+
+// TestWriteFramesStayInFlight: write frames left in the air by Submit, acks
+// held, read back from the images the host keeps, then landed link by link.
+func TestWriteFramesStayInFlight(t *testing.T) { hostSlice(t, 3, "out-of-step") }
+
+// TestUnackedWindowBlocksWriter: a burst of one-page write frames fills the
+// unacked window of every link, and standing holds each link to it.
+func TestUnackedWindowBlocksWriter(t *testing.T) {
+	hostSlice(t, 2, "slow-reader", onTCP, buffered(1<<20, 1, 24))
+}
+
+// TestLandingLandsOlderFlightsOfItsLink: a read through each link in turn lands
+// the writes older on it, on connections that answer in order.
+func TestLandingLandsOlderFlightsOfItsLink(t *testing.T) { hostSlice(t, 3, "out-of-step", onTCP) }
+
+// TestResponseBufferNotReusedBeforeLanding: reads over TCP — swept, detached,
+// waited for from two goroutines — with every released buffer poisoned
+// (poison_test.go), each return an image of its page.
+func TestResponseBufferNotReusedBeforeLanding(t *testing.T) {
+	for _, scenario := range []string{"sweep", "detach", "ticket-waits"} {
+		hostSlice(t, 1, scenario, onTCP)
+	}
+}
+
+// TestLentResponseRevoked: the reaper is lent its response out of the receive
+// buffer and, while it waits for Host.mu to land it, a goroutine holding
+// Host.mu makes a direct Call on the link, as a copy does. The Call revokes the
+// loan — copies the lent bytes out and reads on — and the reaper lands the copy.
+func TestLentResponseRevoked(t *testing.T) {
+	tp := hostTape{seed: 1, replay: "^TestLentResponseRevoked$", mode: tcpLinks, agents: 1, replicas: 1, depth: 8,
+		slabPages: 64, pages: 16}
+	var reads []string
+	for p := range core.PageID(tp.pages) {
+		tp.ops = append(tp.ops, at(opWritePage, p))
+	}
+	tp.ops = append(tp.ops, flush, on(opHold, -1))
+	for p := range 8 {
+		reads = append(reads, fmt.Sprint("r", p))
+		tp.ops = append(tp.ops, named(reads[p], at(opReadAsync, core.PageID(p))))
+	}
+	var kept []byte // the Call's response, which nobody releases: nothing may recycle it
+	runHostModel(t, tp, submit, named("reaper", wait(reads...)), expect("a Call under Host.mu revoked the loan", func(r *hostRun) bool {
+		h, w := r.h, r.wires[0]
+		h.mu.Lock() // the reaper waits on the held socket, Host.mu released
+		defer h.mu.Unlock()
+		w.host.set(func() { w.host.held = false })
+		for lent := false; !lent; runtime.Gosched() {
+			w.tr.mu.Lock()
+			lent = w.tr.loan != nil && !w.tr.pinned
+			w.tr.mu.Unlock()
+		}
+		resp, err := w.tr.Call(&Request{Op: OpRead, Slab: 0, PageOff: 9})
+		w.tr.mu.Lock()
+		defer w.tr.mu.Unlock()
+		kept = resp.Payload
+		return err == nil && w.tr.loan == nil && bytes.Equal(kept, r.images[9][len(r.images[9])-1][:])
+	}), flush, at(opRead, 9), expect("the Call's response was left alone", func(r *hostRun) bool {
+		return bytes.Equal(kept, r.images[9][len(r.images[9])-1][:])
+	}))
 }

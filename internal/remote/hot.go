@@ -124,9 +124,9 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			continue
 		}
 		h.mu.Lock()
-		if !slices.Contains(h.rec(page).acked(), target) {
-			// A write completed after the source read: the bytes just pushed
-			// are stale and stay out of the ack set. Copy again.
+		if r := h.rec(page); !slices.Contains(r.acked(), target) || r.dirty() != nil {
+			// A write completed after the source read, or one pending leaves
+			// the target out: the bytes just pushed are stale. Copy again.
 			h.mu.Unlock()
 			if rereads++; rereads > maxHotStaleRetries {
 				return added, nil

@@ -168,11 +168,11 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 	}
 }
 
-// TestHedgeWinIsNotAFailover: a read whose slow primary fails walks on to the
-// next acked holder, slow too, and returns its fresh bytes. A read is in one
-// flight at a time, so the lost primary costs exactly one retry and counts as
-// one failover.
-func TestHedgeWinIsNotAFailover(t *testing.T) {
+// TestSlowFailedPrimaryCostsOneFailover: a read whose slow primary fails walks
+// on to the next acked holder, slow too, and returns its fresh bytes. A read is
+// in one flight at a time, so the lost primary costs exactly one retry and
+// counts as one failover.
+func TestSlowFailedPrimaryCostsOneFailover(t *testing.T) {
 	const slabPages, page = 8, core.PageID(3)
 	faults := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
@@ -214,11 +214,11 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 	}
 }
 
-// TestHedgeNeverTargetsUnackedHolder: a degraded page (one replica missed
+// TestSlowHintNeverReadsUnackedHolder: a degraded page (one replica missed
 // the last write) with its only acked holder hinted slow is still read from
 // that holder, at the first attempt: slowness never routes a read to a stale
 // replica, which would return its old bytes as fresh.
-func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
+func TestSlowHintNeverReadsUnackedHolder(t *testing.T) {
 	const slabPages, pages = 8, 64
 	faults := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)

@@ -322,22 +322,40 @@ func TestBaseImageRule(t *testing.T) {
 // page that is on the wire is measured from an image that write may yet fail to
 // leave on a replica, so it travels whole.
 func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
-	h, gates := gatedHost(t, 2, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 5})
+	started := make(chan uint8, 64) // the ops of the frames sent to agent 0
+	links, trs := make([]*ScriptedLink, 2), make([]Transport, 2)
+	for i := range links {
+		links[i] = NewScriptedLink(NewInProc(NewAgent(8, 0)), Split, nil, func(req *Request) Verdict {
+			if i == 0 {
+				started <- req.Op
+			}
+			return Verdict{}
+		})
+		trs[i] = links[i].Transport()
+	}
+	h := newHost(t, HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 5}, trs)
 	img := stamp(3)
 	if err := h.WritePage(3, img); err != nil {
 		t.Fatal(err)
 	}
-	gates.hold()
+	for len(started) > 0 {
+		<-started
+	}
+	for _, l := range links {
+		l.Hold()
+	}
 	img[0]++
 	h.WritePageRangeAsync(3, img, 0, 1)
 	flushed := make(chan error, 1)
 	go func() { flushed <- h.Flush() }()
-	if op := <-gates[0].started; op != OpWriteRanges {
+	if op := <-started; op != OpWriteRanges {
 		t.Fatalf("first write left as op %d, want a range frame", op)
 	}
 	img[9]++
 	h.WritePageRangeAsync(3, img, 9, 10)
-	gates.release()
+	for _, l := range links {
+		l.Release()
+	}
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +367,11 @@ func TestWriteBehindStartedWriteGoesWhole(t *testing.T) {
 	if st := h.Stats(); st.RangeWrites != 2 {
 		t.Errorf("%d range writes, want the first write's 2", st.RangeWrites)
 	}
-	if op := <-gates[0].started; op != OpWrite {
+	if op := <-started; op != OpWrite {
 		t.Errorf("second write reached agent 0 as op %d, want a page", op)
 	}
-	for i, g := range gates {
-		resp, err := g.Inner().Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
+	for i, l := range links {
+		resp, err := l.Inner().Call(&Request{Op: OpRead, Slab: 0, PageOff: 3})
 		if err != nil || !bytes.Equal(resp.Payload, img) {
 			t.Errorf("agent %d does not hold the newest image", i)
 		}
