@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -373,11 +374,9 @@ var scenarios = map[string]scenario{
 		b.add(at(opDropHot, p),
 			tapeOp{kind: opTrigger, name: trig, link: -1, frame: OpRead, then: []tapeOp{at(opWriteSync, p)}},
 			named(hot, at(opReplicateHot, p)), expect("the write raced the copy", fired(trig)),
-			// Over TCP the write runs beside the copy, and may outlast its rereads.
 			expect("one hot holder added, and certified", func(r *hostRun) bool {
-				holders, n := r.h.HotHolders(p), r.results[hot]
-				return (n == 1 || n == 0 && tcp(r.tape)) && len(holders) == n &&
-					(n == 0 || slices.Contains(r.h.AckedReplicas(p), holders[0]))
+				holders := r.h.HotHolders(p)
+				return r.results[hot] == 1 && len(holders) == 1 && slices.Contains(r.h.AckedReplicas(p), holders[0])
 			}), flush)
 	}},
 	"repush-race": {func(tp *hostTape) bool { return tp.pool() == 2 && replicated(tp) }, func(b *tapeBuilder) {
@@ -458,16 +457,26 @@ var scenarios = map[string]scenario{
 	"stall": {breakable, func(b *tapeBuilder) {
 		v := b.agent()
 		b.outstanding()
-		b.add(on(opStall, v), b.release(), flush)
+		b.add(on(opStall, v), b.release(), flush, expect("one deadline, then the silent peer fails fast, with its timeout",
+			func(r *hostRun) bool {
+				var nerr net.Error
+				_, err := r.conn(v).tr.Call(&Request{Op: OpPing}) // if nothing waited on the link, this does
+				return errors.As(err, &nerr) && nerr.Timeout() && time.Since(r.conn(v).stalled) < 4*stallTimeout
+			}))
 		b.broken(v)
 	}},
 	// A burst through small socket buffers: responses nobody reaps yet fill the
-	// way back, the agent stops reading, and the host's request writes stall.
+	// way back, the agent stops reading, and the host's request writes stall. On
+	// a tape whose sockets were dialed small (sockBuf) the burst plays alone.
 	"slow-reader": {tcp, func(b *tapeBuilder) {
-		v := b.agent()
-		b.add(tapeOp{kind: opSlowReader, link: v, lo: cmp.Or(b.tp.sockBuf, []int{4 << 10, 16 << 10}[b.rng.Intn(2)])})
+		v, narrow := b.agent(), b.tp.sockBuf == 0
+		if narrow {
+			b.add(tapeOp{kind: opSlowReader, link: v, lo: []int{4 << 10, 16 << 10}[b.rng.Intn(2)]})
+		}
 		b.burst()
-		b.add(tapeOp{kind: opSlowReader, link: v, clear: true})
+		if narrow {
+			b.add(tapeOp{kind: opSlowReader, link: v, clear: true})
+		}
 	}},
 }
 
@@ -495,13 +504,15 @@ func (b *tapeBuilder) burst() {
 // hold every slab.
 func (b *tapeBuilder) broken(v int) {
 	b.tp.lost = append(b.tp.lost, v)
-	b.add(expect("the broken connection fails a frame with the error that broke it", func(r *hostRun) bool {
-		tr := r.wires[v].tr
-		_, err := tr.Call(&Request{Op: OpPing})
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return err != nil && err == tr.err
-	}), on(opMarkFailed, v))
+	b.add(expect("the broken connection failed what it had in the air, and fails a later frame, with the error that broke it",
+		func(r *hostRun) bool {
+			c := r.conn(v)
+			_, err := c.tr.Call(&Request{Op: OpPing})
+			c.tr.mu.Lock()
+			defer c.tr.mu.Unlock()
+			return err != nil && err == c.tr.err &&
+				!slices.ContainsFunc(c.outstanding, func(p *tcpPending) bool { return !p.done || p.err != err })
+		}), on(opMarkFailed, v))
 	if b.tp.pool()-len(b.tp.lost) >= b.tp.replicas {
 		b.add(repair)
 	}
@@ -883,14 +894,14 @@ func repairBesideHandOff() hostTape {
 // install; cut down to a queued write, and frozen): ReplicateHot certified its
 // copy with a write of the page pending whose replica set was fixed before the
 // target joined, and that write's landing left the new hot holder out of the
-// ack set, with older bytes. A pending write now has ReplicateHot copy again.
+// ack set, with older bytes. The pending write now goes to the new holder too.
 func hotBesidePendingWrite() hostTape {
 	tp := hostTape{seed: 0x4057f003, replay: "^TestHostModel$/^0x4057f003$", mode: callLinks, agents: 3, replicas: 2,
 		depth: 1, slabPages: 1, pages: 8}
-	tp.ops = []tapeOp{at(opWriteSync, 0), at(opWritePage, 0), at(opReplicateHot, 0), flush,
-		expect("every hot holder is in the ack set", func(r *hostRun) bool {
-			acks := r.h.AckedReplicas(0)
-			return !slices.ContainsFunc(r.h.HotHolders(0), func(a int) bool { return !slices.Contains(acks, a) })
+	tp.ops = []tapeOp{at(opWriteSync, 0), at(opWritePage, 0), named("hot", at(opReplicateHot, 0)), flush,
+		expect("the hot holder, added beside the write, is in its ack set", func(r *hostRun) bool {
+			holders := r.h.HotHolders(0)
+			return r.results["hot"] == 1 && len(holders) == 1 && slices.Contains(r.h.AckedReplicas(0), holders[0])
 		})}
 	return tp
 }
@@ -982,16 +993,13 @@ type hostRun struct {
 	h      *Host
 	agents []*Agent
 	faults []*FaultTransport
-	links  []*ScriptedLink // nil on TCP
-	wires  []*wire         // nil but on TCP
+	links  []tapeLink
 	state  []agentState
-	holds  []atomic.Bool
 	trig   atomic.Pointer[tapeOp]
 	// trigger is the trigger armed for the step being played, and fired takes
 	// word from its steps, played inside the frame it fired at, that they are done.
 	trigger *tapeOp
 	fired   chan struct{}
-	pumps   []func() // a running pump's stop, per link
 	picked  atomic.Int64
 	// images is the page map: every image the tape has issued for a page,
 	// newest last; seqs the writes issued up to the newest.
@@ -1019,7 +1027,8 @@ type agentState struct {
 	since                                      int
 }
 
-// opTimeout is the watchdog: a step still running after it fails the tape.
+// opTimeout is the watchdog: a step still running after it fails the tape, or
+// after four times it on a tape dialed with small socket buffers.
 const opTimeout = 5 * time.Second
 
 // tapeTicket is a ticket of the tape's; for a read, its buffer and the image
@@ -1040,7 +1049,6 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 		t:       t,
 		tape:    tape,
 		fired:   make(chan struct{}, 1),
-		holds:   make([]atomic.Bool, tape.pool()), // the links' scripts read them: never moved
 		images:  map[core.PageID][]*[PageSize]byte{},
 		seqs:    map[core.PageID]int{},
 		tickets: map[string]*tapeTicket{},
@@ -1067,29 +1075,32 @@ func newHostRun(t *testing.T, tape *hostTape) *hostRun {
 func (r *hostRun) join() (Transport, error) {
 	i := len(r.agents)
 	a := NewAgent(r.tape.slabPages, 0)
-	r.agents, r.state, r.pumps, r.ooo = append(r.agents, a), append(r.state, agentState{}), append(r.pumps, nil), append(r.ooo, 0)
+	r.agents, r.state, r.ooo = append(r.agents, a), append(r.state, agentState{}), append(r.ooo, 0)
 	rng := sim.NewRNG(r.tape.seed*31 + uint64(i))
 	if r.tape.mode == tcpLinks {
 		ft := NewFaultTransport(i, NewInProc(NewAgent(1, 0)), rng)
-		w, err := r.dial(i, a, ft)
+		c, err := r.dial(i, a, ft)
 		if err != nil {
 			return nil, err
 		}
-		r.faults, r.links, r.wires = append(r.faults, ft), append(r.links, nil), append(r.wires, w)
-		return w.tr, nil
+		r.faults, r.links = append(r.faults, ft), append(r.links, c)
+		return c.tr, nil
 	}
-	ft := NewFaultTransport(i, NewInProc(a), rng)
-	l := NewScriptedLink(ft, Mode(r.tape.mode), nil, r.script(i))
-	r.faults, r.links, r.wires = append(r.faults, ft), append(r.links, l), append(r.wires, nil)
+	ft, l := NewFaultTransport(i, NewInProc(a), rng), &scriptLink{}
+	l.ScriptedLink = NewScriptedLink(ft, Mode(r.tape.mode), nil, r.script(l, i))
+	r.faults, r.links = append(r.faults, ft), append(r.links, l)
 	return l.Transport(), nil
 }
 
-// script is link i's: it holds what the tape holds there — on a CallOnly link
-// read frames alone, for a held write would hold the tape inside Call — and
-// fires an armed trigger inside the frame it fires at.
-func (r *hostRun) script(i int) func(*Request) Verdict {
+// conn is the host's end of agent i's TCP link.
+func (r *hostRun) conn(i int) *tapeConn { return r.links[i].(*tapeConn) }
+
+// script is link l's, agent i's: it holds what the tape holds there — on a
+// CallOnly link read frames alone, for a held write would hold the tape inside
+// Call — and fires an armed trigger inside the frame it fires at.
+func (r *hostRun) script(l *scriptLink, i int) func(*Request) Verdict {
 	return func(req *Request) (v Verdict) {
-		v.Hold = r.holds[i].Load() && (r.tape.mode != callLinks || req.Op == OpRead || req.Op == OpReadBatch)
+		v.Hold = l.holds() && (r.tape.mode != callLinks || req.Op == OpRead || req.Op == OpReadBatch)
 		if op := r.fire(i, req.Op, false); op != nil {
 			v.Then = func(*Response, error) { r.inside(op) }
 		}
@@ -1137,7 +1148,10 @@ func (r *hostRun) settle() {
 func runHostModel(t *testing.T, tape hostTape, more ...tapeOp) {
 	tape.ops = append(tape.ops, more...)
 	r := newHostRun(t, &tape)
-	ops := append(tape.ops, on(opRelease, -1), flush)
+	ops, watchdog := append(tape.ops, on(opRelease, -1), flush), opTimeout
+	if tape.sockBuf > 0 {
+		watchdog *= 4 // frames trickle through small socket buffers
+	}
 	for i := range ops {
 		errc := make(chan error, 1)
 		go func() {
@@ -1150,8 +1164,8 @@ func runHostModel(t *testing.T, tape hostTape, more ...tapeOp) {
 		var err error
 		select {
 		case err = <-errc:
-		case <-time.After(opTimeout):
-			err = fmt.Errorf("still blocked after %v", opTimeout)
+		case <-time.After(watchdog):
+			err = fmt.Errorf("still blocked after %v", watchdog)
 		}
 		if err != nil {
 			replay := fmt.Sprintf("LEAP_SEED=%#x go test -run '%s'", tape.seed, tape.replay)
@@ -1220,14 +1234,8 @@ func (r *hostRun) readPage(page core.PageID) error {
 // (a Ticket.Wait behind a Flush, a goroutine under a pump).
 func (r *hostRun) spawn(name string, park bool, f func() error) error {
 	parked := func() (n int) {
-		for i, l := range r.links {
-			if l != nil {
-				l.mu.Lock()
-				n += l.waiting
-				l.mu.Unlock()
-			} else {
-				r.wires[i].host.set(func() { n += r.wires[i].host.waiting })
-			}
+		for _, l := range r.links {
+			n += l.parked()
 		}
 		return n
 	}
@@ -1249,12 +1257,7 @@ func (r *hostRun) spawn(name string, park bool, f func() error) error {
 
 // holding reports whether the tape holds any link.
 func (r *hostRun) holding() bool {
-	for i := range r.holds {
-		if r.holds[i].Load() {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(r.links, tapeLink.holds)
 }
 
 // do plays one step of the tape.
@@ -1351,24 +1354,9 @@ func (r *hostRun) step(op *tapeOp) error {
 			return err
 		})
 	case opHold, opRelease, opPump:
-		for i := range r.links {
-			switch {
-			case op.link >= 0 && op.link != i:
-			case r.wires[i] != nil: // a FIFO link: a pump lets every response go in order
-				c, kind := r.wires[i].host, op.kind
-				r.holds[i].Store(kind == opHold || kind == opPump && r.holds[i].Load())
-				c.set(func() { c.held, c.pumped = r.holds[i].Load(), kind == opPump })
-			case op.kind == opHold:
-				r.holds[i].Store(true)
-			case op.kind == opPump && r.pumps[i] == nil:
-				r.pumps[i] = r.links[i].Pump(r.pick, func(int) {})
-			case op.kind == opRelease:
-				r.holds[i].Store(false)
-				if stop := r.pumps[i]; stop != nil {
-					r.pumps[i] = nil
-					stop()
-				}
-				r.links[i].Release()
+		for i, l := range r.links {
+			if op.link < 0 || op.link == i {
+				l.drive(op.kind, r.pick)
 			}
 		}
 	case opTrigger:
@@ -1447,22 +1435,22 @@ func (r *hostRun) step(op *tapeOp) error {
 			err = fmt.Errorf("expected: %s", op.name)
 		}
 	case opTruncate, opReset, opStall:
-		w := r.wires[op.link]
+		c := r.conn(op.link)
 		switch op.kind {
 		case opTruncate:
-			w.agent.cut.Store(true)
+			c.agent.cut.Store(true)
 		case opReset: // unread bytes dropped
-			w.agent.Conn.(*net.TCPConn).SetLinger(0)
-			w.agent.Conn.Close()
+			c.agent.Conn.(*net.TCPConn).SetLinger(0)
+			c.agent.Conn.Close()
 		case opStall:
-			w.host.set(func() { w.host.stalled = true })
+			c.set(func() { c.stalled = time.Now() })
 		}
 		if !s.down {
 			s.down, s.since = true, r.written
 		}
 		s.lost = true
 	case opSlowReader:
-		c, narrow := r.wires[op.link].host, op.lo
+		c, narrow := r.conn(op.link), op.lo
 		if op.clear {
 			narrow = 0
 		}
@@ -1673,9 +1661,6 @@ func (r *hostRun) barrier() error {
 		return fmt.Errorf("link %d has flights unlanded after Flush", unlanded)
 	}
 	for i, l := range r.links {
-		if l == nil {
-			continue // a connection answers in order
-		}
 		n := l.OutOfOrder()
 		if r.tape.mode != callLinks && !r.racy && n != r.ooo[i] {
 			return fmt.Errorf("link %d: %d flights were waited for ahead of an older one", i, n-r.ooo[i])
@@ -1886,8 +1871,8 @@ func buffered(buf, depth, pages int) func(*hostTape) {
 // stalls counts the request writes that timed out on the tape's TCP links: the
 // writeStall rule at work.
 func (r *hostRun) stalls() (n int64) {
-	for _, w := range r.wires {
-		n += w.host.stalls.Load()
+	for i := range r.links {
+		n += r.conn(i).stalls.Load()
 	}
 	return n
 }
@@ -1914,14 +1899,14 @@ func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
 	t.Run("buf32K_depth256", func(t *testing.T) {
 		hostSlice(t, 1, "slow-reader", onTCP, buffered(32<<10, MaxBatchOps, 64))
 	})
-	t.Run("buf4K_depth16", func(t *testing.T) { hostSlice(t, 1, "slow-reader", onTCP, buffered(4<<10, 16, 32)) })
+	t.Run("buf4K_depth16", func(t *testing.T) { hostSlice(t, 1, "slow-reader", onTCP, buffered(4<<10, 16, 16)) })
 	t.Run("reads_at_the_bound", func(t *testing.T) {
 		tp := hostTape{seed: 1, replay: "^TestTCPNoDeadlockWithSmallSocketBuffers$/^reads_at_the_bound$", mode: tcpLinks,
-			agents: 1, replicas: 1, depth: DefaultQueueDepth, slabPages: 64, pages: maxUnreaped / PageSize}
+			agents: 1, replicas: 1, depth: DefaultQueueDepth, slabPages: 64, pages: maxUnreaped / PageSize, sockBuf: 32 << 10}
 		for p := range core.PageID(tp.pages) {
 			tp.ops = append(tp.ops, at(opWritePage, p))
 		}
-		tp.ops = append(tp.ops, flush, tapeOp{kind: opSlowReader, lo: 32 << 10})
+		tp.ops = append(tp.ops, flush)
 		for p := range core.PageID(tp.pages) {
 			tp.ops = append(tp.ops, at(opReadAsync, p))
 		}
@@ -1935,10 +1920,29 @@ func TestTCPNoDeadlockWithSmallSocketBuffers(t *testing.T) {
 // doorbells.
 func TestTrainOnTCP(t *testing.T) {
 	t.Run("one write", func(t *testing.T) {
-		hostSlice(t, 2, "slow-reader", onTCP, buffered(1<<20, 8, 24), coda(expect("the doorbells moved trains", func(r *hostRun) bool {
-			writes, frames := r.h.Doorbells()
-			return writes < frames
-		})))
+		tp := hostTape{seed: 1, replay: "^TestTrainOnTCP$/^one_write$", mode: tcpLinks, agents: 1, replicas: 1, depth: 8,
+			slabPages: 64, pages: 32}
+		for p := range core.PageID(tp.pages) {
+			tp.ops = append(tp.ops, at(opWritePage, p))
+		}
+		tp.ops = append(tp.ops, flush)
+		for _, k := range []int{1, 2, 4} {
+			var n [3]int64 // the conn's writes, the transport's and their frames
+			count := func(r *hostRun) [3]int64 {
+				c := r.conn(0)
+				writes, frames := c.tr.doorbells()
+				return [3]int64{c.writes.Load(), writes, frames}
+			}
+			for p := range core.PageID(8 * k) {
+				tp.ops = append(tp.ops, at(opReadAsync, p))
+			}
+			tp.ops = append(tp.ops, expect("counted", func(r *hostRun) bool { n = count(r); return true }), submit,
+				expect(fmt.Sprint("a doorbell's train of ", k, " frames is one socket write"), func(r *hostRun) bool {
+					m := count(r)
+					return m == [3]int64{n[0] + 1, n[1] + 1, n[2] + int64(k)}
+				}), flush)
+		}
+		runHostModel(t, tp)
 	})
 	t.Run("order under waiters and a launch", func(t *testing.T) { hostSlice(t, 2, "add-agent", onTCP) })
 	t.Run("a waiter sends the train", func(t *testing.T) { hostSlice(t, 2, "slow-reader", onTCP, buffered(32<<10, 1, 24)) })
@@ -2008,20 +2012,20 @@ func TestLentResponseRevoked(t *testing.T) {
 	}
 	var kept []byte // the Call's response, which nobody releases: nothing may recycle it
 	runHostModel(t, tp, submit, named("reaper", wait(reads...)), expect("a Call under Host.mu revoked the loan", func(r *hostRun) bool {
-		h, w := r.h, r.wires[0]
+		h, c := r.h, r.conn(0)
 		h.mu.Lock() // the reaper waits on the held socket, Host.mu released
 		defer h.mu.Unlock()
-		w.host.set(func() { w.host.held = false })
+		c.set(func() { c.held = false })
 		for lent := false; !lent; runtime.Gosched() {
-			w.tr.mu.Lock()
-			lent = w.tr.loan != nil && !w.tr.pinned
-			w.tr.mu.Unlock()
+			c.tr.mu.Lock()
+			lent = c.tr.loan != nil && !c.tr.pinned
+			c.tr.mu.Unlock()
 		}
-		resp, err := w.tr.Call(&Request{Op: OpRead, Slab: 0, PageOff: 9})
-		w.tr.mu.Lock()
-		defer w.tr.mu.Unlock()
+		resp, err := c.tr.Call(&Request{Op: OpRead, Slab: 0, PageOff: 9})
+		c.tr.mu.Lock()
+		defer c.tr.mu.Unlock()
 		kept = resp.Payload
-		return err == nil && w.tr.loan == nil && bytes.Equal(kept, r.images[9][len(r.images[9])-1][:])
+		return err == nil && c.tr.loan == nil && bytes.Equal(kept, r.images[9][len(r.images[9])-1][:])
 	}), flush, at(opRead, 9), expect("the Call's response was left alone", func(r *hostRun) bool {
 		return bytes.Equal(kept, r.images[9][len(r.images[9])-1][:])
 	}))

@@ -79,11 +79,12 @@ const maxHotStaleRetries = 3
 // ReplicateHot installs extra read replicas for page until it has up to
 // extra hot holders beyond its slab placement, choosing the best
 // rendezvous-ranked live agents not already holding a copy. The page bytes
-// are copied (copyPage) from a holder that acknowledged the latest write, and
-// a copy joins the ack set only if no write overtook it; with no live acked
-// source the call is a no-op (an uncertifiable copy could never be read
-// anyway). Unreachable targets are skipped best-effort. It reports how many
-// copies were installed.
+// are copied (copyPage) from a holder that acknowledged the latest write; a
+// copy joins the ack set only if no write overtook it, and the page's pending
+// write, if any, goes to it too (joinWrites). With no live acked source the
+// call is a no-op (an uncertifiable copy could never be read anyway).
+// Unreachable targets are skipped best-effort. It reports how many copies were
+// installed.
 func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) {
 	slab, _ := h.locate(page)
 
@@ -124,9 +125,9 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			continue
 		}
 		h.mu.Lock()
-		if r := h.rec(page); !slices.Contains(r.acked(), target) || r.dirty() != nil {
-			// A write completed after the source read, or one pending leaves
-			// the target out: the bytes just pushed are stale. Copy again.
+		if !slices.Contains(h.rec(page).acked(), target) {
+			// A write completed after the source read: the bytes just pushed
+			// are stale and stay out of the ack set. Copy again.
 			h.mu.Unlock()
 			if rereads++; rereads > maxHotStaleRetries {
 				return added, nil
@@ -137,6 +138,7 @@ func (h *Host) ReplicateHot(page core.PageID, extra int) (added int, err error) 
 			h.hot = make(map[core.PageID][]int)
 		}
 		h.hot[page] = append(h.hot[page], target)
+		h.joinWrites(page, 1, target)
 		h.stats.HotCopies++
 		h.mu.Unlock()
 		added++

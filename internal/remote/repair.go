@@ -200,7 +200,7 @@ func (h *Host) moveSlab(slab SlabID, from, to []int) error {
 	h.mu.Lock()
 	h.placements[slab] = to
 	for _, idx := range joining {
-		h.joinWrites(slab, idx)
+		h.joinWrites(core.PageID(int64(slab)*int64(h.cfg.SlabPages)), h.cfg.SlabPages, idx)
 		h.links[idx].slabs++
 	}
 	var freed []int
@@ -307,14 +307,14 @@ func (h *Host) copySlabTo(slab SlabID, sources []int, target int) (certified []c
 	return certified, nil
 }
 
-// joinWrites has the writes of slab still pending go to target too, now in its
-// placement: each was cut for the replicas the slab had when it was issued,
-// and landing on those alone would leave its page degraded past the repair or
-// migration that added target. target's copy of the page is done by now, so
-// the write reaches it after the copy. Callers hold h.mu.
-func (h *Host) joinWrites(slab SlabID, target int) {
-	first := core.PageID(int64(slab) * int64(h.cfg.SlabPages))
-	for page := first; page < first+core.PageID(h.cfg.SlabPages); page++ {
+// joinWrites has the writes still pending of the n pages from first on go to
+// target too, which has just taken a copy of them as a replica (moveSlab) or a
+// hot holder (ReplicateHot): each was cut for the holders its page had when it
+// was issued, and its landing, which sets the page's ack set, would leave
+// target out. target's copy is done by now, so the write reaches it after the
+// copy. Callers hold h.mu.
+func (h *Host) joinWrites(first core.PageID, n int, target int) {
+	for page := first; page < first+core.PageID(n); page++ {
 		if pw := h.rec(page).dirty(); pw != nil && !slices.Contains(pw.replicas, target) {
 			pw.replicas = append(pw.replicas, target)
 			l := h.links[target]
